@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sounder import FrequencyResponse, PathParams, SounderConfig, resolvable_delays, synthesize_response
+from .sounder import FrequencyResponse, PathParams, SounderConfig, resolvable_delays
 
 
 @dataclass(frozen=True)
@@ -237,17 +237,3 @@ def pdp_marginals(grid: BeamspaceGrid) -> tuple[np.ndarray, np.ndarray]:
     power = np.abs(grid.values) ** 2
     return power.sum(axis=2), power.sum(axis=1)
 
-
-def transform_single_path_check(
-    path: PathParams, spec: GridSpec, config: SounderConfig
-) -> float:
-    """Relative Frobenius mismatch between the analytic single-path grid and
-    the transform of the synthesized response.  Diagnostic helper."""
-    direct = single_path_grid(path, spec, config).values
-    via_transform = beamspace_transform(
-        synthesize_response(config, [path]), spec
-    ).values
-    denom = np.linalg.norm(via_transform)
-    if denom == 0:
-        return float(np.linalg.norm(direct))
-    return float(np.linalg.norm(direct - via_transform) / denom)

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import logging
+import math
 import os
 import shutil
 import sys
@@ -60,6 +61,25 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
+
+
+def _float_flag(minimum: float = -math.inf, strict: bool = False):
+    """argparse ``type`` for a float flag: finite and at least ``minimum``
+    (above it if ``strict``).  A rejected value becomes a usage error that
+    names the flag."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < minimum or (strict and value == minimum):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {bound} {minimum:g}, "
+                                             f"got {text!r}")
+        return value
+    return parse
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,8 +243,6 @@ def cmd_extract(args) -> int:
 
 def cmd_associate(args) -> int:
     out_dir = Path(args.out_dir)
-    if args.unmatched_cost <= 0:
-        raise UsageError("unmatched-cost must be > 0")
     config = fileio.load_sounder_config(args.config)
     phys = fileio.load_paths_csv(args.truth, degrees=args.degrees)
     est = fileio.load_paths_csv(args.estimates, degrees=args.degrees)
@@ -362,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="sounder config file or preset name (paper, desk)")
     p.add_argument("--paths", required=True, help="ground-truth path CSV")
-    p.add_argument("--noise-power", type=float, default=0.0,
+    p.add_argument("--noise-power", type=_float_flag(0.0), default=0.0,
                    help="complex noise variance per tensor entry (default 0)")
-    p.add_argument("--snr-db", type=float, default=None,
+    p.add_argument("--snr-db", type=_float_flag(), default=None,
                    help="set noise power from the mean per-entry channel power")
     p.add_argument("--degrees", action="store_true",
                    help="angle columns are physical degrees; convert on load")
@@ -386,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True, help="joint LS refit of all amplitudes at the end")
     p.add_argument("--sage-sweeps", type=int, default=0,
                    help="refinement sweeps after extraction (default 0)")
-    p.add_argument("--residual-stop", type=float, default=1e-6,
+    p.add_argument("--residual-stop", type=_float_flag(0.0), default=1e-6,
                    help="stop when residual/initial power falls below this")
     p.add_argument("--refine-peaks", action=argparse.BooleanOptionalAction,
                    default=False,
@@ -398,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--truth", required=True, help="ground-truth path CSV")
     p.add_argument("--estimates", required=True, help="estimated path CSV")
-    p.add_argument("--unmatched-cost", type=float, default=3.0,
+    p.add_argument("--unmatched-cost", type=_float_flag(0.0, strict=True),
+                   default=3.0,
                    help="cost of leaving a path unmatched (default 3.0)")
     p.add_argument("--degrees", action="store_true",
                    help="angle columns are physical degrees; convert on load")

@@ -9,7 +9,7 @@ pass.  All estimators are deterministic functions of their inputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -223,6 +223,27 @@ def _coherence_pairs(gram: np.ndarray) -> list[tuple[int, int, float]]:
     return pairs
 
 
+def _ls_solve(
+    response: FrequencyResponse,
+    geometry: list[tuple[float, float, float]],
+    config: SounderConfig,
+) -> tuple[np.ndarray, float]:
+    "LS amplitudes and Gram condition number from one Gram matrix and one SVD."
+    if not geometry:
+        raise ValueError("geometry list must be non-empty")
+    dim = config.n_rx * config.n_tx * config.n_freq
+    if len(geometry) >= dim:
+        raise ValueError(f"{len(geometry)} paths >= signal space dimension {dim}")
+    if response.config != config:
+        raise ValueError("response and config disagree")
+    gram = _dictionary_gram(geometry, config)
+    condition = float(np.linalg.cond(gram))
+    if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
+        raise DegenerateGeometryError(condition, _coherence_pairs(gram))
+    rhs = _matched_filter_rhs(response, geometry)
+    return np.linalg.solve(gram, rhs), condition
+
+
 def ls_amplitudes(
     response: FrequencyResponse,
     geometry: list[tuple[float, float, float]],
@@ -242,19 +263,7 @@ def ls_amplitudes(
         If the Gram condition estimate exceeds ``GRAM_CONDITION_LIMIT``; the
         error names the most nearly duplicate geometry pairs.
     """
-    if not geometry:
-        raise ValueError("geometry list must be non-empty")
-    dim = config.n_rx * config.n_tx * config.n_freq
-    if len(geometry) >= dim:
-        raise ValueError(f"{len(geometry)} paths >= signal space dimension {dim}")
-    if response.config != config:
-        raise ValueError("response and config disagree")
-    gram = _dictionary_gram(geometry, config)
-    condition = float(np.linalg.cond(gram))
-    if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
-        raise DegenerateGeometryError(condition, _coherence_pairs(gram))
-    rhs = _matched_filter_rhs(response, geometry)
-    return np.linalg.solve(gram, rhs)
+    return _ls_solve(response, geometry, config)[0]
 
 
 def ls_condition(
@@ -278,8 +287,7 @@ def _ls_with_dedup(
     while True:
         subset = [geometry[i] for i in kept]
         try:
-            amps = ls_amplitudes(response, subset, config)
-            cond = ls_condition(subset, config)
+            amps, cond = _ls_solve(response, subset, config)
             return amps, cond, kept, dropped
         except DegenerateGeometryError as err:
             if len(kept) == 1:
@@ -450,6 +458,12 @@ def sage_refine(
     (M-step, full-grid search).  Returns the refined paths and the normalized
     reconstruction error after each sweep; for grid-quantized inputs the
     error sequence is non-increasing.
+
+    The E-step runs on one residual beamspace grid, transformed once: by
+    linearity and kernel consistency, the transform of the isolated response
+    is the residual grid plus path k's closed-form kernel.  Each path update
+    adds its old kernel back, picks the peak and subtracts the new kernel,
+    so no sweep re-runs the FFT and no per-path response is kept.
     """
     if not paths:
         raise ValueError("path list must be non-empty")
@@ -458,26 +472,23 @@ def sage_refine(
     if response.config != config:
         raise ValueError("response and config disagree")
     current = list(paths)
-    components = [synthesize_response(config, [p]).values for p in current]
-    total = np.sum(components, axis=0)
+    residual = FrequencyResponse(
+        values=response.values - synthesize_response(config, current).values,
+        config=config,
+    )
+    grid = beamspace_transform(residual, spec)
+    values = grid.values
+    aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     errors: list[float] = []
     for _ in range(sweeps):
-        for k in range(len(current)):
-            isolated = response.values - total + components[k]
-            grid = beamspace_transform(
-                FrequencyResponse(values=isolated, config=config), spec
-            )
-            i, j, l, val = _argmax_peak(grid.values)
-            new = PathParams(
-                gain=val,
-                delay=float(grid.delay_axis[l]),
-                aod=float(grid.aod_axis[j]),
-                aoa=float(grid.aoa_axis[i]),
-            )
-            total = total - components[k]
-            components[k] = synthesize_response(config, [new]).values
-            total = total + components[k]
+        for k, old in enumerate(current):
+            subtract_path(values, replace(old, gain=-old.gain), spec, config)
+            i, j, l, val = _argmax_peak(values)
+            new = PathParams(gain=val, delay=float(tau_ax[l]),
+                             aod=float(aod_ax[j]), aoa=float(aoa_ax[i]))
+            subtract_path(values, new, spec, config)
             current[k] = new
-        estimate = FrequencyResponse(values=total.copy(), config=config)
-        errors.append(reconstruction_error(estimate, response))
+        errors.append(
+            reconstruction_error(synthesize_response(config, current), response)
+        )
     return current, errors

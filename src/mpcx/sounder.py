@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,9 +30,9 @@ class PathParams:
     Parameters
     ----------
     gain : complex
-        Linear complex path amplitude.
+        Linear complex path amplitude, finite.
     delay : float
-        Propagation delay in seconds, >= 0.
+        Propagation delay in seconds, finite and >= 0.
     aod : float
         Angle of departure as a spatial frequency in cycles, in [-0.5, 0.5].
     aoa : float
@@ -44,12 +45,14 @@ class PathParams:
     aoa: float
 
     def __post_init__(self):
+        if not cmath.isfinite(self.gain):
+            raise ValueError(f"gain {self.gain} must be finite")
         if not -0.5 <= self.aod <= 0.5:
             raise ValueError(f"aod {self.aod} outside [-0.5, 0.5] cycles")
         if not -0.5 <= self.aoa <= 0.5:
             raise ValueError(f"aoa {self.aoa} outside [-0.5, 0.5] cycles")
-        if self.delay < 0:
-            raise ValueError(f"delay {self.delay} must be >= 0")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(f"delay {self.delay} must be finite and >= 0")
 
     @property
     def power(self) -> float:
@@ -73,10 +76,12 @@ class SounderConfig:
     def __post_init__(self):
         if self.n_tx < 1 or self.n_rx < 1 or self.n_freq < 1:
             raise ValueError("n_tx, n_rx and n_freq must be positive integers")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError(f"bandwidth_hz {self.bandwidth_hz} must be finite "
+                             "and positive")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ValueError(f"carrier_hz {self.carrier_hz} must be finite "
+                             "and positive")
 
     @property
     def delay_res(self) -> float:

@@ -1,7 +1,8 @@
 """Acceptance gate: twelve numbered criteria, one PASS/FAIL line each.
 
 Criteria 11 and 12 run the full protocol-scale pipeline (twice) and take
-several minutes each; deselect with -k "not protocol" during development.
+several minutes each; they carry the ``slow`` marker, so
+``pytest -m "not slow"`` deselects them during development.
 """
 
 import contextlib
@@ -382,6 +383,7 @@ def _run_paper_pipeline(base: Path) -> Path:
     return out
 
 
+@pytest.mark.slow
 def test_11_protocol_scale_run(capsys, tmp_path_factory):
     with criterion(capsys, 11, "protocol-scale pipeline quality"):
         t0 = time.perf_counter()
@@ -398,6 +400,7 @@ def test_11_protocol_scale_run(capsys, tmp_path_factory):
         assert float(report["normalized_error"]) <= 0.01
 
 
+@pytest.mark.slow
 def test_12_protocol_determinism(capsys, tmp_path_factory):
     with criterion(capsys, 12, "protocol-scale rerun byte-identical"):
         first = _state.get("protocol_run")

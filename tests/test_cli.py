@@ -201,6 +201,58 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--config", "desk", "--paths", "p.csv", "--noise-power", "-1"],
+     "--noise-power"),
+    (["synth", "--config", "desk", "--paths", "p.csv", "--snr-db", "nan"],
+     "--snr-db"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--residual-stop", "nan"], "--residual-stop"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--residual-stop", "-0.5"], "--residual-stop"),
+    (["associate", "--config", "desk", "--truth", "t.csv", "--estimates",
+      "e.csv", "--unmatched-cost", "nan"], "--unmatched-cost"),
+    (["associate", "--config", "desk", "--truth", "t.csv", "--estimates",
+      "e.csv", "--unmatched-cost", "inf"], "--unmatched-cost"),
+    (["synth", "--config", "desk", "--paths", "p.csv", "--noise-power", "x"],
+     "--noise-power"),
+])
+def test_bad_float_flags_exit_1_naming_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "r"
+    assert main(argv + ["--out-dir", str(out), "--quiet"]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, field", [("delay_s", "delay"),
+                                           ("gain_real", "gain")])
+def test_non_finite_path_csv_exits_2(tmp_path, capsys, column, field):
+    header = ["gain_real", "gain_imag", "delay_s", "aod_cycles", "aoa_cycles"]
+    row = ["1", "0", "5e-09", "0.1", "0.1"]
+    row[header.index(column)] = "nan"
+    paths = tmp_path / "p.csv"
+    paths.write_text(",".join(header) + "\n" + ",".join(row) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err and field in err
+    assert not (out / "tensor.bin").exists()
+
+
+def test_non_finite_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_tx = 8\nn_rx = 8\nbandwidth_hz = nan\nn_freq = 32\n",
+                   encoding="utf-8")
+    paths = tmp_path / "p.csv"
+    paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+                     "1,0,5e-09,0.1,0.1\n", encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--paths", str(paths),
+                 "--out-dir", str(tmp_path / "r"), "--quiet"]) == 2
+    assert "bandwidth_hz" in capsys.readouterr().err
+
+
 def test_missing_artifact_names_stage(tmp_path, capsys):
     out = tmp_path / "r"
     out.mkdir()

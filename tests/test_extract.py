@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from mpcx import (
     BeamspaceGrid,
     DegenerateGeometryError,
     ExtractionConfig,
+    FrequencyResponse,
     GridSpec,
     PathParams,
     SounderConfig,
+    add_awgn,
     beamspace_transform,
     find_peak,
     greedy_extract,
@@ -21,6 +25,7 @@ from mpcx import (
 )
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
+PAPER = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
 TINY = SounderConfig(n_tx=4, n_rx=4, bandwidth_hz=1e9, n_freq=16)
 
 
@@ -409,6 +414,77 @@ def test_sage_input_validation():
         sage_refine(resp, paths, DESK, GridSpec(), sweeps=0)
     with pytest.raises(ValueError):
         sage_refine(resp, [], DESK, GridSpec(), sweeps=1)
+
+
+def sage_fft_oracle(response, paths, config, spec, sweeps):
+    """Reference SAGE loop: keeps one response per path and runs a full FFT
+    transform of each isolated response."""
+    current = list(paths)
+    components = [synthesize_response(config, [p]).values for p in current]
+    total = np.sum(components, axis=0)
+    errors = []
+    for _ in range(sweeps):
+        for k in range(len(current)):
+            isolated = response.values - total + components[k]
+            grid = beamspace_transform(
+                FrequencyResponse(values=isolated, config=config), spec)
+            aoa, aod, delay, val = find_peak(grid)
+            new = PathParams(gain=val, delay=delay, aod=aod, aoa=aoa)
+            total = total - components[k]
+            components[k] = synthesize_response(config, [new]).values
+            total = total + components[k]
+            current[k] = new
+        estimate = FrequencyResponse(values=total.copy(), config=config)
+        errors.append(reconstruction_error(estimate, response))
+    return current, errors
+
+
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_sage_matches_fft_per_path_oracle(seed, snr_db):
+    rng = np.random.default_rng(7000 + seed)
+    truth = [
+        PathParams(gain=complex(rng.normal(), rng.normal()),
+                   delay=rng.uniform(0, DESK.duration * 0.9),
+                   aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+        for _ in range(6)
+    ]
+    resp = synthesize_response(DESK, truth)
+    if snr_db is not None:
+        noise = np.mean(np.abs(resp.values) ** 2) / 10.0 ** (snr_db / 10.0)
+        resp = add_awgn(resp, noise, seed=seed)
+    cfg = ExtractionConfig(k_dom=8, k_g=4, k_up=2, residual_stop=0.0)
+    found, _ = greedy_ls(resp, DESK, cfg)
+    refined, errors = sage_refine(resp, found, DESK, cfg.grid, sweeps=2)
+    ref_paths, ref_errors = sage_fft_oracle(resp, found, DESK, cfg.grid, sweeps=2)
+    assert len(refined) == len(ref_paths)
+    for got, ref in zip(refined, ref_paths):
+        assert (got.delay, got.aod, got.aoa) == (ref.delay, ref.aod, ref.aoa)
+        assert abs(got.gain - ref.gain) <= 1e-9
+    assert len(errors) == len(ref_errors)
+    for got, ref in zip(errors, ref_errors):
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_sage_sweep_memory_is_one_grid():
+    "One paper-size sweep allocates a few grids, not one response per path."
+    rng = np.random.default_rng(79)
+    spec = GridSpec(os_aoa=1, os_aod=1, os_delay=1)
+    aoa_ax, aod_ax, tau_ax = (spec.aoa_axis(PAPER), spec.aod_axis(PAPER),
+                              spec.delay_axis(PAPER))
+    paths = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=float(rng.choice(tau_ax)),
+                        aod=float(rng.choice(aod_ax)),
+                        aoa=float(rng.choice(aoa_ax)))
+             for _ in range(64)]
+    resp = synthesize_response(PAPER, paths)
+    tracemalloc.start()
+    try:
+        sage_refine(resp, paths, PAPER, spec, sweeps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * resp.values.nbytes, f"peak {peak / resp.values.nbytes:.1f}x"
 
 
 def test_refine_peaks_flag_smoke():

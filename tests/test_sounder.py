@@ -75,6 +75,30 @@ def test_path_params_validation():
         PathParams(gain=1 + 0j, delay=0.0, aod=0.0, aoa=-0.51)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gain", complex(float("nan"), 0.0)),
+    ("gain", complex(0.0, float("inf"))),
+    ("delay", float("nan")),
+    ("delay", float("inf")),
+    ("aod", float("nan")),
+    ("aoa", float("nan")),
+])
+def test_path_params_rejects_non_finite(field, value):
+    fields = dict(gain=1 + 0j, delay=1e-9, aod=0.1, aoa=-0.1)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        PathParams(**fields)
+
+
+@pytest.mark.parametrize("field", ["bandwidth_hz", "carrier_hz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    fields = dict(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32, carrier_hz=28e9)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        SounderConfig(**fields)
+
+
 def test_config_resolutions_exact():
     cfg = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
     assert cfg.delay_res * cfg.bandwidth_hz == 1.0
