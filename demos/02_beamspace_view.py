@@ -6,8 +6,8 @@ The beamspace transform maps the (rx, tx, freq) response onto an
 oversampled (AoA, AoD, delay) grid.  A path whose parameters sit exactly on
 the grid lattice shows up as its complex gain at one grid point; off-grid
 paths spread over neighboring points following the array's Dirichlet-kernel
-point-spread function.  The transform is evaluated with zero-padded FFTs
-but agrees with the direct triple sum at every grid point.
+point-spread function.  The transform is the direct separable triple sum,
+evaluated as one steering-matrix product per axis.
 
 This script places one on-grid and one off-grid path, locates their peaks,
 and renders the angle-angle power marginal as a coarse text map.

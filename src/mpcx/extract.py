@@ -9,6 +9,7 @@ pass.  All estimators are deterministic functions of their inputs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from .beamspace import (
     GridSpec,
     beamspace_point,
     beamspace_transform,
-    subtract_path,
+    peak_sweep,
+    single_path_kernels,
 )
 from .sounder import FrequencyResponse, PathParams, SounderConfig, synthesize_response
 
@@ -70,8 +72,9 @@ class ExtractionConfig:
             raise ValueError(
                 f"require 1 <= k_up <= k_g, got k_up={self.k_up}, k_g={self.k_g}"
             )
-        if self.residual_stop < 0:
-            raise ValueError("residual_stop must be >= 0")
+        if not (math.isfinite(self.residual_stop) and self.residual_stop >= 0):
+            raise ValueError(f"residual_stop {self.residual_stop} must be finite "
+                             "and >= 0")
 
 
 @dataclass
@@ -89,25 +92,16 @@ def find_peak(grid: BeamspaceGrid) -> tuple[float, float, float, complex]:
     """Coordinates and complex value of the maximum-magnitude grid entry.
 
     Exact magnitude ties resolve to the lowest (aoa, aod, delay) index triple
-    in lexicographic order.  An all-zero grid reports peak value 0.
+    in lexicographic order.  An all-zero grid reports peak value 0; an empty
+    grid or a non-finite entry raises ValueError.
     """
-    values = grid.values
-    if values.size == 0:
-        raise ValueError("empty beamspace grid")
-    flat = int(np.argmax(np.abs(values)))
-    i, j, l = np.unravel_index(flat, values.shape)
+    i, j, l, val = peak_sweep(grid.values, [], grid.spec, grid.config)
     return (
         float(grid.aoa_axis[i]),
         float(grid.aod_axis[j]),
         float(grid.delay_axis[l]),
-        complex(values[i, j, l]),
+        val,
     )
-
-
-def _argmax_peak(values: np.ndarray) -> tuple[int, int, int, complex]:
-    flat = int(np.argmax(np.abs(values)))
-    i, j, l = np.unravel_index(flat, values.shape)
-    return int(i), int(j), int(l), complex(values[i, j, l])
 
 
 def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
@@ -118,26 +112,38 @@ def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
     return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
 
 
-def _refine_peak(
-    values: np.ndarray, i: int, j: int, l: int, grid: BeamspaceGrid
-) -> tuple[float, float, float]:
+def _grid_sampler(values: np.ndarray, paths: list[PathParams], spec: GridSpec,
+                  config: SounderConfig):
+    "Pointwise evaluation of ``values`` minus the beamspace responses of ``paths``."
+    kernels = [single_path_kernels(p, spec, config) for p in paths]
+
+    def sample(i: int, j: int, l: int) -> complex:
+        return complex(values[i, j, l]) - sum(
+            p.gain * k_aoa[i] * k_aod[j] * k_tau[l]
+            for p, (k_aoa, k_aod, k_tau) in zip(paths, kernels))
+
+    return sample
+
+
+def _refine_peak(sample, i: int, j: int, l: int,
+                 grid: BeamspaceGrid) -> tuple[float, float, float]:
     """Sub-grid peak coordinates by per-axis quadratic interpolation of |value|.
 
-    Angle axes wrap periodically; the delay axis skips refinement at its
-    edges.  Offsets are clamped to half a grid step per axis.
+    ``sample(i, j, l)`` gives the grid value at an index triple.  Angle axes
+    wrap periodically; the delay axis skips refinement at its edges.  Offsets
+    are clamped to half a grid step per axis.
     """
-    n_aoa, n_aod, n_tau = values.shape
-    mag = np.abs
+    n_aoa, n_aod, n_tau = grid.values.shape
+
+    def mag(i, j, l):
+        return abs(sample(i, j, l))
+
     d_aoa = _parabolic_offset(
-        mag(values[(i - 1) % n_aoa, j, l]), mag(values[i, j, l]),
-        mag(values[(i + 1) % n_aoa, j, l]))
+        mag((i - 1) % n_aoa, j, l), mag(i, j, l), mag((i + 1) % n_aoa, j, l))
     d_aod = _parabolic_offset(
-        mag(values[i, (j - 1) % n_aod, l]), mag(values[i, j, l]),
-        mag(values[i, (j + 1) % n_aod, l]))
+        mag(i, (j - 1) % n_aod, l), mag(i, j, l), mag(i, (j + 1) % n_aod, l))
     if 0 < l < n_tau - 1:
-        d_tau = _parabolic_offset(
-            mag(values[i, j, l - 1]), mag(values[i, j, l]),
-            mag(values[i, j, l + 1]))
+        d_tau = _parabolic_offset(mag(i, j, l - 1), mag(i, j, l), mag(i, j, l + 1))
     else:
         d_tau = 0.0
     aoa = float(grid.aoa_axis[i]) + d_aoa / n_aoa
@@ -160,23 +166,22 @@ def greedy_extract(
     grid coordinates and complex value as a path estimate, subtract that
     path's analytic beamspace response, continue on the residual grid.
     Returns the estimates in detection order; stops early only if the
-    residual grid becomes exactly zero.
+    residual grid becomes exactly zero.  Each subtraction is fused with the
+    next peak search into one sweep, so the last estimate is never
+    subtracted.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    cfg = response.config
     grid = beamspace_transform(response, spec)
-    values = grid.values
     aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     estimates: list[PathParams] = []
     for _ in range(count):
-        i, j, l, val = _argmax_peak(values)
+        i, j, l, val = peak_sweep(grid.values, estimates[-1:], spec,
+                                  response.config, write=True)
         if val == 0:
             break
-        path = PathParams(gain=val, delay=float(tau_ax[l]), aod=float(aod_ax[j]),
-                          aoa=float(aoa_ax[i]))
-        estimates.append(path)
-        subtract_path(values, path, spec, cfg)
+        estimates.append(PathParams(gain=val, delay=float(tau_ax[l]),
+                                    aod=float(aod_ax[j]), aoa=float(aoa_ax[i])))
     return estimates
 
 
@@ -312,8 +317,9 @@ def greedy_ls(
     Outer loop, repeated until ``k_dom`` paths are committed or the residual
     power ratio falls below ``residual_stop``:
 
-    1. run ``k_g`` greedy peak-pick-and-subtract steps on a scratch copy of
-       the current residual grid;
+    1. run ``k_g`` greedy peak-pick-and-subtract steps on the current
+       residual grid: pick n is the peak of the grid minus candidates
+       1..n-1, read without writing, so no scratch copy is made;
     2. LS-refit the amplitudes of those candidates against the current
        residual response (degenerate candidates are dropped, later one
        first);
@@ -321,8 +327,9 @@ def greedy_ls(
        commit subtracts the candidate's exact single-path response from the
        frequency-domain residual, using the exactly optimal single-path
        amplitude for the residual at commit time, so the recorded residual
-       power never increases.  Scratch subtractions from step 1 are never
-       carried over.
+       power never increases.  The candidate subtractions of step 1 are
+       never carried over.  A commit's grid subtraction is deferred to the
+       first peak sweep of the next iteration, which applies it in place.
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
@@ -348,26 +355,29 @@ def greedy_ls(
     gvals = grid.values
     aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     committed: list[PathParams] = []
+    pending: list[PathParams] = []  # commits not yet subtracted from gvals
 
     while len(committed) < xcfg.k_dom:
         res_power = float(np.sum(np.abs(residual) ** 2))
         if res_power / trace.initial_power <= xcfg.residual_stop:
             break
 
-        # step 1: k_g scratch peak picks (raw CLEAN subtraction, not committed)
-        work = gvals.copy()
+        # step 1: k_g peak picks (raw CLEAN subtraction, not committed)
         candidates: list[PathParams] = []
-        for _ in range(xcfg.k_g):
-            i, j, l, val = _argmax_peak(work)
+        for pick in range(xcfg.k_g):
+            if pick == 0:
+                i, j, l, val = peak_sweep(gvals, pending, spec, cfg, write=True)
+                pending = []
+            else:
+                i, j, l, val = peak_sweep(gvals, candidates, spec, cfg)
             if val == 0:
                 break
             if xcfg.refine_peaks:
-                aoa, aod, tau = _refine_peak(work, i, j, l, grid)
+                sample = _grid_sampler(gvals, candidates, spec, cfg)
+                aoa, aod, tau = _refine_peak(sample, i, j, l, grid)
             else:
                 aoa, aod, tau = float(aoa_ax[i]), float(aod_ax[j]), float(tau_ax[l])
-            cand = PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
-            candidates.append(cand)
-            subtract_path(work, cand, spec, cfg)
+            candidates.append(PathParams(gain=val, delay=tau, aod=aod, aoa=aoa))
         if not candidates:
             break
 
@@ -386,7 +396,7 @@ def greedy_ls(
             path = PathParams(gain=alpha, delay=cand.delay, aod=cand.aod, aoa=cand.aoa)
             committed.append(path)
             residual -= synthesize_response(cfg, [path]).values
-            subtract_path(gvals, path, spec, cfg)
+            pending.append(path)
             trace.residual_power.append(float(np.sum(np.abs(residual) ** 2)))
             trace.committed_gain_power.append(abs(alpha) ** 2)
 
@@ -462,8 +472,9 @@ def sage_refine(
     The E-step runs on one residual beamspace grid, transformed once: by
     linearity and kernel consistency, the transform of the isolated response
     is the residual grid plus path k's closed-form kernel.  Each path update
-    adds its old kernel back, picks the peak and subtracts the new kernel,
-    so no sweep re-runs the FFT and no per-path response is kept.
+    is one in-place peak sweep that subtracts the previous update's new
+    kernel and adds path k's old kernel back, so no sweep re-runs the
+    transform and no per-path response is kept.
     """
     if not paths:
         raise ValueError("path list must be non-empty")
@@ -480,13 +491,14 @@ def sage_refine(
     values = grid.values
     aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     errors: list[float] = []
+    pending: list[PathParams] = []  # the last update's kernel, not yet subtracted
     for _ in range(sweeps):
         for k, old in enumerate(current):
-            subtract_path(values, replace(old, gain=-old.gain), spec, config)
-            i, j, l, val = _argmax_peak(values)
+            i, j, l, val = peak_sweep(values, pending + [replace(old, gain=-old.gain)],
+                                      spec, config, write=True)
             new = PathParams(gain=val, delay=float(tau_ax[l]),
                              aod=float(aod_ax[j]), aoa=float(aoa_ax[i]))
-            subtract_path(values, new, spec, config)
+            pending = [new]
             current[k] = new
         errors.append(
             reconstruction_error(synthesize_response(config, current), response)

@@ -267,7 +267,11 @@ def save_tensor(path, response: FrequencyResponse) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    "Read a frequency-response tensor file back into a complex array."
+    """Read a frequency-response tensor file back into a complex array.
+
+    Raises ValueError for a bad header, a size that does not match the
+    header, or a non-finite entry (naming its first (rx, tx, freq) index).
+    """
     buf = Path(path).read_bytes()
     if len(buf) < 32 or buf[:8] != TENSOR_MAGIC:
         raise ValueError(f"{path}: not a response tensor file (bad magic)")
@@ -279,6 +283,11 @@ def load_tensor(path) -> np.ndarray:
                          f"expected {expected}")
     flat = np.frombuffer(buf, dtype="<f8", offset=32)
     stacked = flat.reshape(n_rx, n_tx, n_freq, 2)
+    bad = ~np.isfinite(stacked).all(axis=-1)
+    if bad.any():
+        rx, tx, freq = (int(k) for k in np.argwhere(bad)[0])
+        raise ValueError(f"{path}: non-finite tensor entry at (rx, tx, freq) = "
+                         f"({rx}, {tx}, {freq})")
     return stacked[..., 0] + 1j * stacked[..., 1]
 
 

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from mpcx import (
+    FrequencyResponse,
     GridSpec,
     PathParams,
     SounderConfig,
@@ -14,6 +17,8 @@ from mpcx import (
     subtract_path,
     synthesize_response,
 )
+from mpcx import beamspace
+from mpcx.beamspace import peak_sweep
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 
@@ -110,6 +115,86 @@ def test_grid_spec_validation():
     resp = synthesize_response(DESK, [])
     with pytest.raises(ValueError):
         beamspace_transform(resp, spec)
+
+
+@pytest.mark.parametrize("span", [float("nan"), float("inf")])
+def test_grid_spec_rejects_non_finite_delay_span(span):
+    with pytest.raises(ValueError, match="delay_span"):
+        GridSpec(delay_span=span)
+
+
+def fft_transform_oracle(response, spec):
+    "The transform evaluated with zero-padded FFTs along each axis."
+    cfg = response.config
+    n_aoa = cfg.n_rx * spec.os_aoa
+    n_aod = cfg.n_tx * spec.os_aod
+    n_tau = len(spec.delay_axis(cfg))
+    pad_tau = cfg.n_freq * spec.os_delay
+    work = response.values * ((-1.0) ** np.arange(cfg.n_rx))[:, None, None]
+    work = np.fft.fft(work, n=n_aoa, axis=0) / cfg.n_rx
+    work = work * ((-1.0) ** np.arange(cfg.n_tx))[None, :, None]
+    work = np.fft.ifft(work, n=n_aod, axis=1) * (n_aod / cfg.n_tx)
+    work = np.fft.ifft(work, n=pad_tau, axis=2)[:, :, :n_tau] * (pad_tau / cfg.n_freq)
+    return work * np.exp(-1j * np.pi * np.arange(n_tau) / spec.os_delay)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(),
+    GridSpec(os_aoa=3, os_aod=1, os_delay=2),
+    GridSpec(os_aoa=1, os_aod=5, os_delay=3, delay_span=DESK.duration / 2),
+])
+def test_transform_matches_fft_oracle(spec):
+    rng = np.random.default_rng(13)
+    resp = synthesize_response(DESK, [random_path(rng, DESK) for _ in range(4)])
+    noisy = resp.values + 0.1 * (rng.normal(size=resp.values.shape)
+                                 + 1j * rng.normal(size=resp.values.shape))
+    resp = FrequencyResponse(values=noisy, config=DESK)
+    got = beamspace_transform(resp, spec).values
+    ref = fft_transform_oracle(resp, spec)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def hand_case(shape):
+    "Sounder config and 1x oversampled spec whose lattice has ``shape``."
+    n_aoa, n_aod, n_tau = shape
+    cfg = SounderConfig(n_tx=n_aod, n_rx=n_aoa, bandwidth_hz=1e9, n_freq=n_tau)
+    return cfg, GridSpec(os_aoa=1, os_aod=1, os_delay=1)
+
+
+def test_peak_sweep_ties_across_blocks_take_lowest_index():
+    cfg, spec = hand_case((4, 3, 5))
+    values = np.zeros((4, 3, 5), dtype=complex)
+    values[3, 2, 4] = 3.0
+    values[2, 0, 1] = -3.0
+    values[1, 1, 0] = 3j  # same magnitude, lowest index triple
+    values[1, 2, 3] = 2.0
+    for block in (1, 5, 7, 15, 60):
+        with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+            assert peak_sweep(values, [], spec, cfg) == (1, 1, 0, 3j)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.nan),
+                                 complex(np.inf, 0.0)])
+@pytest.mark.parametrize("with_path", [False, True])
+def test_peak_sweep_rejects_non_finite(bad, with_path):
+    cfg, spec = hand_case((4, 3, 5))
+    values = np.zeros((4, 3, 5), dtype=complex)
+    values[0, 0, 0] = 10.0  # a larger finite peak in an earlier block
+    values[3, 1, 2] = bad
+    paths = [PathParams(gain=0.5 + 0j, delay=0.0, aod=0.0, aoa=0.0)] if with_path else []
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 5):
+        with pytest.raises(ValueError, match=r"non-finite .* \(3, 1, 2\)"):
+            peak_sweep(values, paths, spec, cfg, write=with_path)
+
+
+def test_peak_sweep_write_needs_contiguous_grid():
+    cfg, spec = hand_case((4, 3, 5))
+    values = np.zeros((4, 3, 10), dtype=complex)[:, :, ::2]
+    path = PathParams(gain=1 + 0j, delay=0.0, aod=-0.5, aoa=-0.5)  # on lattice
+    with pytest.raises(ValueError, match="contiguous"):
+        peak_sweep(values, [path], spec, cfg, write=True)
+    assert peak_sweep(values, [path], spec, cfg) == (0, 0, 0, -1)
 
 
 def test_transform_zero_response():

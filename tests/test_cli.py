@@ -253,6 +253,24 @@ def test_non_finite_config_file_exits_2(tmp_path, capsys):
     assert "bandwidth_hz" in capsys.readouterr().err
 
 
+def test_non_finite_tensor_exits_2_naming_tensor(tmp_path, capsys):
+    paths = tmp_path / "p.csv"
+    paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+                     "1,0,5e-09,0.1,0.1\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    tensor = out / "tensor.bin"
+    response = fileio.load_response(tensor, fileio.load_sounder_config("desk"))
+    response.values[2, 7, 30] = np.nan
+    fileio.save_tensor(tensor, response)
+    assert main(["extract", "--config", "desk", "--tensor", str(tensor),
+                 "--kdom", "4", "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(tensor) in err and "(2, 7, 30)" in err
+    assert not (out / "estimates.csv").exists()
+
+
 def test_missing_artifact_names_stage(tmp_path, capsys):
     out = tmp_path / "r"
     out.mkdir()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from mpcx import (
     BeamspaceGrid,
     DegenerateGeometryError,
     ExtractionConfig,
+    ExtractionTrace,
     FrequencyResponse,
     GridSpec,
     PathParams,
     SounderConfig,
     add_awgn,
+    beamspace_point,
     beamspace_transform,
     find_peak,
     greedy_extract,
@@ -21,8 +24,10 @@ from mpcx import (
     reconstruct,
     reconstruction_error,
     sage_refine,
+    single_path_grid,
     synthesize_response,
 )
+from mpcx import extract
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 PAPER = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
@@ -303,6 +308,12 @@ def test_extraction_config_validation():
         ExtractionConfig(k_dom=4, residual_stop=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_extraction_config_rejects_non_finite_residual_stop(value):
+    with pytest.raises(ValueError, match="residual_stop"):
+        ExtractionConfig(k_dom=4, residual_stop=value)
+
+
 def test_ls_amplitudes_never_worse_than_raw_peaks():
     "Refit with LS must not increase reconstruction error for fixed geometry."
     rng = np.random.default_rng(59)
@@ -499,3 +510,192 @@ def test_refine_peaks_flag_smoke():
     tau_step = spec.delay_axis(DESK)[1] - spec.delay_axis(DESK)[0]
     assert abs(found[0].delay - truth.delay) < tau_step
     assert abs(found[0].aoa - truth.aoa) < 1.0 / (DESK.n_rx * spec.os_aoa)
+
+
+# ---------------------------------------------------------------------------
+# the blocked peak sweep against the dense copy/subtract/argmax loops
+
+
+def dense_subtract(values, path, spec, config):
+    values -= single_path_grid(path, spec, config).values
+
+
+def dense_peak(values):
+    flat = int(np.argmax(np.abs(values)))
+    i, j, l = np.unravel_index(flat, values.shape)
+    return int(i), int(j), int(l), complex(values[i, j, l])
+
+
+def greedy_extract_oracle(response, spec, count):
+    "Reference matching pursuit: full-grid argmax, then full-grid subtraction."
+    grid = beamspace_transform(response, spec)
+    estimates = []
+    for _ in range(count):
+        i, j, l, val = dense_peak(grid.values)
+        if val == 0:
+            break
+        path = PathParams(gain=val, delay=float(grid.delay_axis[l]),
+                          aod=float(grid.aod_axis[j]), aoa=float(grid.aoa_axis[i]))
+        estimates.append(path)
+        dense_subtract(grid.values, path, spec, response.config)
+    return estimates
+
+
+def greedy_ls_oracle(response, config, xcfg):
+    """Reference greedy-LS loop: the k_g candidate picks run on a scratch copy
+    of the residual grid, and every commit is subtracted from the grid at
+    once."""
+    spec = xcfg.grid
+    residual = response.values.copy()
+    res_fr = FrequencyResponse(values=residual, config=config)
+    trace = ExtractionTrace(initial_power=float(np.sum(np.abs(residual) ** 2)))
+    grid = beamspace_transform(res_fr, spec)
+    gvals = grid.values
+    committed = []
+    while len(committed) < xcfg.k_dom:
+        if float(np.sum(np.abs(residual) ** 2)) / trace.initial_power <= xcfg.residual_stop:
+            break
+        work = gvals.copy()
+        candidates = []
+        for _ in range(xcfg.k_g):
+            i, j, l, val = dense_peak(work)
+            if val == 0:
+                break
+            if xcfg.refine_peaks:
+                aoa, aod, tau = extract._refine_peak(
+                    lambda a, b, c: work[a, b, c], i, j, l, grid)
+            else:
+                aoa, aod, tau = (float(grid.aoa_axis[i]), float(grid.aod_axis[j]),
+                                 float(grid.delay_axis[l]))
+            cand = PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
+            candidates.append(cand)
+            dense_subtract(work, cand, spec, config)
+        if not candidates:
+            break
+        geometry = [(c.delay, c.aod, c.aoa) for c in candidates]
+        amps, cond, kept, dropped = extract._ls_with_dedup(res_fr, geometry, config)
+        order = np.argsort(-np.abs(amps) ** 2, kind="stable")
+        n_commit = min(xcfg.k_up, xcfg.k_dom - len(committed), len(kept))
+        for rank in range(n_commit):
+            cand = candidates[kept[int(order[rank])]]
+            alpha = beamspace_point(res_fr, cand.aoa, cand.aod, cand.delay)
+            path = replace(cand, gain=alpha)
+            committed.append(path)
+            residual -= synthesize_response(config, [path]).values
+            dense_subtract(gvals, path, spec, config)
+    if xcfg.final_global_ls and committed:
+        committed = extract._global_refit(response, committed, config, trace)
+    return committed
+
+
+def sage_grid_oracle(response, paths, config, spec, sweeps):
+    """Reference residual-grid SAGE: per path, a full-grid add-back, argmax and
+    subtraction."""
+    current = list(paths)
+    residual = FrequencyResponse(
+        values=response.values - synthesize_response(config, current).values,
+        config=config)
+    grid = beamspace_transform(residual, spec)
+    for _ in range(sweeps):
+        for k, old in enumerate(current):
+            dense_subtract(grid.values, replace(old, gain=-old.gain), spec, config)
+            i, j, l, val = dense_peak(grid.values)
+            new = PathParams(gain=val, delay=float(grid.delay_axis[l]),
+                             aod=float(grid.aod_axis[j]), aoa=float(grid.aoa_axis[i]))
+            dense_subtract(grid.values, new, spec, config)
+            current[k] = new
+    return current
+
+
+def desk_case(seed, snr_db, n_paths=6):
+    rng = np.random.default_rng(9000 + seed)
+    truth = [
+        PathParams(gain=complex(rng.normal(), rng.normal()),
+                   delay=rng.uniform(0, DESK.duration * 0.9),
+                   aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+        for _ in range(n_paths)
+    ]
+    resp = synthesize_response(DESK, truth)
+    if snr_db is not None:
+        noise = np.mean(np.abs(resp.values) ** 2) / 10.0 ** (snr_db / 10.0)
+        resp = add_awgn(resp, noise, seed=seed)
+    return resp
+
+
+def assert_same_paths(got, ref, geometry_tol=0.0):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert abs(g.delay - r.delay) <= geometry_tol * DESK.duration
+        assert abs(g.aod - r.aod) <= geometry_tol
+        assert abs(g.aoa - r.aoa) <= geometry_tol
+        assert abs(g.gain - r.gain) <= 1e-9
+
+
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_grid_loops_match_dense_oracles(seed, snr_db):
+    resp = desk_case(seed, snr_db)
+    spec = GridSpec()
+    assert_same_paths(greedy_extract(resp, spec, 8),
+                      greedy_extract_oracle(resp, spec, 8))
+    for final in (False, True):
+        cfg = ExtractionConfig(k_dom=8, k_g=4, k_up=2, residual_stop=0.0,
+                               final_global_ls=final)
+        found, _ = greedy_ls(resp, DESK, cfg)
+        assert_same_paths(found, greedy_ls_oracle(resp, DESK, cfg))
+    refined, _ = sage_refine(resp, found, DESK, spec, sweeps=2)
+    assert_same_paths(refined, sage_grid_oracle(resp, found, DESK, spec, sweeps=2))
+
+
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_refine_peaks_matches_scratch_copy_oracle(seed, snr_db):
+    resp = desk_case(seed, snr_db)
+    cfg = ExtractionConfig(k_dom=8, k_g=4, k_up=2, residual_stop=0.0,
+                           refine_peaks=True)
+    found, _ = greedy_ls(resp, DESK, cfg)
+    assert_same_paths(found, greedy_ls_oracle(resp, DESK, cfg), geometry_tol=1e-9)
+
+
+@pytest.mark.parametrize("truth", [
+    PathParams(gain=1 + 0j, delay=10.37e-9, aod=0.211, aoa=-0.138),
+    PathParams(gain=0.3 - 1.2j, delay=21.61e-9, aod=-0.407, aoa=0.0291),
+    PathParams(gain=-2 + 0.5j, delay=3.08e-9, aod=0.0522, aoa=0.4433),
+])
+def test_refine_peaks_beats_grid_quantization(truth):
+    resp = synthesize_response(DESK, [truth])
+    spec = GridSpec()
+    steps = np.array([spec.delay_axis(DESK)[1], 1.0 / (DESK.n_tx * spec.os_aod),
+                      1.0 / (DESK.n_rx * spec.os_aoa)])
+
+    def offsets(p):
+        return np.abs([p.delay - truth.delay, p.aod - truth.aod,
+                       p.aoa - truth.aoa]) / steps
+
+    base = dict(k_dom=1, k_g=1, k_up=1, residual_stop=0.0, final_global_ls=False)
+    (coarse,), _ = greedy_ls(resp, DESK, ExtractionConfig(**base))
+    (fine,), _ = greedy_ls(resp, DESK, ExtractionConfig(**base, refine_peaks=True))
+    assert np.all(offsets(fine) <= offsets(coarse))
+    assert np.sum(offsets(fine) ** 2) < np.sum(offsets(coarse) ** 2)
+
+
+def test_greedy_ls_memory_is_one_grid():
+    "Paper config at oversample 2: the extractor holds one grid, no scratch copy."
+    rng = np.random.default_rng(83)
+    spec = GridSpec(os_aoa=2, os_aod=2, os_delay=2)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, PAPER.duration * 0.9),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(16)]
+    resp = synthesize_response(PAPER, truth)
+    grid_bytes = 16 * (len(spec.aoa_axis(PAPER)) * len(spec.aod_axis(PAPER))
+                       * len(spec.delay_axis(PAPER)))
+    cfg = ExtractionConfig(k_dom=4, k_g=4, k_up=2, grid=spec)
+    tracemalloc.start()
+    try:
+        found, _ = greedy_ls(resp, PAPER, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 4
+    assert peak <= 2 * grid_bytes, f"peak {peak / grid_bytes:.2f}x the grid"

@@ -6,6 +6,7 @@ import pytest
 
 from mpcx import (
     ExtractionTrace,
+    FrequencyResponse,
     GridSpec,
     PathParams,
     ResolutionSpec,
@@ -227,6 +228,21 @@ def test_tensor_shape_mismatch(tmp_path):
     other = SounderConfig(n_tx=4, n_rx=4, bandwidth_hz=1e9, n_freq=16)
     with pytest.raises(ValueError, match="shape"):
         fileio.load_response(f, other)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, np.nan)])
+def test_tensor_non_finite_entry_names_file_and_index(tmp_path, bad):
+    values = synthesize_response(DESK, sample_paths()).values.copy()
+    values[3, 5, 17] = bad
+    values[6, 0, 2] = bad
+    f = tmp_path / "h.bin"
+    fileio.save_tensor(f, FrequencyResponse(values=values, config=DESK))
+    with pytest.raises(ValueError, match=r"\(rx, tx, freq\) = \(3, 5, 17\)") as err:
+        fileio.load_tensor(f)
+    assert str(f) in str(err.value)
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.load_response(f, DESK)
 
 
 def test_grid_roundtrip(tmp_path):
