@@ -20,7 +20,6 @@ from .beamspace import (
     beamspace_point,
     beamspace_transform,
     peak_sweep,
-    single_path_kernels,
 )
 from .sounder import FrequencyResponse, PathParams, SounderConfig, synthesize_response
 
@@ -112,38 +111,26 @@ def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
     return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
 
 
-def _grid_sampler(values: np.ndarray, paths: list[PathParams], spec: GridSpec,
-                  config: SounderConfig):
-    "Pointwise evaluation of ``values`` minus the beamspace responses of ``paths``."
-    kernels = [single_path_kernels(p, spec, config) for p in paths]
-
-    def sample(i: int, j: int, l: int) -> complex:
-        return complex(values[i, j, l]) - sum(
-            p.gain * k_aoa[i] * k_aod[j] * k_tau[l]
-            for p, (k_aoa, k_aod, k_tau) in zip(paths, kernels))
-
-    return sample
-
-
-def _refine_peak(sample, i: int, j: int, l: int,
-                 grid: BeamspaceGrid) -> tuple[float, float, float]:
+def _refine_peak(
+    values: np.ndarray, i: int, j: int, l: int, grid: BeamspaceGrid
+) -> tuple[float, float, float]:
     """Sub-grid peak coordinates by per-axis quadratic interpolation of |value|.
 
-    ``sample(i, j, l)`` gives the grid value at an index triple.  Angle axes
-    wrap periodically; the delay axis skips refinement at its edges.  Offsets
-    are clamped to half a grid step per axis.
+    Angle axes wrap periodically; the delay axis skips refinement at its
+    edges.  Offsets are clamped to half a grid step per axis.
     """
-    n_aoa, n_aod, n_tau = grid.values.shape
-
-    def mag(i, j, l):
-        return abs(sample(i, j, l))
-
+    n_aoa, n_aod, n_tau = values.shape
+    mag = np.abs
     d_aoa = _parabolic_offset(
-        mag((i - 1) % n_aoa, j, l), mag(i, j, l), mag((i + 1) % n_aoa, j, l))
+        mag(values[(i - 1) % n_aoa, j, l]), mag(values[i, j, l]),
+        mag(values[(i + 1) % n_aoa, j, l]))
     d_aod = _parabolic_offset(
-        mag(i, (j - 1) % n_aod, l), mag(i, j, l), mag(i, (j + 1) % n_aod, l))
+        mag(values[i, (j - 1) % n_aod, l]), mag(values[i, j, l]),
+        mag(values[i, (j + 1) % n_aod, l]))
     if 0 < l < n_tau - 1:
-        d_tau = _parabolic_offset(mag(i, j, l - 1), mag(i, j, l), mag(i, j, l + 1))
+        d_tau = _parabolic_offset(
+            mag(values[i, j, l - 1]), mag(values[i, j, l]),
+            mag(values[i, j, l + 1]))
     else:
         d_tau = 0.0
     aoa = float(grid.aoa_axis[i]) + d_aoa / n_aoa
@@ -318,8 +305,9 @@ def greedy_ls(
     power ratio falls below ``residual_stop``:
 
     1. run ``k_g`` greedy peak-pick-and-subtract steps on the current
-       residual grid: pick n is the peak of the grid minus candidates
-       1..n-1, read without writing, so no scratch copy is made;
+       residual grid: pick n subtracts candidate n-1 from the grid in place
+       and finds the peak in the same sweep, so no scratch copy is made and
+       each pick costs one rank-1 sweep;
     2. LS-refit the amplitudes of those candidates against the current
        residual response (degenerate candidates are dropped, later one
        first);
@@ -328,8 +316,8 @@ def greedy_ls(
        frequency-domain residual, using the exactly optimal single-path
        amplitude for the residual at commit time, so the recorded residual
        power never increases.  The candidate subtractions of step 1 are
-       never carried over.  A commit's grid subtraction is deferred to the
-       first peak sweep of the next iteration, which applies it in place.
+       never carried over: the first peak sweep of the next iteration adds
+       the written candidates back and subtracts the commits, in place.
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
@@ -355,29 +343,33 @@ def greedy_ls(
     gvals = grid.values
     aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     committed: list[PathParams] = []
-    pending: list[PathParams] = []  # commits not yet subtracted from gvals
+    # kernels not yet applied to gvals: the undo of the last iteration's
+    # written candidates, then its commits
+    pending: list[PathParams] = []
 
     while len(committed) < xcfg.k_dom:
         res_power = float(np.sum(np.abs(residual) ** 2))
         if res_power / trace.initial_power <= xcfg.residual_stop:
             break
 
-        # step 1: k_g peak picks (raw CLEAN subtraction, not committed)
+        # step 1: k_g peak picks (raw CLEAN subtraction, not committed); each
+        # sweep writes the previous candidate into the grid, so after pick n
+        # the grid holds the residual minus candidates 1..n-1
         candidates: list[PathParams] = []
+        written: list[PathParams] = []
         for pick in range(xcfg.k_g):
-            if pick == 0:
-                i, j, l, val = peak_sweep(gvals, pending, spec, cfg, write=True)
-                pending = []
-            else:
-                i, j, l, val = peak_sweep(gvals, candidates, spec, cfg)
+            apply = pending if pick == 0 else candidates[-1:]
+            i, j, l, val = peak_sweep(gvals, apply, spec, cfg, write=True)
+            written = candidates[:]
             if val == 0:
                 break
             if xcfg.refine_peaks:
-                sample = _grid_sampler(gvals, candidates, spec, cfg)
-                aoa, aod, tau = _refine_peak(sample, i, j, l, grid)
+                aoa, aod, tau = _refine_peak(gvals, i, j, l, grid)
             else:
                 aoa, aod, tau = float(aoa_ax[i]), float(aod_ax[j]), float(tau_ax[l])
             candidates.append(PathParams(gain=val, delay=tau, aod=aod, aoa=aoa))
+        # the next iteration's first sweep adds the written candidates back
+        pending = [replace(c, gain=-c.gain) for c in written]
         if not candidates:
             break
 

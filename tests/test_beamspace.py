@@ -302,6 +302,25 @@ def test_subtract_path_equals_residual_transform():
     assert np.linalg.norm(grid.values - expected.values) / scale < 1e-9
 
 
+def test_subtract_path_needs_contiguous_grid_and_may_stop_part_way():
+    "subtract_path writes block by block; a non-finite entry stops it mid-grid."
+    cfg, spec = hand_case((4, 3, 5))
+    path = PathParams(gain=1 + 0j, delay=0.0, aod=0.0, aoa=0.0)
+    strided = np.ones((4, 3, 10), dtype=complex)[:, :, ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        subtract_path(strided, path, spec, cfg)
+    assert np.all(strided == 1)  # rejected before anything is written
+    values = np.ones((4, 3, 5), dtype=complex)
+    values[2, 1, 3] = np.nan
+    expected = 1 - single_path_grid(path, spec, cfg).values
+    expected[2, 1, 3] = np.nan
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15):  # one AoA row a block
+        with pytest.raises(ValueError, match=r"non-finite .* \(2, 1, 3\)"):
+            subtract_path(values, path, spec, cfg)
+    np.testing.assert_allclose(values[:3], expected[:3], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(values[3], 1)  # the block after is untouched
+
+
 def test_pdp_marginals_properties():
     spec = GridSpec(os_aoa=2, os_aod=2, os_delay=2)
     zero = beamspace_transform(synthesize_response(DESK, []), spec)

@@ -499,17 +499,30 @@ def test_sage_sweep_memory_is_one_grid():
 
 
 def test_refine_peaks_flag_smoke():
-    "Quadratic peak interpolation stays close to truth for an off-grid path."
-    truth = PathParams(gain=1 + 0j, delay=10.37e-9, aod=0.211, aoa=-0.138)
-    resp = synthesize_response(DESK, [truth])
-    cfg = ExtractionConfig(k_dom=1, k_g=1, k_up=1, residual_stop=0.0,
-                           refine_peaks=True, final_global_ls=False)
-    found, _ = greedy_ls(resp, DESK, cfg)
-    assert len(found) == 1
+    """Quadratic peak interpolation stays close to truth for an off-grid path
+    and lands closer than the grid-quantized pick."""
     spec = GridSpec()
-    tau_step = spec.delay_axis(DESK)[1] - spec.delay_axis(DESK)[0]
-    assert abs(found[0].delay - truth.delay) < tau_step
-    assert abs(found[0].aoa - truth.aoa) < 1.0 / (DESK.n_rx * spec.os_aoa)
+    steps = np.array([spec.delay_axis(DESK)[1], 1.0 / (DESK.n_tx * spec.os_aod),
+                      1.0 / (DESK.n_rx * spec.os_aoa)])
+    base = dict(k_dom=1, k_g=1, k_up=1, residual_stop=0.0, final_global_ls=False)
+    for truth in (
+        PathParams(gain=1 + 0j, delay=10.37e-9, aod=0.211, aoa=-0.138),
+        PathParams(gain=0.3 - 1.2j, delay=21.61e-9, aod=-0.407, aoa=0.0291),
+        PathParams(gain=-2 + 0.5j, delay=3.08e-9, aod=0.0522, aoa=0.4433),
+    ):
+        resp = synthesize_response(DESK, [truth])
+        found, _ = greedy_ls(resp, DESK, ExtractionConfig(**base, refine_peaks=True))
+        assert len(found) == 1
+        (fine,) = found
+        (coarse,), _ = greedy_ls(resp, DESK, ExtractionConfig(**base))
+
+        def offsets(p):
+            return np.abs([p.delay - truth.delay, p.aod - truth.aod,
+                           p.aoa - truth.aoa]) / steps
+
+        assert np.all(offsets(fine) < 1)
+        assert np.all(offsets(fine) <= offsets(coarse))
+        assert np.sum(offsets(fine) ** 2) < np.sum(offsets(coarse) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +575,7 @@ def greedy_ls_oracle(response, config, xcfg):
             if val == 0:
                 break
             if xcfg.refine_peaks:
-                aoa, aod, tau = extract._refine_peak(
-                    lambda a, b, c: work[a, b, c], i, j, l, grid)
+                aoa, aod, tau = extract._refine_peak(work, i, j, l, grid)
             else:
                 aoa, aod, tau = (float(grid.aoa_axis[i]), float(grid.aod_axis[j]),
                                  float(grid.delay_axis[l]))
@@ -655,28 +667,6 @@ def test_refine_peaks_matches_scratch_copy_oracle(seed, snr_db):
                            refine_peaks=True)
     found, _ = greedy_ls(resp, DESK, cfg)
     assert_same_paths(found, greedy_ls_oracle(resp, DESK, cfg), geometry_tol=1e-9)
-
-
-@pytest.mark.parametrize("truth", [
-    PathParams(gain=1 + 0j, delay=10.37e-9, aod=0.211, aoa=-0.138),
-    PathParams(gain=0.3 - 1.2j, delay=21.61e-9, aod=-0.407, aoa=0.0291),
-    PathParams(gain=-2 + 0.5j, delay=3.08e-9, aod=0.0522, aoa=0.4433),
-])
-def test_refine_peaks_beats_grid_quantization(truth):
-    resp = synthesize_response(DESK, [truth])
-    spec = GridSpec()
-    steps = np.array([spec.delay_axis(DESK)[1], 1.0 / (DESK.n_tx * spec.os_aod),
-                      1.0 / (DESK.n_rx * spec.os_aoa)])
-
-    def offsets(p):
-        return np.abs([p.delay - truth.delay, p.aod - truth.aod,
-                       p.aoa - truth.aoa]) / steps
-
-    base = dict(k_dom=1, k_g=1, k_up=1, residual_stop=0.0, final_global_ls=False)
-    (coarse,), _ = greedy_ls(resp, DESK, ExtractionConfig(**base))
-    (fine,), _ = greedy_ls(resp, DESK, ExtractionConfig(**base, refine_peaks=True))
-    assert np.all(offsets(fine) <= offsets(coarse))
-    assert np.sum(offsets(fine) ** 2) < np.sum(offsets(coarse) ** 2)
 
 
 def test_greedy_ls_memory_is_one_grid():
