@@ -96,6 +96,21 @@ def pairwise_cost(phys: PathParams, est: PathParams, res: ResolutionSpec) -> flo
     return float(d_tau**2 + d_aoa**2 + d_aod**2)
 
 
+def _cost_matrix(phys: list[PathParams], est: list[PathParams],
+                 res: ResolutionSpec) -> np.ndarray:
+    """``pairwise_cost`` of every (phys, est) pair as one n x m array.
+
+    The same formula evaluated by broadcasting, operation for operation, so
+    every entry equals the scalar ``pairwise_cost`` bit for bit.
+    """
+    p = np.array([(q.delay, q.aoa, q.aod) for q in phys])[:, None, :]
+    e = np.array([(q.delay, q.aoa, q.aod) for q in est])[None, :, :]
+    d_tau = (p[..., 0] - e[..., 0]) / res.delay_res
+    d_aoa = wrap_cycles(p[..., 1] - e[..., 1]) / res.aoa_res
+    d_aod = wrap_cycles(p[..., 2] - e[..., 2]) / res.aod_res
+    return d_tau**2 + d_aoa**2 + d_aod**2
+
+
 def _lap_square(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost perfect matching on a square cost matrix.
 
@@ -217,11 +232,7 @@ def associate(
     """
     if not phys or not est:
         raise ValueError("phys and est path lists must be non-empty")
-    n, m = len(phys), len(est)
-    matrix = np.empty((n, m))
-    for i, p in enumerate(phys):
-        for j, q in enumerate(est):
-            matrix[i, j] = pairwise_cost(p, q, res)
+    matrix = _cost_matrix(phys, est, res)
     solution = assign(matrix, unmatched_cost)
 
     total_phys_power = float(sum(p.power for p in phys))
@@ -236,7 +247,7 @@ def associate(
     pre = 0.0
     for r in range(k_pa):
         i, j = phys_rank[r], est_rank[r]
-        pre += weight[i] * pairwise_cost(phys[i], est[j], res)
+        pre += weight[i] * float(matrix[i, j])
 
     in_delay, in_aoa, in_aod = set(), set(), set()
     for i, j, _ in pairs:

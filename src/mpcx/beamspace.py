@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sounder import FrequencyResponse, PathParams, SounderConfig, resolvable_delays
+from .sounder import (
+    FrequencyResponse,
+    PathParams,
+    SounderConfig,
+    _matched_filter,
+    _steering_matrices,
+    resolvable_delays,
+)
 
 
 @dataclass(frozen=True)
@@ -208,12 +215,14 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
 def beamspace_point(
     response: FrequencyResponse, aoa: float, aod: float, delay: float
 ) -> complex:
-    """Evaluate the beamspace transform of a response at one off-lattice point."""
+    """Evaluate the beamspace transform of a response at one off-lattice point.
+
+    This is the matched filter of the unit path at (aoa, aod, delay) divided
+    by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude.
+    """
     cfg = response.config
-    a_rx = np.exp(-2j * np.pi * aoa * np.arange(cfg.n_rx))
-    a_tx = np.exp(2j * np.pi * aod * np.arange(cfg.n_tx))
-    a_f = np.exp(2j * np.pi * delay * cfg.freq_grid)
-    total = np.einsum("r,t,m,rtm->", a_rx, a_tx, a_f, response.values, optimize=True)
+    atoms = _steering_matrices(cfg, [delay], [aod], [aoa])
+    total = _matched_filter(response.values, *atoms)[0]
     return complex(total) / (cfg.n_rx * cfg.n_tx * cfg.n_freq)
 
 
@@ -343,7 +352,17 @@ def pdp_marginals(grid: BeamspaceGrid) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(aoa_aod, aoa_delay)`` where ``aoa_aod[i, j]`` sums |value|^2
     over the delay axis and ``aoa_delay[i, l]`` sums over the AoD axis.
+    Both are accumulated one AoA row at a time, so the only temporary is one
+    row's power.
     """
-    power = np.abs(grid.values) ** 2
-    return power.sum(axis=2), power.sum(axis=1)
+    n_aoa, n_aod, n_tau = grid.values.shape
+    aoa_aod = np.empty((n_aoa, n_aod))
+    aoa_delay = np.empty((n_aoa, n_tau))
+    power = np.empty((n_aod, n_tau))
+    for i in range(n_aoa):
+        np.abs(grid.values[i], out=power)
+        np.square(power, out=power)
+        power.sum(axis=1, out=aoa_aod[i])
+        power.sum(axis=0, out=aoa_delay[i])
+    return aoa_aod, aoa_delay
 

@@ -17,11 +17,17 @@ import numpy as np
 from .beamspace import (
     BeamspaceGrid,
     GridSpec,
-    beamspace_point,
     beamspace_transform,
     peak_sweep,
 )
-from .sounder import FrequencyResponse, PathParams, SounderConfig, synthesize_response
+from .sounder import (
+    FrequencyResponse,
+    PathParams,
+    SounderConfig,
+    _matched_filter,
+    _steering_matrices,
+    synthesize_response,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -191,20 +197,6 @@ def _dictionary_gram(
     return scale * d_rx * d_tx * d_f
 
 
-def _matched_filter_rhs(
-    response: FrequencyResponse, geometry: list[tuple[float, float, float]]
-) -> np.ndarray:
-    "Dictionary-column inner products with the response (A^H h), one per geometry."
-    cfg = response.config
-    delays = np.array([g[0] for g in geometry])
-    aods = np.array([g[1] for g in geometry])
-    aoas = np.array([g[2] for g in geometry])
-    a_rx = np.exp(-2j * np.pi * np.outer(np.arange(cfg.n_rx), aoas))  # [r, k]
-    a_tx = np.exp(2j * np.pi * np.outer(np.arange(cfg.n_tx), aods))  # [t, k]
-    a_f = np.exp(2j * np.pi * np.outer(cfg.freq_grid, delays))  # [m, k]
-    return np.einsum("rk,tk,mk,rtm->k", a_rx, a_tx, a_f, response.values, optimize=True)
-
-
 def _coherence_pairs(gram: np.ndarray) -> list[tuple[int, int, float]]:
     "Column pairs ranked by normalized coherence, most coherent first."
     k = gram.shape[0]
@@ -232,7 +224,8 @@ def _ls_solve(
     condition = float(np.linalg.cond(gram))
     if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
         raise DegenerateGeometryError(condition, _coherence_pairs(gram))
-    rhs = _matched_filter_rhs(response, geometry)
+    rhs = _matched_filter(response.values,
+                          *_steering_matrices(config, *zip(*geometry)))
     return np.linalg.solve(gram, rhs), condition
 
 
@@ -294,6 +287,21 @@ def _ls_with_dedup(
             dropped += 1
 
 
+def _commit_atom(residual: np.ndarray, cand: PathParams,
+                 config: SounderConfig) -> complex:
+    """Exactly optimal single-path amplitude of the candidate's atom for the
+    residual (its matched filter divided by n_rx*n_tx*n_freq); the atom
+    times that amplitude is subtracted from ``residual`` in place, one rx row
+    at a time.  Returns the amplitude."""
+    a_rx, a_tx, a_f = _steering_matrices(config, [cand.delay], [cand.aod],
+                                         [cand.aoa])
+    alpha = complex(_matched_filter(residual, a_rx, a_tx, a_f)[0]) / residual.size
+    plane = np.outer(alpha * a_tx[:, 0], a_f[:, 0])
+    for r in range(config.n_rx):
+        residual[r] -= a_rx[r, 0] * plane
+    return alpha
+
+
 def greedy_ls(
     response: FrequencyResponse,
     config: SounderConfig,
@@ -312,12 +320,14 @@ def greedy_ls(
        residual response (degenerate candidates are dropped, later one
        first);
     3. commit the ``k_up`` candidates with the largest refitted power.  Each
-       commit subtracts the candidate's exact single-path response from the
-       frequency-domain residual, using the exactly optimal single-path
-       amplitude for the residual at commit time, so the recorded residual
-       power never increases.  The candidate subtractions of step 1 are
-       never carried over: the first peak sweep of the next iteration adds
-       the written candidates back and subtracts the commits, in place.
+       commit takes the exactly optimal single-path amplitude for the
+       residual at commit time (the matched filter of the candidate's atom
+       divided by n_rx*n_tx*n_freq) and subtracts the rank-1 atom from the
+       frequency-domain residual in place, one rx row at a time, so the
+       recorded residual power never increases.  The candidate
+       subtractions of step 1 are never carried over: the first peak sweep
+       of the next iteration adds the written candidates back and subtracts
+       the commits, in place.
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
@@ -335,7 +345,7 @@ def greedy_ls(
     cfg = config
     residual = response.values.copy()
     res_fr = FrequencyResponse(values=residual, config=cfg)
-    trace = ExtractionTrace(initial_power=float(np.sum(np.abs(residual) ** 2)))
+    trace = ExtractionTrace(initial_power=float(np.vdot(residual, residual).real))
     if trace.initial_power == 0:
         return [], trace
 
@@ -348,7 +358,8 @@ def greedy_ls(
     pending: list[PathParams] = []
 
     while len(committed) < xcfg.k_dom:
-        res_power = float(np.sum(np.abs(residual) ** 2))
+        res_power = (trace.residual_power[-1] if trace.residual_power
+                     else trace.initial_power)
         if res_power / trace.initial_power <= xcfg.residual_stop:
             break
 
@@ -384,12 +395,11 @@ def greedy_ls(
         n_commit = min(xcfg.k_up, xcfg.k_dom - len(committed), len(kept))
         for rank in range(n_commit):
             cand = candidates[kept[int(order[rank])]]
-            alpha = beamspace_point(res_fr, cand.aoa, cand.aod, cand.delay)
+            alpha = _commit_atom(residual, cand, cfg)
             path = PathParams(gain=alpha, delay=cand.delay, aod=cand.aod, aoa=cand.aoa)
             committed.append(path)
-            residual -= synthesize_response(cfg, [path]).values
             pending.append(path)
-            trace.residual_power.append(float(np.sum(np.abs(residual) ** 2)))
+            trace.residual_power.append(float(np.vdot(residual, residual).real))
             trace.committed_gain_power.append(abs(alpha) ** 2)
 
     if xcfg.final_global_ls and committed:

@@ -16,14 +16,20 @@ Formats, all documented here and stable:
   power-map matrices whose header row carries the column-axis coordinates).
 
 All writers emit deterministic bytes for equal inputs: floats are written
-with ``repr`` (shortest round-trip form) and line endings are ``\\n``.
+with ``repr`` (shortest round-trip form) and line endings are ``\\n``.  Every
+writer is atomic: it writes a temporary file in the target's directory and
+moves it over the target with ``os.replace``, so a writer that fails or a
+process killed part way leaves the previous file (or none) in place, never
+a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +57,31 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+@contextlib.contextmanager
+def _atomic_open(path, binary: bool = False):
+    """Open a new temporary file beside ``path`` for writing.
+
+    When the ``with`` block completes, the temporary file replaces ``path``
+    in one ``os.replace``; when it raises, the temporary file is removed and
+    ``path`` is left as it was.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8", newline="")) as fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            tmp.unlink()
+
+
+def _write_text(path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +154,7 @@ def save_sounder_config(path, config: SounderConfig) -> None:
         f"n_freq = {config.n_freq}",
         f"carrier_hz = {_fmt(config.carrier_hz)}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 _SCENARIO_FLOAT_KEYS = (
@@ -172,7 +203,7 @@ def save_scenario_sidecar(path, spec: ScenarioSpec, n_generated: int,
         f"seed = {spec.seed}",
     ]
     lines += [f"{key} = {_fmt(getattr(spec, key))}" for key in _SCENARIO_FLOAT_KEYS]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +211,7 @@ def save_scenario_sidecar(path, spec: ScenarioSpec, n_generated: int,
 
 
 def save_paths_csv(path, paths: list[PathParams]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PATHS_HEADER)
         for p in paths:
@@ -260,7 +291,7 @@ def _interleave(values: np.ndarray) -> bytes:
 
 def save_tensor(path, response: FrequencyResponse) -> None:
     dims = np.array(response.values.shape, dtype="<u8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path, binary=True) as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(dims.tobytes())
         fh.write(_interleave(response.values))
@@ -303,7 +334,7 @@ def load_response(path, config: SounderConfig) -> FrequencyResponse:
 def save_grid(path, grid: BeamspaceGrid) -> None:
     "Persist a beamspace grid with its three axis-coordinate arrays."
     dims = np.array(grid.values.shape, dtype="<u8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path, binary=True) as fh:
         fh.write(GRID_MAGIC)
         fh.write(dims.tobytes())
         fh.write(np.asarray(grid.aoa_axis, dtype="<f8").tobytes())
@@ -350,7 +381,7 @@ def save_kv_report(path, entries: dict) -> None:
         else:
             text = str(value)
         lines.append(f"{key} = {text}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_kv_report(path) -> dict[str, str]:
@@ -363,7 +394,7 @@ def save_trace_csv(path, trace: ExtractionTrace) -> None:
     Power is in dB relative to the initial residual power, so the first row
     of a useful run is negative and the sequence is non-increasing.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["commit_index", "residual_power_db"])
         for idx, power in enumerate(trace.residual_power, start=1):
@@ -384,7 +415,7 @@ def load_trace_csv(path) -> list[tuple[int, float]]:
 def save_pairs_csv(path, result: AssociationResult, phys: list[PathParams],
                    est: list[PathParams], res: ResolutionSpec) -> None:
     "Per-pair association errors in resolution bins (signed, truth minus estimate)."
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["phys_idx", "est_idx", "cost", "delay_err_bins",
                          "aoa_err_bins", "aod_err_bins", "in_joint"])
@@ -419,7 +450,7 @@ def save_association_report(path, result: AssociationResult, n_phys: int,
 
 def save_scatter_csv(path, paths: list[PathParams]) -> None:
     "Path geometry and power for scatter plots."
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["idx", "delay_s", "aoa_cycles", "aod_cycles", "power_db"])
         for idx, p in enumerate(paths):
@@ -432,7 +463,7 @@ def save_associated_scatter_csv(path, result: AssociationResult,
                                 phys: list[PathParams],
                                 est: list[PathParams]) -> None:
     "Matched truth-estimate coordinate pairs for overlay plots."
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["phys_idx", "est_idx",
                          "phys_delay_s", "est_delay_s",
@@ -453,7 +484,7 @@ def save_matrix_csv(path, row_name: str, row_axis: np.ndarray,
     if matrix.shape != (len(row_axis), len(col_axis)):
         raise ValueError(f"matrix shape {matrix.shape} does not match axes "
                          f"({len(row_axis)}, {len(col_axis)})")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([row_name] + [_fmt(c) for c in col_axis])
         for r, row in zip(row_axis, matrix):
@@ -467,5 +498,4 @@ def save_timings(path, timings: dict[str, float]) -> None:
     if p.exists():
         existing = json.loads(p.read_text(encoding="utf-8"))
     existing.update(timings)
-    p.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
-                 encoding="utf-8")
+    _write_text(p, json.dumps(existing, indent=2, sort_keys=True) + "\n")

@@ -178,13 +178,57 @@ def steering_vector(theta: float, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * theta * np.arange(n))
 
 
+def _steering_matrices(
+    config: SounderConfig, delays, aods, aoas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis steering matrices of K path geometries, synthesis convention.
+
+    Returns ``a_rx`` [n_rx x K] with entries exp(+j2pi*aoa_k*r), ``a_tx``
+    [n_tx x K] with exp(-j2pi*aod_k*t) and ``a_f`` [n_freq x K] with
+    exp(-j2pi*delay_k*f_m).  The unit-gain atom of path k is
+    ``a_rx[:, k] (x) a_tx[:, k] (x) a_f[:, k]``.
+    """
+    a_rx = np.exp(2j * np.pi * np.outer(np.arange(config.n_rx), aoas))
+    a_tx = np.exp(-2j * np.pi * np.outer(np.arange(config.n_tx), aods))
+    a_f = np.exp(-2j * np.pi * np.outer(config.freq_grid, delays))
+    return a_rx, a_tx, a_f
+
+
+def _matched_filter(
+    values: np.ndarray, a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray
+) -> np.ndarray:
+    """Inner products of the K atoms of ``_steering_matrices`` with a
+    response tensor: entry k is sum_{r,t,m} conj(atom_k[r,t,m]) * values[r,t,m]
+    (the adjoint of synthesis, A^H h).
+
+    Evaluated one rx row at a time: besides the conjugated steering
+    matrices, the only temporary is one [n_tx x K] product per row, never
+    an [n_rx*n_tx x K] one.
+    """
+    conj_tx = a_tx.conj()
+    conj_f = a_f.conj()
+    rows = np.empty(a_rx.shape, dtype=complex)
+    for r in range(values.shape[0]):
+        np.einsum("tk,tk->k", conj_tx, values[r] @ conj_f, out=rows[r])
+    return np.einsum("rk,rk->k", a_rx.conj(), rows)
+
+
+# paths per block of synthesis: the block's steering matrices stay small next
+# to the response tensor however many paths there are
+_SYNTH_CHUNK = 64
+
+
 def synthesize_response(config: SounderConfig, paths: list[PathParams]) -> FrequencyResponse:
     """Generate the sounder's spatial frequency response for a set of paths.
 
     values[r, t, k] = sum_n gain_n * exp(+j2pi*aoa_n*r) * exp(-j2pi*aod_n*t)
                             * exp(-j2pi*delay_n*f_k)
 
-    The superposition is linear in the path list; an empty list yields the
+    evaluated from the steering matrices of ``_steering_matrices``, for
+    blocks of up to ``_SYNTH_CHUNK`` paths, as one [n_tx x K] by
+    [K x n_freq] product per rx row accumulated into the output, so no
+    temporary is tensor-sized or grows with the number of paths.  The
+    superposition is linear in the path list; an empty list yields the
     all-zero response.
 
     Raises
@@ -193,22 +237,23 @@ def synthesize_response(config: SounderConfig, paths: list[PathParams]) -> Frequ
         If any path delay is >= the observation duration T (such a delay
         aliases on the sampled frequency grid).
     """
+    t_obs = config.duration
+    for p in paths:
+        if p.delay >= t_obs:
+            raise ValueError(
+                f"path delay {p.delay} s >= observation duration {t_obs} s"
+            )
     values = np.zeros((config.n_rx, config.n_tx, config.n_freq), dtype=complex)
-    if paths:
-        t_obs = config.duration
-        for p in paths:
-            if p.delay >= t_obs:
-                raise ValueError(
-                    f"path delay {p.delay} s >= observation duration {t_obs} s"
-                )
-        rx = np.arange(config.n_rx)
-        tx = np.arange(config.n_tx)
-        freqs = config.freq_grid
-        for p in paths:
-            a_rx = np.exp(2j * np.pi * p.aoa * rx)
-            a_tx = np.exp(-2j * np.pi * p.aod * tx)
-            a_f = np.exp(-2j * np.pi * p.delay * freqs)
-            values += p.gain * a_rx[:, None, None] * a_tx[None, :, None] * a_f[None, None, :]
+    for k0 in range(0, len(paths), _SYNTH_CHUNK):
+        chunk = paths[k0:k0 + _SYNTH_CHUNK]
+        a_rx, a_tx, a_f = _steering_matrices(
+            config, [p.delay for p in chunk], [p.aod for p in chunk],
+            [p.aoa for p in chunk])
+        weighted_rx = a_rx * np.array([p.gain for p in chunk])
+        for r in range(config.n_rx):
+            values[r] += (a_tx * weighted_rx[r]) @ a_f.T
+        # free this block's matrices before the next block's are built
+        del a_rx, a_tx, a_f, weighted_rx
     return FrequencyResponse(values=values, config=config)
 
 

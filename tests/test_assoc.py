@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcx import (
     PathParams,
@@ -12,6 +14,8 @@ from mpcx import (
     pairwise_cost,
     wrap_cycles,
 )
+
+from mpcx.assoc import _cost_matrix
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 RES = ResolutionSpec.from_config(DESK)
@@ -85,6 +89,23 @@ def test_pairwise_cost_ignores_gain():
     a = path(5e-9, 0.1, -0.2, gain=2 + 1j)
     b = path(5e-9, 0.1, -0.2, gain=-7j)
     assert pairwise_cost(a, b, RES) == 0.0
+
+
+# angles clustered at the +-0.5 seam as well as spread, so differences wrap
+ANGLE = st.one_of(st.floats(-0.5, 0.5),
+                  st.floats(0.45, 0.5), st.floats(-0.5, -0.45))
+PATH = st.builds(lambda d, t, r: PathParams(gain=1 + 0j, delay=d, aod=t, aoa=r),
+                 st.floats(0.0, DESK.duration), ANGLE, ANGLE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phys=st.lists(PATH, min_size=1, max_size=6),
+       est=st.lists(PATH, min_size=1, max_size=6))
+def test_cost_matrix_equals_scalar_loop_bit_for_bit(phys, est):
+    matrix = _cost_matrix(phys, est, RES)
+    loop = np.array([[pairwise_cost(p, q, RES) for q in est] for p in phys])
+    assert matrix.shape == loop.shape
+    assert np.array_equal(matrix, loop)
 
 
 def test_resolution_spec_validation():

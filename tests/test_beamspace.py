@@ -1,9 +1,11 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from mpcx import (
+    BeamspaceGrid,
     FrequencyResponse,
     GridSpec,
     PathParams,
@@ -339,6 +341,23 @@ def test_pdp_marginals_properties():
     assert np.sum(m_del) == pytest.approx(total, rel=1e-12)
     assert np.unravel_index(np.argmax(m_ang), m_ang.shape) == (7, 4)
     assert np.unravel_index(np.argmax(m_del), m_del.shape) == (7, 10)
+
+
+def test_pdp_marginals_equal_full_grid_formula_in_one_row_of_memory():
+    rng = np.random.default_rng(41)
+    shape = (24, 20, 50)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid = BeamspaceGrid(values=values, spec=GridSpec(), config=DESK)
+    tracemalloc.start()
+    try:
+        m_ang, m_del = pdp_marginals(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    power = np.abs(values) ** 2
+    np.testing.assert_allclose(m_ang, power.sum(axis=2), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(m_del, power.sum(axis=1), rtol=1e-12, atol=0)
+    assert peak < 0.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the grid"
 
 
 def test_transform_rejects_foreign_shapes():

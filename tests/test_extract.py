@@ -689,3 +689,21 @@ def test_greedy_ls_memory_is_one_grid():
         tracemalloc.stop()
     assert len(found) == 4
     assert peak <= 2 * grid_bytes, f"peak {peak / grid_bytes:.2f}x the grid"
+
+
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_residual_trace_equals_recomputed_residual(seed, snr_db):
+    "Each in-place commit leaves exactly h minus the synthesized commits."
+    resp = desk_case(seed, snr_db, n_paths=10)
+    cfg = ExtractionConfig(k_dom=12, k_g=4, k_up=2, residual_stop=0.0,
+                           final_global_ls=False)
+    found, trace = greedy_ls(resp, DESK, cfg)
+    assert len(trace.residual_power) == len(found) == 12
+    h = resp.values
+    assert trace.initial_power == pytest.approx(np.sum(np.abs(h) ** 2), rel=1e-12)
+    for k in range(len(found)):
+        residual = h - synthesize_response(DESK, found[:k + 1]).values
+        expected = float(np.sum(np.abs(residual) ** 2))
+        assert trace.residual_power[k] == pytest.approx(expected, rel=1e-9)
+        assert trace.committed_gain_power[k] == abs(found[k].gain) ** 2

@@ -348,3 +348,49 @@ def test_timings_merge(tmp_path):
     fileio.save_timings(f, {"extract": 2.5})
     data = json.loads(f.read_text(encoding="utf-8"))
     assert data == {"synth": 1.5, "extract": 2.5}
+
+
+class _Unwritable:
+    "A path-list entry whose gain raises when the writer reads it."
+
+    @property
+    def gain(self):
+        raise RuntimeError("writer interrupted")
+
+
+@pytest.mark.parametrize("writer", ["paths", "tensor", "matrix"])
+def test_failed_write_keeps_previous_file(tmp_path, writer):
+    "A writer that raises part way leaves the old file intact and no temp file."
+    if writer == "paths":
+        target = tmp_path / "paths.csv"
+        fileio.save_paths_csv(target, sample_paths() * 2)
+        # without the atomic replace this left the two good rows: a shorter
+        # but valid path list
+        save = lambda: fileio.save_paths_csv(target, sample_paths() + [_Unwritable()])
+    elif writer == "tensor":
+        target = tmp_path / "h.bin"
+        fileio.save_tensor(target, synthesize_response(DESK, sample_paths()))
+        bad = FrequencyResponse(values=np.full((8, 8, 32), "x", dtype=object),
+                                config=DESK)
+        save = lambda: fileio.save_tensor(target, bad)
+    else:
+        target = tmp_path / "map.csv"
+        axis = np.array([0.0, 1.0])
+        fileio.save_matrix_csv(target, "row", axis, axis, np.eye(2))
+        bad = np.array([[1.0, 2.0], [3.0, "x"]], dtype=object)
+        save = lambda: fileio.save_matrix_csv(target, "row", axis, axis, bad)
+    before = target.read_bytes()
+    with pytest.raises((RuntimeError, AttributeError, ValueError)):
+        save()
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+
+
+def test_writers_leave_no_temporary_files(tmp_path):
+    fileio.save_paths_csv(tmp_path / "paths.csv", sample_paths())
+    fileio.save_tensor(tmp_path / "h.bin", synthesize_response(DESK, sample_paths()))
+    fileio.save_timings(tmp_path / "timings.json", {"a": 1.0})
+    fileio.save_timings(tmp_path / "timings.json", {"b": 2.0})
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "h.bin", "paths.csv", "timings.json"]
+    assert json.loads((tmp_path / "timings.json").read_text()) == {"a": 1.0, "b": 2.0}

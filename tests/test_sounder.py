@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcx import (
     FrequencyResponse,
@@ -15,7 +20,8 @@ from mpcx import (
     synthesize_response,
     virtual_coefficients,
 )
-from mpcx.sounder import VirtualCoefficients
+from mpcx import sounder
+from mpcx.sounder import VirtualCoefficients, _matched_filter, _steering_matrices
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 
@@ -128,6 +134,64 @@ def test_synthesize_matches_scalar_loop_oracle():
     path = PathParams(gain=2 + 0j, delay=cfg.delay_res, aod=0.0, aoa=cfg.aoa_res)
     resp = synthesize_response(cfg, [path])
     assert np.allclose(resp.values, synth_oracle(cfg, [path]), atol=1e-12)
+
+
+def random_paths(rng, cfg, count):
+    return [PathParams(gain=complex(rng.normal(), rng.normal()),
+                       delay=rng.uniform(0, cfg.duration * 0.99),
+                       aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+            for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rx=st.integers(1, 4), n_tx=st.integers(1, 4), n_freq=st.integers(1, 6),
+       count=st.integers(0, 40), chunk=st.integers(1, 70),
+       seed=st.integers(0, 2**32 - 1))
+def test_synthesize_equals_scalar_loop_oracle(n_rx, n_tx, n_freq, count, chunk,
+                                              seed):
+    "Steering-matrix synthesis, split into blocks of any size, equals the loop."
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    paths = random_paths(np.random.default_rng(seed), cfg, count)
+    with mock.patch.object(sounder, "_SYNTH_CHUNK", chunk):
+        got = synthesize_response(cfg, paths).values
+    oracle = synth_oracle(cfg, paths)
+    # 1e-12 of the largest magnitude the sum can reach, so paths that
+    # cancel do not make the bound vanish
+    scale = sum(abs(p.gain) for p in paths)
+    assert np.max(np.abs(got - oracle), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
+       count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_matched_filter_equals_dense_adjoint(n_rx, n_tx, n_freq, count, seed):
+    "The matched filter is A^H h for the dense dictionary of unit-gain atoms."
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    rng = np.random.default_rng(seed)
+    geometry = [(p.delay, p.aod, p.aoa) for p in random_paths(rng, cfg, count)]
+    dense = np.stack([synthesize_response(
+        cfg, [PathParams(gain=1 + 0j, delay=d, aod=t, aoa=r)]).values.ravel()
+        for d, t, r in geometry], axis=1)
+    h = rng.normal(size=(n_rx, n_tx, n_freq)) + 1j * rng.normal(size=(n_rx, n_tx, n_freq))
+    got = _matched_filter(h, *_steering_matrices(cfg, *zip(*geometry)))
+    oracle = dense.conj().T @ h.ravel()
+    scale = np.abs(h).sum()  # bound on every |A^H h| entry
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
+
+
+def test_synthesize_memory_is_one_tensor():
+    "448 paths at the paper config: no per-path or per-block tensor temporary."
+    cfg = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
+    paths = random_paths(np.random.default_rng(448), cfg, 448)
+    out_bytes = 16 * cfg.n_rx * cfg.n_tx * cfg.n_freq
+    tracemalloc.start()
+    try:
+        resp = synthesize_response(cfg, paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resp.values.nbytes == out_bytes
+    assert peak <= 1.25 * out_bytes, f"peak {peak / out_bytes:.2f}x the output"
 
 
 def test_synthesize_linearity():
