@@ -93,7 +93,9 @@ def pairwise_cost(phys: PathParams, est: PathParams, res: ResolutionSpec) -> flo
     d_tau = (phys.delay - est.delay) / res.delay_res
     d_aoa = wrap_cycles(phys.aoa - est.aoa) / res.aoa_res
     d_aod = wrap_cycles(phys.aod - est.aod) / res.aod_res
-    return float(d_tau**2 + d_aoa**2 + d_aod**2)
+    # products, as numpy squares: a Python float's ** 2 calls libm pow, which
+    # can differ from d * d in the last bit
+    return float(d_tau * d_tau + d_aoa * d_aoa + d_aod * d_aod)
 
 
 def _cost_matrix(phys: list[PathParams], est: list[PathParams],

@@ -4,7 +4,8 @@ Five subcommands realize the full evaluation loop on a shared run directory:
 ``scenario`` draws clustered ground truth, ``synth`` renders it to a
 frequency-response tensor (optional additive noise), ``extract`` runs the
 greedy-LS estimator, ``associate`` scores estimates against truth, and
-``report`` consolidates everything into a run report plus plot-data CSVs.
+``report`` copies the stage reports' metrics into one run report and writes
+plot-data CSVs.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  All artifacts except
 ``timings.json`` (wall-clock sidecar) are byte-deterministic for fixed
@@ -19,7 +20,6 @@ import dataclasses
 import logging
 import math
 import os
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -31,7 +31,7 @@ from .assoc import ResolutionSpec, associate
 from .beamspace import GridSpec, beamspace_transform, pdp_marginals
 from .extract import ExtractionConfig, greedy_ls, reconstruction_error, sage_refine
 from .scenario import generate_scenario
-from .sounder import SounderConfig, add_awgn, synthesize_response
+from .sounder import add_awgn, synthesize_response
 
 logger = logging.getLogger(__name__)
 
@@ -80,26 +80,6 @@ def _float_flag(minimum: float = -math.inf, strict: bool = False):
                                              f"got {text!r}")
         return value
     return parse
-
-
-@dataclasses.dataclass(frozen=True)
-class RunReport:
-    "Consolidated numbers of one pipeline run, all recomputable from artifacts."
-
-    config: SounderConfig
-    n_phys: int
-    k_dom: int
-    n_estimates: int
-    k_pa: int
-    normalized_error: float
-    pre_pa_cost: float
-    post_pa_cost: float
-    s_tau: int
-    s_aoa: int
-    s_aod: int
-    s_joint: int
-    unmatched_phys: int
-    unmatched_est: int
 
 
 @contextlib.contextmanager
@@ -208,16 +188,10 @@ def cmd_extract(args) -> int:
                                               args.sage_sweeps)
         else:
             sweep_errors = []
-        estimate = synthesize_response(config, paths)
-        error = reconstruction_error(estimate, response)
+        error = reconstruction_error(synthesize_response(config, paths), response)
         fileio.save_paths_csv(out_dir / ESTIMATES_CSV, paths)
         fileio.save_trace_csv(out_dir / TRACE_CSV, trace)
-        report = {
-            "n_tx": config.n_tx,
-            "n_rx": config.n_rx,
-            "bandwidth_hz": config.bandwidth_hz,
-            "n_freq": config.n_freq,
-            "carrier_hz": config.carrier_hz,
+        report = dataclasses.asdict(config) | {
             "k_dom": args.kdom,
             "k_g": args.kg,
             "k_up": args.kup,
@@ -260,99 +234,75 @@ def cmd_associate(args) -> int:
     return EXIT_OK
 
 
-def _build_run_report(out_dir: Path, oversample: int) -> RunReport:
-    config = fileio.load_sounder_config(_require(out_dir, CONFIG_TXT, "synth"))
-    truth = fileio.load_paths_csv(_require(out_dir, TRUTH_CSV, "synth"))
-    response = fileio.load_response(_require(out_dir, TENSOR_BIN, "synth"), config)
-    estimates = fileio.load_paths_csv(_require(out_dir, ESTIMATES_CSV, "extract"))
-    extract_info = fileio.load_kv_report(_require(out_dir, EXTRACT_REPORT, "extract"))
-    assoc_info = fileio.load_kv_report(_require(out_dir, ASSOC_REPORT, "associate"))
-    _require(out_dir, TRACE_CSV, "extract")
-    _require(out_dir, PAIRS_CSV, "associate")
-
-    error = reconstruction_error(synthesize_response(config, estimates), response)
-
-    # plot data: scatters, power maps, residual trace, per-axis errors
-    fileio.save_scatter_csv(out_dir / "plot_truth_scatter.csv", truth)
-    fileio.save_scatter_csv(out_dir / "plot_estimate_scatter.csv", estimates)
-    res = ResolutionSpec.from_config(config)
-    result = associate(truth, estimates, res,
-                       float(assoc_info["unmatched_cost"]))
-    fileio.save_associated_scatter_csv(out_dir / "plot_associated_scatter.csv",
-                                       result, truth, estimates)
-    spec = GridSpec(os_aoa=oversample, os_aod=oversample, os_delay=oversample)
-    grid = beamspace_transform(response, spec)
-    map_angles, map_delay = pdp_marginals(grid)
-    fileio.save_matrix_csv(out_dir / "plot_pdp_aoa_aod.csv", "aoa_cycles",
-                           grid.aoa_axis, grid.aod_axis, map_angles)
-    fileio.save_matrix_csv(out_dir / "plot_pdp_aoa_delay.csv", "aoa_cycles",
-                           grid.aoa_axis, grid.delay_axis, map_delay)
-    shutil.copyfile(out_dir / TRACE_CSV, out_dir / "plot_residual_trace.csv")
-    _copy_axis_errors(out_dir / PAIRS_CSV, out_dir / "plot_axis_errors.csv")
-
-    return RunReport(
-        config=config,
-        n_phys=len(truth),
-        k_dom=int(extract_info["k_dom"]),
-        n_estimates=len(estimates),
-        k_pa=result.k_pa,
-        normalized_error=error,
-        pre_pa_cost=result.pre_pa_cost,
-        post_pa_cost=result.post_pa_cost,
-        s_tau=len(result.bin_sets.delay),
-        s_aoa=len(result.bin_sets.aoa),
-        s_aod=len(result.bin_sets.aod),
-        s_joint=len(result.bin_sets.joint),
-        unmatched_phys=len(result.unmatched_phys),
-        unmatched_est=len(result.unmatched_est),
-    )
-
-
-def _copy_axis_errors(pairs_path: Path, out_path: Path) -> None:
-    "Re-emit the per-axis error columns of the pairs CSV verbatim."
-    import csv as _csv
-
-    with open(pairs_path, encoding="utf-8", newline="") as fh:
-        rows = list(_csv.reader(fh))
-    keep = ["phys_idx", "delay_err_bins", "aoa_err_bins", "aod_err_bins"]
-    idx = [rows[0].index(k) for k in keep]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow([row[i] for i in idx])
+# keys of run_report.txt after the config block, in order, each copied from
+# extract_report.txt if it is one of _EXTRACT_KEYS, else association_report.txt
+_RUN_REPORT_KEYS = ("n_phys", "k_dom", "n_estimates", "k_pa", "normalized_error",
+                    "pre_pa_cost", "post_pa_cost", "s_tau", "s_aoa", "s_aod",
+                    "s_joint", "unmatched_phys", "unmatched_est")
+_EXTRACT_KEYS = ("k_dom", "n_estimates", "normalized_error")
 
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
-    if args.oversample < 1:
-        raise UsageError("oversample must be >= 1")
     t0 = time.perf_counter()
     with _run_lock(out_dir):
-        report = _build_run_report(out_dir, args.oversample)
-        cfg = report.config
-        fileio.save_kv_report(out_dir / RUN_REPORT, {
-            "n_tx": cfg.n_tx,
-            "n_rx": cfg.n_rx,
-            "bandwidth_hz": cfg.bandwidth_hz,
-            "n_freq": cfg.n_freq,
-            "carrier_hz": cfg.carrier_hz,
-            "n_phys": report.n_phys,
-            "k_dom": report.k_dom,
-            "n_estimates": report.n_estimates,
-            "k_pa": report.k_pa,
-            "normalized_error": report.normalized_error,
-            "pre_pa_cost": report.pre_pa_cost,
-            "post_pa_cost": report.post_pa_cost,
-            "s_tau": report.s_tau,
-            "s_aoa": report.s_aoa,
-            "s_aod": report.s_aod,
-            "s_joint": report.s_joint,
-            "unmatched_phys": report.unmatched_phys,
-            "unmatched_est": report.unmatched_est,
-        })
+        config = fileio.load_sounder_config(_require(out_dir, CONFIG_TXT, "synth"))
+        truth = fileio.load_paths_csv(_require(out_dir, TRUTH_CSV, "synth"))
+        response = fileio.load_response(_require(out_dir, TENSOR_BIN, "synth"),
+                                        config)
+        estimates = fileio.load_paths_csv(_require(out_dir, ESTIMATES_CSV, "extract"))
+        trace_path = _require(out_dir, TRACE_CSV, "extract")
+        stage_reports = {name: fileio.load_kv_report(_require(out_dir, name, stage))
+                         for name, stage in ((EXTRACT_REPORT, "extract"),
+                                             (ASSOC_REPORT, "associate"))}
+
+        def copied(name: str, key: str) -> str:
+            if key not in stage_reports[name]:
+                raise ValueError(f"{out_dir / name}: missing key '{key}'")
+            return stage_reports[name][key]
+
+        # refuse a directory whose stages ran on different inputs
+        for name, key, rows_name, rows in (
+                (ASSOC_REPORT, "n_phys", TRUTH_CSV, truth),
+                (ASSOC_REPORT, "n_est", ESTIMATES_CSV, estimates),
+                (EXTRACT_REPORT, "n_estimates", ESTIMATES_CSV, estimates)):
+            if copied(name, key) != str(len(rows)):
+                raise ValueError(f"{out_dir / name}: '{key}' = {copied(name, key)}, "
+                                 f"but {rows_name} has {len(rows)} rows: the run "
+                                 f"directory mixes artifacts of different runs")
+        text = copied(EXTRACT_REPORT, "oversample")
+        if not (text.isdecimal() and int(text) >= 1):
+            raise ValueError(f"{out_dir / EXTRACT_REPORT}: field 'oversample': "
+                             f"expected an integer >= 1, got '{text}'")
+        oversample = int(text)
+        run_report = dataclasses.asdict(config)
+        run_report.update(
+            (key, copied(EXTRACT_REPORT if key in _EXTRACT_KEYS else ASSOC_REPORT, key))
+            for key in _RUN_REPORT_KEYS)
+        pair_rows = fileio.load_pairs_csv(
+            _require(out_dir, PAIRS_CSV, "associate"), len(truth), len(estimates))
+
+        # plot data: scatters, power maps, residual trace, per-axis errors
+        fileio.save_scatter_csv(out_dir / "plot_truth_scatter.csv", truth)
+        fileio.save_scatter_csv(out_dir / "plot_estimate_scatter.csv", estimates)
+        fileio.save_associated_scatter_csv(
+            out_dir / "plot_associated_scatter.csv",
+            [(int(i), int(j), float(cost)) for i, j, cost, *_ in pair_rows],
+            truth, estimates)
+        grid = beamspace_transform(response, GridSpec(
+            os_aoa=oversample, os_aod=oversample, os_delay=oversample))
+        map_angles, map_delay = pdp_marginals(grid)
+        fileio.save_matrix_csv(out_dir / "plot_pdp_aoa_aod.csv", "aoa_cycles",
+                               grid.aoa_axis, grid.aod_axis, map_angles)
+        fileio.save_matrix_csv(out_dir / "plot_pdp_aoa_delay.csv", "aoa_cycles",
+                               grid.aoa_axis, grid.delay_axis, map_delay)
+        fileio.copy_artifact(trace_path, out_dir / "plot_residual_trace.csv")
+        fileio.save_axis_errors_csv(out_dir / "plot_axis_errors.csv", pair_rows)
+        fileio.save_kv_report(out_dir / RUN_REPORT, run_report)
         _record_timing(out_dir, "report", time.perf_counter() - t0)
-    logger.info("report: k_pa=%d, normalized error %.3e, joint bin count %d",
-                report.k_pa, report.normalized_error, report.s_joint)
+    logger.info("report: k_pa=%s, normalized error %s, joint bin count %s",
+                run_report["k_pa"], run_report["normalized_error"],
+                run_report["s_joint"])
     return EXIT_OK
 
 
@@ -425,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="consolidate a run directory into report + plot data")
-    p.add_argument("--oversample", type=int, default=4,
-                   help="oversampling for the power-map plots (default 4)")
     p.set_defaults(func=cmd_report)
     return parser
 

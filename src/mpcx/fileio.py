@@ -8,8 +8,6 @@ Formats, all documented here and stable:
 - Frequency-response tensor: magic ``MPXTEN01``, three little-endian uint64
   dimensions (rx, tx, freq), then interleaved (real, imag) float64 pairs in
   row-major (rx, tx, freq) order.
-- Beamspace grid tensor: magic ``MPXGRD01``, three uint64 dimensions, the
-  three float64 axis-coordinate arrays, then interleaved values as above.
 - Flat ``key = value`` text for sounder configs, scenario specs, and stage
   reports; ``#`` starts a comment line.
 - Plot data as headed CSV (scatters, residual trace, per-pair errors, and
@@ -27,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -35,16 +34,16 @@ from pathlib import Path
 import numpy as np
 
 from .assoc import AssociationResult, ResolutionSpec, wrap_cycles
-from .beamspace import BeamspaceGrid
 from .extract import ExtractionTrace
 from .scenario import ScenarioSpec
 from .sounder import FrequencyResponse, PathParams, SounderConfig, spatial_frequency
 
 TENSOR_MAGIC = b"MPXTEN01"
-GRID_MAGIC = b"MPXGRD01"
 
 PATHS_HEADER = ["gain_real", "gain_imag", "delay_s", "aod_cycles", "aoa_cycles"]
 PATHS_HEADER_DB = ["gain_db", "phase_deg", "delay_s", "aod_cycles", "aoa_cycles"]
+PAIRS_HEADER = ["phys_idx", "est_idx", "cost", "delay_err_bins",
+                "aoa_err_bins", "aod_err_bins", "in_joint"]
 
 CONFIG_PRESETS = {
     "paper": dict(n_tx=35, n_rx=35, bandwidth_hz=1.0e9, n_freq=233, carrier_hz=28.0e9),
@@ -147,14 +146,7 @@ def load_sounder_config(source) -> SounderConfig:
 
 
 def save_sounder_config(path, config: SounderConfig) -> None:
-    lines = [
-        f"n_tx = {config.n_tx}",
-        f"n_rx = {config.n_rx}",
-        f"bandwidth_hz = {_fmt(config.bandwidth_hz)}",
-        f"n_freq = {config.n_freq}",
-        f"carrier_hz = {_fmt(config.carrier_hz)}",
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    save_kv_report(path, dataclasses.asdict(config))
 
 
 _SCENARIO_FLOAT_KEYS = (
@@ -282,19 +274,15 @@ def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
 # binary tensors
 
 
-def _interleave(values: np.ndarray) -> bytes:
+def save_tensor(path, response: FrequencyResponse) -> None:
+    values = response.values
     stacked = np.empty(values.shape + (2,), dtype="<f8")
     stacked[..., 0] = values.real
     stacked[..., 1] = values.imag
-    return stacked.tobytes()
-
-
-def save_tensor(path, response: FrequencyResponse) -> None:
-    dims = np.array(response.values.shape, dtype="<u8")
     with _atomic_open(path, binary=True) as fh:
         fh.write(TENSOR_MAGIC)
-        fh.write(dims.tobytes())
-        fh.write(_interleave(response.values))
+        fh.write(np.array(values.shape, dtype="<u8").tobytes())
+        fh.write(stacked.tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
@@ -329,39 +317,6 @@ def load_response(path, config: SounderConfig) -> FrequencyResponse:
         raise ValueError(f"{path}: tensor shape {values.shape} does not match "
                          f"config {expected}")
     return FrequencyResponse(values=values, config=config)
-
-
-def save_grid(path, grid: BeamspaceGrid) -> None:
-    "Persist a beamspace grid with its three axis-coordinate arrays."
-    dims = np.array(grid.values.shape, dtype="<u8")
-    with _atomic_open(path, binary=True) as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(dims.tobytes())
-        fh.write(np.asarray(grid.aoa_axis, dtype="<f8").tobytes())
-        fh.write(np.asarray(grid.aod_axis, dtype="<f8").tobytes())
-        fh.write(np.asarray(grid.delay_axis, dtype="<f8").tobytes())
-        fh.write(_interleave(grid.values))
-
-
-def load_grid(path) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    "Read a grid file; returns (values, (aoa_axis, aod_axis, delay_axis))."
-    buf = Path(path).read_bytes()
-    if len(buf) < 32 or buf[:8] != GRID_MAGIC:
-        raise ValueError(f"{path}: not a beamspace grid file (bad magic)")
-    dims = np.frombuffer(buf, dtype="<u8", count=3, offset=8)
-    d0, d1, d2 = (int(d) for d in dims)
-    off = 32
-    axes = []
-    for d in (d0, d1, d2):
-        axes.append(np.frombuffer(buf, dtype="<f8", count=d, offset=off).copy())
-        off += 8 * d
-    expected = off + d0 * d1 * d2 * 16
-    if len(buf) != expected:
-        raise ValueError(f"{path}: truncated grid: {len(buf)} bytes, "
-                         f"expected {expected}")
-    flat = np.frombuffer(buf, dtype="<f8", offset=off)
-    stacked = flat.reshape(d0, d1, d2, 2)
-    return stacked[..., 0] + 1j * stacked[..., 1], tuple(axes)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +372,7 @@ def save_pairs_csv(path, result: AssociationResult, phys: list[PathParams],
     "Per-pair association errors in resolution bins (signed, truth minus estimate)."
     with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phys_idx", "est_idx", "cost", "delay_err_bins",
-                         "aoa_err_bins", "aod_err_bins", "in_joint"])
+        writer.writerow(PAIRS_HEADER)
         for i, j, cost in result.pairs:
             p, q = phys[i], est[j]
             writer.writerow([
@@ -428,6 +382,39 @@ def save_pairs_csv(path, result: AssociationResult, phys: list[PathParams],
                 _fmt(wrap_cycles(p.aod - q.aod) / res.aod_res),
                 int(i in result.bin_sets.joint),
             ])
+
+
+def load_pairs_csv(path, n_phys: int, n_est: int) -> list[list[str]]:
+    """Rows of a pairs CSV as text, without the header.
+
+    Raises ValueError naming the file, row and column of a ``phys_idx`` that
+    is not an index into ``n_phys`` truth paths, an ``est_idx`` not an index
+    into ``n_est`` estimates, or a ``cost`` that is not a number.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != PAIRS_HEADER:
+        raise ValueError(f"{path}: expected the header {PAIRS_HEADER}")
+    for rownum, row in enumerate(rows[1:], start=2):
+        if len(row) != len(PAIRS_HEADER):
+            raise ValueError(f"{path}: row {rownum}: expected "
+                             f"{len(PAIRS_HEADER)} fields, got {len(row)}")
+        for col, count in ((0, n_phys), (1, n_est)):
+            if not (row[col].isdecimal() and int(row[col]) < count):
+                raise ValueError(f"{path}: row {rownum}: field '{PAIRS_HEADER[col]}': "
+                                 f"'{row[col]}' is not an index below {count}")
+        _parse_row_field(row, 2, "cost", path, rownum)
+    return rows[1:]
+
+
+def save_axis_errors_csv(path, pair_rows: list[list[str]]) -> None:
+    "The per-axis error columns of pairs CSV rows, copied as text."
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["phys_idx", "delay_err_bins", "aoa_err_bins",
+                         "aod_err_bins"])
+        for row in pair_rows:
+            writer.writerow([row[0], row[3], row[4], row[5]])
 
 
 def save_association_report(path, result: AssociationResult, n_phys: int,
@@ -459,17 +446,17 @@ def save_scatter_csv(path, paths: list[PathParams]) -> None:
                              _fmt(power_db)])
 
 
-def save_associated_scatter_csv(path, result: AssociationResult,
+def save_associated_scatter_csv(path, pairs: list[tuple[int, int, float]],
                                 phys: list[PathParams],
                                 est: list[PathParams]) -> None:
-    "Matched truth-estimate coordinate pairs for overlay plots."
+    "Matched truth-estimate coordinates for overlay plots, one row per pair."
     with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["phys_idx", "est_idx",
                          "phys_delay_s", "est_delay_s",
                          "phys_aoa_cycles", "est_aoa_cycles",
                          "phys_aod_cycles", "est_aod_cycles", "cost"])
-        for i, j, cost in result.pairs:
+        for i, j, cost in pairs:
             p, q = phys[i], est[j]
             writer.writerow([i, j, _fmt(p.delay), _fmt(q.delay),
                              _fmt(p.aoa), _fmt(q.aoa),
@@ -489,6 +476,12 @@ def save_matrix_csv(path, row_name: str, row_axis: np.ndarray,
         writer.writerow([row_name] + [_fmt(c) for c in col_axis])
         for r, row in zip(row_axis, matrix):
             writer.writerow([_fmt(r)] + [_fmt(v) for v in row])
+
+
+def copy_artifact(src, dst) -> None:
+    "Copy the bytes of ``src`` to ``dst``."
+    with _atomic_open(dst, binary=True) as fh:
+        fh.write(Path(src).read_bytes())
 
 
 def save_timings(path, timings: dict[str, float]) -> None:

@@ -323,15 +323,11 @@ def reconstruct_from_virtual(
     if v.shape[2] > config.n_freq:
         raise ValueError("more delay taps than frequency samples")
     n_rx, n_tx, n_l = v.shape
-    basis_rx = np.exp(
-        2j * np.pi * np.outer(np.arange(n_rx), np.arange(n_rx)) / n_rx
-    )  # [r, i]
-    basis_tx = np.exp(
-        -2j * np.pi * np.outer(np.arange(n_tx), np.arange(n_tx)) / n_tx
-    )  # [t, k]
-    delays = np.arange(n_l) / config.bandwidth_hz
-    basis_f = np.exp(-2j * np.pi * np.outer(delays, config.freq_grid))  # [l, m]
-    values = np.einsum("ikl,ri,tk,lm->rtm", v, basis_rx, basis_tx, basis_f, optimize=True)
+    # lattice atoms: rx basis [r, i], tx basis [t, k], delay basis [m, l]
+    basis_rx, basis_tx, basis_f = _steering_matrices(
+        config, np.arange(n_l) / config.bandwidth_hz,
+        np.arange(n_tx) / n_tx, np.arange(n_rx) / n_rx)
+    values = np.einsum("ikl,ri,tk,ml->rtm", v, basis_rx, basis_tx, basis_f, optimize=True)
     return FrequencyResponse(values=values, config=config)
 
 

@@ -1,3 +1,6 @@
+import builtins
+import shutil
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,103 @@ def test_report_totals_recomputable(run_dir):
     extract = fileio.load_kv_report(run_dir / "extract_report.txt")
     assert report["k_dom"] == extract["k_dom"]
     assert int(report["n_estimates"]) == int(extract["n_estimates"])
+
+
+def test_report_maps_use_extract_oversample(run_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    info = out / "extract_report.txt"
+    info.write_text(info.read_text(encoding="utf-8").replace(
+        "oversample = 4", "oversample = 2"), encoding="utf-8")
+    assert main(["report", "--out-dir", str(out), "--quiet"]) == 0
+    lines = (out / "plot_pdp_aoa_aod.csv").read_text(encoding="utf-8").splitlines()
+    assert (len(lines) - 1, len(lines[0].split(",")) - 1) == (16, 16)
+    for name in ("run_report.txt", "plot_associated_scatter.csv",
+                 "plot_axis_errors.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def _mix_subset_truth(out):
+    "Re-associate against the first 6 of the 12 truth paths."
+    subset = out.parent / "subset.csv"
+    subset.write_text("\n".join((out / "truth_paths.csv").read_text(
+        encoding="utf-8").splitlines()[:7]) + "\n", encoding="utf-8")
+    assert main(["associate", "--config", "desk", "--truth", str(subset),
+                 "--estimates", str(out / "estimates.csv"),
+                 "--out-dir", str(out), "--quiet"]) == 0
+
+
+def _edit(out, name, old, new):
+    path = out / name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+@pytest.mark.parametrize("mix, name, key", [
+    (_mix_subset_truth, "association_report.txt", "n_phys"),
+    (lambda out: _edit(out, "association_report.txt", "n_est = 24", "n_est = 23"),
+     "association_report.txt", "n_est"),
+    (lambda out: _edit(out, "pairs.csv", "\n0,", "\n12,"), "pairs.csv", "phys_idx"),
+    (lambda out: _edit(out, "pairs.csv", "\n0,", "\n0,24"), "pairs.csv", "est_idx"),
+    (lambda out: _edit(out, "extract_report.txt", "normalized_error =", "# "),
+     "extract_report.txt", "normalized_error"),
+    (lambda out: _edit(out, "extract_report.txt", "oversample = 4",
+                       "oversample = four"), "extract_report.txt", "oversample"),
+    (lambda out: _edit(out, "extract_report.txt", "oversample = 4",
+                       "oversample = 0"), "extract_report.txt", "oversample"),
+], ids=["subset-truth", "n-est", "phys-idx-range", "est-idx-range",
+        "missing-key", "oversample-text", "oversample-zero"])
+def test_report_refuses_mixed_run_dir(run_dir, tmp_path, capsys, mix, name, key):
+    "A run directory whose artifacts disagree exits 2, naming file and key."
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    mix(out)
+    capsys.readouterr()
+    assert main(["report", "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and f"'{key}'" in err, err
+    assert "Traceback" not in err
+    assert (out / "run_report.txt").read_bytes() == \
+        (run_dir / "run_report.txt").read_bytes()
+
+
+class _FailingFile:
+    "A file whose first write stores half of its data, then raises."
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise RuntimeError("writer interrupted")
+
+
+@pytest.mark.parametrize("name", ["plot_axis_errors.csv", "plot_residual_trace.csv"])
+def test_failed_plot_write_keeps_previous_file(run_dir, tmp_path, monkeypatch, name):
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    before = (out / name).read_bytes()
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if name in str(file) and mode[0] in "wxa":
+            return _FailingFile(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["report", "--out-dir", str(out), "--quiet"])
+    monkeypatch.undo()
+    assert (out / name).read_bytes() == before
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_seed_flag_overrides_spec(tmp_path):

@@ -7,13 +7,11 @@ import pytest
 from mpcx import (
     ExtractionTrace,
     FrequencyResponse,
-    GridSpec,
     PathParams,
     ResolutionSpec,
     ScenarioSpec,
     SounderConfig,
     associate,
-    beamspace_transform,
     fileio,
     synthesize_response,
 )
@@ -245,26 +243,6 @@ def test_tensor_non_finite_entry_names_file_and_index(tmp_path, bad):
         fileio.load_response(f, DESK)
 
 
-def test_grid_roundtrip(tmp_path):
-    resp = synthesize_response(DESK, [PathParams(gain=1 + 1j, delay=4e-9,
-                                                 aod=0.2, aoa=-0.1)])
-    grid = beamspace_transform(resp, GridSpec(os_aoa=2, os_aod=2, os_delay=2))
-    f = tmp_path / "grid.bin"
-    fileio.save_grid(f, grid)
-    values, (aoa_ax, aod_ax, tau_ax) = fileio.load_grid(f)
-    assert np.array_equal(values, grid.values)
-    assert np.array_equal(aoa_ax, grid.aoa_axis)
-    assert np.array_equal(aod_ax, grid.aod_axis)
-    assert np.array_equal(tau_ax, grid.delay_axis)
-
-
-def test_grid_bad_magic(tmp_path):
-    f = tmp_path / "grid.bin"
-    f.write_bytes(b"WRONGMAG" + b"\0" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        fileio.load_grid(f)
-
-
 # ---------------------------------------------------------------------------
 # reports, traces, plot data
 
@@ -316,6 +294,38 @@ def test_pairs_csv_contents(tmp_path):
     assert float(fields[3]) == pytest.approx(-0.5)  # signed: truth minus estimate
     assert float(fields[4]) == 0.0
     assert fields[6] == "1"
+
+
+def test_pairs_csv_load_keeps_text_and_checks_indices(tmp_path):
+    res = ResolutionSpec.from_config(DESK)
+    phys, est = sample_paths(), sample_paths()[::-1]
+    result = associate(phys, est, res, unmatched_cost=1e6)
+    f = tmp_path / "pairs.csv"
+    fileio.save_pairs_csv(f, result, phys, est, res)
+    rows = fileio.load_pairs_csv(f, len(phys), len(est))
+    assert rows == [line.split(",") for line in
+                    f.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(int(i), int(j), float(c)) for i, j, c, *_ in rows] == result.pairs
+    with pytest.raises(ValueError, match="row 2: field 'phys_idx'") as err:
+        fileio.load_pairs_csv(f, 0, len(est))
+    assert str(f) in str(err.value)
+    with pytest.raises(ValueError, match="row 2: field 'est_idx'"):
+        fileio.load_pairs_csv(f, len(phys), 0)
+    text = f.read_text(encoding="utf-8")
+    f.write_text(text.replace("\n1,", "\n-1,"), encoding="utf-8")
+    with pytest.raises(ValueError, match="field 'phys_idx': '-1'"):
+        fileio.load_pairs_csv(f, len(phys), len(est))
+    f.write_text(text.replace(",in_joint", ""), encoding="utf-8")
+    with pytest.raises(ValueError, match="header"):
+        fileio.load_pairs_csv(f, len(phys), len(est))
+
+
+def test_axis_errors_csv_copies_pairs_columns(tmp_path):
+    rows = [["0", "1", "0.25", "-0.5", "1e-17", "0.0", "1"]]
+    f = tmp_path / "axis.csv"
+    fileio.save_axis_errors_csv(f, rows)
+    assert f.read_text(encoding="utf-8") == (
+        "phys_idx,delay_err_bins,aoa_err_bins,aod_err_bins\n0,-0.5,1e-17,0.0\n")
 
 
 def test_scatter_csv(tmp_path):
