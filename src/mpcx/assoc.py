@@ -113,24 +113,26 @@ def _cost_matrix(phys: list[PathParams], est: list[PathParams],
     return d_tau**2 + d_aoa**2 + d_aod**2
 
 
-def _lap_square(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect matching on a square cost matrix.
+def _lap(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignment of every row of an n x m matrix, n <= m.
 
-    Jonker-Volgenant style shortest augmenting path with dual potentials;
-    one augmentation per row, each inner scan vectorized over columns.
-    Returns col4row: col4row[i] is the column assigned to row i.
+    Jonker-Volgenant style shortest augmenting path with dual potentials
+    (Crouse, IEEE TAES 2016): one augmentation per row, each inner scan
+    vectorized over columns.  An infinite entry forbids that pair; some
+    assignment of every row must have a finite total.  Returns col4row:
+    col4row[i] is the column assigned to row i.
     """
-    n = cost.shape[0]
+    n, m = cost.shape
     u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
+    v = np.zeros(m + 1)
     # p[j] = row matched to column j, 1-based; p[0] tracks the row being inserted
-    p = np.zeros(n + 1, dtype=np.intp)
-    way = np.zeros(n + 1, dtype=np.intp)
+    p = np.zeros(m + 1, dtype=np.intp)
+    way = np.zeros(m + 1, dtype=np.intp)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -155,7 +157,7 @@ def _lap_square(cost: np.ndarray) -> np.ndarray:
             p[j0] = p[j1]
             j0 = j1
     col4row = np.full(n, -1, dtype=np.intp)
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         if p[j] != 0:
             col4row[p[j] - 1] = j - 1
     return col4row
@@ -164,36 +166,29 @@ def _lap_square(cost: np.ndarray) -> np.ndarray:
 def assign(cost_matrix: np.ndarray, unmatched_cost: float) -> Assignment:
     """Rectangular assignment with a per-element cost for leaving unmatched.
 
-    Minimizes sum of matched costs plus ``unmatched_cost`` times the number
-    of unmatched rows plus unmatched columns, via the standard dummy
-    augmentation: the n x m matrix is embedded in an (n+m) square matrix
-    whose diagonal dummy blocks carry ``unmatched_cost`` and whose lower
-    right block is free.  A row-column pair is therefore matched only when
-    that lowers the total, i.e. roughly when its cost beats 2x the unmatched
-    cost.  An empty matrix yields an empty pair list.
+    Minimizes sum of matched costs plus ``unmatched_cost`` (u) times the
+    number of unmatched rows plus unmatched columns.  That objective equals
+    u * (n + m) + sum over matched pairs of (c_ij - 2u), so it is solved
+    exactly as one n x (m + n) assignment in which every row is assigned:
+    columns 0..m-1 hold the costs, column m + i is row i's own opt-out at
+    2u, and every other opt-out entry is infinite.  A row-column pair is
+    therefore matched only when its cost is below 2u (at exactly 2u either
+    choice is optimal).  Pairs are sorted by row and the unmatched lists
+    ascend; an empty matrix yields an empty pair list.
     """
     cost = np.asarray(cost_matrix, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-D")
     if cost.size and (not np.all(np.isfinite(cost)) or cost.min() < 0):
         raise ValueError("costs must be finite and nonnegative")
-    if unmatched_cost <= 0:
-        raise ValueError("unmatched_cost must be > 0")
+    if not (np.isfinite(unmatched_cost) and unmatched_cost > 0):
+        raise ValueError(
+            f"unmatched_cost must be finite and > 0, got {unmatched_cost!r}")
     n, m = cost.shape
-    if n == 0 or m == 0:
-        return Assignment(pairs=[], unmatched_rows=list(range(n)),
-                          unmatched_cols=list(range(m)),
-                          total_cost=unmatched_cost * (n + m))
+    opt_out = np.full((n, n), np.inf)
+    np.fill_diagonal(opt_out, 2.0 * unmatched_cost)
+    col4row = _lap(np.hstack([cost, opt_out]))
 
-    top = cost.max() if cost.size else 0.0
-    big = (n + m) * unmatched_cost + max(top, unmatched_cost) + 1.0
-    padded = np.full((n + m, n + m), big)
-    padded[:n, :m] = cost
-    padded[np.arange(n), m + np.arange(n)] = unmatched_cost
-    padded[n + np.arange(m), np.arange(m)] = unmatched_cost
-    padded[n:, m:] = 0.0
-
-    col4row = _lap_square(padded)
     pairs = [(i, int(col4row[i])) for i in range(n) if col4row[i] < m]
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}

@@ -30,13 +30,16 @@ import json
 import math
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assoc import AssociationResult, ResolutionSpec, wrap_cycles
-from .extract import ExtractionTrace
 from .scenario import ScenarioSpec
 from .sounder import FrequencyResponse, PathParams, SounderConfig, spatial_frequency
+
+if TYPE_CHECKING:
+    from .extract import ExtractionTrace
 
 TENSOR_MAGIC = b"MPXTEN01"
 

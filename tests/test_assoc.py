@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from mpcx import (
     wrap_cycles,
 )
 
-from mpcx.assoc import _cost_matrix
+from mpcx.assoc import _cost_matrix, _lap
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 RES = ResolutionSpec.from_config(DESK)
@@ -169,6 +173,15 @@ def test_assign_validation():
         assign(np.zeros(4), 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_unmatched_cost_rejected(bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        assign(np.ones((2, 3)), bad)
+    with pytest.raises(ValueError, match=repr(bad)):
+        associate([path(1e-9, 0.0, 0.0)], [path(2e-9, 0.1, 0.1)], RES,
+                  unmatched_cost=bad)
+
+
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(97)
     for trial in range(100):
@@ -190,6 +203,92 @@ def test_assign_matches_brute_force():
         assert recomputed == pytest.approx(result.total_cost, rel=1e-9)
         assert len(result.pairs) + len(result.unmatched_rows) == n
         assert len(result.pairs) + len(result.unmatched_cols) == m
+
+
+@st.composite
+def tied_problems(draw):
+    "Integer costs (exact ties) and an unmatched cost of half some cost."
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    cost = np.array(draw(st.lists(st.integers(0, 6), min_size=n * m,
+                                  max_size=n * m)), dtype=float).reshape(n, m)
+    halves = sorted({c / 2 for c in cost.flat if c > 0}) or [0.5]
+    return cost, draw(st.sampled_from(halves))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=tied_problems())
+def test_assign_matches_brute_force_with_ties(problem):
+    cost, unmatched = problem
+    n, m = cost.shape
+    result = assign(cost, unmatched)
+    oracle_total, _ = brute_force_assignment(cost, unmatched)
+    # integers and halves add exactly, so the totals compare exactly
+    assert result.total_cost == oracle_total
+    recomputed = sum(cost[r, c] for r, c in result.pairs)
+    recomputed += unmatched * (len(result.unmatched_rows)
+                               + len(result.unmatched_cols))
+    assert recomputed == result.total_cost
+    rows = [r for r, _ in result.pairs]
+    cols = [c for _, c in result.pairs]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert rows == sorted(rows)
+    assert result.unmatched_rows == sorted(set(range(n)) - set(rows))
+    assert result.unmatched_cols == sorted(set(range(m)) - set(cols))
+
+
+def padded_square_assignment(cost, unmatched_cost):
+    """Pairs and total of the (n+m) square dummy-padded formulation.
+
+    The n x m matrix sits in the top left, the diagonals of the two dummy
+    blocks carry ``unmatched_cost``, their other entries a prohibitive
+    cost, and the bottom-right block is free.
+    """
+    n, m = cost.shape
+    big = (n + m) * unmatched_cost + max(cost.max(), unmatched_cost) + 1.0
+    padded = np.full((n + m, n + m), big)
+    padded[:n, :m] = cost
+    padded[np.arange(n), m + np.arange(n)] = unmatched_cost
+    padded[n + np.arange(m), np.arange(m)] = unmatched_cost
+    padded[n:, m:] = 0.0
+    col4row = _lap(padded)
+    pairs = [(i, int(col4row[i])) for i in range(n) if col4row[i] < m]
+    total = float(sum(cost[i, j] for i, j in pairs))
+    total += unmatched_cost * (n + m - 2 * len(pairs))
+    return pairs, total
+
+
+@pytest.mark.parametrize("shape", [(40, 80), (80, 40)])
+def test_assign_matches_padded_square_at_scale(shape):
+    rng = np.random.default_rng(113)
+    cost = rng.uniform(0.0, 100.0, size=shape)  # continuous: no exact ties
+    pairs, total = padded_square_assignment(cost, 1.0)
+    result = assign(cost, 1.0)
+    assert 0 < len(result.pairs) < min(shape)  # both regimes occur
+    assert result.pairs == pairs
+    assert result.total_cost == total
+
+
+def test_associate_loads_no_scipy():
+    "numpy is the only declared dependency; association must not need scipy."
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = (
+        "import sys\n"
+        "import mpcx\n"
+        "from mpcx import PathParams, ResolutionSpec, associate\n"
+        "res = ResolutionSpec(delay_res=1e-9, aoa_res=0.125, aod_res=0.125)\n"
+        "phys = [PathParams(gain=1, delay=k * 1e-9, aod=0.1 * k, aoa=-0.1 * k)"
+        " for k in range(4)]\n"
+        "assert associate(phys, phys[:3], res).k_pa == 3\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_assign_all_unmatched_regime():
