@@ -171,10 +171,11 @@ def assign(cost_matrix: np.ndarray, unmatched_cost: float) -> Assignment:
     u * (n + m) + sum over matched pairs of (c_ij - 2u), so it is solved
     exactly as one n x (m + n) assignment in which every row is assigned:
     columns 0..m-1 hold the costs, column m + i is row i's own opt-out at
-    2u, and every other opt-out entry is infinite.  A row-column pair is
-    therefore matched only when its cost is below 2u (at exactly 2u either
-    choice is optimal).  Pairs are sorted by row and the unmatched lists
-    ascend; an empty matrix yields an empty pair list.
+    2u, and every other opt-out entry is infinite.  With n > m the same is
+    solved for the transpose, so the short side is always the rows.  A
+    row-column pair is therefore matched only when its cost is below 2u (at
+    exactly 2u either choice is optimal).  Pairs are sorted by row and the
+    unmatched lists ascend; an empty matrix yields an empty pair list.
     """
     cost = np.asarray(cost_matrix, dtype=float)
     if cost.ndim != 2:
@@ -185,11 +186,14 @@ def assign(cost_matrix: np.ndarray, unmatched_cost: float) -> Assignment:
         raise ValueError(
             f"unmatched_cost must be finite and > 0, got {unmatched_cost!r}")
     n, m = cost.shape
-    opt_out = np.full((n, n), np.inf)
+    short = cost.T if n > m else cost
+    k, l = short.shape
+    opt_out = np.full((k, k), np.inf)
     np.fill_diagonal(opt_out, 2.0 * unmatched_cost)
-    col4row = _lap(np.hstack([cost, opt_out]))
-
-    pairs = [(i, int(col4row[i])) for i in range(n) if col4row[i] < m]
+    col4row = _lap(np.hstack([short, opt_out]))
+    pairs = [(i, int(col4row[i])) for i in range(k) if col4row[i] < l]
+    if n > m:
+        pairs = sorted((i, j) for j, i in pairs)
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     unmatched_rows = [i for i in range(n) if i not in matched_rows]

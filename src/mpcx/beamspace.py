@@ -2,8 +2,9 @@
 
 The transform maps an (rx, tx, frequency) response tensor onto a 3D lattice of
 (AoA, AoD, delay) points.  It is the direct separable triple sum, computed as
-three steering-matrix products (delay first, then AoA, then AoD); no FFT is
-involved.  Its point-spread function separates into a product of three
+three steering-matrix products (delay first, then AoA, then AoD), the same
+separable map that gives the critically sampled virtual coefficients; no FFT
+is involved.  Its point-spread function separates into a product of three
 closed-form kernels, which makes greedy subtraction of a single path exactly
 consistent with the transform: subtracting ``single_path_grid`` from
 ``beamspace_transform`` of that path's synthesized response leaves zero up to
@@ -30,8 +31,7 @@ from .sounder import (
     FrequencyResponse,
     PathParams,
     SounderConfig,
-    _matched_filter,
-    _steering_matrices,
+    _lattice_transform,
     resolvable_delays,
 )
 
@@ -152,23 +152,6 @@ def delay_kernel(delta_tau, bandwidth_hz: float, n_freq: int):
     return complex(out) if scalar else out
 
 
-def _check_spec(response: FrequencyResponse, spec: GridSpec) -> None:
-    if spec.span(response.config) > response.config.duration:
-        raise ValueError(
-            "grid delay_span exceeds the observation duration; the transform "
-            "would alias in delay"
-        )
-
-
-def _unit_phases(cycles_num: np.ndarray, den: int) -> np.ndarray:
-    """exp(j*2*pi*cycles_num/den) for integer numerators.
-
-    The numerators are reduced modulo ``den`` in integer arithmetic first, so
-    large phases lose no precision.
-    """
-    return np.exp(2j * np.pi * (np.mod(cycles_num, den) / den))
-
-
 def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> BeamspaceGrid:
     """Map a frequency response onto the oversampled AoA-AoD-delay lattice.
 
@@ -178,37 +161,17 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
             conj(a_rx(theta_r))_r * H[r,t,m] * a_tx(theta_t)_t
             * exp(+j*2*pi*tau*f_m)
 
-    computed as this separable sum, one steering matrix per axis: the delay
-    matrix is applied to all rx-tx lines, then the AoA matrix, then the AoD
-    matrix one AoA row at a time into the preallocated grid, so no
-    grid-sized temporary is made.  The lattice phases are exact rationals of
-    a cycle and are reduced in integer arithmetic before exponentiation.
+    the same separable map as ``virtual_coefficients``, evaluated on the
+    grid axes: the conjugated steering matrices of the axes are applied
+    delay first, then AoA, then AoD one AoA row at a time into the
+    preallocated grid, so no grid-sized temporary is made.
     """
-    _check_spec(response, spec)
     cfg = response.config
-    n_aoa = cfg.n_rx * spec.os_aoa
-    n_aod = cfg.n_tx * spec.os_aod
-    n_tau = resolvable_delays(spec.span(cfg), cfg.bandwidth_hz) * spec.os_delay
-
-    # theta_i = -0.5 + i/n_aoa: -theta_i*r = r*(n_aoa - 2i) / (2*n_aoa) cycles
-    a_rx = _unit_phases(
-        np.outer(n_aoa - 2 * np.arange(n_aoa), np.arange(cfg.n_rx)), 2 * n_aoa)
-    # theta_j = -0.5 + j/n_aod: theta_j*t = (2j - n_aod)*t / (2*n_aod) cycles
-    a_tx = _unit_phases(
-        np.outer(np.arange(n_aod) * 2 - n_aod, np.arange(cfg.n_tx)), 2 * n_aod)
-    # tau_l*f_m = l*(2m - n_freq) / (2*n_freq*os_delay) cycles
-    a_f = _unit_phases(
-        np.outer(np.arange(cfg.n_freq) * 2 - cfg.n_freq, np.arange(n_tau)),
-        2 * cfg.n_freq * spec.os_delay)
-    a_f /= cfg.n_rx * cfg.n_tx * cfg.n_freq
-
-    lines = response.values.reshape(cfg.n_rx * cfg.n_tx, cfg.n_freq) @ a_f
-    rows = (a_rx @ lines.reshape(cfg.n_rx, cfg.n_tx * n_tau)).reshape(
-        n_aoa, cfg.n_tx, n_tau)
-    del lines
-    values = np.empty((n_aoa, n_aod, n_tau), dtype=complex)
-    for i in range(n_aoa):
-        np.matmul(a_tx, rows[i], out=values[i])
+    if spec.span(cfg) > cfg.duration:
+        raise ValueError("grid delay_span exceeds the observation duration; the "
+                         "transform would alias in delay")
+    values = _lattice_transform(response, spec.delay_axis(cfg),
+                                spec.aod_axis(cfg), spec.aoa_axis(cfg))
     return BeamspaceGrid(values=values, spec=spec, config=cfg)
 
 
@@ -218,12 +181,10 @@ def beamspace_point(
     """Evaluate the beamspace transform of a response at one off-lattice point.
 
     This is the matched filter of the unit path at (aoa, aod, delay) divided
-    by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude.
+    by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude: the same
+    separable map as ``beamspace_transform`` on a one-point lattice.
     """
-    cfg = response.config
-    atoms = _steering_matrices(cfg, [delay], [aod], [aoa])
-    total = _matched_filter(response.values, *atoms)[0]
-    return complex(total) / (cfg.n_rx * cfg.n_tx * cfg.n_freq)
+    return complex(_lattice_transform(response, [delay], [aod], [aoa])[0, 0, 0])
 
 
 def single_path_kernels(
@@ -250,9 +211,7 @@ def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) ->
     subtraction leave no self-noise.
     """
     k_aoa, k_aod, k_tau = single_path_kernels(path, spec, config)
-    values = path.gain * np.einsum(
-        "i,j,l->ijl", k_aoa, k_aod, k_tau, optimize=True
-    )
+    values = path.gain * k_aoa[:, None, None] * k_aod[:, None] * k_tau
     return BeamspaceGrid(values=values, spec=spec, config=config)
 
 

@@ -204,6 +204,7 @@ def cmd_extract(args) -> int:
             "initial_power": trace.initial_power,
             "final_residual_power": error * trace.initial_power,
             "dropped_duplicates": trace.dropped_duplicates,
+            "stop_reason": trace.stop_reason,
             "normalized_error": error,
         }
         for i, e in enumerate(sweep_errors, start=1):

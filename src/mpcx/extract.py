@@ -91,6 +91,7 @@ class ExtractionTrace:
     ls_condition: list[float] = field(default_factory=list)
     initial_power: float = 0.0
     dropped_duplicates: int = 0
+    stop_reason: str = ""  # "k_dom", "residual_stop" or "exhausted" (nothing to pick)
 
 
 def find_peak(grid: BeamspaceGrid) -> tuple[float, float, float, complex]:
@@ -178,23 +179,28 @@ def greedy_extract(
     return estimates
 
 
-def _dictionary_gram(
+def _geometry_atoms(
     geometry: list[tuple[float, float, float]], config: SounderConfig
-) -> np.ndarray:
-    """Gram matrix of the space-frequency dictionary columns, assembled from
-    closed-form per-axis inner products (the full columns are never built)."""
-    from .beamspace import angle_kernel, delay_kernel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steering matrices (``_steering_matrices``) of (delay, aod, aoa)
+    geometries, after checking that the list is non-empty and every value
+    finite (the ValueError names the geometry index and field)."""
+    if not geometry:
+        raise ValueError("geometry list must be non-empty")
+    for k, g in enumerate(geometry):
+        for name, value in zip(("delay", "aod", "aoa"), g):
+            if not math.isfinite(value):
+                raise ValueError(f"geometry {k} {name} {value} must be finite")
+    return _steering_matrices(config, *zip(*geometry))
 
-    delays = np.array([g[0] for g in geometry])
-    aods = np.array([g[1] for g in geometry])
-    aoas = np.array([g[2] for g in geometry])
-    d_rx = angle_kernel(aoas[None, :] - aoas[:, None], config.n_rx)
-    d_tx = angle_kernel(aods[:, None] - aods[None, :], config.n_tx)
-    d_f = delay_kernel(
-        delays[:, None] - delays[None, :], config.bandwidth_hz, config.n_freq
-    )
-    scale = config.n_rx * config.n_tx * config.n_freq
-    return scale * d_rx * d_tx * d_f
+
+def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray) -> np.ndarray:
+    """Gram matrix A^H A of the atoms a_rx (x) a_tx (x) a_f: the elementwise
+    product of the three per-axis Grams (the full columns are never built)."""
+    gram = a_f.T.conj() @ a_f
+    gram *= a_rx.T.conj() @ a_rx
+    gram *= a_tx.T.conj() @ a_tx
+    return gram
 
 
 def _coherence_pairs(gram: np.ndarray) -> list[tuple[int, int, float]]:
@@ -212,21 +218,19 @@ def _ls_solve(
     geometry: list[tuple[float, float, float]],
     config: SounderConfig,
 ) -> tuple[np.ndarray, float]:
-    "LS amplitudes and Gram condition number from one Gram matrix and one SVD."
-    if not geometry:
-        raise ValueError("geometry list must be non-empty")
+    """LS amplitudes and Gram condition number: the Gram matrix and the
+    right-hand side from one set of atoms, the condition from one SVD."""
     dim = config.n_rx * config.n_tx * config.n_freq
     if len(geometry) >= dim:
         raise ValueError(f"{len(geometry)} paths >= signal space dimension {dim}")
     if response.config != config:
         raise ValueError("response and config disagree")
-    gram = _dictionary_gram(geometry, config)
+    atoms = _geometry_atoms(geometry, config)
+    gram = _dictionary_gram(*atoms)
     condition = float(np.linalg.cond(gram))
     if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
         raise DegenerateGeometryError(condition, _coherence_pairs(gram))
-    rhs = _matched_filter(response.values,
-                          *_steering_matrices(config, *zip(*geometry)))
-    return np.linalg.solve(gram, rhs), condition
+    return np.linalg.solve(gram, _matched_filter(response.values, *atoms)), condition
 
 
 def ls_amplitudes(
@@ -238,12 +242,15 @@ def ls_amplitudes(
 
     Solves the normal equations (A^H A) alpha = A^H h where column k of A is
     the space-frequency vector of a unit path at geometry (delay, aod, aoa).
-    Neither A nor its columns are materialized: the Gram matrix comes from
-    closed-form kernel products and the right-hand side from matched
-    filtering.
+    Neither A nor its columns are materialized: the Gram matrix is the
+    elementwise product of the per-axis Grams of the geometries' steering
+    matrices, built once, and the right-hand side is their matched filter.
 
     Raises
     ------
+    ValueError
+        If the geometry list is empty or a delay, AoD or AoA is not finite
+        (the error names the geometry index and field).
     DegenerateGeometryError
         If the Gram condition estimate exceeds ``GRAM_CONDITION_LIMIT``; the
         error names the most nearly duplicate geometry pairs.
@@ -254,8 +261,8 @@ def ls_amplitudes(
 def ls_condition(
     geometry: list[tuple[float, float, float]], config: SounderConfig
 ) -> float:
-    "Condition number of the dictionary Gram matrix for a geometry set."
-    return float(np.linalg.cond(_dictionary_gram(geometry, config)))
+    "Condition number of the dictionary Gram matrix; validates like ``ls_amplitudes``."
+    return float(np.linalg.cond(_dictionary_gram(*_geometry_atoms(geometry, config))))
 
 
 def _ls_with_dedup(
@@ -337,7 +344,8 @@ def greedy_ls(
     are grid-quantized otherwise.
 
     Returns the committed paths in commit order plus an
-    :class:`ExtractionTrace` with residual power after each commit.
+    :class:`ExtractionTrace` with residual power after each commit and the
+    reason the loop stopped.
     """
     if response.config != config:
         raise ValueError("response and config disagree")
@@ -347,6 +355,7 @@ def greedy_ls(
     res_fr = FrequencyResponse(values=residual, config=cfg)
     trace = ExtractionTrace(initial_power=float(np.vdot(residual, residual).real))
     if trace.initial_power == 0:
+        trace.stop_reason = "exhausted"
         return [], trace
 
     grid = beamspace_transform(res_fr, spec)
@@ -357,10 +366,12 @@ def greedy_ls(
     # written candidates, then its commits
     pending: list[PathParams] = []
 
+    trace.stop_reason = "k_dom"
     while len(committed) < xcfg.k_dom:
         res_power = (trace.residual_power[-1] if trace.residual_power
                      else trace.initial_power)
         if res_power / trace.initial_power <= xcfg.residual_stop:
+            trace.stop_reason = "residual_stop"
             break
 
         # step 1: k_g peak picks (raw CLEAN subtraction, not committed); each
@@ -382,6 +393,7 @@ def greedy_ls(
         # the next iteration's first sweep adds the written candidates back
         pending = [replace(c, gain=-c.gain) for c in written]
         if not candidates:
+            trace.stop_reason = "exhausted"
             break
 
         # step 2: joint LS against the current residual ranks the candidates

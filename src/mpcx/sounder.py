@@ -277,6 +277,34 @@ def add_awgn(
     return FrequencyResponse(values=response.values + noise, config=response.config)
 
 
+def _separable_transform(
+    values: np.ndarray, m_rx: np.ndarray, m_tx: np.ndarray, m_f: np.ndarray
+) -> np.ndarray:
+    """out[i, k, l] = sum_{r,t,m} m_rx[i, r] m_tx[k, t] values[r, t, m] m_f[m, l],
+    applied delay first, then rx, then tx one output row at a time into the
+    preallocated result, so no output-sized temporary is made."""
+    n_rx, n_tx, n_freq = values.shape
+    n_out = m_f.shape[1]
+    lines = values.reshape(n_rx * n_tx, n_freq) @ m_f
+    rows = (m_rx @ lines.reshape(n_rx, n_tx * n_out)).reshape(len(m_rx), n_tx, n_out)
+    del lines
+    out = np.empty((len(m_rx), len(m_tx), n_out), dtype=complex)
+    for i in range(len(out)):
+        np.matmul(m_tx, rows[i], out=out[i])
+    return out
+
+
+def _lattice_transform(response: FrequencyResponse, delays, aods, aoas) -> np.ndarray:
+    """Matched filter of a response divided by n_rx*n_tx*n_freq on the
+    separable (aoa, aod, delay) lattice of the given axes, from their
+    conjugated ``_steering_matrices`` (the largest, delay, in place)."""
+    cfg = response.config
+    a_rx, a_tx, a_f = _steering_matrices(cfg, delays, aods, aoas)
+    return _separable_transform(
+        response.values, a_rx.T.conj() / (cfg.n_rx * cfg.n_tx * cfg.n_freq),
+        a_tx.T.conj(), np.conjugate(a_f, out=a_f))
+
+
 def virtual_coefficients(response: FrequencyResponse, tau_max: float) -> VirtualCoefficients:
     """Angle-delay coefficients of a response on the critical lattice.
 
@@ -287,23 +315,17 @@ def virtual_coefficients(response: FrequencyResponse, tau_max: float) -> Virtual
                     * exp(+j2pi*(l/W)*f_m)
 
     which is the frequency integral of the sampled representation replaced by
-    the uniform sample mean.
+    the uniform sample mean: the beamspace transform evaluated on the
+    critical lattice (i/n_rx, k/n_tx, l/W) instead of the oversampled one.
     """
     cfg = response.config
-    if tau_max > cfg.duration:
-        raise ValueError(f"tau_max {tau_max} exceeds observation duration {cfg.duration}")
+    if not 0 <= tau_max <= cfg.duration:
+        raise ValueError(f"tau_max {tau_max} outside [0, duration {cfg.duration}]")
     L = resolvable_delays(tau_max, cfg.bandwidth_hz)
-    h = response.values
-    # DFT along rx: (1/n_rx) sum_r exp(-j2pi i r / n_rx) H
-    out = np.fft.fft(h, axis=0) / cfg.n_rx
-    # inverse DFT along tx already carries the 1/n_tx factor
-    out = np.fft.ifft(out, axis=1)
-    # delay axis: (1/n_freq) sum_m exp(+j2pi (l/W) f_m) H
-    #   = (-1)^l * ifft along freq, truncated to l = 0..L
-    out = np.fft.ifft(out, axis=2)[:, :, : L + 1]
-    signs = (-1.0) ** np.arange(L + 1)
-    out = out * signs[None, None, :]
-    return VirtualCoefficients(values=out, L=L)
+    values = _lattice_transform(response, np.arange(L + 1) / cfg.bandwidth_hz,
+                                np.arange(cfg.n_tx) / cfg.n_tx,
+                                np.arange(cfg.n_rx) / cfg.n_rx)
+    return VirtualCoefficients(values=values, L=L)
 
 
 def reconstruct_from_virtual(
@@ -312,7 +334,8 @@ def reconstruct_from_virtual(
     """Evaluate the sampled (virtual) representation back on the frequency grid.
 
     Inverse of :func:`virtual_coefficients` for channels supported on the
-    critical lattice.
+    critical lattice: the lattice atoms of ``_steering_matrices``, unconjugated,
+    applied by ``_separable_transform``.
     """
     v = coeffs.values
     if v.ndim != 3 or v.shape[0] != config.n_rx or v.shape[1] != config.n_tx:
@@ -327,7 +350,7 @@ def reconstruct_from_virtual(
     basis_rx, basis_tx, basis_f = _steering_matrices(
         config, np.arange(n_l) / config.bandwidth_hz,
         np.arange(n_tx) / n_tx, np.arange(n_rx) / n_rx)
-    values = np.einsum("ikl,ri,tk,ml->rtm", v, basis_rx, basis_tx, basis_f, optimize=True)
+    values = _separable_transform(v, basis_rx, basis_tx, basis_f.T)
     return FrequencyResponse(values=values, config=config)
 
 

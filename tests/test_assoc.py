@@ -258,7 +258,7 @@ def padded_square_assignment(cost, unmatched_cost):
     return pairs, total
 
 
-@pytest.mark.parametrize("shape", [(40, 80), (80, 40)])
+@pytest.mark.parametrize("shape", [(40, 80), (80, 40), (120, 60)])
 def test_assign_matches_padded_square_at_scale(shape):
     rng = np.random.default_rng(113)
     cost = rng.uniform(0.0, 100.0, size=shape)  # continuous: no exact ties

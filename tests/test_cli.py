@@ -77,8 +77,10 @@ def test_cli_matches_library_composition(run_dir):
     response = fileio.load_response(run_dir / "tensor.bin", config)
     xcfg = ExtractionConfig(k_dom=24, k_g=4, k_up=2, grid=GridSpec(),
                             residual_stop=0.0)
-    paths, _ = greedy_ls(response, config, xcfg)
+    paths, trace = greedy_ls(response, config, xcfg)
     assert fileio.load_paths_csv(run_dir / "estimates.csv") == paths
+    report = fileio.load_kv_report(run_dir / "extract_report.txt")
+    assert report["stop_reason"] == trace.stop_reason == "k_dom"
 
 
 def test_rerun_is_byte_identical(run_dir, tmp_path):

@@ -219,6 +219,63 @@ def test_ls_rejects_empty_geometry():
     resp = synthesize_response(DESK, [])
     with pytest.raises(ValueError):
         ls_amplitudes(resp, [], DESK)
+    with pytest.raises(ValueError, match="must be non-empty"):
+        ls_condition([], DESK)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("axis, field", [(0, "delay"), (1, "aod"), (2, "aoa")])
+def test_ls_rejects_non_finite_geometry(axis, field, value):
+    resp = synthesize_response(DESK, [])
+    geometry = [(5e-9, 0.1, -0.2), (9e-9, -0.3, 0.25)]
+    bad = list(geometry[1])
+    bad[axis] = value
+    geometry[1] = tuple(bad)
+    with pytest.raises(ValueError, match=f"geometry 1 {field} "):
+        ls_amplitudes(resp, geometry, DESK)
+    with pytest.raises(ValueError, match=f"geometry 1 {field} "):
+        ls_condition(geometry, DESK)
+
+
+def closed_form_gram(geometry, cfg):
+    "Gram matrix from the closed-form per-axis Dirichlet kernels."
+    from mpcx.beamspace import angle_kernel, delay_kernel
+
+    delays, aods, aoas = (np.array(g) for g in zip(*geometry))
+    d_rx = angle_kernel(aoas[None, :] - aoas[:, None], cfg.n_rx)
+    d_tx = angle_kernel(aods[:, None] - aods[None, :], cfg.n_tx)
+    d_f = delay_kernel(delays[:, None] - delays[None, :], cfg.bandwidth_hz,
+                       cfg.n_freq)
+    return cfg.n_rx * cfg.n_tx * cfg.n_freq * d_rx * d_tx * d_f
+
+
+@pytest.mark.parametrize("cfg, k", [(TINY, 6), (DESK, 40), (PAPER, 60)])
+def test_gram_matches_closed_form_kernels(cfg, k):
+    rng = np.random.default_rng(59)
+    geometry = [(rng.uniform(0, cfg.duration), rng.uniform(-0.5, 0.5),
+                 rng.uniform(-0.5, 0.5)) for _ in range(k)]
+    geometry.append(geometry[0])  # an exact duplicate column
+    gram = extract._dictionary_gram(*extract._geometry_atoms(geometry, cfg))
+    oracle = closed_form_gram(geometry, cfg)
+    assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_ls_solve_memory_at_paper_refit_size():
+    "448-path paper refit: atoms, Gram and solve stay within 4 Gram matrices."
+    rng = np.random.default_rng(61)
+    geometry = [(rng.uniform(0, PAPER.duration * 0.9), rng.uniform(-0.5, 0.5),
+                 rng.uniform(-0.5, 0.5)) for _ in range(448)]
+    resp = synthesize_response(PAPER, [])
+    gram_bytes = 16 * len(geometry) ** 2
+    tracemalloc.start()
+    try:
+        amps, _ = extract._ls_solve(resp, geometry, PAPER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (448,)
+    assert peak <= 4 * gram_bytes, f"peak {peak / gram_bytes:.2f}x the Gram"
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +320,7 @@ def test_greedy_ls_zero_input_returns_empty():
     found, trace = greedy_ls(resp, DESK, ExtractionConfig(k_dom=4))
     assert found == []
     assert trace.initial_power == 0.0
+    assert trace.stop_reason == "exhausted"
 
 
 def test_greedy_ls_trace_monotone_off_grid():
@@ -295,6 +353,17 @@ def test_greedy_ls_respects_budget_and_batching():
     found, trace = greedy_ls(resp, DESK, cfg)
     assert len(found) == 7
     assert len(trace.residual_power) == 7
+    assert trace.stop_reason == "k_dom"
+
+
+def test_greedy_ls_stops_on_residual_stop():
+    rng = np.random.default_rng(67)
+    path = on_grid_path(rng, DESK, GridSpec())
+    resp = synthesize_response(DESK, [path])
+    found, trace = greedy_ls(resp, DESK, ExtractionConfig(k_dom=4, k_g=1, k_up=1))
+    assert len(found) == 1
+    assert trace.residual_power[-1] <= 1e-6 * trace.initial_power
+    assert trace.stop_reason == "residual_stop"
 
 
 def test_extraction_config_validation():

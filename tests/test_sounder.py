@@ -296,8 +296,46 @@ def test_virtual_coefficients_zero_response():
 
 def test_virtual_coefficients_tau_max_guard():
     resp = synthesize_response(DESK, [])
-    with pytest.raises(ValueError):
-        virtual_coefficients(resp, DESK.duration * 1.01)
+    for tau_max in (DESK.duration * 1.01, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tau_max"):
+            virtual_coefficients(resp, tau_max)
+
+
+def fft_virtual_oracle(response, tau_max):
+    "Virtual coefficients from three FFTs with the (-1)^l delay signs."
+    cfg = response.config
+    L = resolvable_delays(tau_max, cfg.bandwidth_hz)
+    out = np.fft.fft(response.values, axis=0) / cfg.n_rx
+    out = np.fft.ifft(out, axis=1)
+    out = np.fft.ifft(out, axis=2)[:, :, :L + 1]
+    return out * (-1.0) ** np.arange(L + 1)
+
+
+def einsum_reconstruct_oracle(values, cfg):
+    "Sampled representation on the frequency grid from hand-written lattice atoms."
+    n_rx, n_tx, n_l = values.shape
+    basis_rx = np.exp(2j * np.pi * np.outer(np.arange(cfg.n_rx), np.arange(n_rx) / n_rx))
+    basis_tx = np.exp(-2j * np.pi * np.outer(np.arange(cfg.n_tx), np.arange(n_tx) / n_tx))
+    basis_f = np.exp(-2j * np.pi * np.outer(cfg.freq_grid, np.arange(n_l) / cfg.bandwidth_hz))
+    return np.einsum("ikl,ri,tk,ml->rtm", values, basis_rx, basis_tx, basis_f,
+                     optimize=True)
+
+
+@pytest.mark.parametrize("cfg, taps", [
+    (DESK, 24), (SounderConfig(n_tx=5, n_rx=3, bandwidth_hz=2e9, n_freq=11), 10),
+    (SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233), 200)])
+def test_virtual_pair_matches_fft_and_einsum_oracles(cfg, taps):
+    rng = np.random.default_rng(29)
+    shape = (cfg.n_rx, cfg.n_tx, cfg.n_freq)
+    resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             config=cfg)
+    coeffs = virtual_coefficients(resp, taps / cfg.bandwidth_hz)
+    ref = fft_virtual_oracle(resp, taps / cfg.bandwidth_hz)
+    assert coeffs.L == taps and coeffs.values.shape == ref.shape
+    assert np.max(np.abs(coeffs.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    back = reconstruct_from_virtual(coeffs, cfg).values
+    ref = einsum_reconstruct_oracle(coeffs.values, cfg)
+    assert np.max(np.abs(back - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_virtual_round_trip_on_grid():
