@@ -16,8 +16,8 @@ familiar real Dirichlet / sinc magnitudes.
 
 All grid-wide work after the transform goes through one blocked kernel,
 ``peak_sweep``: it subtracts a list of path kernels from the grid, block by
-cache-sized block, and finds the peak magnitude of the difference in the same
-pass, optionally writing the difference back.
+cache-sized block, writes the difference back, and finds its peak magnitude
+in the same pass.
 """
 
 from __future__ import annotations
@@ -239,7 +239,6 @@ def peak_sweep(
     paths: list[PathParams],
     spec: GridSpec,
     config: SounderConfig,
-    write: bool = False,
 ) -> tuple[int, int, int, complex]:
     """Peak of ``|values - sum of the paths' beamspace responses|`` in one pass.
 
@@ -247,9 +246,9 @@ def peak_sweep(
     block gets all path kernels subtracted as one rank-K product, then its
     magnitude and argmax are taken; the first strict maximum is kept, so
     exact magnitude ties resolve to the lowest (aoa, aod, delay) index triple
-    in lexicographic order, as in ``np.argmax`` over the whole grid.  With
-    ``write`` the difference is stored back into ``values`` (which must then
-    be C-contiguous); otherwise ``values`` is only read.
+    in lexicographic order, as in ``np.argmax`` over the whole grid.  The
+    difference is written back into ``values``, which must be C-contiguous
+    when there are paths; with no paths ``values`` is only read.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
@@ -257,7 +256,7 @@ def peak_sweep(
     """
     if values.size == 0:
         raise ValueError("empty beamspace grid")
-    if write and not values.flags.c_contiguous:
+    if paths and not values.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
     n_aoa, n_aod, n_tau = values.shape
     flat = values.reshape(n_aoa * n_aod, n_tau)
@@ -269,18 +268,13 @@ def peak_sweep(
     best_mag, best_at, best_val = -1.0, 0, 0j
     for r0 in range(0, flat.shape[0], rows):
         block = flat[r0:r0 + rows]
-        diff = block
         if paths:
-            diff = kernel_buf[:len(block)]
+            kernels = kernel_buf[:len(block)]
             # np.dot, not np.matmul: matmul runs the rank-1 product, the
             # common case, about 2x slower
-            np.dot(left[r0:r0 + rows], right, out=diff)
-            if write:
-                np.subtract(block, diff, out=block)
-                diff = block
-            else:
-                np.subtract(block, diff, out=diff)
-        mag = np.abs(diff, out=mag_buf[:len(block)])
+            np.dot(left[r0:r0 + rows], right, out=kernels)
+            np.subtract(block, kernels, out=block)
+        mag = np.abs(block, out=mag_buf[:len(block)])
         k = int(mag.argmax())  # a NaN wins the argmax, so it is not skipped
         peak = mag.flat[k]
         if not math.isfinite(peak):
@@ -288,7 +282,7 @@ def peak_sweep(
             raise ValueError(
                 f"non-finite beamspace magnitude at grid index ({i}, {j}, {l})")
         if peak > best_mag:
-            best_mag, best_at, best_val = peak, r0 * n_tau + k, complex(diff.flat[k])
+            best_mag, best_at, best_val = peak, r0 * n_tau + k, complex(block.flat[k])
     i, j, l = np.unravel_index(best_at, values.shape)
     return int(i), int(j), int(l), best_val
 
@@ -297,13 +291,13 @@ def subtract_path(grid_values: np.ndarray, path: PathParams, spec: GridSpec,
                   config: SounderConfig) -> None:
     """In-place subtraction of one path's beamspace response from a grid tensor.
 
-    Runs through ``peak_sweep`` with ``write`` set, so ``grid_values`` must be
-    C-contiguous (ValueError otherwise, before anything is written), and the
-    peak search of that sweep runs too, its result discarded.  A non-finite
+    Runs through ``peak_sweep``, so ``grid_values`` must be C-contiguous
+    (ValueError otherwise, before anything is written), and the peak search
+    of that sweep runs too, its result discarded.  A non-finite
     difference raises ValueError once its block has been written, which
     leaves the grid updated up to and including that block.
     """
-    peak_sweep(grid_values, [path], spec, config, write=True)
+    peak_sweep(grid_values, [path], spec, config)
 
 
 def pdp_marginals(grid: BeamspaceGrid) -> tuple[np.ndarray, np.ndarray]:

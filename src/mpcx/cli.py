@@ -150,7 +150,16 @@ def cmd_synth(args) -> int:
         noise_power = args.noise_power
         if args.snr_db is not None:
             mean_power = float(np.mean(np.abs(response.values) ** 2))
-            noise_power = mean_power / 10.0 ** (args.snr_db / 10.0)
+            try:
+                noise_power = mean_power / 10.0 ** (args.snr_db / 10.0)
+            except OverflowError:  # 10^(snr/10) above the float range
+                noise_power = 0.0
+            except ZeroDivisionError:  # 10^(snr/10) below it
+                noise_power = math.inf
+            if not math.isfinite(noise_power) or (noise_power == 0 and mean_power > 0):
+                raise UsageError(f"--snr-db {args.snr_db!r} gives noise power "
+                                 f"{noise_power!r} for mean channel power "
+                                 f"{mean_power!r}: not finite and positive")
         if noise_power > 0:
             response = add_awgn(response, noise_power,
                                 0 if args.seed is None else args.seed)

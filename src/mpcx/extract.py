@@ -170,8 +170,7 @@ def greedy_extract(
     aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     estimates: list[PathParams] = []
     for _ in range(count):
-        i, j, l, val = peak_sweep(grid.values, estimates[-1:], spec,
-                                  response.config, write=True)
+        i, j, l, val = peak_sweep(grid.values, estimates[-1:], spec, response.config)
         if val == 0:
             break
         estimates.append(PathParams(gain=val, delay=float(tau_ax[l]),
@@ -381,7 +380,7 @@ def greedy_ls(
         written: list[PathParams] = []
         for pick in range(xcfg.k_g):
             apply = pending if pick == 0 else candidates[-1:]
-            i, j, l, val = peak_sweep(gvals, apply, spec, cfg, write=True)
+            i, j, l, val = peak_sweep(gvals, apply, spec, cfg)
             written = candidates[:]
             if val == 0:
                 break
@@ -509,7 +508,7 @@ def sage_refine(
     for _ in range(sweeps):
         for k, old in enumerate(current):
             i, j, l, val = peak_sweep(values, pending + [replace(old, gain=-old.gain)],
-                                      spec, config, write=True)
+                                      spec, config)
             new = PathParams(gain=val, delay=float(tau_ax[l]),
                              aod=float(aod_ax[j]), aoa=float(aoa_ax[i]))
             pending = [new]

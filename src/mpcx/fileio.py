@@ -13,6 +13,10 @@ Formats, all documented here and stable:
 - Plot data as headed CSV (scatters, residual trace, per-pair errors, and
   power-map matrices whose header row carries the column-axis coordinates).
 
+The keys of a sounder config or scenario spec file are the fields of its
+dataclass.  All CSVs are written by one writer, and those read back go through
+one reader that checks the header and each row's field count.
+
 All writers emit deterministic bytes for equal inputs: floats are written
 with ``repr`` (shortest round-trip form) and line endings are ``\\n``.  Every
 writer is atomic: it writes a temporary file in the target's directory and
@@ -29,8 +33,8 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,13 +42,14 @@ from .assoc import AssociationResult, ResolutionSpec, wrap_cycles
 from .scenario import ScenarioSpec
 from .sounder import FrequencyResponse, PathParams, SounderConfig, spatial_frequency
 
-if TYPE_CHECKING:
+if typing.TYPE_CHECKING:
     from .extract import ExtractionTrace
 
 TENSOR_MAGIC = b"MPXTEN01"
 
 PATHS_HEADER = ["gain_real", "gain_imag", "delay_s", "aod_cycles", "aoa_cycles"]
 PATHS_HEADER_DB = ["gain_db", "phase_deg", "delay_s", "aod_cycles", "aoa_cycles"]
+TRACE_HEADER = ["commit_index", "residual_power_db"]
 PAIRS_HEADER = ["phys_idx", "est_idx", "cost", "delay_err_bins",
                 "aoa_err_bins", "aod_err_bins", "in_joint"]
 
@@ -55,7 +60,9 @@ CONFIG_PRESETS = {
 
 
 def _fmt(x) -> str:
-    "Deterministic shortest round-trip text for a number."
+    "Deterministic text for a number: bools as true/false, floats by ``repr``."
+    if isinstance(x, bool):
+        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -84,6 +91,48 @@ def _atomic_open(path, binary: bool = False):
 def _write_text(path, text: str) -> None:
     with _atomic_open(path) as fh:
         fh.write(text)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    "A headed CSV of already formatted ``rows``, with ``\\n`` line endings."
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, headers: list[list[str]]) -> tuple[list[str], list]:
+    """The header and the numbered non-blank rows (the header is row 1) of
+    a CSV whose header is one of ``headers`` and whose rows all have as many
+    fields; a ValueError names the file, and the row if one is at fault."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if header not in headers:
+        missing = [c for c in headers[0] if c not in header]
+        raise ValueError(f"{path}: unrecognized header {header}; expected "
+                         f"{' or '.join(map(str, headers))} "
+                         f"(missing columns: {missing or 'none'})")
+    numbered = []
+    for rownum, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {rownum}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        numbered.append((rownum, row))
+    return header, numbered
+
+
+def _parse(kind, text: str, where: str):
+    "``text`` as ``kind`` (int or float); a malformed value names ``where``."
+    try:
+        return kind(text)
+    except ValueError:
+        name = "integer" if kind is int else "number"
+        raise ValueError(f"{where}: invalid {name} '{text}'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -115,65 +164,47 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _coerce(fields: dict[str, str], key: str, kind, path, required=True, default=None):
-    if key not in fields:
-        if required:
-            raise ValueError(f"{path}: missing required key '{key}'")
-        return default
-    raw = fields.pop(key)
+def _kv_lines(entries: dict) -> list[str]:
+    "``key = value`` lines: numbers by ``_fmt``, anything else as text."
+    return [f"{key} = {_fmt(v) if isinstance(v, (int, float, np.integer)) else v}"
+            for key, v in entries.items()]
+
+
+def _load_fields(cls, path):
+    """Dataclass ``cls`` from a ``key = value`` file of its fields, each parsed
+    by its ``int`` or ``float`` annotation.  A field without a default is
+    required, an unknown key is rejected, and every error names the file."""
+    fields = parse_kv_file(path)
+    kinds = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in fields:
+            kwargs[f.name] = _parse(kinds[f.name], fields.pop(f.name),
+                                    f"{path}: field '{f.name}'")
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"{path}: missing required key '{f.name}'")
+    if fields:
+        raise ValueError(f"{path}: unknown keys: {', '.join(sorted(fields))}")
     try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        name = "integer" if kind is int else "number"
-        raise ValueError(f"{path}: field '{key}': invalid {name} '{raw}'") from None
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_sounder_config(source) -> SounderConfig:
     """Load a sounder config from a preset name ('paper', 'desk') or file."""
     if isinstance(source, str) and source in CONFIG_PRESETS:
         return SounderConfig(**CONFIG_PRESETS[source])
-    fields = parse_kv_file(source)
-    kwargs = dict(
-        n_tx=_coerce(fields, "n_tx", int, source),
-        n_rx=_coerce(fields, "n_rx", int, source),
-        bandwidth_hz=_coerce(fields, "bandwidth_hz", float, source),
-        n_freq=_coerce(fields, "n_freq", int, source),
-        carrier_hz=_coerce(fields, "carrier_hz", float, source,
-                           required=False, default=28.0e9),
-    )
-    if fields:
-        raise ValueError(f"{source}: unknown keys: {', '.join(sorted(fields))}")
-    return SounderConfig(**kwargs)
+    return _load_fields(SounderConfig, source)
 
 
 def save_sounder_config(path, config: SounderConfig) -> None:
     save_kv_report(path, dataclasses.asdict(config))
 
 
-_SCENARIO_FLOAT_KEYS = (
-    "delay_center_min_s", "delay_center_max_s", "delay_spread_s",
-    "angle_center_min", "angle_center_max", "angle_spread",
-    "cluster_decay_db", "path_spread_db", "dynamic_range_db",
-)
-
-
 def load_scenario_spec(path) -> ScenarioSpec:
     "Load a scenario spec file; unrecognized or malformed keys are rejected."
-    fields = parse_kv_file(path)
-    kwargs = dict(
-        n_clusters=_coerce(fields, "n_clusters", int, path),
-        paths_per_cluster=_coerce(fields, "paths_per_cluster", int, path),
-        seed=_coerce(fields, "seed", int, path),
-    )
-    defaults = ScenarioSpec(n_clusters=1, paths_per_cluster=1, seed=0)
-    for key in _SCENARIO_FLOAT_KEYS:
-        kwargs[key] = _coerce(fields, key, float, path,
-                              required=False, default=getattr(defaults, key))
-    if fields:
-        raise ValueError(f"{path}: unknown keys: {', '.join(sorted(fields))}")
-    return ScenarioSpec(**kwargs)
+    return _load_fields(ScenarioSpec, path)
 
 
 def save_scenario_sidecar(path, spec: ScenarioSpec, n_generated: int,
@@ -193,11 +224,8 @@ def save_scenario_sidecar(path, spec: ScenarioSpec, n_generated: int,
         "#   U(0, path_spread_db) dB, phase ~ U(0, 2*pi)",
         f"# generated = {n_generated}",
         f"# retained = {n_retained}",
-        f"n_clusters = {spec.n_clusters}",
-        f"paths_per_cluster = {spec.paths_per_cluster}",
-        f"seed = {spec.seed}",
     ]
-    lines += [f"{key} = {_fmt(getattr(spec, key))}" for key in _SCENARIO_FLOAT_KEYS]
+    lines += _kv_lines(dataclasses.asdict(spec))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -206,23 +234,9 @@ def save_scenario_sidecar(path, spec: ScenarioSpec, n_generated: int,
 
 
 def save_paths_csv(path, paths: list[PathParams]) -> None:
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PATHS_HEADER)
-        for p in paths:
-            writer.writerow([
-                _fmt(p.gain.real), _fmt(p.gain.imag),
-                _fmt(p.delay), _fmt(p.aod), _fmt(p.aoa),
-            ])
-
-
-def _parse_row_field(row, col_idx, name, path, rownum) -> float:
-    try:
-        return float(row[col_idx])
-    except ValueError:
-        raise ValueError(
-            f"{path}: row {rownum}: field '{name}': invalid number '{row[col_idx]}'"
-        ) from None
+    _write_csv(path, PATHS_HEADER, (
+        [_fmt(v) for v in (p.gain.real, p.gain.imag, p.delay, p.aod, p.aoa)]
+        for p in paths))
 
 
 def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
@@ -231,45 +245,25 @@ def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
     With ``degrees=True`` the angle columns hold physical angles in degrees
     and are converted to spatial-frequency cycles on load.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if header == PATHS_HEADER:
-            db_form = False
-        elif header == PATHS_HEADER_DB:
-            db_form = True
+    header, rows = _read_csv(path, [PATHS_HEADER, PATHS_HEADER_DB])
+    paths: list[PathParams] = []
+    for rownum, row in rows:
+        vals = [_parse(float, text, f"{path}: row {rownum}: field '{name}'")
+                for name, text in zip(header, row)]
+        if header == PATHS_HEADER_DB:
+            mag = 10.0 ** (vals[0] / 20.0)
+            gain = mag * complex(math.cos(math.radians(vals[1])),
+                                 math.sin(math.radians(vals[1])))
         else:
-            missing = [c for c in PATHS_HEADER if c not in header]
-            raise ValueError(
-                f"{path}: unrecognized header {header}; expected {PATHS_HEADER} "
-                f"or {PATHS_HEADER_DB} (missing columns: {missing or 'none'})"
-            )
-        paths: list[PathParams] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}: row {rownum}: expected 5 fields, "
-                                 f"got {len(row)}")
-            vals = [_parse_row_field(row, i, header[i], path, rownum)
-                    for i in range(5)]
-            if db_form:
-                mag = 10.0 ** (vals[0] / 20.0)
-                gain = mag * complex(math.cos(math.radians(vals[1])),
-                                     math.sin(math.radians(vals[1])))
-            else:
-                gain = complex(vals[0], vals[1])
-            aod, aoa = vals[3], vals[4]
-            try:
-                if degrees:
-                    aod = spatial_frequency(aod)
-                    aoa = spatial_frequency(aoa)
-                paths.append(PathParams(gain=gain, delay=vals[2], aod=aod, aoa=aoa))
-            except ValueError as err:
-                raise ValueError(f"{path}: row {rownum}: {err}") from None
+            gain = complex(vals[0], vals[1])
+        aod, aoa = vals[3], vals[4]
+        try:
+            if degrees:
+                aod = spatial_frequency(aod)
+                aoa = spatial_frequency(aoa)
+            paths.append(PathParams(gain=gain, delay=vals[2], aod=aod, aoa=aoa))
+        except ValueError as err:
+            raise ValueError(f"{path}: row {rownum}: {err}") from None
     return paths
 
 
@@ -277,11 +271,20 @@ def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
 # binary tensors
 
 
+def _check_finite(path, stacked: np.ndarray) -> None:
+    "Raise ValueError naming the first (rx, tx, freq) entry that is not finite."
+    bad = ~np.isfinite(stacked).all(axis=-1)
+    if bad.any():
+        rx, tx, freq = (int(k) for k in np.argwhere(bad)[0])
+        raise ValueError(f"{path}: non-finite tensor entry at (rx, tx, freq) = "
+                         f"({rx}, {tx}, {freq})")
+
+
 def save_tensor(path, response: FrequencyResponse) -> None:
+    "Write a response tensor; ValueError, before any write, on a non-finite entry."
     values = response.values
-    stacked = np.empty(values.shape + (2,), dtype="<f8")
-    stacked[..., 0] = values.real
-    stacked[..., 1] = values.imag
+    stacked = np.stack([values.real, values.imag], axis=-1).astype("<f8", copy=False)
+    _check_finite(path, stacked)
     with _atomic_open(path, binary=True) as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(np.array(values.shape, dtype="<u8").tobytes())
@@ -303,14 +306,10 @@ def load_tensor(path) -> np.ndarray:
     if len(buf) != expected:
         raise ValueError(f"{path}: truncated tensor: {len(buf)} bytes, "
                          f"expected {expected}")
-    flat = np.frombuffer(buf, dtype="<f8", offset=32)
-    stacked = flat.reshape(n_rx, n_tx, n_freq, 2)
-    bad = ~np.isfinite(stacked).all(axis=-1)
-    if bad.any():
-        rx, tx, freq = (int(k) for k in np.argwhere(bad)[0])
-        raise ValueError(f"{path}: non-finite tensor entry at (rx, tx, freq) = "
-                         f"({rx}, {tx}, {freq})")
-    return stacked[..., 0] + 1j * stacked[..., 1]
+    stacked = np.frombuffer(buf, dtype="<f8", offset=32).reshape(n_rx, n_tx, n_freq, 2)
+    _check_finite(path, stacked)
+    # a copy of the pairs as complex numbers keeps every bit, the signs of zeros too
+    return stacked.view("<c16")[..., 0].astype(complex)
 
 
 def load_response(path, config: SounderConfig) -> FrequencyResponse:
@@ -328,18 +327,7 @@ def load_response(path, config: SounderConfig) -> FrequencyResponse:
 
 def save_kv_report(path, entries: dict) -> None:
     "Write an ordered key = value report; values are formatted deterministically."
-    lines = []
-    for key, value in entries.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, (int, np.integer)):
-            text = str(int(value))
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(_kv_lines(entries)) + "\n")
 
 
 def load_kv_report(path) -> dict[str, str]:
@@ -352,39 +340,31 @@ def save_trace_csv(path, trace: ExtractionTrace) -> None:
     Power is in dB relative to the initial residual power, so the first row
     of a useful run is negative and the sequence is non-increasing.
     """
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["commit_index", "residual_power_db"])
-        for idx, power in enumerate(trace.residual_power, start=1):
-            ratio = power / trace.initial_power if trace.initial_power else 0.0
-            db = 10.0 * math.log10(ratio) if ratio > 0 else float("-inf")
-            writer.writerow([idx, _fmt(db)])
+    rows = []
+    for idx, power in enumerate(trace.residual_power, start=1):
+        ratio = power / trace.initial_power if trace.initial_power else 0.0
+        db = 10.0 * math.log10(ratio) if ratio > 0 else float("-inf")
+        rows.append([idx, _fmt(db)])
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def load_trace_csv(path) -> list[tuple[int, float]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["commit_index", "residual_power_db"]:
-            raise ValueError(f"{path}: unexpected trace header {header}")
-        return [(int(row[0]), float(row[1])) for row in reader if row]
+    _, rows = _read_csv(path, [TRACE_HEADER])
+    return [tuple(_parse(kind, text, f"{path}: row {rownum}: field '{name}'")
+                  for kind, name, text in zip((int, float), TRACE_HEADER, row))
+            for rownum, row in rows]
 
 
 def save_pairs_csv(path, result: AssociationResult, phys: list[PathParams],
                    est: list[PathParams], res: ResolutionSpec) -> None:
     "Per-pair association errors in resolution bins (signed, truth minus estimate)."
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PAIRS_HEADER)
-        for i, j, cost in result.pairs:
-            p, q = phys[i], est[j]
-            writer.writerow([
-                i, j, _fmt(cost),
-                _fmt((p.delay - q.delay) / res.delay_res),
-                _fmt(wrap_cycles(p.aoa - q.aoa) / res.aoa_res),
-                _fmt(wrap_cycles(p.aod - q.aod) / res.aod_res),
-                int(i in result.bin_sets.joint),
-            ])
+    _write_csv(path, PAIRS_HEADER, (
+        [i, j, _fmt(cost),
+         _fmt((phys[i].delay - est[j].delay) / res.delay_res),
+         _fmt(wrap_cycles(phys[i].aoa - est[j].aoa) / res.aoa_res),
+         _fmt(wrap_cycles(phys[i].aod - est[j].aod) / res.aod_res),
+         int(i in result.bin_sets.joint)]
+        for i, j, cost in result.pairs))
 
 
 def load_pairs_csv(path, n_phys: int, n_est: int) -> list[list[str]]:
@@ -394,30 +374,20 @@ def load_pairs_csv(path, n_phys: int, n_est: int) -> list[list[str]]:
     is not an index into ``n_phys`` truth paths, an ``est_idx`` not an index
     into ``n_est`` estimates, or a ``cost`` that is not a number.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != PAIRS_HEADER:
-        raise ValueError(f"{path}: expected the header {PAIRS_HEADER}")
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != len(PAIRS_HEADER):
-            raise ValueError(f"{path}: row {rownum}: expected "
-                             f"{len(PAIRS_HEADER)} fields, got {len(row)}")
+    _, rows = _read_csv(path, [PAIRS_HEADER])
+    for rownum, row in rows:
         for col, count in ((0, n_phys), (1, n_est)):
             if not (row[col].isdecimal() and int(row[col]) < count):
                 raise ValueError(f"{path}: row {rownum}: field '{PAIRS_HEADER[col]}': "
                                  f"'{row[col]}' is not an index below {count}")
-        _parse_row_field(row, 2, "cost", path, rownum)
-    return rows[1:]
+        _parse(float, row[2], f"{path}: row {rownum}: field 'cost'")
+    return [row for _, row in rows]
 
 
 def save_axis_errors_csv(path, pair_rows: list[list[str]]) -> None:
     "The per-axis error columns of pairs CSV rows, copied as text."
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phys_idx", "delay_err_bins", "aoa_err_bins",
-                         "aod_err_bins"])
-        for row in pair_rows:
-            writer.writerow([row[0], row[3], row[4], row[5]])
+    _write_csv(path, ["phys_idx", "delay_err_bins", "aoa_err_bins", "aod_err_bins"],
+               ([row[0], row[3], row[4], row[5]] for row in pair_rows))
 
 
 def save_association_report(path, result: AssociationResult, n_phys: int,
@@ -440,30 +410,22 @@ def save_association_report(path, result: AssociationResult, n_phys: int,
 
 def save_scatter_csv(path, paths: list[PathParams]) -> None:
     "Path geometry and power for scatter plots."
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["idx", "delay_s", "aoa_cycles", "aod_cycles", "power_db"])
-        for idx, p in enumerate(paths):
-            power_db = 10.0 * math.log10(p.power) if p.power > 0 else float("-inf")
-            writer.writerow([idx, _fmt(p.delay), _fmt(p.aoa), _fmt(p.aod),
-                             _fmt(power_db)])
+    _write_csv(path, ["idx", "delay_s", "aoa_cycles", "aod_cycles", "power_db"], (
+        [idx, _fmt(p.delay), _fmt(p.aoa), _fmt(p.aod),
+         _fmt(10.0 * math.log10(p.power) if p.power > 0 else float("-inf"))]
+        for idx, p in enumerate(paths)))
 
 
 def save_associated_scatter_csv(path, pairs: list[tuple[int, int, float]],
                                 phys: list[PathParams],
                                 est: list[PathParams]) -> None:
     "Matched truth-estimate coordinates for overlay plots, one row per pair."
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phys_idx", "est_idx",
-                         "phys_delay_s", "est_delay_s",
-                         "phys_aoa_cycles", "est_aoa_cycles",
-                         "phys_aod_cycles", "est_aod_cycles", "cost"])
-        for i, j, cost in pairs:
-            p, q = phys[i], est[j]
-            writer.writerow([i, j, _fmt(p.delay), _fmt(q.delay),
-                             _fmt(p.aoa), _fmt(q.aoa),
-                             _fmt(p.aod), _fmt(q.aod), _fmt(cost)])
+    _write_csv(path, ["phys_idx", "est_idx", "phys_delay_s", "est_delay_s",
+                      "phys_aoa_cycles", "est_aoa_cycles",
+                      "phys_aod_cycles", "est_aod_cycles", "cost"], (
+        [i, j] + [_fmt(v) for v in (phys[i].delay, est[j].delay, phys[i].aoa,
+                                     est[j].aoa, phys[i].aod, est[j].aod, cost)]
+        for i, j, cost in pairs))
 
 
 def save_matrix_csv(path, row_name: str, row_axis: np.ndarray,
@@ -474,11 +436,8 @@ def save_matrix_csv(path, row_name: str, row_axis: np.ndarray,
     if matrix.shape != (len(row_axis), len(col_axis)):
         raise ValueError(f"matrix shape {matrix.shape} does not match axes "
                          f"({len(row_axis)}, {len(col_axis)})")
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([row_name] + [_fmt(c) for c in col_axis])
-        for r, row in zip(row_axis, matrix):
-            writer.writerow([_fmt(r)] + [_fmt(v) for v in row])
+    _write_csv(path, [row_name] + [_fmt(c) for c in col_axis],
+               ([_fmt(r)] + [_fmt(v) for v in row] for r, row in zip(row_axis, matrix)))
 
 
 def copy_artifact(src, dst) -> None:

@@ -9,7 +9,8 @@ so a spec with the same seed always yields the same path list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +41,10 @@ class ScenarioSpec:
     dynamic_range_db: float = 100.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} {value} must be finite")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.paths_per_cluster < 1:

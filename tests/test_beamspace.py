@@ -187,7 +187,7 @@ def test_peak_sweep_rejects_non_finite(bad, with_path):
     paths = [PathParams(gain=0.5 + 0j, delay=0.0, aod=0.0, aoa=0.0)] if with_path else []
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 5):
         with pytest.raises(ValueError, match=r"non-finite .* \(3, 1, 2\)"):
-            peak_sweep(values, paths, spec, cfg, write=with_path)
+            peak_sweep(values, paths, spec, cfg)
 
 
 def test_peak_sweep_write_needs_contiguous_grid():
@@ -195,8 +195,11 @@ def test_peak_sweep_write_needs_contiguous_grid():
     values = np.zeros((4, 3, 10), dtype=complex)[:, :, ::2]
     path = PathParams(gain=1 + 0j, delay=0.0, aod=-0.5, aoa=-0.5)  # on lattice
     with pytest.raises(ValueError, match="contiguous"):
-        peak_sweep(values, [path], spec, cfg, write=True)
-    assert peak_sweep(values, [path], spec, cfg) == (0, 0, 0, -1)
+        peak_sweep(values, [path], spec, cfg)
+    assert not values.any()
+    # with no kernels nothing is written, so any layout will do
+    values[1, 2, 3] = 2j
+    assert peak_sweep(values, [], spec, cfg) == (1, 2, 3, 2j)
 
 
 def test_transform_zero_response():

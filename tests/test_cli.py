@@ -363,14 +363,44 @@ def test_non_finite_tensor_exits_2_naming_tensor(tmp_path, capsys):
     assert main(["synth", "--config", "desk", "--paths", str(paths),
                  "--out-dir", str(out), "--quiet"]) == 0
     tensor = out / "tensor.bin"
-    response = fileio.load_response(tensor, fileio.load_sounder_config("desk"))
-    response.values[2, 7, 30] = np.nan
-    fileio.save_tensor(tensor, response)
+    raw = bytearray(tensor.read_bytes())
+    # (rx, tx, freq) = (2, 7, 30) of 8 x 8 x 32, real part, after the header
+    offset = 32 + 16 * ((2 * 8 + 7) * 32 + 30)
+    raw[offset:offset + 8] = np.array(np.nan, dtype="<f8").tobytes()
+    tensor.write_bytes(bytes(raw))
     assert main(["extract", "--config", "desk", "--tensor", str(tensor),
                  "--kdom", "4", "--out-dir", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert str(tensor) in err and "(2, 7, 30)" in err
     assert not (out / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db, gain", [("4000", "1"), ("-4000", "1"),
+                                           ("-3000", "100000")])
+def test_snr_without_finite_noise_power_exits_1(tmp_path, capsys, snr_db, gain):
+    "Noise power overflows, underflows to 0, or is infinite: no traceback."
+    paths = tmp_path / "p.csv"
+    paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+                     f"{gain},0,5e-09,0.1,0.1\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--snr-db", snr_db, "--out-dir", str(out), "--quiet"]) == 1
+    assert "--snr-db" in capsys.readouterr().err
+    assert not (out / "tensor.bin").exists()
+
+
+@pytest.mark.parametrize("key", ["dynamic_range_db", "angle_spread",
+                                 "delay_spread_s", "cluster_decay_db"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_scenario_spec_exits_2_naming_field(tmp_path, capsys, key, value):
+    spec = tmp_path / "scn.txt"
+    spec.write_text(f"n_clusters = 2\npaths_per_cluster = 3\nseed = 0\n"
+                    f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["scenario", "--spec", str(spec), "--out-dir", str(out),
+                 "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "scenario_spec.txt").exists()
 
 
 def test_missing_artifact_names_stage(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcx import (
     ExtractionTrace,
@@ -189,6 +192,13 @@ def test_paths_csv_empty_file(tmp_path):
 # binary tensors
 
 
+def write_raw_tensor(path, values):
+    "A tensor file written byte by byte, as ``save_tensor`` lays it out."
+    stacked = np.stack([values.real, values.imag], axis=-1).astype("<f8")
+    path.write_bytes(fileio.TENSOR_MAGIC + np.array(values.shape, dtype="<u8").tobytes()
+                     + stacked.tobytes())
+
+
 def test_tensor_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     resp = synthesize_response(DESK, [
@@ -235,12 +245,30 @@ def test_tensor_non_finite_entry_names_file_and_index(tmp_path, bad):
     values[3, 5, 17] = bad
     values[6, 0, 2] = bad
     f = tmp_path / "h.bin"
-    fileio.save_tensor(f, FrequencyResponse(values=values, config=DESK))
+    write_raw_tensor(f, values)
     with pytest.raises(ValueError, match=r"\(rx, tx, freq\) = \(3, 5, 17\)") as err:
         fileio.load_tensor(f)
     assert str(f) in str(err.value)
     with pytest.raises(ValueError, match="non-finite"):
         fileio.load_response(f, DESK)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_save_tensor_refuses_non_finite_entry(tmp_path, bad):
+    values = synthesize_response(DESK, sample_paths()).values.copy()
+    values[2, 7, 30] = bad
+    f = tmp_path / "h.bin"
+    with pytest.raises(ValueError, match=r"\(rx, tx, freq\) = \(2, 7, 30\)") as err:
+        fileio.save_tensor(f, FrequencyResponse(values=values, config=DESK))
+    assert str(f) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_raw_tensor_layout_matches_writer(tmp_path):
+    resp = synthesize_response(DESK, sample_paths())
+    fileio.save_tensor(tmp_path / "a.bin", resp)
+    write_raw_tensor(tmp_path / "b.bin", resp.values)
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +297,20 @@ def test_trace_csv_roundtrip(tmp_path):
     assert [r[0] for r in rows] == [1, 2, 3]
     assert rows[0][1] == pytest.approx(10 * math.log10(0.5))
     assert rows[2][1] == pytest.approx(10 * math.log10(0.005))
+
+
+def test_trace_csv_errors_name_file_and_row(tmp_path):
+    f = tmp_path / "trace.csv"
+    f.write_text("commit_index,residual_power_db\n1,-3.0\nx,-4.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 3: field 'commit_index': invalid integer 'x'"):
+        fileio.load_trace_csv(f)
+    f.write_text("commit_index,residual_power_db\n1,-3.0,7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 2: expected 2 fields, got 3") as err:
+        fileio.load_trace_csv(f)
+    assert str(f) in str(err.value)
+    f.write_text("commit_index,residual_db\n1,-3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="header"):
+        fileio.load_trace_csv(f)
 
 
 def test_trace_csv_zero_residual_is_minus_inf(tmp_path):
@@ -404,3 +446,194 @@ def test_writers_leave_no_temporary_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "h.bin", "paths.csv", "timings.json"]
     assert json.loads((tmp_path / "timings.json").read_text()) == {"a": 1.0, "b": 2.0}
+
+
+# ---------------------------------------------------------------------------
+# exact bytes of every writer on fixed inputs: floats appear as their repr,
+# and every computed value below is exact in IEEE arithmetic, so the texts
+# hold on any machine
+
+GOLD_PHYS = sample_paths() + [PathParams(gain=-10j, delay=0.0, aod=0.5, aoa=-0.5)]
+GOLD_EST = [PathParams(gain=1 + 0j, delay=3.5e-9, aod=0.1, aoa=-0.25),
+            PathParams(gain=-10j, delay=0.25e-9, aod=0.5, aoa=0.5)]
+# powers 1, 100, 1e6 and 0: exact decibels
+GOLD_SCATTER = [PathParams(gain=1 + 0j, delay=3.75e-9, aod=0.125, aoa=-0.25),
+                PathParams(gain=-10j, delay=0.0, aod=0.5, aoa=-0.5),
+                PathParams(gain=1000 + 0j, delay=1.72e-08, aod=-0.4871, aoa=0.33),
+                PathParams(gain=0j, delay=2e-9, aod=0.0, aoa=-0.0)]
+
+
+def gold_association():
+    res = ResolutionSpec.from_config(DESK)
+    return associate(GOLD_PHYS, GOLD_EST, res, unmatched_cost=3.0), res
+
+
+def write_pairs(f):
+    result, res = gold_association()
+    fileio.save_pairs_csv(f, result, GOLD_PHYS, GOLD_EST, res)
+
+
+def write_axis_errors(f):
+    write_pairs(f)
+    fileio.save_axis_errors_csv(f, fileio.load_pairs_csv(f, 3, 2))
+
+
+GOLDEN = {
+    "config": (
+        lambda f: fileio.save_sounder_config(f, DESK),
+        "n_tx = 8\nn_rx = 8\nbandwidth_hz = 1000000000.0\nn_freq = 32\n"
+        "carrier_hz = 28000000000.0\n"),
+    "scenario_sidecar": (
+        lambda f: fileio.save_scenario_sidecar(
+            f, ScenarioSpec(n_clusters=4, paths_per_cluster=7, seed=42,
+                            cluster_decay_db=5.5), n_generated=28, n_retained=25),
+        "# clustered scenario record\n"
+        "# draw order per cluster: center delay ~ U(delay_center_min_s,\n"
+        "#   delay_center_max_s), center aoa ~ U(angle_center_min,\n"
+        "#   angle_center_max), center aod likewise; then per path: delay\n"
+        "#   offset ~ N(0, delay_spread_s), aoa/aod offsets ~ N(0,\n"
+        "#   angle_spread), power = -cluster_index*cluster_decay_db -\n"
+        "#   U(0, path_spread_db) dB, phase ~ U(0, 2*pi)\n"
+        "# generated = 28\n# retained = 25\n"
+        "n_clusters = 4\npaths_per_cluster = 7\nseed = 42\n"
+        "delay_center_min_s = 2e-08\ndelay_center_max_s = 2e-07\n"
+        "delay_spread_s = 2e-09\nangle_center_min = -0.4\nangle_center_max = 0.4\n"
+        "angle_spread = 0.015\ncluster_decay_db = 5.5\npath_spread_db = 10.0\n"
+        "dynamic_range_db = 100.0\n"),
+    "paths": (
+        lambda f: fileio.save_paths_csv(f, GOLD_PHYS),
+        "gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+        "1.25,-0.5,3.75e-09,0.125,-0.25\n"
+        "-0.1,2.0,1.72e-08,-0.4871,0.33\n"
+        "-0.0,-10.0,0.0,0.5,-0.5\n"),
+    "trace": (
+        lambda f: fileio.save_trace_csv(f, ExtractionTrace(
+            residual_power=[10.0, 1.0, 0.0], initial_power=100.0)),
+        "commit_index,residual_power_db\n1,-10.0\n2,-20.0\n3,-inf\n"),
+    "pairs": (
+        write_pairs,
+        "phys_idx,est_idx,cost,delay_err_bins,aoa_err_bins,aod_err_bins,in_joint\n"
+        "0,0,0.10249999999999986,0.24999999999999975,0.0,0.19999999999999996,1\n"
+        "2,1,0.0625,-0.25,0.0,0.0,1\n"),
+    "axis_errors": (
+        write_axis_errors,
+        "phys_idx,delay_err_bins,aoa_err_bins,aod_err_bins\n"
+        "0,0.24999999999999975,0.0,0.19999999999999996\n"
+        "2,-0.25,0.0,0.0\n"),
+    "scatter": (
+        lambda f: fileio.save_scatter_csv(f, GOLD_SCATTER),
+        "idx,delay_s,aoa_cycles,aod_cycles,power_db\n"
+        "0,3.75e-09,-0.25,0.125,0.0\n"
+        "1,0.0,-0.5,0.5,20.0\n"
+        "2,1.72e-08,0.33,-0.4871,60.0\n"
+        "3,2e-09,-0.0,0.0,-inf\n"),
+    "associated_scatter": (
+        lambda f: fileio.save_associated_scatter_csv(
+            f, gold_association()[0].pairs, GOLD_PHYS, GOLD_EST),
+        "phys_idx,est_idx,phys_delay_s,est_delay_s,phys_aoa_cycles,"
+        "est_aoa_cycles,phys_aod_cycles,est_aod_cycles,cost\n"
+        "0,0,3.75e-09,3.5e-09,-0.25,-0.25,0.125,0.1,0.10249999999999986\n"
+        "2,1,0.0,2.5e-10,-0.5,0.5,0.5,0.5,0.0625\n"),
+    "matrix": (
+        lambda f: fileio.save_matrix_csv(
+            f, "aoa_cycles", np.array([-0.5, 0.25]), np.array([0.0, 1e-9, 2.5e-9]),
+            np.array([[0.0, 1.5, -2.0], [1e-300, 3.0, 7.25]])),
+        "aoa_cycles,0.0,1e-09,2.5e-09\n-0.5,0.0,1.5,-2.0\n0.25,1e-300,3.0,7.25\n"),
+    "association_report": (
+        lambda f: fileio.save_association_report(
+            f, gold_association()[0], n_phys=3, n_est=2, unmatched_cost=3.0),
+        "n_phys = 3\nn_est = 2\nunmatched_cost = 3.0\nk_pa = 2\n"
+        "pre_pa_cost = 8.012585492332915\npost_pa_cost = 0.06081675683337664\n"
+        "s_tau = 2\ns_aoa = 2\ns_aod = 2\ns_joint = 2\n"
+        "unmatched_phys = 1\nunmatched_est = 0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_writer_golden_bytes(tmp_path, name):
+    write, expected = GOLDEN[name]
+    f = tmp_path / name
+    write(f)
+    assert f.read_bytes() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+
+def path_bits(p):
+    "The exact bits of a path's five numbers (so -0.0 differs from 0.0)."
+    return struct.pack("<5d", p.gain.real, p.gain.imag, p.delay, p.aod, p.aoa)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CYCLES = st.floats(-0.5, 0.5)
+PATHS = st.lists(st.builds(
+    PathParams, gain=st.builds(complex, FINITE, FINITE),
+    delay=st.floats(0.0, allow_infinity=False), aod=CYCLES, aoa=CYCLES),
+    max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(paths=PATHS)
+def test_paths_csv_roundtrip_is_bit_exact(tmp_path_factory, paths):
+    f = tmp_path_factory.mktemp("paths") / "paths.csv"
+    fileio.save_paths_csv(f, paths)
+    assert [path_bits(p) for p in fileio.load_paths_csv(f)] == \
+        [path_bits(p) for p in paths]
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 3)] * 3), data=st.data())
+def test_tensor_roundtrip_is_bit_exact(tmp_path_factory, shape, data):
+    n_rx, n_tx, n_freq = shape
+    parts = data.draw(st.lists(FINITE, min_size=2 * n_rx * n_tx * n_freq,
+                               max_size=2 * n_rx * n_tx * n_freq))
+    values = np.array(parts).view(complex).reshape(shape)
+    config = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    f = tmp_path_factory.mktemp("tensor") / "h.bin"
+    fileio.save_tensor(f, FrequencyResponse(values=values, config=config))
+    loaded = fileio.load_response(f, config).values
+    assert loaded.tobytes() == values.tobytes()
+
+
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.builds(SounderConfig, n_tx=st.integers(1, 10**6),
+                        n_rx=st.integers(1, 10**6), bandwidth_hz=POSITIVE,
+                        n_freq=st.integers(1, 10**6), carrier_hz=POSITIVE))
+def test_sounder_config_roundtrip(tmp_path_factory, config):
+    f = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    fileio.save_sounder_config(f, config)
+    assert fileio.load_sounder_config(f) == config
+
+
+NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def scenario_specs(draw):
+    delays = sorted(draw(st.lists(NON_NEGATIVE, min_size=2, max_size=2)))
+    angles = sorted(draw(st.lists(CYCLES, min_size=2, max_size=2)))
+    return ScenarioSpec(
+        n_clusters=draw(st.integers(1, 10**6)),
+        paths_per_cluster=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(-10**20, 10**20)),
+        delay_center_min_s=delays[0], delay_center_max_s=delays[1],
+        delay_spread_s=draw(NON_NEGATIVE),
+        angle_center_min=angles[0], angle_center_max=angles[1],
+        angle_spread=draw(NON_NEGATIVE), cluster_decay_db=draw(FINITE),
+        path_spread_db=draw(NON_NEGATIVE), dynamic_range_db=draw(POSITIVE))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=scenario_specs(), counts=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+def test_scenario_sidecar_roundtrip(tmp_path_factory, spec, counts):
+    f = tmp_path_factory.mktemp("scn") / "scenario_spec.txt"
+    fileio.save_scenario_sidecar(f, spec, *counts)
+    loaded = fileio.load_scenario_spec(f)
+    assert loaded == spec
+    assert [repr(getattr(loaded, k)) for k in vars(spec)] == \
+        [repr(getattr(spec, k)) for k in vars(spec)]

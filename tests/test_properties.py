@@ -65,10 +65,10 @@ def test_transform_equals_point_evaluation(n_rx, n_tx, n_freq, os_aoa, os_aod,
 
 @settings(max_examples=150, deadline=None)
 @given(**SMALL, n_paths=st.integers(0, 4), on_grid=st.booleans(),
-       ties=st.booleans(), write=st.booleans(), block=st.integers(1, 80))
+       ties=st.booleans(), block=st.integers(1, 80))
 def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
                                         os_delay, seed, n_paths, on_grid, ties,
-                                        write, block):
+                                        block):
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
     rng = np.random.default_rng(seed)
     if ties:
@@ -96,10 +96,10 @@ def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     mag = np.abs(dense)
     work = values.copy()
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        i, j, l, val = peak_sweep(work, paths, spec, cfg, write=write)
+        i, j, l, val = peak_sweep(work, paths, spec, cfg)
 
     scale = max(1.0, float(mag.max()))
-    if write:
+    if paths:
         assert np.max(np.abs(work - dense)) <= 1e-12 * scale
     else:
         assert np.array_equal(work, values)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ def test_spec_validation():
         spec(angle_center_min=0.3, angle_center_max=-0.3)
     with pytest.raises(ValueError):
         spec(dynamic_range_db=0.0)
+
+
+@pytest.mark.parametrize("field", ["delay_center_min_s", "delay_center_max_s",
+                                   "delay_spread_s", "angle_center_min",
+                                   "angle_center_max", "angle_spread",
+                                   "cluster_decay_db", "path_spread_db",
+                                   "dynamic_range_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_naming_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} .*finite"):
+        spec(**{field: value})
 
 
 def test_cluster_decay_orders_average_power():
