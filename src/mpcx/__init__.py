@@ -21,13 +21,10 @@ from .assoc import (
 from .beamspace import (
     BeamspaceGrid,
     GridSpec,
-    angle_kernel,
     beamspace_point,
     beamspace_transform,
-    delay_kernel,
     pdp_marginals,
     single_path_grid,
-    subtract_path,
 )
 from .extract import (
     DegenerateGeometryError,
@@ -78,12 +75,10 @@ __all__ = [
     "SounderConfig",
     "VirtualCoefficients",
     "add_awgn",
-    "angle_kernel",
     "assign",
     "associate",
     "beamspace_point",
     "beamspace_transform",
-    "delay_kernel",
     "filter_by_dynamic_range",
     "find_peak",
     "generate_scenario",
@@ -102,7 +97,6 @@ __all__ = [
     "single_path_grid",
     "spatial_frequency",
     "steering_vector",
-    "subtract_path",
     "synthesize_response",
     "virtual_coefficients",
     "wrap_cycles",

@@ -2,28 +2,27 @@
 
 The transform maps an (rx, tx, frequency) response tensor onto a 3D lattice of
 (AoA, AoD, delay) points.  It is the direct separable triple sum, computed as
-three steering-matrix products (delay first, then AoA, then AoD), the same
-separable map that gives the critically sampled virtual coefficients; no FFT
-is involved.  Its point-spread function separates into a product of three
-closed-form kernels, which makes greedy subtraction of a single path exactly
-consistent with the transform: subtracting ``single_path_grid`` from
-``beamspace_transform`` of that path's synthesized response leaves zero up to
-floating-point rounding.
+three products with the lattice matrices of ``sounder._lattice_matrices``
+(delay first, then AoA, then AoD), the same separable map that gives the
+critically sampled virtual coefficients; no FFT is involved.
 
-Both kernels are defined as the exact normalized inner products of the
-discrete sinusoids, so they carry a linear phase factor in addition to the
-familiar real Dirichlet / sinc magnitudes.
+A grid builds its lattice matrices once and keeps them.  The beamspace
+footprint of a path is the transform of its atom: the grid's matrices times
+the path's ``_steering_matrices``, one factor per axis.  Greedy subtraction
+of a path therefore agrees with transforming the frequency-domain residual
+up to floating-point rounding.
 
 All grid-wide work after the transform goes through one blocked kernel,
-``peak_sweep``: it subtracts a list of path kernels from the grid, block by
-cache-sized block, writes the difference back, and finds its peak magnitude
-in the same pass.
+``peak_sweep``: it subtracts a list of path footprints from the grid, block
+by cache-sized block, writes the difference back, and finds its peak
+magnitude in the same pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +30,9 @@ from .sounder import (
     FrequencyResponse,
     PathParams,
     SounderConfig,
-    _lattice_transform,
+    _lattice_matrices,
+    _separable_transform,
+    _steering_matrices,
     resolvable_delays,
 )
 
@@ -75,6 +76,11 @@ class GridSpec:
         n = n_bins * self.os_delay
         return np.arange(n) / (config.bandwidth_hz * self.os_delay)
 
+    def _matrices(self, config: SounderConfig):
+        "``sounder._lattice_matrices`` of this lattice's axes."
+        return _lattice_matrices(config, self.delay_axis(config),
+                                 self.aod_axis(config), self.aoa_axis(config))
+
 
 @dataclass(frozen=True)
 class BeamspaceGrid:
@@ -104,52 +110,24 @@ class BeamspaceGrid:
     def power(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
 
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transform's lattice matrices of this grid's axes, built once per
+        grid: every footprint that a sweep subtracts from it comes from them."""
+        return self.spec._matrices(self.config)
 
-def angle_kernel(delta_theta, n: int):
-    """Normalized steering-vector inner product (exact Dirichlet kernel).
-
-    (1/n) * sum_{m=0}^{n-1} exp(j*2*pi*delta_theta*m)
-        = exp(j*pi*(n-1)*delta_theta) * sin(pi*n*delta_theta)
-          / (n * sin(pi*delta_theta))
-
-    Periodic in ``delta_theta`` with period 1; the removable singularity at
-    integer arguments evaluates to 1.  Accepts scalars or arrays.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    delta = np.asarray(delta_theta, dtype=float)
-    scalar = delta.ndim == 0
-    delta = np.atleast_1d(delta)
-    # reduce to the principal period; the kernel is exactly 1-periodic
-    frac = delta - np.round(delta)
-    out = np.empty(frac.shape, dtype=complex)
-    at_zero = frac == 0.0
-    out[at_zero] = 1.0
-    f = frac[~at_zero]
-    out[~at_zero] = (
-        np.exp(1j * np.pi * (n - 1) * f)
-        * np.sin(np.pi * n * f)
-        / (n * np.sin(np.pi * f))
-    )
-    return complex(out[0]) if scalar else out
-
-
-def delay_kernel(delta_tau, bandwidth_hz: float, n_freq: int):
-    """Discrete delay kernel: sample mean of exp(j*2*pi*delta_tau*f) over the
-    baseband frequency grid.
-
-    Equals 1 at ``delta_tau = 0`` and 0 at nonzero integer multiples of 1/W
-    that are not multiples of n_freq/W.  This is the finite-sample counterpart
-    of sinc(W*delta_tau) and the exact point-spread function of the transform
-    along delay.
-    """
-    if n_freq < 1:
-        raise ValueError("n_freq must be >= 1")
-    delta = np.asarray(delta_tau, dtype=float)
-    scalar = delta.ndim == 0
-    phase = np.exp(-1j * np.pi * delta * bandwidth_hz)
-    out = phase * angle_kernel(delta * bandwidth_hz / n_freq, n_freq)
-    return complex(out) if scalar else out
+    def _pick(self, paths: list[PathParams], refine: bool = False) -> PathParams:
+        """``peak_sweep`` of this grid minus ``paths``, as a path: the peak's
+        complex value at its axis coordinates, or with ``refine`` at the
+        sub-grid coordinates of ``_refine_peak``."""
+        i, j, l, val = peak_sweep(self, paths)
+        if refine:
+            aoa, aod, tau = _refine_peak(self, i, j, l)
+        else:
+            aoa = float(self.aoa_axis[i])
+            aod = float(self.aod_axis[j])
+            tau = float(self.delay_axis[l])
+        return PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
 
 
 def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> BeamspaceGrid:
@@ -162,17 +140,20 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
             * exp(+j*2*pi*tau*f_m)
 
     the same separable map as ``virtual_coefficients``, evaluated on the
-    grid axes: the conjugated steering matrices of the axes are applied
-    delay first, then AoA, then AoD one AoA row at a time into the
-    preallocated grid, so no grid-sized temporary is made.
+    grid axes: the lattice matrices of the axes are applied delay first,
+    then AoA, then AoD one AoA row at a time into the preallocated grid, so
+    no grid-sized temporary is made.  The grid keeps the matrices for its
+    sweeps.
     """
     cfg = response.config
     if spec.span(cfg) > cfg.duration:
         raise ValueError("grid delay_span exceeds the observation duration; the "
                          "transform would alias in delay")
-    values = _lattice_transform(response, spec.delay_axis(cfg),
-                                spec.aod_axis(cfg), spec.aoa_axis(cfg))
-    return BeamspaceGrid(values=values, spec=spec, config=cfg)
+    matrices = spec._matrices(cfg)
+    grid = BeamspaceGrid(values=_separable_transform(response.values, *matrices),
+                         spec=spec, config=cfg)
+    object.__setattr__(grid, "_matrices", matrices)  # fills the cached_property
+    return grid
 
 
 def beamspace_point(
@@ -184,34 +165,40 @@ def beamspace_point(
     by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude: the same
     separable map as ``beamspace_transform`` on a one-point lattice.
     """
-    return complex(_lattice_transform(response, [delay], [aod], [aoa])[0, 0, 0])
+    matrices = _lattice_matrices(response.config, [delay], [aod], [aoa])
+    return complex(_separable_transform(response.values, *matrices)[0, 0, 0])
 
 
-def single_path_kernels(
-    path: PathParams, spec: GridSpec, config: SounderConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis kernel vectors of one path on the beamspace lattice.
-
-    The path's beamspace response is the outer product
-    ``gain * k_aoa[:, None, None] * k_aod[None, :, None] * k_tau[None, None, :]``.
-    """
-    k_aoa = angle_kernel(path.aoa - spec.aoa_axis(config), config.n_rx)
-    k_aod = angle_kernel(spec.aod_axis(config) - path.aod, config.n_tx)
-    k_tau = delay_kernel(
-        spec.delay_axis(config) - path.delay, config.bandwidth_hz, config.n_freq
-    )
-    return k_aoa, k_aod, k_tau
+def _kernel_factors(
+    matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
+    paths: list[PathParams],
+    config: SounderConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-K factors of the summed footprints of ``paths`` on the
+    ``(aoa*aod, delay)`` view of the lattice of ``matrices``: the lattice
+    matrices applied to the paths' atoms, one axis at a time.  ``left[:, k]``
+    is ``gain_k * (m_rx a_rx)[:, k] (x) (m_tx a_tx)[:, k]`` and ``right`` is
+    ``a_f^T m_f``."""
+    m_rx, m_tx, m_f = matrices
+    a_rx, a_tx, a_f = _steering_matrices(
+        config, [p.delay for p in paths], [p.aod for p in paths],
+        [p.aoa for p in paths])
+    k_rx = (m_rx @ a_rx) * np.array([p.gain for p in paths])
+    left = (k_rx[:, None, :] * (m_tx @ a_tx)).reshape(-1, len(paths))
+    return left, a_f.T @ m_f
 
 
 def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) -> BeamspaceGrid:
-    """Analytic beamspace response of a single path (the subtraction kernel).
+    """Beamspace footprint of a single path (the subtraction kernel): the
+    one-path case of the factors that ``peak_sweep`` subtracts.
 
-    Exactly equals ``beamspace_transform(synthesize_response(config, [path]), spec)``
+    Equals ``beamspace_transform(synthesize_response(config, [path]), spec)``
     up to floating-point rounding -- the contract that makes greedy peak
     subtraction leave no self-noise.
     """
-    k_aoa, k_aod, k_tau = single_path_kernels(path, spec, config)
-    values = path.gain * k_aoa[:, None, None] * k_aod[:, None] * k_tau
+    matrices = spec._matrices(config)
+    left, right = _kernel_factors(matrices, [path], config)
+    values = (left @ right).reshape(len(matrices[0]), len(matrices[1]), -1)
     return BeamspaceGrid(values=values, spec=spec, config=config)
 
 
@@ -220,40 +207,28 @@ def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) ->
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _kernel_factors(
-    paths: list[PathParams], spec: GridSpec, config: SounderConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-K factors of the summed kernels of ``paths`` on the grid's
-    ``(aoa*aod, delay)`` view: ``left[:, k]`` is ``gain*k_aoa (x) k_aod`` and
-    ``right[k]`` is ``k_tau`` of path k."""
-    kernels = [single_path_kernels(p, spec, config) for p in paths]
-    left = np.stack(
-        [p.gain * np.outer(k_aoa, k_aod).ravel()
-         for p, (k_aoa, k_aod, _) in zip(paths, kernels)], axis=1)
-    right = np.stack([k_tau for _, _, k_tau in kernels])
-    return left, right
-
-
 def peak_sweep(
-    values: np.ndarray,
-    paths: list[PathParams],
-    spec: GridSpec,
-    config: SounderConfig,
+    grid: BeamspaceGrid, paths: list[PathParams]
 ) -> tuple[int, int, int, complex]:
-    """Peak of ``|values - sum of the paths' beamspace responses|`` in one pass.
+    """Peak of ``|grid - sum of the paths' footprints|`` in one pass.
 
-    Walks row blocks of the ``(aoa*aod, delay)`` view of ``values``.  Each
-    block gets all path kernels subtracted as one rank-K product, then its
-    magnitude and argmax are taken; the first strict maximum is kept, so
-    exact magnitude ties resolve to the lowest (aoa, aod, delay) index triple
-    in lexicographic order, as in ``np.argmax`` over the whole grid.  The
-    difference is written back into ``values``, which must be C-contiguous
-    when there are paths; with no paths ``values`` is only read.
+    Walks row blocks of the ``(aoa*aod, delay)`` view of ``grid.values``.
+    Each block gets all footprints, built from the grid's own lattice
+    matrices, subtracted as one rank-K product, then its magnitude and
+    argmax are taken; the first strict maximum is kept, so exact magnitude
+    ties resolve to the lowest (aoa, aod, delay) index triple in
+    lexicographic order, as in ``np.argmax`` over the whole grid.  The
+    difference is written back into ``grid.values``, which must be
+    C-contiguous when there are paths (ValueError otherwise, before anything
+    is written); with no paths the values are only read.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
-    ValueError on an empty grid or a magnitude that is not finite.
+    ValueError on an empty grid or a magnitude that is not finite; in that
+    case the blocks up to and including the offending one are already
+    written.
     """
+    values = grid.values
     if values.size == 0:
         raise ValueError("empty beamspace grid")
     if paths and not values.flags.c_contiguous:
@@ -261,7 +236,7 @@ def peak_sweep(
     n_aoa, n_aod, n_tau = values.shape
     flat = values.reshape(n_aoa * n_aod, n_tau)
     if paths:
-        left, right = _kernel_factors(paths, spec, config)
+        left, right = _kernel_factors(grid._matrices, paths, grid.config)
     rows = max(1, _BLOCK_ENTRIES // n_tau)
     kernel_buf = np.empty((rows, n_tau), dtype=complex)
     mag_buf = np.empty((rows, n_tau))
@@ -287,17 +262,46 @@ def peak_sweep(
     return int(i), int(j), int(l), best_val
 
 
-def subtract_path(grid_values: np.ndarray, path: PathParams, spec: GridSpec,
-                  config: SounderConfig) -> None:
-    """In-place subtraction of one path's beamspace response from a grid tensor.
+def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
+    "Vertex offset in [-0.5, 0.5] grid steps of the parabola through 3 samples."
+    denom = y_lo - 2.0 * y_0 + y_hi
+    if denom >= 0:  # not a proper local maximum
+        return 0.0
+    return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
 
-    Runs through ``peak_sweep``, so ``grid_values`` must be C-contiguous
-    (ValueError otherwise, before anything is written), and the peak search
-    of that sweep runs too, its result discarded.  A non-finite
-    difference raises ValueError once its block has been written, which
-    leaves the grid updated up to and including that block.
+
+def _refine_peak(grid: BeamspaceGrid, i: int, j: int, l: int) -> tuple[float, float, float]:
+    """Sub-grid coordinates of the peak at index (i, j, l) by per-axis
+    quadratic interpolation of |value|.
+
+    Angle axes wrap periodically; the delay axis skips refinement at its
+    edges.  Offsets are clamped to half a grid step per axis.
     """
-    peak_sweep(grid_values, [path], spec, config)
+    values = grid.values
+    n_aoa, n_aod, n_tau = values.shape
+    mag = np.abs
+    d_aoa = _parabolic_offset(
+        mag(values[(i - 1) % n_aoa, j, l]), mag(values[i, j, l]),
+        mag(values[(i + 1) % n_aoa, j, l]))
+    d_aod = _parabolic_offset(
+        mag(values[i, (j - 1) % n_aod, l]), mag(values[i, j, l]),
+        mag(values[i, (j + 1) % n_aod, l]))
+    if 0 < l < n_tau - 1:
+        d_tau = _parabolic_offset(
+            mag(values[i, j, l - 1]), mag(values[i, j, l]),
+            mag(values[i, j, l + 1]))
+    else:
+        d_tau = 0.0
+    delay_axis = grid.delay_axis
+    aoa = float(grid.aoa_axis[i]) + d_aoa / n_aoa
+    if aoa < -0.5:
+        aoa += 1.0
+    aod = float(grid.aod_axis[j]) + d_aod / n_aod
+    if aod < -0.5:
+        aod += 1.0
+    tau_step = float(delay_axis[1] - delay_axis[0]) if n_tau > 1 else 0.0
+    tau = max(0.0, float(delay_axis[l]) + d_tau * tau_step)
+    return aoa, aod, tau
 
 
 def pdp_marginals(grid: BeamspaceGrid) -> tuple[np.ndarray, np.ndarray]:

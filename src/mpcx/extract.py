@@ -14,12 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import (
-    BeamspaceGrid,
-    GridSpec,
-    beamspace_transform,
-    peak_sweep,
-)
+from .beamspace import BeamspaceGrid, GridSpec, beamspace_transform
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -101,54 +96,8 @@ def find_peak(grid: BeamspaceGrid) -> tuple[float, float, float, complex]:
     in lexicographic order.  An all-zero grid reports peak value 0; an empty
     grid or a non-finite entry raises ValueError.
     """
-    i, j, l, val = peak_sweep(grid.values, [], grid.spec, grid.config)
-    return (
-        float(grid.aoa_axis[i]),
-        float(grid.aod_axis[j]),
-        float(grid.delay_axis[l]),
-        val,
-    )
-
-
-def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
-    "Vertex offset in [-0.5, 0.5] grid steps of the parabola through 3 samples."
-    denom = y_lo - 2.0 * y_0 + y_hi
-    if denom >= 0:  # not a proper local maximum
-        return 0.0
-    return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
-
-
-def _refine_peak(
-    values: np.ndarray, i: int, j: int, l: int, grid: BeamspaceGrid
-) -> tuple[float, float, float]:
-    """Sub-grid peak coordinates by per-axis quadratic interpolation of |value|.
-
-    Angle axes wrap periodically; the delay axis skips refinement at its
-    edges.  Offsets are clamped to half a grid step per axis.
-    """
-    n_aoa, n_aod, n_tau = values.shape
-    mag = np.abs
-    d_aoa = _parabolic_offset(
-        mag(values[(i - 1) % n_aoa, j, l]), mag(values[i, j, l]),
-        mag(values[(i + 1) % n_aoa, j, l]))
-    d_aod = _parabolic_offset(
-        mag(values[i, (j - 1) % n_aod, l]), mag(values[i, j, l]),
-        mag(values[i, (j + 1) % n_aod, l]))
-    if 0 < l < n_tau - 1:
-        d_tau = _parabolic_offset(
-            mag(values[i, j, l - 1]), mag(values[i, j, l]),
-            mag(values[i, j, l + 1]))
-    else:
-        d_tau = 0.0
-    aoa = float(grid.aoa_axis[i]) + d_aoa / n_aoa
-    if aoa < -0.5:
-        aoa += 1.0
-    aod = float(grid.aod_axis[j]) + d_aod / n_aod
-    if aod < -0.5:
-        aod += 1.0
-    tau_step = float(grid.delay_axis[1] - grid.delay_axis[0]) if n_tau > 1 else 0.0
-    tau = max(0.0, float(grid.delay_axis[l]) + d_tau * tau_step)
-    return aoa, aod, tau
+    peak = grid._pick([])
+    return peak.aoa, peak.aod, peak.delay, peak.gain
 
 
 def greedy_extract(
@@ -158,7 +107,7 @@ def greedy_extract(
 
     Repeats ``count`` times: locate the strongest beamspace peak, record its
     grid coordinates and complex value as a path estimate, subtract that
-    path's analytic beamspace response, continue on the residual grid.
+    path's beamspace footprint, continue on the residual grid.
     Returns the estimates in detection order; stops early only if the
     residual grid becomes exactly zero.  Each subtraction is fused with the
     next peak search into one sweep, so the last estimate is never
@@ -167,14 +116,12 @@ def greedy_extract(
     if count < 1:
         raise ValueError("count must be >= 1")
     grid = beamspace_transform(response, spec)
-    aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     estimates: list[PathParams] = []
     for _ in range(count):
-        i, j, l, val = peak_sweep(grid.values, estimates[-1:], spec, response.config)
-        if val == 0:
+        peak = grid._pick(estimates[-1:])
+        if peak.gain == 0:
             break
-        estimates.append(PathParams(gain=val, delay=float(tau_ax[l]),
-                                    aod=float(aod_ax[j]), aoa=float(aoa_ax[i])))
+        estimates.append(peak)
     return estimates
 
 
@@ -348,7 +295,6 @@ def greedy_ls(
     """
     if response.config != config:
         raise ValueError("response and config disagree")
-    spec = xcfg.grid
     cfg = config
     residual = response.values.copy()
     res_fr = FrequencyResponse(values=residual, config=cfg)
@@ -357,12 +303,10 @@ def greedy_ls(
         trace.stop_reason = "exhausted"
         return [], trace
 
-    grid = beamspace_transform(res_fr, spec)
-    gvals = grid.values
-    aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
+    grid = beamspace_transform(res_fr, xcfg.grid)
     committed: list[PathParams] = []
-    # kernels not yet applied to gvals: the undo of the last iteration's
-    # written candidates, then its commits
+    # footprints not yet applied to the grid: the undo of the last
+    # iteration's written candidates, then its commits
     pending: list[PathParams] = []
 
     trace.stop_reason = "k_dom"
@@ -379,16 +323,12 @@ def greedy_ls(
         candidates: list[PathParams] = []
         written: list[PathParams] = []
         for pick in range(xcfg.k_g):
-            apply = pending if pick == 0 else candidates[-1:]
-            i, j, l, val = peak_sweep(gvals, apply, spec, cfg)
+            peak = grid._pick(pending if pick == 0 else candidates[-1:],
+                              xcfg.refine_peaks)
             written = candidates[:]
-            if val == 0:
+            if peak.gain == 0:
                 break
-            if xcfg.refine_peaks:
-                aoa, aod, tau = _refine_peak(gvals, i, j, l, grid)
-            else:
-                aoa, aod, tau = float(aoa_ax[i]), float(aod_ax[j]), float(tau_ax[l])
-            candidates.append(PathParams(gain=val, delay=tau, aod=aod, aoa=aoa))
+            candidates.append(peak)
         # the next iteration's first sweep adds the written candidates back
         pending = [replace(c, gain=-c.gain) for c in written]
         if not candidates:
@@ -483,11 +423,12 @@ def sage_refine(
     error sequence is non-increasing.
 
     The E-step runs on one residual beamspace grid, transformed once: by
-    linearity and kernel consistency, the transform of the isolated response
-    is the residual grid plus path k's closed-form kernel.  Each path update
-    is one in-place peak sweep that subtracts the previous update's new
-    kernel and adds path k's old kernel back, so no sweep re-runs the
-    transform and no per-path response is kept.
+    linearity, the transform of the isolated response is the residual grid
+    plus path k's footprint, which the grid builds from its own lattice
+    matrices.  Each path update is one in-place peak sweep that subtracts
+    the previous update's new footprint and adds path k's old footprint
+    back, so no sweep re-runs the transform and no per-path response is
+    kept.
     """
     if not paths:
         raise ValueError("path list must be non-empty")
@@ -501,16 +442,11 @@ def sage_refine(
         config=config,
     )
     grid = beamspace_transform(residual, spec)
-    values = grid.values
-    aoa_ax, aod_ax, tau_ax = grid.aoa_axis, grid.aod_axis, grid.delay_axis
     errors: list[float] = []
-    pending: list[PathParams] = []  # the last update's kernel, not yet subtracted
+    pending: list[PathParams] = []  # the last update, not yet subtracted
     for _ in range(sweeps):
         for k, old in enumerate(current):
-            i, j, l, val = peak_sweep(values, pending + [replace(old, gain=-old.gain)],
-                                      spec, config)
-            new = PathParams(gain=val, delay=float(tau_ax[l]),
-                             aod=float(aod_ax[j]), aoa=float(aoa_ax[i]))
+            new = grid._pick(pending + [replace(old, gain=-old.gain)])
             pending = [new]
             current[k] = new
         errors.append(

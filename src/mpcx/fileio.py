@@ -251,7 +251,16 @@ def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
         vals = [_parse(float, text, f"{path}: row {rownum}: field '{name}'")
                 for name, text in zip(header, row)]
         if header == PATHS_HEADER_DB:
-            mag = 10.0 ** (vals[0] / 20.0)
+            where = f"{path}: row {rownum}: field"
+            if not math.isfinite(vals[1]):
+                raise ValueError(f"{where} 'phase_deg' {vals[1]} must be finite")
+            try:
+                mag = 10.0 ** (vals[0] / 20.0)
+            except OverflowError:
+                mag = math.inf
+            if not math.isfinite(mag):
+                raise ValueError(f"{where} 'gain_db' {vals[0]} must give a finite "
+                                 "linear gain")
             gain = mag * complex(math.cos(math.radians(vals[1])),
                                  math.sin(math.radians(vals[1])))
         else:

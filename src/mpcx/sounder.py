@@ -300,15 +300,17 @@ def _separable_transform(
     return out
 
 
-def _lattice_transform(response: FrequencyResponse, delays, aods, aoas) -> np.ndarray:
-    """Matched filter of a response divided by n_rx*n_tx*n_freq on the
-    separable (aoa, aod, delay) lattice of the given axes, from their
-    conjugated ``_steering_matrices`` (the largest, delay, in place)."""
-    cfg = response.config
-    a_rx, a_tx, a_f = _steering_matrices(cfg, delays, aods, aoas)
-    return _separable_transform(
-        response.values, a_rx.T.conj() / (cfg.n_rx * cfg.n_tx * cfg.n_freq),
-        a_tx.T.conj(), np.conjugate(a_f, out=a_f))
+def _lattice_matrices(
+    config: SounderConfig, delays, aods, aoas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis matrices of the matched filter divided by n_rx*n_tx*n_freq on
+    the separable (aoa, aod, delay) lattice of the given axes, in the argument
+    order of ``_separable_transform``: the conjugated ``_steering_matrices``,
+    rx [n_aoa x n_rx] carrying the 1/(n_rx*n_tx*n_freq), tx [n_aod x n_tx]
+    and delay [n_freq x n_delay] (the largest, conjugated in place)."""
+    a_rx, a_tx, a_f = _steering_matrices(config, delays, aods, aoas)
+    return (a_rx.T.conj() / (config.n_rx * config.n_tx * config.n_freq),
+            a_tx.T.conj(), np.conjugate(a_f, out=a_f))
 
 
 def virtual_coefficients(response: FrequencyResponse, tau_max: float) -> VirtualCoefficients:
@@ -328,9 +330,9 @@ def virtual_coefficients(response: FrequencyResponse, tau_max: float) -> Virtual
     if not 0 <= tau_max <= cfg.duration:
         raise ValueError(f"tau_max {tau_max} outside [0, duration {cfg.duration}]")
     L = resolvable_delays(tau_max, cfg.bandwidth_hz)
-    values = _lattice_transform(response, np.arange(L + 1) / cfg.bandwidth_hz,
-                                np.arange(cfg.n_tx) / cfg.n_tx,
-                                np.arange(cfg.n_rx) / cfg.n_rx)
+    values = _separable_transform(response.values, *_lattice_matrices(
+        cfg, np.arange(L + 1) / cfg.bandwidth_hz, np.arange(cfg.n_tx) / cfg.n_tx,
+        np.arange(cfg.n_rx) / cfg.n_rx))
     return VirtualCoefficients(values=values, L=L)
 
 

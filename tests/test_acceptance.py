@@ -92,7 +92,7 @@ def test_02_resolutions_exact(capsys):
 
 
 def test_03_kernel_consistency(capsys):
-    with criterion(capsys, 3, "closed-form single-path grid vs transform"):
+    with criterion(capsys, 3, "single-path footprint vs transform"):
         rng = np.random.default_rng(303)
         spec = GridSpec(os_aoa=4, os_aod=4, os_delay=4)
         for _ in range(100):

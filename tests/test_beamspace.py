@@ -10,17 +10,16 @@ from mpcx import (
     GridSpec,
     PathParams,
     SounderConfig,
-    angle_kernel,
     beamspace_point,
     beamspace_transform,
-    delay_kernel,
     pdp_marginals,
     single_path_grid,
-    subtract_path,
     synthesize_response,
 )
 from mpcx import beamspace
 from mpcx.beamspace import peak_sweep
+
+from closed_form import angle_kernel, delay_kernel
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 
@@ -50,11 +49,49 @@ def random_path(rng, cfg, margin=0.95):
     )
 
 
+# The per-axis factors of the footprint: on an axis with one element (or
+# one tone, at delay 0) every steering entry is exp(0) = 1, so with the
+# other two axes so reduced single_path_grid is the remaining axis' factor.
+
+
+def aoa_factor(n, aoa, os=1):
+    "AoA offsets ``aoa - axis`` and footprint factor of a unit path, n elements."
+    cfg = SounderConfig(n_tx=1, n_rx=n, bandwidth_hz=1e9, n_freq=1)
+    grid = single_path_grid(PathParams(gain=1 + 0j, delay=0.0, aod=0.0, aoa=aoa),
+                            GridSpec(os_aoa=os, os_aod=1, os_delay=1), cfg)
+    return aoa - grid.aoa_axis, grid.values[:, 0, 0]
+
+
+def aod_factor(n, aod, os=1):
+    "AoD offsets ``axis - aod`` and footprint factor of a unit path, n elements."
+    cfg = SounderConfig(n_tx=n, n_rx=1, bandwidth_hz=1e9, n_freq=1)
+    grid = single_path_grid(PathParams(gain=1 + 0j, delay=0.0, aod=aod, aoa=0.0),
+                            GridSpec(os_aoa=1, os_aod=os, os_delay=1), cfg)
+    return grid.aod_axis - aod, grid.values[0, :, 0]
+
+
+def delay_factor(bandwidth_hz, n_freq, delay, os=1):
+    "Delay offsets ``axis - delay`` and footprint factor of a unit path."
+    cfg = SounderConfig(n_tx=1, n_rx=1, bandwidth_hz=bandwidth_hz, n_freq=n_freq)
+    grid = single_path_grid(PathParams(gain=1 + 0j, delay=delay, aod=0.0, aoa=0.0),
+                            GridSpec(os_aoa=1, os_aod=1, os_delay=os), cfg)
+    return grid.delay_axis - delay, grid.values[0, 0, :]
+
+
 def test_angle_kernel_peak_and_zero():
     for n in (1, 2, 4, 35):
         assert angle_kernel(0.0, n) == 1.0
+        # a path on lattice point n // 2: peak 1 there, zeros at the others
+        _, factor = aoa_factor(n, -0.5 + (n // 2) / n)
+        assert abs(factor[n // 2] - 1.0) < 1e-12
+        assert np.all(np.abs(np.delete(factor, n // 2)) < 1e-12)
     assert abs(angle_kernel(1.0 / 4, 4)) < 1e-12
     assert abs(angle_kernel(2.0 / 8, 8)) < 1e-12
+    for n, offset in ((4, 1), (8, 2)):
+        _, factor = aoa_factor(n, -0.5)
+        assert abs(factor[offset]) < 1e-12
+        _, factor = aod_factor(n, -0.5)
+        assert abs(factor[offset]) < 1e-12
 
 
 def test_angle_kernel_direct_sum_oracle():
@@ -64,9 +101,19 @@ def test_angle_kernel_direct_sum_oracle():
         delta = rng.uniform(-2.0, 2.0)
         oracle = sum(np.exp(2j * np.pi * delta * m) for m in range(n)) / n
         assert angle_kernel(delta, n) == pytest.approx(oracle, abs=1e-12)
-    # the specific quarter-bin case
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        os = int(rng.integers(1, 5))
+        for offsets, factor in (aoa_factor(n, rng.uniform(-0.5, 0.5), os),
+                                aod_factor(n, rng.uniform(-0.5, 0.5), os)):
+            oracle = np.exp(2j * np.pi * np.outer(offsets, np.arange(n))).mean(axis=1)
+            np.testing.assert_allclose(factor, oracle, rtol=0, atol=1e-12)
+    # the specific quarter-bin case: offset 1/8 from lattice point 0
     oracle = sum(np.exp(2j * np.pi * (1 / 8) * m) for m in range(4)) / 4
     assert angle_kernel(1.0 / (2 * 4), 4) == pytest.approx(oracle, abs=1e-14)
+    offsets, factor = aoa_factor(4, -0.5 + 1 / 8, os=2)
+    assert offsets[0] == 1 / 8
+    assert factor[0] == pytest.approx(oracle, abs=1e-14)
 
 
 def test_angle_kernel_periodicity_and_phase():
@@ -74,27 +121,55 @@ def test_angle_kernel_periodicity_and_phase():
     for _ in range(20):
         d = rng.uniform(-1.0, 1.0)
         n = int(rng.integers(2, 20))
+        os = int(rng.integers(1, 5))
         assert angle_kernel(d + 1.0, n) == pytest.approx(angle_kernel(d, n), abs=1e-12)
-        assert abs(angle_kernel(-d, n)) == pytest.approx(abs(angle_kernel(d, n)),
-                                                         abs=1e-12)
-        # linear phase factor exp(j*pi*(n-1)*d) on top of a real even magnitude
-        val = angle_kernel(d, n)
-        unrotated = val * np.exp(-1j * np.pi * (n - 1) * d)
-        assert abs(unrotated.imag) < 1e-12
+        # period 1: paths at -0.5 and +0.5 are offset by exactly 1 everywhere
+        np.testing.assert_allclose(aoa_factor(n, 0.5, os)[1],
+                                   aoa_factor(n, -0.5, os)[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(aod_factor(n, 0.5, os)[1],
+                                   aod_factor(n, -0.5, os)[1], rtol=0, atol=1e-12)
+        # even magnitude: the path at -aoa sees the offsets negated, the
+        # lattice point -axis[i] being axis[-i] up to a whole period
+        aoa = rng.uniform(-0.5, 0.5)
+        offsets, factor = aoa_factor(n, aoa, os)
+        mirrored = aoa_factor(n, -aoa, os)[1][(-np.arange(n * os)) % (n * os)]
+        np.testing.assert_allclose(np.abs(mirrored), np.abs(factor), rtol=0,
+                                   atol=1e-12)
+        # linear phase factor exp(j*pi*(n-1)*d) on top of a real magnitude
+        unrotated = factor * np.exp(-1j * np.pi * (n - 1) * offsets)
+        assert np.max(np.abs(unrotated.imag)) < 1e-12
 
 
 def test_angle_kernel_integer_offsets_exact():
     assert angle_kernel(3.0, 5) == 1.0
     assert angle_kernel(-2.0, 9) == 1.0
+    # the path at +0.5 sits a whole period from lattice point -0.5
+    for n in (5, 9):
+        offsets, factor = aoa_factor(n, 0.5)
+        assert offsets[0] == 1.0
+        assert abs(factor[0] - 1.0) < 1e-12
+        offsets, factor = aod_factor(n, 0.5)
+        assert offsets[0] == -1.0
+        assert abs(factor[0] - 1.0) < 1e-12
 
 
 def test_delay_kernel_values():
     assert delay_kernel(0.0, 1e9, 32) == 1.0
     assert abs(delay_kernel(1e-9, 1e9, 32)) < 1e-12
+    _, factor = delay_factor(1e9, 32, 0.0)
+    assert factor[0] == 1.0  # every exponential is exp(0) and 1/32 is exact
+    assert np.all(np.abs(factor[1:]) < 1e-12)
     w, nf = 1e9, 64
     grid = -w / 2 + np.arange(nf) * (w / nf)
     oracle = np.mean(np.exp(2j * np.pi * 0.4e-9 * grid))
     assert delay_kernel(0.4e-9, w, nf) == pytest.approx(oracle, abs=1e-13)
+    offsets, factor = delay_factor(w, nf, 0.0, os=5)  # lattice point 2 is 0.4 ns
+    assert factor[2] == pytest.approx(oracle, abs=1e-13)
+    np.testing.assert_allclose(
+        factor, np.exp(2j * np.pi * np.outer(offsets, grid)).mean(axis=1),
+        rtol=0, atol=1e-13)
+    np.testing.assert_allclose(factor, delay_kernel(offsets, w, nf), rtol=0,
+                               atol=1e-13)
 
 
 def test_grid_spec_axes():
@@ -173,7 +248,7 @@ def test_peak_sweep_ties_across_blocks_take_lowest_index():
     values[1, 2, 3] = 2.0
     for block in (1, 5, 7, 15, 60):
         with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-            assert peak_sweep(values, [], spec, cfg) == (1, 1, 0, 3j)
+            assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (1, 1, 0, 3j)
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.nan),
@@ -187,7 +262,7 @@ def test_peak_sweep_rejects_non_finite(bad, with_path):
     paths = [PathParams(gain=0.5 + 0j, delay=0.0, aod=0.0, aoa=0.0)] if with_path else []
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 5):
         with pytest.raises(ValueError, match=r"non-finite .* \(3, 1, 2\)"):
-            peak_sweep(values, paths, spec, cfg)
+            peak_sweep(BeamspaceGrid(values, spec, cfg), paths)
 
 
 def test_peak_sweep_write_needs_contiguous_grid():
@@ -195,11 +270,11 @@ def test_peak_sweep_write_needs_contiguous_grid():
     values = np.zeros((4, 3, 10), dtype=complex)[:, :, ::2]
     path = PathParams(gain=1 + 0j, delay=0.0, aod=-0.5, aoa=-0.5)  # on lattice
     with pytest.raises(ValueError, match="contiguous"):
-        peak_sweep(values, [path], spec, cfg)
+        peak_sweep(BeamspaceGrid(values, spec, cfg), [path])
     assert not values.any()
     # with no kernels nothing is written, so any layout will do
     values[1, 2, 3] = 2j
-    assert peak_sweep(values, [], spec, cfg) == (1, 2, 3, 2j)
+    assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (1, 2, 3, 2j)
 
 
 def test_transform_zero_response():
@@ -291,14 +366,14 @@ def test_beamspace_point_matches_grid_and_oracle():
     assert off == pytest.approx(oracle, abs=1e-12)
 
 
-def test_subtract_path_equals_residual_transform():
+def test_peak_sweep_subtraction_equals_residual_transform():
     "In-place grid subtraction == transforming the frequency-domain residual."
     rng = np.random.default_rng(37)
     spec = GridSpec()
     paths = [random_path(rng, DESK) for _ in range(3)]
     resp = synthesize_response(DESK, paths)
     grid = beamspace_transform(resp, spec)
-    subtract_path(grid.values, paths[0], spec, DESK)
+    peak_sweep(grid, [paths[0]])
     residual = type(resp)(values=resp.values
                           - synthesize_response(DESK, [paths[0]]).values,
                           config=DESK)
@@ -307,13 +382,13 @@ def test_subtract_path_equals_residual_transform():
     assert np.linalg.norm(grid.values - expected.values) / scale < 1e-9
 
 
-def test_subtract_path_needs_contiguous_grid_and_may_stop_part_way():
-    "subtract_path writes block by block; a non-finite entry stops it mid-grid."
+def test_peak_sweep_needs_contiguous_grid_and_may_stop_part_way():
+    "The sweep writes block by block; a non-finite entry stops it mid-grid."
     cfg, spec = hand_case((4, 3, 5))
     path = PathParams(gain=1 + 0j, delay=0.0, aod=0.0, aoa=0.0)
     strided = np.ones((4, 3, 10), dtype=complex)[:, :, ::2]
     with pytest.raises(ValueError, match="contiguous"):
-        subtract_path(strided, path, spec, cfg)
+        peak_sweep(BeamspaceGrid(strided, spec, cfg), [path])
     assert np.all(strided == 1)  # rejected before anything is written
     values = np.ones((4, 3, 5), dtype=complex)
     values[2, 1, 3] = np.nan
@@ -321,7 +396,7 @@ def test_subtract_path_needs_contiguous_grid_and_may_stop_part_way():
     expected[2, 1, 3] = np.nan
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15):  # one AoA row a block
         with pytest.raises(ValueError, match=r"non-finite .* \(2, 1, 3\)"):
-            subtract_path(values, path, spec, cfg)
+            peak_sweep(BeamspaceGrid(values, spec, cfg), [path])
     np.testing.assert_allclose(values[:3], expected[:3], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(values[3], 1)  # the block after is untouched
 

@@ -326,6 +326,24 @@ def test_bad_float_flags_exit_1_naming_flag(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column, value", [("gain_db", "7000"),
+                                           ("phase_deg", "inf")])
+def test_db_path_csv_out_of_range_exits_2_naming_field(tmp_path, capsys, column,
+                                                       value):
+    header = ["gain_db", "phase_deg", "delay_s", "aod_cycles", "aoa_cycles"]
+    row = ["-6", "0", "5e-09", "0.1", "0.1"]
+    row[header.index(column)] = value
+    paths = tmp_path / "p.csv"
+    paths.write_text(",".join(header) + "\n" + ",".join(row) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "p.csv: row 2" in err and f"'{column}'" in err
+    assert not (out / "tensor.bin").exists()
+
+
 @pytest.mark.parametrize("column, field", [("delay_s", "delay"),
                                            ("gain_real", "gain")])
 def test_non_finite_path_csv_exits_2(tmp_path, capsys, column, field):

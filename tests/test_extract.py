@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from mpcx import (
     single_path_grid,
     synthesize_response,
 )
-from mpcx import extract
+from mpcx import beamspace, extract
+
+from closed_form import angle_kernel, delay_kernel
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 PAPER = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
@@ -239,8 +242,6 @@ def test_ls_rejects_non_finite_geometry(axis, field, value):
 
 def closed_form_gram(geometry, cfg):
     "Gram matrix from the closed-form per-axis Dirichlet kernels."
-    from mpcx.beamspace import angle_kernel, delay_kernel
-
     delays, aods, aoas = (np.array(g) for g in zip(*geometry))
     d_rx = angle_kernel(aoas[None, :] - aoas[:, None], cfg.n_rx)
     d_tx = angle_kernel(aods[:, None] - aods[None, :], cfg.n_tx)
@@ -644,7 +645,8 @@ def greedy_ls_oracle(response, config, xcfg):
             if val == 0:
                 break
             if xcfg.refine_peaks:
-                aoa, aod, tau = extract._refine_peak(work, i, j, l, grid)
+                aoa, aod, tau = beamspace._refine_peak(
+                    BeamspaceGrid(work, spec, config), i, j, l)
             else:
                 aoa, aod, tau = (float(grid.aoa_axis[i]), float(grid.aod_axis[j]),
                                  float(grid.delay_axis[l]))
@@ -736,6 +738,22 @@ def test_refine_peaks_matches_scratch_copy_oracle(seed, snr_db):
                            refine_peaks=True)
     found, _ = greedy_ls(resp, DESK, cfg)
     assert_same_paths(found, greedy_ls_oracle(resp, DESK, cfg), geometry_tol=1e-9)
+
+
+def test_grid_matrices_built_once_per_extraction():
+    """One greedy_ls and one sage_refine call each build the grid-axis lattice
+    matrices once, whatever k_dom or the number of paths: every sweep reuses
+    its grid's matrices."""
+    for n_paths, k_dom in ((2, 1), (10, 12)):
+        resp = desk_case(3, 20.0, n_paths)
+        with mock.patch.object(beamspace, "_lattice_matrices",
+                               wraps=beamspace._lattice_matrices) as built:
+            found, _ = greedy_ls(resp, DESK, ExtractionConfig(
+                k_dom=k_dom, k_g=4, k_up=2, residual_stop=0.0))
+            assert built.call_count == 1
+            sage_refine(resp, found, DESK, GridSpec(), sweeps=2)
+            assert built.call_count == 2
+        assert len(found) == k_dom
 
 
 def test_greedy_ls_memory_is_one_grid():

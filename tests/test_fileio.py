@@ -132,6 +132,25 @@ def test_paths_csv_db_schema(tmp_path):
     assert p.delay == 5e-9
 
 
+@pytest.mark.parametrize("gain_db", ["7000", "nan", "inf"])
+def test_paths_csv_db_gain_overflow_names_row_and_field(tmp_path, gain_db):
+    f = tmp_path / "db.csv"
+    f.write_text("gain_db,phase_deg,delay_s,aod_cycles,aoa_cycles\n"
+                 "-6.0,0.0,5e-09,0.1,-0.2\n"
+                 f"{gain_db},0.0,5e-09,0.1,-0.2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"db\.csv: row 3: field 'gain_db' {gain_db}"):
+        fileio.load_paths_csv(f)
+
+
+@pytest.mark.parametrize("phase_deg", ["inf", "-inf", "nan"])
+def test_paths_csv_db_non_finite_phase_names_row_and_field(tmp_path, phase_deg):
+    f = tmp_path / "db.csv"
+    f.write_text("gain_db,phase_deg,delay_s,aod_cycles,aoa_cycles\n"
+                 f"-6.0,{phase_deg},5e-09,0.1,-0.2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"db\.csv: row 2: field 'phase_deg' {phase_deg}"):
+        fileio.load_paths_csv(f)
+
+
 def test_paths_csv_degrees_conversion(tmp_path):
     f = tmp_path / "deg.csv"
     f.write_text(

@@ -1,4 +1,5 @@
-"""Property-based tests of the beamspace grid kernels and the LS solve.
+"""Property-based tests of the beamspace grid kernels, the LS solve and the
+greedy-LS residual trace.
 
 The fixed-seed tests and the numbered criteria stay the reference; these
 add random small grids, path lists, geometries and block sizes drawn by
@@ -14,13 +15,16 @@ from hypothesis import strategies as st
 
 from mpcx import (
     DegenerateGeometryError,
+    ExtractionConfig,
     FrequencyResponse,
     GridSpec,
     PathParams,
     SounderConfig,
+    add_awgn,
     beamspace,
     beamspace_point,
     beamspace_transform,
+    greedy_ls,
     ls_amplitudes,
     ls_condition,
     single_path_grid,
@@ -96,7 +100,7 @@ def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     mag = np.abs(dense)
     work = values.copy()
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        i, j, l, val = peak_sweep(work, paths, spec, cfg)
+        i, j, l, val = peak_sweep(beamspace.BeamspaceGrid(work, spec, cfg), paths)
 
     scale = max(1.0, float(mag.max()))
     if paths:
@@ -181,3 +185,39 @@ def test_ls_equals_dense_pseudo_inverse(n_rx, n_tx, n_freq, seed, n_paths, n_nea
     scale = (np.linalg.norm(h) / np.sqrt(np.linalg.norm(gram, 2))
              + np.linalg.norm(ref))
     assert np.max(np.abs(amps - ref)) <= 1e-12 * cond * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rx=st.integers(2, 8), n_tx=st.integers(2, 8), n_freq=st.integers(4, 32),
+       os=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       n_paths=st.integers(1, 6), k_dom=st.integers(1, 10),
+       k_g_up=st.integers(1, 4).flatmap(
+           lambda k_g: st.tuples(st.just(k_g), st.integers(1, k_g))),
+       refine=st.booleans(), noisy=st.booleans())
+def test_residual_trace_never_increases_and_equals_recomputed(
+        n_rx, n_tx, n_freq, os, seed, n_paths, k_dom, k_g_up, refine, noisy):
+    """Desk-size greedy-LS runs: the residual power after each commit is the
+    power of h minus the synthesized commits so far, and never exceeds the
+    power before that commit (a rounding allowance of 1e-12 of the initial
+    power)."""
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    rng = np.random.default_rng(seed)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, cfg.duration * 0.95),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(n_paths)]
+    resp = synthesize_response(cfg, truth)
+    if noisy:
+        resp = add_awgn(resp, 0.01 * np.mean(np.abs(resp.values) ** 2), seed=seed)
+    k_g, k_up = k_g_up
+    xcfg = ExtractionConfig(k_dom=k_dom, k_g=k_g, k_up=k_up, residual_stop=0.0,
+                            final_global_ls=False, refine_peaks=refine,
+                            grid=GridSpec(os_aoa=os, os_aod=os, os_delay=os))
+    found, trace = greedy_ls(resp, cfg, xcfg)
+    assert len(trace.residual_power) == len(found) >= 1
+    powers = np.array([trace.initial_power] + trace.residual_power)
+    assert np.all(np.diff(powers) <= 1e-12 * trace.initial_power)
+    for k, recorded in enumerate(trace.residual_power):
+        residual = resp.values - synthesize_response(cfg, found[:k + 1]).values
+        assert recorded == pytest.approx(float(np.vdot(residual, residual).real),
+                                         rel=1e-9)
