@@ -34,7 +34,8 @@ on_grid = PathParams(gain=1.0 + 0j, delay=float(axes.delay_axis[20]),
                      aod=float(axes.aod_axis[10]), aoa=float(axes.aoa_axis[24]))
 off_grid = PathParams(gain=0.6 + 0j, delay=9.37e-9, aod=-0.271, aoa=0.158)
 
-grid = beamspace_transform(synthesize_response(config, [on_grid, off_grid]), spec)
+response = synthesize_response(config, [on_grid, off_grid])
+grid = beamspace_transform(response, spec)
 print(f"beamspace grid shape (aoa, aod, delay): {grid.values.shape}")
 
 aoa, aod, delay, val = find_peak(grid)
@@ -51,7 +52,7 @@ print(f"\noff-grid path: true gain {abs(off_grid.gain):.3f}, "
       f"strongest nearby grid value {sub.max():.3f}")
 
 # angle-angle power map, rendered as text (rows: AoA, cols: AoD)
-power_angles, _ = pdp_marginals(grid)
+power_angles, _ = pdp_marginals(response, spec)
 coarse = power_angles.reshape(8, 4, 8, 4).sum(axis=(1, 3))
 levels = " .:-=+*#%@"
 top = coarse.max()

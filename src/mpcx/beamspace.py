@@ -16,6 +16,13 @@ All grid-wide work after the transform goes through one blocked kernel,
 ``peak_sweep``: it subtracts a list of path footprints from the grid, block
 by cache-sized block, writes the difference back, and finds its peak
 magnitude in the same pass.
+
+On a large grid the sweep and the transform cut their blocks into
+contiguous spans, one per CPU of the process's affinity mask, that run
+concurrently on the thread pool of ``mpcx.pool``.  Every entry gets the
+same arithmetic in any span, and sweep results merge in span order, so a
+split gives the same bits as one span.  A grid below the pool's minimum
+span size stays one span on the calling thread; nothing is configurable.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .pool import run_spans, split_blocks
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -77,7 +85,11 @@ class GridSpec:
         return np.arange(n) / (config.bandwidth_hz * self.os_delay)
 
     def _matrices(self, config: SounderConfig):
-        "``sounder._lattice_matrices`` of this lattice's axes."
+        """``sounder._lattice_matrices`` of this lattice's axes; ValueError if
+        its delay span would alias."""
+        if self.span(config) > config.duration:
+            raise ValueError("grid delay_span exceeds the observation duration; "
+                             "the transform would alias in delay")
         return _lattice_matrices(config, self.delay_axis(config),
                                  self.aod_axis(config), self.aoa_axis(config))
 
@@ -146,9 +158,6 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
     sweeps.
     """
     cfg = response.config
-    if spec.span(cfg) > cfg.duration:
-        raise ValueError("grid delay_span exceeds the observation duration; the "
-                         "transform would alias in delay")
     matrices = spec._matrices(cfg)
     grid = BeamspaceGrid(values=_separable_transform(response.values, *matrices),
                          spec=spec, config=cfg)
@@ -220,13 +229,17 @@ def peak_sweep(
     lexicographic order, as in ``np.argmax`` over the whole grid.  The
     difference is written back into ``grid.values``, which must be
     C-contiguous when there are paths (ValueError otherwise, before anything
-    is written); with no paths the values are only read.
+    is written); with no paths the values are only read.  A large grid's
+    blocks are cut into contiguous spans that run on ``pool.run_spans``;
+    their results merge in span order, so the peak does not depend on the
+    split.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
-    ValueError on an empty grid or a magnitude that is not finite; in that
-    case the blocks up to and including the offending one are already
-    written.
+    ValueError on an empty grid or a magnitude that is not finite, naming
+    the lowest offending index that a span reached; in that case the blocks
+    of its span up to and including the offending one are already written,
+    and so may be blocks of the other spans.
     """
     values = grid.values
     if values.size == 0:
@@ -238,26 +251,38 @@ def peak_sweep(
     if paths:
         left, right = _kernel_factors(grid._matrices, paths, grid.config)
     rows = max(1, _BLOCK_ENTRIES // n_tau)
-    kernel_buf = np.empty((rows, n_tau), dtype=complex)
-    mag_buf = np.empty((rows, n_tau))
+
+    def sweep(b0: int, b1: int) -> tuple[float, int, complex]:
+        "(magnitude, flat index, value) of blocks b0..b1-1's first peak."
+        kernel_buf = np.empty((rows, n_tau), dtype=complex)
+        mag_buf = np.empty((rows, n_tau))
+        best_mag, best_at, best_val = -1.0, 0, 0j
+        for r0 in range(b0 * rows, min(b1 * rows, len(flat)), rows):
+            block = flat[r0:r0 + rows]
+            if paths:
+                kernels = kernel_buf[:len(block)]
+                # np.dot, not np.matmul: matmul runs the rank-1 product, the
+                # common case, about 2x slower
+                np.dot(left[r0:r0 + rows], right, out=kernels)
+                np.subtract(block, kernels, out=block)
+            mag = np.abs(block, out=mag_buf[:len(block)])
+            k = int(mag.argmax())  # a NaN wins the argmax, so it is not skipped
+            peak = float(mag.flat[k])
+            if not math.isfinite(peak):
+                return peak, r0 * n_tau + k, 0j
+            if peak > best_mag:
+                best_mag, best_at, best_val = peak, r0 * n_tau + k, complex(block.flat[k])
+        return best_mag, best_at, best_val
+
+    n_blocks = -(-len(flat) // rows)
     best_mag, best_at, best_val = -1.0, 0, 0j
-    for r0 in range(0, flat.shape[0], rows):
-        block = flat[r0:r0 + rows]
-        if paths:
-            kernels = kernel_buf[:len(block)]
-            # np.dot, not np.matmul: matmul runs the rank-1 product, the
-            # common case, about 2x slower
-            np.dot(left[r0:r0 + rows], right, out=kernels)
-            np.subtract(block, kernels, out=block)
-        mag = np.abs(block, out=mag_buf[:len(block)])
-        k = int(mag.argmax())  # a NaN wins the argmax, so it is not skipped
-        peak = mag.flat[k]
+    for peak, at, val in run_spans(sweep, split_blocks(n_blocks, rows * n_tau)):
         if not math.isfinite(peak):
-            i, j, l = np.unravel_index(r0 * n_tau + k, values.shape)
+            i, j, l = np.unravel_index(at, values.shape)
             raise ValueError(
                 f"non-finite beamspace magnitude at grid index ({i}, {j}, {l})")
         if peak > best_mag:
-            best_mag, best_at, best_val = peak, r0 * n_tau + k, complex(block.flat[k])
+            best_mag, best_at, best_val = peak, at, val
     i, j, l = np.unravel_index(best_at, values.shape)
     return int(i), int(j), int(l), best_val
 
@@ -304,22 +329,26 @@ def _refine_peak(grid: BeamspaceGrid, i: int, j: int, l: int) -> tuple[float, fl
     return aoa, aod, tau
 
 
-def pdp_marginals(grid: BeamspaceGrid) -> tuple[np.ndarray, np.ndarray]:
-    """2D power maps of a beamspace grid.
+def pdp_marginals(
+    response: FrequencyResponse, spec: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """2D power maps of the beamspace grid of ``response`` on ``spec``.
 
     Returns ``(aoa_aod, aoa_delay)`` where ``aoa_aod[i, j]`` sums |value|^2
     over the delay axis and ``aoa_delay[i, l]`` sums over the AoD axis.
-    Both are accumulated one AoA row at a time, so the only temporary is one
-    row's power.
+    Both are accumulated from each AoA row of the transform as it is made,
+    so the grid is never held: besides the transform's own temporaries, the
+    only one is a row's power.
     """
-    n_aoa, n_aod, n_tau = grid.values.shape
-    aoa_aod = np.empty((n_aoa, n_aod))
-    aoa_delay = np.empty((n_aoa, n_tau))
-    power = np.empty((n_aod, n_tau))
-    for i in range(n_aoa):
-        np.abs(grid.values[i], out=power)
+    matrices = spec._matrices(response.config)
+    aoa_aod = np.empty((len(matrices[0]), len(matrices[1])))
+    aoa_delay = np.empty((len(matrices[0]), matrices[2].shape[1]))
+
+    def accumulate(i: int, row: np.ndarray) -> None:
+        power = np.abs(row)
         np.square(power, out=power)
         power.sum(axis=1, out=aoa_aod[i])
         power.sum(axis=0, out=aoa_delay[i])
-    return aoa_aod, aoa_delay
 
+    _separable_transform(response.values, *matrices, each_row=accumulate)
+    return aoa_aod, aoa_delay

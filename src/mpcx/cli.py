@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fileio
 from .assoc import ResolutionSpec, associate
-from .beamspace import GridSpec, beamspace_transform, pdp_marginals
+from .beamspace import GridSpec, pdp_marginals
 from .extract import ExtractionConfig, greedy_ls, reconstruction_error, sage_refine
 from .scenario import generate_scenario
 from .sounder import add_awgn, synthesize_response
@@ -110,6 +110,14 @@ def _require(out_dir: Path, name: str, stage: str) -> Path:
     return path
 
 
+def _require_finite_power(response, source) -> None:
+    "ValueError naming ``source`` if the response's total power overflows."
+    power = response.power
+    if not math.isfinite(power):
+        raise ValueError(f"{source}: total power {power!r} of the tensor is not "
+                         "finite")
+
+
 def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
     fileio.save_timings(out_dir / TIMINGS_JSON, {stage: seconds})
     logger.info("%s stage finished in %.2f s", stage, seconds)
@@ -135,18 +143,13 @@ def cmd_scenario(args) -> int:
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     config = fileio.load_sounder_config(args.config)
-    paths = fileio.load_paths_csv(args.paths, degrees=args.degrees)
-    for rownum, p in enumerate(paths, start=2):
-        if p.delay >= config.duration:
-            raise ValueError(
-                f"{args.paths}: row {rownum}: delay {p.delay!r} s is outside "
-                f"the unambiguous span {config.duration!r} s"
-            )
+    paths = fileio.load_paths_csv(args.paths, degrees=args.degrees, config=config)
     if args.noise_power > 0 and args.snr_db is not None:
         raise UsageError("--noise-power and --snr-db are mutually exclusive")
     t0 = time.perf_counter()
     with _run_lock(out_dir):
         response = synthesize_response(config, paths)
+        _require_finite_power(response, args.paths)
         noise_power = args.noise_power
         if args.snr_db is not None:
             mean_power = float(np.mean(np.abs(response.values) ** 2))
@@ -183,6 +186,7 @@ def cmd_extract(args) -> int:
         raise UsageError("sage-sweeps must be >= 0")
     config = fileio.load_sounder_config(args.config)
     response = fileio.load_response(args.tensor, config)
+    _require_finite_power(response, args.tensor)
     spec = GridSpec(os_aoa=args.oversample, os_aod=args.oversample,
                     os_delay=args.oversample)
     xcfg = ExtractionConfig(k_dom=args.kdom, k_g=args.kg, k_up=args.kup,
@@ -299,13 +303,14 @@ def cmd_report(args) -> int:
             out_dir / "plot_associated_scatter.csv",
             [(int(i), int(j), float(cost)) for i, j, cost, *_ in pair_rows],
             truth, estimates)
-        grid = beamspace_transform(response, GridSpec(
-            os_aoa=oversample, os_aod=oversample, os_delay=oversample))
-        map_angles, map_delay = pdp_marginals(grid)
+        spec = GridSpec(os_aoa=oversample, os_aod=oversample, os_delay=oversample)
+        map_angles, map_delay = pdp_marginals(response, spec)
         fileio.save_matrix_csv(out_dir / "plot_pdp_aoa_aod.csv", "aoa_cycles",
-                               grid.aoa_axis, grid.aod_axis, map_angles)
+                               spec.aoa_axis(config), spec.aod_axis(config),
+                               map_angles)
         fileio.save_matrix_csv(out_dir / "plot_pdp_aoa_delay.csv", "aoa_cycles",
-                               grid.aoa_axis, grid.delay_axis, map_delay)
+                               spec.aoa_axis(config), spec.delay_axis(config),
+                               map_delay)
         fileio.copy_artifact(trace_path, out_dir / "plot_residual_trace.csv")
         fileio.save_axis_errors_csv(out_dir / "plot_axis_errors.csv", pair_rows)
         fileio.save_kv_report(out_dir / RUN_REPORT, run_report)

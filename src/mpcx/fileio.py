@@ -40,7 +40,8 @@ import numpy as np
 
 from .assoc import AssociationResult, ResolutionSpec, wrap_cycles
 from .scenario import ScenarioSpec
-from .sounder import FrequencyResponse, PathParams, SounderConfig, spatial_frequency
+from .sounder import (FrequencyResponse, PathParams, SounderConfig, _check_delay,
+                      spatial_frequency)
 
 if typing.TYPE_CHECKING:
     from .extract import ExtractionTrace
@@ -239,11 +240,14 @@ def save_paths_csv(path, paths: list[PathParams]) -> None:
         for p in paths))
 
 
-def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
+def load_paths_csv(path, degrees: bool = False,
+                   config: SounderConfig | None = None) -> list[PathParams]:
     """Read a path-list CSV in either accepted schema.
 
     With ``degrees=True`` the angle columns hold physical angles in degrees
-    and are converted to spatial-frequency cycles on load.
+    and are converted to spatial-frequency cycles on load.  With ``config``,
+    a delay that would alias on its frequency grid, the check of
+    ``synthesize_response``, is refused naming its row.
     """
     header, rows = _read_csv(path, [PATHS_HEADER, PATHS_HEADER_DB])
     paths: list[PathParams] = []
@@ -271,6 +275,8 @@ def load_paths_csv(path, degrees: bool = False) -> list[PathParams]:
                 aod = spatial_frequency(aod)
                 aoa = spatial_frequency(aoa)
             paths.append(PathParams(gain=gain, delay=vals[2], aod=aod, aoa=aoa))
+            if config is not None:
+                _check_delay(config, vals[2])
         except ValueError as err:
             raise ValueError(f"{path}: row {rownum}: {err}") from None
     return paths

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from .pool import run_spans, split_blocks
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,10 @@ class FrequencyResponse:
 
     @property
     def power(self) -> float:
-        "Total squared Frobenius power summed over all tensor entries."
-        return float(np.sum(np.abs(self.values) ** 2))
+        """Total squared Frobenius power summed over all tensor entries; inf,
+        without a warning, when it overflows the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(self.values) ** 2))
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,13 @@ def _matched_filter(
     return np.einsum("rk,rk->k", a_rx.conj(), rows)
 
 
+def _check_delay(config: SounderConfig, delay: float) -> None:
+    "ValueError if ``delay`` aliases on the sampled frequency grid (>= T)."
+    if delay >= config.duration:
+        raise ValueError(f"delay {delay!r} s is outside the unambiguous span "
+                         f"{config.duration!r} s")
+
+
 # paths per block of synthesis: the block's steering matrices stay small next
 # to the response tensor however many paths there are
 _SYNTH_CHUNK = 64
@@ -237,12 +249,8 @@ def synthesize_response(config: SounderConfig, paths: list[PathParams]) -> Frequ
         If any path delay is >= the observation duration T (such a delay
         aliases on the sampled frequency grid).
     """
-    t_obs = config.duration
     for p in paths:
-        if p.delay >= t_obs:
-            raise ValueError(
-                f"path delay {p.delay} s >= observation duration {t_obs} s"
-            )
+        _check_delay(config, p.delay)
     values = np.zeros((config.n_rx, config.n_tx, config.n_freq), dtype=complex)
     for k0 in range(0, len(paths), _SYNTH_CHUNK):
         chunk = paths[k0:k0 + _SYNTH_CHUNK]
@@ -283,20 +291,43 @@ _RX_BLOCK = 16
 
 
 def _separable_transform(
-    values: np.ndarray, m_rx: np.ndarray, m_tx: np.ndarray, m_f: np.ndarray
-) -> np.ndarray:
+    values: np.ndarray, m_rx: np.ndarray, m_tx: np.ndarray, m_f: np.ndarray,
+    each_row: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray | None:
     """out[i, k, l] = sum_{r,t,m} m_rx[i, r] m_tx[k, t] values[r, t, m] m_f[m, l],
     applied delay first, then rx for a block of ``_RX_BLOCK`` output rows,
     then tx one output row at a time into the preallocated result, so no
-    output-sized temporary is made."""
+    output-sized temporary is made.
+
+    A large output is cut into spans of blocks that run on
+    ``pool.run_spans``; each span takes a block's rx product in pieces of
+    ``_RX_BLOCK`` / spans rows, so all spans' rx temporaries together stay
+    one block.  No piece is one row unless its block is: numpy takes a
+    one-row product by gemv, which rounds unlike gemm, so every row gets
+    the same bits in any split.  With ``each_row``, each output row i is
+    made in its span's buffer and passed as ``each_row(i, row)`` from the
+    span's thread, nothing is kept and None is returned."""
     n_rx, n_tx, n_freq = values.shape
-    n_out = m_f.shape[1]
+    n_aoa, n_out = len(m_rx), m_f.shape[1]
     lines = (values.reshape(n_rx * n_tx, n_freq) @ m_f).reshape(n_rx, n_tx * n_out)
-    out = np.empty((len(m_rx), len(m_tx), n_out), dtype=complex)
-    for i0 in range(0, len(out), _RX_BLOCK):
-        rows = (m_rx[i0:i0 + _RX_BLOCK] @ lines).reshape(-1, n_tx, n_out)
-        for i, row in enumerate(rows, start=i0):
-            np.matmul(m_tx, row, out=out[i])
+    out = None if each_row else np.empty((n_aoa, len(m_tx), n_out), dtype=complex)
+    spans = split_blocks(-(-n_aoa // _RX_BLOCK), _RX_BLOCK * len(m_tx) * n_out)
+    step = max(2, _RX_BLOCK // len(spans))
+
+    def transform(b0: int, b1: int) -> None:
+        row = np.empty((len(m_tx), n_out), dtype=complex) if each_row else None
+        for first in range(b0 * _RX_BLOCK, min(b1 * _RX_BLOCK, n_aoa), _RX_BLOCK):
+            last = min(first + _RX_BLOCK, n_aoa)
+            starts = list(range(first, max(first + 1, last - 1), step))
+            for i0, i1 in zip(starts, starts[1:] + [last]):
+                rows = (m_rx[i0:i1] @ lines).reshape(-1, n_tx, n_out)
+                for i, rx_row in enumerate(rows, start=i0):
+                    if each_row:
+                        each_row(i, np.matmul(m_tx, rx_row, out=row))
+                    else:
+                        np.matmul(m_tx, rx_row, out=out[i])
+
+    run_spans(transform, spans)
     return out
 
 

@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +21,7 @@ from mpcx import (
     single_path_grid,
     synthesize_response,
 )
-from mpcx import beamspace
+from mpcx import beamspace, pool
 from mpcx.beamspace import peak_sweep
 
 from closed_form import angle_kernel, delay_kernel
@@ -404,7 +409,7 @@ def test_peak_sweep_needs_contiguous_grid_and_may_stop_part_way():
 def test_pdp_marginals_properties():
     spec = GridSpec(os_aoa=2, os_aod=2, os_delay=2)
     zero = beamspace_transform(synthesize_response(DESK, []), spec)
-    m_ang, m_del = pdp_marginals(zero)
+    m_ang, m_del = pdp_marginals(synthesize_response(DESK, []), spec)
     assert np.all(m_ang == 0) and np.all(m_del == 0)
     assert m_ang.shape == (16, 16) and m_del.shape == (16, 64)
 
@@ -412,8 +417,9 @@ def test_pdp_marginals_properties():
     path = PathParams(gain=1 + 0j, delay=float(axis_grid.delay_axis[10]),
                       aod=float(axis_grid.aod_axis[4]),
                       aoa=float(axis_grid.aoa_axis[7]))
-    grid = beamspace_transform(synthesize_response(DESK, [path]), spec)
-    m_ang, m_del = pdp_marginals(grid)
+    resp = synthesize_response(DESK, [path])
+    grid = beamspace_transform(resp, spec)
+    m_ang, m_del = pdp_marginals(resp, spec)
     total = np.sum(np.abs(grid.values) ** 2)
     assert np.sum(m_ang) == pytest.approx(total, rel=1e-12)
     assert np.sum(m_del) == pytest.approx(total, rel=1e-12)
@@ -423,19 +429,111 @@ def test_pdp_marginals_properties():
 
 def test_pdp_marginals_equal_full_grid_formula_in_one_row_of_memory():
     rng = np.random.default_rng(41)
-    shape = (24, 20, 50)
-    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    grid = BeamspaceGrid(values=values, spec=GridSpec(), config=DESK)
+    cfg = SounderConfig(n_tx=8, n_rx=16, bandwidth_hz=1e9, n_freq=32)
+    resp = FrequencyResponse(values=rng.normal(size=(16, 8, 32))
+                             + 1j * rng.normal(size=(16, 8, 32)), config=cfg)
+    spec = GridSpec()
+    grid_bytes = 64 * 32 * 128 * 16
     tracemalloc.start()
     try:
-        m_ang, m_del = pdp_marginals(grid)
+        m_ang, m_del = pdp_marginals(resp, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    power = np.abs(values) ** 2
+    power = np.abs(beamspace_transform(resp, spec).values) ** 2
     np.testing.assert_allclose(m_ang, power.sum(axis=2), rtol=1e-12, atol=0)
     np.testing.assert_allclose(m_del, power.sum(axis=1), rtol=1e-12, atol=0)
-    assert peak < 0.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the grid"
+    assert peak < 0.25 * grid_bytes, f"peak {peak / grid_bytes:.2f}x the grid"
+
+
+def split_into(n_spans):
+    "Patches under which every kernel with ``n_spans`` or more blocks splits."
+    return mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1)
+
+
+def test_split_sweep_tie_across_span_edge_takes_lowest_index():
+    cfg, spec = hand_case((4, 3, 5))
+    values = np.zeros((4, 3, 5), dtype=complex)
+    values[2, 0, 1] = -3.0  # second span
+    values[1, 2, 4] = 3j  # first span, same magnitude, lower index
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
+        assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (1, 2, 4, 3j)
+        values[3, 1, 0] = 4.0  # a strictly larger peak in the second span wins
+        assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (3, 1, 0, 4.0)
+
+
+@pytest.mark.parametrize("with_path", [False, True])
+def test_split_sweep_reports_lowest_non_finite_index(with_path):
+    cfg, spec = hand_case((4, 3, 5))
+    values = np.ones((4, 3, 5), dtype=complex)
+    values[3, 0, 2] = np.inf  # second span
+    values[1, 1, 3] = np.nan  # first span
+    paths = [PathParams(gain=0.5 + 0j, delay=0.0, aod=0.0, aoa=0.0)] if with_path else []
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
+        with pytest.raises(ValueError, match=r"non-finite .* \(1, 1, 3\)"):
+            peak_sweep(BeamspaceGrid(values, spec, cfg), paths)
+
+
+@pytest.mark.parametrize("n_spans", [2, 3])
+def test_split_transform_is_bit_identical(n_spans):
+    rng = np.random.default_rng(43)
+    cfg = SounderConfig(n_tx=6, n_rx=9, bandwidth_hz=1e9, n_freq=20)
+    resp = FrequencyResponse(values=rng.normal(size=(9, 6, 20))
+                             + 1j * rng.normal(size=(9, 6, 20)), config=cfg)
+    spec = GridSpec(os_aoa=4, os_aod=3, os_delay=2)  # 36 AoA rows: 3 blocks
+    whole = beamspace_transform(resp, spec).values
+    maps = pdp_marginals(resp, spec)
+    with split_into(n_spans):
+        assert len(pool.split_blocks(3, 1)) == n_spans
+        np.testing.assert_array_equal(beamspace_transform(resp, spec).values, whole)
+        for split, unsplit in zip(pdp_marginals(resp, spec), maps):
+            np.testing.assert_array_equal(split, unsplit)
+
+
+def _sweep_in_child(values, spec, cfg, conn):
+    with split_into(2):
+        conn.send(peak_sweep(BeamspaceGrid(values, spec, cfg), []))
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_split_sweep_runs_in_a_forked_child():
+    "A child forked after a split sweep gets a pool of its own, not the parent's."
+    cfg, spec = hand_case((4, 3, 5))
+    values = np.zeros((4, 3, 5), dtype=complex)
+    values[3, 2, 1] = 2.0
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
+        assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (3, 2, 1, 2.0)
+        assert pool._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_sweep_in_child, args=(values, spec, cfg, send))
+        child.start()
+        try:
+            assert receive.poll(60), "the child's split sweep did not finish"
+            assert receive.recv() == (3, 2, 1, 2.0)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+    assert child.exitcode == 0
+
+
+def test_small_grids_and_one_cpu_start_no_pool():
+    "Below the split threshold, or with one CPU, nothing imports concurrent.futures."
+    code = """
+import sys
+from mpcx import GridSpec, SounderConfig, beamspace_transform, pool, synthesize_response
+from mpcx.beamspace import peak_sweep
+cfg = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
+for split_at, cpus in ((pool._MIN_SPAN_ENTRIES, pool._cpus()), (1, 1)):
+    pool._MIN_SPAN_ENTRIES, pool._cpus = split_at, lambda: cpus
+    peak_sweep(beamspace_transform(synthesize_response(cfg, []), GridSpec()), [])
+    assert pool._pool is None and "concurrent.futures" not in sys.modules
+"""
+    src = str(Path(beamspace.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_transform_rejects_foreign_shapes():

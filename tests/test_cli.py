@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mpcx import ExtractionConfig, GridSpec, fileio, greedy_ls
+from mpcx import ExtractionConfig, GridSpec, fileio, greedy_ls, synthesize_response
 from mpcx.cli import main
 
 DESK_SPEC = """\
@@ -438,3 +438,39 @@ def test_locked_run_dir_exits_2(tmp_path, capsys):
     assert main(["scenario", "--spec", str(spec), "--out-dir", str(out),
                  "--quiet"]) == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_synth_names_csv_row_of_aliasing_delay(tmp_path, capsys):
+    "The row is the file's own, blank lines counted (desk span: 32 ns)."
+    paths = tmp_path / "far.csv"
+    paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+                     "1,0,5e-09,0.1,0.1\n\n1,0,4e-08,0.1,0.1\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{paths}: row 4: delay 4e-08 s is outside the unambiguous span" in err
+    assert not out.exists()
+
+
+def test_non_finite_total_power_exits_2_naming_file(tmp_path, capsys):
+    "A 6100 dB path: finite entries near 1e305, but their power overflows."
+    paths = tmp_path / "p.csv"
+    paths.write_text("gain_db,phase_deg,delay_s,aod_cycles,aoa_cycles\n"
+                     "6100,0,5e-09,0.1,0.1\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{paths}: total power" in err and "not finite" in err
+    assert not (out / "tensor.bin").exists()
+
+    config = fileio.load_sounder_config("desk")
+    tensor = tmp_path / "tensor.bin"
+    fileio.save_tensor(tensor, synthesize_response(
+        config, fileio.load_paths_csv(paths)))
+    assert main(["extract", "--config", "desk", "--tensor", str(tensor),
+                 "--kdom", "4", "--out-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{tensor}: total power" in err and "not finite" in err
+    assert not (out / "estimates.csv").exists()

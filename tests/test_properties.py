@@ -27,6 +27,7 @@ from mpcx import (
     greedy_ls,
     ls_amplitudes,
     ls_condition,
+    pool,
     single_path_grid,
     synthesize_response,
 )
@@ -69,10 +70,10 @@ def test_transform_equals_point_evaluation(n_rx, n_tx, n_freq, os_aoa, os_aod,
 
 @settings(max_examples=150, deadline=None)
 @given(**SMALL, n_paths=st.integers(0, 4), on_grid=st.booleans(),
-       ties=st.booleans(), block=st.integers(1, 80))
+       ties=st.booleans(), block=st.integers(1, 80), n_spans=st.integers(2, 4))
 def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
                                         os_delay, seed, n_paths, on_grid, ties,
-                                        block):
+                                        block, n_spans):
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
     rng = np.random.default_rng(seed)
     if ties:
@@ -99,8 +100,14 @@ def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
                          np.zeros(shape, dtype=complex))
     mag = np.abs(dense)
     work = values.copy()
+    split_work = values.copy()
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
         i, j, l, val = peak_sweep(beamspace.BeamspaceGrid(work, spec, cfg), paths)
+        # the same sweep cut into up to n_spans spans on the thread pool
+        with mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1):
+            split = peak_sweep(beamspace.BeamspaceGrid(split_work, spec, cfg), paths)
+    assert split == (i, j, l, val)
+    assert np.array_equal(split_work, work)
 
     scale = max(1.0, float(mag.max()))
     if paths:
