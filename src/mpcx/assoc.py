@@ -62,7 +62,8 @@ class AssociationResult:
 
     ``pairs`` holds (phys_index, est_index, cost) triples sorted by physical
     index; every index appears in at most one pair.  Cost totals are weighted
-    by each physical path's share of total physical power.
+    by each physical path's share of total physical power.  Row k of
+    ``pair_errors`` is pair k's row of ``_axis_errors``.
     """
 
     pairs: list[tuple[int, int, float]]
@@ -71,6 +72,7 @@ class AssociationResult:
     pre_pa_cost: float
     post_pa_cost: float
     bin_sets: BinSets
+    pair_errors: np.ndarray
 
     @property
     def k_pa(self) -> int:
@@ -82,6 +84,22 @@ def wrap_cycles(delta):
     return delta - np.ceil(delta - 0.5)
 
 
+def _axis_errors(phys: list[PathParams], est: list[PathParams],
+                 res: ResolutionSpec) -> np.ndarray:
+    """Signed errors in resolution bins, n x m x 3: [i, j] is truth i minus
+    estimate j in delay, AoA and AoD, angle differences wrapped.  The one
+    error rule behind the costs, the bin sets and the pairs CSV."""
+    delta = (np.array([(q.delay, q.aoa, q.aod) for q in phys])[:, None, :]
+             - np.array([(q.delay, q.aoa, q.aod) for q in est]))
+    delta[..., 1:] = wrap_cycles(delta[..., 1:])
+    return delta / np.array([res.delay_res, res.aoa_res, res.aod_res])
+
+
+def _cost_matrix(errors: np.ndarray) -> np.ndarray:
+    "Costs of the pairs of an ``_axis_errors`` array: its squares summed per pair."
+    return np.sum(errors ** 2, axis=-1)
+
+
 def pairwise_cost(phys: PathParams, est: PathParams, res: ResolutionSpec) -> float:
     """Normalized squared geometric distance between two paths.
 
@@ -90,27 +108,7 @@ def pairwise_cost(phys: PathParams, est: PathParams, res: ResolutionSpec) -> flo
     the principal interval.  Zero iff the geometries coincide (mod 1 in
     angle); one unit per axis that is off by exactly one resolution width.
     """
-    d_tau = (phys.delay - est.delay) / res.delay_res
-    d_aoa = wrap_cycles(phys.aoa - est.aoa) / res.aoa_res
-    d_aod = wrap_cycles(phys.aod - est.aod) / res.aod_res
-    # products, as numpy squares: a Python float's ** 2 calls libm pow, which
-    # can differ from d * d in the last bit
-    return float(d_tau * d_tau + d_aoa * d_aoa + d_aod * d_aod)
-
-
-def _cost_matrix(phys: list[PathParams], est: list[PathParams],
-                 res: ResolutionSpec) -> np.ndarray:
-    """``pairwise_cost`` of every (phys, est) pair as one n x m array.
-
-    The same formula evaluated by broadcasting, operation for operation, so
-    every entry equals the scalar ``pairwise_cost`` bit for bit.
-    """
-    p = np.array([(q.delay, q.aoa, q.aod) for q in phys])[:, None, :]
-    e = np.array([(q.delay, q.aoa, q.aod) for q in est])[None, :, :]
-    d_tau = (p[..., 0] - e[..., 0]) / res.delay_res
-    d_aoa = wrap_cycles(p[..., 1] - e[..., 1]) / res.aoa_res
-    d_aod = wrap_cycles(p[..., 2] - e[..., 2]) / res.aod_res
-    return d_tau**2 + d_aoa**2 + d_aod**2
+    return float(_cost_matrix(_axis_errors([phys], [est], res))[0, 0])
 
 
 def _lap(cost: np.ndarray) -> np.ndarray:
@@ -229,42 +227,30 @@ def associate(
 
     Bin sets contain the physical indices of matched pairs whose per-axis
     error is within (<=) one resolution width; the joint set is the exact
-    intersection of the three.
+    intersection of the three.  Total physical power must be finite and > 0.
     """
     if not phys or not est:
         raise ValueError("phys and est path lists must be non-empty")
-    matrix = _cost_matrix(phys, est, res)
+    total = float(sum(p.power for p in phys))
+    if not 0 < total < np.inf:
+        raise ValueError(f"physical paths' total power {total!r} must be finite and > 0")
+    errors = _axis_errors(phys, est, res)
+    matrix = _cost_matrix(errors)
     solution = assign(matrix, unmatched_cost)
-
-    total_phys_power = float(sum(p.power for p in phys))
-    weight = [p.power / total_phys_power for p in phys]
+    weight = [p.power / total for p in phys]
 
     pairs = [(i, j, float(matrix[i, j])) for i, j in solution.pairs]
     post = float(sum(weight[i] * c for i, _, c in pairs))
 
-    k_pa = len(pairs)
-    phys_rank = _power_order(phys)
-    est_rank = _power_order(est)
-    pre = 0.0
-    for r in range(k_pa):
-        i, j = phys_rank[r], est_rank[r]
-        pre += weight[i] * float(matrix[i, j])
+    ranked = zip(_power_order(phys)[:len(pairs)], _power_order(est))
+    pre = float(sum(weight[i] * float(matrix[i, j]) for i, j in ranked))
 
-    in_delay, in_aoa, in_aod = set(), set(), set()
-    for i, j, _ in pairs:
-        p, q = phys[i], est[j]
-        if abs(p.delay - q.delay) <= res.delay_res:
-            in_delay.add(i)
-        if abs(wrap_cycles(p.aoa - q.aoa)) <= res.aoa_res:
-            in_aoa.add(i)
-        if abs(wrap_cycles(p.aod - q.aod)) <= res.aod_res:
-            in_aod.add(i)
-    bin_sets = BinSets(
-        delay=frozenset(in_delay),
-        aoa=frozenset(in_aoa),
-        aod=frozenset(in_aod),
-        joint=frozenset(in_delay & in_aoa & in_aod),
-    )
+    rows = [i for i, _ in solution.pairs]
+    pair_errors = errors[rows, [j for _, j in solution.pairs]]
+    in_delay, in_aoa, in_aod = (frozenset(i for i, ok in zip(rows, within) if ok)
+                                for within in (np.abs(pair_errors) <= 1).T)
+    bin_sets = BinSets(delay=in_delay, aoa=in_aoa, aod=in_aod,
+                       joint=in_delay & in_aoa & in_aod)
     return AssociationResult(
         pairs=pairs,
         unmatched_phys=solution.unmatched_rows,
@@ -272,4 +258,5 @@ def associate(
         pre_pa_cost=pre,
         post_pa_cost=post,
         bin_sets=bin_sets,
+        pair_errors=pair_errors,
     )

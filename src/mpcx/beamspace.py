@@ -39,37 +39,28 @@ from .sounder import (
     PathParams,
     SounderConfig,
     _lattice_matrices,
+    _matched_filter,
     _separable_transform,
     _steering_matrices,
-    resolvable_delays,
 )
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Oversampling factors and delay span of the beamspace lattice.
+    """Oversampling factors of the beamspace lattice.
 
     The AoA axis has ``n_rx * os_aoa`` points uniformly covering [-0.5, 0.5),
     the AoD axis ``n_tx * os_aod`` points likewise, and the delay axis
-    ``ceil(delay_span * W) * os_delay`` points covering [0, delay_span).
-    ``delay_span`` defaults to the observation duration T.
+    ``n_freq * os_delay`` points covering the observation duration [0, T).
     """
 
     os_aoa: int = 4
     os_aod: int = 4
     os_delay: int = 4
-    delay_span: float | None = None
 
     def __post_init__(self):
         if min(self.os_aoa, self.os_aod, self.os_delay) < 1:
             raise ValueError("oversampling factors must be positive integers")
-        if self.delay_span is not None and not (
-                math.isfinite(self.delay_span) and self.delay_span > 0):
-            raise ValueError(f"delay_span {self.delay_span} must be finite and "
-                             "positive")
-
-    def span(self, config: SounderConfig) -> float:
-        return config.duration if self.delay_span is None else self.delay_span
 
     def aoa_axis(self, config: SounderConfig) -> np.ndarray:
         n = config.n_rx * self.os_aoa
@@ -80,16 +71,11 @@ class GridSpec:
         return -0.5 + np.arange(n) / n
 
     def delay_axis(self, config: SounderConfig) -> np.ndarray:
-        n_bins = resolvable_delays(self.span(config), config.bandwidth_hz)
-        n = n_bins * self.os_delay
+        n = config.n_freq * self.os_delay
         return np.arange(n) / (config.bandwidth_hz * self.os_delay)
 
     def _matrices(self, config: SounderConfig):
-        """``sounder._lattice_matrices`` of this lattice's axes; ValueError if
-        its delay span would alias."""
-        if self.span(config) > config.duration:
-            raise ValueError("grid delay_span exceeds the observation duration; "
-                             "the transform would alias in delay")
+        "``sounder._lattice_matrices`` of this lattice's axes."
         return _lattice_matrices(config, self.delay_axis(config),
                                  self.aod_axis(config), self.aoa_axis(config))
 
@@ -117,10 +103,6 @@ class BeamspaceGrid:
     @property
     def delay_axis(self) -> np.ndarray:
         return self.spec.delay_axis(self.config)
-
-    @property
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
 
     @cached_property
     def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,11 +153,12 @@ def beamspace_point(
     """Evaluate the beamspace transform of a response at one off-lattice point.
 
     This is the matched filter of the unit path at (aoa, aod, delay) divided
-    by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude: the same
-    separable map as ``beamspace_transform`` on a one-point lattice.
+    by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude, as the
+    greedy-LS commit takes it.
     """
-    matrices = _lattice_matrices(response.config, [delay], [aod], [aoa])
-    return complex(_separable_transform(response.values, *matrices)[0, 0, 0])
+    values = response.values
+    atoms = _steering_matrices(response.config, [delay], [aod], [aoa])
+    return complex(_matched_filter(values, *atoms)[0]) / values.size
 
 
 def _kernel_factors(

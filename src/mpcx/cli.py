@@ -110,12 +110,13 @@ def _require(out_dir: Path, name: str, stage: str) -> Path:
     return path
 
 
-def _require_finite_power(response, source) -> None:
-    "ValueError naming ``source`` if the response's total power overflows."
+def _require_finite_power(response, source) -> float:
+    "The response's total power; ValueError naming ``source`` if it overflows."
     power = response.power
     if not math.isfinite(power):
         raise ValueError(f"{source}: total power {power!r} of the tensor is not "
                          "finite")
+    return power
 
 
 def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
@@ -149,10 +150,10 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     with _run_lock(out_dir):
         response = synthesize_response(config, paths)
-        _require_finite_power(response, args.paths)
+        power = _require_finite_power(response, args.paths)
         noise_power = args.noise_power
         if args.snr_db is not None:
-            mean_power = float(np.mean(np.abs(response.values) ** 2))
+            mean_power = power / response.values.size
             try:
                 noise_power = mean_power / 10.0 ** (args.snr_db / 10.0)
             except OverflowError:  # 10^(snr/10) above the float range
@@ -233,12 +234,15 @@ def cmd_associate(args) -> int:
     out_dir = Path(args.out_dir)
     config = fileio.load_sounder_config(args.config)
     phys = fileio.load_paths_csv(args.truth, degrees=args.degrees)
+    total = sum(p.power for p in phys)
+    if not 0 < total < math.inf:
+        raise ValueError(f"{args.truth}: total power {total!r} must be finite and > 0")
     est = fileio.load_paths_csv(args.estimates, degrees=args.degrees)
     res = ResolutionSpec.from_config(config)
     t0 = time.perf_counter()
     with _run_lock(out_dir):
         result = associate(phys, est, res, args.unmatched_cost)
-        fileio.save_pairs_csv(out_dir / PAIRS_CSV, result, phys, est, res)
+        fileio.save_pairs_csv(out_dir / PAIRS_CSV, result)
         fileio.save_association_report(out_dir / ASSOC_REPORT, result,
                                        len(phys), len(est), args.unmatched_cost)
         _record_timing(out_dir, "associate", time.perf_counter() - t0)

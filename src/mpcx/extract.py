@@ -159,13 +159,20 @@ def _coherence_pairs(gram: np.ndarray) -> list[tuple[int, int, float]]:
     return pairs
 
 
+def _gram_condition(gram: np.ndarray) -> float:
+    "Condition number of a Hermitian Gram matrix from its eigenvalues; inf if singular."
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore"):
+        return float(eig.max() / eig.min())
+
+
 def _ls_solve(
     response: FrequencyResponse,
     geometry: list[tuple[float, float, float]],
     config: SounderConfig,
 ) -> tuple[np.ndarray, float]:
     """LS amplitudes and Gram condition number: the Gram matrix and the
-    right-hand side from one set of atoms, the condition from one SVD."""
+    right-hand side from one set of atoms, the condition from its eigenvalues."""
     dim = config.n_rx * config.n_tx * config.n_freq
     if len(geometry) >= dim:
         raise ValueError(f"{len(geometry)} paths >= signal space dimension {dim}")
@@ -173,7 +180,7 @@ def _ls_solve(
         raise ValueError("response and config disagree")
     atoms = _geometry_atoms(geometry, config)
     gram = _dictionary_gram(*atoms)
-    condition = float(np.linalg.cond(gram))
+    condition = _gram_condition(gram)
     if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
         raise DegenerateGeometryError(condition, _coherence_pairs(gram))
     return np.linalg.solve(gram, _matched_filter(response.values, *atoms)), condition
@@ -208,7 +215,7 @@ def ls_condition(
     geometry: list[tuple[float, float, float]], config: SounderConfig
 ) -> float:
     "Condition number of the dictionary Gram matrix; validates like ``ls_amplitudes``."
-    return float(np.linalg.cond(_dictionary_gram(*_geometry_atoms(geometry, config))))
+    return _gram_condition(_dictionary_gram(*_geometry_atoms(geometry, config)))
 
 
 def _ls_with_dedup(
@@ -221,12 +228,11 @@ def _ls_with_dedup(
     Returns (amplitudes, condition, kept original indices, dropped count).
     """
     kept = list(range(len(geometry)))
-    dropped = 0
     while True:
         subset = [geometry[i] for i in kept]
         try:
             amps, cond = _ls_solve(response, subset, config)
-            return amps, cond, kept, dropped
+            return amps, cond, kept, len(geometry) - len(kept)
         except DegenerateGeometryError as err:
             if len(kept) == 1:
                 raise
@@ -237,7 +243,6 @@ def _ls_with_dedup(
                 kept[drop_local], coh, kept[min(a, b)],
             )
             del kept[drop_local]
-            dropped += 1
 
 
 def _commit_atom(residual: np.ndarray, cand: PathParams,
@@ -284,7 +289,7 @@ def greedy_ls(
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
-    end (exact duplicate geometries are merged by dropping the later one).
+    end (of duplicate geometries, the later one is dropped).
     With ``refine_peaks``, candidate coordinates are nudged off-grid by
     per-axis quadratic interpolation around each detected peak; estimates
     are grid-quantized otherwise.
@@ -364,26 +369,13 @@ def _global_refit(
     config: SounderConfig,
     trace: ExtractionTrace,
 ) -> list[PathParams]:
-    "Refit all committed amplitudes jointly against the original measurement."
-    unique: list[PathParams] = []
-    seen: set[tuple[float, float, float]] = set()
-    for p in paths:
-        key = (p.delay, p.aod, p.aoa)
-        if key in seen:
-            logger.info("merging exact duplicate committed geometry %s", key)
-            trace.dropped_duplicates += 1
-            continue
-        seen.add(key)
-        unique.append(p)
-    geometry = [(p.delay, p.aod, p.aoa) for p in unique]
+    """Refit all committed amplitudes jointly against the original measurement;
+    a later near or exact duplicate geometry is dropped by ``_ls_with_dedup``."""
+    geometry = [(p.delay, p.aod, p.aoa) for p in paths]
     amps, cond, kept, dropped = _ls_with_dedup(response, geometry, config)
     trace.ls_condition.append(cond)
     trace.dropped_duplicates += dropped
-    return [
-        PathParams(gain=complex(a), delay=unique[i].delay,
-                   aod=unique[i].aod, aoa=unique[i].aoa)
-        for a, i in zip(amps, kept)
-    ]
+    return [replace(paths[i], gain=complex(a)) for a, i in zip(amps, kept)]
 
 
 def reconstruct(paths: list[PathParams], config: SounderConfig) -> FrequencyResponse:
@@ -400,7 +392,7 @@ def reconstruction_error(estimate: FrequencyResponse, truth: FrequencyResponse) 
     """
     if estimate.values.shape != truth.values.shape:
         raise ValueError("estimate and truth shapes differ")
-    denom = float(np.sum(np.abs(truth.values) ** 2))
+    denom = truth.power
     if denom == 0:
         raise ValueError("truth response has zero power")
     return float(np.sum(np.abs(estimate.values - truth.values) ** 2)) / denom

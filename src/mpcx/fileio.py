@@ -12,6 +12,8 @@ Formats, all documented here and stable:
   reports; ``#`` starts a comment line.
 - Plot data as headed CSV (scatters, residual trace, per-pair errors, and
   power-map matrices whose header row carries the column-axis coordinates).
+- Pairs CSV, written from an ``AssociationResult`` alone: per matched pair
+  its indices, cost, ``pair_errors`` row and joint-bin membership.
 
 The keys of a sounder config or scenario spec file are the fields of its
 dataclass.  All CSVs are written by one writer, and those read back go through
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assoc import AssociationResult, ResolutionSpec, wrap_cycles
+from .assoc import AssociationResult
 from .scenario import ScenarioSpec
 from .sounder import (FrequencyResponse, PathParams, SounderConfig, _check_delay,
                       spatial_frequency)
@@ -370,16 +372,12 @@ def load_trace_csv(path) -> list[tuple[int, float]]:
             for rownum, row in rows]
 
 
-def save_pairs_csv(path, result: AssociationResult, phys: list[PathParams],
-                   est: list[PathParams], res: ResolutionSpec) -> None:
+def save_pairs_csv(path, result: AssociationResult) -> None:
     "Per-pair association errors in resolution bins (signed, truth minus estimate)."
     _write_csv(path, PAIRS_HEADER, (
-        [i, j, _fmt(cost),
-         _fmt((phys[i].delay - est[j].delay) / res.delay_res),
-         _fmt(wrap_cycles(phys[i].aoa - est[j].aoa) / res.aoa_res),
-         _fmt(wrap_cycles(phys[i].aod - est[j].aod) / res.aod_res),
-         int(i in result.bin_sets.joint)]
-        for i, j, cost in result.pairs))
+        [i, j, _fmt(cost)] + [_fmt(e) for e in errors]
+        + [int(i in result.bin_sets.joint)]
+        for (i, j, cost), errors in zip(result.pairs, result.pair_errors)))
 
 
 def load_pairs_csv(path, n_phys: int, n_est: int) -> list[list[str]]:

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ class PathParams:
     Parameters
     ----------
     gain : complex
-        Linear complex path amplitude, finite.
+        Linear complex path amplitude, finite, with a finite power |gain|^2.
     delay : float
         Propagation delay in seconds, finite and >= 0.
     aod : float
@@ -48,8 +47,12 @@ class PathParams:
     aoa: float
 
     def __post_init__(self):
-        if not cmath.isfinite(self.gain):
-            raise ValueError(f"gain {self.gain} must be finite")
+        try:
+            power = self.power
+        except OverflowError:
+            power = math.inf
+        if not math.isfinite(power):
+            raise ValueError(f"gain {self.gain} must be finite, with a finite power")
         if not -0.5 <= self.aod <= 0.5:
             raise ValueError(f"aod {self.aod} outside [-0.5, 0.5] cycles")
         if not -0.5 <= self.aoa <= 0.5:
@@ -161,18 +164,16 @@ def resolvable_delays(tau_max: float, bandwidth_hz: float) -> int:
     return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
 
 
-def spatial_frequency(phi_deg, spacing_ratio: float = 0.5):
+def spatial_frequency(phi_deg):
     """Map a physical angle (degrees from broadside) to spatial frequency in cycles.
 
-    theta = (d / lambda) * sin(phi).  At critical spacing d/lambda = 0.5 the
-    result lies in [-0.5, 0.5].
+    theta = (d / lambda) * sin(phi) at critical spacing d/lambda = 0.5, so
+    the result lies in [-0.5, 0.5].
     """
     phi = np.asarray(phi_deg, dtype=float)
     if np.any(phi < -90.0) or np.any(phi > 90.0):
         raise ValueError("physical angle must lie in [-90, 90] degrees")
-    if spacing_ratio <= 0:
-        raise ValueError("spacing_ratio must be positive")
-    out = spacing_ratio * np.sin(np.deg2rad(phi))
+    out = 0.5 * np.sin(np.deg2rad(phi))
     return float(out) if np.isscalar(phi_deg) else out
 
 

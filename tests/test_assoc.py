@@ -19,7 +19,7 @@ from mpcx import (
     wrap_cycles,
 )
 
-from mpcx.assoc import _cost_matrix, _lap
+from mpcx.assoc import _axis_errors, _cost_matrix, _lap
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 RES = ResolutionSpec.from_config(DESK)
@@ -106,7 +106,7 @@ PATH = st.builds(lambda d, t, r: PathParams(gain=1 + 0j, delay=d, aod=t, aoa=r),
 @given(phys=st.lists(PATH, min_size=1, max_size=6),
        est=st.lists(PATH, min_size=1, max_size=6))
 def test_cost_matrix_equals_scalar_loop_bit_for_bit(phys, est):
-    matrix = _cost_matrix(phys, est, RES)
+    matrix = _cost_matrix(_axis_errors(phys, est, RES))
     loop = np.array([[pairwise_cost(p, q, RES) for q in est] for p in phys])
     assert matrix.shape == loop.shape
     assert np.array_equal(matrix, loop)

@@ -454,10 +454,11 @@ def test_synth_names_csv_row_of_aliasing_delay(tmp_path, capsys):
 
 
 def test_non_finite_total_power_exits_2_naming_file(tmp_path, capsys):
-    "A 6100 dB path: finite entries near 1e305, but their power overflows."
+    """A 3060 dB path: a finite path power near 1e306 and finite entries near
+    1e153, but the power of the 2048 desk entries together overflows."""
     paths = tmp_path / "p.csv"
     paths.write_text("gain_db,phase_deg,delay_s,aod_cycles,aoa_cycles\n"
-                     "6100,0,5e-09,0.1,0.1\n", encoding="utf-8")
+                     "3060,0,5e-09,0.1,0.1\n", encoding="utf-8")
     out = tmp_path / "r"
     assert main(["synth", "--config", "desk", "--paths", str(paths),
                  "--out-dir", str(out), "--quiet"]) == 2
@@ -474,3 +475,42 @@ def test_non_finite_total_power_exits_2_naming_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tensor}: total power" in err and "not finite" in err
     assert not (out / "estimates.csv").exists()
+
+
+def _associate(tmp_path, truth_rows, est_rows):
+    "Run associate on two one-off path CSVs; returns (exit code, stderr, paths)."
+    header = "gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+    truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+    truth.write_text(header + truth_rows, encoding="utf-8")
+    est.write_text(header + est_rows, encoding="utf-8")
+    out = tmp_path / "r"
+    code = main(["associate", "--config", "desk", "--truth", str(truth),
+                 "--estimates", str(est), "--out-dir", str(out), "--quiet"])
+    assert not (out / "pairs.csv").exists()
+    return code, truth, est
+
+
+@pytest.mark.parametrize("gains, total", [("0.0", "0.0"), ("1e154", "inf")])
+def test_associate_zero_or_overflowing_truth_power_exits_2_naming_file(
+        tmp_path, capsys, gains, total):
+    """All-zero gains, or path powers of 1e308 that are finite alone but
+    overflow together (their weights would all read 0)."""
+    code, truth, _ = _associate(
+        tmp_path, f"{gains},0,5e-09,0.1,0.1\n{gains},0,1e-08,0,0\n",
+        "1,0,5e-09,0.1,0.1\n")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{truth}: total power {total} must be finite and > 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["truth", "estimates"])
+def test_associate_overflowing_path_power_exits_2_naming_row(tmp_path, capsys, side):
+    good, huge = "1,0,5e-09,0.1,0.1\n", "1,0,5e-09,0.1,0.1\n1e200,0,1e-08,0,0\n"
+    code, truth, est = _associate(tmp_path, huge if side == "truth" else good,
+                                  huge if side == "estimates" else good)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{truth if side == 'truth' else est}: row 3: gain" in err
+    assert "finite power" in err
+    assert "Traceback" not in err

@@ -218,6 +218,24 @@ def test_ls_duplicate_geometry_raises():
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
+def test_global_refit_drops_later_exact_duplicate():
+    """A committed list holding one geometry twice is refit without the later
+    copy, counted once, with the amplitudes of a refit of the unique list."""
+    resp = desk_case(3, 20.0, n_paths=4)
+    unique = [PathParams(gain=1 + 0j, delay=5e-9, aod=0.1, aoa=-0.2),
+              PathParams(gain=0.5j, delay=12e-9, aod=-0.3, aoa=0.25),
+              PathParams(gain=-0.7 + 0j, delay=20e-9, aod=0.4, aoa=0.05)]
+    copy = replace(unique[0], gain=0.25 - 0.5j)
+    trace = ExtractionTrace()
+    refit = extract._global_refit(resp, [unique[0], unique[1], copy, unique[2]],
+                                  DESK, trace)
+    assert trace.dropped_duplicates == 1
+    assert [(p.delay, p.aod, p.aoa) for p in refit] == [
+        (p.delay, p.aod, p.aoa) for p in unique]
+    amps = ls_amplitudes(resp, [(p.delay, p.aod, p.aoa) for p in unique], DESK)
+    assert [p.gain for p in refit] == [complex(a) for a in amps]
+
+
 def test_ls_rejects_empty_geometry():
     resp = synthesize_response(DESK, [])
     with pytest.raises(ValueError):

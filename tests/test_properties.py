@@ -1,11 +1,12 @@
-"""Property-based tests of the beamspace grid kernels, the LS solve and the
-greedy-LS residual trace.
+"""Property-based tests of the beamspace grid kernels, the LS solve, the
+greedy-LS residual trace and the per-axis pair error rule.
 
 The fixed-seed tests and the numbered criteria stay the reference; these
 add random small grids, path lists, geometries and block sizes drawn by
 hypothesis.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -24,13 +25,17 @@ from mpcx import (
     beamspace,
     beamspace_point,
     beamspace_transform,
+    extract,
+    fileio,
     greedy_ls,
     ls_amplitudes,
     ls_condition,
+    pairwise_cost,
     pool,
     single_path_grid,
     synthesize_response,
 )
+from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix, associate
 from mpcx.beamspace import peak_sweep
 from mpcx.extract import GRAM_CONDITION_LIMIT
 
@@ -228,3 +233,108 @@ def test_residual_trace_never_increases_and_equals_recomputed(
         residual = resp.values - synthesize_response(cfg, found[:k + 1]).values
         assert recorded == pytest.approx(float(np.vdot(residual, residual).real),
                                          rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_beamspace_point_is_the_commit_amplitude(n_rx, n_tx, n_freq, seed):
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    rng = np.random.default_rng(seed)
+    resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
+                             config=cfg)
+    cand = PathParams(gain=1 + 0j, delay=rng.uniform(0, cfg.duration),
+                      aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+    point = beamspace_point(resp, cand.aoa, cand.aod, cand.delay)
+    assert point == extract._commit_atom(resp.values.copy(), cand, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the per-axis pair error against the scalar formulas it replaced
+
+
+def oracle_wrap(delta):
+    return delta - np.ceil(delta - 0.5)
+
+
+def oracle_errors(p, q, res):
+    "Signed (delay, aoa, aod) error in bins of one pair, one scalar at a time."
+    return ((p.delay - q.delay) / res.delay_res,
+            oracle_wrap(p.aoa - q.aoa) / res.aoa_res,
+            oracle_wrap(p.aod - q.aod) / res.aod_res)
+
+
+def oracle_cost(p, q, res):
+    d_tau, d_aoa, d_aod = oracle_errors(p, q, res)
+    return float(d_tau * d_tau + d_aoa * d_aoa + d_aod * d_aod)
+
+
+def oracle_within(p, q, res):
+    "Per-axis |delta| <= resolution, on the unscaled differences."
+    return (abs(p.delay - q.delay) <= res.delay_res,
+            abs(oracle_wrap(p.aoa - q.aoa)) <= res.aoa_res,
+            abs(oracle_wrap(p.aod - q.aod)) <= res.aod_res)
+
+
+def bits(values):
+    "Exact text of each float, signed zeros told apart."
+    return [float(v).hex() for v in values]
+
+
+ERR_ANGLE = st.one_of(st.floats(-0.5, 0.5), st.floats(0.45, 0.5),
+                      st.floats(-0.5, -0.45), st.sampled_from([-0.5, 0.0, 0.5]))
+ERR_PATH = st.builds(
+    lambda g, d, t, r: PathParams(gain=complex(g, 1.0), delay=d, aod=t, aoa=r),
+    st.floats(-2.0, 2.0), st.floats(0.0, 3.2e-8), ERR_ANGLE, ERR_ANGLE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phys=st.lists(ERR_PATH, min_size=1, max_size=5),
+       est=st.lists(ERR_PATH, min_size=1, max_size=5),
+       boundary=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       ulps=st.tuples(*[st.sampled_from([-1, 0, 1, None])] * 3),
+       unmatched_cost=st.sampled_from([0.5, 3.0, 1e6]))
+def test_pair_errors_costs_csv_and_bins_equal_scalar_oracle(
+        tmp_path_factory, phys, est, boundary, ulps, unmatched_cost):
+    """One pair's |delta| sits exactly on its axis's resolution, or the
+    resolution is one ulp below or above it (None, or a delta under a
+    thousandth of a desk bin, keeps the desk resolution on that axis)."""
+    p, q = phys[boundary[0] % len(phys)], est[boundary[1] % len(est)]
+    widths = []
+    unscaled = oracle_errors(p, q, ResolutionSpec(1.0, 1.0, 1.0))
+    for delta, ulp, desk in zip(unscaled, ulps, (1e-9, 1 / 8, 1 / 8)):
+        delta = abs(delta)
+        if ulp is None or delta < 1e-3 * desk:
+            widths.append(desk)
+        else:
+            widths.append(delta if ulp == 0 else math.nextafter(delta, ulp * math.inf))
+    res = ResolutionSpec(delay_res=widths[0], aoa_res=widths[1], aod_res=widths[2])
+
+    errors = _axis_errors(phys, est, res)
+    costs = _cost_matrix(errors)
+    for i, a in enumerate(phys):
+        for j, b in enumerate(est):
+            assert bits(errors[i, j]) == bits(oracle_errors(a, b, res))
+            assert bits([costs[i, j], pairwise_cost(a, b, res)]) == \
+                bits([oracle_cost(a, b, res)] * 2)
+
+    result = associate(phys, est, res, unmatched_cost)
+    sets = [set(), set(), set()]
+    for (i, j, cost), row in zip(result.pairs, result.pair_errors):
+        assert bits([cost]) == bits([oracle_cost(phys[i], est[j], res)])
+        assert bits(row) == bits(oracle_errors(phys[i], est[j], res))
+        for axis, ok in enumerate(oracle_within(phys[i], est[j], res)):
+            if ok:
+                sets[axis].add(i)
+    bins = result.bin_sets
+    assert [bins.delay, bins.aoa, bins.aod] == sets
+    assert bins.joint == sets[0] & sets[1] & sets[2]
+
+    f = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+    fileio.save_pairs_csv(f, result)
+    rows = [line.split(",") for line in f.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows == [
+        [str(i), str(j), repr(oracle_cost(phys[i], est[j], res))]
+        + [repr(float(e)) for e in oracle_errors(phys[i], est[j], res)]
+        + [str(int(i in bins.joint))]
+        for i, j, _ in result.pairs]
