@@ -17,12 +17,11 @@ All grid-wide work after the transform goes through one blocked kernel,
 by cache-sized block, writes the difference back, and finds its peak
 magnitude in the same pass.
 
-On a large grid the sweep and the transform cut their blocks into
-contiguous spans, one per CPU of the process's affinity mask, that run
-concurrently on the thread pool of ``mpcx.pool``.  Every entry gets the
-same arithmetic in any span, and sweep results merge in span order, so a
-split gives the same bits as one span.  A grid below the pool's minimum
-span size stays one span on the calling thread; nothing is configurable.
+On a large grid the sweep and the transform run their blocks in contiguous
+spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
+arithmetic in any span and the sweep's block peaks merge in block order, so
+a split gives the same bits as one span.  A small grid stays one span on
+the calling thread; nothing is configurable.
 """
 
 from __future__ import annotations
@@ -30,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .pool import run_spans, split_blocks
+from .pool import run_blocks
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -213,9 +213,9 @@ def peak_sweep(
     difference is written back into ``grid.values``, which must be
     C-contiguous when there are paths (ValueError otherwise, before anything
     is written); with no paths the values are only read.  A large grid's
-    blocks are cut into contiguous spans that run on ``pool.run_spans``;
-    their results merge in span order, so the peak does not depend on the
-    split.
+    blocks run in contiguous spans on ``pool.run_blocks``; each span lists
+    its blocks' peaks and one merge walks them in block order, so the peak
+    does not depend on the split.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
@@ -235,12 +235,13 @@ def peak_sweep(
         left, right = _kernel_factors(grid._matrices, paths, grid.config)
     rows = max(1, _BLOCK_ENTRIES // n_tau)
 
-    def sweep(b0: int, b1: int) -> tuple[float, int, complex]:
-        "(magnitude, flat index, value) of blocks b0..b1-1's first peak."
+    def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
+        """(magnitude, flat index, value) of each block's first peak, up to
+        and including the first whose magnitude is not finite."""
         kernel_buf = np.empty((rows, n_tau), dtype=complex)
         mag_buf = np.empty((rows, n_tau))
-        best_mag, best_at, best_val = -1.0, 0, 0j
-        for r0 in range(b0 * rows, min(b1 * rows, len(flat)), rows):
+        peaks = []
+        for r0 in range(start, stop, rows):
             block = flat[r0:r0 + rows]
             if paths:
                 kernels = kernel_buf[:len(block)]
@@ -251,15 +252,13 @@ def peak_sweep(
             mag = np.abs(block, out=mag_buf[:len(block)])
             k = int(mag.argmax())  # a NaN wins the argmax, so it is not skipped
             peak = float(mag.flat[k])
+            peaks.append((peak, r0 * n_tau + k, complex(block.flat[k])))
             if not math.isfinite(peak):
-                return peak, r0 * n_tau + k, 0j
-            if peak > best_mag:
-                best_mag, best_at, best_val = peak, r0 * n_tau + k, complex(block.flat[k])
-        return best_mag, best_at, best_val
+                break
+        return peaks
 
-    n_blocks = -(-len(flat) // rows)
     best_mag, best_at, best_val = -1.0, 0, 0j
-    for peak, at, val in run_spans(sweep, split_blocks(n_blocks, rows * n_tau)):
+    for peak, at, val in chain.from_iterable(run_blocks(sweep, len(flat), rows, n_tau)):
         if not math.isfinite(peak):
             i, j, l = np.unravel_index(at, values.shape)
             raise ValueError(

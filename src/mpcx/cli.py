@@ -234,10 +234,13 @@ def cmd_associate(args) -> int:
     out_dir = Path(args.out_dir)
     config = fileio.load_sounder_config(args.config)
     phys = fileio.load_paths_csv(args.truth, degrees=args.degrees)
+    est = fileio.load_paths_csv(args.estimates, degrees=args.degrees)
+    for path, paths in ((args.truth, phys), (args.estimates, est)):
+        if not paths:
+            raise ValueError(f"{path}: holds no paths")
     total = sum(p.power for p in phys)
     if not 0 < total < math.inf:
         raise ValueError(f"{args.truth}: total power {total!r} must be finite and > 0")
-    est = fileio.load_paths_csv(args.estimates, degrees=args.degrees)
     res = ResolutionSpec.from_config(config)
     t0 = time.perf_counter()
     with _run_lock(out_dir):

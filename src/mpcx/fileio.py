@@ -464,6 +464,11 @@ def save_timings(path, timings: dict[str, float]) -> None:
     existing = {}
     p = Path(path)
     if p.exists():
-        existing = json.loads(p.read_text(encoding="utf-8"))
+        try:
+            existing = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{p}: not valid JSON: {exc}") from None
+        if not isinstance(existing, dict):
+            raise ValueError(f"{p}: holds {type(existing).__name__}, not a JSON object")
     existing.update(timings)
     _write_text(p, json.dumps(existing, indent=2, sort_keys=True) + "\n")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import run_spans, split_blocks
+from .pool import run_blocks
 
 
 @dataclass(frozen=True)
@@ -286,9 +286,9 @@ def add_awgn(
     return FrequencyResponse(values=response.values + noise, config=response.config)
 
 
-# output rows per block of the rx product in ``_separable_transform``: its
-# intermediate is one block, not all rows (73 MB at paper oversampling 4)
-_RX_BLOCK = 16
+# AoA rows per block of ``_separable_transform``'s rx product: a span holds
+# one block's intermediate, not all rows' (73 MB at paper oversampling 4)
+_RX_BLOCK = 8
 
 
 def _separable_transform(
@@ -300,35 +300,27 @@ def _separable_transform(
     then tx one output row at a time into the preallocated result, so no
     output-sized temporary is made.
 
-    A large output is cut into spans of blocks that run on
-    ``pool.run_spans``; each span takes a block's rx product in pieces of
-    ``_RX_BLOCK`` / spans rows, so all spans' rx temporaries together stay
-    one block.  No piece is one row unless its block is: numpy takes a
-    one-row product by gemv, which rounds unlike gemm, so every row gets
-    the same bits in any split.  With ``each_row``, each output row i is
-    made in its span's buffer and passed as ``each_row(i, row)`` from the
-    span's thread, nothing is kept and None is returned."""
+    A large output's blocks run in spans of whole blocks on
+    ``pool.run_blocks``, so every row gets the same bits in any split.  With
+    ``each_row``, each output row i is made in its span's buffer and passed
+    as ``each_row(i, row)`` from the span's thread, nothing is kept and None
+    is returned."""
     n_rx, n_tx, n_freq = values.shape
     n_aoa, n_out = len(m_rx), m_f.shape[1]
     lines = (values.reshape(n_rx * n_tx, n_freq) @ m_f).reshape(n_rx, n_tx * n_out)
     out = None if each_row else np.empty((n_aoa, len(m_tx), n_out), dtype=complex)
-    spans = split_blocks(-(-n_aoa // _RX_BLOCK), _RX_BLOCK * len(m_tx) * n_out)
-    step = max(2, _RX_BLOCK // len(spans))
 
-    def transform(b0: int, b1: int) -> None:
+    def transform(start: int, stop: int) -> None:
         row = np.empty((len(m_tx), n_out), dtype=complex) if each_row else None
-        for first in range(b0 * _RX_BLOCK, min(b1 * _RX_BLOCK, n_aoa), _RX_BLOCK):
-            last = min(first + _RX_BLOCK, n_aoa)
-            starts = list(range(first, max(first + 1, last - 1), step))
-            for i0, i1 in zip(starts, starts[1:] + [last]):
-                rows = (m_rx[i0:i1] @ lines).reshape(-1, n_tx, n_out)
-                for i, rx_row in enumerate(rows, start=i0):
-                    if each_row:
-                        each_row(i, np.matmul(m_tx, rx_row, out=row))
-                    else:
-                        np.matmul(m_tx, rx_row, out=out[i])
+        for first in range(start, stop, _RX_BLOCK):
+            rows = (m_rx[first:first + _RX_BLOCK] @ lines).reshape(-1, n_tx, n_out)
+            for i, rx_row in enumerate(rows, start=first):
+                if each_row:
+                    each_row(i, np.matmul(m_tx, rx_row, out=row))
+                else:
+                    np.matmul(m_tx, rx_row, out=out[i])
 
-    run_spans(transform, spans)
+    run_blocks(transform, n_aoa, _RX_BLOCK, len(m_tx) * n_out)
     return out
 
 

@@ -2,12 +2,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpcx import (
     BeamspaceGrid,
@@ -21,7 +25,7 @@ from mpcx import (
     single_path_grid,
     synthesize_response,
 )
-from mpcx import beamspace, pool
+from mpcx import beamspace, pool, sounder
 from mpcx.beamspace import peak_sweep
 
 from closed_form import angle_kernel, delay_kernel
@@ -462,20 +466,54 @@ def test_split_sweep_reports_lowest_non_finite_index(with_path):
             peak_sweep(BeamspaceGrid(values, spec, cfg), paths)
 
 
-@pytest.mark.parametrize("n_spans", [2, 3])
-def test_split_transform_is_bit_identical(n_spans):
-    rng = np.random.default_rng(43)
-    cfg = SounderConfig(n_tx=6, n_rx=9, bandwidth_hz=1e9, n_freq=20)
-    resp = FrequencyResponse(values=rng.normal(size=(9, 6, 20))
-                             + 1j * rng.normal(size=(9, 6, 20)), config=cfg)
-    spec = GridSpec(os_aoa=4, os_aod=3, os_delay=2)  # 36 AoA rows: 3 blocks
+@pytest.mark.parametrize("n_spans", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(n_rx=st.integers(1, 17), n_tx=st.integers(1, 4), n_freq=st.integers(1, 8),
+       os_aoa=st.integers(1, 3), os_aod=st.integers(1, 2),
+       os_delay=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(n_rx=9, n_tx=3, n_freq=5, os_aoa=1, os_aod=2, os_delay=2, seed=0)
+@example(n_rx=17, n_tx=2, n_freq=4, os_aoa=1, os_aod=1, os_delay=1, seed=1)
+@example(n_rx=11, n_tx=3, n_freq=6, os_aoa=3, os_aod=1, os_delay=2, seed=2)
+def test_split_transform_is_bit_identical(n_spans, n_rx, n_tx, n_freq, os_aoa, os_aod,
+                                          os_delay, seed):
+    "Any split of the transform's AoA blocks gives the unsplit bits."
+    rng = np.random.default_rng(seed)
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    shape = (n_rx, n_tx, n_freq)
+    resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             config=cfg)
+    spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
+    n_aoa = n_rx * os_aoa
     whole = beamspace_transform(resp, spec).values
     maps = pdp_marginals(resp, spec)
     with split_into(n_spans):
-        assert len(pool.split_blocks(3, 1)) == n_spans
+        n_blocks = -(-n_aoa // sounder._RX_BLOCK)
+        assert len(pool.run_blocks(lambda start, stop: None, n_aoa,
+                                   sounder._RX_BLOCK, 1)) == min(n_spans, n_blocks)
         np.testing.assert_array_equal(beamspace_transform(resp, spec).values, whole)
         for split, unsplit in zip(pdp_marginals(resp, spec), maps):
             np.testing.assert_array_equal(split, unsplit)
+
+
+def test_run_blocks_spans_whole_blocks():
+    with split_into(3):
+        spans = pool.run_blocks(lambda start, stop: (start, stop), 18, 4, 1)
+    assert spans == [(0, 4), (4, 12), (12, 18)]
+
+
+def test_run_blocks_waits_for_every_span_before_raising():
+    "A span that raises at once does not leave another still running."
+    done = threading.Event()
+
+    def span(start, stop):
+        if start == 0:
+            raise RuntimeError("span 0 failed")
+        time.sleep(0.2)
+        done.set()
+
+    with split_into(2), pytest.raises(RuntimeError, match="span 0"):
+        pool.run_blocks(span, 2, 1, 1)
+    assert done.is_set()
 
 
 def _sweep_in_child(values, spec, cfg, conn):
@@ -485,13 +523,12 @@ def _sweep_in_child(values, spec, cfg, conn):
 
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
 def test_split_sweep_runs_in_a_forked_child():
-    "A child forked after a split sweep gets a pool of its own, not the parent's."
+    "A child forked after a split sweep splits its own sweep."
     cfg, spec = hand_case((4, 3, 5))
     values = np.zeros((4, 3, 5), dtype=complex)
     values[3, 2, 1] = 2.0
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
         assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (3, 2, 1, 2.0)
-        assert pool._pool is not None
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_sweep_in_child, args=(values, spec, cfg, send))
@@ -517,7 +554,7 @@ cfg = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 for split_at, cpus in ((pool._MIN_SPAN_ENTRIES, pool._cpus()), (1, 1)):
     pool._MIN_SPAN_ENTRIES, pool._cpus = split_at, lambda: cpus
     peak_sweep(beamspace_transform(synthesize_response(cfg, []), GridSpec()), [])
-    assert pool._pool is None and "concurrent.futures" not in sys.modules
+    assert "concurrent.futures" not in sys.modules
 """
     src = str(Path(beamspace.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,

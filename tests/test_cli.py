@@ -514,3 +514,31 @@ def test_associate_overflowing_path_power_exits_2_naming_row(tmp_path, capsys, s
     assert f"{truth if side == 'truth' else est}: row 3: gain" in err
     assert "finite power" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["truth", "estimates"])
+def test_associate_header_only_csv_exits_2_naming_file(tmp_path, capsys, side):
+    good = "1,0,5e-09,0.1,0.1\n"
+    code, truth, est = _associate(tmp_path, "" if side == "truth" else good,
+                                  "" if side == "estimates" else good)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{truth if side == 'truth' else est}: holds no paths" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, problem", [("{not json", "not valid JSON"),
+                                           ("[1]", "holds list, not a JSON object")])
+def test_malformed_timings_json_exits_2_naming_file(tmp_path, capsys, text, problem):
+    out = tmp_path / "r"
+    out.mkdir()
+    timings = out / "timings.json"
+    timings.write_text(text, encoding="utf-8")
+    spec = tmp_path / "scn.txt"
+    spec.write_text(DESK_SPEC, encoding="utf-8")
+    assert main(["scenario", "--spec", str(spec), "--out-dir", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{timings}: {problem}" in err
+    assert "Traceback" not in err
+    assert timings.read_text(encoding="utf-8") == text
