@@ -4,7 +4,8 @@ Greedy-LS extraction: matching pursuit with least-squares refitting
 
 The extractor alternates between greedy peak detection on the beamspace
 residual and least-squares amplitude refits.  Each outer iteration scans
-for k_g candidate peaks by CLEAN-style subtraction on a scratch grid,
+for k_g candidate peaks by CLEAN-style subtraction of the candidates found
+so far (read-only: only the commits are ever written into the grid),
 ranks them by LS-refitted power against the current residual, and commits
 the k_up strongest; committed paths are subtracted from the residual in
 the frequency domain.  A final LS refit of all committed geometries

@@ -12,16 +12,20 @@ the path's ``_steering_matrices``, one factor per axis.  Greedy subtraction
 of a path therefore agrees with transforming the frequency-domain residual
 up to floating-point rounding.
 
-All grid-wide work after the transform goes through one blocked kernel,
+Every grid-wide pass after the transform is one blocked kernel,
 ``peak_sweep``: it subtracts a list of path footprints from the grid, block
 by cache-sized block, writes the difference back, and finds its peak
-magnitude in the same pass.
+magnitude in the same pass; it can also record each (AoA, AoD) row's peak
+magnitude.  ``tentative_peak`` finds the peak of the grid minus further
+footprints without writing: with those row peaks and a bound on each row's
+footprint it evaluates only the few rows that can hold the peak.
 
 On a large grid the sweep and the transform run their blocks in contiguous
 spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
 arithmetic in any span and the sweep's block peaks merge in block order, so
 a split gives the same bits as one span.  A small grid stays one span on
-the calling thread; nothing is configurable.
+the calling thread, and a tentative peak always does; nothing is
+configurable.
 """
 
 from __future__ import annotations
@@ -110,13 +114,27 @@ class BeamspaceGrid:
         grid: every footprint that a sweep subtracts from it comes from them."""
         return self.spec._matrices(self.config)
 
-    def _pick(self, paths: list[PathParams], refine: bool = False) -> PathParams:
-        """``peak_sweep`` of this grid minus ``paths``, as a path: the peak's
-        complex value at its axis coordinates, or with ``refine`` at the
-        sub-grid coordinates of ``_refine_peak``."""
-        i, j, l, val = peak_sweep(self, paths)
+    def _pick(self, paths: list[PathParams], refine: bool = False,
+              row_peaks: np.ndarray | None = None) -> PathParams:
+        """``peak_sweep`` of this grid minus ``paths``, as a path (see
+        ``_path_at``); the sweep fills ``row_peaks`` if it is given."""
+        return self._path_at(*peak_sweep(self, paths, row_peaks), refine)
+
+    def _pick_tentative(self, paths: list[PathParams], row_peaks: np.ndarray,
+                        refine: bool = False) -> PathParams:
+        """``tentative_peak`` of this grid minus ``paths``, as a path (see
+        ``_path_at``); the grid is only read."""
+        factors = _kernel_factors(self._matrices, paths, self.config)
+        return self._path_at(*tentative_peak(self, factors, row_peaks), refine,
+                             factors)
+
+    def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool,
+                 factors: tuple[np.ndarray, np.ndarray] | None = None) -> PathParams:
+        """The peak ``val`` at index (i, j, l) as a path: at its axis
+        coordinates, or with ``refine`` at the sub-grid coordinates of
+        ``_refine_peak`` (of the grid minus the footprints of ``factors``)."""
         if refine:
-            aoa, aod, tau = _refine_peak(self, i, j, l)
+            aoa, aod, tau = _refine_peak(self, i, j, l, factors)
         else:
             aoa = float(self.aoa_axis[i])
             aod = float(self.aod_axis[j])
@@ -198,24 +216,54 @@ def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) ->
 # its scratch buffers stay cache-resident while the sweep walks the grid
 _BLOCK_ENTRIES = 1 << 16
 
+# relative rounding allowance of ``tentative_peak``'s row bound: far above
+# the rounding of a footprint sum, far below the gaps between row peaks
+_BOUND_SLACK = 1e-9
+
+
+def _block_peak(mag: np.ndarray, row_max: np.ndarray) -> tuple[float, int, int]:
+    """(magnitude, row, column) of a block's peak from its row maxima: ties
+    take the lowest flat index, and a NaN wins both argmaxes."""
+    r = int(row_max.argmax())
+    k = int(mag[r].argmax())
+    return float(mag[r, k]), r, k
+
+
+def _first_peak(peaks, shape: tuple[int, int, int]) -> tuple[int, int, int, complex]:
+    """Index triple and value of the first strict maximum of (magnitude, flat
+    index, value) block peaks taken in ascending index order; ValueError at
+    the first magnitude that is not finite.  No peak gives (0, 0, 0) and 0."""
+    best_mag, best_at, best_val = -1.0, 0, 0j
+    for peak, at, val in peaks:
+        if not math.isfinite(peak):
+            i, j, l = np.unravel_index(at, shape)
+            raise ValueError(
+                f"non-finite beamspace magnitude at grid index ({i}, {j}, {l})")
+        if peak > best_mag:
+            best_mag, best_at, best_val = peak, at, val
+    i, j, l = np.unravel_index(best_at, shape)
+    return int(i), int(j), int(l), best_val
+
 
 def peak_sweep(
-    grid: BeamspaceGrid, paths: list[PathParams]
+    grid: BeamspaceGrid, paths: list[PathParams],
+    row_peaks: np.ndarray | None = None,
 ) -> tuple[int, int, int, complex]:
     """Peak of ``|grid - sum of the paths' footprints|`` in one pass.
 
     Walks row blocks of the ``(aoa*aod, delay)`` view of ``grid.values``.
     Each block gets all footprints, built from the grid's own lattice
-    matrices, subtracted as one rank-K product, then its magnitude and
-    argmax are taken; the first strict maximum is kept, so exact magnitude
-    ties resolve to the lowest (aoa, aod, delay) index triple in
-    lexicographic order, as in ``np.argmax`` over the whole grid.  The
-    difference is written back into ``grid.values``, which must be
-    C-contiguous when there are paths (ValueError otherwise, before anything
-    is written); with no paths the values are only read.  A large grid's
-    blocks run in contiguous spans on ``pool.run_blocks``; each span lists
-    its blocks' peaks and one merge walks them in block order, so the peak
-    does not depend on the split.
+    matrices, subtracted as one rank-K product, then its magnitude, row
+    maxima and argmax are taken; the first strict maximum is kept, so exact
+    magnitude ties resolve to the lowest (aoa, aod, delay) index triple in
+    lexicographic order, as in ``np.argmax`` over the whole grid.  The row
+    maxima go into ``row_peaks`` (one float per row of the view) if it is
+    given, for ``tentative_peak``.  The difference is written back into
+    ``grid.values``, which must be C-contiguous when there are paths
+    (ValueError otherwise, before anything is written); with no paths the
+    values are only read.  A large grid's blocks run in contiguous spans on
+    ``pool.run_blocks``; each span lists its blocks' peaks and one merge
+    walks them in block order, so the peak does not depend on the split.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
@@ -233,6 +281,8 @@ def peak_sweep(
     flat = values.reshape(n_aoa * n_aod, n_tau)
     if paths:
         left, right = _kernel_factors(grid._matrices, paths, grid.config)
+    if row_peaks is None:
+        row_peaks = np.empty(len(flat))
     rows = max(1, _BLOCK_ENTRIES // n_tau)
 
     def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
@@ -250,23 +300,60 @@ def peak_sweep(
                 np.dot(left[r0:r0 + rows], right, out=kernels)
                 np.subtract(block, kernels, out=block)
             mag = np.abs(block, out=mag_buf[:len(block)])
-            k = int(mag.argmax())  # a NaN wins the argmax, so it is not skipped
-            peak = float(mag.flat[k])
-            peaks.append((peak, r0 * n_tau + k, complex(block.flat[k])))
+            peak, r, k = _block_peak(
+                mag, np.max(mag, axis=1, out=row_peaks[r0:r0 + len(block)]))
+            peaks.append((peak, (r0 + r) * n_tau + k, complex(block[r, k])))
             if not math.isfinite(peak):
                 break
         return peaks
 
-    best_mag, best_at, best_val = -1.0, 0, 0j
-    for peak, at, val in chain.from_iterable(run_blocks(sweep, len(flat), rows, n_tau)):
-        if not math.isfinite(peak):
-            i, j, l = np.unravel_index(at, values.shape)
-            raise ValueError(
-                f"non-finite beamspace magnitude at grid index ({i}, {j}, {l})")
-        if peak > best_mag:
-            best_mag, best_at, best_val = peak, at, val
-    i, j, l = np.unravel_index(best_at, values.shape)
-    return int(i), int(j), int(l), best_val
+    return _first_peak(chain.from_iterable(run_blocks(sweep, len(flat), rows, n_tau)),
+                       values.shape)
+
+
+def tentative_peak(
+    grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
+    row_peaks: np.ndarray,
+) -> tuple[int, int, int, complex]:
+    """``peak_sweep``'s peak of ``|grid - footprints|``, read-only and
+    without a pass over the grid.
+
+    ``factors`` are the footprints' ``_kernel_factors``, and ``row_peaks``
+    the row maxima that the last ``peak_sweep`` recorded on the grid as it
+    stands.  The footprints move row ``r`` of the ``(aoa*aod, delay)`` view
+    by at most ``reach[r] = sum_k |left[r, k]| * max_l |right[k, l]|``, so
+    the peak is at least ``floor = max_r(row_peaks[r] - reach[r])``, and
+    only rows with ``(row_peaks[r] + reach[r]) * (1 + _BOUND_SLACK) >=
+    floor`` (or a NaN bound) are evaluated: in ascending order, in blocks
+    of the sweep's size, through the sweep's two block buffers.  Ties, the
+    all-zero result and the non-finite ValueError are ``peak_sweep``'s.
+    """
+    values = grid.values
+    if values.size == 0:
+        raise ValueError("empty beamspace grid")
+    n_aoa, n_aod, n_tau = values.shape
+    flat = values.reshape(n_aoa * n_aod, n_tau)
+    left, right = factors
+    reach = np.abs(left) @ np.abs(right).max(axis=1)
+    floor = np.max(row_peaks - reach)
+    kept = np.flatnonzero(~((row_peaks + reach) * (1 + _BOUND_SLACK) < floor))
+    rows = min(len(kept), max(1, _BLOCK_ENTRIES // n_tau))
+    block_buf = np.empty((rows, n_tau), dtype=complex)
+    mag_buf = np.empty((rows, n_tau))
+    row_buf = np.empty(rows)
+
+    def peaks():
+        for c0 in range(0, len(kept), rows):
+            at = kept[c0:c0 + rows]
+            n = len(at)
+            block = np.dot(left[at], right, out=block_buf[:n])
+            for m, r in enumerate(at):  # no copy of the grid rows is made
+                np.subtract(flat[r], block[m], out=block[m])
+            mag = np.abs(block, out=mag_buf[:n])
+            peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
+            yield peak, int(at[r]) * n_tau + k, complex(block[r, k])
+
+    return _first_peak(peaks(), values.shape)
 
 
 def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
@@ -277,26 +364,34 @@ def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
     return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
 
 
-def _refine_peak(grid: BeamspaceGrid, i: int, j: int, l: int) -> tuple[float, float, float]:
+def _refine_peak(
+    grid: BeamspaceGrid, i: int, j: int, l: int,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, float, float]:
     """Sub-grid coordinates of the peak at index (i, j, l) by per-axis
     quadratic interpolation of |value|.
 
-    Angle axes wrap periodically; the delay axis skips refinement at its
-    edges.  Offsets are clamped to half a grid step per axis.
+    With ``factors`` (the ``_kernel_factors`` of some footprints) the values
+    are those of the grid minus the footprints: the seven that are read are
+    each computed from the factors, and the grid is not written.  Angle axes
+    wrap periodically; the delay axis skips refinement at its edges.
+    Offsets are clamped to half a grid step per axis.
     """
     values = grid.values
     n_aoa, n_aod, n_tau = values.shape
-    mag = np.abs
+
+    def mag(a: int, b: int, c: int) -> float:
+        value = values[a, b, c]
+        if factors is not None:
+            value = value - factors[0][a * n_aod + b] @ factors[1][:, c]
+        return np.abs(value)
+
     d_aoa = _parabolic_offset(
-        mag(values[(i - 1) % n_aoa, j, l]), mag(values[i, j, l]),
-        mag(values[(i + 1) % n_aoa, j, l]))
+        mag((i - 1) % n_aoa, j, l), mag(i, j, l), mag((i + 1) % n_aoa, j, l))
     d_aod = _parabolic_offset(
-        mag(values[i, (j - 1) % n_aod, l]), mag(values[i, j, l]),
-        mag(values[i, (j + 1) % n_aod, l]))
+        mag(i, (j - 1) % n_aod, l), mag(i, j, l), mag(i, (j + 1) % n_aod, l))
     if 0 < l < n_tau - 1:
-        d_tau = _parabolic_offset(
-            mag(values[i, j, l - 1]), mag(values[i, j, l]),
-            mag(values[i, j, l + 1]))
+        d_tau = _parabolic_offset(mag(i, j, l - 1), mag(i, j, l), mag(i, j, l + 1))
     else:
         d_tau = 0.0
     delay_axis = grid.delay_axis

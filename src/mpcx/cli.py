@@ -84,7 +84,9 @@ def _float_flag(minimum: float = -math.inf, strict: bool = False):
 
 @contextlib.contextmanager
 def _run_lock(out_dir: Path):
-    "One mutating command per run directory at a time."
+    """One mutating command per run directory at a time.  The directory's
+    timing sidecar is validated as soon as the lock is held, so a malformed
+    one fails the stage before it writes anything."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     try:
@@ -96,6 +98,7 @@ def _run_lock(out_dir: Path):
         ) from None
     try:
         os.close(fd)
+        fileio.load_timings(out_dir / TIMINGS_JSON)
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -117,6 +120,22 @@ def _require_finite_power(response, source) -> float:
         raise ValueError(f"{source}: total power {power!r} of the tensor is not "
                          "finite")
     return power
+
+
+def _check_grid_memory(config, oversample: int) -> None:
+    """ValueError naming ``--oversample`` if one beamspace grid at this
+    oversampling (complex128 over n_rx*os x n_tx*os x n_freq*os points) needs
+    more bytes than the machine's physical memory, where the platform
+    reports that."""
+    need = 16 * config.n_rx * config.n_tx * config.n_freq * oversample**3
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # not reported here
+        return
+    if 0 < have < need:
+        raise ValueError(f"--oversample {oversample}: the beamspace grid needs "
+                         f"{need} bytes, more than the {have} bytes of physical "
+                         "memory")
 
 
 def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
@@ -186,6 +205,7 @@ def cmd_extract(args) -> int:
     if args.sage_sweeps < 0:
         raise UsageError("sage-sweeps must be >= 0")
     config = fileio.load_sounder_config(args.config)
+    _check_grid_memory(config, args.oversample)
     response = fileio.load_response(args.tensor, config)
     _require_finite_power(response, args.tensor)
     spec = GridSpec(os_aoa=args.oversample, os_aod=args.oversample,

@@ -270,10 +270,14 @@ def greedy_ls(
     Outer loop, repeated until ``k_dom`` paths are committed or the residual
     power ratio falls below ``residual_stop``:
 
-    1. run ``k_g`` greedy peak-pick-and-subtract steps on the current
-       residual grid: pick n subtracts candidate n-1 from the grid in place
-       and finds the peak in the same sweep, so no scratch copy is made and
-       each pick costs one rank-1 sweep;
+    1. pick ``k_g`` candidate peaks on the current residual grid.  The
+       first pick is the iteration's one full ``peak_sweep``: it subtracts
+       the commits made since the previous one from the grid in place,
+       finds the peak and records each (AoA, AoD) row's peak magnitude.
+       Picks 2..k_g are read-only ``tentative_peak`` searches of the grid
+       minus the footprints of the candidates so far (raw CLEAN
+       subtraction, not committed); a bound on those footprints per row
+       limits each search to the rows that can hold the peak;
     2. LS-refit the amplitudes of those candidates against the current
        residual response (degenerate candidates are dropped, later one
        first);
@@ -282,10 +286,8 @@ def greedy_ls(
        residual at commit time (the matched filter of the candidate's atom
        divided by n_rx*n_tx*n_freq) and subtracts the rank-1 atom from the
        frequency-domain residual in place, one rx row at a time, so the
-       recorded residual power never increases.  The candidate
-       subtractions of step 1 are never carried over: the first peak sweep
-       of the next iteration adds the written candidates back and subtracts
-       the commits, in place.
+       recorded residual power never increases.  The candidates never touch
+       the grid; the commits reach it with the next iteration's full sweep.
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
@@ -309,10 +311,10 @@ def greedy_ls(
         return [], trace
 
     grid = beamspace_transform(res_fr, xcfg.grid)
+    # each (aoa, aod) row's peak magnitude as the last full sweep left the grid
+    row_peaks = np.empty(grid.values.shape[0] * grid.values.shape[1])
     committed: list[PathParams] = []
-    # footprints not yet applied to the grid: the undo of the last
-    # iteration's written candidates, then its commits
-    pending: list[PathParams] = []
+    pending: list[PathParams] = []  # commits not yet subtracted from the grid
 
     trace.stop_reason = "k_dom"
     while len(committed) < xcfg.k_dom:
@@ -322,20 +324,18 @@ def greedy_ls(
             trace.stop_reason = "residual_stop"
             break
 
-        # step 1: k_g peak picks (raw CLEAN subtraction, not committed); each
-        # sweep writes the previous candidate into the grid, so after pick n
-        # the grid holds the residual minus candidates 1..n-1
+        # step 1: k_g peak picks; the first writes the pending commits into
+        # the grid, the others search the grid minus the candidates so far
         candidates: list[PathParams] = []
-        written: list[PathParams] = []
-        for pick in range(xcfg.k_g):
-            peak = grid._pick(pending if pick == 0 else candidates[-1:],
-                              xcfg.refine_peaks)
-            written = candidates[:]
+        for _ in range(xcfg.k_g):
+            if candidates:
+                peak = grid._pick_tentative(candidates, row_peaks, xcfg.refine_peaks)
+            else:
+                peak = grid._pick(pending, xcfg.refine_peaks, row_peaks)
+                pending = []
             if peak.gain == 0:
                 break
             candidates.append(peak)
-        # the next iteration's first sweep adds the written candidates back
-        pending = [replace(c, gain=-c.gain) for c in written]
         if not candidates:
             trace.stop_reason = "exhausted"
             break

@@ -459,16 +459,22 @@ def copy_artifact(src, dst) -> None:
         fh.write(Path(src).read_bytes())
 
 
+def load_timings(path) -> dict:
+    """The run's timing sidecar as a dict, empty if the file does not exist;
+    ValueError naming the file if it is not a JSON object."""
+    p = Path(path)
+    if not p.exists():
+        return {}
+    try:
+        timings = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{p}: not valid JSON: {exc}") from None
+    if not isinstance(timings, dict):
+        raise ValueError(f"{p}: holds {type(timings).__name__}, not a JSON object")
+    return timings
+
+
 def save_timings(path, timings: dict[str, float]) -> None:
     "Merge stage wall-times into the run's timing sidecar (not deterministic)."
-    existing = {}
-    p = Path(path)
-    if p.exists():
-        try:
-            existing = json.loads(p.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{p}: not valid JSON: {exc}") from None
-        if not isinstance(existing, dict):
-            raise ValueError(f"{p}: holds {type(existing).__name__}, not a JSON object")
-    existing.update(timings)
-    _write_text(p, json.dumps(existing, indent=2, sort_keys=True) + "\n")
+    merged = load_timings(path) | timings
+    _write_text(Path(path), json.dumps(merged, indent=2, sort_keys=True) + "\n")

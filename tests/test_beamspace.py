@@ -26,7 +26,7 @@ from mpcx import (
     synthesize_response,
 )
 from mpcx import beamspace, pool, sounder
-from mpcx.beamspace import peak_sweep
+from mpcx.beamspace import peak_sweep, tentative_peak
 
 from closed_form import angle_kernel, delay_kernel
 
@@ -260,6 +260,47 @@ def test_peak_sweep_rejects_non_finite(bad, with_path):
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 5):
         with pytest.raises(ValueError, match=r"non-finite .* \(3, 1, 2\)"):
             peak_sweep(BeamspaceGrid(values, spec, cfg), paths)
+
+
+def bound_case():
+    """A 2x2x3 grid, its row peaks and hand-made rank-1 footprint factors
+    (row r of the footprint is ``left[r] * [1, 1, 1]``, so ``reach`` is
+    ``|left|``).  Row 2 (peak 4, reach 1) sets the floor at 3; row 1 (peak 2,
+    reach 1) reaches exactly 3, and reaches it at column 0, a lower flat
+    index than row 2's 3 at column 2.  Rows 0 and 3 cannot reach 3; row 0's
+    values break its recorded peak, so reading them would change the pick."""
+    cfg, spec = hand_case((2, 2, 3))
+    values = np.zeros((2, 2, 3), dtype=complex)
+    values[0, 0] = [10, 0, 0]  # recorded as 1 below: only read if not pruned
+    values[0, 1] = [2, 0, 0]
+    values[1, 0] = [0, 0, 4]
+    row_peaks = np.array([1.0, 2.0, 4.0, 0.0])
+    left = np.array([[0], [-1], [1], [0]], dtype=complex)
+    right = np.ones((1, 3), dtype=complex)
+    return BeamspaceGrid(values, spec, cfg), row_peaks, (left, right)
+
+
+def test_tentative_peak_tie_at_the_row_bound_takes_lowest_index():
+    grid, row_peaks, factors = bound_case()
+    before = grid.values.copy()
+    for block in (1, 3, 6, 12):
+        with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+            assert tentative_peak(grid, factors, row_peaks) == (0, 1, 0, 3.0)
+    assert np.array_equal(grid.values, before)
+    # once row 1 cannot reach the floor, row 2's equal peak is the pick
+    row_peaks[1] = np.nextafter(2.0, 0.0) / (1 + beamspace._BOUND_SLACK) - 1.0
+    assert tentative_peak(grid, factors, row_peaks) == (1, 0, 2, 3.0)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.nan),
+                                 complex(np.inf, 0.0)])
+def test_tentative_peak_rejects_non_finite(bad):
+    "A non-finite row peak keeps its row, whose value then raises."
+    grid, row_peaks, factors = bound_case()
+    grid.values[1, 1, 0] = bad
+    row_peaks[3] = abs(bad)
+    with pytest.raises(ValueError, match=r"non-finite .* \(1, 1, 0\)"):
+        tentative_peak(grid, factors, row_peaks)
 
 
 def test_peak_sweep_write_needs_contiguous_grid():

@@ -542,3 +542,42 @@ def test_malformed_timings_json_exits_2_naming_file(tmp_path, capsys, text, prob
     assert f"{timings}: {problem}" in err
     assert "Traceback" not in err
     assert timings.read_text(encoding="utf-8") == text
+    # checked when the lock is taken, before the stage writes anything
+    for name in ("scenario.csv", "scenario_spec.txt", ".lock"):
+        assert not (out / name).exists(), name
+
+
+def _sysconf(pages):
+    "``os.sysconf`` of a machine with ``pages`` pages of 4096 bytes."
+    def sysconf(name):
+        return {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}[name]
+    return sysconf
+
+
+def test_extract_grid_over_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
+    out = run_pipeline(tmp_path, kdom=4)
+    extract_outputs = ("estimates.csv", "trace.csv", "extract_report.txt",
+                       "timings.json")
+    before = {name: (out / name).read_bytes() for name in extract_outputs}
+    argv = ["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+            "--kdom", "4", "--oversample", "3", "--out-dir", str(out), "--quiet"]
+    config = fileio.load_sounder_config(out / "config.txt")
+    need = 27 * config.n_rx * config.n_tx * config.n_freq * 16
+    # one page short of the grid
+    monkeypatch.setattr("mpcx.cli.os.sysconf", _sysconf(need // 4096 - 1))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"--oversample 3: the beamspace grid needs {need} bytes, more than "
+            f"the {(need // 4096 - 1) * 4096} bytes of physical memory") in err
+    assert "Traceback" not in err
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
+    assert not (out / ".lock").exists()
+    # a grid that fits, and a platform that does not report its memory, run
+    monkeypatch.setattr("mpcx.cli.os.sysconf", _sysconf(need // 4096 + 1))
+    assert main(argv) == 0
+
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+    monkeypatch.setattr("mpcx.cli.os.sysconf", unreported)
+    assert main(argv) == 0

@@ -774,6 +774,24 @@ def test_grid_matrices_built_once_per_extraction():
         assert len(found) == k_dom
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_greedy_ls_sweeps_the_grid_once_per_iteration(refine):
+    """Only the first of an iteration's k_g picks is a full peak sweep; the
+    other k_g - 1 are read-only tentative picks."""
+    resp = desk_case(4, 20.0, n_paths=10)
+    cfg = ExtractionConfig(k_dom=12, k_g=4, k_up=2, residual_stop=0.0,
+                           final_global_ls=False, refine_peaks=refine)
+    with mock.patch.object(beamspace, "peak_sweep",
+                           wraps=beamspace.peak_sweep) as sweeps, \
+            mock.patch.object(beamspace, "tentative_peak",
+                              wraps=beamspace.tentative_peak) as tentative:
+        found, trace = greedy_ls(resp, DESK, cfg)
+    assert len(found) == 12
+    assert len(trace.ls_condition) == 6  # one LS per outer iteration
+    assert sweeps.call_count == 6
+    assert tentative.call_count == 6 * 3
+
+
 def test_greedy_ls_memory_is_one_grid():
     "Paper config at oversample 2: the extractor holds one grid, no scratch copy."
     rng = np.random.default_rng(83)

@@ -36,7 +36,7 @@ from mpcx import (
     synthesize_response,
 )
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix, associate
-from mpcx.beamspace import peak_sweep
+from mpcx.beamspace import peak_sweep, tentative_peak
 from mpcx.extract import GRAM_CONDITION_LIMIT
 
 SMALL = dict(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
@@ -127,6 +127,61 @@ def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
         # same arithmetic, or a peak that rounding cannot reorder: the same
         # index, exact ties going to the lowest index triple
         assert (i, j, l) == oracle
+
+
+def random_paths(rng, cfg, spec, n_paths, on_grid):
+    "Paths with normal gains, on the lattice of ``spec`` or anywhere."
+    aoa_ax, aod_ax, tau_ax = (spec.aoa_axis(cfg), spec.aod_axis(cfg),
+                              spec.delay_axis(cfg))
+    return [
+        PathParams(gain=complex(rng.normal(), rng.normal()),
+                   delay=float(rng.choice(tau_ax)) if on_grid
+                   else rng.uniform(0, cfg.duration),
+                   aod=float(rng.choice(aod_ax)) if on_grid
+                   else rng.uniform(-0.5, 0.5),
+                   aoa=float(rng.choice(aoa_ax)) if on_grid
+                   else rng.uniform(-0.5, 0.5))
+        for _ in range(n_paths)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SMALL, n_paths=st.integers(1, 4), on_grid=st.booleans(),
+       swept=st.integers(0, 2), block=st.integers(1, 80))
+def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
+                                            os_delay, seed, n_paths, on_grid,
+                                            swept, block):
+    """The read-only pick against ``np.argmax`` of the grid minus the paths'
+    footprints, on row peaks that a sweep writing ``swept`` other paths
+    recorded: the same index unless rounding can reorder the top two, the
+    value to 1e-12, the interpolated coordinates to 1e-9, and the grid bytes
+    unchanged."""
+    cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+    grid = beamspace.BeamspaceGrid(complex_normal(rng, shape), spec, cfg)
+    row_peaks = np.empty(shape[0] * shape[1])
+    peak_sweep(grid, random_paths(rng, cfg, spec, swept, on_grid), row_peaks)
+    assert np.array_equal(row_peaks,
+                          np.abs(grid.values).reshape(len(row_peaks), -1).max(axis=1))
+    before = grid.values.tobytes()
+    paths = random_paths(rng, cfg, spec, n_paths, on_grid)
+    dense = grid.values - sum(single_path_grid(p, spec, cfg).values for p in paths)
+    mag = np.abs(dense)
+    factors = beamspace._kernel_factors(grid._matrices, paths, cfg)
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        i, j, l, val = tentative_peak(grid, factors, row_peaks)
+    assert grid.values.tobytes() == before
+
+    scale = max(1.0, float(mag.max()))
+    assert abs(val - dense[i, j, l]) <= 1e-12 * scale
+    assert mag[i, j, l] >= mag.max() - 1e-12 * scale
+    ranked = np.sort(mag, axis=None)[::-1]
+    if len(ranked) == 1 or ranked[0] - ranked[1] > 1e-9 * scale:
+        assert (i, j, l) == np.unravel_index(int(np.argmax(mag)), shape)
+    got = beamspace._refine_peak(grid, i, j, l, factors)
+    ref = beamspace._refine_peak(beamspace.BeamspaceGrid(dense, spec, cfg), i, j, l)
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-9
+    assert grid.values.tobytes() == before
 
 
 @settings(max_examples=80, deadline=None)
