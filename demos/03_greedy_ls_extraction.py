@@ -5,11 +5,13 @@ Greedy-LS extraction: matching pursuit with least-squares refitting
 The extractor alternates between greedy peak detection on the beamspace
 residual and least-squares amplitude refits.  Each outer iteration scans
 for k_g candidate peaks by CLEAN-style subtraction of the candidates found
-so far (read-only: only the commits are ever written into the grid),
-ranks them by LS-refitted power against the current residual, and commits
-the k_up strongest; committed paths are subtracted from the residual in
-the frequency domain.  A final LS refit of all committed geometries
-against the original measurement replaces the amplitudes.
+so far (read-only: only the commits are ever written into the grid, 16
+at a time on large grids), ranks them by LS-refitted power against the
+current residual, and commits the k_up strongest.  No residual response
+is formed: the LS right-hand side is the candidates' matched filter of
+the measurement minus their Gram with the commits times the committed
+gains.  A final LS refit of all committed geometries against the original
+measurement replaces the amplitudes.
 
 The residual power trace is non-increasing by construction: every commit
 uses the exactly optimal amplitude for its geometry at commit time.

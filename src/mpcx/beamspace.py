@@ -13,12 +13,15 @@ of a path therefore agrees with transforming the frequency-domain residual
 up to floating-point rounding.
 
 Every grid-wide pass after the transform is one blocked kernel,
-``peak_sweep``: it subtracts a list of path footprints from the grid, block
+``peak_sweep``: it subtracts rank-K footprint factors from the grid, block
 by cache-sized block, writes the difference back, and finds its peak
 magnitude in the same pass; it can also record each (AoA, AoD) row's peak
 magnitude.  ``tentative_peak`` finds the peak of the grid minus further
 footprints without writing: with those row peaks and a bound on each row's
 footprint it evaluates only the few rows that can hold the peak.
+
+Greedy-LS's commits stay pending factors (``_PendingPicks``) until 16 are
+pending or their bound keeps more than 5% of the rows.
 
 On a large grid the sweep and the transform run their blocks in contiguous
 spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
@@ -31,7 +34,7 @@ configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
@@ -114,21 +117,12 @@ class BeamspaceGrid:
         grid: every footprint that a sweep subtracts from it comes from them."""
         return self.spec._matrices(self.config)
 
-    def _pick(self, paths: list[PathParams], refine: bool = False,
-              row_peaks: np.ndarray | None = None) -> PathParams:
-        """``peak_sweep`` of this grid minus ``paths``, as a path (see
-        ``_path_at``); the sweep fills ``row_peaks`` if it is given."""
-        return self._path_at(*peak_sweep(self, paths, row_peaks), refine)
+    def _pick(self, paths: list[PathParams]) -> PathParams:
+        """``peak_sweep`` of this grid minus ``paths``, as a path at the
+        peak's axis coordinates (see ``_path_at``)."""
+        return self._path_at(*peak_sweep(self, paths))
 
-    def _pick_tentative(self, paths: list[PathParams], row_peaks: np.ndarray,
-                        refine: bool = False) -> PathParams:
-        """``tentative_peak`` of this grid minus ``paths``, as a path (see
-        ``_path_at``); the grid is only read."""
-        factors = _kernel_factors(self._matrices, paths, self.config)
-        return self._path_at(*tentative_peak(self, factors, row_peaks), refine,
-                             factors)
-
-    def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool,
+    def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool = False,
                  factors: tuple[np.ndarray, np.ndarray] | None = None) -> PathParams:
         """The peak ``val`` at index (i, j, l) as a path: at its axis
         coordinates, or with ``refine`` at the sub-grid coordinates of
@@ -246,21 +240,23 @@ def _first_peak(peaks, shape: tuple[int, int, int]) -> tuple[int, int, int, comp
 
 
 def peak_sweep(
-    grid: BeamspaceGrid, paths: list[PathParams],
+    grid: BeamspaceGrid,
+    footprints: list[PathParams] | tuple[np.ndarray, np.ndarray],
     row_peaks: np.ndarray | None = None,
 ) -> tuple[int, int, int, complex]:
-    """Peak of ``|grid - sum of the paths' footprints|`` in one pass.
+    """Peak of ``|grid - footprints|`` in one pass.
 
-    Walks row blocks of the ``(aoa*aod, delay)`` view of ``grid.values``.
-    Each block gets all footprints, built from the grid's own lattice
-    matrices, subtracted as one rank-K product, then its magnitude, row
+    ``footprints`` are paths, whose ``_kernel_factors`` are built from the
+    grid's own lattice matrices, or such factors already built.  Walks row
+    blocks of the ``(aoa*aod, delay)`` view of ``grid.values``.  Each block
+    gets all footprints subtracted as one rank-K product, then its magnitude, row
     maxima and argmax are taken; the first strict maximum is kept, so exact
     magnitude ties resolve to the lowest (aoa, aod, delay) index triple in
     lexicographic order, as in ``np.argmax`` over the whole grid.  The row
     maxima go into ``row_peaks`` (one float per row of the view) if it is
     given, for ``tentative_peak``.  The difference is written back into
-    ``grid.values``, which must be C-contiguous when there are paths
-    (ValueError otherwise, before anything is written); with no paths the
+    ``grid.values``, which must be C-contiguous when there are footprints
+    (ValueError otherwise, before anything is written); with none the
     values are only read.  A large grid's blocks run in contiguous spans on
     ``pool.run_blocks``; each span lists its blocks' peaks and one merge
     walks them in block order, so the peak does not depend on the split.
@@ -275,12 +271,13 @@ def peak_sweep(
     values = grid.values
     if values.size == 0:
         raise ValueError("empty beamspace grid")
-    if paths and not values.flags.c_contiguous:
+    if footprints and not values.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
     n_aoa, n_aod, n_tau = values.shape
     flat = values.reshape(n_aoa * n_aod, n_tau)
-    if paths:
-        left, right = _kernel_factors(grid._matrices, paths, grid.config)
+    if footprints:
+        left, right = (footprints if isinstance(footprints, tuple) else
+                       _kernel_factors(grid._matrices, footprints, grid.config))
     if row_peaks is None:
         row_peaks = np.empty(len(flat))
     rows = max(1, _BLOCK_ENTRIES // n_tau)
@@ -293,7 +290,7 @@ def peak_sweep(
         peaks = []
         for r0 in range(start, stop, rows):
             block = flat[r0:r0 + rows]
-            if paths:
+            if footprints:
                 kernels = kernel_buf[:len(block)]
                 # np.dot, not np.matmul: matmul runs the rank-1 product, the
                 # common case, about 2x slower
@@ -311,9 +308,15 @@ def peak_sweep(
                        values.shape)
 
 
+def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    "Ascending indices of the rows that ``tentative_peak`` evaluates."
+    floor = np.max(row_peaks - reach)
+    return np.flatnonzero(~((row_peaks + reach) * (1 + _BOUND_SLACK) < floor))
+
+
 def tentative_peak(
     grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
-    row_peaks: np.ndarray,
+    row_peaks: np.ndarray, reach: np.ndarray | None = None,
 ) -> tuple[int, int, int, complex]:
     """``peak_sweep``'s peak of ``|grid - footprints|``, read-only and
     without a pass over the grid.
@@ -321,12 +324,13 @@ def tentative_peak(
     ``factors`` are the footprints' ``_kernel_factors``, and ``row_peaks``
     the row maxima that the last ``peak_sweep`` recorded on the grid as it
     stands.  The footprints move row ``r`` of the ``(aoa*aod, delay)`` view
-    by at most ``reach[r] = sum_k |left[r, k]| * max_l |right[k, l]|``, so
-    the peak is at least ``floor = max_r(row_peaks[r] - reach[r])``, and
-    only rows with ``(row_peaks[r] + reach[r]) * (1 + _BOUND_SLACK) >=
-    floor`` (or a NaN bound) are evaluated: in ascending order, in blocks
-    of the sweep's size, through the sweep's two block buffers.  Ties, the
-    all-zero result and the non-finite ValueError are ``peak_sweep``'s.
+    by at most ``reach[r] = sum_k |left[r, k]| * max_l |right[k, l]|``
+    (from the factors unless given), so the peak is at least ``floor =
+    max_r(row_peaks[r] - reach[r])``, and only rows with ``(row_peaks[r] +
+    reach[r]) * (1 + _BOUND_SLACK) >= floor`` (or a NaN bound) are
+    evaluated: in ascending order, in blocks of half the sweep's size, each
+    gathered by one ``np.take`` and its footprints subtracted in one call.
+    Ties, the all-zero result and the non-finite ValueError are ``peak_sweep``'s.
     """
     values = grid.values
     if values.size == 0:
@@ -334,11 +338,12 @@ def tentative_peak(
     n_aoa, n_aod, n_tau = values.shape
     flat = values.reshape(n_aoa * n_aod, n_tau)
     left, right = factors
-    reach = np.abs(left) @ np.abs(right).max(axis=1)
-    floor = np.max(row_peaks - reach)
-    kept = np.flatnonzero(~((row_peaks + reach) * (1 + _BOUND_SLACK) < floor))
-    rows = min(len(kept), max(1, _BLOCK_ENTRIES // n_tau))
+    if reach is None:
+        reach = np.abs(left) @ np.abs(right).max(axis=1)
+    kept = _bound_rows(row_peaks, reach)
+    rows = min(len(kept), max(1, _BLOCK_ENTRIES // 2 // n_tau))
     block_buf = np.empty((rows, n_tau), dtype=complex)
+    kernel_buf = np.empty((rows, n_tau), dtype=complex)
     mag_buf = np.empty((rows, n_tau))
     row_buf = np.empty(rows)
 
@@ -346,14 +351,79 @@ def tentative_peak(
         for c0 in range(0, len(kept), rows):
             at = kept[c0:c0 + rows]
             n = len(at)
-            block = np.dot(left[at], right, out=block_buf[:n])
-            for m, r in enumerate(at):  # no copy of the grid rows is made
-                np.subtract(flat[r], block[m], out=block[m])
+            block = np.take(flat, at, axis=0, out=block_buf[:n], mode="clip")
+            np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]), out=block)
             mag = np.abs(block, out=mag_buf[:n])
             peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
             yield peak, int(at[r]) * n_tau + k, complex(block[r, k])
 
     return _first_peak(peaks(), values.shape)
+
+
+# pending commits, and share of the rows their bound keeps, past which a
+# tentative pick costs about as much as the full sweep that writes them
+_MAX_PENDING = 16
+_MAX_KEPT_SHARE = 0.05
+
+
+class _PendingPicks:
+    """Greedy-LS's peak picks on a grid that its commits reach late.
+
+    A commit stays pending: a column of the footprint factors ``left`` and
+    ``right`` (its pick's unit ``_kernel_factors`` times its gain), with its
+    row bound added to ``reach``.  Every pick is a ``tentative_peak`` of the
+    grid minus the pending commits and the candidates so far.  A
+    ``candidates`` call first runs one ``peak_sweep``, which writes the
+    pending commits into the grid and records the row peaks, when it is the
+    first call, when ``_MAX_PENDING`` commits are pending, or when their
+    bound keeps more than ``_MAX_KEPT_SHARE`` of the rows; ``sweeps`` counts
+    those sweeps.
+    """
+
+    def __init__(self, grid: BeamspaceGrid, refine: bool, k_g: int):
+        self.grid, self.refine, self.k_g = grid, refine, k_g
+        n_rows = grid.values.shape[0] * grid.values.shape[1]
+        self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
+        self.right = np.empty((_MAX_PENDING + k_g, grid.values.shape[2]), dtype=complex)
+        self.reach, self.row_peaks = np.zeros(n_rows), np.empty(n_rows)
+        self.pending = self.sweeps = 0
+        self.units = []  # (unit left, unit right, unit reach) of each candidate
+
+    def candidates(self) -> list[PathParams]:
+        "Up to ``k_g`` picks, ending before the first zero peak."
+        reach, n = self.reach, self.pending
+        if (not self.sweeps or n >= _MAX_PENDING or len(_bound_rows(
+                self.row_peaks, reach)) > _MAX_KEPT_SHARE * len(reach)):
+            peak_sweep(self.grid, (self.left[:, :n], self.right[:n]) if n else [],
+                       self.row_peaks)
+            self.sweeps += 1
+            self.pending = n = 0
+            reach.fill(0.0)
+        self.units, found = [], []
+        while len(found) < self.k_g:
+            factors = (self.left[:, :n], self.right[:n])
+            peak = self.grid._path_at(*tentative_peak(
+                self.grid, factors, self.row_peaks, reach), self.refine, factors)
+            if peak.gain == 0:
+                break
+            found.append(peak)
+            left, right = _kernel_factors(self.grid._matrices,
+                                          [replace(peak, gain=1)], self.grid.config)
+            self.units.append((left[:, 0], right[0],
+                               np.abs(left[:, 0]) * np.abs(right).max()))
+            np.multiply(left[:, 0], peak.gain, out=self.left[:, n])
+            self.right[n] = right[0]
+            reach = reach + abs(peak.gain) * self.units[-1][2]
+            n += 1
+        return found
+
+    def commit(self, index: int, gain: complex) -> None:
+        "Make candidate ``index`` of the last ``candidates`` call a pending commit."
+        left, right, unit_reach = self.units[index]
+        np.multiply(left, gain, out=self.left[:, self.pending])
+        self.right[self.pending] = right
+        self.reach += abs(gain) * unit_reach
+        self.pending += 1
 
 
 def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:

@@ -138,8 +138,8 @@ def _check_grid_memory(config, oversample: int) -> None:
                          "memory")
 
 
-def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
-    fileio.save_timings(out_dir / TIMINGS_JSON, {stage: seconds})
+def _record_timing(out_dir: Path, stage: str, seconds: float, **counts) -> None:
+    fileio.save_timings(out_dir / TIMINGS_JSON, {stage: seconds} | counts)
     logger.info("%s stage finished in %.2f s", stage, seconds)
 
 
@@ -244,9 +244,10 @@ def cmd_extract(args) -> int:
         for i, e in enumerate(sweep_errors, start=1):
             report[f"sage_error_sweep_{i}"] = e
         fileio.save_kv_report(out_dir / EXTRACT_REPORT, report)
-        _record_timing(out_dir, "extract", time.perf_counter() - t0)
-    logger.info("extract: committed %d paths, normalized error %.3e",
-                len(paths), error)
+        _record_timing(out_dir, "extract", time.perf_counter() - t0,
+                       extract_full_sweeps=trace.full_sweeps)
+    logger.info("extract: committed %d paths in %d full grid sweeps, normalized "
+                "error %.3e", len(paths), trace.full_sweeps, error)
     return EXIT_OK
 
 

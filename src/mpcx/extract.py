@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import BeamspaceGrid, GridSpec, beamspace_transform
+from .beamspace import BeamspaceGrid, GridSpec, _PendingPicks, beamspace_transform
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -86,6 +86,7 @@ class ExtractionTrace:
     ls_condition: list[float] = field(default_factory=list)
     initial_power: float = 0.0
     dropped_duplicates: int = 0
+    full_sweeps: int = 0  # grid passes; the other picks were tentative
     stop_reason: str = ""  # "k_dom", "residual_stop" or "exhausted" (nothing to pick)
 
 
@@ -140,12 +141,16 @@ def _geometry_atoms(
     return _steering_matrices(config, *zip(*geometry))
 
 
-def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray) -> np.ndarray:
-    """Gram matrix A^H A of the atoms a_rx (x) a_tx (x) a_f: the elementwise
+def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray,
+                     other: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                     ) -> np.ndarray:
+    """Gram matrix A^H A of the atoms a_rx (x) a_tx (x) a_f, or the cross-Gram
+    A^H B with the atoms of the steering matrices ``other``: the elementwise
     product of the three per-axis Grams (the full columns are never built)."""
-    gram = a_f.T.conj() @ a_f
-    gram *= a_rx.T.conj() @ a_rx
-    gram *= a_tx.T.conj() @ a_tx
+    b_rx, b_tx, b_f = (a_rx, a_tx, a_f) if other is None else other
+    gram = a_f.T.conj() @ b_f
+    gram *= a_rx.T.conj() @ b_rx
+    gram *= a_tx.T.conj() @ b_tx
     return gram
 
 
@@ -166,24 +171,29 @@ def _gram_condition(gram: np.ndarray) -> float:
         return float(eig.max() / eig.min())
 
 
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solution of ``gram @ x = rhs`` and the Gram condition number, from its
+    eigenvalues; DegenerateGeometryError if that exceeds the limit."""
+    condition = _gram_condition(gram)
+    if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
+        raise DegenerateGeometryError(condition, _coherence_pairs(gram))
+    return np.linalg.solve(gram, rhs), condition
+
+
 def _ls_solve(
     response: FrequencyResponse,
     geometry: list[tuple[float, float, float]],
     config: SounderConfig,
 ) -> tuple[np.ndarray, float]:
     """LS amplitudes and Gram condition number: the Gram matrix and the
-    right-hand side from one set of atoms, the condition from its eigenvalues."""
+    right-hand side from one set of atoms."""
     dim = config.n_rx * config.n_tx * config.n_freq
     if len(geometry) >= dim:
         raise ValueError(f"{len(geometry)} paths >= signal space dimension {dim}")
     if response.config != config:
         raise ValueError("response and config disagree")
     atoms = _geometry_atoms(geometry, config)
-    gram = _dictionary_gram(*atoms)
-    condition = _gram_condition(gram)
-    if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
-        raise DegenerateGeometryError(condition, _coherence_pairs(gram))
-    return np.linalg.solve(gram, _matched_filter(response.values, *atoms)), condition
+    return _solve(_dictionary_gram(*atoms), _matched_filter(response.values, *atoms))
 
 
 def ls_amplitudes(
@@ -218,46 +228,33 @@ def ls_condition(
     return _gram_condition(_dictionary_gram(*_geometry_atoms(geometry, config)))
 
 
+def _dedup_solve(solve, n: int) -> tuple[np.ndarray, float, list[int], int]:
+    """``solve(kept)``, an LS solve of the kept ones of ``n`` columns, that
+    drops later near-duplicate columns until well posed.
+
+    Returns (amplitudes, condition, kept original indices, dropped count).
+    """
+    kept = list(range(n))
+    while True:
+        try:
+            return (*solve(kept), kept, n - len(kept))
+        except DegenerateGeometryError as err:
+            if len(kept) == 1:
+                raise
+            a, b, coh = err.pairs[0]
+            logger.info("dropping near-duplicate LS candidate %d (coherence %.6f "
+                        "with %d)", kept[max(a, b)], coh, kept[min(a, b)])
+            del kept[max(a, b)]
+
+
 def _ls_with_dedup(
     response: FrequencyResponse,
     geometry: list[tuple[float, float, float]],
     config: SounderConfig,
 ) -> tuple[np.ndarray, float, list[int], int]:
-    """LS solve that drops later near-duplicate columns until well posed.
-
-    Returns (amplitudes, condition, kept original indices, dropped count).
-    """
-    kept = list(range(len(geometry)))
-    while True:
-        subset = [geometry[i] for i in kept]
-        try:
-            amps, cond = _ls_solve(response, subset, config)
-            return amps, cond, kept, len(geometry) - len(kept)
-        except DegenerateGeometryError as err:
-            if len(kept) == 1:
-                raise
-            a, b, coh = err.pairs[0]
-            drop_local = max(a, b)
-            logger.info(
-                "dropping near-duplicate LS candidate %d (coherence %.6f with %d)",
-                kept[drop_local], coh, kept[min(a, b)],
-            )
-            del kept[drop_local]
-
-
-def _commit_atom(residual: np.ndarray, cand: PathParams,
-                 config: SounderConfig) -> complex:
-    """Exactly optimal single-path amplitude of the candidate's atom for the
-    residual (its matched filter divided by n_rx*n_tx*n_freq); the atom
-    times that amplitude is subtracted from ``residual`` in place, one rx row
-    at a time.  Returns the amplitude."""
-    a_rx, a_tx, a_f = _steering_matrices(config, [cand.delay], [cand.aod],
-                                         [cand.aoa])
-    alpha = complex(_matched_filter(residual, a_rx, a_tx, a_f)[0]) / residual.size
-    plane = np.outer(alpha * a_tx[:, 0], a_f[:, 0])
-    for r in range(config.n_rx):
-        residual[r] -= a_rx[r, 0] * plane
-    return alpha
+    "``_dedup_solve`` of ``_ls_solve`` on the kept geometries."
+    return _dedup_solve(lambda kept: _ls_solve(
+        response, [geometry[i] for i in kept], config), len(geometry))
 
 
 def greedy_ls(
@@ -270,24 +267,23 @@ def greedy_ls(
     Outer loop, repeated until ``k_dom`` paths are committed or the residual
     power ratio falls below ``residual_stop``:
 
-    1. pick ``k_g`` candidate peaks on the current residual grid.  The
-       first pick is the iteration's one full ``peak_sweep``: it subtracts
-       the commits made since the previous one from the grid in place,
-       finds the peak and records each (AoA, AoD) row's peak magnitude.
-       Picks 2..k_g are read-only ``tentative_peak`` searches of the grid
-       minus the footprints of the candidates so far (raw CLEAN
-       subtraction, not committed); a bound on those footprints per row
-       limits each search to the rows that can hold the peak;
-    2. LS-refit the amplitudes of those candidates against the current
-       residual response (degenerate candidates are dropped, later one
-       first);
-    3. commit the ``k_up`` candidates with the largest refitted power.  Each
-       commit takes the exactly optimal single-path amplitude for the
-       residual at commit time (the matched filter of the candidate's atom
-       divided by n_rx*n_tx*n_freq) and subtracts the rank-1 atom from the
-       frequency-domain residual in place, one rx row at a time, so the
-       recorded residual power never increases.  The candidates never touch
-       the grid; the commits reach it with the next iteration's full sweep.
+    1. pick ``k_g`` candidate peaks on the residual grid
+       (``beamspace._PendingPicks``): each is a read-only ``tentative_peak``
+       of the grid minus the pending commits and the candidates so far (raw
+       CLEAN subtraction), over the rows a bound on those footprints keeps.
+       A full ``peak_sweep`` writes the pending commits into the grid first,
+       at the start and when 16 are pending or the bound keeps over 5% of
+       the rows;
+    2. LS-refit the candidates' amplitudes against the residual (degenerate
+       ones are dropped, later one first).  No residual is kept: the
+       right-hand side is A^H r = A^H h - G g (Batch-OMP), the matched
+       filter of the measurement minus the cross-Gram with the commits
+       times their gains;
+    3. commit the ``k_up`` candidates with the largest refitted power, each
+       at the exactly optimal single-path amplitude for the residual: its
+       right-hand side entry over n_rx*n_tx*n_freq, the entries updated by
+       ``-gram[:, c] * alpha`` after each commit.  The residual power falls
+       by n_rx*n_tx*n_freq*|alpha|^2 (clamped at 0), so it never increases.
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
@@ -297,52 +293,51 @@ def greedy_ls(
     are grid-quantized otherwise.
 
     Returns the committed paths in commit order plus an
-    :class:`ExtractionTrace` with residual power after each commit and the
-    reason the loop stopped.
+    :class:`ExtractionTrace` with residual power after each commit, the
+    number of full grid sweeps and the reason the loop stopped.
     """
     if response.config != config:
         raise ValueError("response and config disagree")
     cfg = config
-    residual = response.values.copy()
-    res_fr = FrequencyResponse(values=residual, config=cfg)
-    trace = ExtractionTrace(initial_power=float(np.vdot(residual, residual).real))
+    values = response.values
+    trace = ExtractionTrace(initial_power=float(np.vdot(values, values).real))
     if trace.initial_power == 0:
         trace.stop_reason = "exhausted"
         return [], trace
 
-    grid = beamspace_transform(res_fr, xcfg.grid)
-    # each (aoa, aod) row's peak magnitude as the last full sweep left the grid
-    row_peaks = np.empty(grid.values.shape[0] * grid.values.shape[1])
+    picks = _PendingPicks(beamspace_transform(response, xcfg.grid),
+                          xcfg.refine_peaks, xcfg.k_g)
+    # steering columns and gains of the commits, in commit order
+    done = tuple(np.empty((n, xcfg.k_dom), dtype=complex)
+                 for n in (cfg.n_rx, cfg.n_tx, cfg.n_freq))
+    gains = np.empty(xcfg.k_dom, dtype=complex)
     committed: list[PathParams] = []
-    pending: list[PathParams] = []  # commits not yet subtracted from the grid
+    power = trace.initial_power
 
     trace.stop_reason = "k_dom"
     while len(committed) < xcfg.k_dom:
-        res_power = (trace.residual_power[-1] if trace.residual_power
-                     else trace.initial_power)
-        if res_power / trace.initial_power <= xcfg.residual_stop:
+        if power / trace.initial_power <= xcfg.residual_stop:
             trace.stop_reason = "residual_stop"
             break
 
-        # step 1: k_g peak picks; the first writes the pending commits into
-        # the grid, the others search the grid minus the candidates so far
-        candidates: list[PathParams] = []
-        for _ in range(xcfg.k_g):
-            if candidates:
-                peak = grid._pick_tentative(candidates, row_peaks, xcfg.refine_peaks)
-            else:
-                peak = grid._pick(pending, xcfg.refine_peaks, row_peaks)
-                pending = []
-            if peak.gain == 0:
-                break
-            candidates.append(peak)
+        # step 1: k_g peak picks on the grid minus the pending commits
+        candidates = picks.candidates()
         if not candidates:
             trace.stop_reason = "exhausted"
             break
 
-        # step 2: joint LS against the current residual ranks the candidates
-        geometry = [(c.delay, c.aod, c.aoa) for c in candidates]
-        amps, cond, kept, dropped = _ls_with_dedup(res_fr, geometry, cfg)
+        # step 2: joint LS against the residual, from the atoms alone
+        k = len(committed)
+        if len(candidates) >= values.size:
+            raise ValueError(f"{len(candidates)} paths >= signal space dimension "
+                             f"{values.size}")
+        atoms = _steering_matrices(cfg, *zip(*((c.delay, c.aod, c.aoa)
+                                                for c in candidates)))
+        gram = _dictionary_gram(*atoms)
+        rhs = _matched_filter(values, *atoms) - _dictionary_gram(
+            *atoms, other=tuple(d[:, :k] for d in done)) @ gains[:k]
+        amps, cond, kept, dropped = _dedup_solve(
+            lambda keep: _solve(gram[np.ix_(keep, keep)], rhs[keep]), len(rhs))
         trace.ls_condition.append(cond)
         trace.dropped_duplicates += dropped
         order = np.argsort(-np.abs(amps) ** 2, kind="stable")
@@ -350,14 +345,22 @@ def greedy_ls(
         # step 3: commit the strongest k_up with exact per-commit amplitudes
         n_commit = min(xcfg.k_up, xcfg.k_dom - len(committed), len(kept))
         for rank in range(n_commit):
-            cand = candidates[kept[int(order[rank])]]
-            alpha = _commit_atom(residual, cand, cfg)
-            path = PathParams(gain=alpha, delay=cand.delay, aod=cand.aod, aoa=cand.aoa)
-            committed.append(path)
-            pending.append(path)
-            trace.residual_power.append(float(np.vdot(residual, residual).real))
+            c = kept[int(order[rank])]
+            alpha = complex(rhs[c]) / values.size
+            rhs -= gram[:, c] * alpha
+            power = max(power - values.size * abs(alpha) ** 2, 0.0)
+            for d, a in zip(done, atoms):
+                d[:, k] = a[:, c]
+            gains[k] = alpha
+            k += 1
+            picks.commit(c, alpha)
+            cand = candidates[c]
+            committed.append(PathParams(gain=alpha, delay=cand.delay,
+                                        aod=cand.aod, aoa=cand.aoa))
+            trace.residual_power.append(power)
             trace.committed_gain_power.append(abs(alpha) ** 2)
 
+    trace.full_sweeps = picks.sweeps
     if xcfg.final_global_ls and committed:
         committed = _global_refit(response, committed, cfg, trace)
     return committed, trace

@@ -475,6 +475,6 @@ def load_timings(path) -> dict:
 
 
 def save_timings(path, timings: dict[str, float]) -> None:
-    "Merge stage wall-times into the run's timing sidecar (not deterministic)."
+    "Merge stage wall-times and counts into the run's timing sidecar (not deterministic)."
     merged = load_timings(path) | timings
     _write_text(Path(path), json.dumps(merged, indent=2, sort_keys=True) + "\n")

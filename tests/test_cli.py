@@ -96,6 +96,36 @@ def test_trace_is_monotone(run_dir):
     assert [i for i, _ in rows] == list(range(1, len(rows) + 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_extract_exact_recovery_writes_a_finite_trace(tmp_path):
+    """One noiseless on-grid path, no residual stop: the first commit fits
+    it exactly, so the residual power can reach 0 but never goes negative
+    or NaN.  Extract exits 0 and writes its full-sweep count to the
+    timings sidecar."""
+    paths = tmp_path / "one.csv"
+    paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+                     "0.8,-0.6,2.5e-09,0.125,-0.25\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    assert main(["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                 "--kdom", "8", "--residual-stop", "0", "--out-dir", str(out),
+                 "--quiet"]) == 0
+    rows = fileio.load_trace_csv(out / "trace.csv")
+    assert rows and not any(np.isnan(db) for _, db in rows)
+    config = fileio.load_sounder_config(out / "config.txt")
+    _, trace = greedy_ls(fileio.load_response(out / "tensor.bin", config), config,
+                         ExtractionConfig(k_dom=8, residual_stop=0.0))
+    assert len(trace.residual_power) == len(rows)
+    assert min(trace.residual_power) >= 0
+    report = fileio.load_kv_report(out / "extract_report.txt")
+    assert 0 <= float(report["final_residual_power"]) < 1e-20
+    (first,) = [p for p in fileio.load_paths_csv(out / "estimates.csv")
+                if abs(p.gain) > 1e-6]
+    assert abs(first.gain - (0.8 - 0.6j)) < 1e-12
+    assert fileio.load_timings(out / "timings.json")["extract_full_sweeps"] >= 1
+
+
 def test_report_totals_recomputable(run_dir):
     report = fileio.load_kv_report(run_dir / "run_report.txt")
     assoc = fileio.load_kv_report(run_dir / "association_report.txt")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -340,6 +341,16 @@ def test_greedy_ls_zero_input_returns_empty():
     assert found == []
     assert trace.initial_power == 0.0
     assert trace.stop_reason == "exhausted"
+
+
+def test_greedy_ls_rejects_as_many_candidates_as_dimensions():
+    "k_g candidates in a signal space of k_g dimensions cannot be LS-refit."
+    cfg = SounderConfig(n_tx=1, n_rx=1, bandwidth_hz=1e9, n_freq=2)
+    resp = synthesize_response(cfg, [
+        PathParams(gain=1 + 0j, delay=0.3e-9, aod=0.0, aoa=0.0),
+        PathParams(gain=0.5j, delay=1.1e-9, aod=0.0, aoa=0.0)])
+    with pytest.raises(ValueError, match="2 paths >= signal space dimension 2"):
+        greedy_ls(resp, cfg, ExtractionConfig(k_dom=4, k_g=2, k_up=1))
 
 
 def test_greedy_ls_trace_monotone_off_grid():
@@ -774,22 +785,57 @@ def test_grid_matrices_built_once_per_extraction():
         assert len(found) == k_dom
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_greedy_ls_sweeps_the_grid_once_per_iteration(refine):
-    """Only the first of an iteration's k_g picks is a full peak sweep; the
-    other k_g - 1 are read-only tentative picks."""
-    resp = desk_case(4, 20.0, n_paths=10)
-    cfg = ExtractionConfig(k_dom=12, k_g=4, k_up=2, residual_stop=0.0,
-                           final_global_ls=False, refine_peaks=refine)
+def counted_greedy_ls(resp, config, cfg):
+    "greedy_ls with its full sweeps and tentative picks counted."
     with mock.patch.object(beamspace, "peak_sweep",
                            wraps=beamspace.peak_sweep) as sweeps, \
             mock.patch.object(beamspace, "tentative_peak",
                               wraps=beamspace.tentative_peak) as tentative:
-        found, trace = greedy_ls(resp, DESK, cfg)
+        found, trace = greedy_ls(resp, config, cfg)
+    assert trace.full_sweeps == sweeps.call_count
+    return found, trace, tentative.call_count
+
+
+def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
+    """Where the pending commits' bound prunes, as on the paper grids, the
+    commits are written into the grid only when 16 are pending: at most
+    ceil(k_dom / 16) + 1 full sweeps.  Every pick is tentative."""
+    rng = np.random.default_rng(83)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, PAPER.duration * 0.9),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(24)]
+    resp = synthesize_response(PAPER, truth)
+    cfg = ExtractionConfig(k_dom=48, k_g=4, k_up=2, residual_stop=0.0,
+                           final_global_ls=False,
+                           grid=GridSpec(os_aoa=1, os_aod=1, os_delay=1))
+    found, trace, tentative = counted_greedy_ls(resp, PAPER, cfg)
+    assert len(found) == 48
+    iterations = len(trace.ls_condition)
+    assert iterations == 24
+    assert trace.full_sweeps <= math.ceil(48 / 16) + 1
+    assert tentative == 4 * iterations
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_greedy_ls_sweep_schedule_does_not_change_the_paths(refine):
+    """On the desk grid the bound often keeps more than 5% of the rows, and
+    a share limit of 0 gives one full sweep per iteration.  However often
+    the grid is swept (every iteration; or only at the start, with no share
+    limit), the committed paths agree to 1e-9."""
+    resp = desk_case(4, 20.0, n_paths=10)
+    cfg = ExtractionConfig(k_dom=12, k_g=4, k_up=2, residual_stop=0.0,
+                           final_global_ls=False, refine_peaks=refine)
+    found, trace, tentative = counted_greedy_ls(resp, DESK, cfg)
     assert len(found) == 12
     assert len(trace.ls_condition) == 6  # one LS per outer iteration
-    assert sweeps.call_count == 6
-    assert tentative.call_count == 6 * 3
+    assert 1 <= trace.full_sweeps <= 6
+    assert tentative == 6 * 4
+    for share, sweeps in ((0.0, 6), (1.0, 1)):
+        with mock.patch.object(beamspace, "_MAX_KEPT_SHARE", share):
+            again, trace, tentative = counted_greedy_ls(resp, DESK, cfg)
+        assert (trace.full_sweeps, tentative) == (sweeps, 6 * 4)
+        assert_same_paths(again, found, geometry_tol=1e-9 if refine else 0.0)
 
 
 def test_greedy_ls_memory_is_one_grid():

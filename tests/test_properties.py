@@ -7,6 +7,7 @@ hypothesis.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from mpcx import (
     beamspace,
     beamspace_point,
     beamspace_transform,
-    extract,
     fileio,
     greedy_ls,
     ls_amplitudes,
@@ -147,15 +147,19 @@ def random_paths(rng, cfg, spec, n_paths, on_grid):
 
 @settings(max_examples=150, deadline=None)
 @given(**SMALL, n_paths=st.integers(1, 4), on_grid=st.booleans(),
-       swept=st.integers(0, 2), block=st.integers(1, 80))
+       swept=st.integers(0, 2), pending=st.integers(0, 3),
+       block=st.integers(1, 80))
 def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
                                             os_delay, seed, n_paths, on_grid,
-                                            swept, block):
+                                            swept, pending, block):
     """The read-only pick against ``np.argmax`` of the grid minus the paths'
     footprints, on row peaks that a sweep writing ``swept`` other paths
-    recorded: the same index unless rounding can reorder the top two, the
-    value to 1e-12, the interpolated coordinates to 1e-9, and the grid bytes
-    unchanged."""
+    recorded.  The first ``pending`` paths were never written to the grid:
+    as greedy-LS keeps its pending commits, their factors are unit
+    ``_kernel_factors`` columns scaled by the gain, and their row bound is
+    the sum of |gain| times the unit bound.  The same index unless rounding
+    can reorder the top two, the value to 1e-12, the interpolated
+    coordinates to 1e-9, and the grid bytes unchanged."""
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
     rng = np.random.default_rng(seed)
     grid = beamspace.BeamspaceGrid(complex_normal(rng, shape), spec, cfg)
@@ -164,12 +168,19 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     assert np.array_equal(row_peaks,
                           np.abs(grid.values).reshape(len(row_peaks), -1).max(axis=1))
     before = grid.values.tobytes()
-    paths = random_paths(rng, cfg, spec, n_paths, on_grid)
+    paths = random_paths(rng, cfg, spec, pending + n_paths, on_grid)
     dense = grid.values - sum(single_path_grid(p, spec, cfg).values for p in paths)
     mag = np.abs(dense)
-    factors = beamspace._kernel_factors(grid._matrices, paths, cfg)
+    units = [beamspace._kernel_factors(grid._matrices, [replace(p, gain=1)], cfg)
+             for p in paths[:pending]]
+    left, right = beamspace._kernel_factors(grid._matrices, paths[pending:], cfg)
+    factors = (np.hstack([u * p.gain for (u, _), p in zip(units, paths)] + [left]),
+               np.vstack([r for _, r in units] + [right]))
+    reach = sum((abs(p.gain) * np.abs(u[:, 0]) * np.abs(r).max()
+                 for (u, r), p in zip(units, paths)),
+                np.abs(left) @ np.abs(right).max(axis=1))
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        i, j, l, val = tentative_peak(grid, factors, row_peaks)
+        i, j, l, val = tentative_peak(grid, factors, row_peaks, reach)
     assert grid.values.tobytes() == before
 
     scale = max(1.0, float(mag.max()))
@@ -291,17 +302,39 @@ def test_residual_trace_never_increases_and_equals_recomputed(
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
-       seed=st.integers(0, 2**32 - 1))
-def test_beamspace_point_is_the_commit_amplitude(n_rx, n_tx, n_freq, seed):
+@given(n_rx=st.integers(2, 6), n_tx=st.integers(2, 6), n_freq=st.integers(4, 16),
+       os=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       n_paths=st.integers(1, 6), k_dom=st.integers(1, 10),
+       k_g_up=st.integers(1, 4).flatmap(
+           lambda k_g: st.tuples(st.just(k_g), st.integers(1, k_g))),
+       refine=st.booleans(), noisy=st.booleans())
+def test_committed_gain_is_beamspace_point_of_the_residual(
+        n_rx, n_tx, n_freq, os, seed, n_paths, k_dom, k_g_up, refine, noisy):
+    """With final LS off, each committed gain, taken from the Gram-updated
+    right-hand side, is ``beamspace_point`` of the measurement minus the
+    earlier commits at the commit's coordinates, to 1e-12 relative (of the
+    measurement's amplitude scale for gains that rounding dominates)."""
     cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
     rng = np.random.default_rng(seed)
-    resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
-                             config=cfg)
-    cand = PathParams(gain=1 + 0j, delay=rng.uniform(0, cfg.duration),
-                      aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
-    point = beamspace_point(resp, cand.aoa, cand.aod, cand.delay)
-    assert point == extract._commit_atom(resp.values.copy(), cand, cfg)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, cfg.duration * 0.95),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(n_paths)]
+    resp = synthesize_response(cfg, truth)
+    if noisy:
+        resp = add_awgn(resp, 0.01 * np.mean(np.abs(resp.values) ** 2), seed=seed)
+    k_g, k_up = k_g_up
+    xcfg = ExtractionConfig(k_dom=k_dom, k_g=k_g, k_up=k_up, residual_stop=0.0,
+                            final_global_ls=False, refine_peaks=refine,
+                            grid=GridSpec(os_aoa=os, os_aod=os, os_delay=os))
+    found, _ = greedy_ls(resp, cfg, xcfg)
+    scale = float(np.sqrt(np.mean(np.abs(resp.values) ** 2)))
+    for k, path in enumerate(found):
+        residual = FrequencyResponse(
+            values=resp.values - synthesize_response(cfg, found[:k]).values,
+            config=cfg)
+        point = beamspace_point(residual, path.aoa, path.aod, path.delay)
+        assert abs(path.gain - point) <= 1e-12 * max(abs(point), scale)
 
 
 # ---------------------------------------------------------------------------
