@@ -365,6 +365,10 @@ def tentative_peak(
 _MAX_PENDING = 16
 _MAX_KEPT_SHARE = 0.05
 
+# pending commits that the factor arrays hold room for at first; the room
+# doubles on demand up to _MAX_PENDING
+_FIRST_PENDING = 2
+
 
 class _PendingPicks:
     """Greedy-LS's peak picks on a grid that its commits reach late.
@@ -377,17 +381,30 @@ class _PendingPicks:
     pending commits into the grid and records the row peaks, when it is the
     first call, when ``_MAX_PENDING`` commits are pending, or when their
     bound keeps more than ``_MAX_KEPT_SHARE`` of the rows; ``sweeps`` counts
-    those sweeps.
+    those sweeps.  The factor arrays hold ``k_g`` columns plus room for
+    ``_FIRST_PENDING`` pending commits at first; the room doubles when the
+    pending commits need it.
     """
 
     def __init__(self, grid: BeamspaceGrid, refine: bool, k_g: int):
         self.grid, self.refine, self.k_g = grid, refine, k_g
         n_rows = grid.values.shape[0] * grid.values.shape[1]
-        self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
-        self.right = np.empty((_MAX_PENDING + k_g, grid.values.shape[2]), dtype=complex)
+        self.left = np.empty((n_rows, _FIRST_PENDING + k_g), dtype=complex)
+        self.right = np.empty((_FIRST_PENDING + k_g, grid.values.shape[2]), dtype=complex)
         self.reach, self.row_peaks = np.zeros(n_rows), np.empty(n_rows)
         self.pending = self.sweeps = 0
         self.units = []  # (unit left, unit right, unit reach) of each candidate
+
+    def _make_room(self) -> None:
+        """Grow the factor arrays to hold the pending commits and ``k_g``
+        candidates, keeping the pending commits' columns."""
+        n, room = self.pending, len(self.right) - self.k_g
+        if n > room:
+            room = min(max(2 * room, n), _MAX_PENDING)
+            left = np.empty((len(self.left), room + self.k_g), dtype=complex)
+            right = np.empty((room + self.k_g, self.right.shape[1]), dtype=complex)
+            left[:, :n], right[:n] = self.left[:, :n], self.right[:n]
+            self.left, self.right = left, right
 
     def candidates(self) -> list[PathParams]:
         "Up to ``k_g`` picks, ending before the first zero peak."
@@ -399,6 +416,7 @@ class _PendingPicks:
             self.sweeps += 1
             self.pending = n = 0
             reach.fill(0.0)
+        self._make_room()
         self.units, found = [], []
         while len(found) < self.k_g:
             factors = (self.left[:, :n], self.right[:n])

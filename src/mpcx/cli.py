@@ -138,6 +138,24 @@ def _check_grid_memory(config, oversample: int) -> None:
                          "memory")
 
 
+# environment variables that set the BLAS thread count, on which the last
+# bits of the extracted gains depend
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_facts() -> dict[str, str | int | None]:
+    """The BLAS library numpy was built with, the CPU count and the BLAS
+    thread variables (None when unset): what explains a byte difference
+    between the deterministic artifacts of two runs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy takes no mode, or lists no BLAS
+        blas = {}
+    return ({"blas_name": blas.get("name"), "blas_version": blas.get("version"),
+             "cpu_count": os.cpu_count()}
+            | {var: os.environ.get(var) for var in _BLAS_THREAD_VARS})
+
+
 def _record_timing(out_dir: Path, stage: str, seconds: float, **counts) -> None:
     fileio.save_timings(out_dir / TIMINGS_JSON, {stage: seconds} | counts)
     logger.info("%s stage finished in %.2f s", stage, seconds)
@@ -245,7 +263,7 @@ def cmd_extract(args) -> int:
             report[f"sage_error_sweep_{i}"] = e
         fileio.save_kv_report(out_dir / EXTRACT_REPORT, report)
         _record_timing(out_dir, "extract", time.perf_counter() - t0,
-                       extract_full_sweeps=trace.full_sweeps)
+                       extract_full_sweeps=trace.full_sweeps, **_blas_facts())
     logger.info("extract: committed %d paths in %d full grid sweeps, normalized "
                 "error %.3e", len(paths), trace.full_sweeps, error)
     return EXIT_OK

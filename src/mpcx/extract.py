@@ -275,10 +275,15 @@ def greedy_ls(
        at the start and when 16 are pending or the bound keeps over 5% of
        the rows;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
-       ones are dropped, later one first).  No residual is kept: the
-       right-hand side is A^H r = A^H h - G g (Batch-OMP), the matched
-       filter of the measurement minus the cross-Gram with the commits
-       times their gains;
+       ones are dropped, later one first).  No residual response is kept.
+       The grid is the transform A^H / N of the residual (N =
+       n_rx*n_tx*n_freq), so on the lattice the right-hand side A^H r is
+       read off it: N times each candidate's value plus the earlier
+       candidates' values times their Gram entries with it (the candidate's
+       value lacks their footprints).  With ``refine_peaks`` the picks are
+       off the lattice and the right-hand side is the Batch-OMP identity
+       A^H r = A^H h - G g: the matched filter of the measurement minus the
+       cross-Gram with the commits times their gains;
     3. commit the ``k_up`` candidates with the largest refitted power, each
        at the exactly optimal single-path amplitude for the residual: its
        right-hand side entry over n_rx*n_tx*n_freq, the entries updated by
@@ -307,10 +312,11 @@ def greedy_ls(
 
     picks = _PendingPicks(beamspace_transform(response, xcfg.grid),
                           xcfg.refine_peaks, xcfg.k_g)
-    # steering columns and gains of the commits, in commit order
-    done = tuple(np.empty((n, xcfg.k_dom), dtype=complex)
-                 for n in (cfg.n_rx, cfg.n_tx, cfg.n_freq))
-    gains = np.empty(xcfg.k_dom, dtype=complex)
+    if xcfg.refine_peaks:
+        # steering columns and gains of the commits, in commit order
+        done = tuple(np.empty((n, xcfg.k_dom), dtype=complex)
+                     for n in (cfg.n_rx, cfg.n_tx, cfg.n_freq))
+        gains = np.empty(xcfg.k_dom, dtype=complex)
     committed: list[PathParams] = []
     power = trace.initial_power
 
@@ -327,15 +333,21 @@ def greedy_ls(
             break
 
         # step 2: joint LS against the residual, from the atoms alone
-        k = len(committed)
         if len(candidates) >= values.size:
             raise ValueError(f"{len(candidates)} paths >= signal space dimension "
                              f"{values.size}")
         atoms = _steering_matrices(cfg, *zip(*((c.delay, c.aod, c.aoa)
                                                 for c in candidates)))
         gram = _dictionary_gram(*atoms)
-        rhs = _matched_filter(values, *atoms) - _dictionary_gram(
-            *atoms, other=tuple(d[:, :k] for d in done)) @ gains[:k]
+        if xcfg.refine_peaks:
+            k = len(committed)
+            rhs = _matched_filter(values, *atoms) - _dictionary_gram(
+                *atoms, other=tuple(d[:, :k] for d in done)) @ gains[:k]
+        else:
+            # N times the residual grid at a lattice pick is its A^H r, and a
+            # candidate's value lacks the earlier candidates' footprints there
+            vals = np.array([c.gain for c in candidates])
+            rhs = values.size * vals + np.tril(gram, -1) @ vals
         amps, cond, kept, dropped = _dedup_solve(
             lambda keep: _solve(gram[np.ix_(keep, keep)], rhs[keep]), len(rhs))
         trace.ls_condition.append(cond)
@@ -349,10 +361,10 @@ def greedy_ls(
             alpha = complex(rhs[c]) / values.size
             rhs -= gram[:, c] * alpha
             power = max(power - values.size * abs(alpha) ** 2, 0.0)
-            for d, a in zip(done, atoms):
-                d[:, k] = a[:, c]
-            gains[k] = alpha
-            k += 1
+            if xcfg.refine_peaks:
+                for d, a in zip(done, atoms):
+                    d[:, len(committed)] = a[:, c]
+                gains[len(committed)] = alpha
             picks.commit(c, alpha)
             cand = candidates[c]
             committed.append(PathParams(gain=alpha, delay=cand.delay,

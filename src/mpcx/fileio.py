@@ -474,7 +474,8 @@ def load_timings(path) -> dict:
     return timings
 
 
-def save_timings(path, timings: dict[str, float]) -> None:
-    "Merge stage wall-times and counts into the run's timing sidecar (not deterministic)."
+def save_timings(path, timings: dict[str, float | int | str | None]) -> None:
+    """Merge stage wall-times, counts and machine facts into the run's timing
+    sidecar (not deterministic)."""
     merged = load_timings(path) | timings
     _write_text(Path(path), json.dumps(merged, indent=2, sort_keys=True) + "\n")

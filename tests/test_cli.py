@@ -1,4 +1,5 @@
 import builtins
+import os
 import shutil
 
 import numpy as np
@@ -97,11 +98,14 @@ def test_trace_is_monotone(run_dir):
 
 
 @pytest.mark.filterwarnings("error")
-def test_extract_exact_recovery_writes_a_finite_trace(tmp_path):
+def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     """One noiseless on-grid path, no residual stop: the first commit fits
     it exactly, so the residual power can reach 0 but never goes negative
-    or NaN.  Extract exits 0 and writes its full-sweep count to the
-    timings sidecar."""
+    or NaN.  Extract exits 0 and writes its full-sweep count and the BLAS
+    facts (library, CPU count, thread variables, null when unset) to the
+    timings sidecar, and to no other artifact."""
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     paths = tmp_path / "one.csv"
     paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
                      "0.8,-0.6,2.5e-09,0.125,-0.25\n", encoding="utf-8")
@@ -123,7 +127,16 @@ def test_extract_exact_recovery_writes_a_finite_trace(tmp_path):
     (first,) = [p for p in fileio.load_paths_csv(out / "estimates.csv")
                 if abs(p.gain) > 1e-6]
     assert abs(first.gain - (0.8 - 0.6j)) < 1e-12
-    assert fileio.load_timings(out / "timings.json")["extract_full_sweeps"] >= 1
+    timings = fileio.load_timings(out / "timings.json")
+    assert timings["extract_full_sweeps"] >= 1
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (timings["blas_name"], timings["blas_version"]) == (blas["name"],
+                                                               blas["version"])
+    assert timings["cpu_count"] == os.cpu_count()
+    assert (timings["MKL_NUM_THREADS"], timings["OMP_NUM_THREADS"]) == ("3", None)
+    assert timings["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert not any(blas["version"] in p.read_text(encoding="utf-8")
+                   for p in out.glob("*.txt"))
 
 
 def test_report_totals_recomputable(run_dir):

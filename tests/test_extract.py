@@ -785,6 +785,27 @@ def test_grid_matrices_built_once_per_extraction():
         assert len(found) == k_dom
 
 
+def test_measurement_matched_filter_only_in_refit_on_the_lattice():
+    """On the lattice greedy_ls reads each iteration's LS right-hand side off
+    the residual grid: the matched filter of the measurement runs once per
+    extraction, in the global refit, and never without it, whatever k_dom.
+    With refine_peaks the picks are off the lattice and it runs once per
+    iteration."""
+    for n_paths, k_dom in ((2, 1), (10, 12)):
+        resp = desk_case(3, 20.0, n_paths)
+        for refine in (False, True):
+            for final_ls in (True, False):
+                with mock.patch.object(extract, "_matched_filter",
+                                       wraps=extract._matched_filter) as filtered:
+                    found, trace = greedy_ls(resp, DESK, ExtractionConfig(
+                        k_dom=k_dom, k_g=4, k_up=2, residual_stop=0.0,
+                        final_global_ls=final_ls, refine_peaks=refine))
+                iterations = len(trace.ls_condition) - final_ls
+                assert iterations >= (k_dom + 1) // 2
+                assert filtered.call_count == refine * iterations + final_ls
+                assert len(found) == k_dom
+
+
 def counted_greedy_ls(resp, config, cfg):
     "greedy_ls with its full sweeps and tentative picks counted."
     with mock.patch.object(beamspace, "peak_sweep",
@@ -799,7 +820,9 @@ def counted_greedy_ls(resp, config, cfg):
 def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
     """Where the pending commits' bound prunes, as on the paper grids, the
     commits are written into the grid only when 16 are pending: at most
-    ceil(k_dom / 16) + 1 full sweeps.  Every pick is tentative."""
+    ceil(k_dom / 16) + 1 full sweeps.  Every pick is tentative.  The factor
+    arrays start with room for k_g candidates and 2 pending commits, and the
+    room for commits doubles only when more are pending, up to 16."""
     rng = np.random.default_rng(83)
     truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
                         delay=rng.uniform(0, PAPER.duration * 0.9),
@@ -809,12 +832,24 @@ def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
     cfg = ExtractionConfig(k_dom=48, k_g=4, k_up=2, residual_stop=0.0,
                            final_global_ls=False,
                            grid=GridSpec(os_aoa=1, os_aod=1, os_delay=1))
-    found, trace, tentative = counted_greedy_ls(resp, PAPER, cfg)
+    widths = []  # (pending commits, factor columns) at each candidates call
+    make_room = beamspace._PendingPicks._make_room
+
+    def recorded(picks):
+        make_room(picks)
+        widths.append((picks.pending, len(picks.right)))
+
+    with mock.patch.object(beamspace._PendingPicks, "_make_room", recorded):
+        found, trace, tentative = counted_greedy_ls(resp, PAPER, cfg)
     assert len(found) == 48
     iterations = len(trace.ls_condition)
     assert iterations == 24
     assert trace.full_sweeps <= math.ceil(48 / 16) + 1
     assert tentative == 4 * iterations
+    assert widths[0] == (0, 4 + 2)
+    assert all(w >= n + 4 for n, w in widths)
+    assert [w for _, w in widths] == sorted(w for _, w in widths)
+    assert sorted({w for _, w in widths}) == [4 + 2, 4 + 4, 4 + 8, 4 + 16]
 
 
 @pytest.mark.parametrize("refine", [False, True])

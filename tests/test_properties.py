@@ -24,6 +24,7 @@ from mpcx import (
     SounderConfig,
     add_awgn,
     beamspace,
+    extract,
     beamspace_point,
     beamspace_transform,
     fileio,
@@ -37,7 +38,8 @@ from mpcx import (
 )
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix, associate
 from mpcx.beamspace import peak_sweep, tentative_peak
-from mpcx.extract import GRAM_CONDITION_LIMIT
+from mpcx.extract import GRAM_CONDITION_LIMIT, _dictionary_gram
+from mpcx.sounder import _matched_filter, _steering_matrices
 
 SMALL = dict(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
              os_aoa=st.integers(1, 3), os_aod=st.integers(1, 3),
@@ -335,6 +337,71 @@ def test_committed_gain_is_beamspace_point_of_the_residual(
             config=cfg)
         point = beamspace_point(residual, path.aoa, path.aod, path.delay)
         assert abs(path.gain - point) <= 1e-12 * max(abs(point), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rx=st.integers(2, 6), n_tx=st.integers(2, 6), n_freq=st.integers(4, 16),
+       os=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       n_paths=st.integers(1, 6), k_dom=st.integers(1, 10),
+       k_g_up=st.integers(1, 4).flatmap(
+           lambda k_g: st.tuples(st.just(k_g), st.integers(1, k_g))),
+       noisy=st.booleans())
+def test_lattice_rhs_equals_batch_omp_oracle(
+        n_rx, n_tx, n_freq, os, seed, n_paths, k_dom, k_g_up, noisy):
+    """With refine and final LS off, the LS right-hand side that each
+    greedy-LS iteration solves, read off the residual grid, is the Batch-OMP
+    oracle: the candidates' matched filter of the measurement minus their
+    cross-Gram with the commits so far times those commits' gains, to 1e-12
+    relative (of N times the measurement's amplitude scale for entries that
+    rounding dominates)."""
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    rng = np.random.default_rng(seed)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, cfg.duration * 0.95),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(n_paths)]
+    resp = synthesize_response(cfg, truth)
+    if noisy:
+        resp = add_awgn(resp, 0.01 * np.mean(np.abs(resp.values) ** 2), seed=seed)
+    k_g, k_up = k_g_up
+    xcfg = ExtractionConfig(k_dom=k_dom, k_g=k_g, k_up=k_up, residual_stop=0.0,
+                            final_global_ls=False,
+                            grid=GridSpec(os_aoa=os, os_aod=os, os_delay=os))
+    iterations, commits, solved = [], [], []  # (commits so far, candidates)
+    pick, commit, solve = (beamspace._PendingPicks.candidates,
+                           beamspace._PendingPicks.commit, extract._solve)
+
+    def counted_pick(self):
+        iterations.append((len(commits), pick(self)))
+        return iterations[-1][1]
+
+    def counted_commit(self, index, gain):
+        commits.append(replace(iterations[-1][1][index], gain=gain))
+        commit(self, index, gain)
+
+    def first_solve(gram, rhs):  # later solves of an iteration drop duplicates
+        if len(solved) < len(iterations):
+            solved.append(rhs.copy())
+        return solve(gram, rhs)
+
+    with mock.patch.object(beamspace._PendingPicks, "candidates", counted_pick), \
+            mock.patch.object(beamspace._PendingPicks, "commit", counted_commit), \
+            mock.patch.object(extract, "_solve", first_solve):
+        found, _ = greedy_ls(resp, cfg, xcfg)
+    assert [p.gain for p in found] == [p.gain for p in commits]
+    assert len(solved) == len(iterations) - (iterations[-1][1] == [])
+
+    def atoms(paths):
+        return _steering_matrices(cfg, [p.delay for p in paths],
+                                  [p.aod for p in paths], [p.aoa for p in paths])
+
+    scale = resp.values.size * float(np.sqrt(np.mean(np.abs(resp.values) ** 2)))
+    for rhs, (k, candidates) in zip(solved, iterations):
+        cand = atoms(candidates)
+        oracle = _matched_filter(resp.values, *cand) - _dictionary_gram(
+            *cand, other=atoms(commits[:k])) @ np.array([p.gain for p in commits[:k]],
+                                                        dtype=complex)
+        assert np.all(np.abs(rhs - oracle) <= 1e-12 * np.maximum(np.abs(oracle), scale))
 
 
 # ---------------------------------------------------------------------------
