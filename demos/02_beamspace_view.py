@@ -20,7 +20,7 @@ from mpcx import (
     PathParams,
     SounderConfig,
     beamspace_transform,
-    find_peak,
+    greedy_extract,
     pdp_marginals,
     synthesize_response,
 )
@@ -38,7 +38,9 @@ response = synthesize_response(config, [on_grid, off_grid])
 grid = beamspace_transform(response, spec)
 print(f"beamspace grid shape (aoa, aod, delay): {grid.values.shape}")
 
-aoa, aod, delay, val = find_peak(grid)
+# the strongest peak is the first pick of plain matching pursuit
+peak = greedy_extract(response, spec, 1)[0]
+aoa, aod, delay, val = peak.aoa, peak.aod, peak.delay, peak.gain
 print(f"\nstrongest peak: aoa={aoa:+.4f}, aod={aod:+.4f}, "
       f"delay={delay*1e9:.2f} ns, value={val:.4f}")
 print(f"on-grid truth:  aoa={on_grid.aoa:+.4f}, aod={on_grid.aod:+.4f}, "

@@ -11,17 +11,14 @@ resolution-bin metrics.
 from .assoc import (
     Assignment,
     AssociationResult,
-    BinSets,
     ResolutionSpec,
     assign,
     associate,
-    pairwise_cost,
     wrap_cycles,
 )
 from .beamspace import (
     BeamspaceGrid,
     GridSpec,
-    beamspace_point,
     beamspace_transform,
     pdp_marginals,
     single_path_grid,
@@ -30,11 +27,9 @@ from .extract import (
     DegenerateGeometryError,
     ExtractionConfig,
     ExtractionTrace,
-    find_peak,
     greedy_extract,
     greedy_ls,
     ls_amplitudes,
-    ls_condition,
     reconstruct,
     reconstruction_error,
     sage_refine,
@@ -51,7 +46,6 @@ from .sounder import (
     resolvable_delays,
     signal_space_dimension,
     spatial_frequency,
-    steering_vector,
     synthesize_response,
     virtual_coefficients,
 )
@@ -62,7 +56,6 @@ __all__ = [
     "Assignment",
     "AssociationResult",
     "BeamspaceGrid",
-    "BinSets",
     "DegenerateGeometryError",
     "ExtractionConfig",
     "ExtractionTrace",
@@ -77,16 +70,12 @@ __all__ = [
     "add_awgn",
     "assign",
     "associate",
-    "beamspace_point",
     "beamspace_transform",
     "filter_by_dynamic_range",
-    "find_peak",
     "generate_scenario",
     "greedy_extract",
     "greedy_ls",
     "ls_amplitudes",
-    "ls_condition",
-    "pairwise_cost",
     "pdp_marginals",
     "reconstruct",
     "reconstruct_from_virtual",
@@ -96,7 +85,6 @@ __all__ = [
     "signal_space_dimension",
     "single_path_grid",
     "spatial_frequency",
-    "steering_vector",
     "synthesize_response",
     "virtual_coefficients",
     "wrap_cycles",

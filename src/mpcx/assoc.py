@@ -100,17 +100,6 @@ def _cost_matrix(errors: np.ndarray) -> np.ndarray:
     return np.sum(errors ** 2, axis=-1)
 
 
-def pairwise_cost(phys: PathParams, est: PathParams, res: ResolutionSpec) -> float:
-    """Normalized squared geometric distance between two paths.
-
-    Sum over delay, arrival angle, and departure angle of the squared error
-    divided by the squared per-axis resolution.  Angle differences wrap to
-    the principal interval.  Zero iff the geometries coincide (mod 1 in
-    angle); one unit per axis that is off by exactly one resolution width.
-    """
-    return float(_cost_matrix(_axis_errors([phys], [est], res))[0, 0])
-
-
 def _lap(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment of every row of an n x m matrix, n <= m.
 

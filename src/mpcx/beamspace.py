@@ -34,7 +34,7 @@ configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -46,7 +46,7 @@ from .sounder import (
     PathParams,
     SounderConfig,
     _lattice_matrices,
-    _matched_filter,
+    _path_atoms,
     _separable_transform,
     _steering_matrices,
 )
@@ -159,36 +159,20 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
     return grid
 
 
-def beamspace_point(
-    response: FrequencyResponse, aoa: float, aod: float, delay: float
-) -> complex:
-    """Evaluate the beamspace transform of a response at one off-lattice point.
-
-    This is the matched filter of the unit path at (aoa, aod, delay) divided
-    by n_rx*n_tx*n_freq, the exactly optimal single-path amplitude, as the
-    greedy-LS commit takes it.
-    """
-    values = response.values
-    atoms = _steering_matrices(response.config, [delay], [aod], [aoa])
-    return complex(_matched_filter(values, *atoms)[0]) / values.size
-
-
 def _kernel_factors(
     matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
-    paths: list[PathParams],
-    config: SounderConfig,
+    steering: tuple[np.ndarray, np.ndarray, np.ndarray],
+    gains: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-K factors of the summed footprints of ``paths`` on the
-    ``(aoa*aod, delay)`` view of the lattice of ``matrices``: the lattice
-    matrices applied to the paths' atoms, one axis at a time.  ``left[:, k]``
-    is ``gain_k * (m_rx a_rx)[:, k] (x) (m_tx a_tx)[:, k]`` and ``right`` is
-    ``a_f^T m_f``."""
+    """Rank-K factors of the summed footprints of K atoms, given by their
+    ``_steering_matrices`` and gains, on the ``(aoa*aod, delay)`` view of
+    the lattice of ``matrices``: the lattice matrices applied to the atoms,
+    one axis at a time.  ``left[:, k]`` is ``gains[k] * (m_rx a_rx)[:, k]
+    (x) (m_tx a_tx)[:, k]`` and ``right`` is ``a_f^T m_f``."""
     m_rx, m_tx, m_f = matrices
-    a_rx, a_tx, a_f = _steering_matrices(
-        config, [p.delay for p in paths], [p.aod for p in paths],
-        [p.aoa for p in paths])
-    k_rx = (m_rx @ a_rx) * np.array([p.gain for p in paths])
-    left = (k_rx[:, None, :] * (m_tx @ a_tx)).reshape(-1, len(paths))
+    a_rx, a_tx, a_f = steering
+    k_rx = (m_rx @ a_rx) * gains
+    left = (k_rx[:, None, :] * (m_tx @ a_tx)).reshape(-1, len(gains))
     return left, a_f.T @ m_f
 
 
@@ -201,7 +185,7 @@ def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) ->
     subtraction leave no self-noise.
     """
     matrices = spec._matrices(config)
-    left, right = _kernel_factors(matrices, [path], config)
+    left, right = _kernel_factors(matrices, *_path_atoms(config, [path]))
     values = (left @ right).reshape(len(matrices[0]), len(matrices[1]), -1)
     return BeamspaceGrid(values=values, spec=spec, config=config)
 
@@ -277,7 +261,8 @@ def peak_sweep(
     flat = values.reshape(n_aoa * n_aod, n_tau)
     if footprints:
         left, right = (footprints if isinstance(footprints, tuple) else
-                       _kernel_factors(grid._matrices, footprints, grid.config))
+                       _kernel_factors(grid._matrices,
+                                       *_path_atoms(grid.config, footprints)))
     if row_peaks is None:
         row_peaks = np.empty(len(flat))
     rows = max(1, _BLOCK_ENTRIES // n_tau)
@@ -365,10 +350,6 @@ def tentative_peak(
 _MAX_PENDING = 16
 _MAX_KEPT_SHARE = 0.05
 
-# pending commits that the factor arrays hold room for at first; the room
-# doubles on demand up to _MAX_PENDING
-_FIRST_PENDING = 2
-
 
 class _PendingPicks:
     """Greedy-LS's peak picks on a grid that its commits reach late.
@@ -381,30 +362,23 @@ class _PendingPicks:
     pending commits into the grid and records the row peaks, when it is the
     first call, when ``_MAX_PENDING`` commits are pending, or when their
     bound keeps more than ``_MAX_KEPT_SHARE`` of the rows; ``sweeps`` counts
-    those sweeps.  The factor arrays hold ``k_g`` columns plus room for
-    ``_FIRST_PENDING`` pending commits at first; the room doubles when the
-    pending commits need it.
+    those sweeps.  The factor arrays are allocated once, with room for
+    ``_MAX_PENDING`` pending commits and ``k_g`` candidates.  Each pick's
+    atom is built once: its ``_steering_matrices`` columns go into
+    ``steering`` (``k_g`` columns per axis, in pick order), from which
+    greedy-LS takes the candidates' Gram.
     """
 
     def __init__(self, grid: BeamspaceGrid, refine: bool, k_g: int):
         self.grid, self.refine, self.k_g = grid, refine, k_g
         n_rows = grid.values.shape[0] * grid.values.shape[1]
-        self.left = np.empty((n_rows, _FIRST_PENDING + k_g), dtype=complex)
-        self.right = np.empty((_FIRST_PENDING + k_g, grid.values.shape[2]), dtype=complex)
+        self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
+        self.right = np.empty((_MAX_PENDING + k_g, grid.values.shape[2]), dtype=complex)
+        self.steering = tuple(np.empty((n, k_g), dtype=complex) for n in (
+            grid.config.n_rx, grid.config.n_tx, grid.config.n_freq))
         self.reach, self.row_peaks = np.zeros(n_rows), np.empty(n_rows)
         self.pending = self.sweeps = 0
         self.units = []  # (unit left, unit right, unit reach) of each candidate
-
-    def _make_room(self) -> None:
-        """Grow the factor arrays to hold the pending commits and ``k_g``
-        candidates, keeping the pending commits' columns."""
-        n, room = self.pending, len(self.right) - self.k_g
-        if n > room:
-            room = min(max(2 * room, n), _MAX_PENDING)
-            left = np.empty((len(self.left), room + self.k_g), dtype=complex)
-            right = np.empty((room + self.k_g, self.right.shape[1]), dtype=complex)
-            left[:, :n], right[:n] = self.left[:, :n], self.right[:n]
-            self.left, self.right = left, right
 
     def candidates(self) -> list[PathParams]:
         "Up to ``k_g`` picks, ending before the first zero peak."
@@ -416,7 +390,6 @@ class _PendingPicks:
             self.sweeps += 1
             self.pending = n = 0
             reach.fill(0.0)
-        self._make_room()
         self.units, found = [], []
         while len(found) < self.k_g:
             factors = (self.left[:, :n], self.right[:n])
@@ -424,9 +397,12 @@ class _PendingPicks:
                 self.grid, factors, self.row_peaks, reach), self.refine, factors)
             if peak.gain == 0:
                 break
+            atoms = _steering_matrices(self.grid.config, [peak.delay], [peak.aod],
+                                       [peak.aoa])
+            for columns, atom in zip(self.steering, atoms):
+                columns[:, len(found)] = atom[:, 0]
             found.append(peak)
-            left, right = _kernel_factors(self.grid._matrices,
-                                          [replace(peak, gain=1)], self.grid.config)
+            left, right = _kernel_factors(self.grid._matrices, atoms, np.ones(1))
             self.units.append((left[:, 0], right[0],
                                np.abs(left[:, 0]) * np.abs(right).max()))
             np.multiply(left[:, 0], peak.gain, out=self.left[:, n])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import BeamspaceGrid, GridSpec, _PendingPicks, beamspace_transform
+from .beamspace import GridSpec, _PendingPicks, beamspace_transform
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -90,17 +90,6 @@ class ExtractionTrace:
     stop_reason: str = ""  # "k_dom", "residual_stop" or "exhausted" (nothing to pick)
 
 
-def find_peak(grid: BeamspaceGrid) -> tuple[float, float, float, complex]:
-    """Coordinates and complex value of the maximum-magnitude grid entry.
-
-    Exact magnitude ties resolve to the lowest (aoa, aod, delay) index triple
-    in lexicographic order.  An all-zero grid reports peak value 0; an empty
-    grid or a non-finite entry raises ValueError.
-    """
-    peak = grid._pick([])
-    return peak.aoa, peak.aod, peak.delay, peak.gain
-
-
 def greedy_extract(
     response: FrequencyResponse, spec: GridSpec, count: int
 ) -> list[PathParams]:
@@ -124,21 +113,6 @@ def greedy_extract(
             break
         estimates.append(peak)
     return estimates
-
-
-def _geometry_atoms(
-    geometry: list[tuple[float, float, float]], config: SounderConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steering matrices (``_steering_matrices``) of (delay, aod, aoa)
-    geometries, after checking that the list is non-empty and every value
-    finite (the ValueError names the geometry index and field)."""
-    if not geometry:
-        raise ValueError("geometry list must be non-empty")
-    for k, g in enumerate(geometry):
-        for name, value in zip(("delay", "aod", "aoa"), g):
-            if not math.isfinite(value):
-                raise ValueError(f"geometry {k} {name} {value} must be finite")
-    return _steering_matrices(config, *zip(*geometry))
 
 
 def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray,
@@ -180,20 +154,29 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.solve(gram, rhs), condition
 
 
-def _ls_solve(
+def _normal_equations(
     response: FrequencyResponse,
     geometry: list[tuple[float, float, float]],
     config: SounderConfig,
-) -> tuple[np.ndarray, float]:
-    """LS amplitudes and Gram condition number: the Gram matrix and the
-    right-hand side from one set of atoms."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix A^H A and right-hand side A^H h of the LS fit of
+    ``response`` on the atoms of (delay, aod, aoa) geometries, from one set
+    of ``_steering_matrices``.  ValueError for as many paths as the signal
+    space dimension, a response of another config, an empty list or a
+    value that is not finite (naming the geometry index and field)."""
     dim = config.n_rx * config.n_tx * config.n_freq
     if len(geometry) >= dim:
         raise ValueError(f"{len(geometry)} paths >= signal space dimension {dim}")
     if response.config != config:
         raise ValueError("response and config disagree")
-    atoms = _geometry_atoms(geometry, config)
-    return _solve(_dictionary_gram(*atoms), _matched_filter(response.values, *atoms))
+    if not geometry:
+        raise ValueError("geometry list must be non-empty")
+    for k, g in enumerate(geometry):
+        for name, value in zip(("delay", "aod", "aoa"), g):
+            if not math.isfinite(value):
+                raise ValueError(f"geometry {k} {name} {value} must be finite")
+    atoms = _steering_matrices(config, *zip(*geometry))
+    return _dictionary_gram(*atoms), _matched_filter(response.values, *atoms)
 
 
 def ls_amplitudes(
@@ -205,9 +188,10 @@ def ls_amplitudes(
 
     Solves the normal equations (A^H A) alpha = A^H h where column k of A is
     the space-frequency vector of a unit path at geometry (delay, aod, aoa).
-    Neither A nor its columns are materialized: the Gram matrix is the
-    elementwise product of the per-axis Grams of the geometries' steering
-    matrices, built once, and the right-hand side is their matched filter.
+    Neither A nor its columns are materialized (``_normal_equations``): the
+    Gram matrix is the elementwise product of the per-axis Grams of the
+    geometries' steering matrices, built once, and the right-hand side is
+    their matched filter.
 
     Raises
     ------
@@ -218,14 +202,7 @@ def ls_amplitudes(
         If the Gram condition estimate exceeds ``GRAM_CONDITION_LIMIT``; the
         error names the most nearly duplicate geometry pairs.
     """
-    return _ls_solve(response, geometry, config)[0]
-
-
-def ls_condition(
-    geometry: list[tuple[float, float, float]], config: SounderConfig
-) -> float:
-    "Condition number of the dictionary Gram matrix; validates like ``ls_amplitudes``."
-    return _gram_condition(_dictionary_gram(*_geometry_atoms(geometry, config)))
+    return _solve(*_normal_equations(response, geometry, config))[0]
 
 
 def _dedup_solve(solve, n: int) -> tuple[np.ndarray, float, list[int], int]:
@@ -247,16 +224,6 @@ def _dedup_solve(solve, n: int) -> tuple[np.ndarray, float, list[int], int]:
             del kept[max(a, b)]
 
 
-def _ls_with_dedup(
-    response: FrequencyResponse,
-    geometry: list[tuple[float, float, float]],
-    config: SounderConfig,
-) -> tuple[np.ndarray, float, list[int], int]:
-    "``_dedup_solve`` of ``_ls_solve`` on the kept geometries."
-    return _dedup_solve(lambda kept: _ls_solve(
-        response, [geometry[i] for i in kept], config), len(geometry))
-
-
 def greedy_ls(
     response: FrequencyResponse,
     config: SounderConfig,
@@ -273,9 +240,10 @@ def greedy_ls(
        CLEAN subtraction), over the rows a bound on those footprints keeps.
        A full ``peak_sweep`` writes the pending commits into the grid first,
        at the start and when 16 are pending or the bound keeps over 5% of
-       the rows;
+       the rows.  Each pick's steering columns are built once there;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
-       ones are dropped, later one first).  No residual response is kept.
+       ones are dropped, later one first), with the Gram of the picks'
+       steering columns.  No residual response is kept.
        The grid is the transform A^H / N of the residual (N =
        n_rx*n_tx*n_freq), so on the lattice the right-hand side A^H r is
        read off it: N times each candidate's value plus the earlier
@@ -283,7 +251,8 @@ def greedy_ls(
        value lacks their footprints).  With ``refine_peaks`` the picks are
        off the lattice and the right-hand side is the Batch-OMP identity
        A^H r = A^H h - G g: the matched filter of the measurement minus the
-       cross-Gram with the commits times their gains;
+       cross-Gram with the commits (their kept steering columns) times
+       their gains;
     3. commit the ``k_up`` candidates with the largest refitted power, each
        at the exactly optimal single-path amplitude for the residual: its
        right-hand side entry over n_rx*n_tx*n_freq, the entries updated by
@@ -332,12 +301,11 @@ def greedy_ls(
             trace.stop_reason = "exhausted"
             break
 
-        # step 2: joint LS against the residual, from the atoms alone
+        # step 2: joint LS against the residual, from the picks' atoms alone
         if len(candidates) >= values.size:
             raise ValueError(f"{len(candidates)} paths >= signal space dimension "
                              f"{values.size}")
-        atoms = _steering_matrices(cfg, *zip(*((c.delay, c.aod, c.aoa)
-                                                for c in candidates)))
+        atoms = tuple(a[:, :len(candidates)] for a in picks.steering)
         gram = _dictionary_gram(*atoms)
         if xcfg.refine_peaks:
             k = len(committed)
@@ -385,9 +353,11 @@ def _global_refit(
     trace: ExtractionTrace,
 ) -> list[PathParams]:
     """Refit all committed amplitudes jointly against the original measurement;
-    a later near or exact duplicate geometry is dropped by ``_ls_with_dedup``."""
+    a later near or exact duplicate geometry is dropped by ``_dedup_solve``,
+    and the kept geometries' normal equations are built again after a drop."""
     geometry = [(p.delay, p.aod, p.aoa) for p in paths]
-    amps, cond, kept, dropped = _ls_with_dedup(response, geometry, config)
+    amps, cond, kept, dropped = _dedup_solve(lambda keep: _solve(*_normal_equations(
+        response, [geometry[i] for i in keep], config)), len(geometry))
     trace.ls_condition.append(cond)
     trace.dropped_duplicates += dropped
     return [replace(paths[i], gain=complex(a)) for a, i in zip(amps, kept)]

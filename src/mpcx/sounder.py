@@ -177,13 +177,6 @@ def spatial_frequency(phi_deg):
     return float(out) if np.isscalar(phi_deg) else out
 
 
-def steering_vector(theta: float, n: int) -> np.ndarray:
-    """Length-n array steering vector with element m equal to exp(+j*2*pi*theta*m)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.exp(2j * np.pi * theta * np.arange(n))
-
-
 def _steering_matrices(
     config: SounderConfig, delays, aods, aoas
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,6 +191,15 @@ def _steering_matrices(
     a_tx = np.exp(-2j * np.pi * np.outer(np.arange(config.n_tx), aods))
     a_f = np.exp(-2j * np.pi * np.outer(config.freq_grid, delays))
     return a_rx, a_tx, a_f
+
+
+def _path_atoms(
+    config: SounderConfig, paths: list[PathParams]
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    "``_steering_matrices`` of the geometries of ``paths`` and their gains."
+    steering = _steering_matrices(config, [p.delay for p in paths],
+                                  [p.aod for p in paths], [p.aoa for p in paths])
+    return steering, np.array([p.gain for p in paths])
 
 
 def _matched_filter(
@@ -255,10 +257,8 @@ def synthesize_response(config: SounderConfig, paths: list[PathParams]) -> Frequ
     values = np.zeros((config.n_rx, config.n_tx, config.n_freq), dtype=complex)
     for k0 in range(0, len(paths), _SYNTH_CHUNK):
         chunk = paths[k0:k0 + _SYNTH_CHUNK]
-        a_rx, a_tx, a_f = _steering_matrices(
-            config, [p.delay for p in chunk], [p.aod for p in chunk],
-            [p.aoa for p in chunk])
-        weighted_rx = a_rx * np.array([p.gain for p in chunk])
+        (a_rx, a_tx, a_f), gains = _path_atoms(config, chunk)
+        weighted_rx = a_rx * gains
         for r in range(config.n_rx):
             values[r] += (a_tx * weighted_rx[r]) @ a_f.T
         # free this block's matrices before the next block's are built

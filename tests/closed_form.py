@@ -1,10 +1,18 @@
-"""Closed-form per-axis beamspace kernels, the test oracle of the footprints.
+"""Test oracles: closed-form per-axis beamspace kernels and the scalar
+forms of library quantities.
 
-The library builds every footprint from steering matrices; these are the
-same normalized inner products written as Dirichlet kernels.
+The library builds every footprint from steering matrices; the kernels are
+the same normalized inner products written as Dirichlet kernels.  The
+scalar forms (one steering vector, one beamspace point, one pair cost, one
+Gram condition number) are what the stages compute in bulk.
 """
 
 import numpy as np
+
+from mpcx import FrequencyResponse, PathParams, SounderConfig, synthesize_response
+from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix
+from mpcx.extract import _gram_condition, _normal_equations
+from mpcx.sounder import _matched_filter, _steering_matrices
 
 
 def angle_kernel(delta_theta, n: int):
@@ -39,3 +47,42 @@ def delay_kernel(delta_tau, bandwidth_hz: float, n_freq: int):
     out = (np.exp(-1j * np.pi * delta * bandwidth_hz)
            * angle_kernel(delta * bandwidth_hz / n_freq, n_freq))
     return complex(out) if delta.ndim == 0 else out
+
+
+def steering_vector(theta: float, n: int) -> np.ndarray:
+    """Length-n array steering vector with element m equal to exp(+j*2*pi*theta*m)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.exp(2j * np.pi * theta * np.arange(n))
+
+
+def beamspace_point(
+    response: FrequencyResponse, aoa: float, aod: float, delay: float
+) -> complex:
+    """The beamspace transform of a response at one off-lattice point: the
+    matched filter of the unit path at (aoa, aod, delay) divided by
+    n_rx*n_tx*n_freq, the exactly optimal single-path amplitude."""
+    values = response.values
+    atoms = _steering_matrices(response.config, [delay], [aod], [aoa])
+    return complex(_matched_filter(values, *atoms)[0]) / values.size
+
+
+def pairwise_cost(phys: PathParams, est: PathParams, res: ResolutionSpec) -> float:
+    """Normalized squared geometric distance between two paths, the 1x1 case
+    of the association cost matrix.
+
+    Sum over delay, arrival angle, and departure angle of the squared error
+    divided by the squared per-axis resolution.  Angle differences wrap to
+    the principal interval.  Zero iff the geometries coincide (mod 1 in
+    angle); one unit per axis that is off by exactly one resolution width.
+    """
+    return float(_cost_matrix(_axis_errors([phys], [est], res))[0, 0])
+
+
+def ls_condition(
+    geometry: list[tuple[float, float, float]], config: SounderConfig
+) -> float:
+    """Condition number of the LS Gram matrix of the geometries, validated
+    as ``ls_amplitudes`` validates them."""
+    zero = synthesize_response(config, [])
+    return _gram_condition(_normal_equations(zero, geometry, config)[0])

@@ -15,11 +15,12 @@ from mpcx import (
     SounderConfig,
     assign,
     associate,
-    pairwise_cost,
     wrap_cycles,
 )
 
 from mpcx.assoc import _axis_errors, _cost_matrix, _lap
+
+from closed_form import pairwise_cost
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 RES = ResolutionSpec.from_config(DESK)

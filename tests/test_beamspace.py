@@ -19,7 +19,6 @@ from mpcx import (
     GridSpec,
     PathParams,
     SounderConfig,
-    beamspace_point,
     beamspace_transform,
     pdp_marginals,
     single_path_grid,
@@ -28,7 +27,7 @@ from mpcx import (
 from mpcx import beamspace, pool, sounder
 from mpcx.beamspace import peak_sweep, tentative_peak
 
-from closed_form import angle_kernel, delay_kernel
+from closed_form import angle_kernel, beamspace_point, delay_kernel
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 

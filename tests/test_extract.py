@@ -16,22 +16,19 @@ from mpcx import (
     PathParams,
     SounderConfig,
     add_awgn,
-    beamspace_point,
     beamspace_transform,
-    find_peak,
     greedy_extract,
     greedy_ls,
     ls_amplitudes,
-    ls_condition,
     reconstruct,
     reconstruction_error,
     sage_refine,
     single_path_grid,
     synthesize_response,
 )
-from mpcx import beamspace, extract
+from mpcx import beamspace, extract, sounder
 
-from closed_form import angle_kernel, delay_kernel
+from closed_form import angle_kernel, beamspace_point, delay_kernel, ls_condition
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 PAPER = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
@@ -78,11 +75,17 @@ def hand_grid(values):
                          config=cfg)
 
 
+def sweep_peak(grid):
+    "Coordinates and value of the peak that a sweep without footprints finds."
+    peak = grid._path_at(*beamspace.peak_sweep(grid, []))
+    return peak.aoa, peak.aod, peak.delay, peak.gain
+
+
 def test_find_peak_trivial():
     values = np.zeros((3, 4, 5), dtype=complex)
     values[1, 2, 3] = 2 - 1j
     grid = hand_grid(values)
-    aoa, aod, delay, val = find_peak(grid)
+    aoa, aod, delay, val = sweep_peak(grid)
     assert aoa == grid.aoa_axis[1]
     assert aod == grid.aod_axis[2]
     assert delay == grid.delay_axis[3]
@@ -94,7 +97,7 @@ def test_find_peak_tie_breaks_lexicographic():
     values[1, 0, 1] = 3.0
     values[0, 1, 1] = 3.0  # same magnitude, earlier in C order
     grid = hand_grid(values)
-    aoa, aod, delay, _ = find_peak(grid)
+    aoa, aod, delay, _ = sweep_peak(grid)
     assert (aoa, aod, delay) == (grid.aoa_axis[0], grid.aod_axis[1],
                                  grid.delay_axis[1])
 
@@ -109,7 +112,7 @@ def test_find_peak_matches_scan():
             for l in range(6):
                 if abs(values[i, j, l]) > best_val:
                     best, best_val = (i, j, l), abs(values[i, j, l])
-    aoa, aod, delay, val = find_peak(grid)
+    aoa, aod, delay, val = sweep_peak(grid)
     assert (aoa, aod, delay) == (grid.aoa_axis[best[0]], grid.aod_axis[best[1]],
                                  grid.delay_axis[best[2]])
     assert val == values[best]
@@ -275,7 +278,7 @@ def test_gram_matches_closed_form_kernels(cfg, k):
     geometry = [(rng.uniform(0, cfg.duration), rng.uniform(-0.5, 0.5),
                  rng.uniform(-0.5, 0.5)) for _ in range(k)]
     geometry.append(geometry[0])  # an exact duplicate column
-    gram = extract._dictionary_gram(*extract._geometry_atoms(geometry, cfg))
+    gram = extract._dictionary_gram(*sounder._steering_matrices(cfg, *zip(*geometry)))
     oracle = closed_form_gram(geometry, cfg)
     assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12 * np.max(np.abs(oracle))
@@ -290,7 +293,7 @@ def test_ls_solve_memory_at_paper_refit_size():
     gram_bytes = 16 * len(geometry) ** 2
     tracemalloc.start()
     try:
-        amps, _ = extract._ls_solve(resp, geometry, PAPER)
+        amps = ls_amplitudes(resp, geometry, PAPER)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -538,7 +541,7 @@ def sage_fft_oracle(response, paths, config, spec, sweeps):
             isolated = response.values - total + components[k]
             grid = beamspace_transform(
                 FrequencyResponse(values=isolated, config=config), spec)
-            aoa, aod, delay, val = find_peak(grid)
+            aoa, aod, delay, val = sweep_peak(grid)
             new = PathParams(gain=val, delay=delay, aod=aod, aoa=aoa)
             total = total - components[k]
             components[k] = synthesize_response(config, [new]).values
@@ -685,7 +688,9 @@ def greedy_ls_oracle(response, config, xcfg):
         if not candidates:
             break
         geometry = [(c.delay, c.aod, c.aoa) for c in candidates]
-        amps, cond, kept, dropped = extract._ls_with_dedup(res_fr, geometry, config)
+        amps, cond, kept, dropped = extract._dedup_solve(
+            lambda keep: extract._solve(*extract._normal_equations(
+                res_fr, [geometry[i] for i in keep], config)), len(geometry))
         order = np.argsort(-np.abs(amps) ** 2, kind="stable")
         n_commit = min(xcfg.k_up, xcfg.k_dom - len(committed), len(kept))
         for rank in range(n_commit):
@@ -785,6 +790,24 @@ def test_grid_matrices_built_once_per_extraction():
         assert len(found) == k_dom
 
 
+def test_candidate_atoms_built_once_per_pick():
+    """greedy_ls builds each candidate's steering matrices once, when it is
+    picked: the LS Gram, and with refine_peaks the matched filter and the
+    cross-Gram with the commits, reuse them.  The only other builds are the
+    grid's lattice matrices and the global refit's atoms."""
+    resp = desk_case(3, 20.0, n_paths=10)
+    for refine in (False, True):
+        built = mock.Mock(wraps=sounder._steering_matrices)
+        with mock.patch.object(sounder, "_steering_matrices", built), \
+                mock.patch.object(beamspace, "_steering_matrices", built), \
+                mock.patch.object(extract, "_steering_matrices", built):
+            found, trace, tentative = counted_greedy_ls(resp, DESK, ExtractionConfig(
+                k_dom=12, k_g=4, k_up=2, residual_stop=0.0, refine_peaks=refine))
+        assert len(found) == 12
+        assert tentative == 4 * (len(trace.ls_condition) - 1)
+        assert built.call_count == tentative + 2
+
+
 def test_measurement_matched_filter_only_in_refit_on_the_lattice():
     """On the lattice greedy_ls reads each iteration's LS right-hand side off
     the residual grid: the matched filter of the measurement runs once per
@@ -821,8 +844,8 @@ def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
     """Where the pending commits' bound prunes, as on the paper grids, the
     commits are written into the grid only when 16 are pending: at most
     ceil(k_dom / 16) + 1 full sweeps.  Every pick is tentative.  The factor
-    arrays start with room for k_g candidates and 2 pending commits, and the
-    room for commits doubles only when more are pending, up to 16."""
+    arrays are allocated once, with room for 16 pending commits and k_g
+    candidates."""
     rng = np.random.default_rng(83)
     truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
                         delay=rng.uniform(0, PAPER.duration * 0.9),
@@ -832,24 +855,21 @@ def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
     cfg = ExtractionConfig(k_dom=48, k_g=4, k_up=2, residual_stop=0.0,
                            final_global_ls=False,
                            grid=GridSpec(os_aoa=1, os_aod=1, os_delay=1))
-    widths = []  # (pending commits, factor columns) at each candidates call
-    make_room = beamspace._PendingPicks._make_room
+    widths = []  # factor columns at each candidates call
+    candidates = beamspace._PendingPicks.candidates
 
     def recorded(picks):
-        make_room(picks)
-        widths.append((picks.pending, len(picks.right)))
+        widths.append((picks.left.shape[1], len(picks.right)))
+        return candidates(picks)
 
-    with mock.patch.object(beamspace._PendingPicks, "_make_room", recorded):
+    with mock.patch.object(beamspace._PendingPicks, "candidates", recorded):
         found, trace, tentative = counted_greedy_ls(resp, PAPER, cfg)
     assert len(found) == 48
     iterations = len(trace.ls_condition)
     assert iterations == 24
     assert trace.full_sweeps <= math.ceil(48 / 16) + 1
     assert tentative == 4 * iterations
-    assert widths[0] == (0, 4 + 2)
-    assert all(w >= n + 4 for n, w in widths)
-    assert [w for _, w in widths] == sorted(w for _, w in widths)
-    assert sorted({w for _, w in widths}) == [4 + 2, 4 + 4, 4 + 8, 4 + 16]
+    assert set(widths) == {(4 + 16, 4 + 16)}
 
 
 @pytest.mark.parametrize("refine", [False, True])

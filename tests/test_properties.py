@@ -25,13 +25,10 @@ from mpcx import (
     add_awgn,
     beamspace,
     extract,
-    beamspace_point,
     beamspace_transform,
     fileio,
     greedy_ls,
     ls_amplitudes,
-    ls_condition,
-    pairwise_cost,
     pool,
     single_path_grid,
     synthesize_response,
@@ -39,7 +36,9 @@ from mpcx import (
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix, associate
 from mpcx.beamspace import peak_sweep, tentative_peak
 from mpcx.extract import GRAM_CONDITION_LIMIT, _dictionary_gram
-from mpcx.sounder import _matched_filter, _steering_matrices
+from mpcx.sounder import _matched_filter, _path_atoms
+
+from closed_form import beamspace_point, ls_condition, pairwise_cost
 
 SMALL = dict(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
              os_aoa=st.integers(1, 3), os_aod=st.integers(1, 3),
@@ -173,9 +172,11 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     paths = random_paths(rng, cfg, spec, pending + n_paths, on_grid)
     dense = grid.values - sum(single_path_grid(p, spec, cfg).values for p in paths)
     mag = np.abs(dense)
-    units = [beamspace._kernel_factors(grid._matrices, [replace(p, gain=1)], cfg)
+    units = [beamspace._kernel_factors(grid._matrices,
+                                       *_path_atoms(cfg, [replace(p, gain=1)]))
              for p in paths[:pending]]
-    left, right = beamspace._kernel_factors(grid._matrices, paths[pending:], cfg)
+    left, right = beamspace._kernel_factors(grid._matrices,
+                                            *_path_atoms(cfg, paths[pending:]))
     factors = (np.hstack([u * p.gain for (u, _), p in zip(units, paths)] + [left]),
                np.vstack([r for _, r in units] + [right]))
     reach = sum((abs(p.gain) * np.abs(u[:, 0]) * np.abs(r).max()
@@ -392,8 +393,7 @@ def test_lattice_rhs_equals_batch_omp_oracle(
     assert len(solved) == len(iterations) - (iterations[-1][1] == [])
 
     def atoms(paths):
-        return _steering_matrices(cfg, [p.delay for p in paths],
-                                  [p.aod for p in paths], [p.aoa for p in paths])
+        return _path_atoms(cfg, paths)[0]
 
     scale = resp.values.size * float(np.sqrt(np.mean(np.abs(resp.values) ** 2)))
     for rhs, (k, candidates) in zip(solved, iterations):

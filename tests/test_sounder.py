@@ -16,12 +16,13 @@ from mpcx import (
     resolvable_delays,
     signal_space_dimension,
     spatial_frequency,
-    steering_vector,
     synthesize_response,
     virtual_coefficients,
 )
 from mpcx import sounder
 from mpcx.sounder import VirtualCoefficients, _matched_filter, _steering_matrices
+
+from closed_form import steering_vector
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 
