@@ -29,30 +29,32 @@ angle_spread = 0.01
 dynamic_range_db = 60.0
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="mpcx_demo_"))
-run = workdir / "run"
-spec = workdir / "scenario.txt"
-spec.write_text(SCENARIO, encoding="utf-8")
+# the run directory and everything in it are removed when the block ends
+with tempfile.TemporaryDirectory(prefix="mpcx_demo_") as tmp:
+    run = Path(tmp) / "run"
+    spec = Path(tmp) / "scenario.txt"
+    spec.write_text(SCENARIO, encoding="utf-8")
 
-stages = [
-    ["scenario", "--spec", str(spec)],
-    ["synth", "--config", "desk", "--paths", str(run / "scenario.csv")],
-    ["extract", "--config", "desk", "--tensor", str(run / "tensor.bin"),
-     "--kdom", "24"],
-    ["associate", "--config", "desk", "--truth", str(run / "truth_paths.csv"),
-     "--estimates", str(run / "estimates.csv")],
-    ["report"],
-]
-for stage in stages:
-    code = main(stage + ["--out-dir", str(run), "--quiet"])
-    assert code == 0, f"stage {stage[0]} failed with exit code {code}"
-    print(f"ran: mpcx {stage[0]}")
+    stages = [
+        ["scenario", "--spec", str(spec)],
+        ["synth", "--config", "desk", "--paths", str(run / "scenario.csv")],
+        ["extract", "--config", "desk", "--tensor", str(run / "tensor.bin"),
+         "--kdom", "24"],
+        ["associate", "--config", "desk", "--truth", str(run / "truth_paths.csv"),
+         "--estimates", str(run / "estimates.csv")],
+        ["report"],
+    ]
+    for stage in stages:
+        code = main(stage + ["--out-dir", str(run), "--quiet"])
+        assert code == 0, f"stage {stage[0]} failed with exit code {code}"
+        print(f"ran: mpcx {stage[0]}")
 
-print(f"\nartifacts in {run}:")
-for p in sorted(run.iterdir()):
-    print(f"  {p.name:32s} {p.stat().st_size:8d} bytes")
+    print(f"\nartifacts in {run}:")
+    for p in sorted(run.iterdir()):
+        print(f"  {p.name:32s} {p.stat().st_size:8d} bytes")
 
-report = fileio.load_kv_report(run / "run_report.txt")
+    report = fileio.load_kv_report(run / "run_report.txt")
+
 print("\nrun report:")
 for key in ("n_phys", "n_estimates", "k_pa", "normalized_error",
             "pre_pa_cost", "post_pa_cost", "s_joint"):

@@ -12,13 +12,26 @@ the path's ``_steering_matrices``, one factor per axis.  Greedy subtraction
 of a path therefore agrees with transforming the frequency-domain residual
 up to floating-point rounding.
 
+A grid made by ``beamspace_transform`` stores only the critically sampled
+AoD plane: the rows j = os_aod*q of each AoA row, n_aoa x n_tx x n_tau
+values.  Along an angle axis every oversampled point is a fixed
+interpolation of the critical samples (Sayeed, IEEE TSP 2002), so the other
+os_aod - 1 AoD cosets of an AoA row are one product of its stored plane
+with ``P = M_s M_0^-1`` (``BeamspaceGrid._interp``), where ``M_0`` and
+``M_s`` are the stored and the other rows of the grid's AoD lattice matrix
+and ``M_0^-1 = M_0^H / n_tx``.  Every pass derives those rows as it needs
+them, and ``.values`` materializes the whole lattice on access.  A grid
+built from an array stores every row and derives none, as does a grid at
+os_aod = 1; the same kernels serve both.
+
 Every grid-wide pass after the transform is one blocked kernel,
-``peak_sweep``: it subtracts rank-K footprint factors from the grid, block
-by cache-sized block, writes the difference back, and finds its peak
-magnitude in the same pass; it can also record each (AoA, AoD) row's peak
-magnitude.  ``tentative_peak`` finds the peak of the grid minus further
-footprints without writing: with those row peaks and a bound on each row's
-footprint it evaluates only the few rows that can hold the peak.
+``peak_sweep``: it subtracts rank-K footprint factors from the stored
+plane, block of AoA rows by block, writes the difference back, derives the
+other AoD rows and finds the peak magnitude over all rows in the same pass;
+it can also record each (AoA, AoD) row's peak magnitude.
+``tentative_peak`` finds the peak of the grid minus further footprints
+without writing: with those row peaks and a bound on each row's footprint
+it evaluates only the few rows that can hold the peak.
 
 Greedy-LS's commits stay pending factors (``_PendingPicks``) until 16 are
 pending or their bound keeps more than 5% of the rows.
@@ -81,23 +94,55 @@ class GridSpec:
         n = config.n_freq * self.os_delay
         return np.arange(n) / (config.bandwidth_hz * self.os_delay)
 
+    def _plane_bytes(self, config: SounderConfig) -> int:
+        """Bytes of the AoD plane that ``beamspace_transform`` stores on this
+        lattice: n_rx*os_aoa x n_tx x n_freq*os_delay complex128 values."""
+        return 16 * config.n_rx * self.os_aoa * config.n_tx * config.n_freq * self.os_delay
+
     def _matrices(self, config: SounderConfig):
         "``sounder._lattice_matrices`` of this lattice's axes."
         return _lattice_matrices(config, self.delay_axis(config),
                                  self.aod_axis(config), self.aoa_axis(config))
 
 
-@dataclass(frozen=True)
 class BeamspaceGrid:
     """Complex beamspace tensor over (AoA, AoD, delay) lattice points.
 
     Normalization contract: a single path whose parameters sit exactly on the
     lattice produces its complex gain at the matching grid point.
+
+    Storage contract: the grid stores ``_plane``, the AoD rows j =
+    ``_step``*q of every AoA row (n_aoa x n_aod/``_step`` x n_tau values),
+    and derives the other rows from it with ``_interp``.
+    ``BeamspaceGrid(values, spec, config)`` stores the whole array (step 1,
+    no derived rows; the sweep writes into it); ``beamspace_transform``
+    stores the critically sampled plane, step os_aod.  ``values`` is the
+    stored array for a grid that derives nothing, and otherwise a new array
+    that materializes the whole lattice.
     """
 
-    values: np.ndarray
-    spec: GridSpec
-    config: SounderConfig
+    def __init__(self, values: np.ndarray, spec: GridSpec, config: SounderConfig):
+        self.spec, self.config = spec, config
+        self._plane, self._step = values, 1
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        "(n_aoa, n_aod, n_tau) of the whole lattice."
+        n_aoa, n_stored, n_tau = self._plane.shape
+        return n_aoa, n_stored * self._step, n_tau
+
+    @property
+    def values(self) -> np.ndarray:
+        "The whole lattice: the stored array, or a new one with the derived rows."
+        if self._step == 1:
+            return self._plane
+        n_aoa, n_stored, n_tau = self._plane.shape
+        full = np.empty(self.shape, dtype=complex)
+        cosets = full.reshape(n_aoa, n_stored, self._step, n_tau)
+        cosets[:, :, 0] = self._plane
+        for i, plane in enumerate(self._plane):
+            cosets[i, :, 1:] = (self._interp @ plane).reshape(n_stored, -1, n_tau)
+        return full
 
     @property
     def aoa_axis(self) -> np.ndarray:
@@ -116,6 +161,24 @@ class BeamspaceGrid:
         """The transform's lattice matrices of this grid's axes, built once per
         grid: every footprint that a sweep subtracts from it comes from them."""
         return self.spec._matrices(self.config)
+
+    @cached_property
+    def _interp(self) -> np.ndarray:
+        """``P = M_s M_0^H / n_tx``, [n_stored*(step-1) x n_stored]: the derived
+        AoD rows j = step*q + s (s = 1..step-1, in (q, s) order) of an AoA row
+        are ``P`` times its stored rows.  ``M_0`` and ``M_s`` are the stored and
+        the derived rows of the AoD lattice matrix; ``M_0`` is n_tx x n_tx with
+        ``M_0 M_0^H = n_tx I``, so this is exact up to rounding."""
+        m_tx = self._matrices[1]
+        cosets = m_tx.reshape(-1, self._step, m_tx.shape[1])
+        return (cosets[:, 1:].reshape(-1, m_tx.shape[1])
+                @ cosets[:, 0].T.conj()) / m_tx.shape[1]
+
+    @cached_property
+    def _lattice_rows(self) -> _LatticeRows:
+        """Lattice rows of the plane as it stands, for ``tentative_peak``; a
+        ``peak_sweep`` that writes the plane drops them."""
+        return _LatticeRows(self)
 
     def _pick(self, paths: list[PathParams]) -> PathParams:
         """``peak_sweep`` of this grid minus ``paths``, as a path at the
@@ -147,15 +210,17 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
 
     the same separable map as ``virtual_coefficients``, evaluated on the
     grid axes: the lattice matrices of the axes are applied delay first,
-    then AoA, then AoD one AoA row at a time into the preallocated grid, so
-    no grid-sized temporary is made.  The grid keeps the matrices for its
-    sweeps.
+    then AoA, then AoD one AoA row at a time into the preallocated plane.
+    Only the stored AoD rows (every os_aod-th, the critically sampled ones)
+    are computed and kept; the grid derives the rest (see ``BeamspaceGrid``)
+    and keeps the matrices for its sweeps.
     """
     cfg = response.config
     matrices = spec._matrices(cfg)
-    grid = BeamspaceGrid(values=_separable_transform(response.values, *matrices),
-                         spec=spec, config=cfg)
-    object.__setattr__(grid, "_matrices", matrices)  # fills the cached_property
+    m_rx, m_tx, m_f = matrices
+    grid = BeamspaceGrid(_separable_transform(response.values, m_rx,
+                                              m_tx[::spec.os_aod], m_f), spec, cfg)
+    grid._step, grid._matrices = spec.os_aod, matrices
     return grid
 
 
@@ -231,17 +296,20 @@ def peak_sweep(
     """Peak of ``|grid - footprints|`` in one pass.
 
     ``footprints`` are paths, whose ``_kernel_factors`` are built from the
-    grid's own lattice matrices, or such factors already built.  Walks row
-    blocks of the ``(aoa*aod, delay)`` view of ``grid.values``.  Each block
-    gets all footprints subtracted as one rank-K product, then its magnitude, row
-    maxima and argmax are taken; the first strict maximum is kept, so exact
-    magnitude ties resolve to the lowest (aoa, aod, delay) index triple in
-    lexicographic order, as in ``np.argmax`` over the whole grid.  The row
-    maxima go into ``row_peaks`` (one float per row of the view) if it is
-    given, for ``tentative_peak``.  The difference is written back into
-    ``grid.values``, which must be C-contiguous when there are footprints
-    (ValueError otherwise, before anything is written); with none the
-    values are only read.  A large grid's blocks run in contiguous spans on
+    grid's own lattice matrices, or such factors already built (on the
+    ``(aoa*aod, delay)`` view of the whole lattice).  Walks blocks of AoA
+    rows of the stored plane.  Each block gets all footprints subtracted
+    from its stored rows as one rank-K product, written back; then its
+    derived rows are made from them (one product with ``grid._interp``),
+    and the magnitudes and maxima of every (AoA, AoD) row are taken.  The
+    block's peak is the first maximum in (aoa, aod, delay) order over stored
+    and derived rows together, and the first strict maximum over the blocks
+    is kept, so exact magnitude ties resolve to the lowest index triple, as
+    in ``np.argmax`` over the whole lattice.  The row maxima go into
+    ``row_peaks`` (one float per row of the view) if it is given, for
+    ``tentative_peak``.  The stored plane must be C-contiguous when there
+    are footprints (ValueError otherwise, before anything is written); with
+    none it is only read.  A large grid's blocks run in contiguous spans on
     ``pool.run_blocks``; each span lists its blocks' peaks and one merge
     walks them in block order, so the peak does not depend on the split.
 
@@ -252,51 +320,144 @@ def peak_sweep(
     of its span up to and including the offending one are already written,
     and so may be blocks of the other spans.
     """
-    values = grid.values
-    if values.size == 0:
+    plane, step = grid._plane, grid._step
+    if plane.size == 0:
         raise ValueError("empty beamspace grid")
-    if footprints and not values.flags.c_contiguous:
+    if footprints and not plane.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
-    n_aoa, n_aod, n_tau = values.shape
-    flat = values.reshape(n_aoa * n_aod, n_tau)
+    n_aoa, n_stored, n_tau = plane.shape
+    n_aod = n_stored * step
     if footprints:
         left, right = (footprints if isinstance(footprints, tuple) else
                        _kernel_factors(grid._matrices,
                                        *_path_atoms(grid.config, footprints)))
+        # the footprints' stored rows
+        left = left.reshape(n_aoa, n_aod, -1)[:, ::step]
     if row_peaks is None:
-        row_peaks = np.empty(len(flat))
-    rows = max(1, _BLOCK_ENTRIES // n_tau)
+        row_peaks = np.empty(n_aoa * n_aod)
+    by_coset = row_peaks.reshape(n_aoa, n_stored, step)
+    interp = grid._interp if step > 1 else None
+    # a block's derived rows and their magnitudes need more room than its
+    # stored rows: a block is 1/step of _BLOCK_ENTRIES lattice entries, so
+    # it stays cache-resident (at step 4 on the desk grid 1.5x faster)
+    aoa_rows = max(1, _BLOCK_ENTRIES // (n_aod * n_tau * step))
+    if footprints:
+        grid.__dict__.pop("_lattice_rows", None)  # made from the plane before
 
     def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
         """(magnitude, flat index, value) of each block's first peak, up to
         and including the first whose magnitude is not finite."""
-        kernel_buf = np.empty((rows, n_tau), dtype=complex)
-        mag_buf = np.empty((rows, n_tau))
+        kernel_buf = np.empty((aoa_rows * n_stored, n_tau), dtype=complex)
+        mag_buf = np.empty((aoa_rows, n_stored, n_tau))
+        if interp is not None:
+            derived_buf = np.empty((aoa_rows, len(interp), n_tau), dtype=complex)
+            derived_mag_buf = np.empty((aoa_rows, len(interp), n_tau))
         peaks = []
-        for r0 in range(start, stop, rows):
-            block = flat[r0:r0 + rows]
+        for i0 in range(start, stop, aoa_rows):
+            block = plane[i0:i0 + aoa_rows]
+            b = len(block)
             if footprints:
-                kernels = kernel_buf[:len(block)]
+                rows = block.reshape(b * n_stored, n_tau)
+                kernels = kernel_buf[:len(rows)]
                 # np.dot, not np.matmul: matmul runs the rank-1 product, the
                 # common case, about 2x slower
-                np.dot(left[r0:r0 + rows], right, out=kernels)
-                np.subtract(block, kernels, out=block)
-            mag = np.abs(block, out=mag_buf[:len(block)])
-            peak, r, k = _block_peak(
-                mag, np.max(mag, axis=1, out=row_peaks[r0:r0 + len(block)]))
-            peaks.append((peak, (r0 + r) * n_tau + k, complex(block[r, k])))
-            if not math.isfinite(peak):
+                np.dot(left[i0:i0 + b].reshape(len(rows), -1), right, out=kernels)
+                np.subtract(rows, kernels, out=rows)
+            mag = np.abs(block, out=mag_buf[:b])
+            np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
+            if interp is not None:
+                derived = np.matmul(interp, block, out=derived_buf[:b])
+                derived_mag = np.abs(derived, out=derived_mag_buf[:b])
+                np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
+                       out=by_coset[i0:i0 + b, :, 1:])
+            # the first row holding the block's maximum holds its first peak;
+            # a NaN wins both argmaxes
+            r = int(row_peaks[i0 * n_aod:(i0 + b) * n_aod].argmax())
+            i, j = divmod(r, n_aod)
+            q, s = divmod(j, step)
+            if s:
+                c = q * (step - 1) + s - 1
+                row, row_mag = derived[i, c], derived_mag[i, c]
+            else:
+                row, row_mag = block[i, q], mag[i, q]
+            k = int(row_mag.argmax())
+            peaks.append((float(row_mag[k]), (i0 * n_aod + r) * n_tau + k,
+                          complex(row[k])))
+            if not math.isfinite(peaks[-1][0]):
                 break
         return peaks
 
-    return _first_peak(chain.from_iterable(run_blocks(sweep, len(flat), rows, n_tau)),
-                       values.shape)
+    return _first_peak(
+        chain.from_iterable(run_blocks(sweep, n_aoa, aoa_rows, n_aod * n_tau)),
+        grid.shape)
 
 
 def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray) -> np.ndarray:
     "Ascending indices of the rows that ``tentative_peak`` evaluates."
     floor = np.max(row_peaks - reach)
     return np.flatnonzero(~((row_peaks + reach) * (1 + _BOUND_SLACK) < floor))
+
+
+# values that a grid's ``_LatticeRows`` holds at most: 16 MB of complex128,
+# more than the rows that greedy-LS's picks read between two sweeps at the
+# paper protocol (at most 667 rows of 932 delays)
+_HELD_ENTRIES = 1 << 20
+
+
+class _LatticeRows:
+    """Rows of a grid's lattice as the stored plane stands, each made once.
+
+    Between two writes of the plane, greedy-LS's tentative picks read the
+    same few rows again and again (about 15 reads per derived row at the
+    paper protocol).  ``gather`` keeps every row it is asked for in
+    ``values``: a stored row is copied from the plane, and a derived row is
+    made with one product of ``grid._interp``'s rows and the stored plane
+    per AoA row.  ``index`` maps a lattice row to its slot, or -1.  At most
+    ``limit`` rows (``_HELD_ENTRIES`` values, or one row if more) are held;
+    a call that needs more room first drops them all, and a call asks for
+    at most ``limit`` rows.
+    """
+
+    def __init__(self, grid: BeamspaceGrid):
+        n_aoa, n_aod, n_tau = grid.shape
+        self.index = np.full(n_aoa * n_aod, -1)
+        self.limit = max(1, min(n_aoa * n_aod, _HELD_ENTRIES // n_tau))
+        # pages that no row is written to are never touched
+        self.values = np.empty((self.limit, n_tau), dtype=complex)
+        self.count = 0
+
+    def gather(self, grid: BeamspaceGrid,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, slots)``: the slots in ``values`` of up to ``limit``
+        ascending lattice ``rows`` of ``grid`` (whose rows these are), made
+        where missing."""
+        missing = rows[self.index[rows] < 0]
+        if len(missing):
+            if self.count + len(missing) > self.limit:
+                self.index.fill(-1)
+                self.count, missing = 0, rows
+            self._make(grid, missing)
+        return self.values, self.index[rows]
+
+    def _make(self, grid: BeamspaceGrid, rows: np.ndarray) -> None:
+        step = grid._step
+        n_aoa, n_stored, n_tau = grid._plane.shape
+        start, stop = self.count, self.count + len(rows)
+        aoa, aod = np.divmod(rows, n_stored * step)
+        q, s = np.divmod(aod, step)
+        derived, stored = np.flatnonzero(s), np.flatnonzero(s == 0)
+        # derived rows first, one product per AoA row, then the stored rows
+        interp = grid._interp[q[derived] * (step - 1) + s[derived] - 1]
+        planes, firsts = np.unique(aoa[derived], return_index=True)
+        firsts = firsts.tolist()
+        for i, lo, hi in zip(planes.tolist(), firsts, firsts[1:] + [len(derived)]):
+            np.matmul(interp[lo:hi], grid._plane[i], out=self.values[start + lo:start + hi])
+        middle = start + len(derived)
+        np.take(grid._plane.reshape(-1, n_tau), aoa[stored] * n_stored + q[stored],
+                axis=0, out=self.values[middle:stop])
+        self.index[rows[derived]] = np.arange(start, middle)
+        self.index[rows[stored]] = np.arange(middle, stop)
+        self.count = stop
 
 
 def tentative_peak(
@@ -314,14 +475,15 @@ def tentative_peak(
     max_r(row_peaks[r] - reach[r])``, and only rows with ``(row_peaks[r] +
     reach[r]) * (1 + _BOUND_SLACK) >= floor`` (or a NaN bound) are
     evaluated: in ascending order, in blocks of half the sweep's size, each
-    gathered by one ``np.take`` and its footprints subtracted in one call.
-    Ties, the all-zero result and the non-finite ValueError are ``peak_sweep``'s.
+    gathered by one ``np.take`` (from the stored plane, or from
+    ``grid._lattice_rows`` when the grid derives rows) and its footprints
+    subtracted in one call.  Ties, the all-zero result and the non-finite
+    ValueError are ``peak_sweep``'s.
     """
-    values = grid.values
-    if values.size == 0:
+    plane = grid._plane
+    if plane.size == 0:
         raise ValueError("empty beamspace grid")
-    n_aoa, n_aod, n_tau = values.shape
-    flat = values.reshape(n_aoa * n_aod, n_tau)
+    n_tau = plane.shape[2]
     left, right = factors
     if reach is None:
         reach = np.abs(left) @ np.abs(right).max(axis=1)
@@ -331,18 +493,29 @@ def tentative_peak(
     kernel_buf = np.empty((rows, n_tau), dtype=complex)
     mag_buf = np.empty((rows, n_tau))
     row_buf = np.empty(rows)
+    if grid._step == 1:  # every row is stored: read the plane
+        part_rows, flat = max(1, len(kept)), plane.reshape(-1, n_tau)
+    else:
+        cache = grid._lattice_rows
+        part_rows = cache.limit
 
     def peaks():
-        for c0 in range(0, len(kept), rows):
-            at = kept[c0:c0 + rows]
-            n = len(at)
-            block = np.take(flat, at, axis=0, out=block_buf[:n], mode="clip")
-            np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]), out=block)
-            mag = np.abs(block, out=mag_buf[:n])
-            peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
-            yield peak, int(at[r]) * n_tau + k, complex(block[r, k])
+        for p0 in range(0, len(kept), part_rows):
+            part = kept[p0:p0 + part_rows]
+            source, slots = ((flat, part) if grid._step == 1
+                             else cache.gather(grid, part))
+            for c0 in range(0, len(part), rows):
+                at = part[c0:c0 + rows]
+                n = len(at)
+                block = np.take(source, slots[c0:c0 + rows], axis=0,
+                                out=block_buf[:n], mode="clip")
+                np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]),
+                            out=block)
+                mag = np.abs(block, out=mag_buf[:n])
+                peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
+                yield peak, int(at[r]) * n_tau + k, complex(block[r, k])
 
-    return _first_peak(peaks(), values.shape)
+    return _first_peak(peaks(), grid.shape)
 
 
 # pending commits, and share of the rows their bound keeps, past which a
@@ -371,9 +544,10 @@ class _PendingPicks:
 
     def __init__(self, grid: BeamspaceGrid, refine: bool, k_g: int):
         self.grid, self.refine, self.k_g = grid, refine, k_g
-        n_rows = grid.values.shape[0] * grid.values.shape[1]
+        n_aoa, n_aod, n_tau = grid.shape
+        n_rows = n_aoa * n_aod
         self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
-        self.right = np.empty((_MAX_PENDING + k_g, grid.values.shape[2]), dtype=complex)
+        self.right = np.empty((_MAX_PENDING + k_g, n_tau), dtype=complex)
         self.steering = tuple(np.empty((n, k_g), dtype=complex) for n in (
             grid.config.n_rx, grid.config.n_tx, grid.config.n_freq))
         self.reach, self.row_peaks = np.zeros(n_rows), np.empty(n_rows)
@@ -437,15 +611,21 @@ def _refine_peak(
 
     With ``factors`` (the ``_kernel_factors`` of some footprints) the values
     are those of the grid minus the footprints: the seven that are read are
-    each computed from the factors, and the grid is not written.  Angle axes
-    wrap periodically; the delay axis skips refinement at its edges.
-    Offsets are clamped to half a grid step per axis.
+    each computed from the factors, and the grid is not written.  A stored
+    value is read from the plane and a derived one is made from its AoA
+    row's plane.  Angle axes wrap periodically; the delay axis skips
+    refinement at its edges.  Offsets are clamped to half a grid step per
+    axis.
     """
-    values = grid.values
-    n_aoa, n_aod, n_tau = values.shape
+    plane, step = grid._plane, grid._step
+    n_aoa, n_aod, n_tau = grid.shape
 
     def mag(a: int, b: int, c: int) -> float:
-        value = values[a, b, c]
+        q, s = divmod(b, step)
+        if s:
+            value = grid._interp[q * (step - 1) + s - 1] @ plane[a, :, c]
+        else:
+            value = plane[a, q, c]
         if factors is not None:
             value = value - factors[0][a * n_aod + b] @ factors[1][:, c]
         return np.abs(value)

@@ -122,20 +122,34 @@ def _require_finite_power(response, source) -> float:
     return power
 
 
-def _check_grid_memory(config, oversample: int) -> None:
-    """ValueError naming ``--oversample`` if one beamspace grid at this
-    oversampling (complex128 over n_rx*os x n_tx*os x n_freq*os points) needs
-    more bytes than the machine's physical memory, where the platform
-    reports that."""
-    need = 16 * config.n_rx * config.n_tx * config.n_freq * oversample**3
+def _check_grid_memory(config, spec: GridSpec) -> None:
+    """ValueError naming ``--oversample`` (which sets every factor of
+    ``spec``) if what extract allocates for its beamspace grid, the stored
+    AoD plane plus the transform's delay-transformed lines (n_rx*n_tx x
+    n_freq*os complex128 values), needs more bytes than the machine's
+    physical memory, where the platform reports that."""
+    need = (spec._plane_bytes(config)
+            + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not reported here
         return
     if 0 < have < need:
-        raise ValueError(f"--oversample {oversample}: the beamspace grid needs "
+        raise ValueError(f"--oversample {spec.os_delay}: the beamspace grid needs "
                          f"{need} bytes, more than the {have} bytes of physical "
                          "memory")
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process in MB (10^6 bytes), from
+    ``ru_maxrss``; None where the ``resource`` module is missing."""
+    try:
+        import resource
+    except ImportError:  # not on this platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
 # environment variables that set the BLAS thread count, on which the last
@@ -223,11 +237,11 @@ def cmd_extract(args) -> int:
     if args.sage_sweeps < 0:
         raise UsageError("sage-sweeps must be >= 0")
     config = fileio.load_sounder_config(args.config)
-    _check_grid_memory(config, args.oversample)
-    response = fileio.load_response(args.tensor, config)
-    _require_finite_power(response, args.tensor)
     spec = GridSpec(os_aoa=args.oversample, os_aod=args.oversample,
                     os_delay=args.oversample)
+    _check_grid_memory(config, spec)
+    response = fileio.load_response(args.tensor, config)
+    _require_finite_power(response, args.tensor)
     xcfg = ExtractionConfig(k_dom=args.kdom, k_g=args.kg, k_up=args.kup,
                             grid=spec, residual_stop=args.residual_stop,
                             final_global_ls=args.final_ls,
@@ -263,7 +277,9 @@ def cmd_extract(args) -> int:
             report[f"sage_error_sweep_{i}"] = e
         fileio.save_kv_report(out_dir / EXTRACT_REPORT, report)
         _record_timing(out_dir, "extract", time.perf_counter() - t0,
-                       extract_full_sweeps=trace.full_sweeps, **_blas_facts())
+                       extract_full_sweeps=trace.full_sweeps,
+                       grid_bytes=spec._plane_bytes(config),
+                       peak_rss_mb=_peak_rss_mb(), **_blas_facts())
     logger.info("extract: committed %d paths in %d full grid sweeps, normalized "
                 "error %.3e", len(paths), trace.full_sweeps, error)
     return EXIT_OK

@@ -101,9 +101,10 @@ def test_trace_is_monotone(run_dir):
 def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     """One noiseless on-grid path, no residual stop: the first commit fits
     it exactly, so the residual power can reach 0 but never goes negative
-    or NaN.  Extract exits 0 and writes its full-sweep count and the BLAS
-    facts (library, CPU count, thread variables, null when unset) to the
-    timings sidecar, and to no other artifact."""
+    or NaN.  Extract exits 0 and writes its full-sweep count, the bytes of
+    its stored grid plane, its peak RSS and the BLAS facts (library, CPU
+    count, thread variables, null when unset) to the timings sidecar, and
+    to no other artifact."""
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     paths = tmp_path / "one.csv"
@@ -137,6 +138,11 @@ def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     assert timings["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert not any(blas["version"] in p.read_text(encoding="utf-8")
                    for p in out.glob("*.txt"))
+    # the desk grid at oversample 4 stores 32 x 8 x 128 complex128 values
+    assert timings["grid_bytes"] == 32 * 8 * 128 * 16
+    assert timings["peak_rss_mb"] > 0
+    assert not any(key in p.read_text(encoding="utf-8")
+                   for key in ("grid_bytes", "peak_rss_mb") for p in out.glob("*.txt"))
 
 
 def test_report_totals_recomputable(run_dir):
@@ -605,7 +611,9 @@ def test_extract_grid_over_physical_memory_exits_2(tmp_path, capsys, monkeypatch
     argv = ["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
             "--kdom", "4", "--oversample", "3", "--out-dir", str(out), "--quiet"]
     config = fileio.load_sounder_config(out / "config.txt")
-    need = 27 * config.n_rx * config.n_tx * config.n_freq * 16
+    # the stored AoD plane (os^2) plus the transform's delay-transformed
+    # lines (os), complex128
+    need = (9 + 3) * config.n_rx * config.n_tx * config.n_freq * 16
     # one page short of the grid
     monkeypatch.setattr("mpcx.cli.os.sysconf", _sysconf(need // 4096 - 1))
     assert main(argv) == 2

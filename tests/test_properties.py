@@ -36,7 +36,7 @@ from mpcx import (
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix, associate
 from mpcx.beamspace import peak_sweep, tentative_peak
 from mpcx.extract import GRAM_CONDITION_LIMIT, _dictionary_gram
-from mpcx.sounder import _matched_filter, _path_atoms
+from mpcx.sounder import _matched_filter, _path_atoms, _separable_transform
 
 from closed_form import beamspace_point, ls_condition, pairwise_cost
 
@@ -196,6 +196,81 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     ref = beamspace._refine_peak(beamspace.BeamspaceGrid(dense, spec, cfg), i, j, l)
     assert np.max(np.abs(np.subtract(got, ref))) <= 1e-9
     assert grid.values.tobytes() == before
+
+
+def assert_same_peak(got, dense, scale):
+    """``got`` is the peak of ``dense`` (its magnitude to 1e-12 of ``scale``,
+    its value to 1e-12) and its index unless rounding can reorder the top two."""
+    i, j, l, val = got
+    mag = np.abs(dense)
+    assert abs(val - dense[i, j, l]) <= 1e-12 * scale
+    assert mag[i, j, l] >= mag.max() - 1e-12 * scale
+    ranked = np.sort(mag, axis=None)[::-1]
+    if len(ranked) == 1 or ranked[0] - ranked[1] > 1e-9 * scale:
+        assert (i, j, l) == np.unravel_index(int(np.argmax(mag)), dense.shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
+       os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4),
+       os_delay=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       n_paths=st.integers(0, 3), pending=st.integers(1, 3), on_grid=st.booleans(),
+       block=st.integers(1, 200))
+def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_aod,
+                                                os_delay, seed, n_paths, pending,
+                                                on_grid, block):
+    """A transform grid stores its critically sampled AoD plane and derives
+    the other AoD rows.  Its ``values`` equal the dense transform (every AoD
+    row through ``_separable_transform``) to 1e-12 of the maximum.  A
+    ``peak_sweep`` with footprints, then a ``tentative_peak`` and
+    ``_refine_peak`` against further ones, agree with the same calls on an
+    array-built copy of the dense lattice: the same peak unless rounding can
+    reorder the top two, row peaks and values to 1e-12, the swept lattices
+    to 1e-12, and the tentative pick leaves the plane as it was.  Two rounds
+    of tentative picks and a sweep that writes their footprints check that
+    a pick after the write reads the written plane."""
+    cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+    resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
+                             config=cfg)
+    grid = beamspace_transform(resp, spec)
+    dense = _separable_transform(resp.values, *spec._matrices(cfg))
+    assert grid.values.shape == shape
+    assert np.max(np.abs(grid.values - dense)) <= 1e-12 * np.abs(dense).max()
+    copy = beamspace.BeamspaceGrid(dense.copy(), spec, cfg)
+    scale = max(1.0, float(np.abs(dense).max()))  # footprint gains are O(1)
+
+    paths = random_paths(rng, cfg, spec, n_paths, on_grid)
+    row_peaks, copy_row_peaks = np.empty(shape[0] * shape[1]), np.empty(shape[0] * shape[1])
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        got = peak_sweep(grid, paths, row_peaks)
+        ref = peak_sweep(copy, paths, copy_row_peaks)
+    swept = copy.values
+    assert_same_peak(got, swept, scale)
+    assert_same_peak(ref, swept, scale)
+    assert np.max(np.abs(grid.values - swept)) <= 1e-12 * scale
+    assert np.max(np.abs(row_peaks - copy_row_peaks)) <= 1e-12 * scale
+
+    for _ in range(2):
+        more = random_paths(rng, cfg, spec, pending, on_grid)
+        factors = beamspace._kernel_factors(grid._matrices, *_path_atoms(cfg, more))
+        before = grid._plane.tobytes()
+        with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+            got = tentative_peak(grid, factors, row_peaks)
+            ref = tentative_peak(copy, factors, copy_row_peaks)
+        assert grid._plane.tobytes() == before
+        rest = swept - sum(single_path_grid(p, spec, cfg).values for p in more)
+        assert_same_peak(got, rest, scale)
+        assert_same_peak(ref, rest, scale)
+        i, j, l, _ = ref
+        assert np.max(np.abs(np.subtract(
+            beamspace._refine_peak(grid, i, j, l, factors),
+            beamspace._refine_peak(copy, i, j, l, factors)))) <= 1e-9
+        # a sweep that writes the footprints; the next pick reads the new plane
+        peak_sweep(grid, factors, row_peaks)
+        peak_sweep(copy, factors, copy_row_peaks)
+        swept = copy.values
+        assert np.max(np.abs(grid.values - swept)) <= 1e-12 * scale
 
 
 @settings(max_examples=80, deadline=None)
