@@ -3,8 +3,9 @@
 The transform maps an (rx, tx, frequency) response tensor onto a 3D lattice of
 (AoA, AoD, delay) points.  It is the direct separable triple sum, computed as
 three products with the lattice matrices of ``sounder._lattice_matrices``
-(delay first, then AoA, then AoD), the same separable map that gives the
-critically sampled virtual coefficients; no FFT is involved.
+(AoD first, then delay, then AoA; ``sounder._separable_transform``), the
+same separable map that gives the critically sampled virtual coefficients;
+no FFT is involved.
 
 A grid builds its lattice matrices once and keeps them.  The beamspace
 footprint of a path is the transform of its atom: the grid's matrices times
@@ -26,9 +27,13 @@ os_aod = 1; the same kernels serve both.
 
 Every grid-wide pass after the transform is one blocked kernel,
 ``peak_sweep``: it subtracts rank-K footprint factors from the stored
-plane, block of AoA rows by block, writes the difference back, derives the
-other AoD rows and finds the peak magnitude over all rows in the same pass;
-it can also record each (AoA, AoD) row's peak magnitude.
+plane, block of AoA rows by block, writes the difference back, and its
+read-only scan (``_row_scan``) derives the other AoD rows and finds the
+peak magnitude over all rows in the same pass; it can also record each
+(AoA, AoD) row's peak magnitude.  The transform runs the same scan on each
+block of the plane as it makes it when asked for the row peaks, so
+greedy-LS's first row peaks cost no second pass; ``pdp_marginals`` sums its
+power maps from the same blocks and keeps no grid.
 ``tentative_peak`` finds the peak of the grid minus further footprints
 without writing: with those row peaks and a bound on each row's footprint
 it evaluates only the few rows that can hold the peak.
@@ -163,16 +168,9 @@ class BeamspaceGrid:
         return self.spec._matrices(self.config)
 
     @cached_property
-    def _interp(self) -> np.ndarray:
-        """``P = M_s M_0^H / n_tx``, [n_stored*(step-1) x n_stored]: the derived
-        AoD rows j = step*q + s (s = 1..step-1, in (q, s) order) of an AoA row
-        are ``P`` times its stored rows.  ``M_0`` and ``M_s`` are the stored and
-        the derived rows of the AoD lattice matrix; ``M_0`` is n_tx x n_tx with
-        ``M_0 M_0^H = n_tx I``, so this is exact up to rounding."""
-        m_tx = self._matrices[1]
-        cosets = m_tx.reshape(-1, self._step, m_tx.shape[1])
-        return (cosets[:, 1:].reshape(-1, m_tx.shape[1])
-                @ cosets[:, 0].T.conj()) / m_tx.shape[1]
+    def _interp(self) -> np.ndarray | None:
+        "``_coset_interp`` of this grid's AoD matrix and step."
+        return _coset_interp(self._matrices[1], self._step)
 
     @cached_property
     def _lattice_rows(self) -> _LatticeRows:
@@ -199,7 +197,22 @@ class BeamspaceGrid:
         return PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
 
 
-def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> BeamspaceGrid:
+def _coset_interp(m_tx: np.ndarray, step: int) -> np.ndarray | None:
+    """``P = M_s M_0^H / n_tx``, [n_stored*(step-1) x n_stored]: the derived
+    AoD rows j = step*q + s (s = 1..step-1, in (q, s) order) of an AoA row are
+    ``P`` times its stored rows, where ``M_0`` and ``M_s`` are the stored and
+    the derived rows of the AoD lattice matrix ``m_tx``.  ``M_0`` is n_tx x
+    n_tx with ``M_0 M_0^H = n_tx I``, so this is exact up to rounding.  None
+    at step 1, where no row is derived."""
+    if step == 1:
+        return None
+    cosets = m_tx.reshape(-1, step, m_tx.shape[1])
+    return (cosets[:, 1:].reshape(-1, m_tx.shape[1])
+            @ cosets[:, 0].T.conj()) / m_tx.shape[1]
+
+
+def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
+                        row_peaks: np.ndarray | None = None) -> BeamspaceGrid:
     """Map a frequency response onto the oversampled AoA-AoD-delay lattice.
 
     The value at grid point (theta_r, theta_t, tau) is
@@ -209,18 +222,45 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> Beamspac
             * exp(+j*2*pi*tau*f_m)
 
     the same separable map as ``virtual_coefficients``, evaluated on the
-    grid axes: the lattice matrices of the axes are applied delay first,
-    then AoA, then AoD one AoA row at a time into the preallocated plane.
-    Only the stored AoD rows (every os_aod-th, the critically sampled ones)
-    are computed and kept; the grid derives the rest (see ``BeamspaceGrid``)
-    and keeps the matrices for its sweeps.
+    grid axes by ``sounder._separable_transform``: the lattice matrices of
+    the axes are applied AoD first, then delay, then AoA a block of rows at
+    a time into the preallocated plane.  Only the stored AoD rows (every
+    os_aod-th, the critically sampled ones) are computed and kept, so the
+    AoD matrix applied is square; the grid derives the rest (see
+    ``BeamspaceGrid``) and keeps the matrices for its sweeps.
+
+    With ``row_peaks`` (one float per row of the ``(aoa*aod, delay)`` view)
+    each block of the plane is scanned as it is made, by the read-only scan
+    of ``peak_sweep`` (``_row_scan``), which records the row maxima there:
+    the same bits that ``peak_sweep(grid, [], row_peaks)`` writes, without
+    a second pass over the plane.  A magnitude that is not finite raises
+    the ValueError of that read-only sweep, naming the same index, once the
+    plane is made.
     """
     cfg = response.config
     matrices = spec._matrices(cfg)
     m_rx, m_tx, m_f = matrices
-    grid = BeamspaceGrid(_separable_transform(response.values, m_rx,
-                                              m_tx[::spec.os_aod], m_f), spec, cfg)
-    grid._step, grid._matrices = spec.os_aod, matrices
+    step, n_tau = spec.os_aod, m_f.shape[1]
+    shape = (len(m_rx), len(m_tx), n_tau)
+    each_block = peaks = None
+    if row_peaks is not None:
+        interp = _coset_interp(m_tx, step)
+        aoa_rows = _scan_rows(shape, step)
+        peaks = [None] * len(m_rx)  # block peaks by first AoA row
+
+        def each_block():
+            scan = _row_scan(interp, row_peaks, aoa_rows, cfg.n_tx, n_tau)
+
+            def scan_rows(first: int, rows: np.ndarray) -> None:
+                for i0 in range(0, len(rows), aoa_rows):
+                    peaks[first + i0] = scan(first + i0, rows[i0:i0 + aoa_rows])
+            return scan_rows
+
+    grid = BeamspaceGrid(_separable_transform(response.values, m_rx, m_tx[::step],
+                                              m_f, each_block), spec, cfg)
+    grid._step, grid._matrices = step, matrices
+    if peaks is not None:
+        _first_peak((p for p in peaks if p is not None), shape)
     return grid
 
 
@@ -288,6 +328,60 @@ def _first_peak(peaks, shape: tuple[int, int, int]) -> tuple[int, int, int, comp
     return int(i), int(j), int(l), best_val
 
 
+def _scan_rows(shape: tuple[int, int, int], step: int) -> int:
+    """AoA rows per block of a pass over a grid of lattice ``shape`` that
+    stores every ``step``-th AoD row.  A block's derived rows and their
+    magnitudes need more room than its stored rows: a block is 1/step of
+    ``_BLOCK_ENTRIES`` lattice entries, so it stays cache-resident (at step 4
+    on the desk grid 1.5x faster)."""
+    return max(1, _BLOCK_ENTRIES // (shape[1] * shape[2] * step))
+
+
+def _row_scan(interp: np.ndarray | None, row_peaks: np.ndarray, aoa_rows: int,
+              n_stored: int, n_tau: int):
+    """The read-only scan of ``peak_sweep``, with one span's scratch buffers.
+
+    ``scan(i0, block)`` takes the stored rows of AoA rows i0..i0+b-1 (``block``,
+    [b x n_stored x n_tau], b <= ``aoa_rows``), derives their other AoD rows
+    with ``interp`` (``_coset_interp``, None when none is derived), writes
+    the maximum magnitude of every (AoA, AoD) row into ``row_peaks`` (one
+    float per row of the ``(aoa*aod, delay)`` view) and returns the block's
+    peak as (magnitude, flat lattice index, value): the first maximum in
+    (aoa, aod, delay) order over stored and derived rows together.
+    """
+    step = 1 if interp is None else len(interp) // n_stored + 1
+    n_aod = n_stored * step
+    by_coset = row_peaks.reshape(-1, n_stored, step)
+    mag_buf = np.empty((aoa_rows, n_stored, n_tau))
+    if interp is not None:
+        derived_buf = np.empty((aoa_rows, len(interp), n_tau), dtype=complex)
+        derived_mag_buf = np.empty((aoa_rows, len(interp), n_tau))
+
+    def scan(i0: int, block: np.ndarray) -> tuple[float, int, complex]:
+        b = len(block)
+        mag = np.abs(block, out=mag_buf[:b])
+        np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
+        if interp is not None:
+            derived = np.matmul(interp, block, out=derived_buf[:b])
+            derived_mag = np.abs(derived, out=derived_mag_buf[:b])
+            np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
+                   out=by_coset[i0:i0 + b, :, 1:])
+        # the first row holding the block's maximum holds its first peak;
+        # a NaN wins both argmaxes
+        r = int(row_peaks[i0 * n_aod:(i0 + b) * n_aod].argmax())
+        i, j = divmod(r, n_aod)
+        q, s = divmod(j, step)
+        if s:
+            c = q * (step - 1) + s - 1
+            row, row_mag = derived[i, c], derived_mag[i, c]
+        else:
+            row, row_mag = block[i, q], mag[i, q]
+        k = int(row_mag.argmax())
+        return float(row_mag[k]), (i0 * n_aod + r) * n_tau + k, complex(row[k])
+
+    return scan
+
+
 def peak_sweep(
     grid: BeamspaceGrid,
     footprints: list[PathParams] | tuple[np.ndarray, np.ndarray],
@@ -301,17 +395,18 @@ def peak_sweep(
     rows of the stored plane.  Each block gets all footprints subtracted
     from its stored rows as one rank-K product, written back; then its
     derived rows are made from them (one product with ``grid._interp``),
-    and the magnitudes and maxima of every (AoA, AoD) row are taken.  The
-    block's peak is the first maximum in (aoa, aod, delay) order over stored
-    and derived rows together, and the first strict maximum over the blocks
-    is kept, so exact magnitude ties resolve to the lowest index triple, as
-    in ``np.argmax`` over the whole lattice.  The row maxima go into
-    ``row_peaks`` (one float per row of the view) if it is given, for
-    ``tentative_peak``.  The stored plane must be C-contiguous when there
-    are footprints (ValueError otherwise, before anything is written); with
-    none it is only read.  A large grid's blocks run in contiguous spans on
-    ``pool.run_blocks``; each span lists its blocks' peaks and one merge
-    walks them in block order, so the peak does not depend on the split.
+    and the magnitudes and maxima of every (AoA, AoD) row are taken, by
+    the read-only ``_row_scan``.  The block's peak is the first maximum in
+    (aoa, aod, delay) order over stored and derived rows together, and the
+    first strict maximum over the blocks is kept, so exact magnitude ties
+    resolve to the lowest index triple, as in ``np.argmax`` over the whole
+    lattice.  The row maxima go into ``row_peaks`` (one float per row of the
+    view) if it is given, for ``tentative_peak``.  The stored plane must be
+    C-contiguous when there are footprints (ValueError otherwise, before
+    anything is written); with none it is only read.  A large grid's blocks
+    run in contiguous spans on ``pool.run_blocks``; each span lists its
+    blocks' peaks and one merge walks them in block order, so the peak does
+    not depend on the split.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
@@ -335,54 +430,28 @@ def peak_sweep(
         left = left.reshape(n_aoa, n_aod, -1)[:, ::step]
     if row_peaks is None:
         row_peaks = np.empty(n_aoa * n_aod)
-    by_coset = row_peaks.reshape(n_aoa, n_stored, step)
-    interp = grid._interp if step > 1 else None
-    # a block's derived rows and their magnitudes need more room than its
-    # stored rows: a block is 1/step of _BLOCK_ENTRIES lattice entries, so
-    # it stays cache-resident (at step 4 on the desk grid 1.5x faster)
-    aoa_rows = max(1, _BLOCK_ENTRIES // (n_aod * n_tau * step))
+    interp = grid._interp
+    aoa_rows = _scan_rows(grid.shape, step)
     if footprints:
         grid.__dict__.pop("_lattice_rows", None)  # made from the plane before
 
     def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
         """(magnitude, flat index, value) of each block's first peak, up to
         and including the first whose magnitude is not finite."""
+        scan = _row_scan(interp, row_peaks, aoa_rows, n_stored, n_tau)
         kernel_buf = np.empty((aoa_rows * n_stored, n_tau), dtype=complex)
-        mag_buf = np.empty((aoa_rows, n_stored, n_tau))
-        if interp is not None:
-            derived_buf = np.empty((aoa_rows, len(interp), n_tau), dtype=complex)
-            derived_mag_buf = np.empty((aoa_rows, len(interp), n_tau))
         peaks = []
         for i0 in range(start, stop, aoa_rows):
             block = plane[i0:i0 + aoa_rows]
-            b = len(block)
             if footprints:
-                rows = block.reshape(b * n_stored, n_tau)
+                rows = block.reshape(-1, n_tau)
                 kernels = kernel_buf[:len(rows)]
                 # np.dot, not np.matmul: matmul runs the rank-1 product, the
                 # common case, about 2x slower
-                np.dot(left[i0:i0 + b].reshape(len(rows), -1), right, out=kernels)
+                np.dot(left[i0:i0 + len(block)].reshape(len(rows), -1), right,
+                       out=kernels)
                 np.subtract(rows, kernels, out=rows)
-            mag = np.abs(block, out=mag_buf[:b])
-            np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
-            if interp is not None:
-                derived = np.matmul(interp, block, out=derived_buf[:b])
-                derived_mag = np.abs(derived, out=derived_mag_buf[:b])
-                np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
-                       out=by_coset[i0:i0 + b, :, 1:])
-            # the first row holding the block's maximum holds its first peak;
-            # a NaN wins both argmaxes
-            r = int(row_peaks[i0 * n_aod:(i0 + b) * n_aod].argmax())
-            i, j = divmod(r, n_aod)
-            q, s = divmod(j, step)
-            if s:
-                c = q * (step - 1) + s - 1
-                row, row_mag = derived[i, c], derived_mag[i, c]
-            else:
-                row, row_mag = block[i, q], mag[i, q]
-            k = int(row_mag.argmax())
-            peaks.append((float(row_mag[k]), (i0 * n_aod + r) * n_tau + k,
-                          complex(row[k])))
+            peaks.append(scan(i0, block))
             if not math.isfinite(peaks[-1][0]):
                 break
         return peaks
@@ -525,42 +594,45 @@ _MAX_KEPT_SHARE = 0.05
 
 
 class _PendingPicks:
-    """Greedy-LS's peak picks on a grid that its commits reach late.
+    """Greedy-LS's peak picks on the grid of a response, which its commits
+    reach late.
 
-    A commit stays pending: a column of the footprint factors ``left`` and
-    ``right`` (its pick's unit ``_kernel_factors`` times its gain), with its
-    row bound added to ``reach``.  Every pick is a ``tentative_peak`` of the
-    grid minus the pending commits and the candidates so far.  A
-    ``candidates`` call first runs one ``peak_sweep``, which writes the
-    pending commits into the grid and records the row peaks, when it is the
-    first call, when ``_MAX_PENDING`` commits are pending, or when their
-    bound keeps more than ``_MAX_KEPT_SHARE`` of the rows; ``sweeps`` counts
-    those sweeps.  The factor arrays are allocated once, with room for
-    ``_MAX_PENDING`` pending commits and ``k_g`` candidates.  Each pick's
-    atom is built once: its ``_steering_matrices`` columns go into
-    ``steering`` (``k_g`` columns per axis, in pick order), from which
-    greedy-LS takes the candidates' Gram.
+    The grid is ``beamspace_transform`` of the response, which records the
+    row peaks as it makes the plane: the first of the grid passes that
+    ``sweeps`` counts.  A commit stays pending: a column of the footprint
+    factors ``left`` and ``right`` (its pick's unit ``_kernel_factors``
+    times its gain), with its row bound added to ``reach``.  Every pick is a
+    ``tentative_peak`` of the grid minus the pending commits and the
+    candidates so far.  A ``candidates`` call first runs one ``peak_sweep``,
+    which writes the pending commits into the grid and records the row
+    peaks, when ``_MAX_PENDING`` commits are pending, or when their bound
+    keeps more than ``_MAX_KEPT_SHARE`` of the rows.  The factor arrays are
+    allocated once, with room for ``_MAX_PENDING`` pending commits and
+    ``k_g`` candidates.  Each pick's atom is built once: its
+    ``_steering_matrices`` columns go into ``steering`` (``k_g`` columns per
+    axis, in pick order), from which greedy-LS takes the candidates' Gram.
     """
 
-    def __init__(self, grid: BeamspaceGrid, refine: bool, k_g: int):
-        self.grid, self.refine, self.k_g = grid, refine, k_g
-        n_aoa, n_aod, n_tau = grid.shape
-        n_rows = n_aoa * n_aod
-        self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
-        self.right = np.empty((_MAX_PENDING + k_g, n_tau), dtype=complex)
-        self.steering = tuple(np.empty((n, k_g), dtype=complex) for n in (
-            grid.config.n_rx, grid.config.n_tx, grid.config.n_freq))
+    def __init__(self, response: FrequencyResponse, spec: GridSpec, refine: bool,
+                 k_g: int):
+        self.refine, self.k_g = refine, k_g
+        config = response.config
+        n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
         self.reach, self.row_peaks = np.zeros(n_rows), np.empty(n_rows)
-        self.pending = self.sweeps = 0
+        self.grid = beamspace_transform(response, spec, self.row_peaks)
+        self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
+        self.right = np.empty((_MAX_PENDING + k_g, self.grid.shape[2]), dtype=complex)
+        self.steering = tuple(np.empty((n, k_g), dtype=complex) for n in (
+            config.n_rx, config.n_tx, config.n_freq))
+        self.pending, self.sweeps = 0, 1
         self.units = []  # (unit left, unit right, unit reach) of each candidate
 
     def candidates(self) -> list[PathParams]:
         "Up to ``k_g`` picks, ending before the first zero peak."
         reach, n = self.reach, self.pending
-        if (not self.sweeps or n >= _MAX_PENDING or len(_bound_rows(
+        if n and (n >= _MAX_PENDING or len(_bound_rows(
                 self.row_peaks, reach)) > _MAX_KEPT_SHARE * len(reach)):
-            peak_sweep(self.grid, (self.left[:, :n], self.right[:n]) if n else [],
-                       self.row_peaks)
+            peak_sweep(self.grid, (self.left[:, :n], self.right[:n]), self.row_peaks)
             self.sweeps += 1
             self.pending = n = 0
             reach.fill(0.0)
@@ -657,19 +729,40 @@ def pdp_marginals(
 
     Returns ``(aoa_aod, aoa_delay)`` where ``aoa_aod[i, j]`` sums |value|^2
     over the delay axis and ``aoa_delay[i, l]`` sums over the AoD axis.
-    Both are accumulated from each AoA row of the transform as it is made,
-    so the grid is never held: besides the transform's own temporaries, the
-    only one is a row's power.
+    Both are accumulated from each block of the transform's stored AoD
+    rows as it is made, with the other AoD rows of one AoA row at a time
+    derived from them (``_coset_interp``), so the grid is never held:
+    besides the transform's own temporaries, the only ones are one AoA
+    row's derived rows and powers.
     """
-    matrices = spec._matrices(response.config)
-    aoa_aod = np.empty((len(matrices[0]), len(matrices[1])))
-    aoa_delay = np.empty((len(matrices[0]), matrices[2].shape[1]))
+    cfg = response.config
+    m_rx, m_tx, m_f = spec._matrices(cfg)
+    step, n_tau = spec.os_aod, m_f.shape[1]
+    interp = _coset_interp(m_tx, step)
+    aoa_aod = np.empty((len(m_rx), len(m_tx)))
+    aoa_delay = np.empty((len(m_rx), n_tau))
+    by_coset = aoa_aod.reshape(len(m_rx), cfg.n_tx, step)
 
-    def accumulate(i: int, row: np.ndarray) -> None:
-        power = np.abs(row)
-        np.square(power, out=power)
-        power.sum(axis=1, out=aoa_aod[i])
-        power.sum(axis=0, out=aoa_delay[i])
+    def each_block():
+        power_buf = np.empty((cfg.n_tx, n_tau))
+        if interp is not None:
+            derived_buf = np.empty((len(interp), n_tau), dtype=complex)
+            derived_power_buf = np.empty((len(interp), n_tau))
 
-    _separable_transform(response.values, *matrices, each_row=accumulate)
+        def accumulate(first: int, rows: np.ndarray) -> None:
+            for i, stored in enumerate(rows, start=first):
+                power = np.square(np.abs(stored, out=power_buf), out=power_buf)
+                power.sum(axis=1, out=by_coset[i, :, 0])
+                power.sum(axis=0, out=aoa_delay[i])
+                if interp is not None:
+                    derived = np.matmul(interp, stored, out=derived_buf)
+                    power = np.square(np.abs(derived, out=derived_power_buf),
+                                      out=derived_power_buf)
+                    power.reshape(cfg.n_tx, step - 1, n_tau).sum(
+                        axis=2, out=by_coset[i, :, 1:])
+                    aoa_delay[i] += power.sum(axis=0)
+        return accumulate
+
+    _separable_transform(response.values, m_rx, m_tx[::step], m_f, each_block,
+                         keep=False)
     return aoa_aod, aoa_delay

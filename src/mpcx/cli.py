@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import logging
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -125,9 +128,10 @@ def _require_finite_power(response, source) -> float:
 def _check_grid_memory(config, spec: GridSpec) -> None:
     """ValueError naming ``--oversample`` (which sets every factor of
     ``spec``) if what extract allocates for its beamspace grid, the stored
-    AoD plane plus the transform's delay-transformed lines (n_rx*n_tx x
-    n_freq*os complex128 values), needs more bytes than the machine's
-    physical memory, where the platform reports that."""
+    AoD plane plus the transform's AoD- and delay-transformed lines (n_rx x
+    n_tx x n_freq*os complex128 values: the stored AoD rows are the
+    critically sampled n_tx), needs more bytes than the machine's physical
+    memory, where the platform reports that."""
     need = (spec._plane_bytes(config)
             + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay)
     try:
@@ -157,16 +161,45 @@ def _peak_rss_mb() -> float | None:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# thread-count getters of the OpenBLAS builds that numpy ships or links
+_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
+                            "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads() -> int | None:
+    """The thread count that the OpenBLAS loaded into this process reports
+    through its ``*_get_num_threads`` symbol; None where no loaded library
+    has one or the process's mappings cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted({line.split()[-1] for line in maps
+                           if re.search(r"openblas[^/]*\.so", line)})
+    except OSError:  # no /proc on this platform
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(handle, name, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return int(getter())
+    return None
+
+
 def _blas_facts() -> dict[str, str | int | None]:
-    """The BLAS library numpy was built with, the CPU count and the BLAS
-    thread variables (None when unset): what explains a byte difference
-    between the deterministic artifacts of two runs."""
+    """The BLAS library numpy was built with, the thread count it runs
+    with, the CPU count and the BLAS thread variables (None when unset):
+    what explains a byte difference between the deterministic artifacts of
+    two runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # an older numpy takes no mode, or lists no BLAS
         blas = {}
     return ({"blas_name": blas.get("name"), "blas_version": blas.get("version"),
-             "cpu_count": os.cpu_count()}
+             "blas_threads": _blas_threads(), "cpu_count": os.cpu_count()}
             | {var: os.environ.get(var) for var in _BLAS_THREAD_VARS})
 
 
@@ -280,7 +313,7 @@ def cmd_extract(args) -> int:
                        extract_full_sweeps=trace.full_sweeps,
                        grid_bytes=spec._plane_bytes(config),
                        peak_rss_mb=_peak_rss_mb(), **_blas_facts())
-    logger.info("extract: committed %d paths in %d full grid sweeps, normalized "
+    logger.info("extract: committed %d paths in %d grid passes, normalized "
                 "error %.3e", len(paths), trace.full_sweeps, error)
     return EXIT_OK
 
@@ -456,15 +489,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    "The parser of ``build_parser``, built once per process."
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as err:
         print(f"mpcx: {err}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
-                        format="%(message)s")
+    # a handler for the root logger if it has none, and on every call the
+    # level of this package's loggers, so --quiet holds for this call only
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger(__package__).setLevel(
+        logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.func(args)
     except UsageError as err:

@@ -86,7 +86,8 @@ class ExtractionTrace:
     ls_condition: list[float] = field(default_factory=list)
     initial_power: float = 0.0
     dropped_duplicates: int = 0
-    full_sweeps: int = 0  # grid passes; the other picks were tentative
+    # grid passes, the transform's included; the other picks were tentative
+    full_sweeps: int = 0
     stop_reason: str = ""  # "k_dom", "residual_stop" or "exhausted" (nothing to pick)
 
 
@@ -238,9 +239,10 @@ def greedy_ls(
        (``beamspace._PendingPicks``): each is a read-only ``tentative_peak``
        of the grid minus the pending commits and the candidates so far (raw
        CLEAN subtraction), over the rows a bound on those footprints keeps.
-       A full ``peak_sweep`` writes the pending commits into the grid first,
-       at the start and when 16 are pending or the bound keeps over 5% of
-       the rows.  Each pick's steering columns are built once there;
+       The transform records the first row peaks as it makes the grid; a
+       full ``peak_sweep`` writes the pending commits into the grid first
+       when 16 are pending or the bound keeps over 5% of the rows.  Each
+       pick's steering columns are built once there;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
        ones are dropped, later one first), with the Gram of the picks'
        steering columns.  No residual response is kept.
@@ -268,7 +270,8 @@ def greedy_ls(
 
     Returns the committed paths in commit order plus an
     :class:`ExtractionTrace` with residual power after each commit, the
-    number of full grid sweeps and the reason the loop stopped.
+    number of grid passes (the transform's and the full sweeps) and the
+    reason the loop stopped.
     """
     if response.config != config:
         raise ValueError("response and config disagree")
@@ -279,8 +282,7 @@ def greedy_ls(
         trace.stop_reason = "exhausted"
         return [], trace
 
-    picks = _PendingPicks(beamspace_transform(response, xcfg.grid),
-                          xcfg.refine_peaks, xcfg.k_g)
+    picks = _PendingPicks(response, xcfg.grid, xcfg.refine_peaks, xcfg.k_g)
     if xcfg.refine_peaks:
         # steering columns and gains of the commits, in commit order
         done = tuple(np.empty((n, xcfg.k_dom), dtype=complex)

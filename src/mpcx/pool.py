@@ -1,12 +1,14 @@
 """Contiguous span split of the grid-wide kernels over the available cores.
 
-``peak_sweep`` and the lattice transform walk a large grid in independent
-row blocks, and numpy releases the interpreter lock inside the products,
-magnitudes and argmaxes of a block.  ``run_blocks`` cuts a kernel's blocks
-into contiguous spans of whole blocks, one per CPU of the process's affinity
-mask, and runs them on threads that live only while the split runs.  A grid
-below ``_MIN_SPAN_ENTRIES`` entries per span stays one span, called inline
-with no thread and no ``concurrent.futures`` import.
+``peak_sweep`` and the stages of the lattice transform walk a large grid in
+independent row blocks, and numpy releases the interpreter lock inside the
+products, magnitudes and argmaxes of a block.  ``run_blocks`` cuts a
+kernel's blocks into contiguous spans of whole blocks, one per CPU of the
+process's affinity mask, and runs them on threads that live only while the
+split runs.  A kernel below ``_MIN_SPAN_ENTRIES`` entries per span stays one
+span, called inline with no thread and no ``concurrent.futures`` import; a
+transform stage counts its multiply-adds in entries
+(``sounder._MADDS_PER_ENTRY``).
 """
 
 from __future__ import annotations

@@ -286,41 +286,75 @@ def add_awgn(
     return FrequencyResponse(values=response.values + noise, config=response.config)
 
 
-# AoA rows per block of ``_separable_transform``'s rx product: a span holds
-# one block's intermediate, not all rows' (73 MB at paper oversampling 4)
-_RX_BLOCK = 8
+# AoA rows per block of ``_separable_transform``'s AoA product.  Each block
+# reads all of ``lines``, so larger blocks cost less (at paper size 14 rows
+# take 10% less CPU time than 8), and a span that keeps nothing holds one
+# block's rows (7 MB at paper oversampling 4, whose 140 AoA rows fall into
+# 10 blocks that two spans share evenly)
+_RX_BLOCK = 14
+
+# (rx, AoD) lines per block of ``_separable_transform``'s delay product, at
+# least one rx row's: 3 rx rows at paper size, so the 35 rx rows fall into 12
+# blocks that two spans share evenly
+_LINE_BLOCK = 128
+
+# complex multiply-adds that weigh as one grid entry when a stage of the
+# transform is sized for ``pool.run_blocks``.  Both stages split at paper
+# oversampling 4; at oversampling 1 the delay stage (76 M of them) stays on
+# the calling thread, where a span thread's BLAS buffers cost 3 MB of peak
+# RSS for a 15 ms product
+_MADDS_PER_ENTRY = 64
 
 
 def _separable_transform(
     values: np.ndarray, m_rx: np.ndarray, m_tx: np.ndarray, m_f: np.ndarray,
-    each_row: Callable[[int, np.ndarray], None] | None = None,
+    each_block: Callable[[], Callable[[int, np.ndarray], None]] | None = None,
+    keep: bool = True,
 ) -> np.ndarray | None:
     """out[i, k, l] = sum_{r,t,m} m_rx[i, r] m_tx[k, t] values[r, t, m] m_f[m, l],
-    applied delay first, then rx for a block of ``_RX_BLOCK`` output rows,
-    then tx one output row at a time into the preallocated result, so no
-    output-sized temporary is made.
+    applied AoD first, then delay, for blocks of rx rows (``_LINE_BLOCK``
+    lines of n_freq values) into the n_rx x n_aod x n_delay ``lines``, then
+    AoA for a block of ``_RX_BLOCK`` output rows into the preallocated
+    result, so no output-sized temporary is made.  With the stored rows of
+    a grid's AoD matrix, which is square, the delay and AoA products run on
+    n_tx AoD rows, and ``lines`` is n_rx*n_tx*n_freq*os_delay values.
 
-    A large output's blocks run in spans of whole blocks on
-    ``pool.run_blocks``, so every row gets the same bits in any split.  With
-    ``each_row``, each output row i is made in its span's buffer and passed
-    as ``each_row(i, row)`` from the span's thread, nothing is kept and None
-    is returned."""
+    Each stage runs its blocks in spans of whole blocks on
+    ``pool.run_blocks``, sized by its multiply-adds (``_MADDS_PER_ENTRY``).
+    Block shapes do not depend on the split, so every entry gets the same
+    bits in any split.  With ``each_block``, every span calls it once, from
+    its thread, and passes each block of its output rows to the function it
+    returns as ``(first row, rows)``, [b x n_aod x n_delay], once they are
+    made.  Without ``keep`` the rows are made in the span's buffer, nothing
+    is kept and None is returned."""
     n_rx, n_tx, n_freq = values.shape
-    n_aoa, n_out = len(m_rx), m_f.shape[1]
-    lines = (values.reshape(n_rx * n_tx, n_freq) @ m_f).reshape(n_rx, n_tx * n_out)
-    out = None if each_row else np.empty((n_aoa, len(m_tx), n_out), dtype=complex)
+    n_aoa, n_aod, n_out = len(m_rx), len(m_tx), m_f.shape[1]
+    lines = np.empty((n_rx, n_aod, n_out), dtype=complex)
+    rx_rows = max(1, _LINE_BLOCK // n_aod)
+
+    def delay(start: int, stop: int) -> None:
+        for r0 in range(start, stop, rx_rows):
+            b = min(rx_rows, stop - r0)
+            aod_first = np.matmul(m_tx, values[r0:r0 + b])
+            np.matmul(aod_first.reshape(b * n_aod, n_freq), m_f,
+                      out=lines[r0:r0 + b].reshape(b * n_aod, n_out))
+
+    run_blocks(delay, n_rx, rx_rows,
+               n_aod * (n_tx + n_out) * n_freq // _MADDS_PER_ENTRY)
+    lines = lines.reshape(n_rx, n_aod * n_out)
+    out = np.empty((n_aoa, n_aod, n_out), dtype=complex) if keep else None
 
     def transform(start: int, stop: int) -> None:
-        row = np.empty((len(m_tx), n_out), dtype=complex) if each_row else None
+        hook = each_block() if each_block else None
+        buf = None if keep else np.empty((_RX_BLOCK, n_aod, n_out), dtype=complex)
         for first in range(start, stop, _RX_BLOCK):
-            rows = (m_rx[first:first + _RX_BLOCK] @ lines).reshape(-1, n_tx, n_out)
-            for i, rx_row in enumerate(rows, start=first):
-                if each_row:
-                    each_row(i, np.matmul(m_tx, rx_row, out=row))
-                else:
-                    np.matmul(m_tx, rx_row, out=out[i])
+            b = min(_RX_BLOCK, stop - first)
+            rows = out[first:first + b] if keep else buf[:b]
+            np.matmul(m_rx[first:first + b], lines, out=rows.reshape(b, -1))
+            if hook:
+                hook(first, rows)
 
-    run_blocks(transform, n_aoa, _RX_BLOCK, len(m_tx) * n_out)
+    run_blocks(transform, n_aoa, _RX_BLOCK, n_rx * n_aod * n_out // _MADDS_PER_ENTRY)
     return out
 
 

@@ -1,12 +1,15 @@
 import builtins
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpcx import ExtractionConfig, GridSpec, fileio, greedy_ls, synthesize_response
-from mpcx.cli import main
+from mpcx.cli import _blas_threads, _parser, main
 
 DESK_SPEC = """\
 n_clusters = 3
@@ -102,9 +105,9 @@ def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     """One noiseless on-grid path, no residual stop: the first commit fits
     it exactly, so the residual power can reach 0 but never goes negative
     or NaN.  Extract exits 0 and writes its full-sweep count, the bytes of
-    its stored grid plane, its peak RSS and the BLAS facts (library, CPU
-    count, thread variables, null when unset) to the timings sidecar, and
-    to no other artifact."""
+    its stored grid plane, its peak RSS and the BLAS facts (library, the
+    thread count it reports, CPU count, thread variables, null when unset)
+    to the timings sidecar, and to no other artifact."""
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     paths = tmp_path / "one.csv"
@@ -134,6 +137,7 @@ def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     assert (timings["blas_name"], timings["blas_version"]) == (blas["name"],
                                                                blas["version"])
     assert timings["cpu_count"] == os.cpu_count()
+    assert timings["blas_threads"] == _blas_threads()
     assert (timings["MKL_NUM_THREADS"], timings["OMP_NUM_THREADS"]) == ("3", None)
     assert timings["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert not any(blas["version"] in p.read_text(encoding="utf-8")
@@ -632,3 +636,55 @@ def test_extract_grid_over_physical_memory_exits_2(tmp_path, capsys, monkeypatch
         raise ValueError(f"unrecognized configuration name {name!r}")
     monkeypatch.setattr("mpcx.cli.os.sysconf", unreported)
     assert main(argv) == 0
+
+
+@pytest.mark.skipif(
+    "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+                          .get("name", "")).lower(),
+    reason="numpy's BLAS is not OpenBLAS")
+def test_blas_threads_reads_the_loaded_openblas():
+    "The thread count follows OPENBLAS_NUM_THREADS in a fresh process."
+    src = str(Path(fileio.__file__).parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        env.pop("OMP_NUM_THREADS", None)
+        got = subprocess.run(
+            [sys.executable, "-c",
+             "from mpcx.cli import _blas_threads; print(_blas_threads())"],
+            check=True, capture_output=True, text=True, env=env, timeout=120).stdout
+        assert int(got) == min(int(threads), os.cpu_count())
+
+
+@pytest.mark.parametrize("order", [("--quiet", ""), ("", "--quiet")])
+def test_quiet_holds_for_its_own_call_only(tmp_path, order):
+    """Two in-process ``main`` calls in a fresh process, one with --quiet: the
+    other call prints its progress lines to stderr, whichever comes first."""
+    spec = tmp_path / "scn.txt"
+    spec.write_text(DESK_SPEC, encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from mpcx.cli import main\n"
+        "for k, flag in enumerate(sys.argv[2:]):\n"
+        "    argv = ['scenario', '--spec', sys.argv[1], '--out-dir', f'run{k}']\n"
+        "    assert main(argv + ([flag] if flag else [])) == 0\n"
+        "    print('--- end of call', file=sys.stderr, flush=True)\n")
+    src = str(Path(fileio.__file__).parents[1])
+    err = subprocess.run([sys.executable, "-c", code, str(spec), *order],
+                         check=True, capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120).stderr
+    calls = err.split("--- end of call\n")
+    assert len(calls) == 3 and calls[2] == ""
+    for flag, printed in zip(order, calls):
+        assert ("scenario stage finished" in printed) == (flag != "--quiet"), err
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    "Every main call of a process parses with the same parser."
+    parser = _parser()
+    monkeypatch.setattr("mpcx.cli.build_parser", lambda: pytest.fail("rebuilt"))
+    spec = tmp_path / "scn.txt"
+    spec.write_text(DESK_SPEC, encoding="utf-8")
+    for k in range(2):
+        assert main(["scenario", "--spec", str(spec), "--out-dir",
+                     str(tmp_path / f"run{k}"), "--quiet"]) == 0
+    assert _parser() is parser

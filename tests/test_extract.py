@@ -857,14 +857,36 @@ def test_measurement_matched_filter_only_in_refit_on_the_lattice():
 
 
 def counted_greedy_ls(resp, config, cfg):
-    "greedy_ls with its full sweeps and tentative picks counted."
-    with mock.patch.object(beamspace, "peak_sweep",
-                           wraps=beamspace.peak_sweep) as sweeps, \
+    """greedy_ls with its grid passes and tentative picks counted: the
+    transform, which records the first row peaks, and the full sweeps."""
+    with mock.patch.object(beamspace, "beamspace_transform",
+                           wraps=beamspace.beamspace_transform) as transforms, \
+            mock.patch.object(beamspace, "peak_sweep",
+                              wraps=beamspace.peak_sweep) as sweeps, \
             mock.patch.object(beamspace, "tentative_peak",
                               wraps=beamspace.tentative_peak) as tentative:
         found, trace = greedy_ls(resp, config, cfg)
-    assert trace.full_sweeps == sweeps.call_count
+    assert transforms.call_count == 1
+    assert trace.full_sweeps == 1 + sweeps.call_count
     return found, trace, tentative.call_count
+
+
+def test_greedy_ls_names_a_nan_response_at_its_first_pick():
+    """A NaN response value makes every grid value NaN.  The transform that
+    records the first row peaks raises the error that a read-only sweep of
+    the grid raises, naming the same index, before any pick is made."""
+    resp = desk_case(5, None)
+    values = resp.values.copy()
+    values[3, 1, 7] = np.nan
+    resp = FrequencyResponse(values=values, config=DESK)
+    cfg = ExtractionConfig(k_dom=4)
+    with pytest.raises(ValueError, match="non-finite beamspace magnitude") as swept:
+        beamspace.peak_sweep(beamspace_transform(resp, cfg.grid), [])
+    with mock.patch.object(beamspace, "tentative_peak") as tentative, \
+            pytest.raises(ValueError) as picked:
+        greedy_ls(resp, DESK, cfg)
+    assert str(picked.value) == str(swept.value)
+    assert tentative.call_count == 0
 
 
 def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
