@@ -337,33 +337,52 @@ def _scan_rows(shape: tuple[int, int, int], step: int) -> int:
     return max(1, _BLOCK_ENTRIES // (shape[1] * shape[2] * step))
 
 
+def _block_magnitudes(interp: np.ndarray | None, aoa_rows: int, n_stored: int,
+                      n_tau: int):
+    """The step that the scans of a plane (``_row_scan``, ``pdp_marginals``)
+    share, with one span's buffers: ``magnitudes(block)`` of the stored rows
+    of up to ``aoa_rows`` AoA rows returns the magnitudes of those rows,
+    their derived rows (``interp`` times them; ``_coset_interp``) and those
+    rows' magnitudes, the last two None when nothing is derived, in the
+    buffers of the call."""
+    mag_buf = np.empty((aoa_rows, n_stored, n_tau))
+    if interp is not None:
+        derived_buf = np.empty((aoa_rows, len(interp), n_tau), dtype=complex)
+        derived_mag_buf = np.empty((aoa_rows, len(interp), n_tau))
+
+    def magnitudes(block: np.ndarray):
+        b = len(block)
+        mag = np.abs(block, out=mag_buf[:b])
+        if interp is None:
+            return mag, None, None
+        derived = np.matmul(interp, block, out=derived_buf[:b])
+        return mag, derived, np.abs(derived, out=derived_mag_buf[:b])
+
+    return magnitudes
+
+
 def _row_scan(interp: np.ndarray | None, row_peaks: np.ndarray, aoa_rows: int,
               n_stored: int, n_tau: int):
     """The read-only scan of ``peak_sweep``, with one span's scratch buffers.
 
     ``scan(i0, block)`` takes the stored rows of AoA rows i0..i0+b-1 (``block``,
     [b x n_stored x n_tau], b <= ``aoa_rows``), derives their other AoD rows
-    with ``interp`` (``_coset_interp``, None when none is derived), writes
-    the maximum magnitude of every (AoA, AoD) row into ``row_peaks`` (one
-    float per row of the ``(aoa*aod, delay)`` view) and returns the block's
-    peak as (magnitude, flat lattice index, value): the first maximum in
-    (aoa, aod, delay) order over stored and derived rows together.
+    and takes the magnitudes (``_block_magnitudes``), writes the maximum
+    magnitude of every (AoA, AoD) row into ``row_peaks`` (one float per row
+    of the ``(aoa*aod, delay)`` view) and returns the block's peak as
+    (magnitude, flat lattice index, value): the first maximum in (aoa, aod,
+    delay) order over stored and derived rows together.
     """
     step = 1 if interp is None else len(interp) // n_stored + 1
     n_aod = n_stored * step
     by_coset = row_peaks.reshape(-1, n_stored, step)
-    mag_buf = np.empty((aoa_rows, n_stored, n_tau))
-    if interp is not None:
-        derived_buf = np.empty((aoa_rows, len(interp), n_tau), dtype=complex)
-        derived_mag_buf = np.empty((aoa_rows, len(interp), n_tau))
+    magnitudes = _block_magnitudes(interp, aoa_rows, n_stored, n_tau)
 
     def scan(i0: int, block: np.ndarray) -> tuple[float, int, complex]:
         b = len(block)
-        mag = np.abs(block, out=mag_buf[:b])
+        mag, derived, derived_mag = magnitudes(block)
         np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
         if interp is not None:
-            derived = np.matmul(interp, block, out=derived_buf[:b])
-            derived_mag = np.abs(derived, out=derived_mag_buf[:b])
             np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
                    out=by_coset[i0:i0 + b, :, 1:])
         # the first row holding the block's maximum holds its first peak;
@@ -730,37 +749,35 @@ def pdp_marginals(
     Returns ``(aoa_aod, aoa_delay)`` where ``aoa_aod[i, j]`` sums |value|^2
     over the delay axis and ``aoa_delay[i, l]`` sums over the AoD axis.
     Both are accumulated from each block of the transform's stored AoD
-    rows as it is made, with the other AoD rows of one AoA row at a time
-    derived from them (``_coset_interp``), so the grid is never held:
-    besides the transform's own temporaries, the only ones are one AoA
-    row's derived rows and powers.
+    rows as it is made, with the other AoD rows derived from them and the
+    magnitudes taken by the scans' shared step (``_block_magnitudes``, in
+    ``_scan_rows`` AoA rows at a time), so the grid is never held: besides
+    the transform's own temporaries, the only ones are that step's buffers.
     """
     cfg = response.config
     m_rx, m_tx, m_f = spec._matrices(cfg)
     step, n_tau = spec.os_aod, m_f.shape[1]
     interp = _coset_interp(m_tx, step)
+    aoa_rows = _scan_rows((len(m_rx), len(m_tx), n_tau), step)
     aoa_aod = np.empty((len(m_rx), len(m_tx)))
     aoa_delay = np.empty((len(m_rx), n_tau))
     by_coset = aoa_aod.reshape(len(m_rx), cfg.n_tx, step)
 
     def each_block():
-        power_buf = np.empty((cfg.n_tx, n_tau))
-        if interp is not None:
-            derived_buf = np.empty((len(interp), n_tau), dtype=complex)
-            derived_power_buf = np.empty((len(interp), n_tau))
+        magnitudes = _block_magnitudes(interp, aoa_rows, cfg.n_tx, n_tau)
 
         def accumulate(first: int, rows: np.ndarray) -> None:
-            for i, stored in enumerate(rows, start=first):
-                power = np.square(np.abs(stored, out=power_buf), out=power_buf)
-                power.sum(axis=1, out=by_coset[i, :, 0])
-                power.sum(axis=0, out=aoa_delay[i])
+            for i in range(first, first + len(rows), aoa_rows):
+                mag, _, derived_mag = magnitudes(rows[i - first:i - first + aoa_rows])
+                b = len(mag)
+                power = np.square(mag, out=mag)
+                power.sum(axis=2, out=by_coset[i:i + b, :, 0])
+                power.sum(axis=1, out=aoa_delay[i:i + b])
                 if interp is not None:
-                    derived = np.matmul(interp, stored, out=derived_buf)
-                    power = np.square(np.abs(derived, out=derived_power_buf),
-                                      out=derived_power_buf)
-                    power.reshape(cfg.n_tx, step - 1, n_tau).sum(
-                        axis=2, out=by_coset[i, :, 1:])
-                    aoa_delay[i] += power.sum(axis=0)
+                    power = np.square(derived_mag, out=derived_mag)
+                    power.reshape(b, cfg.n_tx, step - 1, n_tau).sum(
+                        axis=3, out=by_coset[i:i + b, :, 1:])
+                    aoa_delay[i:i + b] += power.sum(axis=1)
         return accumulate
 
     _separable_transform(response.values, m_rx, m_tx[::step], m_f, each_block,

@@ -161,19 +161,23 @@ def _peak_rss_mb() -> float | None:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# thread-count getters of the OpenBLAS builds that numpy ships or links
-_OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
-                            "openblas_get_num_threads64_", "openblas_get_num_threads")
+# thread-count getters of the OpenBLAS builds that numpy ships or links, and
+# of MKL's single dynamic library
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads",
+                        "MKL_Get_Max_Threads")
 
 
 def _blas_threads() -> int | None:
-    """The thread count that the OpenBLAS loaded into this process reports
-    through its ``*_get_num_threads`` symbol; None where no loaded library
-    has one or the process's mappings cannot be read."""
+    """The thread count that the BLAS library loaded into this process (an
+    OpenBLAS or MKL's ``mkl_rt``) reports through one of
+    ``_BLAS_THREAD_GETTERS``; None where no loaded library has one or the
+    process's mappings cannot be read.  perfbench/machine.py reads the
+    count the same way."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             libs = sorted({line.split()[-1] for line in maps
-                           if re.search(r"openblas[^/]*\.so", line)})
+                           if re.search(r"(openblas|mkl_rt)[^/]*\.so", line)})
     except OSError:  # no /proc on this platform
         return None
     for lib in libs:
@@ -181,7 +185,7 @@ def _blas_threads() -> int | None:
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for name in _OPENBLAS_THREAD_GETTERS:
+        for name in _BLAS_THREAD_GETTERS:
             getter = getattr(handle, name, None)
             if getter is not None:
                 getter.restype, getter.argtypes = ctypes.c_int, []

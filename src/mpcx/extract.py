@@ -30,6 +30,12 @@ logger = logging.getLogger(__name__)
 # as numerically singular
 GRAM_CONDITION_LIMIT = 1e12
 
+# share of the initial power below which greedy-LS sums the residual power
+# from a residual tensor.  The running difference initial - N*sum|alpha|^2 is
+# exact only to a few ulps of the initial power (about 1e-15 of it): under
+# 1e-11 of a residual above this floor, but 1e-8 of one at 1e-7 of it
+_RUNNING_POWER_FLOOR = 1e-4
+
 
 class DegenerateGeometryError(ValueError):
     """Raised when LS geometry columns are too close to linearly dependent.
@@ -259,7 +265,11 @@ def greedy_ls(
        at the exactly optimal single-path amplitude for the residual: its
        right-hand side entry over n_rx*n_tx*n_freq, the entries updated by
        ``-gram[:, c] * alpha`` after each commit.  The residual power falls
-       by n_rx*n_tx*n_freq*|alpha|^2 (clamped at 0), so it never increases.
+       by n_rx*n_tx*n_freq*|alpha|^2 (clamped at 0), so it never increases;
+       once it is below ``_RUNNING_POWER_FLOOR`` of the initial power, where
+       that running difference keeps too few digits, it is the power of the
+       measurement minus the synthesized commits, a residual tensor kept from
+       there on.
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
@@ -290,6 +300,7 @@ def greedy_ls(
         gains = np.empty(xcfg.k_dom, dtype=complex)
     committed: list[PathParams] = []
     power = trace.initial_power
+    residual = None
 
     trace.stop_reason = "k_dom"
     while len(committed) < xcfg.k_dom:
@@ -339,6 +350,12 @@ def greedy_ls(
             cand = candidates[c]
             committed.append(PathParams(gain=alpha, delay=cand.delay,
                                         aod=cand.aod, aoa=cand.aoa))
+            if residual is not None:
+                residual -= synthesize_response(cfg, committed[-1:]).values
+            elif power < _RUNNING_POWER_FLOOR * trace.initial_power:
+                residual = values - synthesize_response(cfg, committed).values
+            if residual is not None:
+                power = float(np.vdot(residual, residual).real)
             trace.residual_power.append(power)
             trace.committed_gain_power.append(abs(alpha) ** 2)
 

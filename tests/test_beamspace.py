@@ -510,13 +510,20 @@ def test_split_sweep_reports_lowest_non_finite_index(with_path):
 @settings(max_examples=30, deadline=None)
 @given(n_rx=st.integers(1, 17), n_tx=st.integers(1, 4), n_freq=st.integers(1, 8),
        os_aoa=st.integers(1, 3), os_aod=st.integers(1, 2),
-       os_delay=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-@example(n_rx=9, n_tx=3, n_freq=5, os_aoa=1, os_aod=2, os_delay=2, seed=0)
-@example(n_rx=17, n_tx=2, n_freq=4, os_aoa=1, os_aod=1, os_delay=1, seed=1)
-@example(n_rx=11, n_tx=3, n_freq=6, os_aoa=3, os_aod=1, os_delay=2, seed=2)
+       os_delay=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       line_rows=st.integers(1, 3), rx_block=st.integers(1, 4))
+@example(n_rx=9, n_tx=3, n_freq=5, os_aoa=1, os_aod=2, os_delay=2, seed=0,
+         line_rows=2, rx_block=2)
+@example(n_rx=17, n_tx=2, n_freq=4, os_aoa=1, os_aod=1, os_delay=1, seed=1,
+         line_rows=3, rx_block=4)
+@example(n_rx=11, n_tx=3, n_freq=6, os_aoa=3, os_aod=1, os_delay=2, seed=2,
+         line_rows=2, rx_block=4)
 def test_split_transform_is_bit_identical(n_spans, n_rx, n_tx, n_freq, os_aoa, os_aod,
-                                          os_delay, seed):
-    "Any split of the transform's AoA blocks gives the unsplit bits."
+                                          os_delay, seed, line_rows, rx_block):
+    """Any split of the transform's delay blocks (``line_rows`` rx rows) and
+    AoA blocks (``rx_block`` rows) gives the unsplit bits, in
+    ``beamspace_transform`` and in ``pdp_marginals``; both stages split into
+    as many spans as they have blocks, up to ``n_spans``."""
     rng = np.random.default_rng(seed)
     cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
     shape = (n_rx, n_tx, n_freq)
@@ -524,15 +531,25 @@ def test_split_transform_is_bit_identical(n_spans, n_rx, n_tx, n_freq, os_aoa, o
                              config=cfg)
     spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
     n_aoa = n_rx * os_aoa
-    whole = beamspace_transform(resp, spec).values
-    maps = pdp_marginals(resp, spec)
-    with split_into(n_spans):
-        n_blocks = -(-n_aoa // sounder._RX_BLOCK)
-        assert len(pool.run_blocks(lambda start, stop: None, n_aoa,
-                                   sounder._RX_BLOCK, 1)) == min(n_spans, n_blocks)
-        np.testing.assert_array_equal(beamspace_transform(resp, spec).values, whole)
-        for split, unsplit in zip(pdp_marginals(resp, spec), maps):
-            np.testing.assert_array_equal(split, unsplit)
+    run_blocks, spans = sounder.run_blocks, []
+
+    def counted(fn, n_rows, block_rows, row_entries):
+        out = run_blocks(fn, n_rows, block_rows, row_entries)
+        spans.append((n_rows, block_rows, len(out)))
+        return out
+
+    # the stored AoD rows are n_tx, so _LINE_BLOCK // n_tx rx rows per block
+    with mock.patch.multiple(sounder, _LINE_BLOCK=line_rows * n_tx, _RX_BLOCK=rx_block,
+                             _MADDS_PER_ENTRY=1):
+        whole = beamspace_transform(resp, spec).values
+        maps = pdp_marginals(resp, spec)
+        with split_into(n_spans), mock.patch.object(sounder, "run_blocks", counted):
+            np.testing.assert_array_equal(beamspace_transform(resp, spec).values, whole)
+            for split, unsplit in zip(pdp_marginals(resp, spec), maps):
+                np.testing.assert_array_equal(split, unsplit)
+    stages = [(n_rx, line_rows, min(n_spans, -(-n_rx // line_rows))),
+              (n_aoa, rx_block, min(n_spans, -(-n_aoa // rx_block)))]
+    assert spans == 2 * stages
 
 
 def test_run_blocks_spans_whole_blocks():
