@@ -38,8 +38,9 @@ power maps from the same blocks and keeps no grid.
 without writing: with those row peaks and a bound on each row's footprint
 it evaluates only the few rows that can hold the peak.
 
-Greedy-LS's commits stay pending factors (``_PendingPicks``) until 16 are
-pending or their bound keeps more than 5% of the rows.
+Greedy-LS's commits (``_PendingPicks``) and SAGE's path updates
+(``_PendingUpdates``) stay pending factors (``_PendingFootprints``) until
+about 16 are pending or their bound keeps more than 5% of the rows.
 
 On a large grid the sweep and the transform run their blocks in contiguous
 spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
@@ -460,19 +461,21 @@ def peak_sweep(
         scan = _row_scan(interp, row_peaks, aoa_rows, n_stored, n_tau)
         kernel_buf = np.empty((aoa_rows * n_stored, n_tau), dtype=complex)
         peaks = []
-        for i0 in range(start, stop, aoa_rows):
-            block = plane[i0:i0 + aoa_rows]
-            if footprints:
-                rows = block.reshape(-1, n_tau)
-                kernels = kernel_buf[:len(rows)]
-                # np.dot, not np.matmul: matmul runs the rank-1 product, the
-                # common case, about 2x slower
-                np.dot(left[i0:i0 + len(block)].reshape(len(rows), -1), right,
-                       out=kernels)
-                np.subtract(rows, kernels, out=rows)
-            peaks.append(scan(i0, block))
-            if not math.isfinite(peaks[-1][0]):
-                break
+        # an inf value makes NaNs in the products: the merge names it
+        with np.errstate(invalid="ignore"):
+            for i0 in range(start, stop, aoa_rows):
+                block = plane[i0:i0 + aoa_rows]
+                if footprints:
+                    rows = block.reshape(-1, n_tau)
+                    kernels = kernel_buf[:len(rows)]
+                    # np.dot, not np.matmul: matmul runs the rank-1 product,
+                    # the common case, about 2x slower
+                    np.dot(left[i0:i0 + len(block)].reshape(len(rows), -1), right,
+                           out=kernels)
+                    np.subtract(rows, kernels, out=rows)
+                peaks.append(scan(i0, block))
+                if not math.isfinite(peaks[-1][0]):
+                    break
         return peaks
 
     return _first_peak(
@@ -480,10 +483,15 @@ def peak_sweep(
         grid.shape)
 
 
-def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    "Ascending indices of the rows that ``tentative_peak`` evaluates."
-    floor = np.max(row_peaks - reach)
-    return np.flatnonzero(~((row_peaks + reach) * (1 + _BOUND_SLACK) < floor))
+def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray,
+                floor: float | None = None) -> np.ndarray:
+    """Ascending indices of the rows that ``tentative_peak`` evaluates: the
+    rows whose bound reaches max_r(row_peaks - reach), or ``floor`` where
+    that is higher (a NaN floor is ignored)."""
+    least = np.max(row_peaks - reach)
+    if floor is not None and floor > least:
+        least = floor
+    return np.flatnonzero(~((row_peaks + reach) * (1 + _BOUND_SLACK) < least))
 
 
 # values that a grid's ``_LatticeRows`` holds at most: 16 MB of complex128,
@@ -551,6 +559,7 @@ class _LatticeRows:
 def tentative_peak(
     grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
     row_peaks: np.ndarray, reach: np.ndarray | None = None,
+    floor: float | None = None,
 ) -> tuple[int, int, int, complex]:
     """``peak_sweep``'s peak of ``|grid - footprints|``, read-only and
     without a pass over the grid.
@@ -559,9 +568,11 @@ def tentative_peak(
     the row maxima that the last ``peak_sweep`` recorded on the grid as it
     stands.  The footprints move row ``r`` of the ``(aoa*aod, delay)`` view
     by at most ``reach[r] = sum_k |left[r, k]| * max_l |right[k, l]|``
-    (from the factors unless given), so the peak is at least ``floor =
-    max_r(row_peaks[r] - reach[r])``, and only rows with ``(row_peaks[r] +
-    reach[r]) * (1 + _BOUND_SLACK) >= floor`` (or a NaN bound) are
+    (from the factors unless given), so the peak is at least ``max_r(
+    row_peaks[r] - reach[r])``, or the caller's ``floor`` where that is
+    higher (a lower bound on the peak, such as the magnitude at one lattice
+    point, ``_point_value``), and only rows with ``(row_peaks[r] +
+    reach[r]) * (1 + _BOUND_SLACK)`` at least that (or a NaN bound) are
     evaluated: in ascending order, in blocks of half the sweep's size, each
     gathered by one ``np.take`` (from the stored plane, or from
     ``grid._lattice_rows`` when the grid derives rows) and its footprints
@@ -575,7 +586,7 @@ def tentative_peak(
     left, right = factors
     if reach is None:
         reach = np.abs(left) @ np.abs(right).max(axis=1)
-    kept = _bound_rows(row_peaks, reach)
+    kept = _bound_rows(row_peaks, reach, floor)
     rows = min(len(kept), max(1, _BLOCK_ENTRIES // 2 // n_tau))
     block_buf = np.empty((rows, n_tau), dtype=complex)
     kernel_buf = np.empty((rows, n_tau), dtype=complex)
@@ -606,83 +617,186 @@ def tentative_peak(
     return _first_peak(peaks(), grid.shape)
 
 
-# pending commits, and share of the rows their bound keeps, past which a
+# pending footprints, and share of the rows their bound keeps, past which a
 # tentative pick costs about as much as the full sweep that writes them
 _MAX_PENDING = 16
 _MAX_KEPT_SHARE = 0.05
 
 
-class _PendingPicks:
-    """Greedy-LS's peak picks on the grid of a response, which its commits
-    reach late.
+class _PendingFootprints:
+    """Footprints that a loop of picks on the grid of a response has not yet
+    written into it: the state that greedy-LS (``_PendingPicks``) and SAGE
+    (``_PendingUpdates``) share.
 
     The grid is ``beamspace_transform`` of the response, which records the
     row peaks as it makes the plane: the first of the grid passes that
-    ``sweeps`` counts.  A commit stays pending: a column of the footprint
-    factors ``left`` and ``right`` (its pick's unit ``_kernel_factors``
-    times its gain), with its row bound added to ``reach``.  Every pick is a
-    ``tentative_peak`` of the grid minus the pending commits and the
-    candidates so far.  A ``candidates`` call first runs one ``peak_sweep``,
-    which writes the pending commits into the grid and records the row
-    peaks, when ``_MAX_PENDING`` commits are pending, or when their bound
-    keeps more than ``_MAX_KEPT_SHARE`` of the rows.  The factor arrays are
-    allocated once, with room for ``_MAX_PENDING`` pending commits and
-    ``k_g`` candidates.  Each pick's atom is built once: its
-    ``_steering_matrices`` columns go into ``steering`` (``k_g`` columns per
-    axis, in pick order), from which greedy-LS takes the candidates' Gram.
+    ``sweeps`` counts.  A footprint is a column of the factors ``left`` and
+    ``right``, a path's unit ``_kernel_factors`` (``_unit``) times a gain;
+    the first ``pending`` columns are the footprints not yet written.
+    ``_sweep`` writes them into the grid with one ``peak_sweep``, which
+    records the row peaks again.  The factor arrays are allocated once,
+    with ``columns`` columns.
+    """
+
+    def __init__(self, response: FrequencyResponse, spec: GridSpec, columns: int):
+        config = response.config
+        n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
+        self.row_peaks = np.empty(n_rows)
+        self.grid = beamspace_transform(response, spec, self.row_peaks)
+        self.left = np.empty((n_rows, columns), dtype=complex)
+        self.right = np.empty((columns, self.grid.shape[2]), dtype=complex)
+        self.pending, self.sweeps = 0, 1
+
+    def _factors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        "The first ``n`` columns of the factors."
+        return self.left[:, :n], self.right[:n]
+
+    def _unit(self, path: PathParams):
+        """``(atoms, unit)``: the ``_steering_matrices`` of ``path``'s atom,
+        and its footprint at gain 1 as a ``left`` column, a ``right`` row and
+        that column's row bound."""
+        atoms = _steering_matrices(self.grid.config, [path.delay], [path.aod],
+                                   [path.aoa])
+        left, right = _kernel_factors(self.grid._matrices, atoms, np.ones(1))
+        return atoms, (left[:, 0], right[0], np.abs(left[:, 0]) * np.abs(right).max())
+
+    def _put(self, column: int, unit, gain: complex) -> None:
+        "Column ``column`` of the factors: the ``unit`` footprint times ``gain``."
+        np.multiply(unit[0], gain, out=self.left[:, column])
+        self.right[column] = unit[1]
+
+    def _append(self, unit, gain: complex) -> int:
+        "Make the ``unit`` footprint times ``gain`` pending; its column."
+        column = self.pending
+        self._put(column, unit, gain)
+        self.pending += 1
+        return column
+
+    def _sweep(self) -> tuple[int, int, int, complex]:
+        """``peak_sweep`` of the grid minus the pending footprints, which it
+        writes into the grid; none is pending after it."""
+        peak = peak_sweep(self.grid, self._factors(self.pending), self.row_peaks)
+        self.sweeps += 1
+        self.pending = 0
+        return peak
+
+
+class _PendingPicks(_PendingFootprints):
+    """Greedy-LS's peak picks on the grid of a response, which its commits
+    reach late.
+
+    A commit stays a pending footprint, with its row bound added to
+    ``reach``.  Every pick is a ``tentative_peak`` of the grid minus the
+    pending commits and the candidates so far.  A ``candidates`` call first
+    runs one ``_sweep``, which writes the pending commits into the grid,
+    when ``_MAX_PENDING`` commits are pending, or when their bound keeps
+    more than ``_MAX_KEPT_SHARE`` of the rows.  The factor arrays have room
+    for ``_MAX_PENDING`` pending commits and ``k_g`` candidates.  Each
+    pick's atom is built once: its ``_steering_matrices`` columns go into
+    ``steering`` (``k_g`` columns per axis, in pick order), from which
+    greedy-LS takes the candidates' Gram.
     """
 
     def __init__(self, response: FrequencyResponse, spec: GridSpec, refine: bool,
                  k_g: int):
+        super().__init__(response, spec, _MAX_PENDING + k_g)
         self.refine, self.k_g = refine, k_g
+        self.reach = np.zeros(len(self.row_peaks))
         config = response.config
-        n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
-        self.reach, self.row_peaks = np.zeros(n_rows), np.empty(n_rows)
-        self.grid = beamspace_transform(response, spec, self.row_peaks)
-        self.left = np.empty((n_rows, _MAX_PENDING + k_g), dtype=complex)
-        self.right = np.empty((_MAX_PENDING + k_g, self.grid.shape[2]), dtype=complex)
         self.steering = tuple(np.empty((n, k_g), dtype=complex) for n in (
             config.n_rx, config.n_tx, config.n_freq))
-        self.pending, self.sweeps = 0, 1
-        self.units = []  # (unit left, unit right, unit reach) of each candidate
+        self.units = []  # the unit footprint of each candidate
 
     def candidates(self) -> list[PathParams]:
         "Up to ``k_g`` picks, ending before the first zero peak."
         reach, n = self.reach, self.pending
         if n and (n >= _MAX_PENDING or len(_bound_rows(
                 self.row_peaks, reach)) > _MAX_KEPT_SHARE * len(reach)):
-            peak_sweep(self.grid, (self.left[:, :n], self.right[:n]), self.row_peaks)
-            self.sweeps += 1
-            self.pending = n = 0
+            self._sweep()
+            n = 0
             reach.fill(0.0)
         self.units, found = [], []
         while len(found) < self.k_g:
-            factors = (self.left[:, :n], self.right[:n])
+            factors = self._factors(n)
             peak = self.grid._path_at(*tentative_peak(
                 self.grid, factors, self.row_peaks, reach), self.refine, factors)
             if peak.gain == 0:
                 break
-            atoms = _steering_matrices(self.grid.config, [peak.delay], [peak.aod],
-                                       [peak.aoa])
+            atoms, unit = self._unit(peak)
             for columns, atom in zip(self.steering, atoms):
                 columns[:, len(found)] = atom[:, 0]
             found.append(peak)
-            left, right = _kernel_factors(self.grid._matrices, atoms, np.ones(1))
-            self.units.append((left[:, 0], right[0],
-                               np.abs(left[:, 0]) * np.abs(right).max()))
-            np.multiply(left[:, 0], peak.gain, out=self.left[:, n])
-            self.right[n] = right[0]
-            reach = reach + abs(peak.gain) * self.units[-1][2]
+            self.units.append(unit)
+            self._put(n, unit, peak.gain)
+            reach = reach + abs(peak.gain) * unit[2]
             n += 1
         return found
 
     def commit(self, index: int, gain: complex) -> None:
         "Make candidate ``index`` of the last ``candidates`` call a pending commit."
-        left, right, unit_reach = self.units[index]
-        np.multiply(left, gain, out=self.left[:, self.pending])
-        self.right[self.pending] = right
-        self.reach += abs(gain) * unit_reach
-        self.pending += 1
+        unit = self.units[index]
+        self._append(unit, gain)
+        self.reach += abs(gain) * unit[2]
+
+
+class _PendingUpdates(_PendingFootprints):
+    """SAGE's path updates on the grid of its residual, whose footprints
+    stay pending as greedy-LS's commits do.
+
+    ``update(old)`` adds the path's footprint back as a pending column of
+    gain ``-old.gain`` and picks the peak of the grid minus the pending
+    footprints: a ``tentative_peak`` whose floor is the exact value there at
+    the lattice point nearest ``old`` (``_point_value``), or one ``_sweep``
+    when more than ``_MAX_PENDING`` columns are pending or the bound keeps
+    more than ``_MAX_KEPT_SHARE`` of the rows.  The new path's footprint is
+    then pending too.  When the pick has ``old``'s geometry and nothing was
+    swept, that is the add-back column rewritten to gain ``new.gain -
+    old.gain``, so a path that stays put leaves the row bound tight;
+    otherwise it is one more column.  The row bound is recomputed at each
+    update, as the columns' unit bounds (``unit_reach``) times their
+    |``gains``|.  The factor arrays have room for ``_MAX_PENDING`` + 2
+    columns.
+    """
+
+    def __init__(self, response: FrequencyResponse, spec: GridSpec):
+        super().__init__(response, spec, _MAX_PENDING + 2)
+        self.unit_reach = np.empty((len(self.row_peaks), _MAX_PENDING + 2))
+        self.gains = np.empty(_MAX_PENDING + 2, dtype=complex)
+
+    def _put(self, column: int, unit, gain: complex) -> None:
+        super()._put(column, unit, gain)
+        self.unit_reach[:, column] = unit[2]
+        self.gains[column] = gain
+
+    def update(self, old: PathParams) -> PathParams:
+        "The peak of the grid with ``old`` added back, as a path; now pending."
+        grid = self.grid
+        _, unit = self._unit(old)
+        back = self._append(unit, -old.gain)
+        n = self.pending
+        if n > _MAX_PENDING:
+            peak = self._sweep()
+        else:
+            factors = self._factors(n)
+            reach = self.unit_reach[:, :n] @ np.abs(self.gains[:n])
+            i, j, l = _nearest_point(grid, old)
+            row = i * grid.shape[1] + j
+            # any lattice value bounds the peak from below; capped at the
+            # point's own row bound, that row is always kept
+            floor = min(abs(_point_value(grid, i, j, l, factors)),
+                        self.row_peaks[row] + reach[row])
+            kept = _bound_rows(self.row_peaks, reach, floor)
+            if len(kept) > _MAX_KEPT_SHARE * len(reach):
+                peak = self._sweep()
+            else:
+                peak = tentative_peak(grid, factors, self.row_peaks, reach, floor)
+        new = grid._path_at(*peak)
+        same = (new.delay, new.aod, new.aoa) == (old.delay, old.aod, old.aoa)
+        if same and self.pending:  # not swept: the add-back column is pending
+            self._put(back, unit, new.gain - old.gain)
+        else:
+            self._append(unit if same else self._unit(new)[1], new.gain)
+        return new
 
 
 def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
@@ -691,6 +805,32 @@ def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
     if denom >= 0:  # not a proper local maximum
         return 0.0
     return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
+
+
+def _point_value(grid: BeamspaceGrid, a: int, b: int, c: int,
+                 factors: tuple[np.ndarray, np.ndarray] | None = None) -> complex:
+    """Value at lattice index (a, b, c) of the grid minus the footprints of
+    ``factors`` (their ``_kernel_factors``), if given, without writing the
+    grid: a stored value is read from the plane and a derived one is made
+    from its AoA row's plane."""
+    plane, step = grid._plane, grid._step
+    q, s = divmod(b, step)
+    if s:
+        value = grid._interp[q * (step - 1) + s - 1] @ plane[a, :, c]
+    else:
+        value = plane[a, q, c]
+    if factors is not None:
+        value = value - factors[0][a * grid.shape[1] + b] @ factors[1][:, c]
+    return value
+
+
+def _nearest_point(grid: BeamspaceGrid, path: PathParams) -> tuple[int, int, int]:
+    """Index of the lattice point nearest ``path``'s geometry: the angles
+    wrap, and the delay is clipped to the axis."""
+    n_aoa, n_aod, n_tau = grid.shape
+    l = round(path.delay * grid.config.bandwidth_hz * grid.spec.os_delay)
+    return (round((path.aoa + 0.5) * n_aoa) % n_aoa,
+            round((path.aod + 0.5) * n_aod) % n_aod, min(max(l, 0), n_tau - 1))
 
 
 def _refine_peak(
@@ -702,24 +842,14 @@ def _refine_peak(
 
     With ``factors`` (the ``_kernel_factors`` of some footprints) the values
     are those of the grid minus the footprints: the seven that are read are
-    each computed from the factors, and the grid is not written.  A stored
-    value is read from the plane and a derived one is made from its AoA
-    row's plane.  Angle axes wrap periodically; the delay axis skips
-    refinement at its edges.  Offsets are clamped to half a grid step per
-    axis.
+    each one ``_point_value``, and the grid is not written.  Angle axes wrap
+    periodically; the delay axis skips refinement at its edges.  Offsets
+    are clamped to half a grid step per axis.
     """
-    plane, step = grid._plane, grid._step
     n_aoa, n_aod, n_tau = grid.shape
 
     def mag(a: int, b: int, c: int) -> float:
-        q, s = divmod(b, step)
-        if s:
-            value = grid._interp[q * (step - 1) + s - 1] @ plane[a, :, c]
-        else:
-            value = plane[a, q, c]
-        if factors is not None:
-            value = value - factors[0][a * n_aod + b] @ factors[1][:, c]
-        return np.abs(value)
+        return np.abs(_point_value(grid, a, b, c, factors))
 
     d_aoa = _parabolic_offset(
         mag((i - 1) % n_aoa, j, l), mag(i, j, l), mag((i + 1) % n_aoa, j, l))

@@ -286,11 +286,12 @@ def cmd_extract(args) -> int:
     t0 = time.perf_counter()
     with _run_lock(out_dir):
         paths, trace = greedy_ls(response, config, xcfg)
+        sweep_errors, sage_s = [], 0.0
         if args.sage_sweeps > 0 and paths:
+            t_sage = time.perf_counter()
             paths, sweep_errors = sage_refine(response, paths, config, spec,
                                               args.sage_sweeps)
-        else:
-            sweep_errors = []
+            sage_s = time.perf_counter() - t_sage
         error = reconstruction_error(synthesize_response(config, paths), response)
         fileio.save_paths_csv(out_dir / ESTIMATES_CSV, paths)
         fileio.save_trace_csv(out_dir / TRACE_CSV, trace)
@@ -314,7 +315,7 @@ def cmd_extract(args) -> int:
             report[f"sage_error_sweep_{i}"] = e
         fileio.save_kv_report(out_dir / EXTRACT_REPORT, report)
         _record_timing(out_dir, "extract", time.perf_counter() - t0,
-                       extract_full_sweeps=trace.full_sweeps,
+                       extract_full_sweeps=trace.full_sweeps, sage_s=sage_s,
                        grid_bytes=spec._plane_bytes(config),
                        peak_rss_mb=_peak_rss_mb(), **_blas_facts())
     logger.info("extract: committed %d paths in %d grid passes, normalized "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import GridSpec, _PendingPicks, beamspace_transform
+from .beamspace import GridSpec, _PendingPicks, _PendingUpdates, beamspace_transform
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -421,10 +421,14 @@ def sage_refine(
     The E-step runs on one residual beamspace grid, transformed once: by
     linearity, the transform of the isolated response is the residual grid
     plus path k's footprint, which the grid builds from its own lattice
-    matrices.  Each path update is one in-place peak sweep that subtracts
-    the previous update's new footprint and adds path k's old footprint
-    back, so no sweep re-runs the transform and no per-path response is
-    kept.
+    matrices.  The footprints stay pending, as greedy-LS's commits do
+    (``beamspace._PendingUpdates``): each path update adds path k's old
+    footprint back as a pending column and makes one read-only pick
+    (``tentative_peak``) of the grid minus the pending footprints, with the
+    exact value at path k's old lattice point as a floor.  A full
+    ``peak_sweep`` writes them into the grid only when more than 16 are
+    pending or their bound keeps more than 5% of the rows.  No update
+    re-runs the transform and no per-path response is kept.
     """
     if not paths:
         raise ValueError("path list must be non-empty")
@@ -437,14 +441,11 @@ def sage_refine(
         values=response.values - synthesize_response(config, current).values,
         config=config,
     )
-    grid = beamspace_transform(residual, spec)
+    updates = _PendingUpdates(residual, spec)
     errors: list[float] = []
-    pending: list[PathParams] = []  # the last update, not yet subtracted
     for _ in range(sweeps):
         for k, old in enumerate(current):
-            new = grid._pick(pending + [replace(old, gain=-old.gain)])
-            pending = [new]
-            current[k] = new
+            current[k] = updates.update(old)
         errors.append(
             reconstruction_error(synthesize_response(config, current), response)
         )

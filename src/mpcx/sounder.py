@@ -332,12 +332,16 @@ def _separable_transform(
     lines = np.empty((n_rx, n_aod, n_out), dtype=complex)
     rx_rows = max(1, _LINE_BLOCK // n_aod)
 
+    # an inf value makes NaNs (inf times 0): not finite either way, and named
+    # by the scan of the result; the error state is per thread, so each span
+    # sets it
     def delay(start: int, stop: int) -> None:
-        for r0 in range(start, stop, rx_rows):
-            b = min(rx_rows, stop - r0)
-            aod_first = np.matmul(m_tx, values[r0:r0 + b])
-            np.matmul(aod_first.reshape(b * n_aod, n_freq), m_f,
-                      out=lines[r0:r0 + b].reshape(b * n_aod, n_out))
+        with np.errstate(invalid="ignore"):
+            for r0 in range(start, stop, rx_rows):
+                b = min(rx_rows, stop - r0)
+                aod_first = np.matmul(m_tx, values[r0:r0 + b])
+                np.matmul(aod_first.reshape(b * n_aod, n_freq), m_f,
+                          out=lines[r0:r0 + b].reshape(b * n_aod, n_out))
 
     run_blocks(delay, n_rx, rx_rows,
                n_aod * (n_tx + n_out) * n_freq // _MADDS_PER_ENTRY)
@@ -347,12 +351,13 @@ def _separable_transform(
     def transform(start: int, stop: int) -> None:
         hook = each_block() if each_block else None
         buf = None if keep else np.empty((_RX_BLOCK, n_aod, n_out), dtype=complex)
-        for first in range(start, stop, _RX_BLOCK):
-            b = min(_RX_BLOCK, stop - first)
-            rows = out[first:first + b] if keep else buf[:b]
-            np.matmul(m_rx[first:first + b], lines, out=rows.reshape(b, -1))
-            if hook:
-                hook(first, rows)
+        with np.errstate(invalid="ignore"):
+            for first in range(start, stop, _RX_BLOCK):
+                b = min(_RX_BLOCK, stop - first)
+                rows = out[first:first + b] if keep else buf[:b]
+                np.matmul(m_rx[first:first + b], lines, out=rows.reshape(b, -1))
+                if hook:
+                    hook(first, rows)
 
     run_blocks(transform, n_aoa, _RX_BLOCK, n_rx * n_aod * n_out // _MADDS_PER_ENTRY)
     return out

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import subprocess
@@ -289,6 +290,26 @@ def test_tentative_peak_tie_at_the_row_bound_takes_lowest_index():
     # once row 1 cannot reach the floor, row 2's equal peak is the pick
     row_peaks[1] = np.nextafter(2.0, 0.0) / (1 + beamspace._BOUND_SLACK) - 1.0
     assert tentative_peak(grid, factors, row_peaks) == (1, 0, 2, 3.0)
+
+
+def test_bound_rows_floor_only_raises_the_default_floor():
+    """Without a floor the kept rows are those whose bound reaches
+    max(row_peaks - reach), and all of them when a row peak is NaN.  A
+    floor below that or a NaN floor keeps the same rows; a higher one keeps
+    only the rows whose bound reaches it, within the rounding slack, and
+    never drops a NaN row."""
+    bound_rows = beamspace._bound_rows
+    row_peaks = np.array([1.0, 5.0, 3.0, 0.5])
+    reach = np.array([0.5, 1.0, 0.2, 4.0])  # bounds 1.5, 6, 3.2, 4.5; floor 4
+    assert bound_rows(row_peaks, reach).tolist() == [1, 3]
+    for floor in (None, 2.0, 4.0, math.nan):
+        assert bound_rows(row_peaks, reach, floor).tolist() == [1, 3]
+    assert bound_rows(row_peaks, reach, 4.5).tolist() == [1, 3]
+    assert bound_rows(row_peaks, reach, 4.5 * (1 + 2e-9)).tolist() == [1]
+    assert bound_rows(row_peaks, reach, 7.0).tolist() == []
+    row_peaks[2] = math.nan
+    for floor in (None, 2.0, 7.0, math.nan):
+        assert bound_rows(row_peaks, reach, floor).tolist() == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.nan),

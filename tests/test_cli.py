@@ -1,5 +1,6 @@
 import builtins
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -91,6 +92,29 @@ def test_rerun_is_byte_identical(run_dir, tmp_path):
     again = run_pipeline(tmp_path)
     for name in ARTIFACTS:
         assert (again / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_sage_wall_time_goes_to_the_timings_sidecar_only(run_dir, tmp_path):
+    """Extract with SAGE sweeps writes SAGE's own wall time as ``sage_s`` to
+    timings.json, and 0 without them.  No other artifact names it, and a
+    rerun with SAGE writes the same bytes to every other artifact."""
+    assert fileio.load_timings(run_dir / "timings.json")["sage_s"] == 0.0
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        shutil.copytree(run_dir, out)
+        assert main(["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                     "--kdom", "24", "--residual-stop", "0", "--sage-sweeps", "2",
+                     "--out-dir", str(out), "--quiet"]) == 0
+        timings = fileio.load_timings(out / "timings.json")
+        assert 0 < timings["sage_s"] < timings["extract"]
+        assert not any(re.search(r"\bsage_s\b", p.read_text(encoding="utf-8"))
+                       for p in out.glob("*.*") if p.suffix in (".txt", ".csv"))
+        runs.append(out)
+    report = fileio.load_kv_report(runs[0] / "extract_report.txt")
+    assert "sage_error_sweep_2" in report
+    for name in ("estimates.csv", "trace.csv", "extract_report.txt"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_trace_is_monotone(run_dir):

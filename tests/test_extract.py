@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -28,7 +29,7 @@ from mpcx import (
     single_path_grid,
     synthesize_response,
 )
-from mpcx import beamspace, extract, sounder
+from mpcx import beamspace, extract, pool, sounder
 
 from closed_form import angle_kernel, beamspace_point, delay_kernel, ls_condition
 
@@ -980,3 +981,78 @@ def test_residual_trace_equals_recomputed_residual(seed, snr_db):
         expected = float(np.sum(np.abs(residual) ** 2))
         assert trace.residual_power[k] == pytest.approx(expected, rel=1e-9)
         assert trace.committed_gain_power[k] == abs(found[k].gain) ** 2
+
+
+def counted_sage_refine(resp, paths, spec, sweeps):
+    "sage_refine with its full grid sweeps counted."
+    with mock.patch.object(beamspace, "peak_sweep",
+                           wraps=beamspace.peak_sweep) as swept:
+        refined, errors = sage_refine(resp, paths, DESK, spec, sweeps)
+    return refined, errors, swept.call_count
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_sage_pending_updates_match_the_full_sweep_loop(seed, refine):
+    """SAGE's pending footprints and tentative picks against the dense
+    full-sweep loop, for 24 grid-quantized or refine_peaks estimates over 3
+    sweeps, under every sweep schedule: the defaults; a share limit of 0, so
+    every update is a full sweep; a share limit of 1, so only the pending cap
+    sweeps; and a cap of 2 pending columns.  The same geometry and gains to
+    1e-9."""
+    resp = desk_case(seed, 20.0, n_paths=16)
+    spec = GridSpec()
+    found, _ = greedy_ls(resp, DESK, ExtractionConfig(
+        k_dom=24, residual_stop=0.0, refine_peaks=refine))
+    assert len(found) == 24
+    oracle = sage_grid_oracle(resp, found, DESK, spec, sweeps=3)
+    updates = 3 * len(found)
+    for pending, share in ((16, 0.05), (16, 0.0), (16, 1.0), (2, 1.0), (2, 0.05)):
+        with mock.patch.object(beamspace, "_MAX_PENDING", pending), \
+                mock.patch.object(beamspace, "_MAX_KEPT_SHARE", share):
+            refined, _, sweeps = counted_sage_refine(resp, found, spec, 3)
+        assert_same_paths(refined, oracle)
+        if share == 0.0:
+            assert sweeps == updates
+        elif pending == 2:
+            # the add-back column of every second update passes the cap
+            assert sweeps >= (updates - 2) // 2
+        elif share == 1.0:
+            assert sweeps <= updates // 8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sage_sweeps_the_grid_for_few_updates(seed):
+    """On a 32-estimate desk case at 20 dB, 2 SAGE sweeps make fewer full
+    grid sweeps than a quarter of their 64 path updates: most updates are
+    tentative picks.  The paths are those of the full-sweep loop."""
+    resp = desk_case(seed, 20.0, n_paths=16)
+    found, _ = greedy_ls(resp, DESK, ExtractionConfig(k_dom=32, residual_stop=0.0))
+    assert len(found) == 32
+    refined, _, sweeps = counted_sage_refine(resp, found, GridSpec(), 2)
+    assert sweeps < 64 / 4
+    assert_same_paths(refined, sage_grid_oracle(resp, found, DESK, GridSpec(), 2))
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_inf_response_raises_the_named_error_under_warnings_as_errors(split):
+    """An inf response entry makes NaNs in the transform's products.  With
+    warnings as errors, the transform, greedy_ls and sage_refine still raise
+    the ValueError that names the first non-finite grid index, not a
+    RuntimeWarning, also when the products run in spans on threads."""
+    resp = desk_case(5, None)
+    values = resp.values.copy()
+    values[3, 1, 7] = np.inf
+    resp = FrequencyResponse(values=values, config=DESK)
+    spec = GridSpec()
+    paths = [on_grid_path(np.random.default_rng(5), DESK, spec)]
+    named = "non-finite beamspace magnitude at grid index"
+    with warnings.catch_warnings(), \
+            mock.patch.object(pool, "_MIN_SPAN_ENTRIES", 1 if split else 1 << 20):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            beamspace.peak_sweep(beamspace_transform(resp, spec), [])
+        with pytest.raises(ValueError, match=named):
+            greedy_ls(resp, DESK, ExtractionConfig(k_dom=4, grid=spec))
+        with pytest.raises(ValueError, match=named):
+            sage_refine(resp, paths, DESK, spec, sweeps=1)

@@ -274,6 +274,49 @@ def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_a
         assert np.max(np.abs(grid.values - swept)) <= 1e-12 * scale
 
 
+@settings(max_examples=100, deadline=None)
+@given(**SMALL, pending=st.integers(1, 3), on_grid=st.booleans(),
+       at_peak=st.booleans(), point=st.integers(0, 2**31), block=st.integers(1, 200))
+def test_tentative_peak_with_a_point_floor_equals_dense_oracle(
+        n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, pending, on_grid,
+        at_peak, point, block):
+    """SAGE's floor on a transform grid: the value of the grid minus the
+    footprints at one lattice point (``_point_value``) equals the dense
+    lattice's to 1e-12, and ``_nearest_point`` of a path there is that
+    point.  Its magnitude, capped at its row's bound, keeps a subset of the
+    rows that the default floor keeps, and that row where it is above the
+    default floor; ``tentative_peak``
+    with it finds the dense peak unless rounding can reorder the top two."""
+    cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+    resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
+                             config=cfg)
+    row_peaks = np.empty(shape[0] * shape[1])
+    grid = beamspace_transform(resp, spec, row_peaks)
+    more = random_paths(rng, cfg, spec, pending, on_grid)
+    factors = beamspace._kernel_factors(grid._matrices, *_path_atoms(cfg, more))
+    reach = np.abs(factors[0]) @ np.abs(factors[1]).max(axis=1)
+    dense = grid.values - sum(single_path_grid(p, spec, cfg).values for p in more)
+    scale = max(1.0, float(np.abs(dense).max()))
+    at = int(np.argmax(np.abs(dense))) if at_peak else point % dense.size
+    i, j, l = (int(k) for k in np.unravel_index(at, shape))
+    there = grid._path_at(i, j, l, 1.0)
+    assert beamspace._nearest_point(grid, there) == (i, j, l)
+    value = beamspace._point_value(grid, i, j, l, factors)
+    assert abs(value - dense[i, j, l]) <= 1e-12 * scale
+    row = i * shape[1] + j
+    floor = min(abs(value), row_peaks[row] + reach[row])
+    kept = beamspace._bound_rows(row_peaks, reach, floor)
+    assert set(kept) <= set(beamspace._bound_rows(row_peaks, reach))
+    if floor >= np.max(row_peaks - reach):  # the floor is the one applied
+        assert row in kept
+    before = grid._plane.tobytes()
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        got = tentative_peak(grid, factors, row_peaks, reach, floor)
+    assert grid._plane.tobytes() == before
+    assert_same_peak(got, dense, scale)
+
+
 @settings(max_examples=80, deadline=None)
 @given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
        os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4),
