@@ -38,9 +38,10 @@ power maps from the same blocks and keeps no grid.
 without writing: with those row peaks and a bound on each row's footprint
 it evaluates only the few rows that can hold the peak.
 
-Greedy-LS's commits (``_PendingPicks``) and SAGE's path updates
-(``_PendingUpdates``) stay pending factors (``_PendingFootprints``) until
-about 16 are pending or their bound keeps more than 5% of the rows.
+Greedy-LS's commits, SAGE's path updates and ``greedy_extract``'s picks
+stay pending factors of one picker (``_PendingFootprints``), whose
+``pick`` alone chooses between a full sweep and a tentative pick: a sweep
+once 16 are pending or their bound keeps more than 5% of the rows.
 
 On a large grid the sweep and the transform run their blocks in contiguous
 spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
@@ -178,11 +179,6 @@ class BeamspaceGrid:
         """Lattice rows of the plane as it stands, for ``tentative_peak``; a
         ``peak_sweep`` that writes the plane drops them."""
         return _LatticeRows(self)
-
-    def _pick(self, paths: list[PathParams]) -> PathParams:
-        """``peak_sweep`` of this grid minus ``paths``, as a path at the
-        peak's axis coordinates (see ``_path_at``)."""
-        return self._path_at(*peak_sweep(self, paths))
 
     def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool = False,
                  factors: tuple[np.ndarray, np.ndarray] | None = None) -> PathParams:
@@ -624,34 +620,31 @@ _MAX_KEPT_SHARE = 0.05
 
 
 class _PendingFootprints:
-    """Footprints that a loop of picks on the grid of a response has not yet
-    written into it: the state that greedy-LS (``_PendingPicks``) and SAGE
-    (``_PendingUpdates``) share.
+    """Peak picks on the grid of a response minus footprints not yet written
+    into it: the one picker of greedy-LS, SAGE and ``greedy_extract``.
 
     The grid is ``beamspace_transform`` of the response, which records the
-    row peaks as it makes the plane: the first of the grid passes that
-    ``sweeps`` counts.  A footprint is a column of the factors ``left`` and
-    ``right``, a path's unit ``_kernel_factors`` (``_unit``) times a gain;
-    the first ``pending`` columns are the footprints not yet written.
-    ``_sweep`` writes them into the grid with one ``peak_sweep``, which
-    records the row peaks again.  The factor arrays are allocated once,
-    with ``columns`` columns.
+    row peaks: the first of the grid passes that ``sweeps`` counts.  A
+    footprint is a column of the factors ``left`` and ``right``, a path's
+    ``unit`` footprint times a gain, with its row bound ``bounds[column]``,
+    |gain| times the unit's.  The first ``pending`` columns are not yet
+    written (``append``); a caller may ``put`` more after them for its
+    picks.  The arrays, allocated once, have ``_MAX_PENDING`` + ``extra``
+    columns.
     """
 
-    def __init__(self, response: FrequencyResponse, spec: GridSpec, columns: int):
+    def __init__(self, response: FrequencyResponse, spec: GridSpec, extra: int):
         config = response.config
         n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
         self.row_peaks = np.empty(n_rows)
         self.grid = beamspace_transform(response, spec, self.row_peaks)
+        columns = _MAX_PENDING + extra
         self.left = np.empty((n_rows, columns), dtype=complex)
         self.right = np.empty((columns, self.grid.shape[2]), dtype=complex)
+        self.bounds = np.empty((columns, n_rows))
         self.pending, self.sweeps = 0, 1
 
-    def _factors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        "The first ``n`` columns of the factors."
-        return self.left[:, :n], self.right[:n]
-
-    def _unit(self, path: PathParams):
+    def unit(self, path: PathParams):
         """``(atoms, unit)``: the ``_steering_matrices`` of ``path``'s atom,
         and its footprint at gain 1 as a ``left`` column, a ``right`` row and
         that column's row bound."""
@@ -660,143 +653,53 @@ class _PendingFootprints:
         left, right = _kernel_factors(self.grid._matrices, atoms, np.ones(1))
         return atoms, (left[:, 0], right[0], np.abs(left[:, 0]) * np.abs(right).max())
 
-    def _put(self, column: int, unit, gain: complex) -> None:
-        "Column ``column`` of the factors: the ``unit`` footprint times ``gain``."
+    def put(self, column: int, unit, gain: complex) -> None:
+        "Column ``column``: the ``unit`` footprint times ``gain``, and its bound."
         np.multiply(unit[0], gain, out=self.left[:, column])
         self.right[column] = unit[1]
+        np.multiply(unit[2], abs(gain), out=self.bounds[column])
 
-    def _append(self, unit, gain: complex) -> int:
+    def append(self, unit, gain: complex) -> int:
         "Make the ``unit`` footprint times ``gain`` pending; its column."
         column = self.pending
-        self._put(column, unit, gain)
+        self.put(column, unit, gain)
         self.pending += 1
         return column
 
-    def _sweep(self) -> tuple[int, int, int, complex]:
-        """``peak_sweep`` of the grid minus the pending footprints, which it
-        writes into the grid; none is pending after it."""
-        peak = peak_sweep(self.grid, self._factors(self.pending), self.row_peaks)
-        self.sweeps += 1
-        self.pending = 0
-        return peak
+    def _bound(self, n: int, near: PathParams | None):
+        """The first ``n`` columns of the factors, their row bound ``reach``
+        (their ``bounds`` summed) and the floor of a pick near ``near``: the
+        magnitude at the lattice point nearest it (``_point_value``), capped
+        at that row's own bound, so the row is always kept."""
+        factors, reach = (self.left[:, :n], self.right[:n]), self.bounds[:n].sum(axis=0)
+        if near is None:
+            return factors, reach, None
+        i, j, l = _nearest_point(self.grid, near)
+        row = i * self.grid.shape[1] + j
+        return factors, reach, min(abs(_point_value(self.grid, i, j, l, factors)),
+                                   self.row_peaks[row] + reach[row])
 
+    def pick(self, n: int, refine: bool = False,
+             near: PathParams | None = None) -> PathParams:
+        """The peak of the grid minus the footprints of the first ``n``
+        columns, as a path (``BeamspaceGrid._path_at``, sub-grid with
+        ``refine``), with the floor of ``near`` (``_bound``) if given.
 
-class _PendingPicks(_PendingFootprints):
-    """Greedy-LS's peak picks on the grid of a response, which its commits
-    reach late.
-
-    A commit stays a pending footprint, with its row bound added to
-    ``reach``.  Every pick is a ``tentative_peak`` of the grid minus the
-    pending commits and the candidates so far.  A ``candidates`` call first
-    runs one ``_sweep``, which writes the pending commits into the grid,
-    when ``_MAX_PENDING`` commits are pending, or when their bound keeps
-    more than ``_MAX_KEPT_SHARE`` of the rows.  The factor arrays have room
-    for ``_MAX_PENDING`` pending commits and ``k_g`` candidates.  Each
-    pick's atom is built once: its ``_steering_matrices`` columns go into
-    ``steering`` (``k_g`` columns per axis, in pick order), from which
-    greedy-LS takes the candidates' Gram.
-    """
-
-    def __init__(self, response: FrequencyResponse, spec: GridSpec, refine: bool,
-                 k_g: int):
-        super().__init__(response, spec, _MAX_PENDING + k_g)
-        self.refine, self.k_g = refine, k_g
-        self.reach = np.zeros(len(self.row_peaks))
-        config = response.config
-        self.steering = tuple(np.empty((n, k_g), dtype=complex) for n in (
-            config.n_rx, config.n_tx, config.n_freq))
-        self.units = []  # the unit footprint of each candidate
-
-    def candidates(self) -> list[PathParams]:
-        "Up to ``k_g`` picks, ending before the first zero peak."
-        reach, n = self.reach, self.pending
-        if n and (n >= _MAX_PENDING or len(_bound_rows(
-                self.row_peaks, reach)) > _MAX_KEPT_SHARE * len(reach)):
-            self._sweep()
-            n = 0
-            reach.fill(0.0)
-        self.units, found = [], []
-        while len(found) < self.k_g:
-            factors = self._factors(n)
-            peak = self.grid._path_at(*tentative_peak(
-                self.grid, factors, self.row_peaks, reach), self.refine, factors)
-            if peak.gain == 0:
-                break
-            atoms, unit = self._unit(peak)
-            for columns, atom in zip(self.steering, atoms):
-                columns[:, len(found)] = atom[:, 0]
-            found.append(peak)
-            self.units.append(unit)
-            self._put(n, unit, peak.gain)
-            reach = reach + abs(peak.gain) * unit[2]
-            n += 1
-        return found
-
-    def commit(self, index: int, gain: complex) -> None:
-        "Make candidate ``index`` of the last ``candidates`` call a pending commit."
-        unit = self.units[index]
-        self._append(unit, gain)
-        self.reach += abs(gain) * unit[2]
-
-
-class _PendingUpdates(_PendingFootprints):
-    """SAGE's path updates on the grid of its residual, whose footprints
-    stay pending as greedy-LS's commits do.
-
-    ``update(old)`` adds the path's footprint back as a pending column of
-    gain ``-old.gain`` and picks the peak of the grid minus the pending
-    footprints: a ``tentative_peak`` whose floor is the exact value there at
-    the lattice point nearest ``old`` (``_point_value``), or one ``_sweep``
-    when more than ``_MAX_PENDING`` columns are pending or the bound keeps
-    more than ``_MAX_KEPT_SHARE`` of the rows.  The new path's footprint is
-    then pending too.  When the pick has ``old``'s geometry and nothing was
-    swept, that is the add-back column rewritten to gain ``new.gain -
-    old.gain``, so a path that stays put leaves the row bound tight;
-    otherwise it is one more column.  The row bound is recomputed at each
-    update, as the columns' unit bounds (``unit_reach``) times their
-    |``gains``|.  The factor arrays have room for ``_MAX_PENDING`` + 2
-    columns.
-    """
-
-    def __init__(self, response: FrequencyResponse, spec: GridSpec):
-        super().__init__(response, spec, _MAX_PENDING + 2)
-        self.unit_reach = np.empty((len(self.row_peaks), _MAX_PENDING + 2))
-        self.gains = np.empty(_MAX_PENDING + 2, dtype=complex)
-
-    def _put(self, column: int, unit, gain: complex) -> None:
-        super()._put(column, unit, gain)
-        self.unit_reach[:, column] = unit[2]
-        self.gains[column] = gain
-
-    def update(self, old: PathParams) -> PathParams:
-        "The peak of the grid with ``old`` added back, as a path; now pending."
-        grid = self.grid
-        _, unit = self._unit(old)
-        back = self._append(unit, -old.gain)
-        n = self.pending
-        if n > _MAX_PENDING:
-            peak = self._sweep()
-        else:
-            factors = self._factors(n)
-            reach = self.unit_reach[:, :n] @ np.abs(self.gains[:n])
-            i, j, l = _nearest_point(grid, old)
-            row = i * grid.shape[1] + j
-            # any lattice value bounds the peak from below; capped at the
-            # point's own row bound, that row is always kept
-            floor = min(abs(_point_value(grid, i, j, l, factors)),
-                        self.row_peaks[row] + reach[row])
-            kept = _bound_rows(self.row_peaks, reach, floor)
-            if len(kept) > _MAX_KEPT_SHARE * len(reach):
-                peak = self._sweep()
-            else:
-                peak = tentative_peak(grid, factors, self.row_peaks, reach, floor)
-        new = grid._path_at(*peak)
-        same = (new.delay, new.aod, new.aoa) == (old.delay, old.aod, old.aoa)
-        if same and self.pending:  # not swept: the add-back column is pending
-            self._put(back, unit, new.gain - old.gain)
-        else:
-            self._append(unit if same else self._unit(new)[1], new.gain)
-        return new
+        The one choice between a full sweep and a tentative pick: when the
+        ``n`` columns are the pending ones and ``_MAX_PENDING`` are pending
+        or their bound keeps more than ``_MAX_KEPT_SHARE`` of the rows, one
+        ``peak_sweep`` writes them into the grid and records the row peaks
+        again, and none is pending.  The pick is then a ``tentative_peak``.
+        """
+        factors, reach, floor = self._bound(n, near)
+        if n and n == self.pending and (n >= _MAX_PENDING or len(_bound_rows(
+                self.row_peaks, reach, floor)) > _MAX_KEPT_SHARE * len(reach)):
+            peak_sweep(self.grid, factors, self.row_peaks)
+            self.sweeps += 1
+            self.pending = 0
+            factors, reach, floor = self._bound(0, near)
+        return self.grid._path_at(*tentative_peak(
+            self.grid, factors, self.row_peaks, reach, floor), refine, factors)
 
 
 def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import fileio
 from .assoc import ResolutionSpec, associate
-from .beamspace import GridSpec, pdp_marginals
-from .extract import ExtractionConfig, greedy_ls, reconstruction_error, sage_refine
+from .beamspace import _HELD_ENTRIES, _MAX_PENDING, GridSpec, pdp_marginals
+from .extract import ExtractionConfig, _sage_refine, greedy_ls, reconstruction_error
 from .scenario import generate_scenario
 from .sounder import add_awgn, synthesize_response
 
@@ -125,23 +125,27 @@ def _require_finite_power(response, source) -> float:
     return power
 
 
-def _check_grid_memory(config, spec: GridSpec) -> None:
+def _check_grid_memory(config, spec: GridSpec, k_g: int) -> None:
     """ValueError naming ``--oversample`` (which sets every factor of
-    ``spec``) if what extract allocates for its beamspace grid, the stored
-    AoD plane plus the transform's AoD- and delay-transformed lines (n_rx x
-    n_tx x n_freq*os complex128 values: the stored AoD rows are the
-    critically sampled n_tx), needs more bytes than the machine's physical
-    memory, where the platform reports that."""
+    ``spec``) if what extract allocates for its beamspace grid and picker
+    needs more bytes than the machine's physical memory, where the platform
+    reports that: the stored AoD plane, the transform's AoD- and
+    delay-transformed lines (n_rx x n_tx x n_freq*os complex128 values),
+    the picker's ``_MAX_PENDING`` + k_g factor columns of n_aoa*n_aod
+    complex128 values with their float64 row bounds, and the cap of the
+    lattice rows its tentative picks hold (``_HELD_ENTRIES`` values)."""
+    n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
     need = (spec._plane_bytes(config)
-            + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay)
+            + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay
+            + (16 + 8) * n_rows * (_MAX_PENDING + k_g) + 16 * _HELD_ENTRIES)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not reported here
         return
     if 0 < have < need:
-        raise ValueError(f"--oversample {spec.os_delay}: the beamspace grid needs "
-                         f"{need} bytes, more than the {have} bytes of physical "
-                         "memory")
+        raise ValueError(f"--oversample {spec.os_delay}: the beamspace grid and "
+                         f"its picker need {need} bytes, more than the {have} "
+                         "bytes of physical memory")
 
 
 def _peak_rss_mb() -> float | None:
@@ -276,7 +280,7 @@ def cmd_extract(args) -> int:
     config = fileio.load_sounder_config(args.config)
     spec = GridSpec(os_aoa=args.oversample, os_aod=args.oversample,
                     os_delay=args.oversample)
-    _check_grid_memory(config, spec)
+    _check_grid_memory(config, spec, args.kg)
     response = fileio.load_response(args.tensor, config)
     _require_finite_power(response, args.tensor)
     xcfg = ExtractionConfig(k_dom=args.kdom, k_g=args.kg, k_up=args.kup,
@@ -286,11 +290,11 @@ def cmd_extract(args) -> int:
     t0 = time.perf_counter()
     with _run_lock(out_dir):
         paths, trace = greedy_ls(response, config, xcfg)
-        sweep_errors, sage_s = [], 0.0
+        sweep_errors, sage_s, sage_sweeps = [], 0.0, 0
         if args.sage_sweeps > 0 and paths:
             t_sage = time.perf_counter()
-            paths, sweep_errors = sage_refine(response, paths, config, spec,
-                                              args.sage_sweeps)
+            paths, sweep_errors, sage_sweeps = _sage_refine(
+                response, paths, config, spec, args.sage_sweeps)
             sage_s = time.perf_counter() - t_sage
         error = reconstruction_error(synthesize_response(config, paths), response)
         fileio.save_paths_csv(out_dir / ESTIMATES_CSV, paths)
@@ -315,11 +319,13 @@ def cmd_extract(args) -> int:
             report[f"sage_error_sweep_{i}"] = e
         fileio.save_kv_report(out_dir / EXTRACT_REPORT, report)
         _record_timing(out_dir, "extract", time.perf_counter() - t0,
-                       extract_full_sweeps=trace.full_sweeps, sage_s=sage_s,
+                       extract_full_sweeps=trace.full_sweeps,
+                       sage_full_sweeps=sage_sweeps, sage_s=sage_s,
                        grid_bytes=spec._plane_bytes(config),
                        peak_rss_mb=_peak_rss_mb(), **_blas_facts())
-    logger.info("extract: committed %d paths in %d grid passes, normalized "
-                "error %.3e", len(paths), trace.full_sweeps, error)
+    logger.info("extract: committed %d paths in %d grid passes, SAGE made %d, "
+                "normalized error %.3e", len(paths), trace.full_sweeps, sage_sweeps,
+                error)
     return EXIT_OK
 
 

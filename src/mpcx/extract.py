@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import GridSpec, _PendingPicks, _PendingUpdates, beamspace_transform
+from .beamspace import GridSpec, _PendingFootprints
 from .sounder import (
     FrequencyResponse,
     PathParams,
@@ -106,19 +106,19 @@ def greedy_extract(
     grid coordinates and complex value as a path estimate, subtract that
     path's beamspace footprint, continue on the residual grid.
     Returns the estimates in detection order; stops early only if the
-    residual grid becomes exactly zero.  Each subtraction is fused with the
-    next peak search into one sweep, so the last estimate is never
-    subtracted.
+    residual grid becomes exactly zero.  Each estimate's footprint stays
+    pending on greedy-LS's picker (``beamspace._PendingFootprints``).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    grid = beamspace_transform(response, spec)
+    picks = _PendingFootprints(response, spec, 0)
     estimates: list[PathParams] = []
     for _ in range(count):
-        peak = grid._pick(estimates[-1:])
+        peak = picks.pick(picks.pending)
         if peak.gain == 0:
             break
         estimates.append(peak)
+        picks.append(picks.unit(peak)[1], peak.gain)
     return estimates
 
 
@@ -241,14 +241,13 @@ def greedy_ls(
     Outer loop, repeated until ``k_dom`` paths are committed or the residual
     power ratio falls below ``residual_stop``:
 
-    1. pick ``k_g`` candidate peaks on the residual grid
-       (``beamspace._PendingPicks``): each is a read-only ``tentative_peak``
-       of the grid minus the pending commits and the candidates so far (raw
-       CLEAN subtraction), over the rows a bound on those footprints keeps.
-       The transform records the first row peaks as it makes the grid; a
-       full ``peak_sweep`` writes the pending commits into the grid first
-       when 16 are pending or the bound keeps over 5% of the rows.  Each
-       pick's steering columns are built once there;
+    1. pick ``k_g`` candidate peaks on the residual grid (``_candidates``):
+       each is a read-only ``tentative_peak`` of the grid minus the pending
+       commits and the candidates so far (raw CLEAN subtraction), over the
+       rows a bound on those footprints keeps.  The transform records the
+       first row peaks; a full ``peak_sweep`` writes the pending commits into
+       the grid first when 16 are pending or the bound keeps over 5% of the
+       rows.  Each pick's steering columns are built once there;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
        ones are dropped, later one first), with the Gram of the picks'
        steering columns.  No residual response is kept.
@@ -292,7 +291,7 @@ def greedy_ls(
         trace.stop_reason = "exhausted"
         return [], trace
 
-    picks = _PendingPicks(response, xcfg.grid, xcfg.refine_peaks, xcfg.k_g)
+    picks = _PendingFootprints(response, xcfg.grid, xcfg.k_g)
     if xcfg.refine_peaks:
         # steering columns and gains of the commits, in commit order
         done = tuple(np.empty((n, xcfg.k_dom), dtype=complex)
@@ -309,7 +308,7 @@ def greedy_ls(
             break
 
         # step 1: k_g peak picks on the grid minus the pending commits
-        candidates = picks.candidates()
+        candidates, units, atoms = _candidates(picks, xcfg.k_g, xcfg.refine_peaks)
         if not candidates:
             trace.stop_reason = "exhausted"
             break
@@ -318,7 +317,6 @@ def greedy_ls(
         if len(candidates) >= values.size:
             raise ValueError(f"{len(candidates)} paths >= signal space dimension "
                              f"{values.size}")
-        atoms = tuple(a[:, :len(candidates)] for a in picks.steering)
         gram = _dictionary_gram(*atoms)
         if xcfg.refine_peaks:
             k = len(committed)
@@ -346,7 +344,7 @@ def greedy_ls(
                 for d, a in zip(done, atoms):
                     d[:, len(committed)] = a[:, c]
                 gains[len(committed)] = alpha
-            picks.commit(c, alpha)
+            picks.append(units[c], alpha)
             cand = candidates[c]
             committed.append(PathParams(gain=alpha, delay=cand.delay,
                                         aod=cand.aod, aoa=cand.aoa))
@@ -363,6 +361,25 @@ def greedy_ls(
     if xcfg.final_global_ls and committed:
         committed = _global_refit(response, committed, cfg, trace)
     return committed, trace
+
+
+def _candidates(picks: _PendingFootprints, k_g: int, refine: bool,
+                ) -> tuple[list[PathParams], list, tuple[np.ndarray, ...]]:
+    """Up to ``k_g`` picks of greedy-LS on the grid minus the pending commits
+    and the picks so far, ending before the first zero peak: the picks,
+    their unit footprints and their ``_steering_matrices``.  A pick's column
+    is counted after it, since the first pick may sweep the pending ones."""
+    found, units, atoms = [], [], []
+    while len(found) < k_g:
+        peak = picks.pick(picks.pending + len(found), refine)
+        if peak.gain == 0:
+            break
+        atom, unit = picks.unit(peak)
+        picks.put(picks.pending + len(found), unit, peak.gain)
+        found.append(peak)
+        units.append(unit)
+        atoms.append(atom)
+    return found, units, tuple(np.concatenate(axis, axis=1) for axis in zip(*atoms))
 
 
 def _global_refit(
@@ -420,16 +437,23 @@ def sage_refine(
 
     The E-step runs on one residual beamspace grid, transformed once: by
     linearity, the transform of the isolated response is the residual grid
-    plus path k's footprint, which the grid builds from its own lattice
-    matrices.  The footprints stay pending, as greedy-LS's commits do
-    (``beamspace._PendingUpdates``): each path update adds path k's old
-    footprint back as a pending column and makes one read-only pick
-    (``tentative_peak``) of the grid minus the pending footprints, with the
-    exact value at path k's old lattice point as a floor.  A full
-    ``peak_sweep`` writes them into the grid only when more than 16 are
-    pending or their bound keeps more than 5% of the rows.  No update
-    re-runs the transform and no per-path response is kept.
+    plus path k's footprint, built from the grid's own lattice matrices.
+    The footprints stay pending on greedy-LS's picker
+    (``beamspace._PendingFootprints``): each update adds path k's old
+    footprint back as a pending column and picks the peak of the grid minus
+    the pending footprints, floored by the exact value at path k's old
+    lattice point.  A new path at the old geometry rewrites that column to
+    gain g_new - g_old unless a sweep wrote it; any other is appended.  No
+    update re-runs the transform and no per-path response is kept.
     """
+    return _sage_refine(response, paths, config, spec, sweeps)[:2]
+
+
+def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
+                 config: SounderConfig, spec: GridSpec,
+                 sweeps: int) -> tuple[list[PathParams], list[float], int]:
+    """``sage_refine``, and the grid passes of its picker, the transform's
+    included."""
     if not paths:
         raise ValueError("path list must be non-empty")
     if sweeps < 1:
@@ -437,16 +461,21 @@ def sage_refine(
     if response.config != config:
         raise ValueError("response and config disagree")
     current = list(paths)
-    residual = FrequencyResponse(
-        values=response.values - synthesize_response(config, current).values,
-        config=config,
-    )
-    updates = _PendingUpdates(residual, spec)
+    picks = _PendingFootprints(FrequencyResponse(
+        response.values - synthesize_response(config, current).values, config),
+        spec, 1)
     errors: list[float] = []
     for _ in range(sweeps):
         for k, old in enumerate(current):
-            current[k] = updates.update(old)
-        errors.append(
-            reconstruction_error(synthesize_response(config, current), response)
-        )
-    return current, errors
+            _, unit = picks.unit(old)
+            back = picks.append(unit, -old.gain)
+            new = picks.pick(picks.pending, near=old)
+            same = (new.delay, new.aod, new.aoa) == (old.delay, old.aod, old.aoa)
+            if same and picks.pending:  # not swept: the add-back column is pending
+                picks.put(back, unit, new.gain - old.gain)
+            else:
+                picks.append(unit if same else picks.unit(new)[1], new.gain)
+            current[k] = new
+        errors.append(reconstruction_error(synthesize_response(config, current),
+                                           response))
+    return current, errors, picks.sweeps

@@ -5,11 +5,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mpcx import ExtractionConfig, GridSpec, fileio, greedy_ls, pool, synthesize_response
+from mpcx import (ExtractionConfig, GridSpec, beamspace, cli, extract, fileio, greedy_ls,
+                  pool, synthesize_response)
 from mpcx.cli import _blas_threads, _parser, main
 
 DESK_SPEC = """\
@@ -115,6 +117,32 @@ def test_sage_wall_time_goes_to_the_timings_sidecar_only(run_dir, tmp_path):
     assert "sage_error_sweep_2" in report
     for name in ("estimates.csv", "trace.csv", "extract_report.txt"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_sage_grid_passes_go_to_the_timings_sidecar_only(run_dir, tmp_path):
+    """Extract writes the grid passes of SAGE's picker, its transform
+    included, as ``sage_full_sweeps`` to timings.json: 1 plus the full
+    sweeps that SAGE makes, and 0 without SAGE.  No text artifact names it."""
+    assert fileio.load_timings(run_dir / "timings.json")["sage_full_sweeps"] == 0
+    out = tmp_path / "sage"
+    shutil.copytree(run_dir, out)
+    sage, swept = extract._sage_refine, []
+
+    def counted(*args):
+        with mock.patch.object(beamspace, "peak_sweep",
+                               wraps=beamspace.peak_sweep) as sweeps:
+            result = sage(*args)
+        swept.append(sweeps.call_count)
+        return result
+
+    with mock.patch.object(cli, "_sage_refine", counted):
+        assert main(["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                     "--kdom", "24", "--residual-stop", "0", "--sage-sweeps", "2",
+                     "--out-dir", str(out), "--quiet"]) == 0
+    timings = fileio.load_timings(out / "timings.json")
+    assert len(swept) == 1 and timings["sage_full_sweeps"] == 1 + swept[0]
+    assert not any("sage_full_sweeps" in p.read_text(encoding="utf-8")
+                   for p in out.glob("*.txt"))
 
 
 def test_trace_is_monotone(run_dir):
@@ -631,6 +659,35 @@ def _sysconf(pages):
     return sysconf
 
 
+def _extract_need(config, os, k_g):
+    """Bytes that extract allocates at oversample ``os``: the stored AoD
+    plane (os^2) plus the transform's delay-transformed lines (os),
+    complex128; the picker's 16 + k_g factor columns (complex128) with their
+    row bounds (float64) over the (AoA, AoD) rows, and the 2^20 complex128
+    lattice values that its tentative picks hold at most."""
+    grid = (os * os + os) * config.n_rx * config.n_tx * config.n_freq * 16
+    rows = config.n_rx * config.n_tx * os * os
+    return grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20)
+
+
+def test_extract_memory_preflight_counts_the_picker(tmp_path, capsys, monkeypatch):
+    """With physical memory enough for the grid and the transform's lines
+    but not for the picker's factor columns, row bounds and held rows too,
+    extract exits 2 naming --oversample and writes nothing."""
+    out = run_pipeline(tmp_path, kdom=4)
+    before = (out / "estimates.csv").read_bytes()
+    config = fileio.load_sounder_config(out / "config.txt")
+    grid = 12 * config.n_rx * config.n_tx * config.n_freq * 16
+    need = _extract_need(config, 3, k_g=4)
+    monkeypatch.setattr("mpcx.cli.os.sysconf", _sysconf((grid + need) // 2 // 4096))
+    assert main(["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                 "--kdom", "4", "--oversample", "3", "--out-dir", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"--oversample 3: the beamspace grid and its picker need {need} bytes" in err
+    assert (out / "estimates.csv").read_bytes() == before
+
+
 def test_extract_grid_over_physical_memory_exits_2(tmp_path, capsys, monkeypatch):
     out = run_pipeline(tmp_path, kdom=4)
     extract_outputs = ("estimates.csv", "trace.csv", "extract_report.txt",
@@ -639,15 +696,14 @@ def test_extract_grid_over_physical_memory_exits_2(tmp_path, capsys, monkeypatch
     argv = ["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
             "--kdom", "4", "--oversample", "3", "--out-dir", str(out), "--quiet"]
     config = fileio.load_sounder_config(out / "config.txt")
-    # the stored AoD plane (os^2) plus the transform's delay-transformed
-    # lines (os), complex128
-    need = (9 + 3) * config.n_rx * config.n_tx * config.n_freq * 16
-    # one page short of the grid
+    need = _extract_need(config, 3, k_g=4)
+    # one page short of the grid and its picker
     monkeypatch.setattr("mpcx.cli.os.sysconf", _sysconf(need // 4096 - 1))
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert (f"--oversample 3: the beamspace grid needs {need} bytes, more than "
-            f"the {(need // 4096 - 1) * 4096} bytes of physical memory") in err
+    assert (f"--oversample 3: the beamspace grid and its picker need {need} bytes, "
+            f"more than the {(need // 4096 - 1) * 4096} bytes of physical memory"
+            ) in err
     assert "Traceback" not in err
     for name, data in before.items():
         assert (out / name).read_bytes() == data, name

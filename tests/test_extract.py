@@ -906,13 +906,13 @@ def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
                            final_global_ls=False,
                            grid=GridSpec(os_aoa=1, os_aod=1, os_delay=1))
     widths = []  # factor columns at each candidates call
-    candidates = beamspace._PendingPicks.candidates
+    candidates = extract._candidates
 
-    def recorded(picks):
+    def recorded(picks, *args):
         widths.append((picks.left.shape[1], len(picks.right)))
-        return candidates(picks)
+        return candidates(picks, *args)
 
-    with mock.patch.object(beamspace._PendingPicks, "candidates", recorded):
+    with mock.patch.object(extract, "_candidates", recorded):
         found, trace, tentative = counted_greedy_ls(resp, PAPER, cfg)
     assert len(found) == 48
     iterations = len(trace.ls_condition)
@@ -920,6 +920,37 @@ def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
     assert trace.full_sweeps <= math.ceil(48 / 16) + 1
     assert tentative == 4 * iterations
     assert set(widths) == {(4 + 16, 4 + 16)}
+
+
+def test_greedy_extract_sweeps_the_paper_grid_once_per_16_picks():
+    """greedy_extract's picks stay pending as greedy-LS's commits do: on the
+    oversample-1 paper grid, 48 picks make at most ceil(48 / 16) + 1 grid
+    passes (the transform and the full sweeps), and every pick is
+    tentative.  However often the grid is swept (at every pick with a share
+    limit of 0, only at 16 pending with a limit of 1), the paths are the
+    dense oracle's: the same geometry, and gains to 1e-9."""
+    rng = np.random.default_rng(83)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, PAPER.duration * 0.9),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(24)]
+    resp = synthesize_response(PAPER, truth)
+    spec = GridSpec(os_aoa=1, os_aod=1, os_delay=1)
+    oracle = greedy_extract_oracle(resp, spec, 48)
+    assert len(oracle) == 48
+    for share in (0.05, 1.0, 0.0):
+        with mock.patch.object(beamspace, "_MAX_KEPT_SHARE", share), \
+                mock.patch.object(beamspace, "peak_sweep",
+                                  wraps=beamspace.peak_sweep) as sweeps, \
+                mock.patch.object(beamspace, "tentative_peak",
+                                  wraps=beamspace.tentative_peak) as tentative:
+            found = greedy_extract(resp, spec, 48)
+        if share:
+            assert 1 + sweeps.call_count <= math.ceil(48 / 16) + 1
+        else:  # every pick after the first sweeps
+            assert 1 + sweeps.call_count == 48
+        assert tentative.call_count == 48
+        assert_same_paths(found, oracle)
 
 
 @pytest.mark.parametrize("refine", [False, True])

@@ -521,24 +521,27 @@ def test_lattice_rhs_equals_batch_omp_oracle(
                             final_global_ls=False,
                             grid=GridSpec(os_aoa=os, os_aod=os, os_delay=os))
     iterations, commits, solved = [], [], []  # (commits so far, candidates)
-    pick, commit, solve = (beamspace._PendingPicks.candidates,
-                           beamspace._PendingPicks.commit, extract._solve)
+    pick, commit, solve = (extract._candidates,
+                           beamspace._PendingFootprints.append, extract._solve)
+    units = []  # the unit footprints of the last candidates
 
-    def counted_pick(self):
-        iterations.append((len(commits), pick(self)))
-        return iterations[-1][1]
+    def counted_pick(*args):
+        candidates, units[:], atoms = pick(*args)
+        iterations.append((len(commits), candidates))
+        return candidates, units, atoms
 
-    def counted_commit(self, index, gain):
+    def counted_commit(self, unit, gain):
+        index = [u is unit for u in units].index(True)
         commits.append(replace(iterations[-1][1][index], gain=gain))
-        commit(self, index, gain)
+        return commit(self, unit, gain)
 
     def first_solve(gram, rhs):  # later solves of an iteration drop duplicates
         if len(solved) < len(iterations):
             solved.append(rhs.copy())
         return solve(gram, rhs)
 
-    with mock.patch.object(beamspace._PendingPicks, "candidates", counted_pick), \
-            mock.patch.object(beamspace._PendingPicks, "commit", counted_commit), \
+    with mock.patch.object(extract, "_candidates", counted_pick), \
+            mock.patch.object(beamspace._PendingFootprints, "append", counted_commit), \
             mock.patch.object(extract, "_solve", first_solve):
         found, _ = greedy_ls(resp, cfg, xcfg)
     assert [p.gain for p in found] == [p.gain for p in commits]
