@@ -17,13 +17,17 @@ A grid made by ``beamspace_transform`` stores only the critically sampled
 AoD plane: the rows j = os_aod*q of each AoA row, n_aoa x n_tx x n_tau
 values.  Along an angle axis every oversampled point is a fixed
 interpolation of the critical samples (Sayeed, IEEE TSP 2002), so the other
-os_aod - 1 AoD cosets of an AoA row are one product of its stored plane
-with ``P = M_s M_0^-1`` (``BeamspaceGrid._interp``), where ``M_0`` and
-``M_s`` are the stored and the other rows of the grid's AoD lattice matrix
-and ``M_0^-1 = M_0^H / n_tx``.  Every pass derives those rows as it needs
-them, and ``.values`` materializes the whole lattice on access.  A grid
-built from an array stores every row and derives none, as does a grid at
-os_aod = 1; the same kernels serve both.
+os_aod - 1 AoD cosets of an AoA row are ``P = M_s M_0^-1`` times its
+stored plane, where ``M_0`` and ``M_s`` are the stored and the other rows
+of the grid's AoD lattice matrix and ``M_0^-1 = M_0^H / n_tx``.  On the
+uniform AoD axis ``P`` is a Dirichlet kernel, ``diag(post) R diag(pre)``
+with ``R`` real (``_coset_kernel``, ``BeamspaceGrid._kernel``), so the
+derived rows of a block are one real product with the stored rows times
+``pre``; the scans take magnitudes without ``post``, and the rows a pick
+reads get it.  Every pass derives those rows as it needs them, and
+``.values`` materializes the whole lattice on access.  A grid built from
+an array stores every row and derives none, as does a grid at os_aod = 1;
+the same kernels serve both.
 
 Every grid-wide pass after the transform is one blocked kernel,
 ``peak_sweep``: it subtracts rank-K footprint factors from the stored
@@ -54,6 +58,7 @@ configurable.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -120,7 +125,7 @@ class BeamspaceGrid:
 
     Storage contract: the grid stores ``_plane``, the AoD rows j =
     ``_step``*q of every AoA row (n_aoa x n_aod/``_step`` x n_tau values),
-    and derives the other rows from it with ``_interp``.
+    and derives the other rows from it with ``_kernel``.
     ``BeamspaceGrid(values, spec, config)`` stores the whole array (step 1,
     no derived rows; the sweep writes into it); ``beamspace_transform``
     stores the critically sampled plane, step os_aod.  ``values`` is the
@@ -144,11 +149,14 @@ class BeamspaceGrid:
         if self._step == 1:
             return self._plane
         n_aoa, n_stored, n_tau = self._plane.shape
+        real, pre, post = self._kernel
         full = np.empty(self.shape, dtype=complex)
         cosets = full.reshape(n_aoa, n_stored, self._step, n_tau)
         cosets[:, :, 0] = self._plane
         for i, plane in enumerate(self._plane):
-            cosets[i, :, 1:] = (self._interp @ plane).reshape(n_stored, -1, n_tau)
+            derived = (real @ (plane * pre[:, None]).view(float)).view(complex)
+            derived *= post[:, None]
+            cosets[i, :, 1:] = derived.reshape(n_stored, -1, n_tau)
         return full
 
     @property
@@ -170,9 +178,9 @@ class BeamspaceGrid:
         return self.spec._matrices(self.config)
 
     @cached_property
-    def _interp(self) -> np.ndarray | None:
-        "``_coset_interp`` of this grid's AoD matrix and step."
-        return _coset_interp(self._matrices[1], self._step)
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        "``_coset_kernel`` of this grid's AoD axis and step."
+        return _coset_kernel(self.config.n_tx, self._step)
 
     @cached_property
     def _lattice_rows(self) -> _LatticeRows:
@@ -194,18 +202,39 @@ class BeamspaceGrid:
         return PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
 
 
-def _coset_interp(m_tx: np.ndarray, step: int) -> np.ndarray | None:
-    """``P = M_s M_0^H / n_tx``, [n_stored*(step-1) x n_stored]: the derived
-    AoD rows j = step*q + s (s = 1..step-1, in (q, s) order) of an AoA row are
-    ``P`` times its stored rows, where ``M_0`` and ``M_s`` are the stored and
-    the derived rows of the AoD lattice matrix ``m_tx``.  ``M_0`` is n_tx x
-    n_tx with ``M_0 M_0^H = n_tx I``, so this is exact up to rounding.  None
-    at step 1, where no row is derived."""
+def _coset_kernel(n_tx: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(real, pre, post)``: the interpolator ``P = M_s M_0^H / n_tx`` of
+    the derived AoD rows j = step*q + s (s = 1..step-1, in (q, s) order) of
+    an AoA row from its stored rows q', as ``P = diag(post) real diag(pre)``,
+    where ``M_0`` and ``M_s`` are the stored and the derived rows of the AoD
+    lattice matrix (``M_0 M_0^H = n_tx I``).  On the uniform AoD axis ``P``
+    is a Dirichlet kernel, real up to one phase per stored and one per
+    derived row:
+
+        real[(q, s), q'] = (-1)^(q-q') sin(pi s/step)
+                           / (n_tx sin(pi (q - q' + s/step) / n_tx))
+        pre[q'] = exp(-j pi (n_tx-1) q' / n_tx)
+        post[j] = exp(+j pi (n_tx-1) j / (n_tx step))
+
+    ``real`` is float64 [n_tx*(step-1) x n_tx], so the derived rows of a
+    block cost one real product with the pre-scaled stored rows (half the
+    multiply-adds of a complex one), and their magnitudes need no ``post``
+    (|post| = 1).  The phases are reduced to [0, 2 pi) in integers; at
+    n_tx = 1 ``real`` is exactly 1 and both phases exactly 1.  None at step
+    1, where no row is derived."""
     if step == 1:
         return None
-    cosets = m_tx.reshape(-1, step, m_tx.shape[1])
-    return (cosets[:, 1:].reshape(-1, m_tx.shape[1])
-            @ cosets[:, 0].T.conj()) / m_tx.shape[1]
+    q = np.arange(n_tx)
+    u = np.arange(1, step) / step
+    d = q[:, None] - q  # q - q'
+    sign = np.where(d % 2, -1.0, 1.0)
+    real = (sign[:, None] * np.sin(np.pi * u)[:, None]
+            / (n_tx * np.sin(np.pi * (d[:, None] + u[:, None]) / n_tx)))
+    j = step * q[:, None] + np.arange(1, step)
+    pre = np.exp(-1j * np.pi * ((n_tx - 1) * q % (2 * n_tx)) / n_tx)
+    post = np.exp(1j * np.pi * ((n_tx - 1) * j.ravel() % (2 * n_tx * step))
+                  / (n_tx * step))
+    return real.reshape(-1, n_tx), pre, post
 
 
 def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
@@ -241,12 +270,12 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
     shape = (len(m_rx), len(m_tx), n_tau)
     each_block = peaks = None
     if row_peaks is not None:
-        interp = _coset_interp(m_tx, step)
+        kernel = _coset_kernel(cfg.n_tx, step)
         aoa_rows = _scan_rows(shape, step)
         peaks = [None] * len(m_rx)  # block peaks by first AoA row
 
         def each_block():
-            scan = _row_scan(interp, row_peaks, aoa_rows, cfg.n_tx, n_tau)
+            scan = _row_scan(kernel, row_peaks, aoa_rows, cfg.n_tx, n_tau)
 
             def scan_rows(first: int, rows: np.ndarray) -> None:
                 for i0 in range(0, len(rows), aoa_rows):
@@ -334,52 +363,63 @@ def _scan_rows(shape: tuple[int, int, int], step: int) -> int:
     return max(1, _BLOCK_ENTRIES // (shape[1] * shape[2] * step))
 
 
-def _block_magnitudes(interp: np.ndarray | None, aoa_rows: int, n_stored: int,
-                      n_tau: int):
+def _block_magnitudes(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+                      aoa_rows: int, n_stored: int, n_tau: int):
     """The step that the scans of a plane (``_row_scan``, ``pdp_marginals``)
     share, with one span's buffers: ``magnitudes(block)`` of the stored rows
     of up to ``aoa_rows`` AoA rows returns the magnitudes of those rows,
-    their derived rows (``interp`` times them; ``_coset_interp``) and those
-    rows' magnitudes, the last two None when nothing is derived, in the
-    buffers of the call."""
+    their derived rows before ``post`` and those rows' magnitudes, the last
+    two None when nothing is derived, in the buffers of the call.  With the
+    ``_coset_kernel`` ``(real, pre, post)``, each AoA row's stored rows
+    times ``pre`` go into one buffer, and ``real`` times it, one real
+    product on its float view, gives the derived rows without their
+    ``post`` phases, which leave the magnitudes as they are."""
     mag_buf = np.empty((aoa_rows, n_stored, n_tau))
-    if interp is not None:
-        derived_buf = np.empty((aoa_rows, len(interp), n_tau), dtype=complex)
-        derived_mag_buf = np.empty((aoa_rows, len(interp), n_tau))
+    if kernel is not None:
+        real, pre, _ = kernel
+        # ``pre`` along whole rows: a broadcast product allocates a buffer
+        pre = np.repeat(pre[:, None], n_tau, axis=1)
+        scaled = np.empty((n_stored, n_tau), dtype=complex)
+        derived_buf = np.empty((aoa_rows, len(real), n_tau), dtype=complex)
+        derived_mag_buf = np.empty((aoa_rows, len(real), n_tau))
 
     def magnitudes(block: np.ndarray):
         b = len(block)
         mag = np.abs(block, out=mag_buf[:b])
-        if interp is None:
+        if kernel is None:
             return mag, None, None
-        derived = np.matmul(interp, block, out=derived_buf[:b])
+        derived = derived_buf[:b]
+        for rows, out in zip(block, derived):
+            np.multiply(rows, pre, out=scaled)
+            np.matmul(real, scaled.view(float), out=out.view(float))
         return mag, derived, np.abs(derived, out=derived_mag_buf[:b])
 
     return magnitudes
 
 
-def _row_scan(interp: np.ndarray | None, row_peaks: np.ndarray, aoa_rows: int,
-              n_stored: int, n_tau: int):
+def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+              row_peaks: np.ndarray, aoa_rows: int, n_stored: int, n_tau: int):
     """The read-only scan of ``peak_sweep``, with one span's scratch buffers.
 
     ``scan(i0, block)`` takes the stored rows of AoA rows i0..i0+b-1 (``block``,
     [b x n_stored x n_tau], b <= ``aoa_rows``), derives their other AoD rows
-    and takes the magnitudes (``_block_magnitudes``), writes the maximum
-    magnitude of every (AoA, AoD) row into ``row_peaks`` (one float per row
-    of the ``(aoa*aod, delay)`` view) and returns the block's peak as
-    (magnitude, flat lattice index, value): the first maximum in (aoa, aod,
-    delay) order over stored and derived rows together.
+    with the ``_coset_kernel`` ``kernel`` and takes the magnitudes
+    (``_block_magnitudes``), writes the maximum magnitude of every (AoA,
+    AoD) row into ``row_peaks`` (one float per row of the ``(aoa*aod,
+    delay)`` view) and returns the block's peak as (magnitude, flat lattice
+    index, value): the first maximum in (aoa, aod, delay) order over stored
+    and derived rows together.  Only that value gets its row's ``post``.
     """
-    step = 1 if interp is None else len(interp) // n_stored + 1
+    step = 1 if kernel is None else len(kernel[0]) // n_stored + 1
     n_aod = n_stored * step
     by_coset = row_peaks.reshape(-1, n_stored, step)
-    magnitudes = _block_magnitudes(interp, aoa_rows, n_stored, n_tau)
+    magnitudes = _block_magnitudes(kernel, aoa_rows, n_stored, n_tau)
 
     def scan(i0: int, block: np.ndarray) -> tuple[float, int, complex]:
         b = len(block)
         mag, derived, derived_mag = magnitudes(block)
         np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
-        if interp is not None:
+        if kernel is not None:
             np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
                    out=by_coset[i0:i0 + b, :, 1:])
         # the first row holding the block's maximum holds its first peak;
@@ -389,11 +429,11 @@ def _row_scan(interp: np.ndarray | None, row_peaks: np.ndarray, aoa_rows: int,
         q, s = divmod(j, step)
         if s:
             c = q * (step - 1) + s - 1
-            row, row_mag = derived[i, c], derived_mag[i, c]
+            row, row_mag, phase = derived[i, c], derived_mag[i, c], kernel[2][c]
         else:
-            row, row_mag = block[i, q], mag[i, q]
+            row, row_mag, phase = block[i, q], mag[i, q], 1
         k = int(row_mag.argmax())
-        return float(row_mag[k]), (i0 * n_aod + r) * n_tau + k, complex(row[k])
+        return float(row_mag[k]), (i0 * n_aod + r) * n_tau + k, complex(row[k] * phase)
 
     return scan
 
@@ -410,13 +450,13 @@ def peak_sweep(
     ``(aoa*aod, delay)`` view of the whole lattice).  Walks blocks of AoA
     rows of the stored plane.  Each block gets all footprints subtracted
     from its stored rows as one rank-K product, written back; then its
-    derived rows are made from them (one product with ``grid._interp``),
-    and the magnitudes and maxima of every (AoA, AoD) row are taken, by
-    the read-only ``_row_scan``.  The block's peak is the first maximum in
-    (aoa, aod, delay) order over stored and derived rows together, and the
-    first strict maximum over the blocks is kept, so exact magnitude ties
-    resolve to the lowest index triple, as in ``np.argmax`` over the whole
-    lattice.  The row maxima go into ``row_peaks`` (one float per row of the
+    derived rows are made from them (one real product with
+    ``grid._kernel``; ``_block_magnitudes``), and the magnitudes and maxima
+    of every (AoA, AoD) row are taken, by the read-only ``_row_scan``.  The
+    block's peak is the first maximum in (aoa, aod, delay) order over
+    stored and derived rows together, and the first strict maximum over the
+    blocks is kept, so exact magnitude ties resolve to the lowest index
+    triple, as in ``np.argmax`` over the whole lattice.  The row maxima go into ``row_peaks`` (one float per row of the
     view) if it is given, for ``tentative_peak``.  The stored plane must be
     C-contiguous when there are footprints (ValueError otherwise, before
     anything is written); with none it is only read.  A large grid's blocks
@@ -446,7 +486,7 @@ def peak_sweep(
         left = left.reshape(n_aoa, n_aod, -1)[:, ::step]
     if row_peaks is None:
         row_peaks = np.empty(n_aoa * n_aod)
-    interp = grid._interp
+    kernel = grid._kernel
     aoa_rows = _scan_rows(grid.shape, step)
     if footprints:
         grid.__dict__.pop("_lattice_rows", None)  # made from the plane before
@@ -454,7 +494,7 @@ def peak_sweep(
     def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
         """(magnitude, flat index, value) of each block's first peak, up to
         and including the first whose magnitude is not finite."""
-        scan = _row_scan(interp, row_peaks, aoa_rows, n_stored, n_tau)
+        scan = _row_scan(kernel, row_peaks, aoa_rows, n_stored, n_tau)
         kernel_buf = np.empty((aoa_rows * n_stored, n_tau), dtype=complex)
         peaks = []
         # an inf value makes NaNs in the products: the merge names it
@@ -502,12 +542,13 @@ class _LatticeRows:
     Between two writes of the plane, greedy-LS's tentative picks read the
     same few rows again and again (about 15 reads per derived row at the
     paper protocol).  ``gather`` keeps every row it is asked for in
-    ``values``: a stored row is copied from the plane, and a derived row is
-    made with one product of ``grid._interp``'s rows and the stored plane
-    per AoA row.  ``index`` maps a lattice row to its slot, or -1.  At most
-    ``limit`` rows (``_HELD_ENTRIES`` values, or one row if more) are held;
-    a call that needs more room first drops them all, and a call asks for
-    at most ``limit`` rows.
+    ``values``: a stored row is copied from the plane, and the derived rows
+    of an AoA row are one product of the stored plane with their rows of
+    ``P``, formed as ``post * real * pre`` from ``grid._kernel``.  ``index``
+    maps a lattice row to its slot, or -1.  At most ``limit`` rows
+    (``_HELD_ENTRIES`` values, or one row if more) are held; a call that
+    needs more room first drops them all, and a call asks for at most
+    ``limit`` rows.
     """
 
     def __init__(self, grid: BeamspaceGrid):
@@ -538,12 +579,16 @@ class _LatticeRows:
         aoa, aod = np.divmod(rows, n_stored * step)
         q, s = np.divmod(aod, step)
         derived, stored = np.flatnonzero(s), np.flatnonzero(s == 0)
-        # derived rows first, one product per AoA row, then the stored rows
-        interp = grid._interp[q[derived] * (step - 1) + s[derived] - 1]
+        # derived rows first, one product per AoA row with their few rows of
+        # ``P`` formed from the kernel (cheaper than pre-scaling the plane),
+        # then the stored rows
+        real, pre, post = grid._kernel
+        c = q[derived] * (step - 1) + s[derived] - 1
+        coef = post[c, None] * real[c] * pre
         planes, firsts = np.unique(aoa[derived], return_index=True)
         firsts = firsts.tolist()
         for i, lo, hi in zip(planes.tolist(), firsts, firsts[1:] + [len(derived)]):
-            np.matmul(interp[lo:hi], grid._plane[i], out=self.values[start + lo:start + hi])
+            np.matmul(coef[lo:hi], grid._plane[i], out=self.values[start + lo:start + hi])
         middle = start + len(derived)
         np.take(grid._plane.reshape(-1, n_tau), aoa[stored] * n_stored + q[stored],
                 axis=0, out=self.values[middle:stop])
@@ -624,20 +669,22 @@ class _PendingFootprints:
     into it: the one picker of greedy-LS, SAGE and ``greedy_extract``.
 
     The grid is ``beamspace_transform`` of the response, which records the
-    row peaks: the first of the grid passes that ``sweeps`` counts.  A
-    footprint is a column of the factors ``left`` and ``right``, a path's
-    ``unit`` footprint times a gain, with its row bound ``bounds[column]``,
-    |gain| times the unit's.  The first ``pending`` columns are not yet
-    written (``append``); a caller may ``put`` more after them for its
-    picks.  The arrays, allocated once, have ``_MAX_PENDING`` + ``extra``
-    columns.
+    row peaks: the first of the grid passes that ``sweeps`` counts and whose
+    wall seconds ``pass_s`` sums.  A footprint is a column of the factors
+    ``left`` and ``right``, a path's ``unit`` footprint times a gain, with
+    its row bound ``bounds[column]``, |gain| times the unit's.  The first
+    ``pending`` columns are not yet written (``append``); a caller may
+    ``put`` more after them for its picks.  The arrays, allocated once, have
+    ``_MAX_PENDING`` + ``extra`` columns.
     """
 
     def __init__(self, response: FrequencyResponse, spec: GridSpec, extra: int):
         config = response.config
         n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
         self.row_peaks = np.empty(n_rows)
+        start = time.perf_counter()
         self.grid = beamspace_transform(response, spec, self.row_peaks)
+        self.pass_s = time.perf_counter() - start
         columns = _MAX_PENDING + extra
         self.left = np.empty((n_rows, columns), dtype=complex)
         self.right = np.empty((columns, self.grid.shape[2]), dtype=complex)
@@ -694,7 +741,9 @@ class _PendingFootprints:
         factors, reach, floor = self._bound(n, near)
         if n and n == self.pending and (n >= _MAX_PENDING or len(_bound_rows(
                 self.row_peaks, reach, floor)) > _MAX_KEPT_SHARE * len(reach)):
+            start = time.perf_counter()
             peak_sweep(self.grid, factors, self.row_peaks)
+            self.pass_s += time.perf_counter() - start
             self.sweeps += 1
             self.pending = 0
             factors, reach, floor = self._bound(0, near)
@@ -702,10 +751,16 @@ class _PendingFootprints:
             self.grid, factors, self.row_peaks, reach, floor), refine, factors)
 
 
+# curvature, relative to the samples, below which a parabola is flat: far
+# above rounding (equal rows that rounding made differ), far below a peak's
+_FLAT_CURVATURE = 1e-12
+
+
 def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
-    "Vertex offset in [-0.5, 0.5] grid steps of the parabola through 3 samples."
+    """Vertex offset in [-0.5, 0.5] grid steps of the parabola through 3
+    samples; 0 unless it is a proper local maximum, curved beyond rounding."""
     denom = y_lo - 2.0 * y_0 + y_hi
-    if denom >= 0:  # not a proper local maximum
+    if denom >= -_FLAT_CURVATURE * (abs(y_lo) + 2.0 * abs(y_0) + abs(y_hi)):
         return 0.0
     return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
 
@@ -719,7 +774,9 @@ def _point_value(grid: BeamspaceGrid, a: int, b: int, c: int,
     plane, step = grid._plane, grid._step
     q, s = divmod(b, step)
     if s:
-        value = grid._interp[q * (step - 1) + s - 1] @ plane[a, :, c]
+        real, pre, post = grid._kernel
+        k = q * (step - 1) + s - 1
+        value = post[k] * (real[k] @ (pre * plane[a, :, c]))
     else:
         value = plane[a, q, c]
     if factors is not None:
@@ -790,14 +847,14 @@ def pdp_marginals(
     cfg = response.config
     m_rx, m_tx, m_f = spec._matrices(cfg)
     step, n_tau = spec.os_aod, m_f.shape[1]
-    interp = _coset_interp(m_tx, step)
+    kernel = _coset_kernel(cfg.n_tx, step)
     aoa_rows = _scan_rows((len(m_rx), len(m_tx), n_tau), step)
     aoa_aod = np.empty((len(m_rx), len(m_tx)))
     aoa_delay = np.empty((len(m_rx), n_tau))
     by_coset = aoa_aod.reshape(len(m_rx), cfg.n_tx, step)
 
     def each_block():
-        magnitudes = _block_magnitudes(interp, aoa_rows, cfg.n_tx, n_tau)
+        magnitudes = _block_magnitudes(kernel, aoa_rows, cfg.n_tx, n_tau)
 
         def accumulate(first: int, rows: np.ndarray) -> None:
             for i in range(first, first + len(rows), aoa_rows):
@@ -806,7 +863,7 @@ def pdp_marginals(
                 power = np.square(mag, out=mag)
                 power.sum(axis=2, out=by_coset[i:i + b, :, 0])
                 power.sum(axis=1, out=aoa_delay[i:i + b])
-                if interp is not None:
+                if kernel is not None:
                     power = np.square(derived_mag, out=derived_mag)
                     power.reshape(b, cfg.n_tx, step - 1, n_tau).sum(
                         axis=3, out=by_coset[i:i + b, :, 1:])

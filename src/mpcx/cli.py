@@ -290,10 +290,10 @@ def cmd_extract(args) -> int:
     t0 = time.perf_counter()
     with _run_lock(out_dir):
         paths, trace = greedy_ls(response, config, xcfg)
-        sweep_errors, sage_s, sage_sweeps = [], 0.0, 0
+        sweep_errors, sage_s, sage_sweeps, sage_pass_s = [], 0.0, 0, 0.0
         if args.sage_sweeps > 0 and paths:
             t_sage = time.perf_counter()
-            paths, sweep_errors, sage_sweeps = _sage_refine(
+            paths, sweep_errors, sage_sweeps, sage_pass_s = _sage_refine(
                 response, paths, config, spec, args.sage_sweeps)
             sage_s = time.perf_counter() - t_sage
         error = reconstruction_error(synthesize_response(config, paths), response)
@@ -321,11 +321,12 @@ def cmd_extract(args) -> int:
         _record_timing(out_dir, "extract", time.perf_counter() - t0,
                        extract_full_sweeps=trace.full_sweeps,
                        sage_full_sweeps=sage_sweeps, sage_s=sage_s,
+                       grid_pass_s=trace.grid_pass_s, sage_grid_pass_s=sage_pass_s,
                        grid_bytes=spec._plane_bytes(config),
                        peak_rss_mb=_peak_rss_mb(), **_blas_facts())
-    logger.info("extract: committed %d paths in %d grid passes, SAGE made %d, "
-                "normalized error %.3e", len(paths), trace.full_sweeps, sage_sweeps,
-                error)
+    logger.info("extract: committed %d paths in %d grid passes (%.2f s), SAGE made "
+                "%d (%.2f s), normalized error %.3e", len(paths), trace.full_sweeps,
+                trace.grid_pass_s, sage_sweeps, sage_pass_s, error)
     return EXIT_OK
 
 

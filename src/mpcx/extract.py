@@ -94,6 +94,9 @@ class ExtractionTrace:
     dropped_duplicates: int = 0
     # grid passes, the transform's included; the other picks were tentative
     full_sweeps: int = 0
+    # wall seconds of those passes: telemetry, which no artifact but
+    # timings.json holds
+    grid_pass_s: float = 0.0
     stop_reason: str = ""  # "k_dom", "residual_stop" or "exhausted" (nothing to pick)
 
 
@@ -357,7 +360,7 @@ def greedy_ls(
             trace.residual_power.append(power)
             trace.committed_gain_power.append(abs(alpha) ** 2)
 
-    trace.full_sweeps = picks.sweeps
+    trace.full_sweeps, trace.grid_pass_s = picks.sweeps, picks.pass_s
     if xcfg.final_global_ls and committed:
         committed = _global_refit(response, committed, cfg, trace)
     return committed, trace
@@ -451,9 +454,9 @@ def sage_refine(
 
 def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
                  config: SounderConfig, spec: GridSpec,
-                 sweeps: int) -> tuple[list[PathParams], list[float], int]:
+                 sweeps: int) -> tuple[list[PathParams], list[float], int, float]:
     """``sage_refine``, and the grid passes of its picker, the transform's
-    included."""
+    included, and their wall seconds."""
     if not paths:
         raise ValueError("path list must be non-empty")
     if sweeps < 1:
@@ -478,4 +481,4 @@ def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
             current[k] = new
         errors.append(reconstruction_error(synthesize_response(config, current),
                                            response))
-    return current, errors, picks.sweeps
+    return current, errors, picks.sweeps, picks.pass_s

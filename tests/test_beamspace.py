@@ -197,6 +197,26 @@ def test_grid_spec_validation():
         GridSpec(os_aoa=0)
 
 
+def test_coset_kernel_matches_the_aod_lattice():
+    """A transform grid's ``(real, pre, post)`` kernel is the interpolator
+    ``M_s M_0^H / n_tx`` of its own AoD lattice matrix, with ``real`` real:
+    its derived rows j = os*q + s in (q, s) order, from the stored rows q'."""
+    for n_tx in range(1, 41):
+        cfg = SounderConfig(n_tx=n_tx, n_rx=1, bandwidth_hz=1e9, n_freq=1)
+        for os_aod in range(2, 7):
+            spec = GridSpec(os_aoa=1, os_aod=os_aod, os_delay=1)
+            grid = beamspace_transform(
+                FrequencyResponse(values=np.zeros((1, n_tx, 1), dtype=complex),
+                                  config=cfg), spec)
+            real, pre, post = grid._kernel
+            assert real.dtype == np.float64
+            cosets = grid._matrices[1].reshape(n_tx, os_aod, n_tx)
+            interp = cosets[:, 1:].reshape(-1, n_tx) @ cosets[:, 0].T.conj() / n_tx
+            assert np.max(np.abs(post[:, None] * real * pre - interp)) <= 1e-13
+            if n_tx == 1:
+                assert np.all(real == 1)
+
+
 def fft_transform_oracle(response, spec):
     "The transform evaluated with zero-padded FFTs along each axis."
     cfg = response.config

@@ -145,6 +145,28 @@ def test_sage_grid_passes_go_to_the_timings_sidecar_only(run_dir, tmp_path):
                    for p in out.glob("*.txt"))
 
 
+def test_grid_pass_seconds_go_to_the_timings_sidecar_only(run_dir, tmp_path):
+    """Extract writes the wall seconds of greedy-LS's and SAGE's grid passes
+    (transform and full sweeps) as ``grid_pass_s`` and ``sage_grid_pass_s``
+    to timings.json: floats >= 0 that fit in the stage's own time, and 0.0
+    for SAGE without ``--sage-sweeps``.  No text or CSV artifact names
+    them."""
+    keys = ("grid_pass_s", "sage_grid_pass_s")
+    timings = fileio.load_timings(run_dir / "timings.json")
+    assert type(timings["grid_pass_s"]) is float and timings["sage_grid_pass_s"] == 0.0
+    out = tmp_path / "sage"
+    shutil.copytree(run_dir, out)
+    assert main(["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                 "--kdom", "24", "--residual-stop", "0", "--sage-sweeps", "1",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    timings = fileio.load_timings(out / "timings.json")
+    assert all(type(timings[key]) is float and timings[key] >= 0 for key in keys)
+    assert timings["grid_pass_s"] + timings["sage_grid_pass_s"] <= timings["extract"]
+    artifacts = [*out.glob("*.txt"), *out.glob("*.csv")]
+    assert artifacts and not any(key in p.read_text(encoding="utf-8")
+                                 for key in keys for p in artifacts)
+
+
 def test_trace_is_monotone(run_dir):
     rows = fileio.load_trace_csv(run_dir / "trace.csv")
     dbs = [db for _, db in rows]

@@ -217,6 +217,9 @@ def assert_same_peak(got, dense, scale):
        os_delay=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        n_paths=st.integers(0, 3), pending=st.integers(1, 3), on_grid=st.booleans(),
        block=st.integers(1, 200))
+# one tx antenna: every AoD row is the same, so the AoD parabola is flat
+@example(n_rx=5, n_tx=1, n_freq=5, os_aoa=1, os_aod=3, os_delay=1, seed=328195,
+         n_paths=0, pending=1, on_grid=True, block=1)
 def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_aod,
                                                 os_delay, seed, n_paths, pending,
                                                 on_grid, block):
