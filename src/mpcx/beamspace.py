@@ -23,11 +23,14 @@ of the grid's AoD lattice matrix and ``M_0^-1 = M_0^H / n_tx``.  On the
 uniform AoD axis ``P`` is a Dirichlet kernel, ``diag(post) R diag(pre)``
 with ``R`` real (``_coset_kernel``, ``BeamspaceGrid._kernel``), so the
 derived rows of a block are one real product with the stored rows times
-``pre``; the scans take magnitudes without ``post``, and the rows a pick
-reads get it.  Every pass derives those rows as it needs them, and
-``.values`` materializes the whole lattice on access.  A grid built from
-an array stores every row and derives none, as does a grid at os_aod = 1;
-the same kernels serve both.
+``pre``; the scans take magnitudes without ``post``.  The kernel is
+applied in two places: a full pass (``_row_scan``) derives every row of a
+block, and the row cache (``_LatticeRows``) derives the rows that are read
+outside one, each as ``post * real * pre`` times its AoA row's plane:
+``tentative_peak``, ``_point_value`` and ``.values``, which materializes
+the whole lattice on access.  A grid built from an array stores every row
+and derives none, as does a grid at os_aod = 1; its row cache is the plane
+itself.
 
 Every grid-wide pass after the transform is one blocked kernel,
 ``peak_sweep``: it subtracts rank-K footprint factors from the stored
@@ -36,13 +39,14 @@ read-only scan (``_row_scan``) derives the other AoD rows and finds the
 peak magnitude over all rows in the same pass; it can also record each
 (AoA, AoD) row's peak magnitude.  The transform runs the same scan on each
 block of the plane as it makes it when asked for the row peaks, so
-greedy-LS's first row peaks cost no second pass; ``pdp_marginals`` sums its
-power maps from the same blocks and keeps no grid.
+greedy-LS's first row peaks cost no second pass.  ``pdp_marginals`` sums
+its power maps from the same blocks by Parseval, from the stored rows
+alone, and keeps no grid.
 ``tentative_peak`` finds the peak of the grid minus further footprints
 without writing: with those row peaks and a bound on each row's footprint
 it evaluates only the few rows that can hold the peak.
 
-Greedy-LS's commits, SAGE's path updates and ``greedy_extract``'s picks
+Greedy-LS's commits (``greedy_extract``'s too) and SAGE's path updates
 stay pending factors of one picker (``_PendingFootprints``), whose
 ``pick`` alone chooses between a full sweep and a tentative pick: a sweep
 once 16 are pending or their bound keeps more than 5% of the rows.
@@ -145,18 +149,18 @@ class BeamspaceGrid:
 
     @property
     def values(self) -> np.ndarray:
-        "The whole lattice: the stored array, or a new one with the derived rows."
+        """The whole lattice: the stored array, or a new one filled from a
+        fresh ``_LatticeRows``, ``limit`` rows a call."""
         if self._step == 1:
             return self._plane
-        n_aoa, n_stored, n_tau = self._plane.shape
-        real, pre, post = self._kernel
+        rows = _LatticeRows(self)
+        n_aoa, n_aod, n_tau = self.shape
         full = np.empty(self.shape, dtype=complex)
-        cosets = full.reshape(n_aoa, n_stored, self._step, n_tau)
-        cosets[:, :, 0] = self._plane
-        for i, plane in enumerate(self._plane):
-            derived = (real @ (plane * pre[:, None]).view(float)).view(complex)
-            derived *= post[:, None]
-            cosets[i, :, 1:] = derived.reshape(n_stored, -1, n_tau)
+        flat = full.reshape(n_aoa * n_aod, n_tau)
+        for r0 in range(0, len(flat), rows.limit):
+            part = np.arange(r0, min(r0 + rows.limit, len(flat)))
+            values, slots = rows.gather(self, part)
+            np.take(values, slots, axis=0, out=flat[r0:r0 + len(part)])
         return full
 
     @property
@@ -184,8 +188,8 @@ class BeamspaceGrid:
 
     @cached_property
     def _lattice_rows(self) -> _LatticeRows:
-        """Lattice rows of the plane as it stands, for ``tentative_peak``; a
-        ``peak_sweep`` that writes the plane drops them."""
+        """Lattice rows of the plane as it stands, for ``tentative_peak`` and
+        ``_point_value``; a ``peak_sweep`` that writes the plane drops them."""
         return _LatticeRows(self)
 
     def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool = False,
@@ -363,63 +367,44 @@ def _scan_rows(shape: tuple[int, int, int], step: int) -> int:
     return max(1, _BLOCK_ENTRIES // (shape[1] * shape[2] * step))
 
 
-def _block_magnitudes(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-                      aoa_rows: int, n_stored: int, n_tau: int):
-    """The step that the scans of a plane (``_row_scan``, ``pdp_marginals``)
-    share, with one span's buffers: ``magnitudes(block)`` of the stored rows
-    of up to ``aoa_rows`` AoA rows returns the magnitudes of those rows,
-    their derived rows before ``post`` and those rows' magnitudes, the last
-    two None when nothing is derived, in the buffers of the call.  With the
-    ``_coset_kernel`` ``(real, pre, post)``, each AoA row's stored rows
-    times ``pre`` go into one buffer, and ``real`` times it, one real
-    product on its float view, gives the derived rows without their
-    ``post`` phases, which leave the magnitudes as they are."""
-    mag_buf = np.empty((aoa_rows, n_stored, n_tau))
-    if kernel is not None:
-        real, pre, _ = kernel
-        # ``pre`` along whole rows: a broadcast product allocates a buffer
-        pre = np.repeat(pre[:, None], n_tau, axis=1)
-        scaled = np.empty((n_stored, n_tau), dtype=complex)
-        derived_buf = np.empty((aoa_rows, len(real), n_tau), dtype=complex)
-        derived_mag_buf = np.empty((aoa_rows, len(real), n_tau))
-
-    def magnitudes(block: np.ndarray):
-        b = len(block)
-        mag = np.abs(block, out=mag_buf[:b])
-        if kernel is None:
-            return mag, None, None
-        derived = derived_buf[:b]
-        for rows, out in zip(block, derived):
-            np.multiply(rows, pre, out=scaled)
-            np.matmul(real, scaled.view(float), out=out.view(float))
-        return mag, derived, np.abs(derived, out=derived_mag_buf[:b])
-
-    return magnitudes
-
-
 def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
               row_peaks: np.ndarray, aoa_rows: int, n_stored: int, n_tau: int):
     """The read-only scan of ``peak_sweep``, with one span's scratch buffers.
 
     ``scan(i0, block)`` takes the stored rows of AoA rows i0..i0+b-1 (``block``,
     [b x n_stored x n_tau], b <= ``aoa_rows``), derives their other AoD rows
-    with the ``_coset_kernel`` ``kernel`` and takes the magnitudes
-    (``_block_magnitudes``), writes the maximum magnitude of every (AoA,
-    AoD) row into ``row_peaks`` (one float per row of the ``(aoa*aod,
-    delay)`` view) and returns the block's peak as (magnitude, flat lattice
-    index, value): the first maximum in (aoa, aod, delay) order over stored
-    and derived rows together.  Only that value gets its row's ``post``.
+    with the ``_coset_kernel`` ``kernel`` ``(real, pre, post)``: each AoA
+    row's stored rows times ``pre`` go into one buffer, and ``real`` times
+    it, one real product on its float view, gives the derived rows without
+    their ``post`` phases, which leave the magnitudes as they are.  It
+    writes the maximum magnitude of every (AoA, AoD) row into ``row_peaks``
+    (one float per row of the ``(aoa*aod, delay)`` view) and returns the
+    block's peak as (magnitude, flat lattice index, value): the first
+    maximum in (aoa, aod, delay) order over stored and derived rows
+    together.  Only that value gets its row's ``post``.
     """
     step = 1 if kernel is None else len(kernel[0]) // n_stored + 1
     n_aod = n_stored * step
     by_coset = row_peaks.reshape(-1, n_stored, step)
-    magnitudes = _block_magnitudes(kernel, aoa_rows, n_stored, n_tau)
+    mag_buf = np.empty((aoa_rows, n_stored, n_tau))
+    if kernel is not None:
+        real, pre, post = kernel
+        # ``pre`` along whole rows: a broadcast product allocates a buffer
+        pre = np.repeat(pre[:, None], n_tau, axis=1)
+        scaled = np.empty((n_stored, n_tau), dtype=complex)
+        derived_buf = np.empty((aoa_rows, len(real), n_tau), dtype=complex)
+        derived_mag_buf = np.empty((aoa_rows, len(real), n_tau))
 
     def scan(i0: int, block: np.ndarray) -> tuple[float, int, complex]:
         b = len(block)
-        mag, derived, derived_mag = magnitudes(block)
+        mag = np.abs(block, out=mag_buf[:b])
         np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
         if kernel is not None:
+            derived = derived_buf[:b]
+            for rows, out in zip(block, derived):
+                np.multiply(rows, pre, out=scaled)
+                np.matmul(real, scaled.view(float), out=out.view(float))
+            derived_mag = np.abs(derived, out=derived_mag_buf[:b])
             np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
                    out=by_coset[i0:i0 + b, :, 1:])
         # the first row holding the block's maximum holds its first peak;
@@ -429,7 +414,7 @@ def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
         q, s = divmod(j, step)
         if s:
             c = q * (step - 1) + s - 1
-            row, row_mag, phase = derived[i, c], derived_mag[i, c], kernel[2][c]
+            row, row_mag, phase = derived[i, c], derived_mag[i, c], post[c]
         else:
             row, row_mag, phase = block[i, q], mag[i, q], 1
         k = int(row_mag.argmax())
@@ -451,18 +436,18 @@ def peak_sweep(
     rows of the stored plane.  Each block gets all footprints subtracted
     from its stored rows as one rank-K product, written back; then its
     derived rows are made from them (one real product with
-    ``grid._kernel``; ``_block_magnitudes``), and the magnitudes and maxima
-    of every (AoA, AoD) row are taken, by the read-only ``_row_scan``.  The
-    block's peak is the first maximum in (aoa, aod, delay) order over
-    stored and derived rows together, and the first strict maximum over the
-    blocks is kept, so exact magnitude ties resolve to the lowest index
-    triple, as in ``np.argmax`` over the whole lattice.  The row maxima go into ``row_peaks`` (one float per row of the
-    view) if it is given, for ``tentative_peak``.  The stored plane must be
-    C-contiguous when there are footprints (ValueError otherwise, before
-    anything is written); with none it is only read.  A large grid's blocks
-    run in contiguous spans on ``pool.run_blocks``; each span lists its
-    blocks' peaks and one merge walks them in block order, so the peak does
-    not depend on the split.
+    ``grid._kernel``), and the magnitudes and maxima of every (AoA, AoD)
+    row are taken, by the read-only ``_row_scan``.  The block's peak is the
+    first maximum in (aoa, aod, delay) order over stored and derived rows
+    together, and the first strict maximum over the blocks is kept, so
+    exact magnitude ties resolve to the lowest index triple, as in
+    ``np.argmax`` over the whole lattice.  The row maxima go into
+    ``row_peaks`` (one float per row of the view) if it is given, for
+    ``tentative_peak``.  The stored plane must be C-contiguous when there
+    are footprints (ValueError otherwise, before anything is written); with
+    none it is only read.  A large grid's blocks run in contiguous spans on
+    ``pool.run_blocks``; each span lists its blocks' peaks and one merge
+    walks them in block order, so the peak does not depend on the split.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
@@ -537,27 +522,36 @@ _HELD_ENTRIES = 1 << 20
 
 
 class _LatticeRows:
-    """Rows of a grid's lattice as the stored plane stands, each made once.
+    """Rows of a grid's lattice as the stored plane stands, each made once:
+    the one reader of lattice rows outside a full pass (``tentative_peak``,
+    ``_point_value`` and ``BeamspaceGrid.values``).
 
     Between two writes of the plane, greedy-LS's tentative picks read the
     same few rows again and again (about 15 reads per derived row at the
     paper protocol).  ``gather`` keeps every row it is asked for in
-    ``values``: a stored row is copied from the plane, and the derived rows
-    of an AoA row are one product of the stored plane with their rows of
-    ``P``, formed as ``post * real * pre`` from ``grid._kernel``.  ``index``
-    maps a lattice row to its slot, or -1.  At most ``limit`` rows
-    (``_HELD_ENTRIES`` values, or one row if more) are held; a call that
-    needs more room first drops them all, and a call asks for at most
-    ``limit`` rows.
+    ``values``: a stored row is copied from the plane, and a derived row is
+    its row of ``P``, formed as ``post * real * pre`` from ``grid._kernel``,
+    times its AoA row's stored plane, with the same bits whatever rows are
+    made with it.  ``index`` maps a lattice row to its slot, or -1.  At most
+    ``limit`` rows (``_HELD_ENTRIES`` values, or the five rows of a
+    ``_refine_peak`` if more) are held; a call that needs more room first
+    drops them all, and a call asks for at most ``limit`` rows.  On a grid
+    that derives no row, ``values`` is the plane itself, a view of its
+    rows, and ``index`` the identity: nothing is made.
     """
 
     def __init__(self, grid: BeamspaceGrid):
         n_aoa, n_aod, n_tau = grid.shape
+        self.count = 0
+        if grid._step == 1:
+            self.values = grid._plane.reshape(n_aoa * n_aod, n_tau)
+            self.index = np.arange(n_aoa * n_aod)
+            self.limit = max(1, len(self.index))
+            return
         self.index = np.full(n_aoa * n_aod, -1)
-        self.limit = max(1, min(n_aoa * n_aod, _HELD_ENTRIES // n_tau))
+        self.limit = min(max(1, n_aoa * n_aod), max(5, _HELD_ENTRIES // n_tau))
         # pages that no row is written to are never touched
         self.values = np.empty((self.limit, n_tau), dtype=complex)
-        self.count = 0
 
     def gather(self, grid: BeamspaceGrid,
                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -579,16 +573,19 @@ class _LatticeRows:
         aoa, aod = np.divmod(rows, n_stored * step)
         q, s = np.divmod(aod, step)
         derived, stored = np.flatnonzero(s), np.flatnonzero(s == 0)
-        # derived rows first, one product per AoA row with their few rows of
-        # ``P`` formed from the kernel (cheaper than pre-scaling the plane),
-        # then the stored rows
+        # derived rows first, each its row of ``P`` formed from the kernel
+        # (cheaper than pre-scaling the plane) times its AoA row's plane: one
+        # vector-matrix product per row, stacked per AoA row, so a row's bits
+        # do not depend on the rows made with it (a matrix product of several
+        # rounds otherwise); then the stored rows
         real, pre, post = grid._kernel
         c = q[derived] * (step - 1) + s[derived] - 1
         coef = post[c, None] * real[c] * pre
         planes, firsts = np.unique(aoa[derived], return_index=True)
         firsts = firsts.tolist()
         for i, lo, hi in zip(planes.tolist(), firsts, firsts[1:] + [len(derived)]):
-            np.matmul(coef[lo:hi], grid._plane[i], out=self.values[start + lo:start + hi])
+            np.matmul(coef[lo:hi, None], grid._plane[i],
+                      out=self.values[start + lo:start + hi, None])
         middle = start + len(derived)
         np.take(grid._plane.reshape(-1, n_tau), aoa[stored] * n_stored + q[stored],
                 axis=0, out=self.values[middle:stop])
@@ -615,10 +612,9 @@ def tentative_peak(
     point, ``_point_value``), and only rows with ``(row_peaks[r] +
     reach[r]) * (1 + _BOUND_SLACK)`` at least that (or a NaN bound) are
     evaluated: in ascending order, in blocks of half the sweep's size, each
-    gathered by one ``np.take`` (from the stored plane, or from
-    ``grid._lattice_rows`` when the grid derives rows) and its footprints
-    subtracted in one call.  Ties, the all-zero result and the non-finite
-    ValueError are ``peak_sweep``'s.
+    gathered by one ``np.take`` from ``grid._lattice_rows`` and its
+    footprints subtracted in one call.  Ties, the all-zero result and the
+    non-finite ValueError are ``peak_sweep``'s.
     """
     plane = grid._plane
     if plane.size == 0:
@@ -633,17 +629,12 @@ def tentative_peak(
     kernel_buf = np.empty((rows, n_tau), dtype=complex)
     mag_buf = np.empty((rows, n_tau))
     row_buf = np.empty(rows)
-    if grid._step == 1:  # every row is stored: read the plane
-        part_rows, flat = max(1, len(kept)), plane.reshape(-1, n_tau)
-    else:
-        cache = grid._lattice_rows
-        part_rows = cache.limit
+    cache = grid._lattice_rows
 
     def peaks():
-        for p0 in range(0, len(kept), part_rows):
-            part = kept[p0:p0 + part_rows]
-            source, slots = ((flat, part) if grid._step == 1
-                             else cache.gather(grid, part))
+        for p0 in range(0, len(kept), cache.limit):
+            part = kept[p0:p0 + cache.limit]
+            source, slots = cache.gather(grid, part)
             for c0 in range(0, len(part), rows):
                 at = part[c0:c0 + rows]
                 n = len(at)
@@ -666,7 +657,7 @@ _MAX_KEPT_SHARE = 0.05
 
 class _PendingFootprints:
     """Peak picks on the grid of a response minus footprints not yet written
-    into it: the one picker of greedy-LS, SAGE and ``greedy_extract``.
+    into it: the one picker of greedy-LS (and so ``greedy_extract``) and SAGE.
 
     The grid is ``beamspace_transform`` of the response, which records the
     row peaks: the first of the grid passes that ``sweeps`` counts and whose
@@ -751,6 +742,20 @@ class _PendingFootprints:
             self.grid, factors, self.row_peaks, reach, floor), refine, factors)
 
 
+def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
+    """Bytes that a ``_PendingFootprints`` with ``extra`` columns allocates
+    for a response of ``config`` on ``spec``: the stored AoD plane, the
+    transform's AoD- and delay-transformed lines (n_rx x n_tx x
+    n_freq*os_delay complex128 values), the ``_MAX_PENDING`` + ``extra``
+    factor columns of n_aoa*n_aod complex128 values with their float64 row
+    bounds, and the cap of the lattice rows that its tentative picks hold
+    (``_HELD_ENTRIES`` values)."""
+    n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
+    return (spec._plane_bytes(config)
+            + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay
+            + (16 + 8) * n_rows * (_MAX_PENDING + extra) + 16 * _HELD_ENTRIES)
+
+
 # curvature, relative to the samples, below which a parabola is flat: far
 # above rounding (equal rows that rounding made differ), far below a peak's
 _FLAT_CURVATURE = 1e-12
@@ -765,22 +770,20 @@ def _parabolic_offset(y_lo: float, y_0: float, y_hi: float) -> float:
     return float(np.clip(0.5 * (y_lo - y_hi) / denom, -0.5, 0.5))
 
 
-def _point_value(grid: BeamspaceGrid, a: int, b: int, c: int,
-                 factors: tuple[np.ndarray, np.ndarray] | None = None) -> complex:
+def _point_value(grid: BeamspaceGrid, a: int | list[int], b: int | list[int],
+                 c: int | list[int],
+                 factors: tuple[np.ndarray, np.ndarray] | None = None):
     """Value at lattice index (a, b, c) of the grid minus the footprints of
     ``factors`` (their ``_kernel_factors``), if given, without writing the
-    grid: a stored value is read from the plane and a derived one is made
-    from its AoA row's plane."""
-    plane, step = grid._plane, grid._step
-    q, s = divmod(b, step)
-    if s:
-        real, pre, post = grid._kernel
-        k = q * (step - 1) + s - 1
-        value = post[k] * (real[k] @ (pre * plane[a, :, c]))
-    else:
-        value = plane[a, q, c]
+    grid: its row is read through ``grid._lattice_rows``.  With arrays of
+    indices (at most ``limit`` distinct rows), the value at each, their rows
+    gathered in one call."""
+    row = np.asarray(a) * grid.shape[1] + b
+    rows, at = np.unique(row, return_inverse=True)
+    values, slots = grid._lattice_rows.gather(grid, rows)
+    value = values[slots[at], c]
     if factors is not None:
-        value = value - factors[0][a * grid.shape[1] + b] @ factors[1][:, c]
+        value = value - np.sum(factors[0][row] * factors[1][:, c].T, axis=-1)
     return value
 
 
@@ -801,24 +804,20 @@ def _refine_peak(
     quadratic interpolation of |value|.
 
     With ``factors`` (the ``_kernel_factors`` of some footprints) the values
-    are those of the grid minus the footprints: the seven that are read are
-    each one ``_point_value``, and the grid is not written.  Angle axes wrap
-    periodically; the delay axis skips refinement at its edges.  Offsets
-    are clamped to half a grid step per axis.
+    are those of the grid minus the footprints: the seven that are read
+    (five rows) are one ``_point_value``, and the grid is not written.
+    Angle axes wrap periodically; the delay axis skips refinement at its
+    edges.  Offsets are clamped to half a grid step per axis.
     """
     n_aoa, n_aod, n_tau = grid.shape
-
-    def mag(a: int, b: int, c: int) -> float:
-        return np.abs(_point_value(grid, a, b, c, factors))
-
-    d_aoa = _parabolic_offset(
-        mag((i - 1) % n_aoa, j, l), mag(i, j, l), mag((i + 1) % n_aoa, j, l))
-    d_aod = _parabolic_offset(
-        mag(i, (j - 1) % n_aod, l), mag(i, j, l), mag(i, (j + 1) % n_aod, l))
-    if 0 < l < n_tau - 1:
-        d_tau = _parabolic_offset(mag(i, j, l - 1), mag(i, j, l), mag(i, j, l + 1))
-    else:
-        d_tau = 0.0
+    # (i, j, l), then its neighbours along AoA, AoD and delay
+    mag = np.abs(_point_value(
+        grid, [i, (i - 1) % n_aoa, (i + 1) % n_aoa, i, i, i, i],
+        [j, j, j, (j - 1) % n_aod, (j + 1) % n_aod, j, j],
+        [l, l, l, l, l, max(l - 1, 0), min(l + 1, n_tau - 1)], factors))
+    d_aoa = _parabolic_offset(mag[1], mag[0], mag[2])
+    d_aod = _parabolic_offset(mag[3], mag[0], mag[4])
+    d_tau = _parabolic_offset(mag[5], mag[0], mag[6]) if 0 < l < n_tau - 1 else 0.0
     delay_axis = grid.delay_axis
     aoa = float(grid.aoa_axis[i]) + d_aoa / n_aoa
     if aoa < -0.5:
@@ -838,38 +837,34 @@ def pdp_marginals(
 
     Returns ``(aoa_aod, aoa_delay)`` where ``aoa_aod[i, j]`` sums |value|^2
     over the delay axis and ``aoa_delay[i, l]`` sums over the AoD axis.
-    Both are accumulated from each block of the transform's stored AoD
-    rows as it is made, with the other AoD rows derived from them and the
-    magnitudes taken by the scans' shared step (``_block_magnitudes``, in
-    ``_scan_rows`` AoA rows at a time), so the grid is never held: besides
-    the transform's own temporaries, the only ones are that step's buffers.
+    Both come from each block of the transform's stored AoD rows as it is
+    made, one AoA row at a time, with no derived row: along AoD the lattice
+    samples a trigonometric polynomial of degree n_tx over a whole period,
+    so by Parseval, with ``plane_i`` the n_tx stored rows of AoA row i,
+
+        aoa_delay[i] = os_aod * sum_q |plane_i[q, :]|^2
+        aoa_aod[i] = max(0, diag(Q G_i Q^H)),  G_i = plane_i plane_i^H
+
+    where ``Q = m_tx m_tx[::os_aod]^H / n_tx`` (``interp``) maps the stored
+    rows onto every AoD row (the clamp undoes rounding below 0 of the
+    quadratic form).  The grid is never held: besides the transform's own
+    temporaries, the only ones are an AoA row's.
     """
     cfg = response.config
     m_rx, m_tx, m_f = spec._matrices(cfg)
-    step, n_tau = spec.os_aod, m_f.shape[1]
-    kernel = _coset_kernel(cfg.n_tx, step)
-    aoa_rows = _scan_rows((len(m_rx), len(m_tx), n_tau), step)
+    step = spec.os_aod
+    interp = m_tx @ m_tx[::step].T.conj() / cfg.n_tx
+    interp_conj = interp.conj()
     aoa_aod = np.empty((len(m_rx), len(m_tx)))
-    aoa_delay = np.empty((len(m_rx), n_tau))
-    by_coset = aoa_aod.reshape(len(m_rx), cfg.n_tx, step)
+    aoa_delay = np.empty((len(m_rx), m_f.shape[1]))
 
-    def each_block():
-        magnitudes = _block_magnitudes(kernel, aoa_rows, cfg.n_tx, n_tau)
+    def accumulate(first: int, rows: np.ndarray) -> None:
+        for i, plane in enumerate(rows, first):
+            np.sum(np.abs(plane) ** 2, axis=0, out=aoa_delay[i])
+            aoa_delay[i] *= step
+            gram = plane @ plane.T.conj()
+            np.sum(interp @ gram * interp_conj, axis=1).real.clip(0, out=aoa_aod[i])
 
-        def accumulate(first: int, rows: np.ndarray) -> None:
-            for i in range(first, first + len(rows), aoa_rows):
-                mag, _, derived_mag = magnitudes(rows[i - first:i - first + aoa_rows])
-                b = len(mag)
-                power = np.square(mag, out=mag)
-                power.sum(axis=2, out=by_coset[i:i + b, :, 0])
-                power.sum(axis=1, out=aoa_delay[i:i + b])
-                if kernel is not None:
-                    power = np.square(derived_mag, out=derived_mag)
-                    power.reshape(b, cfg.n_tx, step - 1, n_tau).sum(
-                        axis=3, out=by_coset[i:i + b, :, 1:])
-                    aoa_delay[i:i + b] += power.sum(axis=1)
-        return accumulate
-
-    _separable_transform(response.values, m_rx, m_tx[::step], m_f, each_block,
-                         keep=False)
+    _separable_transform(response.values, m_rx, m_tx[::step], m_f,
+                         lambda: accumulate, keep=False)
     return aoa_aod, aoa_delay

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fileio
 from .assoc import ResolutionSpec, associate
-from .beamspace import _HELD_ENTRIES, _MAX_PENDING, GridSpec, pdp_marginals
+from .beamspace import GridSpec, _picker_bytes, pdp_marginals
 from .extract import ExtractionConfig, _sage_refine, greedy_ls, reconstruction_error
 from .scenario import generate_scenario
 from .sounder import add_awgn, synthesize_response
@@ -128,16 +128,10 @@ def _require_finite_power(response, source) -> float:
 def _check_grid_memory(config, spec: GridSpec, k_g: int) -> None:
     """ValueError naming ``--oversample`` (which sets every factor of
     ``spec``) if what extract allocates for its beamspace grid and picker
-    needs more bytes than the machine's physical memory, where the platform
-    reports that: the stored AoD plane, the transform's AoD- and
-    delay-transformed lines (n_rx x n_tx x n_freq*os complex128 values),
-    the picker's ``_MAX_PENDING`` + k_g factor columns of n_aoa*n_aod
-    complex128 values with their float64 row bounds, and the cap of the
-    lattice rows its tentative picks hold (``_HELD_ENTRIES`` values)."""
-    n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
-    need = (spec._plane_bytes(config)
-            + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay
-            + (16 + 8) * n_rows * (_MAX_PENDING + k_g) + 16 * _HELD_ENTRIES)
+    (``beamspace._picker_bytes`` with k_g columns for the candidates) needs
+    more bytes than the machine's physical memory, where the platform
+    reports that."""
+    need = _picker_bytes(config, spec, k_g)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not reported here

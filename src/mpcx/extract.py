@@ -109,20 +109,16 @@ def greedy_extract(
     grid coordinates and complex value as a path estimate, subtract that
     path's beamspace footprint, continue on the residual grid.
     Returns the estimates in detection order; stops early only if the
-    residual grid becomes exactly zero.  Each estimate's footprint stays
-    pending on greedy-LS's picker (``beamspace._PendingFootprints``).
+    residual becomes exactly zero.  This is ``greedy_ls`` with one
+    candidate per iteration, no residual stop and no global refit: a lone
+    candidate's LS right-hand side is N times its peak value, so each commit
+    is that value (to an ulp of the division by N).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    picks = _PendingFootprints(response, spec, 0)
-    estimates: list[PathParams] = []
-    for _ in range(count):
-        peak = picks.pick(picks.pending)
-        if peak.gain == 0:
-            break
-        estimates.append(peak)
-        picks.append(picks.unit(peak)[1], peak.gain)
-    return estimates
+    return greedy_ls(response, response.config, ExtractionConfig(
+        k_dom=count, k_g=1, k_up=1, grid=spec, residual_stop=0.0,
+        final_global_ls=False))[0]
 
 
 def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray,

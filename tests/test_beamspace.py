@@ -307,6 +307,8 @@ def test_tentative_peak_tie_at_the_row_bound_takes_lowest_index():
         with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
             assert tentative_peak(grid, factors, row_peaks) == (0, 1, 0, 3.0)
     assert np.array_equal(grid.values, before)
+    # a grid that derives no row reads its plane: no row is copied
+    assert np.shares_memory(grid._lattice_rows.values, grid._plane)
     # once row 1 cannot reach the floor, row 2's equal peak is the pick
     row_peaks[1] = np.nextafter(2.0, 0.0) / (1 + beamspace._BOUND_SLACK) - 1.0
     assert tentative_peak(grid, factors, row_peaks) == (1, 0, 2, 3.0)
@@ -487,25 +489,33 @@ def test_pdp_marginals_properties():
     assert m_ang.shape == (16, 16) and m_del.shape == (16, 64)
 
     axis_grid = zero
-    path = PathParams(gain=1 + 0j, delay=float(axis_grid.delay_axis[10]),
-                      aod=float(axis_grid.aod_axis[4]),
-                      aoa=float(axis_grid.aoa_axis[7]))
-    resp = synthesize_response(DESK, [path])
-    grid = beamspace_transform(resp, spec)
-    m_ang, m_del = pdp_marginals(resp, spec)
-    total = np.sum(np.abs(grid.values) ** 2)
-    assert np.sum(m_ang) == pytest.approx(total, rel=1e-12)
-    assert np.sum(m_del) == pytest.approx(total, rel=1e-12)
-    assert np.unravel_index(np.argmax(m_ang), m_ang.shape) == (7, 4)
-    assert np.unravel_index(np.argmax(m_del), m_del.shape) == (7, 10)
+    for j in (4, 5):  # on a stored and on a derived AoD row
+        path = PathParams(gain=1 + 0j, delay=float(axis_grid.delay_axis[10]),
+                          aod=float(axis_grid.aod_axis[j]),
+                          aoa=float(axis_grid.aoa_axis[7]))
+        resp = synthesize_response(DESK, [path])
+        grid = beamspace_transform(resp, spec)
+        m_ang, m_del = pdp_marginals(resp, spec)
+        total = np.sum(np.abs(grid.values) ** 2)
+        assert np.sum(m_ang) == pytest.approx(total, rel=1e-12)
+        assert np.sum(m_del) == pytest.approx(total, rel=1e-12)
+        assert np.unravel_index(np.argmax(m_ang), m_ang.shape) == (7, j)
+        assert np.unravel_index(np.argmax(m_del), m_del.shape) == (7, 10)
+        # the Gram form of the angle map rounds below 0 where a path on a
+        # derived row has no power, unless it is clamped
+        assert np.all(m_ang >= 0) and np.all(m_del >= 0)
 
 
-def test_pdp_marginals_equal_full_grid_formula_in_one_row_of_memory():
+@pytest.mark.parametrize("os_aod", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_tx", [1, 3, 8])
+def test_pdp_marginals_equal_full_grid_formula_in_one_row_of_memory(n_tx, os_aod):
     rng = np.random.default_rng(41)
-    cfg = SounderConfig(n_tx=8, n_rx=16, bandwidth_hz=1e9, n_freq=32)
-    resp = FrequencyResponse(values=rng.normal(size=(16, 8, 32))
-                             + 1j * rng.normal(size=(16, 8, 32)), config=cfg)
-    spec = GridSpec()
+    cfg = SounderConfig(n_tx=n_tx, n_rx=16, bandwidth_hz=1e9, n_freq=32)
+    resp = FrequencyResponse(values=rng.normal(size=(16, n_tx, 32))
+                             + 1j * rng.normal(size=(16, n_tx, 32)), config=cfg)
+    spec = GridSpec(os_aod=os_aod)
+    # the grid of the largest case, n_tx 8 at os_aod 4: on the smaller ones
+    # the transform's own lattice matrices weigh more than their grid
     grid_bytes = 64 * 32 * 128 * 16
     tracemalloc.start()
     try:

@@ -285,11 +285,12 @@ def test_tentative_peak_with_a_point_floor_equals_dense_oracle(
         at_peak, point, block):
     """SAGE's floor on a transform grid: the value of the grid minus the
     footprints at one lattice point (``_point_value``) equals the dense
-    lattice's to 1e-12, and ``_nearest_point`` of a path there is that
-    point.  Its magnitude, capped at its row's bound, keeps a subset of the
-    rows that the default floor keeps, and that row where it is above the
-    default floor; ``tentative_peak``
-    with it finds the dense peak unless rounding can reorder the top two."""
+    lattice's to 1e-12, and without footprints the grid's ``values`` there
+    bit for bit; ``_nearest_point`` of a path there is that point.  Its
+    magnitude, capped at its row's bound, keeps a subset of the rows that
+    the default floor keeps, and that row where it is above the default
+    floor; ``tentative_peak`` with it finds the dense peak unless rounding
+    can reorder the top two."""
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
     rng = np.random.default_rng(seed)
     resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
@@ -307,6 +308,8 @@ def test_tentative_peak_with_a_point_floor_equals_dense_oracle(
     assert beamspace._nearest_point(grid, there) == (i, j, l)
     value = beamspace._point_value(grid, i, j, l, factors)
     assert abs(value - dense[i, j, l]) <= 1e-12 * scale
+    # one row maker for both: the same bits
+    assert beamspace._point_value(grid, i, j, l) == grid.values[i, j, l]
     row = i * shape[1] + j
     floor = min(abs(value), row_peaks[row] + reach[row])
     kept = beamspace._bound_rows(row_peaks, reach, floor)
