@@ -43,13 +43,16 @@ greedy-LS's first row peaks cost no second pass.  ``pdp_marginals`` sums
 its power maps from the same blocks by Parseval, from the stored rows
 alone, and keeps no grid.
 ``tentative_peak`` finds the peak of the grid minus further footprints
-without writing: with those row peaks and a bound on each row's footprint
-it evaluates only the few rows that can hold the peak.
+without writing, over the rows it is handed.
 
 Greedy-LS's commits (``greedy_extract``'s too) and SAGE's path updates
-stay pending factors of one picker (``_PendingFootprints``), whose
-``pick`` alone chooses between a full sweep and a tentative pick: a sweep
-once 16 are pending or their bound keeps more than 5% of the rows.
+stay pending factors of one picker (``_PendingFootprints``), and
+greedy-LS's candidates are held there after them.  The picker alone knows
+its columns and its row bound: from the row peaks and the summed bounds of
+its columns it keeps the few rows that can hold the peak, and its
+``pick`` alone chooses between a full sweep and a tentative pick of those
+rows: a sweep once 16 are pending or their bound keeps more than 5% of
+the rows, and never while candidates are held.
 
 On a large grid the sweep and the transform run their blocks in contiguous
 spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
@@ -262,7 +265,7 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
     With ``row_peaks`` (one float per row of the ``(aoa*aod, delay)`` view)
     each block of the plane is scanned as it is made, by the read-only scan
     of ``peak_sweep`` (``_row_scan``), which records the row maxima there:
-    the same bits that ``peak_sweep(grid, [], row_peaks)`` writes, without
+    the same bits that ``peak_sweep(grid, row_peaks=row_peaks)`` writes, without
     a second pass over the plane.  A magnitude that is not finite raises
     the ValueError of that read-only sweep, naming the same index, once the
     plane is made.
@@ -329,7 +332,7 @@ def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) ->
 # its scratch buffers stay cache-resident while the sweep walks the grid
 _BLOCK_ENTRIES = 1 << 16
 
-# relative rounding allowance of ``tentative_peak``'s row bound: far above
+# relative rounding allowance of the picker's row bound: far above
 # the rounding of a footprint sum, far below the gaps between row peaks
 _BOUND_SLACK = 1e-9
 
@@ -425,25 +428,24 @@ def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 
 def peak_sweep(
     grid: BeamspaceGrid,
-    footprints: list[PathParams] | tuple[np.ndarray, np.ndarray],
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
     row_peaks: np.ndarray | None = None,
 ) -> tuple[int, int, int, complex]:
     """Peak of ``|grid - footprints|`` in one pass.
 
-    ``footprints`` are paths, whose ``_kernel_factors`` are built from the
-    grid's own lattice matrices, or such factors already built (on the
-    ``(aoa*aod, delay)`` view of the whole lattice).  Walks blocks of AoA
-    rows of the stored plane.  Each block gets all footprints subtracted
-    from its stored rows as one rank-K product, written back; then its
-    derived rows are made from them (one real product with
+    ``factors`` are the footprints' ``_kernel_factors`` on the ``(aoa*aod,
+    delay)`` view of the whole lattice, or None for no footprint.  Walks
+    blocks of AoA rows of the stored plane.  Each block gets all footprints
+    subtracted from its stored rows as one rank-K product, written back;
+    then its derived rows are made from them (one real product with
     ``grid._kernel``), and the magnitudes and maxima of every (AoA, AoD)
     row are taken, by the read-only ``_row_scan``.  The block's peak is the
     first maximum in (aoa, aod, delay) order over stored and derived rows
     together, and the first strict maximum over the blocks is kept, so
     exact magnitude ties resolve to the lowest index triple, as in
     ``np.argmax`` over the whole lattice.  The row maxima go into
-    ``row_peaks`` (one float per row of the view) if it is given, for
-    ``tentative_peak``.  The stored plane must be C-contiguous when there
+    ``row_peaks`` (one float per row of the view) if it is given, for the
+    picker's row bound.  The stored plane must be C-contiguous when there
     are footprints (ValueError otherwise, before anything is written); with
     none it is only read.  A large grid's blocks run in contiguous spans on
     ``pool.run_blocks``; each span lists its blocks' peaks and one merge
@@ -459,22 +461,18 @@ def peak_sweep(
     plane, step = grid._plane, grid._step
     if plane.size == 0:
         raise ValueError("empty beamspace grid")
-    if footprints and not plane.flags.c_contiguous:
+    if factors is not None and not plane.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
     n_aoa, n_stored, n_tau = plane.shape
     n_aod = n_stored * step
-    if footprints:
-        left, right = (footprints if isinstance(footprints, tuple) else
-                       _kernel_factors(grid._matrices,
-                                       *_path_atoms(grid.config, footprints)))
+    if factors is not None:
         # the footprints' stored rows
-        left = left.reshape(n_aoa, n_aod, -1)[:, ::step]
+        left = factors[0].reshape(n_aoa, n_aod, -1)[:, ::step]
+        grid.__dict__.pop("_lattice_rows", None)  # made from the plane before
     if row_peaks is None:
         row_peaks = np.empty(n_aoa * n_aod)
     kernel = grid._kernel
     aoa_rows = _scan_rows(grid.shape, step)
-    if footprints:
-        grid.__dict__.pop("_lattice_rows", None)  # made from the plane before
 
     def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
         """(magnitude, flat index, value) of each block's first peak, up to
@@ -486,13 +484,13 @@ def peak_sweep(
         with np.errstate(invalid="ignore"):
             for i0 in range(start, stop, aoa_rows):
                 block = plane[i0:i0 + aoa_rows]
-                if footprints:
+                if factors is not None:
                     rows = block.reshape(-1, n_tau)
                     kernels = kernel_buf[:len(rows)]
                     # np.dot, not np.matmul: matmul runs the rank-1 product,
                     # the common case, about 2x slower
-                    np.dot(left[i0:i0 + len(block)].reshape(len(rows), -1), right,
-                           out=kernels)
+                    np.dot(left[i0:i0 + len(block)].reshape(len(rows), -1),
+                           factors[1], out=kernels)
                     np.subtract(rows, kernels, out=rows)
                 peaks.append(scan(i0, block))
                 if not math.isfinite(peaks[-1][0]):
@@ -506,9 +504,12 @@ def peak_sweep(
 
 def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray,
                 floor: float | None = None) -> np.ndarray:
-    """Ascending indices of the rows that ``tentative_peak`` evaluates: the
-    rows whose bound reaches max_r(row_peaks - reach), or ``floor`` where
-    that is higher (a NaN floor is ignored)."""
+    """Ascending indices of the rows that can hold the peak of a grid with
+    row maxima ``row_peaks`` minus footprints that move row r by at most
+    ``reach[r]``: the peak is at least max_r(row_peaks - reach), or
+    ``floor`` where that is higher (a lower bound on it; a NaN floor is
+    ignored), and only rows with ``(row_peaks + reach) * (1 +
+    _BOUND_SLACK)`` at least that, or a NaN bound, are kept."""
     least = np.max(row_peaks - reach)
     if floor is not None and floor > least:
         least = floor
@@ -595,50 +596,38 @@ class _LatticeRows:
 
 
 def tentative_peak(
-    grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
-    row_peaks: np.ndarray, reach: np.ndarray | None = None,
-    floor: float | None = None,
+    grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray], rows: np.ndarray,
 ) -> tuple[int, int, int, complex]:
-    """``peak_sweep``'s peak of ``|grid - footprints|``, read-only and
-    without a pass over the grid.
+    """``peak_sweep``'s peak of ``|grid - footprints|`` over the lattice
+    rows ``rows`` alone, read-only and without a pass over the grid.
 
-    ``factors`` are the footprints' ``_kernel_factors``, and ``row_peaks``
-    the row maxima that the last ``peak_sweep`` recorded on the grid as it
-    stands.  The footprints move row ``r`` of the ``(aoa*aod, delay)`` view
-    by at most ``reach[r] = sum_k |left[r, k]| * max_l |right[k, l]|``
-    (from the factors unless given), so the peak is at least ``max_r(
-    row_peaks[r] - reach[r])``, or the caller's ``floor`` where that is
-    higher (a lower bound on the peak, such as the magnitude at one lattice
-    point, ``_point_value``), and only rows with ``(row_peaks[r] +
-    reach[r]) * (1 + _BOUND_SLACK)`` at least that (or a NaN bound) are
-    evaluated: in ascending order, in blocks of half the sweep's size, each
+    ``factors`` are the footprints' ``_kernel_factors`` and ``rows``
+    ascending indices of rows of the ``(aoa*aod, delay)`` view, such as
+    those that ``_PendingFootprints`` keeps by its row bound.  Exactly
+    those rows are evaluated, in blocks of half the sweep's size, each
     gathered by one ``np.take`` from ``grid._lattice_rows`` and its
-    footprints subtracted in one call.  Ties, the all-zero result and the
-    non-finite ValueError are ``peak_sweep``'s.
+    footprints subtracted in one call.  Ties, the all-zero result (also of
+    no rows) and the non-finite ValueError are ``peak_sweep``'s.
     """
-    plane = grid._plane
-    if plane.size == 0:
+    if grid._plane.size == 0:
         raise ValueError("empty beamspace grid")
-    n_tau = plane.shape[2]
+    n_tau = grid._plane.shape[2]
     left, right = factors
-    if reach is None:
-        reach = np.abs(left) @ np.abs(right).max(axis=1)
-    kept = _bound_rows(row_peaks, reach, floor)
-    rows = min(len(kept), max(1, _BLOCK_ENTRIES // 2 // n_tau))
-    block_buf = np.empty((rows, n_tau), dtype=complex)
-    kernel_buf = np.empty((rows, n_tau), dtype=complex)
-    mag_buf = np.empty((rows, n_tau))
-    row_buf = np.empty(rows)
+    size = min(len(rows), max(1, _BLOCK_ENTRIES // 2 // n_tau))
+    block_buf = np.empty((size, n_tau), dtype=complex)
+    kernel_buf = np.empty((size, n_tau), dtype=complex)
+    mag_buf = np.empty((size, n_tau))
+    row_buf = np.empty(size)
     cache = grid._lattice_rows
 
     def peaks():
-        for p0 in range(0, len(kept), cache.limit):
-            part = kept[p0:p0 + cache.limit]
+        for p0 in range(0, len(rows), cache.limit):
+            part = rows[p0:p0 + cache.limit]
             source, slots = cache.gather(grid, part)
-            for c0 in range(0, len(part), rows):
-                at = part[c0:c0 + rows]
+            for c0 in range(0, len(part), size):
+                at = part[c0:c0 + size]
                 n = len(at)
-                block = np.take(source, slots[c0:c0 + rows], axis=0,
+                block = np.take(source, slots[c0:c0 + size], axis=0,
                                 out=block_buf[:n], mode="clip")
                 np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]),
                             out=block)
@@ -657,16 +646,18 @@ _MAX_KEPT_SHARE = 0.05
 
 class _PendingFootprints:
     """Peak picks on the grid of a response minus footprints not yet written
-    into it: the one picker of greedy-LS (and so ``greedy_extract``) and SAGE.
+    into it: the one picker of greedy-LS (and so ``greedy_extract``) and SAGE,
+    and the one owner of its column layout and its row bound.
 
     The grid is ``beamspace_transform`` of the response, which records the
     row peaks: the first of the grid passes that ``sweeps`` counts and whose
     wall seconds ``pass_s`` sums.  A footprint is a column of the factors
     ``left`` and ``right``, a path's ``unit`` footprint times a gain, with
     its row bound ``bounds[column]``, |gain| times the unit's.  The first
-    ``pending`` columns are not yet written (``append``); a caller may
-    ``put`` more after them for its picks.  The arrays, allocated once, have
-    ``_MAX_PENDING`` + ``extra`` columns.
+    ``pending`` columns are not yet written (``append``); the ``held`` ones
+    after them are a caller's candidates (``hold``), which the next
+    ``append`` drops.  The arrays, allocated once, have ``_MAX_PENDING`` +
+    ``extra`` columns.
     """
 
     def __init__(self, response: FrequencyResponse, spec: GridSpec, extra: int):
@@ -680,7 +671,7 @@ class _PendingFootprints:
         self.left = np.empty((n_rows, columns), dtype=complex)
         self.right = np.empty((columns, self.grid.shape[2]), dtype=complex)
         self.bounds = np.empty((columns, n_rows))
-        self.pending, self.sweeps = 0, 1
+        self.pending, self.held, self.sweeps = 0, 0, 1
 
     def unit(self, path: PathParams):
         """``(atoms, unit)``: the ``_steering_matrices`` of ``path``'s atom,
@@ -697,49 +688,60 @@ class _PendingFootprints:
         self.right[column] = unit[1]
         np.multiply(unit[2], abs(gain), out=self.bounds[column])
 
+    def hold(self, unit, gain: complex) -> None:
+        "Hold the ``unit`` footprint times ``gain`` after the pending and held ones."
+        self.put(self.pending + self.held, unit, gain)
+        self.held += 1
+
     def append(self, unit, gain: complex) -> int:
-        "Make the ``unit`` footprint times ``gain`` pending; its column."
+        """Make the ``unit`` footprint times ``gain`` pending and drop the
+        held ones; its column."""
         column = self.pending
         self.put(column, unit, gain)
-        self.pending += 1
+        self.pending, self.held = column + 1, 0
         return column
 
-    def _bound(self, n: int, near: PathParams | None):
-        """The first ``n`` columns of the factors, their row bound ``reach``
-        (their ``bounds`` summed) and the floor of a pick near ``near``: the
-        magnitude at the lattice point nearest it (``_point_value``), capped
-        at that row's own bound, so the row is always kept."""
+    def _kept(self, near: PathParams | None):
+        """The pending and held columns as factors, and the ascending rows
+        that can hold the peak of the grid minus their footprints
+        (``_bound_rows``): each row's reach is the columns' ``bounds``
+        summed, and a pick near ``near`` is floored by the magnitude at the
+        lattice point nearest it (``_point_value``), capped at that row's
+        own bound, so the row is always kept."""
+        n = self.pending + self.held
         factors, reach = (self.left[:, :n], self.right[:n]), self.bounds[:n].sum(axis=0)
-        if near is None:
-            return factors, reach, None
-        i, j, l = _nearest_point(self.grid, near)
-        row = i * self.grid.shape[1] + j
-        return factors, reach, min(abs(_point_value(self.grid, i, j, l, factors)),
-                                   self.row_peaks[row] + reach[row])
+        floor = None
+        if near is not None:
+            i, j, l = _nearest_point(self.grid, near)
+            row = i * self.grid.shape[1] + j
+            floor = min(abs(_point_value(self.grid, i, j, l, factors)),
+                        self.row_peaks[row] + reach[row])
+        return factors, _bound_rows(self.row_peaks, reach, floor)
 
-    def pick(self, n: int, refine: bool = False,
-             near: PathParams | None = None) -> PathParams:
-        """The peak of the grid minus the footprints of the first ``n``
-        columns, as a path (``BeamspaceGrid._path_at``, sub-grid with
-        ``refine``), with the floor of ``near`` (``_bound``) if given.
+    def pick(self, refine: bool = False, near: PathParams | None = None) -> PathParams:
+        """The peak of the grid minus the pending and held footprints, as a
+        path (``BeamspaceGrid._path_at``, sub-grid with ``refine``), with
+        the floor of ``near`` (``_kept``) if given.
 
-        The one choice between a full sweep and a tentative pick: when the
-        ``n`` columns are the pending ones and ``_MAX_PENDING`` are pending
-        or their bound keeps more than ``_MAX_KEPT_SHARE`` of the rows, one
-        ``peak_sweep`` writes them into the grid and records the row peaks
-        again, and none is pending.  The pick is then a ``tentative_peak``.
+        It keeps the rows once and evaluates them with ``tentative_peak``.
+        It is the one choice of a full sweep: when none is held and
+        ``_MAX_PENDING`` are pending or the kept rows are more than
+        ``_MAX_KEPT_SHARE`` of all, one ``peak_sweep`` first writes the
+        pending footprints into the grid and records the row peaks again,
+        none is pending, and the rows are kept once more.
         """
-        factors, reach, floor = self._bound(n, near)
-        if n and n == self.pending and (n >= _MAX_PENDING or len(_bound_rows(
-                self.row_peaks, reach, floor)) > _MAX_KEPT_SHARE * len(reach)):
+        factors, rows = self._kept(near)
+        if self.pending and not self.held and (
+                self.pending >= _MAX_PENDING
+                or len(rows) > _MAX_KEPT_SHARE * len(self.row_peaks)):
             start = time.perf_counter()
             peak_sweep(self.grid, factors, self.row_peaks)
             self.pass_s += time.perf_counter() - start
             self.sweeps += 1
             self.pending = 0
-            factors, reach, floor = self._bound(0, near)
-        return self.grid._path_at(*tentative_peak(
-            self.grid, factors, self.row_peaks, reach, floor), refine, factors)
+            factors, rows = self._kept(near)
+        return self.grid._path_at(*tentative_peak(self.grid, factors, rows),
+                                  refine, factors)
 
 
 def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:

@@ -211,23 +211,27 @@ def ls_amplitudes(
     return _solve(*_normal_equations(response, geometry, config))[0]
 
 
-def _dedup_solve(solve, n: int) -> tuple[np.ndarray, float, list[int], int]:
-    """``solve(kept)``, an LS solve of the kept ones of ``n`` columns, that
-    drops later near-duplicate columns until well posed.
+def _dedup_solve(gram: np.ndarray,
+                 rhs: np.ndarray) -> tuple[np.ndarray, float, list[int], int]:
+    """``_solve`` of the normal equations ``gram @ x = rhs``, dropping the
+    later column of the most coherent pair until well posed: its row and
+    column leave copies of ``gram`` and ``rhs``, so a solve that drops
+    nothing copies nothing.
 
     Returns (amplitudes, condition, kept original indices, dropped count).
     """
-    kept = list(range(n))
+    n, kept = len(rhs), list(range(len(rhs)))
     while True:
         try:
-            return (*solve(kept), kept, n - len(kept))
+            return (*_solve(gram, rhs), kept, n - len(kept))
         except DegenerateGeometryError as err:
             if len(kept) == 1:
                 raise
-            a, b, coh = err.pairs[0]
+            a, b, coh = err.pairs[0]  # a < b
             logger.info("dropping near-duplicate LS candidate %d (coherence %.6f "
-                        "with %d)", kept[max(a, b)], coh, kept[min(a, b)])
-            del kept[max(a, b)]
+                        "with %d)", kept[b], coh, kept[a])
+            del kept[b]
+            gram, rhs = np.delete(np.delete(gram, b, 0), b, 1), np.delete(rhs, b)
 
 
 def greedy_ls(
@@ -242,10 +246,11 @@ def greedy_ls(
 
     1. pick ``k_g`` candidate peaks on the residual grid (``_candidates``):
        each is a read-only ``tentative_peak`` of the grid minus the pending
-       commits and the candidates so far (raw CLEAN subtraction), over the
-       rows a bound on those footprints keeps.  The transform records the
-       first row peaks; a full ``peak_sweep`` writes the pending commits into
-       the grid first when 16 are pending or the bound keeps over 5% of the
+       commits and the candidates so far (raw CLEAN subtraction), which the
+       picker holds until the next commit, over the rows a bound on those
+       footprints keeps.  The transform records the first row peaks; a full
+       ``peak_sweep`` writes the pending commits into the grid before the
+       first pick when 16 are pending or the bound keeps over 5% of the
        rows.  Each pick's steering columns are built once there;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
        ones are dropped, later one first), with the Gram of the picks'
@@ -326,8 +331,7 @@ def greedy_ls(
             # candidate's value lacks the earlier candidates' footprints there
             vals = np.array([c.gain for c in candidates])
             rhs = values.size * vals + np.tril(gram, -1) @ vals
-        amps, cond, kept, dropped = _dedup_solve(
-            lambda keep: _solve(gram[np.ix_(keep, keep)], rhs[keep]), len(rhs))
+        amps, cond, kept, dropped = _dedup_solve(gram, rhs)
         trace.ls_condition.append(cond)
         trace.dropped_duplicates += dropped
         order = np.argsort(-np.abs(amps) ** 2, kind="stable")
@@ -344,9 +348,7 @@ def greedy_ls(
                     d[:, len(committed)] = a[:, c]
                 gains[len(committed)] = alpha
             picks.append(units[c], alpha)
-            cand = candidates[c]
-            committed.append(PathParams(gain=alpha, delay=cand.delay,
-                                        aod=cand.aod, aoa=cand.aoa))
+            committed.append(replace(candidates[c], gain=alpha))
             if residual is not None:
                 residual -= synthesize_response(cfg, committed[-1:]).values
             elif power < _RUNNING_POWER_FLOOR * trace.initial_power:
@@ -365,16 +367,16 @@ def greedy_ls(
 def _candidates(picks: _PendingFootprints, k_g: int, refine: bool,
                 ) -> tuple[list[PathParams], list, tuple[np.ndarray, ...]]:
     """Up to ``k_g`` picks of greedy-LS on the grid minus the pending commits
-    and the picks so far, ending before the first zero peak: the picks,
-    their unit footprints and their ``_steering_matrices``.  A pick's column
-    is counted after it, since the first pick may sweep the pending ones."""
+    and the picks so far, each held on ``picks`` until the next commit,
+    ending before the first zero peak: the picks, their unit footprints and
+    their ``_steering_matrices``."""
     found, units, atoms = [], [], []
     while len(found) < k_g:
-        peak = picks.pick(picks.pending + len(found), refine)
+        peak = picks.pick(refine)
         if peak.gain == 0:
             break
         atom, unit = picks.unit(peak)
-        picks.put(picks.pending + len(found), unit, peak.gain)
+        picks.hold(unit, peak.gain)
         found.append(peak)
         units.append(unit)
         atoms.append(atom)
@@ -388,11 +390,10 @@ def _global_refit(
     trace: ExtractionTrace,
 ) -> list[PathParams]:
     """Refit all committed amplitudes jointly against the original measurement;
-    a later near or exact duplicate geometry is dropped by ``_dedup_solve``,
-    and the kept geometries' normal equations are built again after a drop."""
-    geometry = [(p.delay, p.aod, p.aoa) for p in paths]
-    amps, cond, kept, dropped = _dedup_solve(lambda keep: _solve(*_normal_equations(
-        response, [geometry[i] for i in keep], config)), len(geometry))
+    a later near or exact duplicate geometry is dropped by ``_dedup_solve``
+    from the normal equations of all of them, built once."""
+    amps, cond, kept, dropped = _dedup_solve(*_normal_equations(
+        response, [(p.delay, p.aod, p.aoa) for p in paths], config))
     trace.ls_condition.append(cond)
     trace.dropped_duplicates += dropped
     return [replace(paths[i], gain=complex(a)) for a, i in zip(amps, kept)]
@@ -468,7 +469,7 @@ def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
         for k, old in enumerate(current):
             _, unit = picks.unit(old)
             back = picks.append(unit, -old.gain)
-            new = picks.pick(picks.pending, near=old)
+            new = picks.pick(near=old)
             same = (new.delay, new.aod, new.aoa) == (old.delay, old.aod, old.aoa)
             if same and picks.pending:  # not swept: the add-back column is pending
                 picks.put(back, unit, new.gain - old.gain)

@@ -4,15 +4,18 @@ forms of library quantities.
 The library builds every footprint from steering matrices; the kernels are
 the same normalized inner products written as Dirichlet kernels.  The
 scalar forms (one steering vector, one beamspace point, one pair cost, one
-Gram condition number) are what the stages compute in bulk.
+Gram condition number) are what the stages compute in bulk.  The footprint
+factors of a path list and the rows that a bound on them keeps are what
+the picker builds column by column.
 """
 
 import numpy as np
 
 from mpcx import FrequencyResponse, PathParams, SounderConfig, synthesize_response
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix
+from mpcx.beamspace import _bound_rows, _kernel_factors
 from mpcx.extract import _gram_condition, _normal_equations
-from mpcx.sounder import _matched_filter, _steering_matrices
+from mpcx.sounder import _matched_filter, _path_atoms, _steering_matrices
 
 
 def angle_kernel(delta_theta, n: int):
@@ -86,3 +89,20 @@ def ls_condition(
     as ``ls_amplitudes`` validates them."""
     zero = synthesize_response(config, [])
     return _gram_condition(_normal_equations(zero, geometry, config)[0])
+
+
+def footprint_factors(grid, paths):
+    """The ``_kernel_factors`` of the paths' footprints on the lattice of
+    ``grid``, built from its own lattice matrices, as ``peak_sweep`` and
+    ``tentative_peak`` take them; None for no path."""
+    if not paths:
+        return None
+    return _kernel_factors(grid._matrices, *_path_atoms(grid.config, paths))
+
+
+def kept_rows(row_peaks, factors, floor=None):
+    """The ascending rows that ``_bound_rows`` keeps for the footprints of
+    ``factors`` on a grid with row maxima ``row_peaks``: row r moves by at
+    most sum_k |left[r, k]| * max_l |right[k, l]|."""
+    left, right = factors
+    return _bound_rows(row_peaks, np.abs(left) @ np.abs(right).max(axis=1), floor)

@@ -28,7 +28,13 @@ from mpcx import (
 from mpcx import beamspace, pool, sounder
 from mpcx.beamspace import peak_sweep, tentative_peak
 
-from closed_form import angle_kernel, beamspace_point, delay_kernel
+from closed_form import (
+    angle_kernel,
+    beamspace_point,
+    delay_kernel,
+    footprint_factors,
+    kept_rows,
+)
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 
@@ -265,7 +271,7 @@ def test_peak_sweep_ties_across_blocks_take_lowest_index():
     values[1, 2, 3] = 2.0
     for block in (1, 5, 7, 15, 60):
         with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-            assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (1, 1, 0, 3j)
+            assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (1, 1, 0, 3j)
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.nan),
@@ -277,9 +283,10 @@ def test_peak_sweep_rejects_non_finite(bad, with_path):
     values[0, 0, 0] = 10.0  # a larger finite peak in an earlier block
     values[3, 1, 2] = bad
     paths = [PathParams(gain=0.5 + 0j, delay=0.0, aod=0.0, aoa=0.0)] if with_path else []
+    grid = BeamspaceGrid(values, spec, cfg)
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 5):
         with pytest.raises(ValueError, match=r"non-finite .* \(3, 1, 2\)"):
-            peak_sweep(BeamspaceGrid(values, spec, cfg), paths)
+            peak_sweep(grid, footprint_factors(grid, paths))
 
 
 def bound_case():
@@ -303,15 +310,23 @@ def bound_case():
 def test_tentative_peak_tie_at_the_row_bound_takes_lowest_index():
     grid, row_peaks, factors = bound_case()
     before = grid.values.copy()
+    rows = kept_rows(row_peaks, factors)
+    assert rows.tolist() == [1, 2]
     for block in (1, 3, 6, 12):
         with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-            assert tentative_peak(grid, factors, row_peaks) == (0, 1, 0, 3.0)
+            assert tentative_peak(grid, factors, rows) == (0, 1, 0, 3.0)
     assert np.array_equal(grid.values, before)
     # a grid that derives no row reads its plane: no row is copied
     assert np.shares_memory(grid._lattice_rows.values, grid._plane)
     # once row 1 cannot reach the floor, row 2's equal peak is the pick
     row_peaks[1] = np.nextafter(2.0, 0.0) / (1 + beamspace._BOUND_SLACK) - 1.0
-    assert tentative_peak(grid, factors, row_peaks) == (1, 0, 2, 3.0)
+    rows = kept_rows(row_peaks, factors)
+    assert rows.tolist() == [2]
+    assert tentative_peak(grid, factors, rows) == (1, 0, 2, 3.0)
+    # exactly the rows handed over are evaluated: row 0's 10 wins among
+    # them, and no row gives the all-zero result
+    assert tentative_peak(grid, factors, np.array([0, 2])) == (0, 0, 0, 10.0)
+    assert tentative_peak(grid, factors, np.array([], dtype=int)) == (0, 0, 0, 0)
 
 
 def test_bound_rows_floor_only_raises_the_default_floor():
@@ -342,19 +357,20 @@ def test_tentative_peak_rejects_non_finite(bad):
     grid.values[1, 1, 0] = bad
     row_peaks[3] = abs(bad)
     with pytest.raises(ValueError, match=r"non-finite .* \(1, 1, 0\)"):
-        tentative_peak(grid, factors, row_peaks)
+        tentative_peak(grid, factors, kept_rows(row_peaks, factors))
 
 
 def test_peak_sweep_write_needs_contiguous_grid():
     cfg, spec = hand_case((4, 3, 5))
     values = np.zeros((4, 3, 10), dtype=complex)[:, :, ::2]
     path = PathParams(gain=1 + 0j, delay=0.0, aod=-0.5, aoa=-0.5)  # on lattice
+    grid = BeamspaceGrid(values, spec, cfg)
     with pytest.raises(ValueError, match="contiguous"):
-        peak_sweep(BeamspaceGrid(values, spec, cfg), [path])
+        peak_sweep(grid, footprint_factors(grid, [path]))
     assert not values.any()
     # with no kernels nothing is written, so any layout will do
     values[1, 2, 3] = 2j
-    assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (1, 2, 3, 2j)
+    assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (1, 2, 3, 2j)
 
 
 def test_transform_zero_response():
@@ -453,7 +469,7 @@ def test_peak_sweep_subtraction_equals_residual_transform():
     paths = [random_path(rng, DESK) for _ in range(3)]
     resp = synthesize_response(DESK, paths)
     grid = beamspace_transform(resp, spec)
-    peak_sweep(grid, [paths[0]])
+    peak_sweep(grid, footprint_factors(grid, [paths[0]]))
     residual = type(resp)(values=resp.values
                           - synthesize_response(DESK, [paths[0]]).values,
                           config=DESK)
@@ -467,16 +483,18 @@ def test_peak_sweep_needs_contiguous_grid_and_may_stop_part_way():
     cfg, spec = hand_case((4, 3, 5))
     path = PathParams(gain=1 + 0j, delay=0.0, aod=0.0, aoa=0.0)
     strided = np.ones((4, 3, 10), dtype=complex)[:, :, ::2]
+    grid = BeamspaceGrid(strided, spec, cfg)
     with pytest.raises(ValueError, match="contiguous"):
-        peak_sweep(BeamspaceGrid(strided, spec, cfg), [path])
+        peak_sweep(grid, footprint_factors(grid, [path]))
     assert np.all(strided == 1)  # rejected before anything is written
     values = np.ones((4, 3, 5), dtype=complex)
     values[2, 1, 3] = np.nan
     expected = 1 - single_path_grid(path, spec, cfg).values
     expected[2, 1, 3] = np.nan
+    grid = BeamspaceGrid(values, spec, cfg)
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15):  # one AoA row a block
         with pytest.raises(ValueError, match=r"non-finite .* \(2, 1, 3\)"):
-            peak_sweep(BeamspaceGrid(values, spec, cfg), [path])
+            peak_sweep(grid, footprint_factors(grid, [path]))
     np.testing.assert_allclose(values[:3], expected[:3], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(values[3], 1)  # the block after is untouched
 
@@ -540,9 +558,9 @@ def test_split_sweep_tie_across_span_edge_takes_lowest_index():
     values[2, 0, 1] = -3.0  # second span
     values[1, 2, 4] = 3j  # first span, same magnitude, lower index
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
-        assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (1, 2, 4, 3j)
+        assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (1, 2, 4, 3j)
         values[3, 1, 0] = 4.0  # a strictly larger peak in the second span wins
-        assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (3, 1, 0, 4.0)
+        assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (3, 1, 0, 4.0)
 
 
 @pytest.mark.parametrize("with_path", [False, True])
@@ -552,9 +570,10 @@ def test_split_sweep_reports_lowest_non_finite_index(with_path):
     values[3, 0, 2] = np.inf  # second span
     values[1, 1, 3] = np.nan  # first span
     paths = [PathParams(gain=0.5 + 0j, delay=0.0, aod=0.0, aoa=0.0)] if with_path else []
+    grid = BeamspaceGrid(values, spec, cfg)
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
         with pytest.raises(ValueError, match=r"non-finite .* \(1, 1, 3\)"):
-            peak_sweep(BeamspaceGrid(values, spec, cfg), paths)
+            peak_sweep(grid, footprint_factors(grid, paths))
 
 
 @pytest.mark.parametrize("n_spans", [2, 3, 4])
@@ -626,7 +645,7 @@ def test_run_blocks_waits_for_every_span_before_raising():
 
 def _sweep_in_child(values, spec, cfg, conn):
     with split_into(2):
-        conn.send(peak_sweep(BeamspaceGrid(values, spec, cfg), []))
+        conn.send(peak_sweep(BeamspaceGrid(values, spec, cfg)))
 
 
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
@@ -636,7 +655,7 @@ def test_split_sweep_runs_in_a_forked_child():
     values = np.zeros((4, 3, 5), dtype=complex)
     values[3, 2, 1] = 2.0
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
-        assert peak_sweep(BeamspaceGrid(values, spec, cfg), []) == (3, 2, 1, 2.0)
+        assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (3, 2, 1, 2.0)
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_sweep_in_child, args=(values, spec, cfg, send))
@@ -661,7 +680,7 @@ from mpcx.beamspace import peak_sweep
 cfg = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 for split_at, cpus in ((pool._MIN_SPAN_ENTRIES, pool._cpus()), (1, 1)):
     pool._MIN_SPAN_ENTRIES, pool._cpus = split_at, lambda: cpus
-    peak_sweep(beamspace_transform(synthesize_response(cfg, []), GridSpec()), [])
+    peak_sweep(beamspace_transform(synthesize_response(cfg, []), GridSpec()))
     assert "concurrent.futures" not in sys.modules
 """
     src = str(Path(beamspace.__file__).parents[1])

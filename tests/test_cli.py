@@ -740,6 +740,45 @@ def test_extract_grid_over_physical_memory_exits_2(tmp_path, capsys, monkeypatch
     assert main(argv) == 0
 
 
+def test_extract_refined_commits_over_physical_memory_exit_2_naming_kdom(
+        tmp_path, capsys, monkeypatch):
+    """With --refine-peaks greedy-LS keeps the steering columns and gain of
+    every commit: k_dom x (n_rx + n_tx + n_freq + 1) complex128 values.
+    Where the grid and its picker fit but those do not as well, extract
+    exits 2 naming --kdom, before any allocation fails, and writes nothing;
+    one byte more of memory, and it runs."""
+    out = run_pipeline(tmp_path, kdom=4)
+    extract_outputs = ("estimates.csv", "trace.csv", "extract_report.txt",
+                       "timings.json")
+    before = {name: (out / name).read_bytes() for name in extract_outputs}
+    config = fileio.load_sounder_config(out / "config.txt")
+    need = _extract_need(config, 4, k_g=4)
+
+    def argv(kdom):
+        return ["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                "--kdom", str(kdom), "--refine-peaks", "--out-dir", str(out),
+                "--quiet"]
+
+    monkeypatch.setattr("mpcx.cli.os.sysconf", _sysconf(2 << 20))  # 8 GiB
+    assert main(argv(10 ** 11)) == 2
+    done = 16 * 10 ** 11 * (config.n_rx + config.n_tx + config.n_freq + 1)
+    err = capsys.readouterr().err
+    assert ("--kdom 100000000000: the beamspace grid, its picker and the refined "
+            f"commits' steering columns need {need + done} bytes, more than the "
+            f"{2 << 32} bytes of physical memory") in err
+    assert "Traceback" not in err
+    done = 16 * 4 * (config.n_rx + config.n_tx + config.n_freq + 1)
+    for have, code in ((need + done - 1, 2), (need + done, 0)):
+        monkeypatch.setattr("mpcx.cli.os.sysconf", lambda name, have=have: {
+            "SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}[name])
+        assert main(argv(4)) == code
+        if code:
+            assert "--kdom 4: " in capsys.readouterr().err
+            for name, data in before.items():
+                assert (out / name).read_bytes() == data, name
+            assert not (out / ".lock").exists()
+
+
 def _numpy_blas_is_openblas() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -80,7 +80,7 @@ def hand_grid(values):
 
 def sweep_peak(grid):
     "Coordinates and value of the peak that a sweep without footprints finds."
-    peak = grid._path_at(*beamspace.peak_sweep(grid, []))
+    peak = grid._path_at(*beamspace.peak_sweep(grid))
     return peak.aoa, peak.aod, peak.delay, peak.gain
 
 
@@ -227,20 +227,27 @@ def test_ls_duplicate_geometry_raises():
 
 def test_global_refit_drops_later_exact_duplicate():
     """A committed list holding one geometry twice is refit without the later
-    copy, counted once, with the amplitudes of a refit of the unique list."""
+    copy, counted once: with the amplitudes of the kept rows and columns of
+    the whole list's normal equations, built once, which agree with a refit
+    of the unique list to 1e-12."""
     resp = desk_case(3, 20.0, n_paths=4)
     unique = [PathParams(gain=1 + 0j, delay=5e-9, aod=0.1, aoa=-0.2),
               PathParams(gain=0.5j, delay=12e-9, aod=-0.3, aoa=0.25),
               PathParams(gain=-0.7 + 0j, delay=20e-9, aod=0.4, aoa=0.05)]
     copy = replace(unique[0], gain=0.25 - 0.5j)
+    paths = [unique[0], unique[1], copy, unique[2]]
     trace = ExtractionTrace()
-    refit = extract._global_refit(resp, [unique[0], unique[1], copy, unique[2]],
-                                  DESK, trace)
+    refit = extract._global_refit(resp, paths, DESK, trace)
     assert trace.dropped_duplicates == 1
     assert [(p.delay, p.aod, p.aoa) for p in refit] == [
         (p.delay, p.aod, p.aoa) for p in unique]
+    gram, rhs = extract._normal_equations(
+        resp, [(p.delay, p.aod, p.aoa) for p in paths], DESK)
+    kept = [0, 1, 3]
+    subset = np.linalg.solve(gram[np.ix_(kept, kept)], rhs[kept])
+    assert [p.gain for p in refit] == [complex(a) for a in subset]
     amps = ls_amplitudes(resp, [(p.delay, p.aod, p.aoa) for p in unique], DESK)
-    assert [p.gain for p in refit] == [complex(a) for a in amps]
+    np.testing.assert_allclose([p.gain for p in refit], amps, rtol=1e-12, atol=0)
 
 
 def test_ls_rejects_empty_geometry():
@@ -714,10 +721,8 @@ def greedy_ls_oracle(response, config, xcfg):
             dense_subtract(work, cand, spec, config)
         if not candidates:
             break
-        geometry = [(c.delay, c.aod, c.aoa) for c in candidates]
-        amps, cond, kept, dropped = extract._dedup_solve(
-            lambda keep: extract._solve(*extract._normal_equations(
-                res_fr, [geometry[i] for i in keep], config)), len(geometry))
+        amps, cond, kept, dropped = extract._dedup_solve(*extract._normal_equations(
+            res_fr, [(c.delay, c.aod, c.aoa) for c in candidates], config))
         order = np.argsort(-np.abs(amps) ** 2, kind="stable")
         n_commit = min(xcfg.k_up, xcfg.k_dom - len(committed), len(kept))
         for rank in range(n_commit):
@@ -882,7 +887,7 @@ def test_greedy_ls_names_a_nan_response_at_its_first_pick():
     resp = FrequencyResponse(values=values, config=DESK)
     cfg = ExtractionConfig(k_dom=4)
     with pytest.raises(ValueError, match="non-finite beamspace magnitude") as swept:
-        beamspace.peak_sweep(beamspace_transform(resp, cfg.grid), [])
+        beamspace.peak_sweep(beamspace_transform(resp, cfg.grid))
     with mock.patch.object(beamspace, "tentative_peak") as tentative, \
             pytest.raises(ValueError) as picked:
         greedy_ls(resp, DESK, cfg)
@@ -972,6 +977,48 @@ def test_greedy_ls_sweep_schedule_does_not_change_the_paths(refine):
             again, trace, tentative = counted_greedy_ls(resp, DESK, cfg)
         assert (trace.full_sweeps, tentative) == (sweeps, 6 * 4)
         assert_same_paths(again, found, geometry_tol=1e-9 if refine else 0.0)
+
+
+@pytest.mark.parametrize("pending_cap, share", [(16, 0.05), (16, 1.0), (16, 0.0),
+                                                (2, 1.0)])
+def test_held_candidates_move_picks_until_the_next_commit(pending_cap, share):
+    """Candidates held on the picker (``hold``) move its picks until the next
+    ``append`` drops them.  A pick made while candidates are held is the
+    dense peak of the grid minus the pending commits and the held
+    candidates, and never sweeps, whatever the sweep schedule; the first
+    pick after a commit is the dense peak of the grid minus the pending
+    commits alone."""
+    resp = desk_case(2, 20.0, n_paths=10)
+    spec = GridSpec()
+    lattice = beamspace_transform(resp, spec)
+    committed = lattice.values.copy()  # the grid minus the commits
+    with mock.patch.object(beamspace, "_MAX_PENDING", pending_cap), \
+            mock.patch.object(beamspace, "_MAX_KEPT_SHARE", share):
+        picks = beamspace._PendingFootprints(resp, spec, 3)
+        for round_ in range(4):
+            work = committed.copy()  # minus the held candidates too
+            held = []
+            for _ in range(3):
+                sweeps = picks.sweeps
+                peak = picks.pick()
+                if held:
+                    assert picks.sweeps == sweeps
+                i, j, l, val = dense_peak(work)
+                assert (peak.aoa, peak.aod, peak.delay) == (
+                    lattice.aoa_axis[i], lattice.aod_axis[j], lattice.delay_axis[l])
+                assert abs(peak.gain - val) <= 1e-9
+                picks.hold(picks.unit(peak)[1], peak.gain)
+                held.append(peak)
+                dense_subtract(work, peak, spec, DESK)
+            assert picks.held == 3
+            commit = replace(held[round_ % 3], gain=0.5 * held[round_ % 3].gain)
+            picks.append(picks.unit(commit)[1], commit.gain)
+            assert picks.held == 0
+            dense_subtract(committed, commit, spec, DESK)
+    if share == 0.0:  # the first pick after each commit sweeps
+        assert picks.sweeps == 1 + 3
+    elif share == 1.0 and pending_cap == 16:
+        assert picks.sweeps == 1
 
 
 def test_greedy_ls_memory_is_one_grid():
@@ -1082,7 +1129,7 @@ def test_inf_response_raises_the_named_error_under_warnings_as_errors(split):
             mock.patch.object(pool, "_MIN_SPAN_ENTRIES", 1 if split else 1 << 20):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
-            beamspace.peak_sweep(beamspace_transform(resp, spec), [])
+            beamspace.peak_sweep(beamspace_transform(resp, spec))
         with pytest.raises(ValueError, match=named):
             greedy_ls(resp, DESK, ExtractionConfig(k_dom=4, grid=spec))
         with pytest.raises(ValueError, match=named):

@@ -39,7 +39,13 @@ from mpcx.beamspace import peak_sweep, tentative_peak
 from mpcx.extract import GRAM_CONDITION_LIMIT, _dictionary_gram
 from mpcx.sounder import _matched_filter, _path_atoms, _separable_transform
 
-from closed_form import beamspace_point, ls_condition, pairwise_cost
+from closed_form import (
+    beamspace_point,
+    footprint_factors,
+    kept_rows,
+    ls_condition,
+    pairwise_cost,
+)
 
 SMALL = dict(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
              os_aoa=st.integers(1, 3), os_aod=st.integers(1, 3),
@@ -108,11 +114,13 @@ def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     mag = np.abs(dense)
     work = values.copy()
     split_work = values.copy()
+    grid = beamspace.BeamspaceGrid(work, spec, cfg)
+    split_grid = beamspace.BeamspaceGrid(split_work, spec, cfg)
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        i, j, l, val = peak_sweep(beamspace.BeamspaceGrid(work, spec, cfg), paths)
+        i, j, l, val = peak_sweep(grid, footprint_factors(grid, paths))
         # the same sweep cut into up to n_spans spans on the thread pool
         with mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1):
-            split = peak_sweep(beamspace.BeamspaceGrid(split_work, spec, cfg), paths)
+            split = peak_sweep(split_grid, footprint_factors(split_grid, paths))
     assert split == (i, j, l, val)
     assert np.array_equal(split_work, work)
 
@@ -166,25 +174,24 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     rng = np.random.default_rng(seed)
     grid = beamspace.BeamspaceGrid(complex_normal(rng, shape), spec, cfg)
     row_peaks = np.empty(shape[0] * shape[1])
-    peak_sweep(grid, random_paths(rng, cfg, spec, swept, on_grid), row_peaks)
+    peak_sweep(grid, footprint_factors(grid, random_paths(rng, cfg, spec, swept,
+                                                         on_grid)), row_peaks)
     assert np.array_equal(row_peaks,
                           np.abs(grid.values).reshape(len(row_peaks), -1).max(axis=1))
     before = grid.values.tobytes()
     paths = random_paths(rng, cfg, spec, pending + n_paths, on_grid)
     dense = grid.values - sum(single_path_grid(p, spec, cfg).values for p in paths)
     mag = np.abs(dense)
-    units = [beamspace._kernel_factors(grid._matrices,
-                                       *_path_atoms(cfg, [replace(p, gain=1)]))
-             for p in paths[:pending]]
-    left, right = beamspace._kernel_factors(grid._matrices,
-                                            *_path_atoms(cfg, paths[pending:]))
+    units = [footprint_factors(grid, [replace(p, gain=1)]) for p in paths[:pending]]
+    left, right = footprint_factors(grid, paths[pending:])
     factors = (np.hstack([u * p.gain for (u, _), p in zip(units, paths)] + [left]),
                np.vstack([r for _, r in units] + [right]))
     reach = sum((abs(p.gain) * np.abs(u[:, 0]) * np.abs(r).max()
                  for (u, r), p in zip(units, paths)),
                 np.abs(left) @ np.abs(right).max(axis=1))
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        i, j, l, val = tentative_peak(grid, factors, row_peaks, reach)
+        i, j, l, val = tentative_peak(grid, factors,
+                                      beamspace._bound_rows(row_peaks, reach))
     assert grid.values.tobytes() == before
 
     scale = max(1.0, float(mag.max()))
@@ -247,8 +254,8 @@ def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_a
     paths = random_paths(rng, cfg, spec, n_paths, on_grid)
     row_peaks, copy_row_peaks = np.empty(shape[0] * shape[1]), np.empty(shape[0] * shape[1])
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        got = peak_sweep(grid, paths, row_peaks)
-        ref = peak_sweep(copy, paths, copy_row_peaks)
+        got = peak_sweep(grid, footprint_factors(grid, paths), row_peaks)
+        ref = peak_sweep(copy, footprint_factors(copy, paths), copy_row_peaks)
     swept = copy.values
     assert_same_peak(got, swept, scale)
     assert_same_peak(ref, swept, scale)
@@ -257,11 +264,11 @@ def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_a
 
     for _ in range(2):
         more = random_paths(rng, cfg, spec, pending, on_grid)
-        factors = beamspace._kernel_factors(grid._matrices, *_path_atoms(cfg, more))
+        factors = footprint_factors(grid, more)
         before = grid._plane.tobytes()
         with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-            got = tentative_peak(grid, factors, row_peaks)
-            ref = tentative_peak(copy, factors, copy_row_peaks)
+            got = tentative_peak(grid, factors, kept_rows(row_peaks, factors))
+            ref = tentative_peak(copy, factors, kept_rows(copy_row_peaks, factors))
         assert grid._plane.tobytes() == before
         rest = swept - sum(single_path_grid(p, spec, cfg).values for p in more)
         assert_same_peak(got, rest, scale)
@@ -298,7 +305,7 @@ def test_tentative_peak_with_a_point_floor_equals_dense_oracle(
     row_peaks = np.empty(shape[0] * shape[1])
     grid = beamspace_transform(resp, spec, row_peaks)
     more = random_paths(rng, cfg, spec, pending, on_grid)
-    factors = beamspace._kernel_factors(grid._matrices, *_path_atoms(cfg, more))
+    factors = footprint_factors(grid, more)
     reach = np.abs(factors[0]) @ np.abs(factors[1]).max(axis=1)
     dense = grid.values - sum(single_path_grid(p, spec, cfg).values for p in more)
     scale = max(1.0, float(np.abs(dense).max()))
@@ -318,7 +325,7 @@ def test_tentative_peak_with_a_point_floor_equals_dense_oracle(
         assert row in kept
     before = grid._plane.tobytes()
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        got = tentative_peak(grid, factors, row_peaks, reach, floor)
+        got = tentative_peak(grid, factors, kept)
     assert grid._plane.tobytes() == before
     assert_same_peak(got, dense, scale)
 
@@ -415,10 +422,10 @@ def test_transform_row_peaks_equal_read_only_sweep(n_rx, n_tx, n_freq, os_aoa, o
         plain = beamspace_transform(resp, spec)
         with mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1):
             grid = beamspace_transform(resp, spec, recorded)
-            peak = peak_sweep(grid, [], swept)
+            peak = peak_sweep(grid, row_peaks=swept)
     assert np.array_equal(grid._plane, plain._plane)
     assert recorded.tobytes() == swept.tobytes()
-    assert peak == peak_sweep(plain, [])
+    assert peak == peak_sweep(plain)
 
 
 @settings(max_examples=60, deadline=None)
