@@ -7,6 +7,14 @@ greedy-LS estimator, ``associate`` scores estimates against truth, and
 ``report`` copies the stage reports' metrics into one run report and writes
 plot-data CSVs.
 
+Each flag is checked where it is parsed; a ``cmd_*`` function checks only
+what relates flags to one another, loads its inputs and returns the stage's
+work.  One runner in ``main`` runs that work for every stage: under the run
+directory's lock, with the BLAS held at one thread (the span threads of
+``pool.run_blocks`` own the cores, and no artifact then depends on the BLAS
+thread count), timed, with its counts and the BLAS facts merged into
+``timings.json``.
+
 Exit codes: 0 success, 1 usage error, 2 data error.  All artifacts except
 ``timings.json`` (wall-clock sidecar) are byte-deterministic for fixed
 inputs and seeds.
@@ -66,21 +74,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_flag(minimum: float = -math.inf, strict: bool = False):
-    """argparse ``type`` for a float flag: finite and at least ``minimum``
-    (above it if ``strict``).  A rejected value becomes a usage error that
-    names the flag."""
-    def parse(text: str) -> float:
+def _number_flag(kind=float, minimum=-math.inf, strict=False, below=math.inf):
+    """argparse ``type`` for a numeric flag: a finite ``kind`` (float or int)
+    at least ``minimum`` (above it if ``strict``) and below ``below``.  A
+    rejected value becomes a usage error that names the flag."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} {text!r}") from None
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if value < minimum or (strict and value == minimum):
             bound = ">" if strict else ">="
             raise argparse.ArgumentTypeError(f"must be {bound} {minimum:g}, "
                                              f"got {text!r}")
+        if value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below:g}, got {text!r}")
         return value
     return parse
 
@@ -161,87 +172,106 @@ def _peak_rss_mb() -> float | None:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-# environment variables that set the BLAS thread count, on which the last
-# bits of the extracted gains depend
+# environment variables that set the BLAS thread count a process starts with
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# thread-count getters of the OpenBLAS builds that numpy ships or links, and
-# of MKL's single dynamic library
-_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
-                        "openblas_get_num_threads64_", "openblas_get_num_threads",
-                        "MKL_Get_Max_Threads")
+# thread-count getters and setters of the OpenBLAS builds that numpy ships or
+# links, and of MKL's single dynamic library
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads"))
+# their ctypes prototypes: a getter returns one C int, a setter takes one
+_BLAS_GET = ctypes.CFUNCTYPE(ctypes.c_int)
+_BLAS_SET = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
-def _blas_threads() -> int | None:
-    """The thread count that the BLAS library loaded into this process (an
-    OpenBLAS or MKL's ``mkl_rt``) reports through one of
-    ``_BLAS_THREAD_GETTERS``; None where no loaded library has one or the
-    process's mappings cannot be read.  perfbench/machine.py reads the
-    count the same way."""
+@functools.cache
+def _blas_library() -> tuple:
+    """The thread-count getter and setter of the BLAS library loaded into
+    this process, an OpenBLAS or MKL's ``mkl_rt``: the first pair of
+    ``_BLAS_THREAD_CALLS`` that it exports both of; (None, None) where no
+    loaded library exports a pair or the process's mappings cannot be read.
+    Looked up once per process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             libs = sorted({line.split()[-1] for line in maps
                            if re.search(r"(openblas|mkl_rt)[^/]*\.so", line)})
     except OSError:  # no /proc on this platform
-        return None
+        return None, None
     for lib in libs:
         try:
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for name in _BLAS_THREAD_GETTERS:
-            getter = getattr(handle, name, None)
-            if getter is not None:
-                getter.restype, getter.argtypes = ctypes.c_int, []
-                return int(getter())
-    return None
+        for get_name, set_name in _BLAS_THREAD_CALLS:
+            if hasattr(handle, get_name) and hasattr(handle, set_name):
+                return _BLAS_GET((get_name, handle)), _BLAS_SET((set_name, handle))
+    return None, None
 
 
-def _blas_facts() -> dict[str, str | int | None]:
-    """The BLAS library numpy was built with, the thread count it runs
-    with, the CPU count and the BLAS thread variables (None when unset):
-    what explains a byte difference between the deterministic artifacts of
-    two runs."""
+def _blas_threads() -> int | None:
+    """The thread count that the loaded BLAS library reports now; None where
+    ``_blas_library`` finds none.  perfbench/machine.py reads the count the
+    same way."""
+    getter, _ = _blas_library()
+    return None if getter is None else int(getter())
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the loaded BLAS at one thread and restore its count on exit;
+    yields whether it is held (False where ``_blas_library`` finds no
+    getter and setter, and the BLAS keeps its own count)."""
+    before, setter = _blas_threads(), _blas_library()[1]
+    if setter is not None:
+        setter(1)
+    try:
+        yield setter is not None
+    finally:
+        if setter is not None:
+            setter(before)
+
+
+def _blas_facts(held: bool) -> dict[str, str | int | bool | None]:
+    """The BLAS library numpy was built with, the thread count in effect
+    now, whether the stage runner holds it at one thread, the CPU count and
+    the BLAS thread variables (None when unset): what explains a byte
+    difference between the deterministic artifacts of two runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # an older numpy takes no mode, or lists no BLAS
         blas = {}
     return ({"blas_name": blas.get("name"), "blas_version": blas.get("version"),
-             "blas_threads": _blas_threads(), "cpu_count": os.cpu_count()}
+             "blas_threads": _blas_threads(), "blas_threads_held": held,
+             "cpu_count": os.cpu_count()}
             | {var: os.environ.get(var) for var in _BLAS_THREAD_VARS})
 
 
-def _record_timing(out_dir: Path, stage: str, seconds: float, **counts) -> None:
-    fileio.save_timings(out_dir / TIMINGS_JSON, {stage: seconds} | counts)
-    logger.info("%s stage finished in %.2f s", stage, seconds)
-
-
-def cmd_scenario(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_scenario(args):
     spec = fileio.load_scenario_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    t0 = time.perf_counter()
-    with _run_lock(out_dir):
+
+    def work(out_dir: Path):
         scn = generate_scenario(spec)
         fileio.save_paths_csv(out_dir / SCENARIO_CSV, scn.retained)
         fileio.save_scenario_sidecar(out_dir / SCENARIO_SIDECAR, spec,
                                      len(scn.generated), len(scn.retained))
-        _record_timing(out_dir, "scenario", time.perf_counter() - t0)
-    logger.info("scenario: generated %d paths, retained %d within %s dB",
-                len(scn.generated), len(scn.retained), spec.dynamic_range_db)
-    return EXIT_OK
+        return (f"scenario: generated {len(scn.generated)} paths, retained "
+                f"{len(scn.retained)} within {spec.dynamic_range_db} dB"), {}
+    return work
 
 
-def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    config = fileio.load_sounder_config(args.config)
-    paths = fileio.load_paths_csv(args.paths, degrees=args.degrees, config=config)
+def cmd_synth(args):
     if args.noise_power > 0 and args.snr_db is not None:
         raise UsageError("--noise-power and --snr-db are mutually exclusive")
-    t0 = time.perf_counter()
-    with _run_lock(out_dir):
+    config = fileio.load_sounder_config(args.config)
+    paths = fileio.load_paths_csv(args.paths, degrees=args.degrees, config=config)
+
+    def work(out_dir: Path):
         response = synthesize_response(config, paths)
         power = _require_finite_power(response, args.paths)
         noise_power = args.noise_power
@@ -258,26 +288,19 @@ def cmd_synth(args) -> int:
                                  f"{noise_power!r} for mean channel power "
                                  f"{mean_power!r}: not finite and positive")
         if noise_power > 0:
-            response = add_awgn(response, noise_power,
-                                0 if args.seed is None else args.seed)
+            response = add_awgn(response, noise_power, args.seed)
         fileio.save_tensor(out_dir / TENSOR_BIN, response)
         fileio.save_sounder_config(out_dir / CONFIG_TXT, config)
         fileio.save_paths_csv(out_dir / TRUTH_CSV, paths)
-        _record_timing(out_dir, "synth", time.perf_counter() - t0)
-    logger.info("synth: wrote %s tensor from %d paths", response.values.shape,
-                len(paths))
-    return EXIT_OK
+        return (f"synth: wrote {response.values.shape} tensor from {len(paths)} "
+                "paths"), {}
+    return work
 
 
-def cmd_extract(args) -> int:
-    out_dir = Path(args.out_dir)
-    if not 1 <= args.kup <= args.kg <= args.kdom:
-        raise UsageError(f"require 1 <= kup <= kg <= kdom, got kup={args.kup} "
+def cmd_extract(args):
+    if not args.kup <= args.kg <= args.kdom:
+        raise UsageError(f"require kup <= kg <= kdom, got kup={args.kup} "
                          f"kg={args.kg} kdom={args.kdom}")
-    if args.oversample < 1:
-        raise UsageError("oversample must be >= 1")
-    if args.sage_sweeps < 0:
-        raise UsageError("sage-sweeps must be >= 0")
     config = fileio.load_sounder_config(args.config)
     spec = GridSpec(os_aoa=args.oversample, os_aod=args.oversample,
                     os_delay=args.oversample)
@@ -288,15 +311,13 @@ def cmd_extract(args) -> int:
                             grid=spec, residual_stop=args.residual_stop,
                             final_global_ls=args.final_ls,
                             refine_peaks=args.refine_peaks)
-    t0 = time.perf_counter()
-    with _run_lock(out_dir):
+
+    def work(out_dir: Path):
         paths, trace = greedy_ls(response, config, xcfg)
-        sweep_errors, sage_s, sage_sweeps, sage_pass_s = [], 0.0, 0, 0.0
+        sweep_errors, sage_sweeps, sage_pass_s, sage_s = [], 0, 0.0, 0.0
         if args.sage_sweeps > 0 and paths:
-            t_sage = time.perf_counter()
-            paths, sweep_errors, sage_sweeps, sage_pass_s = _sage_refine(
+            paths, sweep_errors, sage_sweeps, sage_pass_s, sage_s = _sage_refine(
                 response, paths, config, spec, args.sage_sweeps)
-            sage_s = time.perf_counter() - t_sage
         error = reconstruction_error(synthesize_response(config, paths), response)
         fileio.save_paths_csv(out_dir / ESTIMATES_CSV, paths)
         fileio.save_trace_csv(out_dir / TRACE_CSV, trace)
@@ -319,20 +340,17 @@ def cmd_extract(args) -> int:
         for i, e in enumerate(sweep_errors, start=1):
             report[f"sage_error_sweep_{i}"] = e
         fileio.save_kv_report(out_dir / EXTRACT_REPORT, report)
-        _record_timing(out_dir, "extract", time.perf_counter() - t0,
-                       extract_full_sweeps=trace.full_sweeps,
-                       sage_full_sweeps=sage_sweeps, sage_s=sage_s,
-                       grid_pass_s=trace.grid_pass_s, sage_grid_pass_s=sage_pass_s,
-                       grid_bytes=spec._plane_bytes(config),
-                       peak_rss_mb=_peak_rss_mb(), **_blas_facts())
-    logger.info("extract: committed %d paths in %d grid passes (%.2f s), SAGE made "
-                "%d (%.2f s), normalized error %.3e", len(paths), trace.full_sweeps,
-                trace.grid_pass_s, sage_sweeps, sage_pass_s, error)
-    return EXIT_OK
+        return (f"extract: committed {len(paths)} paths in {trace.full_sweeps} grid "
+                f"passes ({trace.grid_pass_s:.2f} s), SAGE made {sage_sweeps} "
+                f"({sage_pass_s:.2f} s), normalized error {error:.3e}"), {
+            "extract_full_sweeps": trace.full_sweeps,
+            "sage_full_sweeps": sage_sweeps, "sage_s": sage_s,
+            "grid_pass_s": trace.grid_pass_s, "sage_grid_pass_s": sage_pass_s,
+            "grid_bytes": spec._plane_bytes(config), "peak_rss_mb": _peak_rss_mb()}
+    return work
 
 
-def cmd_associate(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_associate(args):
     config = fileio.load_sounder_config(args.config)
     phys = fileio.load_paths_csv(args.truth, degrees=args.degrees)
     est = fileio.load_paths_csv(args.estimates, degrees=args.degrees)
@@ -343,17 +361,15 @@ def cmd_associate(args) -> int:
     if not 0 < total < math.inf:
         raise ValueError(f"{args.truth}: total power {total!r} must be finite and > 0")
     res = ResolutionSpec.from_config(config)
-    t0 = time.perf_counter()
-    with _run_lock(out_dir):
+
+    def work(out_dir: Path):
         result = associate(phys, est, res, args.unmatched_cost)
         fileio.save_pairs_csv(out_dir / PAIRS_CSV, result)
         fileio.save_association_report(out_dir / ASSOC_REPORT, result,
                                        len(phys), len(est), args.unmatched_cost)
-        _record_timing(out_dir, "associate", time.perf_counter() - t0)
-    logger.info("associate: %d pairs (of %d truth, %d estimates), "
-                "post-association cost %.3e", result.k_pa, len(phys), len(est),
-                result.post_pa_cost)
-    return EXIT_OK
+        return (f"associate: {result.k_pa} pairs (of {len(phys)} truth, {len(est)} "
+                f"estimates), post-association cost {result.post_pa_cost:.3e}"), {}
+    return work
 
 
 # keys of run_report.txt after the config block, in order, each copied from
@@ -364,10 +380,10 @@ _RUN_REPORT_KEYS = ("n_phys", "k_dom", "n_estimates", "k_pa", "normalized_error"
 _EXTRACT_KEYS = ("k_dom", "n_estimates", "normalized_error")
 
 
-def cmd_report(args) -> int:
-    out_dir = Path(args.out_dir)
-    t0 = time.perf_counter()
-    with _run_lock(out_dir):
+def cmd_report(args):
+    """Report's inputs are artifacts of the run directory itself, so its
+    work loads them, under the directory's lock."""
+    def work(out_dir: Path):
         config = fileio.load_sounder_config(_require(out_dir, CONFIG_TXT, "synth"))
         truth = fileio.load_paths_csv(_require(out_dir, TRUTH_CSV, "synth"))
         response = fileio.load_response(_require(out_dir, TENSOR_BIN, "synth"),
@@ -422,17 +438,14 @@ def cmd_report(args) -> int:
         fileio.copy_artifact(trace_path, out_dir / "plot_residual_trace.csv")
         fileio.save_axis_errors_csv(out_dir / "plot_axis_errors.csv", pair_rows)
         fileio.save_kv_report(out_dir / RUN_REPORT, run_report)
-        _record_timing(out_dir, "report", time.perf_counter() - t0)
-    logger.info("report: k_pa=%s, normalized error %s, joint bin count %s",
-                run_report["k_pa"], run_report["normalized_error"],
-                run_report["s_joint"])
-    return EXIT_OK
+        return (f"report: k_pa={run_report['k_pa']}, normalized error "
+                f"{run_report['normalized_error']}, joint bin count "
+                f"{run_report['s_joint']}"), {}
+    return work
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for stages that draw randomness")
     common.add_argument("--out-dir", default=".",
                         help="run directory for artifacts (default: .)")
     common.add_argument("--quiet", action="store_true",
@@ -446,6 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", parents=[common],
                        help="generate clustered ground-truth paths")
     p.add_argument("--spec", required=True, help="scenario spec file")
+    p.add_argument("--seed", type=_number_flag(int, 0), default=None,
+                   help="replaces the spec file's seed")
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("synth", parents=[common],
@@ -453,10 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="sounder config file or preset name (paper, desk)")
     p.add_argument("--paths", required=True, help="ground-truth path CSV")
-    p.add_argument("--noise-power", type=_float_flag(0.0), default=0.0,
+    p.add_argument("--noise-power", type=_number_flag(float, 0.0), default=0.0,
                    help="complex noise variance per tensor entry (default 0)")
-    p.add_argument("--snr-db", type=_float_flag(), default=None,
+    p.add_argument("--snr-db", type=_number_flag(), default=None,
                    help="set noise power from the mean per-entry channel power")
+    p.add_argument("--seed", type=_number_flag(int, 0), default=0,
+                   help="seed of the noise draw (default 0)")
     p.add_argument("--degrees", action="store_true",
                    help="angle columns are physical degrees; convert on load")
     p.set_defaults(func=cmd_synth)
@@ -465,19 +482,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run greedy-LS multipath extraction")
     p.add_argument("--config", required=True)
     p.add_argument("--tensor", required=True, help="response tensor file")
-    p.add_argument("--kdom", type=int, required=True,
+    p.add_argument("--kdom", type=_number_flag(int, 1), required=True,
                    help="total committed-path budget")
-    p.add_argument("--kg", type=int, default=4,
+    p.add_argument("--kg", type=_number_flag(int, 1), default=4,
                    help="greedy candidates per iteration (default 4)")
-    p.add_argument("--kup", type=int, default=2,
+    p.add_argument("--kup", type=_number_flag(int, 1), default=2,
                    help="paths committed per iteration (default 2)")
-    p.add_argument("--oversample", type=int, default=4,
+    p.add_argument("--oversample", type=_number_flag(int, 1), default=4,
                    help="beamspace oversampling per axis (default 4)")
     p.add_argument("--final-ls", action=argparse.BooleanOptionalAction,
                    default=True, help="joint LS refit of all amplitudes at the end")
-    p.add_argument("--sage-sweeps", type=int, default=0,
+    p.add_argument("--sage-sweeps", type=_number_flag(int, 0), default=0,
                    help="refinement sweeps after extraction (default 0)")
-    p.add_argument("--residual-stop", type=_float_flag(0.0), default=1e-6,
+    p.add_argument("--residual-stop",
+                   type=_number_flag(float, 0.0, below=1.0), default=1e-6,
                    help="stop when residual/initial power falls below this")
     p.add_argument("--refine-peaks", action=argparse.BooleanOptionalAction,
                    default=False,
@@ -489,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--truth", required=True, help="ground-truth path CSV")
     p.add_argument("--estimates", required=True, help="estimated path CSV")
-    p.add_argument("--unmatched-cost", type=_float_flag(0.0, strict=True),
+    p.add_argument("--unmatched-cost", type=_number_flag(float, 0.0, strict=True),
                    default=3.0,
                    help="cost of leaving a path unmatched (default 3.0)")
     p.add_argument("--degrees", action="store_true",
@@ -509,24 +527,32 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` and run its stage.  The stage's ``cmd_*`` function
+    checks the flags and loads the inputs, and returns the stage's work: a
+    function of the run directory that writes the artifacts and returns the
+    summary line to log and the counts for timings.json.  The work runs
+    under the run directory's lock with the BLAS held at one thread, and its
+    wall time, its counts and the BLAS facts are merged into timings.json."""
     try:
         args = _parser().parse_args(argv)
-    except UsageError as err:
+        # a handler for the root logger if it has none, and on every call the
+        # level of this package's loggers, so --quiet holds for this call only
+        logging.basicConfig(format="%(message)s")
+        logging.getLogger(__package__).setLevel(
+            logging.WARNING if args.quiet else logging.INFO)
+        work, out_dir = args.func(args), Path(args.out_dir)
+        with _run_lock(out_dir), _one_blas_thread() as held:
+            start = time.perf_counter()
+            summary, counts = work(out_dir)
+            seconds = time.perf_counter() - start
+            fileio.save_timings(out_dir / TIMINGS_JSON,
+                                {args.command: seconds} | counts | _blas_facts(held))
+        logger.info("%s stage finished in %.2f s", args.command, seconds)
+        logger.info("%s", summary)
+        return EXIT_OK
+    except (UsageError, ValueError, OSError, np.linalg.LinAlgError) as err:
         print(f"mpcx: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    # a handler for the root logger if it has none, and on every call the
-    # level of this package's loggers, so --quiet holds for this call only
-    logging.basicConfig(format="%(message)s")
-    logging.getLogger(__package__).setLevel(
-        logging.WARNING if args.quiet else logging.INFO)
-    try:
-        return args.func(args)
-    except UsageError as err:
-        print(f"mpcx: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, np.linalg.LinAlgError) as err:
-        print(f"mpcx: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(err, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

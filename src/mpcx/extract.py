@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -451,9 +452,10 @@ def sage_refine(
 
 def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
                  config: SounderConfig, spec: GridSpec,
-                 sweeps: int) -> tuple[list[PathParams], list[float], int, float]:
-    """``sage_refine``, and the grid passes of its picker, the transform's
-    included, and their wall seconds."""
+                 sweeps: int) -> tuple[list[PathParams], list[float], int, float, float]:
+    """``sage_refine``, the grid passes of its picker, the transform's
+    included, their wall seconds, and the call's own wall seconds."""
+    start = time.perf_counter()
     if not paths:
         raise ValueError("path list must be non-empty")
     if sweeps < 1:
@@ -478,4 +480,4 @@ def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
             current[k] = new
         errors.append(reconstruction_error(synthesize_response(config, current),
                                            response))
-    return current, errors, picks.sweeps, picks.pass_s
+    return current, errors, picks.sweeps, picks.pass_s, time.perf_counter() - start

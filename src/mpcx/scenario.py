@@ -45,6 +45,8 @@ class ScenarioSpec:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} {value} must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.paths_per_cluster < 1:

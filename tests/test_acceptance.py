@@ -1,7 +1,7 @@
 """Acceptance gate: twelve numbered criteria, one PASS/FAIL line each.
 
 Criteria 11 and 12 run the full protocol-scale pipeline (twice) and take
-several minutes each; they carry the ``slow`` marker, so
+several seconds each; they carry the ``slow`` marker, so
 ``pytest -m "not slow"`` deselects them during development.
 """
 

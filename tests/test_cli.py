@@ -1,4 +1,5 @@
 import builtins
+import json
 import os
 import re
 import shutil
@@ -13,6 +14,7 @@ import pytest
 from mpcx import (ExtractionConfig, GridSpec, beamspace, cli, extract, fileio, greedy_ls,
                   pool, synthesize_response)
 from mpcx.cli import _blas_threads, _parser, main
+from test_acceptance import PAPER_SCENARIO
 
 DESK_SPEC = """\
 n_clusters = 3
@@ -180,8 +182,11 @@ def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     it exactly, so the residual power can reach 0 but never goes negative
     or NaN.  Extract exits 0 and writes its full-sweep count, the bytes of
     its stored grid plane, its peak RSS and the BLAS facts (library, the
-    thread count it reports, CPU count, thread variables, null when unset)
-    to the timings sidecar, and to no other artifact."""
+    thread count in effect during the stage, whether the runner held it at
+    one thread, CPU count, thread variables, null when unset) to the timings
+    sidecar, and to no other artifact.  After the stage, the BLAS runs with
+    the thread count it had before."""
+    before = _blas_threads()
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     paths = tmp_path / "one.csv"
@@ -211,7 +216,10 @@ def test_extract_exact_recovery_writes_a_finite_trace(tmp_path, monkeypatch):
     assert (timings["blas_name"], timings["blas_version"]) == (blas["name"],
                                                                blas["version"])
     assert timings["cpu_count"] == os.cpu_count()
-    assert timings["blas_threads"] == _blas_threads()
+    held = cli._blas_library()[1] is not None
+    assert timings["blas_threads_held"] is held
+    assert timings["blas_threads"] == (1 if held else before)
+    assert _blas_threads() == before
     assert (timings["MKL_NUM_THREADS"], timings["OMP_NUM_THREADS"]) == ("3", None)
     assert timings["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert not any(blas["version"] in p.read_text(encoding="utf-8")
@@ -445,6 +453,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
       "e.csv", "--unmatched-cost", "inf"], "--unmatched-cost"),
     (["synth", "--config", "desk", "--paths", "p.csv", "--noise-power", "x"],
      "--noise-power"),
+    (["scenario", "--spec", "s.txt", "--seed", "-1"], "--seed"),
+    (["synth", "--config", "desk", "--paths", "p.csv", "--seed", "-1"], "--seed"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--oversample", "0"], "--oversample"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--sage-sweeps", "-1"], "--sage-sweeps"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "0"], "--kdom"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--kg", "2.5"], "--kg"),
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--residual-stop", "1"], "--residual-stop"),
+    # only scenario and synth draw randomness, so only they take a seed
+    (["extract", "--config", "desk", "--tensor", "h.bin", "--kdom", "4",
+      "--seed", "5"], "--seed"),
 ])
 def test_bad_float_flags_exit_1_naming_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "r"
@@ -545,6 +567,18 @@ def test_non_finite_scenario_spec_exits_2_naming_field(tmp_path, capsys, key, va
     assert main(["scenario", "--spec", str(spec), "--out-dir", str(out),
                  "--quiet"]) == 2
     assert key in capsys.readouterr().err
+    assert not (out / "scenario_spec.txt").exists()
+
+
+def test_negative_scenario_spec_seed_exits_2_naming_field(tmp_path, capsys):
+    spec = tmp_path / "scn.txt"
+    spec.write_text("n_clusters = 2\npaths_per_cluster = 3\nseed = -3\n",
+                    encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["scenario", "--spec", str(spec), "--out-dir", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(spec) in err and "seed" in err and "Traceback" not in err
     assert not (out / "scenario_spec.txt").exists()
 
 
@@ -800,6 +834,46 @@ def test_blas_threads_reads_the_loaded_openblas():
              "from mpcx.cli import _blas_threads; print(_blas_threads())"],
             check=True, capture_output=True, text=True, env=env, timeout=120).stdout
         assert int(got) == min(int(threads), pool._cpus())
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The five stages on the paper preset (k_dom 4, oversample 1), in a
+    fresh process under one and under two OpenBLAS threads: the stage runner
+    holds the BLAS at one thread, so every artifact but timings.json is the
+    same bytes, and timings.json records the count in effect."""
+    spec = tmp_path / "scenario.txt"
+    spec.write_text(PAPER_SCENARIO, encoding="utf-8")
+    stages = [["scenario", "--spec", str(spec)],
+              ["synth", "--config", "paper", "--paths", "scenario.csv"],
+              ["extract", "--config", "paper", "--tensor", "tensor.bin",
+               "--kdom", "4", "--oversample", "1"],
+              ["associate", "--config", "paper", "--truth", "truth_paths.csv",
+               "--estimates", "estimates.csv"],
+              ["report"]]
+    code = ("import json, sys\n"
+            "from mpcx.cli import main\n"
+            "stages = json.loads(sys.argv[1])\n"
+            "sys.exit(any(main(argv + ['--quiet']) for argv in stages))\n")
+    src = str(Path(fileio.__file__).parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        out = runs[threads] = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        env.pop("OMP_NUM_THREADS", None)
+        subprocess.run([sys.executable, "-c", code, json.dumps(stages)], check=True,
+                       cwd=out, env=env, timeout=300)
+    names = sorted(p.name for p in runs["1"].iterdir())
+    assert names == sorted(p.name for p in runs["2"].iterdir())
+    assert set(ARTIFACTS) <= set(names)
+    for name in names:
+        if name != "timings.json":
+            assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
+    for threads, out in runs.items():
+        timings = fileio.load_timings(out / "timings.json")
+        assert timings["OPENBLAS_NUM_THREADS"] == threads
+        if timings["blas_threads_held"]:
+            assert timings["blas_threads"] == 1
 
 
 @pytest.mark.parametrize("order", [("--quiet", ""), ("", "--quiet")])

@@ -640,7 +640,7 @@ def scenario_specs(draw):
     return ScenarioSpec(
         n_clusters=draw(st.integers(1, 10**6)),
         paths_per_cluster=draw(st.integers(1, 10**6)),
-        seed=draw(st.integers(-10**20, 10**20)),
+        seed=draw(st.integers(0, 10**20)),
         delay_center_min_s=delays[0], delay_center_max_s=delays[1],
         delay_spread_s=draw(NON_NEGATIVE),
         angle_center_min=angles[0], angle_center_max=angles[1],
