@@ -11,7 +11,15 @@ A grid builds its lattice matrices once and keeps them.  The beamspace
 footprint of a path is the transform of its atom: the grid's matrices times
 the path's ``_steering_matrices``, one factor per axis.  Greedy subtraction
 of a path therefore agrees with transforming the frequency-domain residual
-up to floating-point rounding.
+up to floating-point rounding.  On the uniform lattice each factor of a
+lattice path depends only on the offset from the path's own index (a
+shifted Dirichlet kernel), so a grid also builds, once, one kernel per axis
+over lattice offsets from the same matrices (``_offset_kernels``: AoA and
+AoD circulant, delay Toeplitz).  The picker reads a lattice path's
+footprint off them as windows, with no steering matrices, and the Gram of
+lattice atoms is gathered from them by index differences
+(``_lattice_gram``), for greedy-LS's candidates and its global refit.  A
+path off the lattice keeps the steering-matrix product.
 
 A grid made by ``beamspace_transform`` stores only the critically sampled
 AoD plane: the rows j = os_aod*q of each AoA row, n_aoa x n_tx x n_tau
@@ -98,8 +106,11 @@ class GridSpec:
     os_delay: int = 4
 
     def __post_init__(self):
-        if min(self.os_aoa, self.os_aod, self.os_delay) < 1:
-            raise ValueError("oversampling factors must be positive integers")
+        for name in ("os_aoa", "os_aod", "os_delay"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
+                raise ValueError(f"{name} {value!r} must be a positive integer")
 
     def aoa_axis(self, config: SounderConfig) -> np.ndarray:
         n = config.n_rx * self.os_aoa
@@ -166,15 +177,16 @@ class BeamspaceGrid:
             np.take(values, slots, axis=0, out=flat[r0:r0 + len(part)])
         return full
 
-    @property
+    # the axis values, built once per grid for ``_path_at`` and the lattice test
+    @cached_property
     def aoa_axis(self) -> np.ndarray:
         return self.spec.aoa_axis(self.config)
 
-    @property
+    @cached_property
     def aod_axis(self) -> np.ndarray:
         return self.spec.aod_axis(self.config)
 
-    @property
+    @cached_property
     def delay_axis(self) -> np.ndarray:
         return self.spec.delay_axis(self.config)
 
@@ -194,6 +206,52 @@ class BeamspaceGrid:
         """Lattice rows of the plane as it stands, for ``tentative_peak`` and
         ``_point_value``; a ``peak_sweep`` that writes the plane drops them."""
         return _LatticeRows(self)
+
+    @cached_property
+    def _offset_kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The footprint factors of every lattice path as one kernel per axis
+        over lattice offsets, built once per grid from its lattice matrices:
+        entry ``d + n - 1`` of an axis of n points is the factor d points past
+        the path's own index, so the path at index p reads the window
+        ``[n - 1 - p, 2n - 1 - p)``.  AoA and AoD are circulant, the factors
+        of the path at index 0 (n values, repeated); delay is Toeplitz, the
+        ``a_f^T m_f`` rows of the paths at the last and the first delay."""
+        m_rx, m_tx, m_f = self._matrices
+        a_rx, a_tx, a_f = _steering_matrices(self.config, self.delay_axis[[-1, 0]],
+                                             self.aod_axis[:1], self.aoa_axis[:1])
+        k_rx, k_tx = (m_rx @ a_rx)[:, 0], (m_tx @ a_tx)[:, 0]
+        last, first = a_f.T @ m_f
+        return (np.concatenate((k_rx[1:], k_rx)), np.concatenate((k_tx[1:], k_tx)),
+                np.concatenate((last, first[1:])))
+
+    def _lattice_index(self, path: PathParams) -> tuple[int, int, int] | None:
+        """Index of the lattice point whose axis values ``path``'s coordinates
+        equal exactly, as ``_path_at`` makes them; None off the lattice."""
+        i, j, l = _nearest_point(self, path)
+        if (path.aoa == self.aoa_axis[i] and path.aod == self.aod_axis[j]
+                and path.delay == self.delay_axis[l]):
+            return i, j, l
+        return None
+
+    def _lattice_indices(self, paths: list[PathParams]) -> tuple[np.ndarray, ...] | None:
+        "``_lattice_index`` of every path as (i, j, l) arrays; None if one is off it."
+        at = [self._lattice_index(p) for p in paths]
+        if None in at:
+            return None
+        return tuple(np.array(axis, dtype=np.intp) for axis in zip(*at))
+
+    def _lattice_gram(self, at: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Gram matrix A^H A of the atoms at the lattice indices ``at`` (the
+        arrays of ``_lattice_indices``), gathered by index differences: entry
+        (a, b) is N = n_rx*n_tx*n_freq times the ``_offset_kernels`` entries at
+        index a minus index b, one per axis (the AoA kernel carries 1/N)."""
+        (k_rx, k_tx, k_f), (i, j, l) = self._offset_kernels, at
+        n_aoa, n_aod, n_tau = self.shape
+        gram = k_rx[np.add.outer(i, n_aoa - 1 - i)]
+        gram *= k_tx[np.add.outer(j, n_aod - 1 - j)]
+        gram *= k_f[np.add.outer(l, n_tau - 1 - l)]
+        gram *= self.config.n_rx * self.config.n_tx * self.config.n_freq
+        return gram
 
     def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool = False,
                  factors: tuple[np.ndarray, np.ndarray] | None = None) -> PathParams:
@@ -668,19 +726,33 @@ class _PendingFootprints:
         self.grid = beamspace_transform(response, spec, self.row_peaks)
         self.pass_s = time.perf_counter() - start
         columns = _MAX_PENDING + extra
-        self.left = np.empty((n_rows, columns), dtype=complex)
+        # Fortran order: a column is contiguous, as a ``right`` or ``bounds``
+        # row is, so ``put`` writes it in one pass
+        self.left = np.empty((n_rows, columns), dtype=complex, order="F")
         self.right = np.empty((columns, self.grid.shape[2]), dtype=complex)
         self.bounds = np.empty((columns, n_rows))
         self.pending, self.held, self.sweeps = 0, 0, 1
 
     def unit(self, path: PathParams):
-        """``(atoms, unit)``: the ``_steering_matrices`` of ``path``'s atom,
-        and its footprint at gain 1 as a ``left`` column, a ``right`` row and
-        that column's row bound."""
-        atoms = _steering_matrices(self.grid.config, [path.delay], [path.aod],
-                                   [path.aoa])
-        left, right = _kernel_factors(self.grid._matrices, atoms, np.ones(1))
-        return atoms, (left[:, 0], right[0], np.abs(left[:, 0]) * np.abs(right).max())
+        """``(atoms, unit)``: the footprint of ``path`` at gain 1 as a
+        ``left`` column, a ``right`` row and that column's row bound, and the
+        ``_steering_matrices`` it was built from.  A lattice path
+        (``BeamspaceGrid._lattice_index``) reads its factors off the grid's
+        ``_offset_kernels``, and ``atoms`` is None; any other path's are the
+        ``_kernel_factors`` of its steering matrices."""
+        grid = self.grid
+        at = grid._lattice_index(path)
+        if at is None:
+            atoms = _steering_matrices(grid.config, [path.delay], [path.aod],
+                                       [path.aoa])
+            left, right = _kernel_factors(grid._matrices, atoms, np.ones(1))
+            left, right = left[:, 0], right[0]
+        else:
+            atoms = None
+            rx, tx, right = (kernel[n - 1 - p:2 * n - 1 - p] for kernel, p, n
+                             in zip(grid._offset_kernels, at, grid.shape))
+            left = np.multiply.outer(rx, tx).ravel()
+        return atoms, (left, right, np.abs(left) * np.abs(right).max())
 
     def put(self, column: int, unit, gain: complex) -> None:
         "Column ``column``: the ``unit`` footprint times ``gain``, and its bound."
@@ -700,6 +772,20 @@ class _PendingFootprints:
         self.put(column, unit, gain)
         self.pending, self.held = column + 1, 0
         return column
+
+    def residual_at(self, i: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """Values of the grid minus the pending footprints at the lattice
+        indices (i, j, l), read by ``_point_value`` in chunks of at most the
+        row cache's ``limit`` distinct rows."""
+        n = self.pending
+        factors = (self.left[:, :n], self.right[:n]) if n else None
+        _, row = np.unique(i * self.grid.shape[1] + j, return_inverse=True)
+        chunk = row // self.grid._lattice_rows.limit
+        values = np.empty(len(row), dtype=complex)
+        for c in np.unique(chunk):
+            at = np.flatnonzero(chunk == c)
+            values[at] = _point_value(self.grid, i[at], j[at], l[at], factors)
+        return values
 
     def _kept(self, near: PathParams | None):
         """The pending and held columns as factors, and the ascending rows
@@ -750,12 +836,14 @@ def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
     transform's AoD- and delay-transformed lines (n_rx x n_tx x
     n_freq*os_delay complex128 values), the ``_MAX_PENDING`` + ``extra``
     factor columns of n_aoa*n_aod complex128 values with their float64 row
-    bounds, and the cap of the lattice rows that its tentative picks hold
-    (``_HELD_ENTRIES`` values)."""
-    n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
-    return (spec._plane_bytes(config)
-            + 16 * config.n_rx * config.n_tx * config.n_freq * spec.os_delay
-            + (16 + 8) * n_rows * (_MAX_PENDING + extra) + 16 * _HELD_ENTRIES)
+    bounds, the cap of the lattice rows that its tentative picks hold
+    (``_HELD_ENTRIES`` values), and its grid's ``_offset_kernels`` (2n - 1
+    complex128 values for an axis of n points)."""
+    n_aoa, n_aod = config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod
+    n_tau = config.n_freq * spec.os_delay
+    return (spec._plane_bytes(config) + 16 * config.n_rx * config.n_tx * n_tau
+            + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra) + 16 * _HELD_ENTRIES
+            + 16 * (2 * (n_aoa + n_aod + n_tau) - 3))
 
 
 # curvature, relative to the samples, below which a parabola is flat: far

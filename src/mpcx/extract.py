@@ -4,6 +4,14 @@ Implements greedy matching pursuit on the oversampled beamspace grid, a
 driver that interleaves peak picking with least-squares amplitude refitting
 on a commit schedule, and a path-wise expectation-maximization refinement
 pass.  All estimators are deterministic functions of their inputs.
+
+The LS fits of lattice paths never touch the measurement: their Gram is
+gathered off the grid's offset kernels and their right-hand side A^H h is
+N times the residual grid at the paths plus the Gram times the committed
+gains (N = n_rx*n_tx*n_freq), in every greedy-LS iteration and in the
+global refit (``_lattice_normal_equations``).  Off-lattice geometry
+(``refine_peaks``, ``ls_amplitudes``) builds its normal equations from
+steering matrices and the matched filter (``_normal_equations``).
 """
 
 from __future__ import annotations
@@ -186,6 +194,26 @@ def _normal_equations(
     return _dictionary_gram(*atoms), _matched_filter(response.values, *atoms)
 
 
+def _lattice_normal_equations(picks: _PendingFootprints, paths: list[PathParams],
+                              at: tuple[np.ndarray, np.ndarray, np.ndarray],
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """``_normal_equations`` of lattice commits ``paths`` at the indices
+    ``at``, whose footprints at their gains ``g`` ``picks`` has subtracted
+    or holds pending, without a pass over the measurement.  The Gram ``G``
+    is gathered off the grid's offset kernels (``_lattice_gram``), and A^H h
+    = N v + G g, where v is the residual grid at the commits
+    (``residual_at``), which is A^H r / N on the lattice (N =
+    n_rx*n_tx*n_freq).  ValueError for as many paths as N."""
+    config = picks.grid.config
+    dim = config.n_rx * config.n_tx * config.n_freq
+    if len(paths) >= dim:
+        raise ValueError(f"{len(paths)} paths >= signal space dimension {dim}")
+    gram = picks.grid._lattice_gram(at)
+    rhs = dim * picks.residual_at(*at)
+    rhs += gram @ np.array([p.gain for p in paths], dtype=complex)
+    return gram, rhs
+
+
 def ls_amplitudes(
     response: FrequencyResponse,
     geometry: list[tuple[float, float, float]],
@@ -252,10 +280,13 @@ def greedy_ls(
        footprints keeps.  The transform records the first row peaks; a full
        ``peak_sweep`` writes the pending commits into the grid before the
        first pick when 16 are pending or the bound keeps over 5% of the
-       rows.  Each pick's steering columns are built once there;
+       rows.  A lattice pick's footprint is read off the grid's offset
+       kernels; with ``refine_peaks`` each pick's steering columns are built
+       once there;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
-       ones are dropped, later one first), with the Gram of the picks'
-       steering columns.  No residual response is kept.
+       ones are dropped, later one first), with their Gram gathered off the
+       offset kernels, or with ``refine_peaks`` that of their steering
+       columns.  No residual response is kept.
        The grid is the transform A^H / N of the residual (N =
        n_rx*n_tx*n_freq), so on the lattice the right-hand side A^H r is
        read off it: N times each candidate's value plus the earlier
@@ -277,7 +308,9 @@ def greedy_ls(
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
-    end (of duplicate geometries, the later one is dropped).
+    end (of duplicate geometries, the later one is dropped).  When every
+    commit is a lattice point its normal equations come off the picker
+    (``_lattice_normal_equations``), with no matched filter.
     With ``refine_peaks``, candidate coordinates are nudged off-grid by
     per-axis quadratic interpolation around each detected peak; estimates
     are grid-quantized otherwise.
@@ -322,12 +355,13 @@ def greedy_ls(
         if len(candidates) >= values.size:
             raise ValueError(f"{len(candidates)} paths >= signal space dimension "
                              f"{values.size}")
-        gram = _dictionary_gram(*atoms)
         if xcfg.refine_peaks:
+            gram = _dictionary_gram(*atoms)
             k = len(committed)
             rhs = _matched_filter(values, *atoms) - _dictionary_gram(
                 *atoms, other=tuple(d[:, :k] for d in done)) @ gains[:k]
         else:
+            gram = picks.grid._lattice_gram(picks.grid._lattice_indices(candidates))
             # N times the residual grid at a lattice pick is its A^H r, and a
             # candidate's value lacks the earlier candidates' footprints there
             vals = np.array([c.gain for c in candidates])
@@ -361,26 +395,32 @@ def greedy_ls(
 
     trace.full_sweeps, trace.grid_pass_s = picks.sweeps, picks.pass_s
     if xcfg.final_global_ls and committed:
-        committed = _global_refit(response, committed, cfg, trace)
+        committed = _global_refit(response, committed, cfg, trace, picks)
     return committed, trace
 
 
 def _candidates(picks: _PendingFootprints, k_g: int, refine: bool,
-                ) -> tuple[list[PathParams], list, tuple[np.ndarray, ...]]:
+                ) -> tuple[list[PathParams], list, tuple[np.ndarray, ...] | None]:
     """Up to ``k_g`` picks of greedy-LS on the grid minus the pending commits
     and the picks so far, each held on ``picks`` until the next commit,
-    ending before the first zero peak: the picks, their unit footprints and
-    their ``_steering_matrices``."""
+    ending before the first zero peak: the picks, their unit footprints and,
+    with ``refine``, their ``_steering_matrices``, also of a pick that lands
+    on the lattice (None without: every pick is a lattice point)."""
     found, units, atoms = [], [], []
     while len(found) < k_g:
         peak = picks.pick(refine)
         if peak.gain == 0:
             break
         atom, unit = picks.unit(peak)
+        if refine and atom is None:
+            atom = _steering_matrices(picks.grid.config, [peak.delay], [peak.aod],
+                                      [peak.aoa])
         picks.hold(unit, peak.gain)
         found.append(peak)
         units.append(unit)
         atoms.append(atom)
+    if not refine:
+        return found, units, None
     return found, units, tuple(np.concatenate(axis, axis=1) for axis in zip(*atoms))
 
 
@@ -389,12 +429,20 @@ def _global_refit(
     paths: list[PathParams],
     config: SounderConfig,
     trace: ExtractionTrace,
+    picks: _PendingFootprints | None = None,
 ) -> list[PathParams]:
     """Refit all committed amplitudes jointly against the original measurement;
     a later near or exact duplicate geometry is dropped by ``_dedup_solve``
-    from the normal equations of all of them, built once."""
-    amps, cond, kept, dropped = _dedup_solve(*_normal_equations(
-        response, [(p.delay, p.aod, p.aoa) for p in paths], config))
+    from the normal equations of all of them, built once.  With the picker
+    that committed them, and every commit on its grid's lattice, those are
+    ``_lattice_normal_equations``; otherwise ``_normal_equations``."""
+    at = None if picks is None else picks.grid._lattice_indices(paths)
+    if at is None:
+        normal = _normal_equations(response, [(p.delay, p.aod, p.aoa) for p in paths],
+                                   config)
+    else:
+        normal = _lattice_normal_equations(picks, paths, at)
+    amps, cond, kept, dropped = _dedup_solve(*normal)
     trace.ls_condition.append(cond)
     trace.dropped_duplicates += dropped
     return [replace(paths[i], gain=complex(a)) for a, i in zip(amps, kept)]

@@ -198,9 +198,20 @@ def test_grid_spec_axes():
     assert np.allclose(np.diff(tau), 1.0 / (1e9 * 3))
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(os_aoa=0)
+@pytest.mark.parametrize("field, value", [
+    ("os_aoa", 0), ("os_aod", 2.5), ("os_delay", float("nan")), ("os_aoa", 2.5),
+    ("os_aoa", True)])
+def test_grid_spec_validation(field, value):
+    """An oversampling factor that is not a positive integer raises a
+    ValueError naming its field at construction, before it reaches an axis
+    or a slice."""
+    with pytest.raises(ValueError, match=f"^{field} "):
+        GridSpec(**{field: value})
+
+
+def test_grid_spec_accepts_numpy_integers():
+    spec = GridSpec(os_aoa=np.int64(2), os_aod=np.int32(3), os_delay=np.uint8(1))
+    assert len(spec.aoa_axis(DESK)) == 16 and len(spec.aod_axis(DESK)) == 24
 
 
 def test_coset_kernel_matches_the_aod_lattice():

@@ -719,11 +719,13 @@ def _extract_need(config, os, k_g):
     """Bytes that extract allocates at oversample ``os``: the stored AoD
     plane (os^2) plus the transform's delay-transformed lines (os),
     complex128; the picker's 16 + k_g factor columns (complex128) with their
-    row bounds (float64) over the (AoA, AoD) rows, and the 2^20 complex128
-    lattice values that its tentative picks hold at most."""
+    row bounds (float64) over the (AoA, AoD) rows, the 2^20 complex128
+    lattice values that its tentative picks hold at most, and the grid's
+    offset kernels, 2n - 1 complex128 values per axis of n points."""
     grid = (os * os + os) * config.n_rx * config.n_tx * config.n_freq * 16
     rows = config.n_rx * config.n_tx * os * os
-    return grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20)
+    axes = os * (config.n_rx + config.n_tx + config.n_freq)
+    return grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20) + 16 * (2 * axes - 3)
 
 
 def test_extract_memory_preflight_counts_the_picker(tmp_path, capsys, monkeypatch):

@@ -294,6 +294,106 @@ def test_gram_matches_closed_form_kernels(cfg, k):
     assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+def lattice_commits(rng, cfg, spec, count, duplicate=False):
+    """``count`` paths at distinct lattice points of ``spec`` with random
+    gains, the last one at the first one's point when ``duplicate``."""
+    aoa_ax, aod_ax, tau_ax = axes(cfg, spec)
+    flat = rng.choice(len(aoa_ax) * len(aod_ax) * len(tau_ax), count, replace=False)
+    i, j, l = np.unravel_index(flat, (len(aoa_ax), len(aod_ax), len(tau_ax)))
+    if duplicate:
+        i[-1], j[-1], l[-1] = i[0], j[0], l[0]
+    return [PathParams(gain=complex(rng.normal(), rng.normal()),
+                       delay=float(tau_ax[c]), aod=float(aod_ax[b]), aoa=float(aoa_ax[a]))
+            for a, b, c in zip(i, j, l)]
+
+
+def committed_picker(response, paths, spec, pending):
+    """A picker whose grid holds ``response`` minus ``paths``: all but the
+    last ``pending`` of them subtracted before the transform, those appended
+    as pending footprints."""
+    cfg = response.config
+    written = synthesize_response(cfg, paths[:len(paths) - pending]).values
+    picks = beamspace._PendingFootprints(
+        FrequencyResponse(response.values - written, cfg), spec, 1)
+    for path in paths[len(paths) - pending:]:
+        picks.append(picks.unit(path)[1], path.gain)
+    return picks
+
+
+@pytest.mark.parametrize("os, pending, duplicate, small_cache", [
+    (1, 0, False, False), (1, 5, True, False), (3, 16, True, False),
+    (2, 7, False, True), (4, 3, True, True)])
+def test_lattice_refit_equals_the_matched_filter_refit(os, pending, duplicate,
+                                                       small_cache):
+    """The global refit of lattice commits, given their picker, reads its
+    right-hand side off the residual grid (N times it at the commits plus
+    the Gram times their gains) and gathers its Gram off the offset kernels:
+    no normal equations of the measurement.  It keeps the same paths
+    and drops as many as the refit from the measurement, with amplitudes to
+    1e-9 relative, whether the commits are written into the grid or
+    pending, also with an exact duplicate geometry and with the residual
+    read in chunks of a row cache holding 5 rows (``_HELD_ENTRIES`` patched
+    small)."""
+    rng = np.random.default_rng(67 + os)
+    resp = desk_case(os, 20.0, n_paths=10)
+    spec = GridSpec(os_aoa=os, os_aod=os, os_delay=os)
+    paths = lattice_commits(rng, DESK, spec, 24, duplicate)
+    with mock.patch.object(beamspace, "_HELD_ENTRIES",
+                           1 if small_cache else beamspace._HELD_ENTRIES):
+        picks = committed_picker(resp, paths, spec, pending)
+        trace = ExtractionTrace()
+        with mock.patch.object(extract, "_normal_equations") as normal, \
+                mock.patch.object(beamspace, "_point_value",
+                                  wraps=beamspace._point_value) as read:
+            refit = extract._global_refit(resp, paths, DESK, trace, picks)
+        assert normal.call_count == 0
+        if small_cache:
+            assert picks.grid._lattice_rows.limit == 5
+            rows = len(set((p.aoa, p.aod) for p in paths))
+            assert read.call_count == math.ceil(rows / 5) > 1
+    oracle_trace = ExtractionTrace()
+    oracle = extract._global_refit(resp, paths, DESK, oracle_trace)
+    assert trace.dropped_duplicates == oracle_trace.dropped_duplicates == duplicate
+    assert [(p.delay, p.aod, p.aoa) for p in refit] == [
+        (p.delay, p.aod, p.aoa) for p in oracle]
+    gains = np.array([p.gain for p in oracle])
+    assert np.max(np.abs([p.gain for p in refit] - gains)) <= 1e-9 * np.max(np.abs(gains))
+    assert trace.ls_condition[0] == pytest.approx(oracle_trace.ls_condition[0], rel=1e-6)
+
+
+def test_lattice_refit_falls_back_off_the_lattice():
+    """One commit off the picker's lattice sends the refit to the normal
+    equations of the measurement, whose amplitudes it then returns."""
+    rng = np.random.default_rng(71)
+    resp = desk_case(5, 20.0, n_paths=10)
+    spec = GridSpec()
+    paths = lattice_commits(rng, DESK, spec, 6)
+    paths[2] = replace(paths[2], aod=paths[2].aod + 1e-3)
+    picks = committed_picker(resp, paths, spec, 2)
+    refit = extract._global_refit(resp, paths, DESK, ExtractionTrace(), picks)
+    assert [p.gain for p in refit] == list(ls_amplitudes(
+        resp, [(p.delay, p.aod, p.aoa) for p in paths], DESK))
+
+
+def test_lattice_refit_memory_at_paper_refit_size():
+    """448-path lattice refit at paper oversample 1: the gathered Gram, the
+    residual read and the solve stay within 4 Gram matrices."""
+    rng = np.random.default_rng(61)
+    spec = GridSpec(os_aoa=1, os_aod=1, os_delay=1)
+    paths = lattice_commits(rng, PAPER, spec, 448)
+    resp = synthesize_response(PAPER, [])
+    picks = committed_picker(resp, paths, spec, 4)
+    gram_bytes = 16 * len(paths) ** 2
+    tracemalloc.start()
+    try:
+        refit = extract._global_refit(resp, paths, PAPER, ExtractionTrace(), picks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(refit) == 448
+    assert peak <= 4 * gram_bytes, f"peak {peak / gram_bytes:.2f}x the Gram"
+
+
 def test_ls_solve_memory_at_paper_refit_size():
     "448-path paper refit: atoms, Gram and solve stay within 4 Gram matrices."
     rng = np.random.default_rng(61)
@@ -824,10 +924,14 @@ def test_grid_matrices_built_once_per_extraction():
 
 
 def test_candidate_atoms_built_once_per_pick():
-    """greedy_ls builds each candidate's steering matrices once, when it is
-    picked: the LS Gram, and with refine_peaks the matched filter and the
-    cross-Gram with the commits, reuse them.  The only other builds are the
-    grid's lattice matrices and the global refit's atoms."""
+    """On the lattice greedy_ls builds no steering matrices per pick: the
+    footprints, the LS Gram and the global refit read the grid's offset
+    kernels, so the only builds are the grid's lattice matrices and those
+    kernels.  With refine_peaks each candidate's steering matrices are built
+    once, when it is picked: its footprint, the LS Gram, the matched filter
+    and the cross-Gram with the commits reuse them, and the only other builds
+    are the lattice matrices and the global refit's atoms (no refined pick
+    lands on the lattice here, so no kernel is built)."""
     resp = desk_case(3, 20.0, n_paths=10)
     for refine in (False, True):
         built = mock.Mock(wraps=sounder._steering_matrices)
@@ -838,15 +942,14 @@ def test_candidate_atoms_built_once_per_pick():
                 k_dom=12, k_g=4, k_up=2, residual_stop=0.0, refine_peaks=refine))
         assert len(found) == 12
         assert tentative == 4 * (len(trace.ls_condition) - 1)
-        assert built.call_count == tentative + 2
+        assert built.call_count == (tentative + 2 if refine else 2)
 
 
 def test_measurement_matched_filter_only_in_refit_on_the_lattice():
-    """On the lattice greedy_ls reads each iteration's LS right-hand side off
-    the residual grid: the matched filter of the measurement runs once per
-    extraction, in the global refit, and never without it, whatever k_dom.
-    With refine_peaks the picks are off the lattice and it runs once per
-    iteration."""
+    """On the lattice greedy_ls reads each iteration's LS right-hand side and
+    the global refit's off the residual grid: the matched filter of the
+    measurement never runs, whatever k_dom.  With refine_peaks the picks are
+    off the lattice and it runs once per iteration and once in the refit."""
     for n_paths, k_dom in ((2, 1), (10, 12)):
         resp = desk_case(3, 20.0, n_paths)
         for refine in (False, True):
@@ -858,7 +961,7 @@ def test_measurement_matched_filter_only_in_refit_on_the_lattice():
                         final_global_ls=final_ls, refine_peaks=refine))
                 iterations = len(trace.ls_condition) - final_ls
                 assert iterations >= (k_dom + 1) // 2
-                assert filtered.call_count == refine * iterations + final_ls
+                assert filtered.call_count == refine * (iterations + final_ls)
                 assert len(found) == k_dom
 
 

@@ -347,6 +347,65 @@ def test_single_path_grid_equals_transform_of_synthesis(n_rx, n_tx, n_freq, os_a
     assert np.max(np.abs(kernel - grid)) <= 1e-9 * abs(path.gain)
 
 
+DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(desk=st.booleans(), n_rx=st.integers(1, 5), n_tx=st.integers(1, 5),
+       n_freq=st.integers(1, 9), os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4),
+       os_delay=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       n_paths=st.integers(1, 6))
+@example(desk=True, n_rx=1, n_tx=1, n_freq=1, os_aoa=4, os_aod=4, os_delay=4,
+         seed=5, n_paths=6)
+def test_lattice_footprints_and_gram_equal_the_steering_oracle(
+        desk, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths):
+    """A lattice path's unit footprint, read off the grid's offset kernels
+    with no steering matrices, is the ``_kernel_factors`` of its
+    ``_steering_matrices`` (left, right and row bound, each to 1e-12 of its
+    maximum), and the Gram that the grid gathers by index differences is
+    ``_dictionary_gram`` to 1e-12 relative, duplicates and index 0 and the
+    last index of every axis included; a path off the lattice keeps its
+    steering matrices."""
+    if desk:
+        cfg = DESK
+        spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
+        shape = (len(spec.aoa_axis(cfg)), len(spec.aod_axis(cfg)),
+                 len(spec.delay_axis(cfg)))
+    else:
+        cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+    picks = beamspace._PendingFootprints(
+        FrequencyResponse(values=complex_normal(rng, (cfg.n_rx, cfg.n_tx, cfg.n_freq)),
+                          config=cfg), spec, 1)
+    grid = picks.grid
+    at = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(n_paths)]
+    at += [(0, 0, 0), tuple(n - 1 for n in shape), at[0]]
+    paths = [PathParams(gain=1, delay=float(grid.delay_axis[l]),
+                        aod=float(grid.aod_axis[j]), aoa=float(grid.aoa_axis[i]))
+             for i, j, l in at]
+    for path, index in zip(paths, at):
+        assert grid._lattice_index(path) == index
+        atoms, (left, right, bound) = picks.unit(path)
+        assert atoms is None
+        steering = sounder._steering_matrices(cfg, [path.delay], [path.aod], [path.aoa])
+        oracle_left, oracle_right = beamspace._kernel_factors(grid._matrices, steering,
+                                                              np.ones(1))
+        oracle_bound = np.abs(oracle_left[:, 0]) * np.abs(oracle_right).max()
+        for got, oracle in ((left, oracle_left[:, 0]), (right, oracle_right[0]),
+                            (bound, oracle_bound)):
+            assert got.shape == oracle.shape
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    gram = grid._lattice_gram(grid._lattice_indices(paths))
+    oracle = _dictionary_gram(*sounder._steering_matrices(
+        cfg, *zip(*[(p.delay, p.aod, p.aoa) for p in paths])))
+    assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    off = replace(paths[0], delay=paths[0].delay + 0.25 / cfg.bandwidth_hz / os_delay)
+    assert grid._lattice_index(off) is None
+    assert grid._lattice_indices(paths + [off]) is None
+    atoms, _ = picks.unit(off)
+    assert [a.shape for a in atoms] == [(cfg.n_rx, 1), (cfg.n_tx, 1), (cfg.n_freq, 1)]
+
+
 def dense_atoms(cfg, geometry):
     "Explicit (n_rx*n_tx*n_freq, K) dictionary from hand-written exponentials."
     r, t, f = np.arange(cfg.n_rx), np.arange(cfg.n_tx), cfg.freq_grid
