@@ -16,10 +16,13 @@ lattice path depends only on the offset from the path's own index (a
 shifted Dirichlet kernel), so a grid also builds, once, one kernel per axis
 over lattice offsets from the same matrices (``_offset_kernels``: AoA and
 AoD circulant, delay Toeplitz).  The picker reads a lattice path's
-footprint off them as windows, with no steering matrices, and the Gram of
-lattice atoms is gathered from them by index differences
-(``_lattice_gram``), for greedy-LS's candidates and its global refit.  A
-path off the lattice keeps the steering-matrix product.
+footprint off them as windows, with no steering matrices.  Each kernel is
+a real Dirichlet kernel times a phase linear in the offset, ``exp(-j beta
+d) D(d)`` (Sayeed, IEEE TSP 2002), so the Gram of lattice atoms is
+``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, gathered by
+index differences from the kernels in that real frame (``_offset_phases``,
+``_real_kernels``, ``_lattice_gram``), for greedy-LS's candidates and its
+global refit.  A path off the lattice keeps the steering-matrix product.
 
 A grid made by ``beamspace_transform`` stores only the critically sampled
 AoD plane: the rows j = os_aod*q of each AoA row, n_aoa x n_tx x n_tau
@@ -224,6 +227,30 @@ class BeamspaceGrid:
         return (np.concatenate((k_rx[1:], k_rx)), np.concatenate((k_tx[1:], k_tx)),
                 np.concatenate((last, first[1:])))
 
+    @cached_property
+    def _offset_phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``exp(-j beta d)`` of each axis over the offsets d of its
+        ``_offset_kernels`` (entry ``d + n - 1`` for an axis of n points), the
+        phase that makes an offset kernel real: on the uniform lattice the
+        kernel at offset d is ``exp(-j beta d) D(d)`` with ``D`` a real
+        Dirichlet kernel (Sayeed, IEEE TSP 2002), beta = pi (n_rx - 1)/n_aoa
+        for AoA, -pi (n_tx - 1)/n_aod for AoD and pi/n_tau for delay.  The
+        angles are reduced to [0, 2 pi) in integers."""
+        slopes = (self.config.n_rx - 1, 1 - self.config.n_tx, 1)
+        return tuple(np.exp(-1j * np.pi * (c * np.arange(1 - n, n) % (2 * n)) / n)
+                     for c, n in zip(slopes, self.shape))
+
+    @cached_property
+    def _real_kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``_offset_kernels`` in the real frame, built once per grid:
+        each divided by its ``_offset_phases``, real part, averaged with its
+        value at -d, so the Dirichlet kernel is exactly even and a Gram
+        gathered from it exactly symmetric.  The imaginary part dropped is
+        rounding, about 1e-14 of the kernel's maximum."""
+        real = [(kernel * phase.conj()).real
+                for kernel, phase in zip(self._offset_kernels, self._offset_phases)]
+        return tuple((r + r[::-1]) / 2 for r in real)
+
     def _lattice_index(self, path: PathParams) -> tuple[int, int, int] | None:
         """Index of the lattice point whose axis values ``path``'s coordinates
         equal exactly, as ``_path_at`` makes them; None off the lattice."""
@@ -240,18 +267,25 @@ class BeamspaceGrid:
             return None
         return tuple(np.array(axis, dtype=np.intp) for axis in zip(*at))
 
-    def _lattice_gram(self, at: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        """Gram matrix A^H A of the atoms at the lattice indices ``at`` (the
-        arrays of ``_lattice_indices``), gathered by index differences: entry
-        (a, b) is N = n_rx*n_tx*n_freq times the ``_offset_kernels`` entries at
-        index a minus index b, one per axis (the AoA kernel carries 1/N)."""
-        (k_rx, k_tx, k_f), (i, j, l) = self._offset_kernels, at
+    def _lattice_gram(self, at: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """``(R, phase)``: the Gram matrix A^H A of the atoms at the lattice
+        indices ``at`` (the arrays of ``_lattice_indices``) in the real
+        frame, ``A^H A = diag(phase) R diag(phase)^H``.  ``R`` is real
+        symmetric, gathered by index differences: entry (a, b) is N =
+        n_rx*n_tx*n_freq times the ``_real_kernels`` entries at index a
+        minus index b, one per axis (the AoA kernel carries 1/N).  ``phase``
+        is the product of the three axes' ``_offset_phases`` at each index
+        (its offset from index 0), so |R| = |A^H A| and both have the same
+        eigenvalues."""
+        (k_rx, k_tx, k_f), (i, j, l) = self._real_kernels, at
+        p_rx, p_tx, p_f = self._offset_phases
         n_aoa, n_aod, n_tau = self.shape
         gram = k_rx[np.add.outer(i, n_aoa - 1 - i)]
         gram *= k_tx[np.add.outer(j, n_aod - 1 - j)]
         gram *= k_f[np.add.outer(l, n_tau - 1 - l)]
         gram *= self.config.n_rx * self.config.n_tx * self.config.n_freq
-        return gram
+        return gram, p_rx[n_aoa - 1 + i] * p_tx[n_aod - 1 + j] * p_f[n_tau - 1 + l]
 
     def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool = False,
                  factors: tuple[np.ndarray, np.ndarray] | None = None) -> PathParams:
@@ -677,23 +711,25 @@ def tentative_peak(
     mag_buf = np.empty((size, n_tau))
     row_buf = np.empty(size)
     cache = grid._lattice_rows
-
-    def peaks():
-        for p0 in range(0, len(rows), cache.limit):
-            part = rows[p0:p0 + cache.limit]
-            source, slots = cache.gather(grid, part)
-            for c0 in range(0, len(part), size):
-                at = part[c0:c0 + size]
-                n = len(at)
-                block = np.take(source, slots[c0:c0 + size], axis=0,
-                                out=block_buf[:n], mode="clip")
-                np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]),
-                            out=block)
-                mag = np.abs(block, out=mag_buf[:n])
-                peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
-                yield peak, int(at[r]) * n_tau + k, complex(block[r, k])
-
-    return _first_peak(peaks(), grid.shape)
+    # the block peaks are collected here, not drained from a generator by
+    # ``_first_peak``, so a profile bills their evaluation to this function
+    peaks = []
+    for p0 in range(0, len(rows), cache.limit):
+        part = rows[p0:p0 + cache.limit]
+        source, slots = cache.gather(grid, part)
+        for c0 in range(0, len(part), size):
+            at = part[c0:c0 + size]
+            n = len(at)
+            block = np.take(source, slots[c0:c0 + size], axis=0,
+                            out=block_buf[:n], mode="clip")
+            np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]),
+                        out=block)
+            mag = np.abs(block, out=mag_buf[:n])
+            peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
+            peaks.append((peak, int(at[r]) * n_tau + k, complex(block[r, k])))
+            if not math.isfinite(peak):  # the merge names it
+                return _first_peak(peaks, grid.shape)
+    return _first_peak(peaks, grid.shape)
 
 
 # pending footprints, and share of the rows their bound keeps, past which a
@@ -837,13 +873,14 @@ def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
     n_freq*os_delay complex128 values), the ``_MAX_PENDING`` + ``extra``
     factor columns of n_aoa*n_aod complex128 values with their float64 row
     bounds, the cap of the lattice rows that its tentative picks hold
-    (``_HELD_ENTRIES`` values), and its grid's ``_offset_kernels`` (2n - 1
-    complex128 values for an axis of n points)."""
+    (``_HELD_ENTRIES`` values), and its grid's ``_offset_kernels``,
+    ``_offset_phases`` and ``_real_kernels`` (2n - 1 complex128, complex128
+    and float64 values each for an axis of n points)."""
     n_aoa, n_aod = config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod
     n_tau = config.n_freq * spec.os_delay
     return (spec._plane_bytes(config) + 16 * config.n_rx * config.n_tx * n_tau
             + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra) + 16 * _HELD_ENTRIES
-            + 16 * (2 * (n_aoa + n_aod + n_tau) - 3))
+            + (16 + 16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
 
 
 # curvature, relative to the samples, below which a parabola is flat: far

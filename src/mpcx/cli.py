@@ -289,6 +289,13 @@ def cmd_synth(args):
                                  f"{mean_power!r}: not finite and positive")
         if noise_power > 0:
             response = add_awgn(response, noise_power, args.seed)
+            # extract refuses a tensor whose power overflows: write none
+            if not math.isfinite(response.power):
+                flag, value = (("--noise-power", args.noise_power) if args.snr_db is None
+                               else ("--snr-db", args.snr_db))
+                raise UsageError(f"{flag} {value!r} gives noise power {noise_power!r}, "
+                                 f"and the noisy tensor's total power "
+                                 f"{response.power!r} is not finite")
         fileio.save_tensor(out_dir / TENSOR_BIN, response)
         fileio.save_sounder_config(out_dir / CONFIG_TXT, config)
         fileio.save_paths_csv(out_dir / TRUTH_CSV, paths)

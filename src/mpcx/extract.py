@@ -9,9 +9,13 @@ The LS fits of lattice paths never touch the measurement: their Gram is
 gathered off the grid's offset kernels and their right-hand side A^H h is
 N times the residual grid at the paths plus the Gram times the committed
 gains (N = n_rx*n_tx*n_freq), in every greedy-LS iteration and in the
-global refit (``_lattice_normal_equations``).  Off-lattice geometry
-(``refine_peaks``, ``ls_amplitudes``) builds its normal equations from
-steering matrices and the matched filter (``_normal_equations``).
+global refit (``_lattice_normal_equations``).  They are solved in the real
+frame: a lattice Gram is ``G = diag(phase) R diag(phase)^H`` with ``R``
+real symmetric (``BeamspaceGrid._lattice_gram``), so the condition and the
+solve run on ``R``, with the right-hand side times ``phase^H``, and the
+solution times ``phase`` is the amplitudes.  Off-lattice geometry
+(``refine_peaks``, ``ls_amplitudes``) builds its complex normal equations
+from steering matrices and the matched filter (``_normal_equations``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .sounder import (
     SounderConfig,
     _matched_filter,
     _steering_matrices,
+    _sum_squares,
     synthesize_response,
 )
 
@@ -162,11 +167,16 @@ def _gram_condition(gram: np.ndarray) -> float:
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solution of ``gram @ x = rhs`` and the Gram condition number, from its
-    eigenvalues; DegenerateGeometryError if that exceeds the limit."""
+    eigenvalues; DegenerateGeometryError if that exceeds the limit.  A real
+    Gram (the lattice frame of ``BeamspaceGrid._lattice_gram``) with a
+    complex right-hand side is solved as one real system of two columns."""
     condition = _gram_condition(gram)
     if not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT:
         raise DegenerateGeometryError(condition, _coherence_pairs(gram))
-    return np.linalg.solve(gram, rhs), condition
+    if np.iscomplexobj(gram) or not np.iscomplexobj(rhs):
+        return np.linalg.solve(gram, rhs), condition
+    parts = np.linalg.solve(gram, np.stack((rhs.real, rhs.imag), axis=1))
+    return parts[:, 0] + 1j * parts[:, 1], condition
 
 
 def _normal_equations(
@@ -196,22 +206,28 @@ def _normal_equations(
 
 def _lattice_normal_equations(picks: _PendingFootprints, paths: list[PathParams],
                               at: tuple[np.ndarray, np.ndarray, np.ndarray],
-                              ) -> tuple[np.ndarray, np.ndarray]:
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_normal_equations`` of lattice commits ``paths`` at the indices
     ``at``, whose footprints at their gains ``g`` ``picks`` has subtracted
-    or holds pending, without a pass over the measurement.  The Gram ``G``
-    is gathered off the grid's offset kernels (``_lattice_gram``), and A^H h
-    = N v + G g, where v is the residual grid at the commits
-    (``residual_at``), which is A^H r / N on the lattice (N =
-    n_rx*n_tx*n_freq).  ValueError for as many paths as N."""
+    or holds pending, without a pass over the measurement, in the real
+    frame: ``(R, rhs, phase)`` with the Gram ``G = diag(phase) R
+    diag(phase)^H`` gathered off the grid's offset kernels
+    (``_lattice_gram``) and ``rhs = phase^H A^H h``, whose solution times
+    ``phase`` is the amplitudes.  A^H h = N v + G g, where v is the residual
+    grid at the commits (``residual_at``), which is A^H r / N on the lattice
+    (N = n_rx*n_tx*n_freq), so ``rhs = N phase^H v + R (phase^H g)``.
+    ValueError for as many paths as N."""
     config = picks.grid.config
     dim = config.n_rx * config.n_tx * config.n_freq
     if len(paths) >= dim:
         raise ValueError(f"{len(paths)} paths >= signal space dimension {dim}")
-    gram = picks.grid._lattice_gram(at)
-    rhs = dim * picks.residual_at(*at)
-    rhs += gram @ np.array([p.gain for p in paths], dtype=complex)
-    return gram, rhs
+    gram, phase = picks.grid._lattice_gram(at)
+    rhs = dim * picks.residual_at(*at) * phase.conj()
+    gains = np.array([p.gain for p in paths], dtype=complex) * phase.conj()
+    # R times the real and the imaginary parts: a complex product would cast
+    # R to a complex copy
+    rhs += gram @ gains.real + 1j * (gram @ gains.imag)
+    return gram, rhs, phase
 
 
 def ls_amplitudes(
@@ -285,8 +301,9 @@ def greedy_ls(
        once there;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
        ones are dropped, later one first), with their Gram gathered off the
-       offset kernels, or with ``refine_peaks`` that of their steering
-       columns.  No residual response is kept.
+       offset kernels in the real frame (``diag(phase) R diag(phase)^H``,
+       solved for phase^H times the amplitudes), or with ``refine_peaks``
+       that of their steering columns.  No residual response is kept.
        The grid is the transform A^H / N of the residual (N =
        n_rx*n_tx*n_freq), so on the lattice the right-hand side A^H r is
        read off it: N times each candidate's value plus the earlier
@@ -298,8 +315,9 @@ def greedy_ls(
        their gains;
     3. commit the ``k_up`` candidates with the largest refitted power, each
        at the exactly optimal single-path amplitude for the residual: its
-       right-hand side entry over n_rx*n_tx*n_freq, the entries updated by
-       ``-gram[:, c] * alpha`` after each commit.  The residual power falls
+       right-hand side entry over n_rx*n_tx*n_freq (times its phase on the
+       lattice), the entries updated by ``-gram[:, c]`` times that quotient
+       after each commit.  The residual power falls
        by n_rx*n_tx*n_freq*|alpha|^2 (clamped at 0), so it never increases;
        once it is below ``_RUNNING_POWER_FLOOR`` of the initial power, where
        that running difference keeps too few digits, it is the power of the
@@ -324,7 +342,7 @@ def greedy_ls(
         raise ValueError("response and config disagree")
     cfg = config
     values = response.values
-    trace = ExtractionTrace(initial_power=float(np.vdot(values, values).real))
+    trace = ExtractionTrace(initial_power=response.power)
     if trace.initial_power == 0:
         trace.stop_reason = "exhausted"
         return [], trace
@@ -356,15 +374,18 @@ def greedy_ls(
             raise ValueError(f"{len(candidates)} paths >= signal space dimension "
                              f"{values.size}")
         if xcfg.refine_peaks:
-            gram = _dictionary_gram(*atoms)
+            gram, phase = _dictionary_gram(*atoms), None
             k = len(committed)
             rhs = _matched_filter(values, *atoms) - _dictionary_gram(
                 *atoms, other=tuple(d[:, :k] for d in done)) @ gains[:k]
         else:
-            gram = picks.grid._lattice_gram(picks.grid._lattice_indices(candidates))
+            # in the real frame: the Gram is diag(phase) R diag(phase)^H and
+            # the system is solved for phase^H times the amplitudes
+            gram, phase = picks.grid._lattice_gram(
+                picks.grid._lattice_indices(candidates))
             # N times the residual grid at a lattice pick is its A^H r, and a
             # candidate's value lacks the earlier candidates' footprints there
-            vals = np.array([c.gain for c in candidates])
+            vals = np.array([c.gain for c in candidates]) * phase.conj()
             rhs = values.size * vals + np.tril(gram, -1) @ vals
         amps, cond, kept, dropped = _dedup_solve(gram, rhs)
         trace.ls_condition.append(cond)
@@ -377,6 +398,8 @@ def greedy_ls(
             c = kept[int(order[rank])]
             alpha = complex(rhs[c]) / values.size
             rhs -= gram[:, c] * alpha
+            if phase is not None:
+                alpha *= complex(phase[c])
             power = max(power - values.size * abs(alpha) ** 2, 0.0)
             if xcfg.refine_peaks:
                 for d, a in zip(done, atoms):
@@ -389,7 +412,7 @@ def greedy_ls(
             elif power < _RUNNING_POWER_FLOOR * trace.initial_power:
                 residual = values - synthesize_response(cfg, committed).values
             if residual is not None:
-                power = float(np.vdot(residual, residual).real)
+                power = _sum_squares(residual)
             trace.residual_power.append(power)
             trace.committed_gain_power.append(abs(alpha) ** 2)
 
@@ -438,11 +461,14 @@ def _global_refit(
     ``_lattice_normal_equations``; otherwise ``_normal_equations``."""
     at = None if picks is None else picks.grid._lattice_indices(paths)
     if at is None:
-        normal = _normal_equations(response, [(p.delay, p.aod, p.aoa) for p in paths],
-                                   config)
+        gram, rhs = _normal_equations(
+            response, [(p.delay, p.aod, p.aoa) for p in paths], config)
+        phase = None
     else:
-        normal = _lattice_normal_equations(picks, paths, at)
-    amps, cond, kept, dropped = _dedup_solve(*normal)
+        gram, rhs, phase = _lattice_normal_equations(picks, paths, at)
+    amps, cond, kept, dropped = _dedup_solve(gram, rhs)
+    if phase is not None:
+        amps = amps * phase[kept]
     trace.ls_condition.append(cond)
     trace.dropped_duplicates += dropped
     return [replace(paths[i], gain=complex(a)) for a, i in zip(amps, kept)]
@@ -465,7 +491,7 @@ def reconstruction_error(estimate: FrequencyResponse, truth: FrequencyResponse) 
     denom = truth.power
     if denom == 0:
         raise ValueError("truth response has zero power")
-    return float(np.sum(np.abs(estimate.values - truth.values) ** 2)) / denom
+    return _sum_squares(estimate.values - truth.values) / denom
 
 
 def sage_refine(

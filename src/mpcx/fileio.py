@@ -444,13 +444,18 @@ def save_associated_scatter_csv(path, pairs: list[tuple[int, int, float]],
 def save_matrix_csv(path, row_name: str, row_axis: np.ndarray,
                     col_axis: np.ndarray, matrix: np.ndarray) -> None:
     """Real matrix as CSV: header row holds the column-axis coordinates,
-    first column the row-axis coordinate."""
-    matrix = np.asarray(matrix)
+    first column the row-axis coordinate.  The values are floats, each
+    written by ``repr`` as ``_fmt`` writes it, a row as one join (no field
+    of a float needs quoting); ValueError for a value that is not a number."""
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (len(row_axis), len(col_axis)):
         raise ValueError(f"matrix shape {matrix.shape} does not match axes "
                          f"({len(row_axis)}, {len(col_axis)})")
-    _write_csv(path, [row_name] + [_fmt(c) for c in col_axis],
-               ([_fmt(r)] + [_fmt(v) for v in row] for r, row in zip(row_axis, matrix)))
+    with _atomic_open(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(
+            [row_name] + [_fmt(c) for c in col_axis])
+        fh.writelines(",".join([_fmt(r)] + list(map(repr, row))) + "\n"
+                      for r, row in zip(row_axis, matrix.tolist()))
 
 
 def copy_artifact(src, dst) -> None:

@@ -136,10 +136,21 @@ class FrequencyResponse:
 
     @property
     def power(self) -> float:
-        """Total squared Frobenius power summed over all tensor entries; inf,
-        without a warning, when it overflows the float range."""
-        with np.errstate(over="ignore"):
-            return float(np.sum(np.abs(self.values) ** 2))
+        """Total squared Frobenius power summed over all tensor entries
+        (``_sum_squares``); inf, without a warning, when it overflows the
+        float range."""
+        return _sum_squares(self.values)
+
+
+def _sum_squares(values: np.ndarray) -> float:
+    """sum |v|^2 over a complex array: one real dot of its float view with
+    itself, so no magnitude temporary is made.  Every term is a non-negative
+    square, so a sum past the float range is inf, without a warning, and
+    only a NaN entry makes NaN (``np.vdot`` of a complex array can make NaN
+    of an overflow, as inf - inf in its cross terms)."""
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float)
+    with np.errstate(over="ignore"):
+        return float(np.dot(flat, flat))
 
 
 @dataclass(frozen=True)
@@ -255,14 +266,25 @@ def synthesize_response(config: SounderConfig, paths: list[PathParams]) -> Frequ
     for p in paths:
         _check_delay(config, p.delay)
     values = np.zeros((config.n_rx, config.n_tx, config.n_freq), dtype=complex)
+    # by delay, so that the paths of a block that share one are contiguous
+    paths = sorted(paths, key=lambda p: p.delay)
     for k0 in range(0, len(paths), _SYNTH_CHUNK):
         chunk = paths[k0:k0 + _SYNTH_CHUNK]
-        (a_rx, a_tx, a_f), gains = _path_atoms(config, chunk)
-        weighted_rx = a_rx * gains
+        delays = np.array([p.delay for p in chunk])
+        # the first path of each distinct delay
+        starts = np.flatnonzero(np.diff(delays, prepend=-1.0))
+        a_rx, a_tx, a_f = _steering_matrices(config, delays[starts],
+                                             [p.aod for p in chunk],
+                                             [p.aoa for p in chunk])
+        weighted_rx = a_rx * np.array([p.gain for p in chunk])
+        shared = len(starts) < len(chunk)
         for r in range(config.n_rx):
-            values[r] += (a_tx * weighted_rx[r]) @ a_f.T
+            columns = a_tx * weighted_rx[r]
+            if shared:
+                columns = np.add.reduceat(columns, starts, axis=1)
+            values[r] += columns @ a_f.T
         # free this block's matrices before the next block's are built
-        del a_rx, a_tx, a_f, weighted_rx
+        del a_rx, a_tx, a_f, weighted_rx, columns
     return FrequencyResponse(values=values, config=config)
 
 

@@ -556,6 +556,23 @@ def test_snr_without_finite_noise_power_exits_1(tmp_path, capsys, snr_db, gain):
     assert not (out / "tensor.bin").exists()
 
 
+@pytest.mark.parametrize("flag, value, gain", [("--noise-power", "1e308", "1"),
+                                               ("--snr-db", "-70", "1e150")])
+def test_noise_that_overflows_the_tensor_power_exits_1(tmp_path, capsys, flag,
+                                                       value, gain):
+    """A finite noise power whose noisy tensor has a total power that is not
+    finite, which extract would refuse: exit 1 naming the flag, no tensor."""
+    paths = tmp_path / "p.csv"
+    paths.write_text("gain_real,gain_imag,delay_s,aod_cycles,aoa_cycles\n"
+                     f"{gain},0,5e-09,0.1,0.1\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["synth", "--config", "desk", "--paths", str(paths), flag, value,
+                 "--seed", "1", "--out-dir", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "not finite" in err
+    assert not (out / "tensor.bin").exists()
+
+
 @pytest.mark.parametrize("key", ["dynamic_range_db", "angle_spread",
                                  "delay_spread_s", "cluster_decay_db"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -721,11 +738,14 @@ def _extract_need(config, os, k_g):
     complex128; the picker's 16 + k_g factor columns (complex128) with their
     row bounds (float64) over the (AoA, AoD) rows, the 2^20 complex128
     lattice values that its tentative picks hold at most, and the grid's
-    offset kernels, 2n - 1 complex128 values per axis of n points."""
+    offset kernels and their phases, 2n - 1 complex128 values each per axis
+    of n points, with the kernels' real-frame copies, 2n - 1 float64
+    values."""
     grid = (os * os + os) * config.n_rx * config.n_tx * config.n_freq * 16
     rows = config.n_rx * config.n_tx * os * os
     axes = os * (config.n_rx + config.n_tx + config.n_freq)
-    return grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20) + 16 * (2 * axes - 3)
+    return (grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20)
+            + (16 + 16 + 8) * (2 * axes - 3))
 
 
 def test_extract_memory_preflight_counts_the_picker(tmp_path, capsys, monkeypatch):

@@ -600,6 +600,24 @@ def test_reconstruction_error_values():
         reconstruction_error(truth, zero)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sums_of_squares_overflow_to_inf_not_nan():
+    """The power and the error's numerator are one real dot of the float
+    view: equal to the abs-square sum, and a sum past the float range reads
+    inf without a warning, not the NaN that a complex ``np.vdot`` makes."""
+    rng = np.random.default_rng(3)
+    shape = (DESK.n_rx, DESK.n_tx, DESK.n_freq)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert FrequencyResponse(values=values, config=DESK).power == pytest.approx(
+        float(np.sum(np.abs(values) ** 2)), rel=1e-13)
+    big = np.full(shape, 1e153 + 1e153j)
+    assert FrequencyResponse(values=big, config=DESK).power == math.inf
+    truth = FrequencyResponse(values=big / 1e10, config=DESK)
+    assert math.isfinite(truth.power)
+    assert reconstruction_error(FrequencyResponse(values=-big, config=DESK),
+                                truth) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # iterative per-path refinement
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import struct
@@ -411,6 +412,32 @@ def test_matrix_csv_layout(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         fileio.save_matrix_csv(f, "aoa", np.array([0.0]), np.array([1.0]),
                                np.zeros((2, 2)))
+
+
+def csv_writer_matrix(path, row_name, row_axis, col_axis, matrix):
+    "The matrix writer as it was: ``csv.writer`` with ``_fmt`` per value."
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([row_name] + [fileio._fmt(c) for c in col_axis])
+        writer.writerows([fileio._fmt(r)] + [fileio._fmt(v) for v in row]
+                         for r, row in zip(row_axis, matrix))
+
+
+def test_matrix_csv_bytes_equal_the_csv_writer(tmp_path):
+    """One ``repr`` join per row writes the bytes that ``csv.writer`` with
+    ``_fmt`` per value wrote: zeros of both signs, a subnormal, the largest
+    and smallest magnitudes, inf, -inf and nan, and a power map's floats."""
+    rng = np.random.default_rng(17)
+    special = np.array([[0.0, -0.0, 5e-324, 1e300, -1e300],
+                        [np.inf, -np.inf, np.nan, 2.2250738585072014e-308, 1.0]])
+    for matrix in (special, rng.exponential(size=(32, 128)) * 10.0 ** rng.integers(
+            -300, 300, size=(32, 128))):
+        row_axis = np.linspace(-0.5, 0.5, len(matrix), endpoint=False)
+        col_axis = np.arange(matrix.shape[1]) / 1e9
+        got, old = tmp_path / "got.csv", tmp_path / "old.csv"
+        fileio.save_matrix_csv(got, "aoa_cycles", row_axis, col_axis, matrix)
+        csv_writer_matrix(old, "aoa_cycles", row_axis, col_axis, matrix)
+        assert got.read_bytes() == old.read_bytes()
 
 
 def test_timings_merge(tmp_path):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpcx import (
@@ -362,7 +362,8 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
     """A lattice path's unit footprint, read off the grid's offset kernels
     with no steering matrices, is the ``_kernel_factors`` of its
     ``_steering_matrices`` (left, right and row bound, each to 1e-12 of its
-    maximum), and the Gram that the grid gathers by index differences is
+    maximum), and the Gram that the grid gathers by index differences,
+    ``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, is
     ``_dictionary_gram`` to 1e-12 relative, duplicates and index 0 and the
     last index of every axis included; a path off the lattice keeps its
     steering matrices."""
@@ -395,7 +396,9 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
                             (bound, oracle_bound)):
             assert got.shape == oracle.shape
             assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-    gram = grid._lattice_gram(grid._lattice_indices(paths))
+    real, phase = grid._lattice_gram(grid._lattice_indices(paths))
+    assert real.dtype == float and np.array_equal(real, real.T)
+    gram = phase[:, None] * real * phase.conj()
     oracle = _dictionary_gram(*sounder._steering_matrices(
         cfg, *zip(*[(p.delay, p.aod, p.aoa) for p in paths])))
     assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -404,6 +407,51 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
     assert grid._lattice_indices(paths + [off]) is None
     atoms, _ = picks.unit(off)
     assert [a.shape for a in atoms] == [(cfg.n_rx, 1), (cfg.n_tx, 1), (cfg.n_freq, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(desk=st.booleans(), n_rx=st.integers(2, 5), n_tx=st.integers(2, 5),
+       n_freq=st.integers(2, 9), os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4),
+       os_delay=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       n_paths=st.integers(1, 6))
+@example(desk=True, n_rx=2, n_tx=2, n_freq=2, os_aoa=4, os_aod=4, os_delay=4,
+         seed=5, n_paths=6)
+def test_real_frame_solve_equals_the_complex_solve(
+        desk, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths):
+    """``_dedup_solve`` of the real lattice Gram ``R`` with the right-hand
+    side ``phase^H b``, its solution times ``phase``, is ``_dedup_solve`` of
+    the complex ``_dictionary_gram`` of the same lattice atoms with ``b``:
+    the same kept indices and dropped count, and the amplitudes to 1e-9
+    relative.  The atoms are distinct lattice points whose Gram is well
+    posed, plus an exact duplicate of the first, which both drop (where
+    several columns are near-dependent, which one goes is a tie that
+    rounding breaks, in either frame)."""
+    if desk:
+        cfg = DESK
+        spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
+    else:
+        cfg, spec, _ = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    grid = beamspace.BeamspaceGrid(np.zeros((
+        len(spec.aoa_axis(cfg)), len(spec.aod_axis(cfg)), len(spec.delay_axis(cfg))),
+        dtype=complex), spec, cfg)
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(math.prod(grid.shape), size=n_paths, replace=False)
+    at = [tuple(int(x) for x in np.unravel_index(f, grid.shape)) for f in flat]
+    at.append(at[0])
+    paths = [PathParams(gain=1, delay=float(grid.delay_axis[l]),
+                        aod=float(grid.aod_axis[j]), aoa=float(grid.aoa_axis[i]))
+             for i, j, l in at]
+    gram = _dictionary_gram(*sounder._steering_matrices(
+        cfg, *zip(*[(p.delay, p.aod, p.aoa) for p in paths])))
+    assume(extract._gram_condition(gram[:-1, :-1]) < 1e8)
+    rhs = complex_normal(rng, len(paths))
+    real, phase = grid._lattice_gram(grid._lattice_indices(paths))
+    amps, cond, kept, dropped = extract._dedup_solve(real, phase.conj() * rhs)
+    oracle, oracle_cond, oracle_kept, oracle_dropped = extract._dedup_solve(gram, rhs)
+    assert (kept, dropped) == (oracle_kept, oracle_dropped) == (list(range(n_paths)), 1)
+    assert cond == pytest.approx(oracle_cond, rel=1e-6)
+    got = amps * phase[kept]
+    assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 def dense_atoms(cfg, geometry):
@@ -596,10 +644,12 @@ def test_lattice_rhs_equals_batch_omp_oracle(
     pick, commit, solve = (extract._candidates,
                            beamspace._PendingFootprints.append, extract._solve)
     units = []  # the unit footprints of the last candidates
+    grids = []  # the picker's grid, whose lattice frame the solves are in
 
     def counted_pick(*args):
         candidates, units[:], atoms = pick(*args)
         iterations.append((len(commits), candidates))
+        grids[:] = [args[0].grid]
         return candidates, units, atoms
 
     def counted_commit(self, unit, gain):
@@ -624,6 +674,8 @@ def test_lattice_rhs_equals_batch_omp_oracle(
 
     scale = resp.values.size * float(np.sqrt(np.mean(np.abs(resp.values) ** 2)))
     for rhs, (k, candidates) in zip(solved, iterations):
+        # the solve is in the real frame: phase^H times A^H r
+        rhs = rhs * grids[0]._lattice_gram(grids[0]._lattice_indices(candidates))[1]
         cand = atoms(candidates)
         oracle = _matched_filter(resp.values, *cand) - _dictionary_gram(
             *cand, other=atoms(commits[:k])) @ np.array([p.gain for p in commits[:k]],

@@ -195,6 +195,36 @@ def test_synthesize_memory_is_one_tensor():
     assert peak <= 1.25 * out_bytes, f"peak {peak / out_bytes:.2f}x the output"
 
 
+def einsum_synth_oracle(config, paths):
+    "The forward model as one einsum over the paths' steering vectors."
+    r, t, f = np.arange(config.n_rx), np.arange(config.n_tx), config.freq_grid
+    gains = np.array([p.gain for p in paths], dtype=complex)
+    a_rx = np.exp(2j * np.pi * np.outer(r, [p.aoa for p in paths]))
+    a_tx = np.exp(-2j * np.pi * np.outer(t, [p.aod for p in paths]))
+    a_f = np.exp(-2j * np.pi * np.outer(f, [p.delay for p in paths]))
+    return np.einsum("k,rk,tk,fk->rtf", gains, a_rx, a_tx, a_f)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 5])
+def test_synthesize_by_distinct_delay_equals_einsum_oracle(chunk):
+    """Paths that share a delay are summed before their delay's product:
+    shared delays, listed out of order, an exact duplicate path, and blocks
+    of 3 or 5 paths that split a delay group all give the einsum oracle."""
+    rng = np.random.default_rng(29)
+    delays = np.arange(4) / DESK.bandwidth_hz
+    paths = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=float(delays[k % 4]), aod=rng.uniform(-0.5, 0.5),
+                        aoa=rng.uniform(-0.5, 0.5)) for k in range(11)]
+    paths.append(paths[5])
+    paths.append(PathParams(gain=0.5j, delay=0.3e-9, aod=0.1, aoa=-0.2))
+    oracle = einsum_synth_oracle(DESK, paths)
+    with mock.patch.object(sounder, "_SYNTH_CHUNK", chunk or sounder._SYNTH_CHUNK):
+        got = synthesize_response(DESK, paths).values
+        empty = synthesize_response(DESK, []).values
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * sum(abs(p.gain) for p in paths)
+    assert empty.shape == oracle.shape and not empty.any()
+
+
 def test_synthesize_linearity():
     rng = np.random.default_rng(5)
     mk = lambda: PathParams(gain=complex(rng.normal(), rng.normal()),
