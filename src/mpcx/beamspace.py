@@ -7,34 +7,37 @@ three products with the lattice matrices of ``sounder._lattice_matrices``
 same separable map that gives the critically sampled virtual coefficients;
 no FFT is involved.
 
-A grid builds its lattice matrices once and keeps them.  The beamspace
-footprint of a path is the transform of its atom: the grid's matrices times
-the path's ``_steering_matrices``, one factor per axis.  Greedy subtraction
-of a path therefore agrees with transforming the frequency-domain residual
-up to floating-point rounding.  On the uniform lattice each factor of a
-lattice path depends only on the offset from the path's own index (a
-shifted Dirichlet kernel), so a grid also builds, once, one kernel per axis
-over lattice offsets from the same matrices (``_offset_kernels``: AoA and
-AoD circulant, delay Toeplitz).  The picker reads a lattice path's
-footprint off them as windows, with no steering matrices.  Each kernel is
-a real Dirichlet kernel times a phase linear in the offset, ``exp(-j beta
-d) D(d)`` (Sayeed, IEEE TSP 2002), so the Gram of lattice atoms is
-``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, gathered by
-index differences from the kernels in that real frame (``_offset_phases``,
-``_real_kernels``, ``_lattice_gram``), for greedy-LS's candidates and its
-global refit.  A path off the lattice keeps the steering-matrix product.
+One kernel per axis.  The beamspace footprint of a path, the transform of
+its atom, is separable, and along each axis it is a shifted Dirichlet
+kernel times a phase linear in the offset (Sayeed, IEEE TSP 2002).
+``_axis_kernel`` is its one source: for an axis' (elements, oversampling,
+phase slope) and offsets u, in lattice steps past the path's own position,
+it returns ``(phase, real)``, the factor being ``phase * real`` (the AoA
+factor also carries 1/(n_rx n_tx n_freq)).  Its readers:
+
+- a grid's ``_offset_tables``, each axis' kernel over the integer offsets
+  of its lattice, built once per grid.  A lattice path's footprint factors
+  are windows of them (``_footprint``), and the Gram of lattice atoms,
+  ``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, is gathered
+  from them by index differences (``_lattice_gram``) for greedy-LS's
+  candidates and its global refit;
+- a path off the lattice: the kernel at its fractional offsets
+  (``_footprint``, for the picker's ``unit`` and ``single_path_grid``);
+- the AoD coset interpolator below, and ``pdp_marginals``, which gather
+  the AoD table.
+
+Greedy subtraction of a path therefore agrees with transforming the
+frequency-domain residual up to floating-point rounding.
 
 A grid made by ``beamspace_transform`` stores only the critically sampled
 AoD plane: the rows j = os_aod*q of each AoA row, n_aoa x n_tx x n_tau
 values.  Along an angle axis every oversampled point is a fixed
-interpolation of the critical samples (Sayeed, IEEE TSP 2002), so the other
-os_aod - 1 AoD cosets of an AoA row are ``P = M_s M_0^-1`` times its
-stored plane, where ``M_0`` and ``M_s`` are the stored and the other rows
-of the grid's AoD lattice matrix and ``M_0^-1 = M_0^H / n_tx``.  On the
-uniform AoD axis ``P`` is a Dirichlet kernel, ``diag(post) R diag(pre)``
-with ``R`` real (``_coset_kernel``, ``BeamspaceGrid._kernel``), so the
-derived rows of a block are one real product with the stored rows times
-``pre``; the scans take magnitudes without ``post``.  The kernel is
+interpolation of the critical samples, so the other os_aod - 1 AoD cosets
+of an AoA row are ``P`` times its stored plane, with entry (j, q') of
+``P`` the AoD kernel at offset j - os_aod*q' over n_tx: ``diag(post) R
+diag(pre)`` with ``R`` real (``_coset_kernel``, ``BeamspaceGrid._kernel``),
+so the derived rows of a block are one real product with the stored rows
+times ``pre``; the scans take magnitudes without ``post``.  The kernel is
 applied in two places: a full pass (``_row_scan``) derives every row of a
 block, and the row cache (``_LatticeRows``) derives the rows that are read
 outside one, each as ``post * real * pre`` times its AoA row's plane:
@@ -89,9 +92,8 @@ from .sounder import (
     PathParams,
     SounderConfig,
     _lattice_matrices,
-    _path_atoms,
+    _positive_int,
     _separable_transform,
-    _steering_matrices,
 )
 
 
@@ -110,10 +112,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("os_aoa", "os_aod", "os_delay"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 1):
-                raise ValueError(f"{name} {value!r} must be a positive integer")
+            _positive_int(name, getattr(self, name))
 
     def aoa_axis(self, config: SounderConfig) -> np.ndarray:
         n = config.n_rx * self.os_aoa
@@ -136,6 +135,21 @@ class GridSpec:
         "``sounder._lattice_matrices`` of this lattice's axes."
         return _lattice_matrices(config, self.delay_axis(config),
                                  self.aod_axis(config), self.aoa_axis(config))
+
+    def _axes(self, config: SounderConfig) -> tuple[tuple[int, int, int], ...]:
+        "(elements, oversampling, phase slope) of the AoA, AoD and delay axes."
+        return ((config.n_rx, self.os_aoa, config.n_rx - 1),
+                (config.n_tx, self.os_aod, 1 - config.n_tx),
+                (config.n_freq, self.os_delay, 1))
+
+    def _offset_table(self, config: SounderConfig,
+                      axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_axis_kernel`` of axis ``axis`` (0 AoA, 1 AoD, 2 delay) over the
+        integer offsets 1 - n .. n - 1 of its n lattice points, offset d at
+        entry d + n - 1."""
+        elements, oversampling, slope = self._axes(config)[axis]
+        n = elements * oversampling
+        return _axis_kernel(elements, oversampling, slope, np.arange(1 - n, n))
 
 
 class BeamspaceGrid:
@@ -194,15 +208,9 @@ class BeamspaceGrid:
         return self.spec.delay_axis(self.config)
 
     @cached_property
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The transform's lattice matrices of this grid's axes, built once per
-        grid: every footprint that a sweep subtracts from it comes from them."""
-        return self.spec._matrices(self.config)
-
-    @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        "``_coset_kernel`` of this grid's AoD axis and step."
-        return _coset_kernel(self.config.n_tx, self._step)
+        "``_coset_kernel`` of this grid's AoD table and step."
+        return _coset_kernel(self._offset_tables[1], self.config.n_tx, self._step)
 
     @cached_property
     def _lattice_rows(self) -> _LatticeRows:
@@ -211,45 +219,12 @@ class BeamspaceGrid:
         return _LatticeRows(self)
 
     @cached_property
-    def _offset_kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The footprint factors of every lattice path as one kernel per axis
-        over lattice offsets, built once per grid from its lattice matrices:
-        entry ``d + n - 1`` of an axis of n points is the factor d points past
-        the path's own index, so the path at index p reads the window
-        ``[n - 1 - p, 2n - 1 - p)``.  AoA and AoD are circulant, the factors
-        of the path at index 0 (n values, repeated); delay is Toeplitz, the
-        ``a_f^T m_f`` rows of the paths at the last and the first delay."""
-        m_rx, m_tx, m_f = self._matrices
-        a_rx, a_tx, a_f = _steering_matrices(self.config, self.delay_axis[[-1, 0]],
-                                             self.aod_axis[:1], self.aoa_axis[:1])
-        k_rx, k_tx = (m_rx @ a_rx)[:, 0], (m_tx @ a_tx)[:, 0]
-        last, first = a_f.T @ m_f
-        return (np.concatenate((k_rx[1:], k_rx)), np.concatenate((k_tx[1:], k_tx)),
-                np.concatenate((last, first[1:])))
-
-    @cached_property
-    def _offset_phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``exp(-j beta d)`` of each axis over the offsets d of its
-        ``_offset_kernels`` (entry ``d + n - 1`` for an axis of n points), the
-        phase that makes an offset kernel real: on the uniform lattice the
-        kernel at offset d is ``exp(-j beta d) D(d)`` with ``D`` a real
-        Dirichlet kernel (Sayeed, IEEE TSP 2002), beta = pi (n_rx - 1)/n_aoa
-        for AoA, -pi (n_tx - 1)/n_aod for AoD and pi/n_tau for delay.  The
-        angles are reduced to [0, 2 pi) in integers."""
-        slopes = (self.config.n_rx - 1, 1 - self.config.n_tx, 1)
-        return tuple(np.exp(-1j * np.pi * (c * np.arange(1 - n, n) % (2 * n)) / n)
-                     for c, n in zip(slopes, self.shape))
-
-    @cached_property
-    def _real_kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``_offset_kernels`` in the real frame, built once per grid:
-        each divided by its ``_offset_phases``, real part, averaged with its
-        value at -d, so the Dirichlet kernel is exactly even and a Gram
-        gathered from it exactly symmetric.  The imaginary part dropped is
-        rounding, about 1e-14 of the kernel's maximum."""
-        real = [(kernel * phase.conj()).real
-                for kernel, phase in zip(self._offset_kernels, self._offset_phases)]
-        return tuple((r + r[::-1]) / 2 for r in real)
+    def _offset_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``GridSpec._offset_table`` of each axis, built once per grid:
+        ``(phase, real)`` at entry ``d + n - 1`` of an axis of n points is
+        its kernel d points past a path's own index, so the path at index p
+        reads its factors in the window ``[n - 1 - p, 2n - 1 - p)``."""
+        return tuple(self.spec._offset_table(self.config, axis) for axis in range(3))
 
     def _lattice_index(self, path: PathParams) -> tuple[int, int, int] | None:
         """Index of the lattice point whose axis values ``path``'s coordinates
@@ -272,19 +247,17 @@ class BeamspaceGrid:
         """``(R, phase)``: the Gram matrix A^H A of the atoms at the lattice
         indices ``at`` (the arrays of ``_lattice_indices``) in the real
         frame, ``A^H A = diag(phase) R diag(phase)^H``.  ``R`` is real
-        symmetric, gathered by index differences: entry (a, b) is N =
-        n_rx*n_tx*n_freq times the ``_real_kernels`` entries at index a
-        minus index b, one per axis (the AoA kernel carries 1/N).  ``phase``
-        is the product of the three axes' ``_offset_phases`` at each index
-        (its offset from index 0), so |R| = |A^H A| and both have the same
-        eigenvalues."""
-        (k_rx, k_tx, k_f), (i, j, l) = self._real_kernels, at
-        p_rx, p_tx, p_f = self._offset_phases
+        symmetric, gathered by index differences: entry (a, b) is the
+        product of the ``_offset_tables`` reals at index a minus index b,
+        one per axis.  ``phase`` is the product of the three tables' phases
+        at each index (its offset from index 0), so |R| = |A^H A| and both
+        have the same eigenvalues."""
+        (p_rx, k_rx), (p_tx, k_tx), (p_f, k_f) = self._offset_tables
+        i, j, l = at
         n_aoa, n_aod, n_tau = self.shape
         gram = k_rx[np.add.outer(i, n_aoa - 1 - i)]
         gram *= k_tx[np.add.outer(j, n_aod - 1 - j)]
         gram *= k_f[np.add.outer(l, n_tau - 1 - l)]
-        gram *= self.config.n_rx * self.config.n_tx * self.config.n_freq
         return gram, p_rx[n_aoa - 1 + i] * p_tx[n_aod - 1 + j] * p_f[n_tau - 1 + l]
 
     def _path_at(self, i: int, j: int, l: int, val: complex, refine: bool = False,
@@ -301,39 +274,60 @@ class BeamspaceGrid:
         return PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
 
 
-def _coset_kernel(n_tx: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(real, pre, post)``: the interpolator ``P = M_s M_0^H / n_tx`` of
-    the derived AoD rows j = step*q + s (s = 1..step-1, in (q, s) order) of
-    an AoA row from its stored rows q', as ``P = diag(post) real diag(pre)``,
-    where ``M_0`` and ``M_s`` are the stored and the derived rows of the AoD
-    lattice matrix (``M_0 M_0^H = n_tx I``).  On the uniform AoD axis ``P``
-    is a Dirichlet kernel, real up to one phase per stored and one per
-    derived row:
+def _axis_kernel(n: int, os: int, slope: int,
+                 u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(phase, real)``: the factor of a unit path's footprint along an
+    axis of ``n`` elements and n*os lattice points, ``u`` lattice steps
+    (any real or integer array) past the path's own position, is ``phase *
+    real``, the axis' steering sum as a shifted Dirichlet kernel (Sayeed,
+    IEEE TSP 2002):
 
-        real[(q, s), q'] = (-1)^(q-q') sin(pi s/step)
-                           / (n_tx sin(pi (q - q' + s/step) / n_tx))
-        pre[q'] = exp(-j pi (n_tx-1) q' / n_tx)
-        post[j] = exp(+j pi (n_tx-1) j / (n_tx step))
+        real(u) = sin(pi u / os) / sin(pi u / (n os))
+        phase(u) = exp(-j pi slope u / (n os))
+
+    ``real`` is evaluated at u' = u - k n os, k the nearest integer to u /
+    (n os), as (-1)^(k (n + 1)) real(u'), and on |u'|, so it is exactly
+    even in u, exactly 0 at the nonzero multiples of ``os`` below n os, and
+    accurate where both sines are small; within 1e-9 of u' = 0, where the
+    ratio is n to rounding, it is exactly n.  ``phase`` is reduced to [0, 2
+    pi) before the exponential, in integers for an integer ``u``."""
+    n_pts = n * os
+    phase = np.exp(-1j * np.pi * (slope * u % (2 * n_pts)) / n_pts)
+    k = np.round(u / n_pts)
+    a = np.abs(u - k * n_pts)
+    off = a > 1e-9
+    real = np.divide(np.sin(np.pi / os * a), np.sin(np.pi / n_pts * a),
+                     out=np.full(a.shape, float(n)), where=off)
+    real[off & (a % os == 0)] = 0.0
+    real *= (-1.0) ** (k * (n + 1))
+    return phase, real
+
+
+def _coset_kernel(table: tuple[np.ndarray, np.ndarray], n_tx: int,
+                  step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(real, pre, post)``: the interpolator ``P`` of the derived AoD rows
+    j = step*q + s (s = 1..step-1, in (q, s) order) of an AoA row from its
+    stored rows q', ``P = M_s M_0^H / n_tx`` with ``M_0`` and ``M_s`` the
+    stored and the derived rows of the AoD lattice matrix (``M_0 M_0^H =
+    n_tx I``).  Its entry (j, q') is the AoD kernel at offset j - step*q'
+    over n_tx, so with the AoD ``table`` ``(phase, real)`` of
+    ``GridSpec._offset_table``, ``P = diag(post) real diag(pre)``:
+
+        real[(q, s), q'] = real(j - step q') / n_tx
+        pre[q'] = phase(-step q'),  post[j] = phase(j)
 
     ``real`` is float64 [n_tx*(step-1) x n_tx], so the derived rows of a
     block cost one real product with the pre-scaled stored rows (half the
     multiply-adds of a complex one), and their magnitudes need no ``post``
-    (|post| = 1).  The phases are reduced to [0, 2 pi) in integers; at
-    n_tx = 1 ``real`` is exactly 1 and both phases exactly 1.  None at step
-    1, where no row is derived."""
+    (|post| = 1).  None at step 1, where no row is derived."""
     if step == 1:
         return None
-    q = np.arange(n_tx)
-    u = np.arange(1, step) / step
-    d = q[:, None] - q  # q - q'
-    sign = np.where(d % 2, -1.0, 1.0)
-    real = (sign[:, None] * np.sin(np.pi * u)[:, None]
-            / (n_tx * np.sin(np.pi * (d[:, None] + u[:, None]) / n_tx)))
-    j = step * q[:, None] + np.arange(1, step)
-    pre = np.exp(-1j * np.pi * ((n_tx - 1) * q % (2 * n_tx)) / n_tx)
-    post = np.exp(1j * np.pi * ((n_tx - 1) * j.ravel() % (2 * n_tx * step))
-                  / (n_tx * step))
-    return real.reshape(-1, n_tx), pre, post
+    phase, real = table
+    n_aod = n_tx * step
+    stored = step * np.arange(n_tx)
+    j = (stored[:, None] + np.arange(1, step)).ravel()
+    return (real[n_aod - 1 + j[:, None] - stored] / n_tx, phase[n_aod - 1 - stored],
+            phase[n_aod - 1 + j])
 
 
 def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
@@ -363,13 +357,12 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
     plane is made.
     """
     cfg = response.config
-    matrices = spec._matrices(cfg)
-    m_rx, m_tx, m_f = matrices
+    m_rx, m_tx, m_f = spec._matrices(cfg)
     step, n_tau = spec.os_aod, m_f.shape[1]
     shape = (len(m_rx), len(m_tx), n_tau)
     each_block = peaks = None
     if row_peaks is not None:
-        kernel = _coset_kernel(cfg.n_tx, step)
+        kernel = _coset_kernel(spec._offset_table(cfg, 1), cfg.n_tx, step)
         aoa_rows = _scan_rows(shape, step)
         peaks = [None] * len(m_rx)  # block peaks by first AoA row
 
@@ -383,41 +376,50 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
 
     grid = BeamspaceGrid(_separable_transform(response.values, m_rx, m_tx[::step],
                                               m_f, each_block), spec, cfg)
-    grid._step, grid._matrices = step, matrices
+    grid._step = step
     if peaks is not None:
         _first_peak((p for p in peaks if p is not None), shape)
     return grid
 
 
-def _kernel_factors(
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
-    steering: tuple[np.ndarray, np.ndarray, np.ndarray],
-    gains: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-K factors of the summed footprints of K atoms, given by their
-    ``_steering_matrices`` and gains, on the ``(aoa*aod, delay)`` view of
-    the lattice of ``matrices``: the lattice matrices applied to the atoms,
-    one axis at a time.  ``left[:, k]`` is ``gains[k] * (m_rx a_rx)[:, k]
-    (x) (m_tx a_tx)[:, k]`` and ``right`` is ``a_f^T m_f``."""
-    m_rx, m_tx, m_f = matrices
-    a_rx, a_tx, a_f = steering
-    k_rx = (m_rx @ a_rx) * gains
-    left = (k_rx[:, None, :] * (m_tx @ a_tx)).reshape(-1, len(gains))
-    return left, a_f.T @ m_f
+def _footprint(grid: BeamspaceGrid,
+               path: PathParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The AoA, AoD and delay factors of the footprint of ``path`` at gain 1
+    on the lattice of ``grid``, each ``phase * real`` of ``_axis_kernel``,
+    the AoA factor times 1/(n_rx n_tx n_freq): windows of the grid's
+    ``_offset_tables`` for a lattice path (``BeamspaceGrid._lattice_index``)
+    and, for any other, the kernel at its fractional offsets, index minus
+    the path's position in lattice steps."""
+    at = grid._lattice_index(path)
+    if at is None:
+        cfg, shape = grid.config, grid.shape
+        positions = ((path.aoa + 0.5) * shape[0], (path.aod + 0.5) * shape[1],
+                     path.delay * cfg.bandwidth_hz * grid.spec.os_delay)
+        kernels = (_axis_kernel(*axis, np.arange(n) - p) for axis, n, p
+                   in zip(grid.spec._axes(cfg), shape, positions))
+    else:
+        kernels = ((phase[n - 1 - p:2 * n - 1 - p], real[n - 1 - p:2 * n - 1 - p])
+                   for (phase, real), p, n in zip(grid._offset_tables, at, grid.shape))
+    rx, tx, f = (phase * real for phase, real in kernels)
+    rx /= grid.config.n_rx * grid.config.n_tx * grid.config.n_freq
+    return rx, tx, f
 
 
 def single_path_grid(path: PathParams, spec: GridSpec, config: SounderConfig) -> BeamspaceGrid:
     """Beamspace footprint of a single path (the subtraction kernel): the
-    one-path case of the factors that ``peak_sweep`` subtracts.
+    product of its ``_footprint`` factors times its gain, the one-path case
+    of the footprints that ``peak_sweep`` subtracts.
 
     Equals ``beamspace_transform(synthesize_response(config, [path]), spec)``
     up to floating-point rounding -- the contract that makes greedy peak
     subtraction leave no self-noise.
     """
-    matrices = spec._matrices(config)
-    left, right = _kernel_factors(matrices, *_path_atoms(config, [path]))
-    values = (left @ right).reshape(len(matrices[0]), len(matrices[1]), -1)
-    return BeamspaceGrid(values=values, spec=spec, config=config)
+    grid = BeamspaceGrid(np.empty((config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod,
+                                   config.n_freq * spec.os_delay), dtype=complex),
+                         spec, config)
+    rx, tx, f = _footprint(grid, path)
+    np.multiply(np.multiply.outer(rx * path.gain, tx)[:, :, None], f, out=grid._plane)
+    return grid
 
 
 # entries per block of the peak sweep: 1 MB of complex128, so a block and
@@ -525,8 +527,11 @@ def peak_sweep(
 ) -> tuple[int, int, int, complex]:
     """Peak of ``|grid - footprints|`` in one pass.
 
-    ``factors`` are the footprints' ``_kernel_factors`` on the ``(aoa*aod,
-    delay)`` view of the whole lattice, or None for no footprint.  Walks
+    ``factors`` are the rank-K factors ``(left, right)`` of K footprints on
+    the ``(aoa*aod, delay)`` view of the whole lattice, or None for no
+    footprint: ``left[:, k]`` is the gain times the outer product of the
+    AoA and AoD ``_footprint`` factors of footprint k, flattened, and
+    ``right[k]`` its delay factor.  Walks
     blocks of AoA rows of the stored plane.  Each block gets all footprints
     subtracted from its stored rows as one rank-K product, written back;
     then its derived rows are made from them (one real product with
@@ -693,9 +698,10 @@ def tentative_peak(
     """``peak_sweep``'s peak of ``|grid - footprints|`` over the lattice
     rows ``rows`` alone, read-only and without a pass over the grid.
 
-    ``factors`` are the footprints' ``_kernel_factors`` and ``rows``
-    ascending indices of rows of the ``(aoa*aod, delay)`` view, such as
-    those that ``_PendingFootprints`` keeps by its row bound.  Exactly
+    ``factors`` are the footprints' factors, as ``peak_sweep`` takes them,
+    and ``rows`` ascending indices of rows of the ``(aoa*aod, delay)``
+    view, such as those that ``_PendingFootprints`` keeps by its row
+    bound.  Exactly
     those rows are evaluated, in blocks of half the sweep's size, each
     gathered by one ``np.take`` from ``grid._lattice_rows`` and its
     footprints subtracted in one call.  Ties, the all-zero result (also of
@@ -770,25 +776,11 @@ class _PendingFootprints:
         self.pending, self.held, self.sweeps = 0, 0, 1
 
     def unit(self, path: PathParams):
-        """``(atoms, unit)``: the footprint of ``path`` at gain 1 as a
-        ``left`` column, a ``right`` row and that column's row bound, and the
-        ``_steering_matrices`` it was built from.  A lattice path
-        (``BeamspaceGrid._lattice_index``) reads its factors off the grid's
-        ``_offset_kernels``, and ``atoms`` is None; any other path's are the
-        ``_kernel_factors`` of its steering matrices."""
-        grid = self.grid
-        at = grid._lattice_index(path)
-        if at is None:
-            atoms = _steering_matrices(grid.config, [path.delay], [path.aod],
-                                       [path.aoa])
-            left, right = _kernel_factors(grid._matrices, atoms, np.ones(1))
-            left, right = left[:, 0], right[0]
-        else:
-            atoms = None
-            rx, tx, right = (kernel[n - 1 - p:2 * n - 1 - p] for kernel, p, n
-                             in zip(grid._offset_kernels, at, grid.shape))
-            left = np.multiply.outer(rx, tx).ravel()
-        return atoms, (left, right, np.abs(left) * np.abs(right).max())
+        """The footprint of ``path`` at gain 1 (``_footprint``) as a ``left``
+        column, a ``right`` row and that column's row bound."""
+        rx, tx, right = _footprint(self.grid, path)
+        left = np.multiply.outer(rx, tx).ravel()
+        return left, right, np.abs(left) * np.abs(right).max()
 
     def put(self, column: int, unit, gain: complex) -> None:
         "Column ``column``: the ``unit`` footprint times ``gain``, and its bound."
@@ -873,14 +865,13 @@ def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
     n_freq*os_delay complex128 values), the ``_MAX_PENDING`` + ``extra``
     factor columns of n_aoa*n_aod complex128 values with their float64 row
     bounds, the cap of the lattice rows that its tentative picks hold
-    (``_HELD_ENTRIES`` values), and its grid's ``_offset_kernels``,
-    ``_offset_phases`` and ``_real_kernels`` (2n - 1 complex128, complex128
-    and float64 values each for an axis of n points)."""
+    (``_HELD_ENTRIES`` values), and its grid's ``_offset_tables`` (2n - 1
+    complex128 phases and float64 reals for an axis of n points)."""
     n_aoa, n_aod = config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod
     n_tau = config.n_freq * spec.os_delay
     return (spec._plane_bytes(config) + 16 * config.n_rx * config.n_tx * n_tau
             + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra) + 16 * _HELD_ENTRIES
-            + (16 + 16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
+            + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
 
 
 # curvature, relative to the samples, below which a parabola is flat: far
@@ -901,7 +892,7 @@ def _point_value(grid: BeamspaceGrid, a: int | list[int], b: int | list[int],
                  c: int | list[int],
                  factors: tuple[np.ndarray, np.ndarray] | None = None):
     """Value at lattice index (a, b, c) of the grid minus the footprints of
-    ``factors`` (their ``_kernel_factors``), if given, without writing the
+    ``factors`` (as ``peak_sweep`` takes them), if given, without writing the
     grid: its row is read through ``grid._lattice_rows``.  With arrays of
     indices (at most ``limit`` distinct rows), the value at each, their rows
     gathered in one call."""
@@ -930,9 +921,10 @@ def _refine_peak(
     """Sub-grid coordinates of the peak at index (i, j, l) by per-axis
     quadratic interpolation of |value|.
 
-    With ``factors`` (the ``_kernel_factors`` of some footprints) the values
-    are those of the grid minus the footprints: the seven that are read
-    (five rows) are one ``_point_value``, and the grid is not written.
+    With ``factors`` (some footprints' factors, as ``peak_sweep`` takes
+    them) the values are those of the grid minus the footprints: the seven
+    that are read (five rows) are one ``_point_value``, and the grid is not
+    written.
     Angle axes wrap periodically; the delay axis skips refinement at its
     edges.  Offsets are clamped to half a grid step per axis.
     """
@@ -973,14 +965,17 @@ def pdp_marginals(
         aoa_aod[i] = max(0, diag(Q G_i Q^H)),  G_i = plane_i plane_i^H
 
     where ``Q = m_tx m_tx[::os_aod]^H / n_tx`` (``interp``) maps the stored
-    rows onto every AoD row (the clamp undoes rounding below 0 of the
-    quadratic form).  The grid is never held: besides the transform's own
+    rows onto every AoD row: entry (j, q') is the AoD kernel at offset j -
+    os_aod*q' over n_tx, gathered from ``GridSpec._offset_table`` (the
+    clamp undoes rounding below 0 of the quadratic form).  The grid is never held: besides the transform's own
     temporaries, the only ones are an AoA row's.
     """
     cfg = response.config
     m_rx, m_tx, m_f = spec._matrices(cfg)
-    step = spec.os_aod
-    interp = m_tx @ m_tx[::step].T.conj() / cfg.n_tx
+    step, n_aod = spec.os_aod, len(m_tx)
+    phase, real = spec._offset_table(cfg, 1)
+    at = n_aod - 1 + np.arange(n_aod)[:, None] - step * np.arange(cfg.n_tx)
+    interp = phase[at] * real[at] / cfg.n_tx
     interp_conj = interp.conj()
     aoa_aod = np.empty((len(m_rx), len(m_tx)))
     aoa_delay = np.empty((len(m_rx), m_f.shape[1]))

@@ -33,6 +33,7 @@ from .sounder import (
     PathParams,
     SounderConfig,
     _matched_filter,
+    _positive_int,
     _steering_matrices,
     _sum_squares,
     synthesize_response,
@@ -51,17 +52,23 @@ GRAM_CONDITION_LIMIT = 1e12
 _RUNNING_POWER_FLOOR = 1e-4
 
 
+# column pairs that ``_coherence_pairs`` keeps and a DegenerateGeometryError names
+_REPORTED_PAIRS = 5
+
+
 class DegenerateGeometryError(ValueError):
     """Raised when LS geometry columns are too close to linearly dependent.
 
     ``pairs`` holds (index_a, index_b, coherence) triples for the most nearly
-    duplicate column pairs, most coherent first.
+    duplicate column pairs, most coherent first; the message names the
+    first ``_REPORTED_PAIRS``.
     """
 
     def __init__(self, condition: float, pairs: list[tuple[int, int, float]]):
         self.condition = condition
         self.pairs = pairs
-        detail = ", ".join(f"({a},{b}) coherence {c:.6f}" for a, b, c in pairs[:5])
+        detail = ", ".join(f"({a},{b}) coherence {c:.6f}"
+                           for a, b, c in pairs[:_REPORTED_PAIRS])
         super().__init__(
             f"LS dictionary numerically singular (condition {condition:.3e}); "
             f"near-duplicate geometry columns: {detail}"
@@ -86,9 +93,9 @@ class ExtractionConfig:
     refine_peaks: bool = False
 
     def __post_init__(self):
-        if self.k_dom < 1:
-            raise ValueError("k_dom must be >= 1")
-        if not 1 <= self.k_up <= self.k_g:
+        for name in ("k_dom", "k_g", "k_up"):
+            _positive_int(name, getattr(self, name))
+        if not self.k_up <= self.k_g:
             raise ValueError(
                 f"require 1 <= k_up <= k_g, got k_up={self.k_up}, k_g={self.k_g}"
             )
@@ -149,13 +156,14 @@ def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray,
 
 
 def _coherence_pairs(gram: np.ndarray) -> list[tuple[int, int, float]]:
-    "Column pairs ranked by normalized coherence, most coherent first."
-    k = gram.shape[0]
+    """The ``_REPORTED_PAIRS`` column pairs (a, b), a < b, of highest
+    normalized coherence, most coherent first and ties in (a, b) order: one
+    stable sort of the upper triangle."""
     norm = np.sqrt(np.abs(np.diag(gram)))
-    coh = np.abs(gram) / np.outer(norm, norm)
-    pairs = [(a, b, float(coh[a, b])) for a in range(k) for b in range(a + 1, k)]
-    pairs.sort(key=lambda p: -p[2])
-    return pairs
+    a, b = np.triu_indices(len(gram), 1)
+    coh = np.abs(gram[a, b]) / (norm[a] * norm[b])
+    top = np.argsort(-coh, kind="stable")[:_REPORTED_PAIRS]
+    return [(int(a[t]), int(b[t]), float(coh[t])) for t in top]
 
 
 def _gram_condition(gram: np.ndarray) -> float:
@@ -434,14 +442,13 @@ def _candidates(picks: _PendingFootprints, k_g: int, refine: bool,
         peak = picks.pick(refine)
         if peak.gain == 0:
             break
-        atom, unit = picks.unit(peak)
-        if refine and atom is None:
-            atom = _steering_matrices(picks.grid.config, [peak.delay], [peak.aod],
-                                      [peak.aoa])
+        unit = picks.unit(peak)
+        if refine:
+            atoms.append(_steering_matrices(picks.grid.config, [peak.delay],
+                                            [peak.aod], [peak.aoa]))
         picks.hold(unit, peak.gain)
         found.append(peak)
         units.append(unit)
-        atoms.append(atom)
     if not refine:
         return found, units, None
     return found, units, tuple(np.concatenate(axis, axis=1) for axis in zip(*atoms))
@@ -543,14 +550,14 @@ def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
     errors: list[float] = []
     for _ in range(sweeps):
         for k, old in enumerate(current):
-            _, unit = picks.unit(old)
+            unit = picks.unit(old)
             back = picks.append(unit, -old.gain)
             new = picks.pick(near=old)
             same = (new.delay, new.aod, new.aoa) == (old.delay, old.aod, old.aoa)
             if same and picks.pending:  # not swept: the add-back column is pending
                 picks.put(back, unit, new.gain - old.gain)
             else:
-                picks.append(unit if same else picks.unit(new)[1], new.gain)
+                picks.append(unit if same else picks.unit(new), new.gain)
             current[k] = new
         errors.append(reconstruction_error(synthesize_response(config, current),
                                            response))

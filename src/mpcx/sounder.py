@@ -65,6 +65,14 @@ class PathParams:
         return abs(self.gain) ** 2
 
 
+def _positive_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a positive integer: a
+    Python or numpy integer, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} {value!r} must be a positive integer")
+
+
 @dataclass(frozen=True)
 class SounderConfig:
     """Array sizes and sampling parameters of the idealized sounder.
@@ -80,8 +88,8 @@ class SounderConfig:
     carrier_hz: float = 28e9
 
     def __post_init__(self):
-        if self.n_tx < 1 or self.n_rx < 1 or self.n_freq < 1:
-            raise ValueError("n_tx, n_rx and n_freq must be positive integers")
+        for name in ("n_tx", "n_rx", "n_freq"):
+            _positive_int(name, getattr(self, name))
         if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ValueError(f"bandwidth_hz {self.bandwidth_hz} must be finite "
                              "and positive")
@@ -202,15 +210,6 @@ def _steering_matrices(
     a_tx = np.exp(-2j * np.pi * np.outer(np.arange(config.n_tx), aods))
     a_f = np.exp(-2j * np.pi * np.outer(config.freq_grid, delays))
     return a_rx, a_tx, a_f
-
-
-def _path_atoms(
-    config: SounderConfig, paths: list[PathParams]
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    "``_steering_matrices`` of the geometries of ``paths`` and their gains."
-    steering = _steering_matrices(config, [p.delay for p in paths],
-                                  [p.aod for p in paths], [p.aoa for p in paths])
-    return steering, np.array([p.gain for p in paths])
 
 
 def _matched_filter(

@@ -1,10 +1,12 @@
 """Test oracles: closed-form per-axis beamspace kernels and the scalar
 forms of library quantities.
 
-The library builds every footprint from steering matrices; the kernels are
-the same normalized inner products written as Dirichlet kernels.  The
-scalar forms (one steering vector, one beamspace point, one pair cost, one
-Gram condition number) are what the stages compute in bulk.  The footprint
+The library builds every footprint from one closed-form kernel per axis;
+here footprints are the transform's lattice matrices applied to the
+paths' steering matrices (``kernel_factors``), and the kernels are the
+same normalized inner products written as Dirichlet kernels.  The scalar
+forms (one steering vector, one beamspace point, one pair cost, one Gram
+condition number) are what the stages compute in bulk.  The footprint
 factors of a path list and the rows that a bound on them keeps are what
 the picker builds column by column.
 """
@@ -13,9 +15,9 @@ import numpy as np
 
 from mpcx import FrequencyResponse, PathParams, SounderConfig, synthesize_response
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix
-from mpcx.beamspace import _bound_rows, _kernel_factors
+from mpcx.beamspace import _bound_rows
 from mpcx.extract import _gram_condition, _normal_equations
-from mpcx.sounder import _matched_filter, _path_atoms, _steering_matrices
+from mpcx.sounder import _matched_filter, _steering_matrices
 
 
 def angle_kernel(delta_theta, n: int):
@@ -91,13 +93,35 @@ def ls_condition(
     return _gram_condition(_normal_equations(zero, geometry, config)[0])
 
 
+def path_atoms(config, paths):
+    "``_steering_matrices`` of the geometries of ``paths`` and their gains."
+    steering = _steering_matrices(config, [p.delay for p in paths],
+                                  [p.aod for p in paths], [p.aoa for p in paths])
+    return steering, np.array([p.gain for p in paths])
+
+
+def kernel_factors(matrices, steering, gains):
+    """Rank-K factors of the summed footprints of K atoms, given by their
+    ``_steering_matrices`` and gains, on the ``(aoa*aod, delay)`` view of
+    the lattice of ``matrices`` (``GridSpec._matrices``): the lattice
+    matrices applied to the atoms, one axis at a time.  ``left[:, k]`` is
+    ``gains[k] * (m_rx a_rx)[:, k] (x) (m_tx a_tx)[:, k]`` and ``right`` is
+    ``a_f^T m_f``."""
+    m_rx, m_tx, m_f = matrices
+    a_rx, a_tx, a_f = steering
+    k_rx = (m_rx @ a_rx) * gains
+    left = (k_rx[:, None, :] * (m_tx @ a_tx)).reshape(-1, len(gains))
+    return left, a_f.T @ m_f
+
+
 def footprint_factors(grid, paths):
-    """The ``_kernel_factors`` of the paths' footprints on the lattice of
-    ``grid``, built from its own lattice matrices, as ``peak_sweep`` and
+    """The ``kernel_factors`` of the paths' footprints on the lattice of
+    ``grid``, built from its lattice matrices, as ``peak_sweep`` and
     ``tentative_peak`` take them; None for no path."""
     if not paths:
         return None
-    return _kernel_factors(grid._matrices, *_path_atoms(grid.config, paths))
+    return kernel_factors(grid.spec._matrices(grid.config),
+                          *path_atoms(grid.config, paths))
 
 
 def kept_rows(row_peaks, factors, floor=None):

@@ -227,7 +227,7 @@ def test_coset_kernel_matches_the_aod_lattice():
                                   config=cfg), spec)
             real, pre, post = grid._kernel
             assert real.dtype == np.float64
-            cosets = grid._matrices[1].reshape(n_tx, os_aod, n_tx)
+            cosets = spec._matrices(cfg)[1].reshape(n_tx, os_aod, n_tx)
             interp = cosets[:, 1:].reshape(-1, n_tx) @ cosets[:, 0].T.conj() / n_tx
             assert np.max(np.abs(post[:, None] * real * pre - interp)) <= 1e-13
             if n_tx == 1:

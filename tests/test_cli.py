@@ -738,14 +738,13 @@ def _extract_need(config, os, k_g):
     complex128; the picker's 16 + k_g factor columns (complex128) with their
     row bounds (float64) over the (AoA, AoD) rows, the 2^20 complex128
     lattice values that its tentative picks hold at most, and the grid's
-    offset kernels and their phases, 2n - 1 complex128 values each per axis
-    of n points, with the kernels' real-frame copies, 2n - 1 float64
-    values."""
+    offset tables, 2n - 1 complex128 phases and float64 reals per axis of n
+    points."""
     grid = (os * os + os) * config.n_rx * config.n_tx * config.n_freq * 16
     rows = config.n_rx * config.n_tx * os * os
     axes = os * (config.n_rx + config.n_tx + config.n_freq)
     return (grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20)
-            + (16 + 16 + 8) * (2 * axes - 3))
+            + (16 + 8) * (2 * axes - 3))
 
 
 def test_extract_memory_preflight_counts_the_picker(tmp_path, capsys, monkeypatch):

@@ -316,7 +316,7 @@ def committed_picker(response, paths, spec, pending):
     picks = beamspace._PendingFootprints(
         FrequencyResponse(response.values - written, cfg), spec, 1)
     for path in paths[len(paths) - pending:]:
-        picks.append(picks.unit(path)[1], path.gain)
+        picks.append(picks.unit(path), path.gain)
     return picks
 
 
@@ -530,6 +530,24 @@ def test_greedy_ls_stops_on_residual_stop():
     assert len(found) == 1
     assert trace.residual_power[-1] <= 1e-6 * trace.initial_power
     assert trace.stop_reason == "residual_stop"
+
+
+@pytest.mark.parametrize("field", ["k_dom", "k_g", "k_up"])
+@pytest.mark.parametrize("value", [0, 2.5, float("nan"), True, 2.0])
+def test_extraction_config_counts_must_be_positive_integers(field, value):
+    """A path count that is not a positive integer raises a ValueError
+    naming its field at construction, not a TypeError deep in greedy_ls
+    (or, for a NaN k_dom, an empty result)."""
+    fields = dict(k_dom=4, k_g=4, k_up=1)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ExtractionConfig(**fields)
+
+
+def test_extraction_config_accepts_numpy_integers():
+    xcfg = ExtractionConfig(k_dom=np.int64(6), k_g=np.int32(3), k_up=np.uint8(2))
+    found, _ = greedy_ls(desk_case(3, 20.0), DESK, xcfg)
+    assert len(found) == 6
 
 
 def test_extraction_config_validation():
@@ -942,25 +960,23 @@ def test_grid_matrices_built_once_per_extraction():
 
 
 def test_candidate_atoms_built_once_per_pick():
-    """On the lattice greedy_ls builds no steering matrices per pick: the
-    footprints, the LS Gram and the global refit read the grid's offset
-    kernels, so the only builds are the grid's lattice matrices and those
-    kernels.  With refine_peaks each candidate's steering matrices are built
-    once, when it is picked: its footprint, the LS Gram, the matched filter
-    and the cross-Gram with the commits reuse them, and the only other builds
-    are the lattice matrices and the global refit's atoms (no refined pick
-    lands on the lattice here, so no kernel is built)."""
+    """The footprints come from the closed-form axis kernels, so on the
+    lattice greedy_ls builds no steering matrices but the transform's
+    lattice matrices: the footprints, the LS Gram and the global refit read
+    the grid's offset tables.  With refine_peaks each candidate's steering
+    matrices are built once, when it is picked: the LS Gram, the matched
+    filter and the cross-Gram with the commits reuse them, and the only
+    other builds are the lattice matrices and the global refit's atoms."""
     resp = desk_case(3, 20.0, n_paths=10)
     for refine in (False, True):
         built = mock.Mock(wraps=sounder._steering_matrices)
         with mock.patch.object(sounder, "_steering_matrices", built), \
-                mock.patch.object(beamspace, "_steering_matrices", built), \
                 mock.patch.object(extract, "_steering_matrices", built):
             found, trace, tentative = counted_greedy_ls(resp, DESK, ExtractionConfig(
                 k_dom=12, k_g=4, k_up=2, residual_stop=0.0, refine_peaks=refine))
         assert len(found) == 12
         assert tentative == 4 * (len(trace.ls_condition) - 1)
-        assert built.call_count == (tentative + 2 if refine else 2)
+        assert built.call_count == (tentative + 2 if refine else 1)
 
 
 def test_measurement_matched_filter_only_in_refit_on_the_lattice():
@@ -1128,12 +1144,12 @@ def test_held_candidates_move_picks_until_the_next_commit(pending_cap, share):
                 assert (peak.aoa, peak.aod, peak.delay) == (
                     lattice.aoa_axis[i], lattice.aod_axis[j], lattice.delay_axis[l])
                 assert abs(peak.gain - val) <= 1e-9
-                picks.hold(picks.unit(peak)[1], peak.gain)
+                picks.hold(picks.unit(peak), peak.gain)
                 held.append(peak)
                 dense_subtract(work, peak, spec, DESK)
             assert picks.held == 3
             commit = replace(held[round_ % 3], gain=0.5 * held[round_ % 3].gain)
-            picks.append(picks.unit(commit)[1], commit.gain)
+            picks.append(picks.unit(commit), commit.gain)
             assert picks.held == 0
             dense_subtract(committed, commit, spec, DESK)
     if share == 0.0:  # the first pick after each commit sweeps

@@ -37,14 +37,16 @@ from mpcx import (
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix, associate
 from mpcx.beamspace import peak_sweep, tentative_peak
 from mpcx.extract import GRAM_CONDITION_LIMIT, _dictionary_gram
-from mpcx.sounder import _matched_filter, _path_atoms, _separable_transform
+from mpcx.sounder import _matched_filter, _separable_transform
 
 from closed_form import (
     beamspace_point,
     footprint_factors,
     kept_rows,
+    kernel_factors,
     ls_condition,
     pairwise_cost,
+    path_atoms,
 )
 
 SMALL = dict(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
@@ -166,7 +168,7 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     footprints, on row peaks that a sweep writing ``swept`` other paths
     recorded.  The first ``pending`` paths were never written to the grid:
     as greedy-LS keeps its pending commits, their factors are unit
-    ``_kernel_factors`` columns scaled by the gain, and their row bound is
+    ``kernel_factors`` columns scaled by the gain, and their row bound is
     the sum of |gain| times the unit bound.  The same index unless rounding
     can reorder the top two, the value to 1e-12, the interpolated
     coordinates to 1e-9, and the grid bytes unchanged."""
@@ -359,14 +361,13 @@ DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
          seed=5, n_paths=6)
 def test_lattice_footprints_and_gram_equal_the_steering_oracle(
         desk, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths):
-    """A lattice path's unit footprint, read off the grid's offset kernels
-    with no steering matrices, is the ``_kernel_factors`` of its
+    """A lattice path's unit footprint, read off the grid's offset tables
+    with no steering matrices, is the ``kernel_factors`` of its
     ``_steering_matrices`` (left, right and row bound, each to 1e-12 of its
     maximum), and the Gram that the grid gathers by index differences,
     ``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, is
     ``_dictionary_gram`` to 1e-12 relative, duplicates and index 0 and the
-    last index of every axis included; a path off the lattice keeps its
-    steering matrices."""
+    last index of every axis included."""
     if desk:
         cfg = DESK
         spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
@@ -386,11 +387,10 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
              for i, j, l in at]
     for path, index in zip(paths, at):
         assert grid._lattice_index(path) == index
-        atoms, (left, right, bound) = picks.unit(path)
-        assert atoms is None
+        left, right, bound = picks.unit(path)
         steering = sounder._steering_matrices(cfg, [path.delay], [path.aod], [path.aoa])
-        oracle_left, oracle_right = beamspace._kernel_factors(grid._matrices, steering,
-                                                              np.ones(1))
+        oracle_left, oracle_right = kernel_factors(spec._matrices(cfg), steering,
+                                                   np.ones(1))
         oracle_bound = np.abs(oracle_left[:, 0]) * np.abs(oracle_right).max()
         for got, oracle in ((left, oracle_left[:, 0]), (right, oracle_right[0]),
                             (bound, oracle_bound)):
@@ -405,8 +405,88 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
     off = replace(paths[0], delay=paths[0].delay + 0.25 / cfg.bandwidth_hz / os_delay)
     assert grid._lattice_index(off) is None
     assert grid._lattice_indices(paths + [off]) is None
-    atoms, _ = picks.unit(off)
-    assert [a.shape for a in atoms] == [(cfg.n_rx, 1), (cfg.n_tx, 1), (cfg.n_freq, 1)]
+
+
+# angles at and next to the ends of [-0.5, 0.5], and shares of the
+# observation duration up to just below T
+EDGE_ANGLES = st.sampled_from([-0.5, 0.5, 0.49999999999999994, -0.49999999999999994,
+                               0.0])
+EDGE_SHARES = st.sampled_from([0.0, 1 - 2**-52, 1 - 1e-9, 1 - 1e-3, 0.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(desk=st.booleans(), n_rx=st.integers(1, 5), n_tx=st.integers(1, 5),
+       n_freq=st.integers(1, 10), os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4),
+       os_delay=st.integers(1, 4),
+       aoa=st.one_of(EDGE_ANGLES, st.floats(-0.5, 0.5)),
+       aod=st.one_of(EDGE_ANGLES, st.floats(-0.5, 0.5)),
+       share=st.one_of(EDGE_SHARES, st.floats(0, 1, exclude_max=True)),
+       seed=st.integers(0, 2**32 - 1))
+@example(desk=False, n_rx=1, n_tx=4, n_freq=6, os_aoa=3, os_aod=2, os_delay=4,
+         aoa=0.5, aod=-0.5, share=1 - 2**-52, seed=1)
+@example(desk=False, n_rx=5, n_tx=1, n_freq=7, os_aoa=1, os_aod=4, os_delay=3,
+         aoa=0.49999999999999994, aod=0.5, share=1 - 1e-9, seed=2)
+def test_off_lattice_footprints_equal_the_steering_oracle(
+        desk, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, aoa, aod, share, seed):
+    """A path's footprint at any coordinates, the axis kernels at its
+    fractional offsets off the lattice, is the ``kernel_factors`` of its
+    ``_steering_matrices``: the picker's unit ``left``, ``right`` and row
+    bound and ``single_path_grid`` each to 1e-12 of its maximum, with
+    angles at and next to +-0.5, delays up to just below T, one element or
+    tone on an axis, and even and odd tone counts."""
+    if desk:
+        cfg = DESK
+        spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
+    else:
+        cfg, spec, _ = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+    path = PathParams(gain=complex(rng.normal(), rng.normal()),
+                      delay=share * cfg.duration, aod=aod, aoa=aoa)
+    picks = beamspace._PendingFootprints(FrequencyResponse(
+        values=np.zeros((cfg.n_rx, cfg.n_tx, cfg.n_freq), dtype=complex), config=cfg),
+        spec, 1)
+    left, right, bound = picks.unit(path)
+    oracle_left, oracle_right = kernel_factors(
+        spec._matrices(cfg),
+        sounder._steering_matrices(cfg, [path.delay], [path.aod], [path.aoa]),
+        np.ones(1))
+    oracle_bound = np.abs(oracle_left[:, 0]) * np.abs(oracle_right).max()
+    oracle_grid = ((oracle_left * path.gain) @ oracle_right).reshape(picks.grid.shape)
+    for got, oracle in ((left, oracle_left[:, 0]), (right, oracle_right[0]),
+                        (bound, oracle_bound),
+                        (single_path_grid(path, spec, cfg).values, oracle_grid)):
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def coherence_oracle(gram):
+    "Every column pair (a, b), a < b, by descending coherence: a stable Python sort."
+    norm = np.sqrt(np.abs(np.diag(gram)))
+    coh = np.abs(gram) / np.outer(norm, norm)
+    pairs = [(a, b, float(coh[a, b])) for a in range(len(gram))
+             for b in range(a + 1, len(gram))]
+    pairs.sort(key=lambda p: -p[2])
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 14), distinct=st.integers(1, 14), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_coherence_pairs_rank_as_a_python_sort(k, distinct, real, seed):
+    """``_coherence_pairs`` is the head of a stable Python sort of all
+    column pairs by descending coherence, the ``_REPORTED_PAIRS`` most
+    coherent in the same order with the same ties (in (a, b) order), on
+    complex and real Grams of ``k`` columns drawn from ``distinct`` ones,
+    whose repeats tie exactly."""
+    rng = np.random.default_rng(seed)
+    base = complex_normal(rng, (6, distinct))
+    base = base.T.conj() @ base
+    if real:
+        base = base.real
+    pick = rng.integers(0, distinct, size=k)
+    gram = base[np.ix_(pick, pick)]
+    oracle = coherence_oracle(gram)
+    assert extract._coherence_pairs(gram) == oracle[:extract._REPORTED_PAIRS]
 
 
 @settings(max_examples=80, deadline=None)
@@ -670,7 +750,7 @@ def test_lattice_rhs_equals_batch_omp_oracle(
     assert len(solved) == len(iterations) - (iterations[-1][1] == [])
 
     def atoms(paths):
-        return _path_atoms(cfg, paths)[0]
+        return path_atoms(cfg, paths)[0]
 
     scale = resp.values.size * float(np.sqrt(np.mean(np.abs(resp.values) ** 2)))
     for rhs, (k, candidates) in zip(solved, iterations):

@@ -106,6 +106,24 @@ def test_config_rejects_non_finite(field, value):
         SounderConfig(**fields)
 
 
+@pytest.mark.parametrize("field", ["n_tx", "n_rx", "n_freq"])
+@pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), True, 8.0, "8"])
+def test_config_sizes_must_be_positive_integers(field, value):
+    """An array or tone count that is not a positive integer (a float, even
+    an integral one, NaN, a bool or a string) raises a ValueError naming
+    its field at construction."""
+    fields = dict(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SounderConfig(**fields)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SounderConfig(n_tx=np.int64(8), n_rx=np.int32(4), bandwidth_hz=1e9,
+                        n_freq=np.uint16(32))
+    assert (cfg.n_tx, cfg.n_rx, cfg.n_freq) == (8, 4, 32)
+
+
 def test_config_resolutions_exact():
     cfg = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
     assert cfg.delay_res * cfg.bandwidth_hz == 1.0
