@@ -3,9 +3,9 @@
 The transform maps an (rx, tx, frequency) response tensor onto a 3D lattice of
 (AoA, AoD, delay) points.  It is the direct separable triple sum, computed as
 three products with the lattice matrices of ``sounder._lattice_matrices``
-(AoD first, then delay, then AoA; ``sounder._separable_transform``), the
-same separable map that gives the critically sampled virtual coefficients;
-no FFT is involved.
+(``sounder._separable_transform``; ``beamspace_transform`` gives their
+order), the same separable map that gives the critically sampled virtual
+coefficients; no FFT is involved.
 
 One kernel per axis.  The beamspace footprint of a path, the transform of
 its atom, is separable, and along each axis it is a shifted Dirichlet
@@ -23,39 +23,56 @@ factor also carries 1/(n_rx n_tx n_freq)).  Its readers:
   candidates and its global refit;
 - a path off the lattice: the kernel at its fractional offsets
   (``_footprint``, for the picker's ``unit`` and ``single_path_grid``);
-- the AoD coset interpolator below, and ``pdp_marginals``, which gather
-  the AoD table.
+- the coset interpolators below, and ``pdp_marginals``, which gathers the
+  AoD table.
 
 Greedy subtraction of a path therefore agrees with transforming the
 frequency-domain residual up to floating-point rounding.
 
 A grid made by ``beamspace_transform`` stores only the critically sampled
-AoD plane: the rows j = os_aod*q of each AoA row, n_aoa x n_tx x n_tau
-values.  Along an angle axis every oversampled point is a fixed
-interpolation of the critical samples, so the other os_aod - 1 AoD cosets
-of an AoA row are ``P`` times its stored plane, with entry (j, q') of
-``P`` the AoD kernel at offset j - os_aod*q' over n_tx: ``diag(post) R
-diag(pre)`` with ``R`` real (``_coset_kernel``, ``BeamspaceGrid._kernel``),
-so the derived rows of a block are one real product with the stored rows
-times ``pre``; the scans take magnitudes without ``post``.  The kernel is
-applied in two places: a full pass (``_row_scan``) derives every row of a
-block, and the row cache (``_LatticeRows``) derives the rows that are read
-outside one, each as ``post * real * pre`` times its AoA row's plane:
-``tentative_peak``, ``_point_value`` and ``.values``, which materializes
-the whole lattice on access.  A grid built from an array stores every row
-and derives none, as does a grid at os_aod = 1; its row cache is the plane
-itself.
+plane: the rows of every os_aoa-th AoA and every os_aod-th AoD point,
+n_rx x n_tx x n_tau values, so its memory grows with os_delay alone (18 MB
+at the paper protocol, where the whole lattice takes 292 MB).  A grid whose
+plane of every AoA row holds at most ``_AOA_PLANE_ENTRIES`` values (32 MB;
+the desk grid, and the paper grid at oversample 2) stores that plane
+instead, as at os_aoa = 1: there deriving AoA rows would save little
+memory for much per-call overhead.  Each angle
+axis spans a whole period, so every oversampled point is a fixed
+interpolation of the critical samples: the derived rows of an axis are
+``P`` times its stored rows, with entry (k, q') of ``P`` the axis kernel at
+offset k - os*q' over its elements, ``diag(post) R diag(pre)`` with ``R``
+real (``_coset_kernel``, ``BeamspaceGrid._kernels``).
+
+- Along AoA the plane is stored in the real frame: stored AoA row p is
+  ``pre[p]`` times the lattice's, so the derived AoA rows of a few stored
+  rows are one real product of their ``R`` rows with the whole plane's
+  float view (``_derived_aoa_rows``; the plane is the transform's
+  delay-transformed lines, its AoA matrix applied first to the tones),
+  and a lattice AoA row is its phase
+  (``BeamspaceGrid._aoa_phase``) times its real-frame rows.
+- Along AoD the derived rows of an AoA row are one real product with its
+  stored rows times ``pre``; the scans take magnitudes without ``post``.
+
+The kernels are applied in two places: a full pass (``_row_scan``) derives
+every row, and the row cache (``_LatticeRows``) derives the rows that are
+read outside one (``tentative_peak``, ``_point_value`` and ``.values``,
+which materializes the whole lattice on access), holding the derived AoA
+rows it made; a writing sweep drops its rows and refills its held derived
+AoA rows with those it derives itself.  A grid built from
+an array stores every row and derives none; its row cache is the plane
+itself.  A grid that stores every AoA row derives none of them and stores
+the plane as the lattice's.
 
 Every grid-wide pass after the transform is one blocked kernel,
 ``peak_sweep``: it subtracts rank-K footprint factors from the stored
-plane, block of AoA rows by block, writes the difference back, and its
-read-only scan (``_row_scan``) derives the other AoD rows and finds the
-peak magnitude over all rows in the same pass; it can also record each
-(AoA, AoD) row's peak magnitude.  The transform runs the same scan on each
-block of the plane as it makes it when asked for the row peaks, so
-greedy-LS's first row peaks cost no second pass.  ``pdp_marginals`` sums
-its power maps from the same blocks by Parseval, from the stored rows
-alone, and keeps no grid.
+plane, block of stored AoA rows by block, writes the difference back, and
+its read-only scan derives the other rows and finds the peak magnitude over
+all rows; it can also record each (AoA, AoD) row's peak magnitude.  Where
+AoA rows are derived the pass is two phases, since a derived AoA row reads
+every stored one: all blocks are written, then derived and scanned.  The
+transform runs the read-only scan once when asked for the row
+peaks.  ``pdp_marginals`` sums its power maps from the transform's blocks
+by Parseval, from the stored rows alone, and keeps no grid.
 ``tentative_peak`` finds the peak of the grid minus further footprints
 without writing, over the rows it is handed.
 
@@ -69,11 +86,11 @@ rows: a sweep once 16 are pending or their bound keeps more than 5% of
 the rows, and never while candidates are held.
 
 On a large grid the sweep and the transform run their blocks in contiguous
-spans, one per CPU, on ``mpcx.pool.run_blocks``.  Every entry gets the same
-arithmetic in any span and the sweep's block peaks merge in block order, so
-a split gives the same bits as one span.  A small grid stays one span on
-the calling thread, and a tentative peak always does; nothing is
-configurable.
+spans, one per CPU, on ``mpcx.pool.run_blocks``.  Block shapes do not
+depend on the split, every entry gets the same arithmetic in any span and
+the sweep's block peaks merge in block order, so a split gives the same
+bits as one span.  A small grid stays one span on the calling thread, and
+a tentative peak always does; nothing is configurable.
 """
 
 from __future__ import annotations
@@ -95,6 +112,15 @@ from .sounder import (
     _positive_int,
     _separable_transform,
 )
+
+
+# entries of the plane of every AoA row (at every os_aod-th AoD row) up to
+# which a transform stores that plane, 32 MB: on such a grid deriving AoA
+# rows saves little memory and costs more in per-call overhead than in
+# arithmetic (desk-trials ran 20-30% slower, and the paper grid's 28 passes
+# at oversample 2, 18 MB, 0.1-0.2 s slower), while the paper protocol's
+# plane is 73 MB at oversample 4
+_AOA_PLANE_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -126,10 +152,19 @@ class GridSpec:
         n = config.n_freq * self.os_delay
         return np.arange(n) / (config.bandwidth_hz * self.os_delay)
 
+    def _aoa_step(self, config: SounderConfig) -> int:
+        """Step between the AoA rows that ``beamspace_transform`` stores on
+        this lattice: os_aoa, the critical rows, where the plane of every
+        AoA row would hold more than ``_AOA_PLANE_ENTRIES`` values, else 1."""
+        entries = config.n_rx * self.os_aoa * config.n_tx * config.n_freq * self.os_delay
+        return self.os_aoa if entries > _AOA_PLANE_ENTRIES else 1
+
     def _plane_bytes(self, config: SounderConfig) -> int:
-        """Bytes of the AoD plane that ``beamspace_transform`` stores on this
-        lattice: n_rx*os_aoa x n_tx x n_freq*os_delay complex128 values."""
-        return 16 * config.n_rx * self.os_aoa * config.n_tx * config.n_freq * self.os_delay
+        """Bytes of the plane that ``beamspace_transform`` stores on this
+        lattice: every ``_aoa_step``-th AoA row at every os_aod-th AoD row,
+        n_rx*os_aoa/step x n_tx x n_freq*os_delay complex128 values."""
+        return (16 * config.n_rx * self.os_aoa // self._aoa_step(config) * config.n_tx
+                * config.n_freq * self.os_delay)
 
     def _matrices(self, config: SounderConfig):
         "``sounder._lattice_matrices`` of this lattice's axes."
@@ -158,31 +193,34 @@ class BeamspaceGrid:
     Normalization contract: a single path whose parameters sit exactly on the
     lattice produces its complex gain at the matching grid point.
 
-    Storage contract: the grid stores ``_plane``, the AoD rows j =
-    ``_step``*q of every AoA row (n_aoa x n_aod/``_step`` x n_tau values),
-    and derives the other rows from it with ``_kernel``.
-    ``BeamspaceGrid(values, spec, config)`` stores the whole array (step 1,
-    no derived rows; the sweep writes into it); ``beamspace_transform``
-    stores the critically sampled plane, step os_aod.  ``values`` is the
-    stored array for a grid that derives nothing, and otherwise a new array
-    that materializes the whole lattice.
+    Storage contract: the grid stores ``_plane``, the rows of every
+    ``_steps[0]``-th AoA and every ``_steps[1]``-th AoD point (n_aoa/step_0
+    x n_aod/step_1 x n_tau values), and derives the other rows from it with
+    ``_kernels``.  ``BeamspaceGrid(values, spec, config)`` stores the whole
+    array (steps (1, 1), no derived rows; the sweep writes into it);
+    ``beamspace_transform`` stores the critically sampled plane, steps
+    (os_aoa, os_aod): n_rx x n_tx x n_tau values, or, where the plane of
+    every AoA row holds at most ``_AOA_PLANE_ENTRIES`` values, that plane,
+    steps (1, os_aod) (``GridSpec._aoa_step``).  ``values`` is the stored
+    array for a grid that derives nothing, and otherwise a new array that
+    materializes the whole lattice.
     """
 
     def __init__(self, values: np.ndarray, spec: GridSpec, config: SounderConfig):
         self.spec, self.config = spec, config
-        self._plane, self._step = values, 1
+        self._plane, self._steps = values, (1, 1)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         "(n_aoa, n_aod, n_tau) of the whole lattice."
-        n_aoa, n_stored, n_tau = self._plane.shape
-        return n_aoa, n_stored * self._step, n_tau
+        n_rows, n_stored, n_tau = self._plane.shape
+        return n_rows * self._steps[0], n_stored * self._steps[1], n_tau
 
     @property
     def values(self) -> np.ndarray:
         """The whole lattice: the stored array, or a new one filled from a
         fresh ``_LatticeRows``, ``limit`` rows a call."""
-        if self._step == 1:
+        if self._steps == (1, 1):
             return self._plane
         rows = _LatticeRows(self)
         n_aoa, n_aod, n_tau = self.shape
@@ -208,14 +246,29 @@ class BeamspaceGrid:
         return self.spec.delay_axis(self.config)
 
     @cached_property
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        "``_coset_kernel`` of this grid's AoD table and step."
-        return _coset_kernel(self._offset_tables[1], self.config.n_tx, self._step)
+    def _kernels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, ...]:
+        "``_coset_kernel`` of the AoA and of the AoD table at this grid's steps."
+        return tuple(_coset_kernel(self._offset_tables[axis], n, step) for axis, n, step
+                     in zip((0, 1), (self.config.n_rx, self.config.n_tx), self._steps))
+
+    @cached_property
+    def _aoa_phase(self) -> np.ndarray:
+        """Per lattice AoA row, the phase that takes its real-frame stored
+        rows to lattice values: the AoA ``_coset_kernel``'s ``conj(pre)``
+        for a stored row and ``post`` for a derived one.  A grid that
+        derives AoA rows stores its plane in that frame: stored AoA row p is
+        ``pre[p]`` times the lattice's, so ``real`` alone derives the rest."""
+        real, pre, post = self._kernels[0]
+        phase = np.empty(self.shape[0], dtype=complex)
+        phase[::self._steps[0]] = pre.conj()
+        phase.reshape(-1, self._steps[0])[:, 1:] = post.reshape(len(pre), -1)
+        return phase
 
     @cached_property
     def _lattice_rows(self) -> _LatticeRows:
         """Lattice rows of the plane as it stands, for ``tentative_peak`` and
-        ``_point_value``; a ``peak_sweep`` that writes the plane drops them."""
+        ``_point_value``; a ``peak_sweep`` that writes the plane drops them
+        (``_LatticeRows.drop``)."""
         return _LatticeRows(self)
 
     @cached_property
@@ -274,8 +327,7 @@ class BeamspaceGrid:
         return PathParams(gain=val, delay=tau, aod=aod, aoa=aoa)
 
 
-def _axis_kernel(n: int, os: int, slope: int,
-                 u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _axis_kernel(n, os, slope, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(phase, real)``: the factor of a unit path's footprint along an
     axis of ``n`` elements and n*os lattice points, ``u`` lattice steps
     (any real or integer array) past the path's own position, is ``phase *
@@ -285,49 +337,54 @@ def _axis_kernel(n: int, os: int, slope: int,
         real(u) = sin(pi u / os) / sin(pi u / (n os))
         phase(u) = exp(-j pi slope u / (n os))
 
-    ``real`` is evaluated at u' = u - k n os, k the nearest integer to u /
-    (n os), as (-1)^(k (n + 1)) real(u'), and on |u'|, so it is exactly
-    even in u, exactly 0 at the nonzero multiples of ``os`` below n os, and
-    accurate where both sines are small; within 1e-9 of u' = 0, where the
-    ratio is n to rounding, it is exactly n.  ``phase`` is reduced to [0, 2
-    pi) before the exponential, in integers for an integer ``u``."""
+    ``n``, ``os`` and ``slope`` are integers or integer arrays of ``u``'s
+    shape, one axis per entry, so several axes' offsets take one call with
+    the bits of one call per axis.  ``real`` is evaluated at u' = u - k n
+    os, k the nearest integer to u / (n os), as (-1)^(k (n + 1)) real(u'),
+    and on |u'|, so it is exactly even in u, exactly 0 at the nonzero
+    multiples of ``os`` below n os, and accurate where both sines are
+    small; within 1e-9 of u' = 0, where the ratio is n to rounding, it is
+    exactly n.  ``phase`` is reduced to [0, 2 pi) before the exponential,
+    in integers for an integer ``u``."""
     n_pts = n * os
     phase = np.exp(-1j * np.pi * (slope * u % (2 * n_pts)) / n_pts)
     k = np.round(u / n_pts)
     a = np.abs(u - k * n_pts)
     off = a > 1e-9
     real = np.divide(np.sin(np.pi / os * a), np.sin(np.pi / n_pts * a),
-                     out=np.full(a.shape, float(n)), where=off)
+                     out=np.broadcast_to(np.asarray(n, dtype=float), a.shape).copy(),
+                     where=off)
     real[off & (a % os == 0)] = 0.0
     real *= (-1.0) ** (k * (n + 1))
     return phase, real
 
 
-def _coset_kernel(table: tuple[np.ndarray, np.ndarray], n_tx: int,
+def _coset_kernel(table: tuple[np.ndarray, np.ndarray], n: int,
                   step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(real, pre, post)``: the interpolator ``P`` of the derived AoD rows
-    j = step*q + s (s = 1..step-1, in (q, s) order) of an AoA row from its
-    stored rows q', ``P = M_s M_0^H / n_tx`` with ``M_0`` and ``M_s`` the
-    stored and the derived rows of the AoD lattice matrix (``M_0 M_0^H =
-    n_tx I``).  Its entry (j, q') is the AoD kernel at offset j - step*q'
-    over n_tx, so with the AoD ``table`` ``(phase, real)`` of
-    ``GridSpec._offset_table``, ``P = diag(post) real diag(pre)``:
+    """``(real, pre, post)``: the interpolator ``P`` of the derived rows k =
+    step*q + s (s = 1..step-1, in (q, s) order) of an angle axis of ``n``
+    elements from its stored rows q', ``P = M_s M_0^H / n`` with ``M_0``
+    and ``M_s`` the stored and the derived rows of the axis' lattice matrix
+    (``M_0 M_0^H`` is a multiple of I).  Its entry (k, q') is the axis
+    kernel at offset k - step*q' over n, so with the axis ``table``
+    ``(phase, real)`` of ``GridSpec._offset_table``, ``P = diag(post) real
+    diag(pre)``:
 
-        real[(q, s), q'] = real(j - step q') / n_tx
-        pre[q'] = phase(-step q'),  post[j] = phase(j)
+        real[(q, s), q'] = real(k - step q') / n
+        pre[q'] = phase(-step q'),  post[k] = phase(k)
 
-    ``real`` is float64 [n_tx*(step-1) x n_tx], so the derived rows of a
-    block cost one real product with the pre-scaled stored rows (half the
-    multiply-adds of a complex one), and their magnitudes need no ``post``
-    (|post| = 1).  None at step 1, where no row is derived."""
+    ``real`` is float64 [n*(step-1) x n], so along AoD the derived rows of
+    an AoA row cost one real product with its pre-scaled stored rows (half
+    the multiply-adds of a complex one), and their magnitudes need no
+    ``post`` (|post| = 1).  None at step 1, where no row is derived."""
     if step == 1:
         return None
     phase, real = table
-    n_aod = n_tx * step
-    stored = step * np.arange(n_tx)
-    j = (stored[:, None] + np.arange(1, step)).ravel()
-    return (real[n_aod - 1 + j[:, None] - stored] / n_tx, phase[n_aod - 1 - stored],
-            phase[n_aod - 1 + j])
+    n_pts = n * step
+    stored = step * np.arange(n)
+    k = (stored[:, None] + np.arange(1, step)).ravel()
+    return (real[n_pts - 1 + k[:, None] - stored] / n, phase[n_pts - 1 - stored],
+            phase[n_pts - 1 + k])
 
 
 def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
@@ -341,42 +398,58 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
             * exp(+j*2*pi*tau*f_m)
 
     the same separable map as ``virtual_coefficients``, evaluated on the
-    grid axes by ``sounder._separable_transform``: the lattice matrices of
-    the axes are applied AoD first, then delay, then AoA a block of rows at
-    a time into the preallocated plane.  Only the stored AoD rows (every
-    os_aod-th, the critically sampled ones) are computed and kept, so the
-    AoD matrix applied is square; the grid derives the rest (see
-    ``BeamspaceGrid``) and keeps the matrices for its sweeps.
+    grid axes by ``sounder._separable_transform``.  Only the stored rows
+    (every ``GridSpec._aoa_step``-th AoA and every os_aod-th AoD point: the
+    critically sampled ones, or every AoA row on a small grid) are computed
+    and kept, so the AoD matrix applied is square; the grid derives the
+    other rows (see ``BeamspaceGrid``).  Where every AoA row is stored the
+    lattice matrices are applied AoD first, then delay, then AoA a block of
+    rows at a time into the preallocated plane.  Where AoA rows are
+    derived, the square matrix of the stored AoA rows, in the real frame of
+    ``BeamspaceGrid._aoa_phase``, is applied first, to the response's
+    tones, and the AoD and delay products then make the plane itself.
 
     With ``row_peaks`` (one float per row of the ``(aoa*aod, delay)`` view)
-    each block of the plane is scanned as it is made, by the read-only scan
-    of ``peak_sweep`` (``_row_scan``), which records the row maxima there:
-    the same bits that ``peak_sweep(grid, row_peaks=row_peaks)`` writes, without
-    a second pass over the plane.  A magnitude that is not finite raises
+    the plane is scanned by the read-only scan of ``peak_sweep``, which
+    records the row maxima there: each block as it is made where every AoA
+    row is stored (without a second pass over the plane), and in one pass
+    over the made plane otherwise.  A magnitude that is not finite raises
     the ValueError of that read-only sweep, naming the same index, once the
     plane is made.
     """
     cfg = response.config
     m_rx, m_tx, m_f = spec._matrices(cfg)
-    step, n_tau = spec.os_aod, m_f.shape[1]
-    shape = (len(m_rx), len(m_tx), n_tau)
+    step, n_tau = spec._aoa_step(cfg), m_f.shape[1]
+    m_tx = m_tx[::spec.os_aod]
+    if step > 1:
+        pre = _coset_kernel(spec._offset_table(cfg, 0), cfg.n_rx, step)[1]
+        values = np.empty_like(response.values)
+        with np.errstate(invalid="ignore"):  # named by the scan, as below
+            np.matmul(m_rx[::step] * pre[:, None], response.values.reshape(cfg.n_rx, -1),
+                      out=values.reshape(cfg.n_rx, -1))
+        grid = BeamspaceGrid(_separable_transform(values, None, m_tx, m_f), spec, cfg)
+        grid._steps = (step, spec.os_aod)
+        if row_peaks is not None:
+            _sweep(grid, None, row_peaks)
+        return grid
+    shape = (len(m_rx), cfg.n_tx * spec.os_aod, n_tau)
     each_block = peaks = None
     if row_peaks is not None:
-        kernel = _coset_kernel(spec._offset_table(cfg, 1), cfg.n_tx, step)
-        aoa_rows = _scan_rows(shape, step)
+        kernel = _coset_kernel(spec._offset_table(cfg, 1), cfg.n_tx, spec.os_aod)
+        aoa_rows = _scan_rows(shape, spec.os_aod)
         peaks = [None] * len(m_rx)  # block peaks by first AoA row
 
         def each_block():
-            scan = _row_scan(kernel, row_peaks, aoa_rows, cfg.n_tx, n_tau)
+            scan = _row_scan(kernel, None, row_peaks, aoa_rows, cfg.n_tx, n_tau)
 
             def scan_rows(first: int, rows: np.ndarray) -> None:
                 for i0 in range(0, len(rows), aoa_rows):
                     peaks[first + i0] = scan(first + i0, rows[i0:i0 + aoa_rows])
             return scan_rows
 
-    grid = BeamspaceGrid(_separable_transform(response.values, m_rx, m_tx[::step],
-                                              m_f, each_block), spec, cfg)
-    grid._step = step
+    grid = BeamspaceGrid(_separable_transform(response.values, m_rx, m_tx, m_f, each_block),
+                         spec, cfg)
+    grid._steps = (1, spec.os_aod)
     if peaks is not None:
         _first_peak((p for p in peaks if p is not None), shape)
     return grid
@@ -389,17 +462,21 @@ def _footprint(grid: BeamspaceGrid,
     the AoA factor times 1/(n_rx n_tx n_freq): windows of the grid's
     ``_offset_tables`` for a lattice path (``BeamspaceGrid._lattice_index``)
     and, for any other, the kernel at its fractional offsets, index minus
-    the path's position in lattice steps."""
+    the path's position in lattice steps, the three axes in one call."""
     at = grid._lattice_index(path)
+    shape = grid.shape
     if at is None:
-        cfg, shape = grid.config, grid.shape
+        cfg = grid.config
         positions = ((path.aoa + 0.5) * shape[0], (path.aod + 0.5) * shape[1],
                      path.delay * cfg.bandwidth_hz * grid.spec.os_delay)
-        kernels = (_axis_kernel(*axis, np.arange(n) - p) for axis, n, p
-                   in zip(grid.spec._axes(cfg), shape, positions))
+        u = np.concatenate([np.arange(n) - p for n, p in zip(shape, positions)])
+        phase, real = _axis_kernel(*(np.repeat(column, shape)
+                                     for column in zip(*grid.spec._axes(cfg))), u)
+        split = np.cumsum(shape[:2])
+        kernels = zip(np.split(phase, split), np.split(real, split))
     else:
         kernels = ((phase[n - 1 - p:2 * n - 1 - p], real[n - 1 - p:2 * n - 1 - p])
-                   for (phase, real), p, n in zip(grid._offset_tables, at, grid.shape))
+                   for (phase, real), p, n in zip(grid._offset_tables, at, shape))
     rx, tx, f = (phase * real for phase, real in kernels)
     rx /= grid.config.n_rx * grid.config.n_tx * grid.config.n_freq
     return rx, tx, f
@@ -455,30 +532,74 @@ def _first_peak(peaks, shape: tuple[int, int, int]) -> tuple[int, int, int, comp
     return int(i), int(j), int(l), best_val
 
 
+# stored AoA rows whose derived AoA rows one product of a pass makes.  The
+# product reads the whole plane, so few rows cost about as much as more: at
+# the paper protocol a product of 3 derived rows takes 0.84 ms and one of 6
+# 0.94 ms, 29 against 17 ms for the 105 derived rows of a pass.  Products of
+# 12 rows held twice the rows in each span and raised the peak RSS of a
+# paper-grid trial by 14 MB
+_AOA_GROUPS = 2
+
+# float columns of the plane per product of ``_derived_aoa_rows``: a slice
+# of 16 KB of each stored AoA row stays in cache while the derived rows are
+# made from it.  At the paper protocol, one BLAS thread, 3 and 6 derived
+# rows take 0.84 and 0.94 ms so, against 1.55 and 1.37 ms in one product
+# over the whole plane, with the same bits
+_DERIVE_COLUMNS = 2048
+
+
 def _scan_rows(shape: tuple[int, int, int], step: int) -> int:
-    """AoA rows per block of a pass over a grid of lattice ``shape`` that
-    stores every ``step``-th AoD row.  A block's derived rows and their
-    magnitudes need more room than its stored rows: a block is 1/step of
-    ``_BLOCK_ENTRIES`` lattice entries, so it stays cache-resident (at step 4
-    on the desk grid 1.5x faster)."""
+    """Lattice AoA rows per scan of a pass over a grid of lattice ``shape``
+    that stores every ``step``-th AoD row.  A scan's derived AoD rows and
+    their magnitudes need more room than its stored rows: a scan is 1/step
+    of ``_BLOCK_ENTRIES`` lattice entries, so it stays cache-resident (at
+    step 4 on the desk grid 1.5x faster)."""
     return max(1, _BLOCK_ENTRIES // (shape[1] * shape[2] * step))
 
 
+def _derived_aoa_rows(grid: BeamspaceGrid, groups: list[int],
+                      out: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """``(groups, rows)``: the derived AoA rows after the stored AoA rows
+    ``groups`` (ascending), each its stored AoD rows in the real frame
+    [n_stored x n_tau], made in ``out`` in lattice order: their AoA
+    ``real`` rows times the whole plane's float view, one product per slice
+    of ``_DERIVE_COLUMNS`` columns.  A matrix product gives a row the same
+    bits whatever rows or columns are made with it; a product of one row
+    would run on BLAS's vector kernel, whose rounding differs, so a lone
+    derived row (at os_aoa = 2) is made with its neighbour group's, which
+    ``groups`` then lists too (``out`` has room for two rows), unless it is
+    the grid's only derived row."""
+    n_rows, per = len(grid._plane), grid._steps[0] - 1
+    if len(groups) * per == 1 and n_rows > 1:
+        p = groups[0]
+        groups = [p, p + 1] if p + 1 < n_rows else [p - 1, p]
+    real = grid._kernels[0][0][(np.array(groups)[:, None] * per + np.arange(per)).ravel()]
+    rows = out[:len(real)]
+    plane = grid._plane.reshape(n_rows, -1).view(float)
+    made = rows.reshape(len(real), -1).view(float)
+    for c in range(0, plane.shape[1], _DERIVE_COLUMNS):
+        np.matmul(real, plane[:, c:c + _DERIVE_COLUMNS], out=made[:, c:c + _DERIVE_COLUMNS])
+    return groups, rows
+
+
 def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-              row_peaks: np.ndarray, aoa_rows: int, n_stored: int, n_tau: int):
+              aoa_phase: np.ndarray | None, row_peaks: np.ndarray, aoa_rows: int,
+              n_stored: int, n_tau: int):
     """The read-only scan of ``peak_sweep``, with one span's scratch buffers.
 
-    ``scan(i0, block)`` takes the stored rows of AoA rows i0..i0+b-1 (``block``,
-    [b x n_stored x n_tau], b <= ``aoa_rows``), derives their other AoD rows
-    with the ``_coset_kernel`` ``kernel`` ``(real, pre, post)``: each AoA
-    row's stored rows times ``pre`` go into one buffer, and ``real`` times
-    it, one real product on its float view, gives the derived rows without
-    their ``post`` phases, which leave the magnitudes as they are.  It
-    writes the maximum magnitude of every (AoA, AoD) row into ``row_peaks``
-    (one float per row of the ``(aoa*aod, delay)`` view) and returns the
-    block's peak as (magnitude, flat lattice index, value): the first
-    maximum in (aoa, aod, delay) order over stored and derived rows
-    together.  Only that value gets its row's ``post``.
+    ``scan(i0, block)`` takes the stored AoD rows of lattice AoA rows
+    i0..i0+b-1 (``block``, [b x n_stored x n_tau], b <= ``aoa_rows``),
+    derives their other AoD rows with the AoD ``_coset_kernel`` ``kernel``
+    ``(real, pre, post)``: each AoA row's stored rows times ``pre`` go into
+    one buffer, and ``real`` times it, one real product on its float view,
+    gives the derived rows without their ``post`` phases, which leave the
+    magnitudes as they are.  It writes the maximum magnitude of every (AoA,
+    AoD) row into ``row_peaks`` (one float per row of the ``(aoa*aod,
+    delay)`` view) and returns the block's peak as (magnitude, flat lattice
+    index, value): the first maximum in (aoa, aod, delay) order over stored
+    and derived rows together.  Only that value gets its row's ``post``,
+    and, on a grid that derives AoA rows, whose ``block`` is in the AoA real
+    frame, its AoA row's phase ``aoa_phase`` (``BeamspaceGrid._aoa_phase``).
     """
     step = 1 if kernel is None else len(kernel[0]) // n_stored + 1
     n_aod = n_stored * step
@@ -515,6 +636,8 @@ def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
         else:
             row, row_mag, phase = block[i, q], mag[i, q], 1
         k = int(row_mag.argmax())
+        if aoa_phase is not None:
+            phase = phase * aoa_phase[i0 + i]
         return float(row_mag[k]), (i0 * n_aod + r) * n_tau + k, complex(row[k] * phase)
 
     return scan
@@ -531,71 +654,133 @@ def peak_sweep(
     the ``(aoa*aod, delay)`` view of the whole lattice, or None for no
     footprint: ``left[:, k]`` is the gain times the outer product of the
     AoA and AoD ``_footprint`` factors of footprint k, flattened, and
-    ``right[k]`` its delay factor.  Walks
-    blocks of AoA rows of the stored plane.  Each block gets all footprints
-    subtracted from its stored rows as one rank-K product, written back;
-    then its derived rows are made from them (one real product with
-    ``grid._kernel``), and the magnitudes and maxima of every (AoA, AoD)
-    row are taken, by the read-only ``_row_scan``.  The block's peak is the
-    first maximum in (aoa, aod, delay) order over stored and derived rows
-    together, and the first strict maximum over the blocks is kept, so
-    exact magnitude ties resolve to the lowest index triple, as in
-    ``np.argmax`` over the whole lattice.  The row maxima go into
+    ``right[k]`` its delay factor.  Walks blocks of stored AoA rows: those
+    of one scan (``_scan_rows``), or ``_AOA_GROUPS`` where AoA rows are
+    derived.  Each block gets all footprints subtracted from its stored
+    rows as one rank-K product, written back.  The read-only scan then
+    derives the other rows and takes the magnitudes and maxima of every
+    (AoA, AoD) row (``_row_scan``).  On a grid that derives AoA rows every
+    block is written first, and then each block's derived AoA rows are
+    made from the whole plane (``_derived_aoa_rows``) and its lattice AoA
+    rows are scanned in order, ``_scan_rows`` at a time (stacked into one
+    buffer where that is more than one); on any other grid a block is
+    written and scanned in the same step.  The first maximum in (aoa,
+    aod, delay) order over stored and derived rows is kept, so exact
+    magnitude ties resolve to the lowest index triple, as in ``np.argmax``
+    over the whole lattice.  The row maxima go into
     ``row_peaks`` (one float per row of the view) if it is given, for the
-    picker's row bound.  The stored plane must be C-contiguous when there
+    picker's row bound.  A sweep with footprints drops the grid's row cache
+    (``_LatticeRows.drop``); given ``row_peaks`` on a grid that derives AoA
+    rows, it also copies the derived AoA rows of the groups that
+    ``_LatticeRows.refill_slots`` picks into the cache's held rows as it
+    makes them.  The stored plane must be C-contiguous when there
     are footprints (ValueError otherwise, before anything is written); with
     none it is only read.  A large grid's blocks run in contiguous spans on
-    ``pool.run_blocks``; each span lists its blocks' peaks and one merge
-    walks them in block order, so the peak does not depend on the split.
+    ``pool.run_blocks``; block shapes do not depend on the split, each span
+    lists its peaks and one merge walks them in order, so the peak does not
+    depend on the split.
 
     Returns the peak's index triple and the complex difference there; an
     all-zero difference reports index (0, 0, 0) and value 0.  Raises
     ValueError on an empty grid or a magnitude that is not finite, naming
     the lowest offending index that a span reached; in that case the blocks
     of its span up to and including the offending one are already written,
-    and so may be blocks of the other spans.
+    and so may be blocks of the other spans (every block, on a grid that
+    derives AoA rows, where such a value also reaches every derived AoA
+    row).
     """
-    plane, step = grid._plane, grid._step
+    return _sweep(grid, factors, row_peaks)
+
+
+def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
+           row_peaks: np.ndarray | None) -> tuple[int, int, int, complex]:
+    """``peak_sweep``, which also makes the first pass of a transform that
+    derives AoA rows."""
+    plane = grid._plane
     if plane.size == 0:
         raise ValueError("empty beamspace grid")
     if factors is not None and not plane.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
-    n_aoa, n_stored, n_tau = plane.shape
-    n_aod = n_stored * step
+    n_rows, n_stored, n_tau = plane.shape
+    n_aoa, n_aod, _ = grid.shape
+    step = grid._steps[0]
+    derives = grid._kernels[0] is not None
+    cache = slots = None
     if factors is not None:
-        # the footprints' stored rows
-        left = factors[0].reshape(n_aoa, n_aod, -1)[:, ::step]
-        grid.__dict__.pop("_lattice_rows", None)  # made from the plane before
+        # the footprints' stored rows, in the plane's frame
+        left = factors[0].reshape(n_aoa, n_aod, -1)[::step, ::grid._steps[1]]
+        if derives:
+            left = left * grid._kernels[0][1][:, None, None]
+        if grid._steps != (1, 1) and "_lattice_rows" in grid.__dict__:
+            # made from the plane before: its rows are dropped, and the
+            # sweep refills its held derived AoA rows with those it makes
+            cache = grid._lattice_rows
+            cache.drop()
+            if derives and row_peaks is not None:
+                slots = cache.refill_slots(row_peaks, step)
     if row_peaks is None:
         row_peaks = np.empty(n_aoa * n_aod)
-    kernel = grid._kernel
-    aoa_rows = _scan_rows(grid.shape, step)
+    aoa_rows = _scan_rows(grid.shape, grid._steps[1])
+    rows = _AOA_GROUPS if derives else aoa_rows
+
+    def subtract(start: int, stop: int, buf: np.ndarray) -> None:
+        "Write the footprints into the stored rows of the blocks in [start, stop)."
+        for p0 in range(start, stop, rows):
+            block = plane[p0:p0 + rows].reshape(-1, n_tau)
+            kernels = buf[:len(block)]
+            # np.dot, not np.matmul: matmul runs the rank-1 product, the
+            # common case, about 2x slower
+            np.dot(left[p0:p0 + rows].reshape(len(block), -1), factors[1], out=kernels)
+            np.subtract(block, kernels, out=block)
+
+    def write(start: int, stop: int) -> None:
+        with np.errstate(invalid="ignore"):
+            subtract(start, stop, np.empty((rows * n_stored, n_tau), dtype=complex))
+
+    if factors is not None and derives:
+        # sized by its multiply-adds, K an entry: at the paper protocol 16
+        # pending footprints take 7 ms a pass on one thread
+        run_blocks(write, n_rows, rows, n_stored * n_tau * len(factors[1]))
 
     def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
-        """(magnitude, flat index, value) of each block's first peak, up to
-        and including the first whose magnitude is not finite."""
-        scan = _row_scan(kernel, row_peaks, aoa_rows, n_stored, n_tau)
-        kernel_buf = np.empty((aoa_rows * n_stored, n_tau), dtype=complex)
+        """(magnitude, flat index, value) of each scanned block's first
+        peak, up to the first block holding one that is not finite."""
+        scan = _row_scan(grid._kernels[1], grid._aoa_phase if derives else None,
+                         row_peaks, aoa_rows, n_stored, n_tau)
+        if derives:
+            per = step - 1
+            slab_buf = np.empty((max(2, rows * per), n_stored, n_tau), dtype=complex)
+            stack_buf = np.empty((aoa_rows, n_stored, n_tau), dtype=complex)
+        elif factors is not None:
+            buf = np.empty((rows * n_stored, n_tau), dtype=complex)
         peaks = []
         # an inf value makes NaNs in the products: the merge names it
         with np.errstate(invalid="ignore"):
-            for i0 in range(start, stop, aoa_rows):
-                block = plane[i0:i0 + aoa_rows]
-                if factors is not None:
-                    rows = block.reshape(-1, n_tau)
-                    kernels = kernel_buf[:len(rows)]
-                    # np.dot, not np.matmul: matmul runs the rank-1 product,
-                    # the common case, about 2x slower
-                    np.dot(left[i0:i0 + len(block)].reshape(len(rows), -1),
-                           factors[1], out=kernels)
-                    np.subtract(rows, kernels, out=rows)
-                peaks.append(scan(i0, block))
-                if not math.isfinite(peaks[-1][0]):
+            for p0 in range(start, stop, rows):
+                p1, first = min(p0 + rows, n_rows), len(peaks)
+                if not derives:
+                    if factors is not None:
+                        subtract(p0, p1, buf)
+                    peaks.append(scan(p0, plane[p0:p1]))
+                else:
+                    made, slabs = _derived_aoa_rows(grid, list(range(p0, p1)), slab_buf)
+                    if slots is not None:
+                        cache.refill(slots, made, slabs, range(p0, p1), step)
+                    lattice = []  # the block's lattice AoA rows, in order
+                    for p in range(p0, p1):
+                        at = (p - made[0]) * per
+                        lattice += [plane[p], *slabs[at:at + per]]
+                    for k in range(0, len(lattice), aoa_rows):
+                        part = lattice[k:k + aoa_rows]
+                        block = (part[0][None] if len(part) == 1
+                                 else np.stack(part, out=stack_buf[:len(part)]))
+                        peaks.append(scan(p0 * step + k, block))
+                if not all(math.isfinite(peak[0]) for peak in peaks[first:]):
                     break
         return peaks
 
     return _first_peak(
-        chain.from_iterable(run_blocks(sweep, n_aoa, aoa_rows, n_aod * n_tau)),
+        chain.from_iterable(run_blocks(sweep, n_rows, rows, step * n_aod * n_tau)),
         grid.shape)
 
 
@@ -619,6 +804,20 @@ def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray,
 _HELD_ENTRIES = 1 << 20
 
 
+def _held_groups(per: int, n_rows: int) -> int:
+    """Groups of derived AoA rows (the ``per`` that follow a stored AoA row)
+    whose stored AoD rows a ``_LatticeRows`` holds at most, on a grid of
+    ``n_rows`` stored AoA rows: those of twice ``n_rows`` derived rows, at
+    least two groups, or all.  At the paper protocol that is 23 groups of
+    35, 36 MB, twice the plane whatever the oversampling.  Criterion 11's
+    picks read 542 groups over its 27 writing sweeps; the 23 groups that
+    each sweep refills (``_LatticeRows.refill_slots``) hold all but 7 of
+    them, and 11 groups, the ``_HELD_ENTRIES`` budget, would miss 259.
+    Its picks then make 131 groups in 37 products of ``_derived_aoa_rows``
+    (559 in 283 without the refill)."""
+    return min(n_rows, max(2, 2 * n_rows // per))
+
+
 class _LatticeRows:
     """Rows of a grid's lattice as the stored plane stands, each made once:
     the one reader of lattice rows outside a full pass (``tentative_peak``,
@@ -627,13 +826,21 @@ class _LatticeRows:
     Between two writes of the plane, greedy-LS's tentative picks read the
     same few rows again and again (about 15 reads per derived row at the
     paper protocol).  ``gather`` keeps every row it is asked for in
-    ``values``: a stored row is copied from the plane, and a derived row is
-    its row of ``P``, formed as ``post * real * pre`` from ``grid._kernel``,
-    times its AoA row's stored plane, with the same bits whatever rows are
-    made with it.  ``index`` maps a lattice row to its slot, or -1.  At most
+    ``values``, made from the stored AoD rows of its AoA row and that row's
+    phase: a stored row is copied from them, and a derived row
+    is its row of the AoD ``P``, formed as ``post * real * pre`` from
+    ``grid._kernels[1]`` times the phase, times them, one vector-matrix
+    product per row, so a row's bits do not depend on the rows made with
+    it.  The stored AoD rows of a derived AoA row are held in ``slabs``
+    (``_hold``), so each is made once between two writes of the plane, and
+    a writing sweep refills them with the groups it derives that the next
+    picks most likely read (``refill_slots``), so few are made at all.
+    ``drop`` empties the cache for a write and keeps its buffers.
+    ``index`` maps a lattice row to its slot, or -1.  At most
     ``limit`` rows (``_HELD_ENTRIES`` values, or the five rows of a
     ``_refine_peak`` if more) are held; a call that needs more room first
-    drops them all, and a call asks for at most ``limit`` rows.  On a grid
+    drops them all, and a call asks for at most ``limit`` rows.  ``slabs``
+    fill the same way, ``_held_groups`` groups at most.  On a grid
     that derives no row, ``values`` is the plane itself, a view of its
     rows, and ``index`` the identity: nothing is made.
     """
@@ -641,7 +848,7 @@ class _LatticeRows:
     def __init__(self, grid: BeamspaceGrid):
         n_aoa, n_aod, n_tau = grid.shape
         self.count = 0
-        if grid._step == 1:
+        if grid._steps == (1, 1):
             self.values = grid._plane.reshape(n_aoa * n_aod, n_tau)
             self.index = np.arange(n_aoa * n_aod)
             self.limit = max(1, len(self.index))
@@ -650,6 +857,53 @@ class _LatticeRows:
         self.limit = min(max(1, n_aoa * n_aod), max(5, _HELD_ENTRIES // n_tau))
         # pages that no row is written to are never touched
         self.values = np.empty((self.limit, n_tau), dtype=complex)
+        if grid._kernels[0] is not None:
+            n_rows, n_stored, _ = grid._plane.shape
+            per = grid._steps[0] - 1
+            # the held groups' rows, ``per`` a slot, the first ``slots``
+            # taken; ``slab_index`` maps a derived AoA row to its row there
+            self.slabs = np.empty((_held_groups(per, n_rows) * per, n_stored, n_tau),
+                                  dtype=complex)
+            self.slab_index = np.full(n_aoa, -1)
+            self.slots = 0
+
+    def drop(self) -> None:
+        """Drop every row and held derived AoA row made so far, on a grid
+        that derives rows.  The buffers stay: a new cache after each writing
+        sweep faulted their pages in again, 0.2 s of criterion 11's extract."""
+        self.index.fill(-1)
+        self.count = 0
+        if hasattr(self, "slabs"):
+            self.slab_index.fill(-1)
+            self.slots = 0
+
+    def refill_slots(self, row_peaks: np.ndarray, step: int) -> np.ndarray:
+        """Slot of each stored AoA row's group (its ``step`` - 1 derived AoA
+        rows) that a writing sweep refills from the rows it derives, -1 for
+        none: the groups whose derived rows have the highest ``row_peaks``
+        (the sweep's own, before it scans), as many as ``slabs`` hold, in
+        ascending order.  The picks that follow read mostly those
+        (``_held_groups``)."""
+        peaks = row_peaks.reshape(len(self.slab_index) // step, step, -1)[:, 1:]
+        keep = np.sort(np.argsort(-peaks.max(axis=(1, 2)), kind="stable")[
+            :len(self.slabs) // (step - 1)])
+        slots = np.full(len(peaks), -1)
+        slots[keep] = np.arange(len(keep))
+        self.slots = len(keep)
+        return slots
+
+    def refill(self, slots: np.ndarray, made: list[int], rows: np.ndarray,
+               groups: range, step: int) -> None:
+        """Hold the derived AoA rows ``rows`` that a sweep made for the
+        groups ``made`` (``_derived_aoa_rows``) in the ``refill_slots``
+        ``slots`` of ``groups``, those of its block.  The sweep's spans fill
+        disjoint slots."""
+        per = step - 1
+        for p in groups:
+            if slots[p] >= 0:
+                at, to = (p - made[0]) * per, slots[p] * per
+                self.slabs[to:to + per] = rows[at:at + per]
+                self.slab_index[p * step + 1:(p + 1) * step] = np.arange(to, to + per)
 
     def gather(self, grid: BeamspaceGrid,
                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -664,31 +918,97 @@ class _LatticeRows:
             self._make(grid, missing)
         return self.values, self.index[rows]
 
+    def _hold(self, grid: BeamspaceGrid, groups: np.ndarray) -> None:
+        """Hold the derived AoA rows of the stored AoA rows ``groups``
+        (ascending, at most as many as there are slots): the missing ones
+        are made into the next free slots by one ``_derived_aoa_rows``
+        product; where they do not fit, every held group is dropped first
+        and all of ``groups`` are made."""
+        step = grid._steps[0]
+        per = step - 1
+        missing = groups[self.slab_index[groups * step + 1] < 0]
+        if not len(missing):
+            return
+        if (self.slots + len(missing)) * per > len(self.slabs):
+            self.slab_index.fill(-1)
+            self.slots, missing = 0, groups
+        first, self.slots = self.slots, self.slots + len(missing)
+        out = self.slabs[first * per:self.slots * per]
+        if len(out) == 1 and len(grid._plane) > 1:  # made with a neighbour
+            made, rows = _derived_aoa_rows(grid, missing.tolist(),
+                                           np.empty((2,) + out.shape[1:], dtype=complex))
+            out[0] = rows[made.index(missing[0])]
+        else:
+            _derived_aoa_rows(grid, missing.tolist(), out)
+        self.slab_index[(missing[:, None] * step + np.arange(1, step)).ravel()] = \
+            np.arange(first * per, self.slots * per)
+
     def _make(self, grid: BeamspaceGrid, rows: np.ndarray) -> None:
-        step = grid._step
-        n_aoa, n_stored, n_tau = grid._plane.shape
-        start, stop = self.count, self.count + len(rows)
-        aoa, aod = np.divmod(rows, n_stored * step)
+        """Make ``rows``: in runs whose derived AoA rows ``slabs`` can hold
+        at once (the groups of the rows whose AoA row is derived)."""
+        step = grid._steps[0]
+        if step == 1:
+            self._fill(grid, rows)
+            return
+        aoa = rows // grid.shape[1]
+        derived = np.flatnonzero(aoa % step)
+        distinct, firsts = np.unique(aoa[derived] // step, return_index=True)
+        fits = len(self.slabs) // (step - 1)
+        edges = [0, *derived[firsts[fits::fits]].tolist(), len(rows)]
+        for lo, hi, g0 in zip(edges, edges[1:], range(0, len(edges) - 1)):
+            self._hold(grid, distinct[g0 * fits:(g0 + 1) * fits])
+            self._fill(grid, rows[lo:hi])
+
+    def _fill(self, grid: BeamspaceGrid, rows: np.ndarray) -> None:
+        """Make ``rows``, their derived AoA rows held: derived AoD rows first,
+        each its row of ``P`` formed from the kernel (cheaper than
+        pre-scaling the stored rows) times the stored rows of its AoA row,
+        one vector-matrix product per row, stacked per AoA row, so a row's
+        bits do not depend on the rows made with it (a matrix product of
+        several rounds otherwise); then the stored AoD rows, taken from the
+        plane and then from the held rows, and times their AoA row's phase
+        where AoA rows are derived."""
+        step_a, step = grid._steps
+        n_stored, n_tau = grid._plane.shape[1:]
+        start = self.count
+        aoa, aod = np.divmod(rows, grid.shape[1])
         q, s = np.divmod(aod, step)
-        derived, stored = np.flatnonzero(s), np.flatnonzero(s == 0)
-        # derived rows first, each its row of ``P`` formed from the kernel
-        # (cheaper than pre-scaling the plane) times its AoA row's plane: one
-        # vector-matrix product per row, stacked per AoA row, so a row's bits
-        # do not depend on the rows made with it (a matrix product of several
-        # rounds otherwise); then the stored rows
-        real, pre, post = grid._kernel
-        c = q[derived] * (step - 1) + s[derived] - 1
-        coef = post[c, None] * real[c] * pre
-        planes, firsts = np.unique(aoa[derived], return_index=True)
-        firsts = firsts.tolist()
-        for i, lo, hi in zip(planes.tolist(), firsts, firsts[1:] + [len(derived)]):
-            np.matmul(coef[lo:hi, None], grid._plane[i],
-                      out=self.values[start + lo:start + hi, None])
+        # each row's AoA row's stored rows start at row ``at`` of the plane,
+        # or of the held rows for a derived AoA row (``held``)
+        plane, slabs = grid._plane.reshape(-1, n_tau), None
+        at = aoa // step_a * n_stored
+        held = aoa % step_a > 0
+        if step_a > 1:
+            slabs = self.slabs.reshape(-1, n_tau)
+            at[held] = self.slab_index[aoa[held]] * n_stored
+        derived = np.flatnonzero(s)
+        order = [derived, np.flatnonzero((s == 0) & ~held), np.flatnonzero((s == 0) & held)]
+        if len(derived):
+            real, pre, post = grid._kernels[1]
+            c = q[derived] * (step - 1) + s[derived] - 1
+            post = post[c] if step_a == 1 else grid._aoa_phase[aoa[derived]] * post[c]
+            coef = post[:, None] * real[c] * pre
+            a = aoa[derived]
+            firsts = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(derived)]
+            for lo, hi in zip(firsts, firsts[1:]):
+                r = derived[lo]
+                np.matmul(coef[lo:hi, None], (slabs if held[r] else plane)[at[r]:at[r] + n_stored],
+                          out=self.values[start + lo:start + hi, None])
         middle = start + len(derived)
-        np.take(grid._plane.reshape(-1, n_tau), aoa[stored] * n_stored + q[stored],
-                axis=0, out=self.values[middle:stop])
-        self.index[rows[derived]] = np.arange(start, middle)
-        self.index[rows[stored]] = np.arange(middle, stop)
+        stop = start + len(rows)
+        # where AoA rows are derived, taken into a buffer and multiplied out
+        # of place: an in-place product gave a row other bits in one call
+        # than in another
+        taken = self.values[middle:stop] if step_a == 1 else np.empty((stop - middle, n_tau),
+                                                                      dtype=complex)
+        split = len(order[1])
+        for source, pick, out in zip((plane, slabs), order[1:], (taken[:split], taken[split:])):
+            if len(pick):
+                np.take(source, at[pick] + q[pick], axis=0, out=out)
+        if step_a > 1:
+            stored = np.concatenate(order[1:])
+            np.multiply(taken, grid._aoa_phase[aoa[stored], None], out=self.values[middle:stop])
+        self.index[rows[np.concatenate(order)]] = np.arange(start, stop)
         self.count = stop
 
 
@@ -860,18 +1180,24 @@ class _PendingFootprints:
 
 def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
     """Bytes that a ``_PendingFootprints`` with ``extra`` columns allocates
-    for a response of ``config`` on ``spec``: the stored AoD plane, the
-    transform's AoD- and delay-transformed lines (n_rx x n_tx x
-    n_freq*os_delay complex128 values), the ``_MAX_PENDING`` + ``extra``
-    factor columns of n_aoa*n_aod complex128 values with their float64 row
-    bounds, the cap of the lattice rows that its tentative picks hold
-    (``_HELD_ENTRIES`` values), and its grid's ``_offset_tables`` (2n - 1
-    complex128 phases and float64 reals for an axis of n points)."""
+    for a response of ``config`` on ``spec``: the stored plane
+    (``GridSpec._plane_bytes``); where that holds every AoA row, the
+    transform's AoD- and delay-transformed lines (n_rx x n_tx x n_tau
+    values), and otherwise, the lines being the plane, the derived AoA
+    rows' stored rows that its row cache holds at most (``_held_groups``);
+    the ``_MAX_PENDING``
+    + ``extra`` factor columns of n_aoa*n_aod complex128 values with their
+    float64 row bounds; the cap of the lattice rows that its tentative picks
+    hold (``_HELD_ENTRIES`` values); and its grid's ``_offset_tables`` (2n -
+    1 complex128 phases and float64 reals for an axis of n points)."""
     n_aoa, n_aod = config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod
     n_tau = config.n_freq * spec.os_delay
-    return (spec._plane_bytes(config) + 16 * config.n_rx * config.n_tx * n_tau
-            + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra) + 16 * _HELD_ENTRIES
-            + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
+    plane = spec._plane_bytes(config)
+    second = 16 * config.n_tx * n_tau * (config.n_rx if spec._aoa_step(config) == 1 else
+                                         _held_groups(spec.os_aoa - 1, config.n_rx)
+                                         * (spec.os_aoa - 1))
+    return (plane + second + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra)
+            + 16 * _HELD_ENTRIES + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
 
 
 # curvature, relative to the samples, below which a parabola is flat: far

@@ -345,6 +345,9 @@ def greedy_ls(
     :class:`ExtractionTrace` with residual power after each commit, the
     number of grid passes (the transform's and the full sweeps) and the
     reason the loop stopped.
+
+    The caller owns the BLAS thread count: the call runs with its
+    process's, and only the CLI stages hold it at one thread.
     """
     if response.config != config:
         raise ValueError("response and config disagree")
@@ -527,6 +530,9 @@ def sage_refine(
     lattice point.  A new path at the old geometry rewrites that column to
     gain g_new - g_old unless a sweep wrote it; any other is appended.  No
     update re-runs the transform and no per-path response is kept.
+
+    The caller owns the BLAS thread count: the call runs with its
+    process's, and only the CLI stages hold it at one thread.
     """
     return _sage_refine(response, paths, config, spec, sweeps)[:2]
 

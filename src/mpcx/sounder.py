@@ -328,7 +328,7 @@ _MADDS_PER_ENTRY = 64
 
 
 def _separable_transform(
-    values: np.ndarray, m_rx: np.ndarray, m_tx: np.ndarray, m_f: np.ndarray,
+    values: np.ndarray, m_rx: np.ndarray | None, m_tx: np.ndarray, m_f: np.ndarray,
     each_block: Callable[[], Callable[[int, np.ndarray], None]] | None = None,
     keep: bool = True,
 ) -> np.ndarray | None:
@@ -347,9 +347,10 @@ def _separable_transform(
     its thread, and passes each block of its output rows to the function it
     returns as ``(first row, rows)``, [b x n_aod x n_delay], once they are
     made.  Without ``keep`` the rows are made in the span's buffer, nothing
-    is kept and None is returned."""
+    is kept and None is returned.  Without ``m_rx`` (None) there is no AoA
+    product, and ``lines`` is returned."""
     n_rx, n_tx, n_freq = values.shape
-    n_aoa, n_aod, n_out = len(m_rx), len(m_tx), m_f.shape[1]
+    n_aod, n_out = len(m_tx), m_f.shape[1]
     lines = np.empty((n_rx, n_aod, n_out), dtype=complex)
     rx_rows = max(1, _LINE_BLOCK // n_aod)
 
@@ -366,6 +367,9 @@ def _separable_transform(
 
     run_blocks(delay, n_rx, rx_rows,
                n_aod * (n_tx + n_out) * n_freq // _MADDS_PER_ENTRY)
+    if m_rx is None:
+        return lines
+    n_aoa = len(m_rx)
     lines = lines.reshape(n_rx, n_aod * n_out)
     out = np.empty((n_aoa, n_aod, n_out), dtype=complex) if keep else None
 

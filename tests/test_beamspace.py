@@ -25,7 +25,7 @@ from mpcx import (
     single_path_grid,
     synthesize_response,
 )
-from mpcx import beamspace, pool, sounder
+from mpcx import beamspace, fileio, pool, sounder
 from mpcx.beamspace import peak_sweep, tentative_peak
 
 from closed_form import (
@@ -35,6 +35,12 @@ from closed_form import (
     footprint_factors,
     kept_rows,
 )
+
+# the small grids here run the derived-AoA code of the paper protocol's
+# grids (``beamspace._AOA_PLANE_ENTRIES``)
+pytestmark = pytest.mark.usefixtures("derive_aoa_rows")
+# the threshold that the module's fixture sets aside
+AOA_PLANE_ENTRIES = beamspace._AOA_PLANE_ENTRIES
 
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 
@@ -225,12 +231,37 @@ def test_coset_kernel_matches_the_aod_lattice():
             grid = beamspace_transform(
                 FrequencyResponse(values=np.zeros((1, n_tx, 1), dtype=complex),
                                   config=cfg), spec)
-            real, pre, post = grid._kernel
+            real, pre, post = grid._kernels[1]
             assert real.dtype == np.float64
             cosets = spec._matrices(cfg)[1].reshape(n_tx, os_aod, n_tx)
             interp = cosets[:, 1:].reshape(-1, n_tx) @ cosets[:, 0].T.conj() / n_tx
             assert np.max(np.abs(post[:, None] * real * pre - interp)) <= 1e-13
             if n_tx == 1:
+                assert np.all(real == 1)
+
+
+def test_coset_kernel_matches_the_aoa_lattice():
+    """A transform grid's AoA ``(real, pre, post)`` kernel is the
+    interpolator ``M_s M_0^H / n_rx`` of its own AoA lattice matrix (which
+    carries 1/(n_rx n_tx n_freq), undone here): its derived AoA rows i =
+    os*p + s in (p, s) order, from the stored rows p'.  ``_aoa_phase`` is
+    ``conj(pre)`` at the stored AoA rows and ``post`` at the derived ones."""
+    for n_rx in range(1, 41):
+        cfg = SounderConfig(n_tx=1, n_rx=n_rx, bandwidth_hz=1e9, n_freq=1)
+        for os_aoa in range(2, 7):
+            spec = GridSpec(os_aoa=os_aoa, os_aod=1, os_delay=1)
+            grid = beamspace_transform(
+                FrequencyResponse(values=np.zeros((n_rx, 1, 1), dtype=complex),
+                                  config=cfg), spec)
+            real, pre, post = grid._kernels[0]
+            assert real.dtype == np.float64 and grid._kernels[1] is None
+            cosets = spec._matrices(cfg)[0].reshape(n_rx, os_aoa, n_rx) * n_rx
+            interp = cosets[:, 1:].reshape(-1, n_rx) @ cosets[:, 0].T.conj() / n_rx
+            assert np.max(np.abs(post[:, None] * real * pre - interp)) <= 1e-13
+            phase = grid._aoa_phase.reshape(n_rx, os_aoa)
+            assert np.array_equal(phase[:, 0], pre.conj())
+            assert np.array_equal(phase[:, 1:].ravel(), post)
+            if n_rx == 1:
                 assert np.all(real == 1)
 
 
@@ -590,7 +621,7 @@ def test_split_sweep_reports_lowest_non_finite_index(with_path):
 @pytest.mark.parametrize("n_spans", [2, 3, 4])
 @settings(max_examples=30, deadline=None)
 @given(n_rx=st.integers(1, 17), n_tx=st.integers(1, 4), n_freq=st.integers(1, 8),
-       os_aoa=st.integers(1, 3), os_aod=st.integers(1, 2),
+       os_aoa=st.integers(1, 4), os_aod=st.integers(1, 2),
        os_delay=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
        line_rows=st.integers(1, 3), rx_block=st.integers(1, 4))
 @example(n_rx=9, n_tx=3, n_freq=5, os_aoa=1, os_aod=2, os_delay=2, seed=0,
@@ -604,7 +635,9 @@ def test_split_transform_is_bit_identical(n_spans, n_rx, n_tx, n_freq, os_aoa, o
     """Any split of the transform's delay blocks (``line_rows`` rx rows) and
     AoA blocks (``rx_block`` rows) gives the unsplit bits, in
     ``beamspace_transform`` and in ``pdp_marginals``; both stages split into
-    as many spans as they have blocks, up to ``n_spans``."""
+    as many spans as they have blocks, up to ``n_spans``.  At os_aoa > 1 the
+    transform applies its square AoA matrix to the tones first, in one
+    product, and has no AoA stage."""
     rng = np.random.default_rng(seed)
     cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
     shape = (n_rx, n_tx, n_freq)
@@ -630,7 +663,44 @@ def test_split_transform_is_bit_identical(n_spans, n_rx, n_tx, n_freq, os_aoa, o
                 np.testing.assert_array_equal(split, unsplit)
     stages = [(n_rx, line_rows, min(n_spans, -(-n_rx // line_rows))),
               (n_aoa, rx_block, min(n_spans, -(-n_aoa // rx_block)))]
-    assert spans == 2 * stages
+    assert spans == stages[:1 if os_aoa > 1 else 2] + stages
+
+
+@pytest.mark.parametrize("n_spans", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(n_rx=st.integers(1, 9), n_tx=st.integers(1, 4), n_freq=st.integers(1, 6),
+       os_aoa=st.integers(1, 4), os_aod=st.integers(1, 3), os_delay=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 3),
+       block=st.integers(1, 200))
+@example(n_rx=7, n_tx=2, n_freq=3, os_aoa=2, os_aod=2, os_delay=1, seed=4, n_paths=2,
+         block=1)
+def test_split_sweep_of_a_transform_grid_is_bit_identical(
+        n_spans, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths, block):
+    """The transform's first pass and a writing ``peak_sweep`` on a grid that
+    derives AoA rows (and AoD rows) give the unsplit bits in any split:
+    the peaks, the row peaks and the written plane.  Their blocks of stored
+    AoA rows, and the derived AoA rows made per block, do not depend on the
+    split; the last block's lone derived row (os_aoa 2, an odd n_rx) is made
+    with its neighbour's in every split."""
+    rng = np.random.default_rng(seed)
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    shape = (n_rx, n_tx, n_freq)
+    resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             config=cfg)
+    spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
+    paths = [random_path(rng, cfg) for _ in range(n_paths)]
+
+    def run():
+        row_peaks = np.empty(n_rx * os_aoa * n_tx * os_aod)
+        grid = beamspace_transform(resp, spec, row_peaks)
+        first = row_peaks.copy()
+        peak = peak_sweep(grid, footprint_factors(grid, paths), row_peaks)
+        return first.tobytes(), peak, row_peaks.tobytes(), grid._plane.tobytes()
+
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        whole = run()
+        with split_into(n_spans):
+            assert run() == whole
 
 
 def test_run_blocks_spans_whole_blocks():
@@ -704,3 +774,107 @@ def test_transform_rejects_foreign_shapes():
     resp = synthesize_response(other, [])
     grid = beamspace_transform(resp, GridSpec())
     assert grid.values.shape == (16, 16, 64)
+
+
+@pytest.mark.parametrize("preset", ["paper", "desk"])
+def test_axis_kernel_of_three_axes_in_one_call_has_their_bits(preset):
+    """An off-lattice footprint evaluates the three axes' offsets in one
+    ``_axis_kernel`` call, with per-entry (elements, oversampling, slope):
+    its ``(phase, real)`` bytes equal those of one call per axis, at
+    fractional positions, at the lattice points and at the seam."""
+    cfg = fileio.load_sounder_config(preset)
+    rng = np.random.default_rng(7)
+    for os in range(1, 5):
+        spec = GridSpec(os_aoa=os, os_aod=(os % 4) + 1, os_delay=os)
+        axes = spec._axes(cfg)
+        sizes = [n * step for n, step, _ in axes]
+        for positions in (rng.uniform(0, 1, 3) * sizes, [0.0, sizes[1] - 1.0, 0.5],
+                          [sizes[0] - 1e-12, 1e-12, sizes[2] - 0.5]):
+            offsets = [np.arange(n) - p for n, p in zip(sizes, positions)]
+            phase, real = beamspace._axis_kernel(
+                *(np.repeat(column, sizes) for column in zip(*axes)),
+                np.concatenate(offsets))
+            at = np.cumsum([0] + sizes)
+            for k, (axis, u) in enumerate(zip(axes, offsets)):
+                one_phase, one_real = beamspace._axis_kernel(*axis, u)
+                assert phase[at[k]:at[k + 1]].tobytes() == one_phase.tobytes()
+                assert real[at[k]:at[k + 1]].tobytes() == one_real.tobytes()
+
+
+def test_picker_on_the_paper_lattice_holds_less_than_half_the_old_plane():
+    """A ``_PendingFootprints`` on a random paper-config tensor at
+    oversampling 4 (its transform, first pass and factor columns) peaks
+    below half of the 73 MB that the lattice's AoA rows at every AoD step of
+    os_aod take: the grid stores the critical 35 x 35 x 932 plane, 18 MB,
+    which is the transform's delay-transformed lines.  One span, whose
+    scratch rows a second span would hold again."""
+    cfg = fileio.load_sounder_config("paper")
+    rng = np.random.default_rng(3)
+    shape = (cfg.n_rx, cfg.n_tx, cfg.n_freq)
+    resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             config=cfg)
+    spec = GridSpec(4, 4, 4)
+    old_plane = 16 * cfg.n_rx * 4 * cfg.n_tx * cfg.n_freq * 4
+    with split_into(1):
+        tracemalloc.start()
+        try:
+            picks = beamspace._PendingFootprints(resp, spec, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert picks.grid._plane.nbytes == spec._plane_bytes(cfg) == 35 * 35 * 932 * 16
+    assert peak < old_plane / 2, f"peak {peak / old_plane:.2f}x the old plane"
+
+
+def test_grids_up_to_the_aoa_plane_threshold_store_every_aoa_row():
+    """A transform stores every AoA row where that plane holds at most
+    ``_AOA_PLANE_ENTRIES`` values and derives none, as at os_aoa = 1: the
+    desk grid at oversample 4 stores 32 x 8 x 128 values and equals the FFT
+    oracle.  The paper grid stores every AoA row at oversample 2 (18 MB)
+    and its critical AoA rows at oversample 3 and 4."""
+    with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", AOA_PLANE_ENTRIES):
+        spec = GridSpec()
+        rng = np.random.default_rng(5)
+        resp = synthesize_response(DESK, [random_path(rng, DESK) for _ in range(4)])
+        grid = beamspace_transform(resp, spec)
+        assert grid._steps == (1, 4) and grid._kernels[0] is None
+        assert grid._plane.nbytes == spec._plane_bytes(DESK) == 32 * 8 * 128 * 16
+        ref = fft_transform_oracle(resp, spec)
+        assert np.max(np.abs(grid.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        paper = fileio.load_sounder_config("paper")
+        assert [GridSpec(os, os, os)._aoa_step(paper) for os in (1, 2, 3, 4)] == [1, 1, 3, 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rx=st.integers(2, 9), n_tx=st.integers(1, 4), n_freq=st.integers(1, 6),
+       os_aoa=st.integers(2, 4), os_aod=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       n_spans=st.integers(1, 3))
+def test_rows_after_a_writing_sweep_have_the_bits_of_a_fresh_row_cache(
+        n_rx, n_tx, n_freq, os_aoa, os_aod, seed, n_spans):
+    """A writing ``peak_sweep`` refills the row cache's held derived AoA rows
+    with those it derives: the groups with the highest derived row peaks
+    before it, as many as the cache holds.  Every lattice row read through
+    that cache afterwards has the bits of one made by a fresh cache of the
+    written plane, in any split of the sweep."""
+    rng = np.random.default_rng(seed)
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    shape = (n_rx, n_tx, n_freq)
+    resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             config=cfg)
+    spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=1)
+    row_peaks = np.empty(n_rx * os_aoa * n_tx * os_aod)
+    grid = beamspace_transform(resp, spec, row_peaks)
+    cache = grid._lattice_rows
+    n_rows = len(row_peaks)
+    cache.gather(grid, np.sort(rng.choice(n_rows, min(n_rows, cache.limit), replace=False)))
+    derived = row_peaks.reshape(n_rx, os_aoa, -1)[:, 1:].max(axis=(1, 2))
+    held = np.sort(np.argsort(-derived, kind="stable")[:len(cache.slabs) // (os_aoa - 1)])
+    with split_into(n_spans):
+        peak_sweep(grid, footprint_factors(grid, [random_path(rng, cfg)]), row_peaks)
+    assert grid._lattice_rows is cache
+    assert np.flatnonzero(cache.slab_index[1::os_aoa] >= 0).tolist() == held.tolist()
+    for r0 in range(0, n_rows, cache.limit):
+        rows = np.arange(r0, min(r0 + cache.limit, n_rows))
+        values, slots = cache.gather(grid, rows)
+        fresh, fresh_slots = beamspace._LatticeRows(grid).gather(grid, rows)
+        assert values[slots].tobytes() == fresh[fresh_slots].tobytes()

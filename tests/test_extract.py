@@ -33,6 +33,10 @@ from mpcx import beamspace, extract, pool, sounder
 
 from closed_form import angle_kernel, beamspace_point, delay_kernel, ls_condition
 
+# the small grids here run the derived-AoA code of the paper protocol's
+# grids (``beamspace._AOA_PLANE_ENTRIES``)
+pytestmark = pytest.mark.usefixtures("derive_aoa_rows")
+
 DESK = SounderConfig(n_tx=8, n_rx=8, bandwidth_hz=1e9, n_freq=32)
 PAPER = SounderConfig(n_tx=35, n_rx=35, bandwidth_hz=1e9, n_freq=233)
 TINY = SounderConfig(n_tx=4, n_rx=4, bandwidth_hz=1e9, n_freq=16)

@@ -49,8 +49,12 @@ from closed_form import (
     path_atoms,
 )
 
+# the small grids here run the derived-AoA code of the paper protocol's
+# grids (``beamspace._AOA_PLANE_ENTRIES``)
+pytestmark = pytest.mark.usefixtures("derive_aoa_rows")
+
 SMALL = dict(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
-             os_aoa=st.integers(1, 3), os_aod=st.integers(1, 3),
+             os_aoa=st.integers(1, 4), os_aod=st.integers(1, 3),
              os_delay=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 
 
@@ -852,3 +856,61 @@ def test_pair_errors_costs_csv_and_bins_equal_scalar_oracle(
         + [repr(float(e)) for e in oracle_errors(phys[i], est[j], res)]
         + [str(int(i in bins.joint))]
         for i, j, _ in result.pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rx=st.integers(2, 6), n_tx=st.integers(2, 6), n_freq=st.integers(4, 16),
+       os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4), os_delay=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5),
+       k_dom=st.integers(1, 6), refine=st.booleans(), noisy=st.booleans())
+@example(n_rx=5, n_tx=4, n_freq=12, os_aoa=4, os_aod=2, os_delay=3, seed=3, n_paths=4,
+         k_dom=6, refine=True, noisy=True)
+def test_greedy_ls_is_equivariant_to_scaling_and_rotating_the_tensor(
+        n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths, k_dom, refine,
+        noisy):
+    """The closed loop respects the model's symmetries.  Greedy-LS on the
+    tensor times 2 and times 2^-40 gives the same geometries bit for bit
+    and the gains times exactly that factor.  On the tensor times 1j the
+    lattice geometries are the same (off the lattice, with ``refine_peaks``,
+    within 1e-12 resolution bins) and the gains are 1j times the old ones
+    to 1e-13 of their largest, times the largest condition number of the
+    run's LS solves (``ls_condition``): the rotated tensor rounds
+    differently in the products, and an ill-conditioned solve (two refined
+    picks side by side) amplifies that."""
+    cfg = SounderConfig(n_tx=n_tx, n_rx=n_rx, bandwidth_hz=1e9, n_freq=n_freq)
+    rng = np.random.default_rng(seed)
+    truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                        delay=rng.uniform(0, cfg.duration * 0.95),
+                        aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+             for _ in range(n_paths)]
+    resp = synthesize_response(cfg, truth)
+    if noisy:
+        resp = add_awgn(resp, 0.01 * np.mean(np.abs(resp.values) ** 2), seed=seed)
+    xcfg = ExtractionConfig(k_dom=k_dom, k_g=3, k_up=2, residual_stop=0.0,
+                            refine_peaks=refine,
+                            grid=GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay))
+
+    def run(factor):
+        return greedy_ls(FrequencyResponse(values=resp.values * factor, config=cfg),
+                         cfg, xcfg)[0]
+
+    base, trace = greedy_ls(resp, cfg, xcfg)
+    assert base
+    for factor in (2.0, 2.0 ** -40):
+        scaled = run(factor)
+        assert [(p.delay, p.aod, p.aoa) for p in scaled] == \
+            [(p.delay, p.aod, p.aoa) for p in base]
+        assert [p.gain for p in scaled] == [factor * p.gain for p in base]
+    rotated = run(1j)
+    assert len(rotated) == len(base)
+    bins = np.array([cfg.delay_res, cfg.aod_res, cfg.aoa_res])
+    for got, old in zip(rotated, base):
+        moved = np.subtract((got.delay, got.aod, got.aoa), (old.delay, old.aod, old.aoa))
+        moved[1:] -= np.round(moved[1:])  # the angles wrap
+        if refine:
+            assert np.all(np.abs(moved) <= 1e-12 * bins)
+        else:
+            assert not moved.any()
+    scale = max(abs(p.gain) for p in base) * max(1.0, *trace.ls_condition)
+    assert max(abs(got.gain - 1j * old.gain) for got, old in zip(rotated, base)) \
+        <= 1e-13 * scale
