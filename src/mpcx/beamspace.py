@@ -16,13 +16,20 @@ it returns ``(phase, real)``, the factor being ``phase * real`` (the AoA
 factor also carries 1/(n_rx n_tx n_freq)).  Its readers:
 
 - a grid's ``_offset_tables``, each axis' kernel over the integer offsets
-  of its lattice, built once per grid.  A lattice path's footprint factors
-  are windows of them (``_footprint``), and the Gram of lattice atoms,
-  ``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, is gathered
-  from them by index differences (``_lattice_gram``) for greedy-LS's
-  candidates and its global refit;
-- a path off the lattice: the kernel at its fractional offsets
-  (``_footprint``, for the picker's ``unit`` and ``single_path_grid``);
+  of its lattice, built once per grid.  A path's position per axis, in
+  lattice steps (``BeamspaceGrid._position``), is its integer index on
+  the lattice and a float off it, and its type chooses, once per path,
+  between a gather from the tables and the kernel at the real offsets.
+  A path's footprint factors (``_footprint``, for the picker's ``unit``
+  and ``single_path_grid``) are windows of them at an integer position,
+  and the Gram of atoms, ``diag(phase) R diag(phase)^H`` with ``R`` real
+  symmetric, is read at their position differences (``_lattice_gram``)
+  for greedy-LS's candidates and its global refit;
+- the picker's reads of the grid minus its pending footprints at float
+  positions (``_PendingFootprints.residual_at``, ``_interpolate``): each
+  axis spans a whole period, so the critical samples of the stored plane
+  determine the grid anywhere, and the kernel at the offsets from them
+  weights them;
 - the coset interpolators below, and ``pdp_marginals``, which gathers the
   AoD table.
 
@@ -288,23 +295,46 @@ class BeamspaceGrid:
             return i, j, l
         return None
 
-    def _lattice_indices(self, paths: list[PathParams]) -> tuple[np.ndarray, ...] | None:
-        "``_lattice_index`` of every path as (i, j, l) arrays; None if one is off it."
-        at = [self._lattice_index(p) for p in paths]
-        if None in at:
-            return None
-        return tuple(np.array(axis, dtype=np.intp) for axis in zip(*at))
+    def _position(self, path: PathParams) -> tuple:
+        """``path``'s position per axis in lattice steps: its
+        ``_lattice_index`` (ints) on the lattice, and otherwise the floats
+        (aoa + 1/2) n_aoa, (aod + 1/2) n_aod and delay B os_delay."""
+        n_aoa, n_aod, _ = self.shape
+        return self._lattice_index(path) or (
+            (path.aoa + 0.5) * n_aoa, (path.aod + 0.5) * n_aod,
+            path.delay * self.config.bandwidth_hz * self.spec.os_delay)
+
+    def _positions(self, paths: list[PathParams]) -> tuple[np.ndarray, ...]:
+        """``_position`` of every path as three arrays: integer where every
+        path is a lattice point, float otherwise.  The readers of a kernel
+        at their offsets (``_lattice_gram``, ``_PendingFootprints.
+        residual_at``) gather it from the ``_offset_tables`` for integers
+        and evaluate ``_axis_kernel`` for floats."""
+        return tuple(np.array([self._position(p) for p in paths]).T)
 
     def _lattice_gram(self, at: tuple[np.ndarray, np.ndarray, np.ndarray],
                       ) -> tuple[np.ndarray, np.ndarray]:
-        """``(R, phase)``: the Gram matrix A^H A of the atoms at the lattice
-        indices ``at`` (the arrays of ``_lattice_indices``) in the real
-        frame, ``A^H A = diag(phase) R diag(phase)^H``.  ``R`` is real
-        symmetric, gathered by index differences: entry (a, b) is the
-        product of the ``_offset_tables`` reals at index a minus index b,
-        one per axis.  ``phase`` is the product of the three tables' phases
-        at each index (its offset from index 0), so |R| = |A^H A| and both
-        have the same eigenvalues."""
+        """``(R, phase)``: the Gram matrix A^H A of the atoms at the
+        positions ``at`` (the arrays of ``_positions``) in the real frame,
+        ``A^H A = diag(phase) R diag(phase)^H``.  ``R`` is real symmetric:
+        entry (a, b) is the product of the ``_axis_kernel`` reals at
+        position a minus position b, one per axis, gathered from the
+        ``_offset_tables`` by index differences on the lattice.  ``phase``
+        is the product of the three axes' kernel phases at each position
+        (its offset from index 0), so |R| = |A^H A| and both have the same
+        eigenvalues."""
+        if at[0].dtype.kind == "f":
+            # the three axes in one call, as (3, 1) columns
+            n, os, slope = (np.array(c)[:, None] for c in zip(*self.spec._axes(self.config)))
+            x = np.stack(at)
+            gram = np.empty((x.shape[1],) * 2)
+            rows = max(1, _BLOCK_ENTRIES // x.size)
+            for r in range(0, len(gram), rows):  # the upper triangle, mirrored
+                gram[r:r + rows, r:] = np.prod(_axis_kernel(
+                    n[:, None], os[:, None], None, x[:, r:r + rows, None] - x[:, None, r:])[1],
+                    axis=0)
+                gram[r:, r:r + rows] = gram[r:r + rows, r:].T
+            return gram, np.prod(_axis_kernel(n, os, slope, x)[0], axis=0)
         (p_rx, k_rx), (p_tx, k_tx), (p_f, k_f) = self._offset_tables
         i, j, l = at
         n_aoa, n_aod, n_tau = self.shape
@@ -345,9 +375,10 @@ def _axis_kernel(n, os, slope, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiples of ``os`` below n os, and accurate where both sines are
     small; within 1e-9 of u' = 0, where the ratio is n to rounding, it is
     exactly n.  ``phase`` is reduced to [0, 2 pi) before the exponential,
-    in integers for an integer ``u``."""
+    in integers for an integer ``u``; a ``slope`` of None skips it (None),
+    for a reader of ``real`` alone."""
     n_pts = n * os
-    phase = np.exp(-1j * np.pi * (slope * u % (2 * n_pts)) / n_pts)
+    phase = None if slope is None else np.exp(-1j * np.pi * (slope * u % (2 * n_pts)) / n_pts)
     k = np.round(u / n_pts)
     a = np.abs(u - k * n_pts)
     off = a > 1e-9
@@ -459,19 +490,15 @@ def _footprint(grid: BeamspaceGrid,
                path: PathParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The AoA, AoD and delay factors of the footprint of ``path`` at gain 1
     on the lattice of ``grid``, each ``phase * real`` of ``_axis_kernel``,
-    the AoA factor times 1/(n_rx n_tx n_freq): windows of the grid's
-    ``_offset_tables`` for a lattice path (``BeamspaceGrid._lattice_index``)
-    and, for any other, the kernel at its fractional offsets, index minus
-    the path's position in lattice steps, the three axes in one call."""
-    at = grid._lattice_index(path)
-    shape = grid.shape
-    if at is None:
-        cfg = grid.config
-        positions = ((path.aoa + 0.5) * shape[0], (path.aod + 0.5) * shape[1],
-                     path.delay * cfg.bandwidth_hz * grid.spec.os_delay)
-        u = np.concatenate([np.arange(n) - p for n, p in zip(shape, positions)])
+    the AoA factor times 1/(n_rx n_tx n_freq), by its position
+    (``BeamspaceGrid._position``): windows of the grid's ``_offset_tables``
+    at an integer position and, at a float one, the kernel at its offsets,
+    index minus position, the three axes in one call."""
+    shape, at = grid.shape, grid._position(path)
+    if isinstance(at[0], float):
+        u = np.concatenate([np.arange(n) - p for n, p in zip(shape, at)])
         phase, real = _axis_kernel(*(np.repeat(column, shape)
-                                     for column in zip(*grid.spec._axes(cfg))), u)
+                                     for column in zip(*grid.spec._axes(grid.config))), u)
         split = np.cumsum(shape[:2])
         kernels = zip(np.split(phase, split), np.split(real, split))
     else:
@@ -1094,6 +1121,7 @@ class _PendingFootprints:
         self.right = np.empty((columns, self.grid.shape[2]), dtype=complex)
         self.bounds = np.empty((columns, n_rows))
         self.pending, self.held, self.sweeps = 0, 0, 1
+        self.critical = None  # a copy of the plane's critical sub-lattice
 
     def unit(self, path: PathParams):
         """The footprint of ``path`` at gain 1 (``_footprint``) as a ``left``
@@ -1121,12 +1149,26 @@ class _PendingFootprints:
         self.pending, self.held = column + 1, 0
         return column
 
-    def residual_at(self, i: np.ndarray, j: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Values of the grid minus the pending footprints at the lattice
-        indices (i, j, l), read by ``_point_value`` in chunks of at most the
-        row cache's ``limit`` distinct rows."""
+    def residual_at(self, at: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Values of the grid minus the pending footprints at the positions
+        ``at`` (``BeamspaceGrid._positions``): at lattice indices read by
+        ``_point_value`` in chunks of at most the row cache's ``limit``
+        distinct rows, and at float positions interpolated from the
+        critical samples (``_interpolate``), of which the picker keeps a
+        copy until its next sweep, in blocks of positions whose delay
+        contraction holds at most ``_BLOCK_ENTRIES`` values."""
         n = self.pending
         factors = (self.left[:, :n], self.right[:n]) if n else None
+        if at[0].dtype.kind == "f":
+            if self.critical is None:
+                spec, (step_a, step_d) = self.grid.spec, self.grid._steps
+                self.critical = np.ascontiguousarray(self.grid._plane[
+                    ::spec.os_aoa // step_a, ::spec.os_aod // step_d, ::spec.os_delay])
+            block = max(1, _BLOCK_ENTRIES // (len(self.critical) * self.critical.shape[1]))
+            return np.concatenate([
+                _interpolate(self.grid, self.critical, tuple(x[s:s + block] for x in at),
+                             factors) for s in range(0, len(at[0]), block)])
+        i, j, l = at
         _, row = np.unique(i * self.grid.shape[1] + j, return_inverse=True)
         chunk = row // self.grid._lattice_rows.limit
         values = np.empty(len(row), dtype=complex)
@@ -1172,7 +1214,7 @@ class _PendingFootprints:
             peak_sweep(self.grid, factors, self.row_peaks)
             self.pass_s += time.perf_counter() - start
             self.sweeps += 1
-            self.pending = 0
+            self.pending, self.critical = 0, None
             factors, rows = self._kept(near)
         return self.grid._path_at(*tentative_peak(self.grid, factors, rows),
                                   refine, factors)
@@ -1229,6 +1271,40 @@ def _point_value(grid: BeamspaceGrid, a: int | list[int], b: int | list[int],
     if factors is not None:
         value = value - np.sum(factors[0][row] * factors[1][:, c].T, axis=-1)
     return value
+
+
+def _interpolate(grid: BeamspaceGrid, critical: np.ndarray,
+                 at: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 factors: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Values of the grid minus the footprints of ``factors`` (as
+    ``peak_sweep`` takes them), if given, at the float positions ``at``
+    (``BeamspaceGrid._positions``), without writing the grid.
+
+    Each axis spans a whole period, so along it the grid is a
+    trigonometric polynomial whose critical samples, every os-th lattice
+    point, determine it everywhere: the value at position x is the sum over
+    critical points q of ``_axis_kernel(x - os q) / n`` times the sample,
+    one kernel call for every axis of every position.  ``critical``, the
+    stored plane's critical sub-lattice (every os-th point per axis in the
+    plane's AoA frame, so a grid that derives AoA rows takes its AoA
+    weights times ``conj(pre)``) as a contiguous copy, is contracted delay
+    first, then AoD and AoA, and the footprints' critical samples are
+    contracted the same way and subtracted."""
+    spec = grid.spec
+    axes = sizes, steps, _ = tuple(zip(*spec._axes(grid.config)))
+    u = np.concatenate([x[:, None] - os * np.arange(n)
+                        for n, os, x in zip(sizes, steps, at)], axis=1)
+    phase, real = _axis_kernel(*(np.repeat(column, sizes) for column in axes), u)
+    w_rx, w_tx, w_f = np.split(phase * real / np.repeat(sizes, sizes),
+                               np.cumsum(sizes[:2]), axis=1)
+    w_plane = w_rx if grid._kernels[0] is None else w_rx * grid._kernels[0][1].conj()
+    values = np.einsum("pk,kp->k", np.einsum("pqk,kq->pk", critical @ w_f.T, w_tx),
+                       w_plane)
+    if factors is not None:
+        left = factors[0].reshape(*grid.shape[:2], -1)[::spec.os_aoa, ::spec.os_aod]
+        angles = np.einsum("kq,kqc->kc", w_tx, np.tensordot(w_rx, left, axes=(1, 0)))
+        values -= np.sum(angles * (w_f @ factors[1][:, ::spec.os_delay].T), axis=1)
+    return values
 
 
 def _nearest_point(grid: BeamspaceGrid, path: PathParams) -> tuple[int, int, int]:

@@ -136,28 +136,22 @@ def _require_finite_power(response, source) -> float:
     return power
 
 
-def _check_grid_memory(config, spec: GridSpec, k_g: int, k_dom: int,
-                       refine: bool) -> None:
-    """ValueError if what extract allocates needs more bytes than the
-    machine's physical memory, where the platform reports that.  It names
-    ``--oversample`` (which sets every factor of ``spec``) if the beamspace
-    grid and its picker (``beamspace._picker_bytes`` with k_g columns for
-    the candidates) do not fit, and ``--kdom`` if they fit but not with the
-    steering columns and gains that greedy-LS keeps of its k_dom commits
-    with ``refine`` (k_dom x (n_rx + n_tx + n_freq + 1) complex128 values)."""
-    grid = _picker_bytes(config, spec, k_g)
-    done = 16 * k_dom * (config.n_rx + config.n_tx + config.n_freq + 1) if refine else 0
+def _check_grid_memory(config, spec: GridSpec, k_g: int) -> None:
+    """ValueError naming ``--oversample`` (which sets every factor of
+    ``spec``) if the beamspace grid and its picker (``beamspace.
+    _picker_bytes`` with k_g columns for the candidates), what extract
+    allocates, need more bytes than the machine's physical memory, where
+    the platform reports that.  Greedy-LS keeps nothing else whose size
+    grows with k_dom but the commits themselves and the global refit's
+    k_dom x k_dom Gram."""
+    need = _picker_bytes(config, spec, k_g)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not reported here
         return
-    for flag, need, what in (
-            (f"--oversample {spec.os_delay}", grid, "the beamspace grid and its picker"),
-            (f"--kdom {k_dom}", grid + done, "the beamspace grid, its picker and "
-             "the refined commits' steering columns")):
-        if 0 < have < need:
-            raise ValueError(f"{flag}: {what} need {need} bytes, more than the "
-                             f"{have} bytes of physical memory")
+    if 0 < have < need:
+        raise ValueError(f"--oversample {spec.os_delay}: the beamspace grid and its picker "
+                         f"need {need} bytes, more than the {have} bytes of physical memory")
 
 
 def _peak_rss_mb() -> float | None:
@@ -311,7 +305,7 @@ def cmd_extract(args):
     config = fileio.load_sounder_config(args.config)
     spec = GridSpec(os_aoa=args.oversample, os_aod=args.oversample,
                     os_delay=args.oversample)
-    _check_grid_memory(config, spec, args.kg, args.kdom, args.refine_peaks)
+    _check_grid_memory(config, spec, args.kg)
     response = fileio.load_response(args.tensor, config)
     _require_finite_power(response, args.tensor)
     xcfg = ExtractionConfig(k_dom=args.kdom, k_g=args.kg, k_up=args.kup,

@@ -5,17 +5,18 @@ driver that interleaves peak picking with least-squares amplitude refitting
 on a commit schedule, and a path-wise expectation-maximization refinement
 pass.  All estimators are deterministic functions of their inputs.
 
-The LS fits of lattice paths never touch the measurement: their Gram is
-gathered off the grid's offset kernels and their right-hand side A^H h is
-N times the residual grid at the paths plus the Gram times the committed
-gains (N = n_rx*n_tx*n_freq), in every greedy-LS iteration and in the
+Greedy-LS's fits never touch the measurement after its transform, on
+the lattice or off it (``refine_peaks``): their Gram comes from the
+grid's axis kernels at the paths' positions and their right-hand side
+A^H h is N times the residual grid at the paths plus the Gram times the
+committed gains (N = n_rx*n_tx*n_freq), in every iteration and in the
 global refit (``_lattice_normal_equations``).  They are solved in the real
-frame: a lattice Gram is ``G = diag(phase) R diag(phase)^H`` with ``R``
-real symmetric (``BeamspaceGrid._lattice_gram``), so the condition and the
+frame: the Gram is ``G = diag(phase) R diag(phase)^H`` with ``R`` real
+symmetric (``BeamspaceGrid._lattice_gram``), so the condition and the
 solve run on ``R``, with the right-hand side times ``phase^H``, and the
-solution times ``phase`` is the amplitudes.  Off-lattice geometry
-(``refine_peaks``, ``ls_amplitudes``) builds its complex normal equations
-from steering matrices and the matched filter (``_normal_equations``).
+solution times ``phase`` is the amplitudes.  ``ls_amplitudes`` builds its
+complex normal equations from steering matrices and the matched filter
+(``_normal_equations``).
 """
 
 from __future__ import annotations
@@ -142,16 +143,12 @@ def greedy_extract(
         final_global_ls=False))[0]
 
 
-def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray,
-                     other: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                     ) -> np.ndarray:
-    """Gram matrix A^H A of the atoms a_rx (x) a_tx (x) a_f, or the cross-Gram
-    A^H B with the atoms of the steering matrices ``other``: the elementwise
+def _dictionary_gram(a_rx: np.ndarray, a_tx: np.ndarray, a_f: np.ndarray) -> np.ndarray:
+    """Gram matrix A^H A of the atoms a_rx (x) a_tx (x) a_f: the elementwise
     product of the three per-axis Grams (the full columns are never built)."""
-    b_rx, b_tx, b_f = (a_rx, a_tx, a_f) if other is None else other
-    gram = a_f.T.conj() @ b_f
-    gram *= a_rx.T.conj() @ b_rx
-    gram *= a_tx.T.conj() @ b_tx
+    gram = a_f.T.conj() @ a_f
+    gram *= a_rx.T.conj() @ a_rx
+    gram *= a_tx.T.conj() @ a_tx
     return gram
 
 
@@ -213,24 +210,23 @@ def _normal_equations(
 
 
 def _lattice_normal_equations(picks: _PendingFootprints, paths: list[PathParams],
-                              at: tuple[np.ndarray, np.ndarray, np.ndarray],
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_normal_equations`` of lattice commits ``paths`` at the indices
-    ``at``, whose footprints at their gains ``g`` ``picks`` has subtracted
-    or holds pending, without a pass over the measurement, in the real
-    frame: ``(R, rhs, phase)`` with the Gram ``G = diag(phase) R
-    diag(phase)^H`` gathered off the grid's offset kernels
-    (``_lattice_gram``) and ``rhs = phase^H A^H h``, whose solution times
-    ``phase`` is the amplitudes.  A^H h = N v + G g, where v is the residual
-    grid at the commits (``residual_at``), which is A^H r / N on the lattice
-    (N = n_rx*n_tx*n_freq), so ``rhs = N phase^H v + R (phase^H g)``.
-    ValueError for as many paths as N."""
+    """``_normal_equations`` of commits ``paths`` at the positions ``at``
+    (``BeamspaceGrid._positions``), whose footprints at their gains ``g``
+    ``picks`` has subtracted or holds pending, without a pass over the
+    measurement, in the real frame: ``(R, rhs, phase)`` with the Gram ``G =
+    diag(phase) R diag(phase)^H`` (``_lattice_gram``) and ``rhs = phase^H
+    A^H h``, whose solution times ``phase`` is the amplitudes.  A^H h = N v
+    + G g, where v is the residual grid at the commits (``residual_at``),
+    which is A^H r / N at any position (N = n_rx*n_tx*n_freq), so ``rhs = N
+    phase^H v + R (phase^H g)``.  ValueError for as many paths as N."""
     config = picks.grid.config
     dim = config.n_rx * config.n_tx * config.n_freq
     if len(paths) >= dim:
         raise ValueError(f"{len(paths)} paths >= signal space dimension {dim}")
+    at = picks.grid._positions(paths)
     gram, phase = picks.grid._lattice_gram(at)
-    rhs = dim * picks.residual_at(*at) * phase.conj()
+    rhs = dim * picks.residual_at(at) * phase.conj()
     gains = np.array([p.gain for p in paths], dtype=complex) * phase.conj()
     # R times the real and the imaginary parts: a complex product would cast
     # R to a complex copy
@@ -304,23 +300,19 @@ def greedy_ls(
        footprints keeps.  The transform records the first row peaks; a full
        ``peak_sweep`` writes the pending commits into the grid before the
        first pick when 16 are pending or the bound keeps over 5% of the
-       rows.  A lattice pick's footprint is read off the grid's offset
-       kernels; with ``refine_peaks`` each pick's steering columns are built
-       once there;
+       rows.  A pick's footprint is read off the grid's axis kernels;
     2. LS-refit the candidates' amplitudes against the residual (degenerate
-       ones are dropped, later one first), with their Gram gathered off the
-       offset kernels in the real frame (``diag(phase) R diag(phase)^H``,
-       solved for phase^H times the amplitudes), or with ``refine_peaks``
-       that of their steering columns.  No residual response is kept.
-       The grid is the transform A^H / N of the residual (N =
-       n_rx*n_tx*n_freq), so on the lattice the right-hand side A^H r is
-       read off it: N times each candidate's value plus the earlier
-       candidates' values times their Gram entries with it (the candidate's
-       value lacks their footprints).  With ``refine_peaks`` the picks are
-       off the lattice and the right-hand side is the Batch-OMP identity
-       A^H r = A^H h - G g: the matched filter of the measurement minus the
-       cross-Gram with the commits (their kept steering columns) times
-       their gains;
+       ones are dropped, later one first), with their Gram from the axis
+       kernels at their positions in the real frame (``diag(phase) R
+       diag(phase)^H``, solved for phase^H times the amplitudes).  No
+       residual response is kept.  The grid is the transform A^H / N of the
+       residual (N = n_rx*n_tx*n_freq), so the right-hand side A^H r is
+       read off it: on the lattice N times each candidate's value plus the
+       earlier candidates' values times their Gram entries with it (the
+       candidate's value lacks their footprints), and with ``refine_peaks``
+       N times the grid minus the commits interpolated at the picks
+       (``_PendingFootprints.residual_at``).  Neither keeps anything per
+       commit nor reads the measurement;
     3. commit the ``k_up`` candidates with the largest refitted power, each
        at the exactly optimal single-path amplitude for the residual: its
        right-hand side entry over n_rx*n_tx*n_freq (times its phase on the
@@ -334,9 +326,9 @@ def greedy_ls(
 
     If ``final_global_ls`` is set, one LS refit of all committed geometries
     against the original measurement replaces the committed amplitudes at the
-    end (of duplicate geometries, the later one is dropped).  When every
-    commit is a lattice point its normal equations come off the picker
-    (``_lattice_normal_equations``), with no matched filter.
+    end (of duplicate geometries, the later one is dropped), from normal
+    equations off the picker (``_lattice_normal_equations``), with no
+    matched filter.
     With ``refine_peaks``, candidate coordinates are nudged off-grid by
     per-axis quadratic interpolation around each detected peak; estimates
     are grid-quantized otherwise.
@@ -351,7 +343,6 @@ def greedy_ls(
     """
     if response.config != config:
         raise ValueError("response and config disagree")
-    cfg = config
     values = response.values
     trace = ExtractionTrace(initial_power=response.power)
     if trace.initial_power == 0:
@@ -359,11 +350,6 @@ def greedy_ls(
         return [], trace
 
     picks = _PendingFootprints(response, xcfg.grid, xcfg.k_g)
-    if xcfg.refine_peaks:
-        # steering columns and gains of the commits, in commit order
-        done = tuple(np.empty((n, xcfg.k_dom), dtype=complex)
-                     for n in (cfg.n_rx, cfg.n_tx, cfg.n_freq))
-        gains = np.empty(xcfg.k_dom, dtype=complex)
     committed: list[PathParams] = []
     power = trace.initial_power
     residual = None
@@ -375,27 +361,25 @@ def greedy_ls(
             break
 
         # step 1: k_g peak picks on the grid minus the pending commits
-        candidates, units, atoms = _candidates(picks, xcfg.k_g, xcfg.refine_peaks)
+        candidates, units = _candidates(picks, xcfg.k_g, xcfg.refine_peaks)
         if not candidates:
             trace.stop_reason = "exhausted"
             break
 
-        # step 2: joint LS against the residual, from the picks' atoms alone
+        # step 2: joint LS against the residual, from the picks alone, in the
+        # real frame: the Gram is diag(phase) R diag(phase)^H and the system
+        # is solved for phase^H times the amplitudes
         if len(candidates) >= values.size:
             raise ValueError(f"{len(candidates)} paths >= signal space dimension "
                              f"{values.size}")
-        if xcfg.refine_peaks:
-            gram, phase = _dictionary_gram(*atoms), None
-            k = len(committed)
-            rhs = _matched_filter(values, *atoms) - _dictionary_gram(
-                *atoms, other=tuple(d[:, :k] for d in done)) @ gains[:k]
+        at = picks.grid._positions(candidates)
+        gram, phase = picks.grid._lattice_gram(at)
+        if at[0].dtype.kind == "f":
+            # N times the residual grid at a pick is its A^H r
+            rhs = values.size * picks.residual_at(at) * phase.conj()
         else:
-            # in the real frame: the Gram is diag(phase) R diag(phase)^H and
-            # the system is solved for phase^H times the amplitudes
-            gram, phase = picks.grid._lattice_gram(
-                picks.grid._lattice_indices(candidates))
-            # N times the residual grid at a lattice pick is its A^H r, and a
-            # candidate's value lacks the earlier candidates' footprints there
+            # read off the picks' values, which lack the earlier candidates'
+            # footprints
             vals = np.array([c.gain for c in candidates]) * phase.conj()
             rhs = values.size * vals + np.tril(gram, -1) @ vals
         amps, cond, kept, dropped = _dedup_solve(gram, rhs)
@@ -409,19 +393,14 @@ def greedy_ls(
             c = kept[int(order[rank])]
             alpha = complex(rhs[c]) / values.size
             rhs -= gram[:, c] * alpha
-            if phase is not None:
-                alpha *= complex(phase[c])
+            alpha *= complex(phase[c])
             power = max(power - values.size * abs(alpha) ** 2, 0.0)
-            if xcfg.refine_peaks:
-                for d, a in zip(done, atoms):
-                    d[:, len(committed)] = a[:, c]
-                gains[len(committed)] = alpha
             picks.append(units[c], alpha)
             committed.append(replace(candidates[c], gain=alpha))
             if residual is not None:
-                residual -= synthesize_response(cfg, committed[-1:]).values
+                residual -= synthesize_response(config, committed[-1:]).values
             elif power < _RUNNING_POWER_FLOOR * trace.initial_power:
-                residual = values - synthesize_response(cfg, committed).values
+                residual = values - synthesize_response(config, committed).values
             if residual is not None:
                 power = _sum_squares(residual)
             trace.residual_power.append(power)
@@ -429,56 +408,37 @@ def greedy_ls(
 
     trace.full_sweeps, trace.grid_pass_s = picks.sweeps, picks.pass_s
     if xcfg.final_global_ls and committed:
-        committed = _global_refit(response, committed, cfg, trace, picks)
+        committed = _global_refit(picks, committed, trace)
     return committed, trace
 
 
-def _candidates(picks: _PendingFootprints, k_g: int, refine: bool,
-                ) -> tuple[list[PathParams], list, tuple[np.ndarray, ...] | None]:
+def _candidates(picks: _PendingFootprints, k_g: int,
+                refine: bool) -> tuple[list[PathParams], list]:
     """Up to ``k_g`` picks of greedy-LS on the grid minus the pending commits
     and the picks so far, each held on ``picks`` until the next commit,
-    ending before the first zero peak: the picks, their unit footprints and,
-    with ``refine``, their ``_steering_matrices``, also of a pick that lands
-    on the lattice (None without: every pick is a lattice point)."""
-    found, units, atoms = [], [], []
+    ending before the first zero peak: the picks and their unit
+    footprints."""
+    found, units = [], []
     while len(found) < k_g:
         peak = picks.pick(refine)
         if peak.gain == 0:
             break
         unit = picks.unit(peak)
-        if refine:
-            atoms.append(_steering_matrices(picks.grid.config, [peak.delay],
-                                            [peak.aod], [peak.aoa]))
         picks.hold(unit, peak.gain)
         found.append(peak)
         units.append(unit)
-    if not refine:
-        return found, units, None
-    return found, units, tuple(np.concatenate(axis, axis=1) for axis in zip(*atoms))
+    return found, units
 
 
-def _global_refit(
-    response: FrequencyResponse,
-    paths: list[PathParams],
-    config: SounderConfig,
-    trace: ExtractionTrace,
-    picks: _PendingFootprints | None = None,
-) -> list[PathParams]:
-    """Refit all committed amplitudes jointly against the original measurement;
-    a later near or exact duplicate geometry is dropped by ``_dedup_solve``
-    from the normal equations of all of them, built once.  With the picker
-    that committed them, and every commit on its grid's lattice, those are
-    ``_lattice_normal_equations``; otherwise ``_normal_equations``."""
-    at = None if picks is None else picks.grid._lattice_indices(paths)
-    if at is None:
-        gram, rhs = _normal_equations(
-            response, [(p.delay, p.aod, p.aoa) for p in paths], config)
-        phase = None
-    else:
-        gram, rhs, phase = _lattice_normal_equations(picks, paths, at)
+def _global_refit(picks: _PendingFootprints, paths: list[PathParams],
+                  trace: ExtractionTrace) -> list[PathParams]:
+    """Refit all committed amplitudes jointly against the original
+    measurement, from the ``_lattice_normal_equations`` of all of them off
+    the picker that committed them, built once; a later near or exact
+    duplicate geometry is dropped by ``_dedup_solve``."""
+    gram, rhs, phase = _lattice_normal_equations(picks, paths)
     amps, cond, kept, dropped = _dedup_solve(gram, rhs)
-    if phase is not None:
-        amps = amps * phase[kept]
+    amps = amps * phase[kept]
     trace.ls_condition.append(cond)
     trace.dropped_duplicates += dropped
     return [replace(paths[i], gain=complex(a)) for a, i in zip(amps, kept)]

@@ -230,10 +230,12 @@ def test_ls_duplicate_geometry_raises():
 
 
 def test_global_refit_drops_later_exact_duplicate():
-    """A committed list holding one geometry twice is refit without the later
-    copy, counted once: with the amplitudes of the kept rows and columns of
-    the whole list's normal equations, built once, which agree with a refit
-    of the unique list to 1e-12."""
+    """A committed list holding one (off-lattice) geometry twice is refit
+    without the later copy, counted once: with the amplitudes of the kept
+    rows and columns of the whole list's normal equations, built once off
+    the picker, which agree with the kept rows and columns of the
+    measurement's normal equations and with a refit of the unique list to
+    1e-12."""
     resp = desk_case(3, 20.0, n_paths=4)
     unique = [PathParams(gain=1 + 0j, delay=5e-9, aod=0.1, aoa=-0.2),
               PathParams(gain=0.5j, delay=12e-9, aod=-0.3, aoa=0.25),
@@ -241,7 +243,8 @@ def test_global_refit_drops_later_exact_duplicate():
     copy = replace(unique[0], gain=0.25 - 0.5j)
     paths = [unique[0], unique[1], copy, unique[2]]
     trace = ExtractionTrace()
-    refit = extract._global_refit(resp, paths, DESK, trace)
+    refit = extract._global_refit(committed_picker(resp, paths, GridSpec(), 2),
+                                  paths, trace)
     assert trace.dropped_duplicates == 1
     assert [(p.delay, p.aod, p.aoa) for p in refit] == [
         (p.delay, p.aod, p.aoa) for p in unique]
@@ -249,7 +252,7 @@ def test_global_refit_drops_later_exact_duplicate():
         resp, [(p.delay, p.aod, p.aoa) for p in paths], DESK)
     kept = [0, 1, 3]
     subset = np.linalg.solve(gram[np.ix_(kept, kept)], rhs[kept])
-    assert [p.gain for p in refit] == [complex(a) for a in subset]
+    np.testing.assert_allclose([p.gain for p in refit], subset, rtol=1e-12, atol=0)
     amps = ls_amplitudes(resp, [(p.delay, p.aod, p.aoa) for p in unique], DESK)
     np.testing.assert_allclose([p.gain for p in refit], amps, rtol=1e-12, atol=0)
 
@@ -349,34 +352,40 @@ def test_lattice_refit_equals_the_matched_filter_refit(os, pending, duplicate,
         with mock.patch.object(extract, "_normal_equations") as normal, \
                 mock.patch.object(beamspace, "_point_value",
                                   wraps=beamspace._point_value) as read:
-            refit = extract._global_refit(resp, paths, DESK, trace, picks)
+            refit = extract._global_refit(picks, paths, trace)
         assert normal.call_count == 0
         if small_cache:
             assert picks.grid._lattice_rows.limit == 5
             rows = len(set((p.aoa, p.aod) for p in paths))
             assert read.call_count == math.ceil(rows / 5) > 1
-    oracle_trace = ExtractionTrace()
-    oracle = extract._global_refit(resp, paths, DESK, oracle_trace)
-    assert trace.dropped_duplicates == oracle_trace.dropped_duplicates == duplicate
+    gram, rhs = extract._normal_equations(
+        resp, [(p.delay, p.aod, p.aoa) for p in paths], DESK)
+    gains, condition, kept, dropped = extract._dedup_solve(gram, rhs)
+    assert trace.dropped_duplicates == dropped == duplicate
     assert [(p.delay, p.aod, p.aoa) for p in refit] == [
-        (p.delay, p.aod, p.aoa) for p in oracle]
-    gains = np.array([p.gain for p in oracle])
+        (paths[i].delay, paths[i].aod, paths[i].aoa) for i in kept]
     assert np.max(np.abs([p.gain for p in refit] - gains)) <= 1e-9 * np.max(np.abs(gains))
-    assert trace.ls_condition[0] == pytest.approx(oracle_trace.ls_condition[0], rel=1e-6)
+    assert trace.ls_condition[0] == pytest.approx(condition, rel=1e-6)
 
 
-def test_lattice_refit_falls_back_off_the_lattice():
-    """One commit off the picker's lattice sends the refit to the normal
-    equations of the measurement, whose amplitudes it then returns."""
+def test_off_lattice_refit_equals_ls_amplitudes_without_the_measurement():
+    """A commit off the picker's lattice puts the refit at float positions:
+    its Gram comes from the axis kernels at their offsets and its
+    right-hand side from the residual grid interpolated there, with no
+    normal equations of the measurement, and its amplitudes are
+    ``ls_amplitudes``' to 1e-9 relative."""
     rng = np.random.default_rng(71)
     resp = desk_case(5, 20.0, n_paths=10)
     spec = GridSpec()
     paths = lattice_commits(rng, DESK, spec, 6)
     paths[2] = replace(paths[2], aod=paths[2].aod + 1e-3)
     picks = committed_picker(resp, paths, spec, 2)
-    refit = extract._global_refit(resp, paths, DESK, ExtractionTrace(), picks)
-    assert [p.gain for p in refit] == list(ls_amplitudes(
-        resp, [(p.delay, p.aod, p.aoa) for p in paths], DESK))
+    assert picks.grid._positions(paths)[0].dtype == float
+    with mock.patch.object(extract, "_normal_equations") as normal:
+        refit = extract._global_refit(picks, paths, ExtractionTrace())
+    assert normal.call_count == 0
+    oracle = ls_amplitudes(resp, [(p.delay, p.aod, p.aoa) for p in paths], DESK)
+    assert np.max(np.abs([p.gain for p in refit] - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 def test_lattice_refit_memory_at_paper_refit_size():
@@ -390,7 +399,7 @@ def test_lattice_refit_memory_at_paper_refit_size():
     gram_bytes = 16 * len(paths) ** 2
     tracemalloc.start()
     try:
-        refit = extract._global_refit(resp, paths, PAPER, ExtractionTrace(), picks)
+        refit = extract._global_refit(picks, paths, ExtractionTrace())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -873,7 +882,9 @@ def greedy_ls_oracle(response, config, xcfg):
             residual -= synthesize_response(config, [path]).values
             dense_subtract(gvals, path, spec, config)
     if xcfg.final_global_ls and committed:
-        committed = extract._global_refit(response, committed, config, trace)
+        amps, _, kept, _ = extract._dedup_solve(*extract._normal_equations(
+            response, [(p.delay, p.aod, p.aoa) for p in committed], config))
+        committed = [replace(committed[i], gain=complex(a)) for a, i in zip(amps, kept)]
     return committed
 
 
@@ -964,13 +975,11 @@ def test_grid_matrices_built_once_per_extraction():
 
 
 def test_candidate_atoms_built_once_per_pick():
-    """The footprints come from the closed-form axis kernels, so on the
-    lattice greedy_ls builds no steering matrices but the transform's
-    lattice matrices: the footprints, the LS Gram and the global refit read
-    the grid's offset tables.  With refine_peaks each candidate's steering
-    matrices are built once, when it is picked: the LS Gram, the matched
-    filter and the cross-Gram with the commits reuse them, and the only
-    other builds are the lattice matrices and the global refit's atoms."""
+    """The footprints come from the closed-form axis kernels, so greedy_ls
+    builds no steering matrices but the transform's lattice matrices, with
+    refine_peaks or without: on the lattice the footprints, the LS Gram and
+    the global refit read the grid's offset tables, and off it they
+    evaluate the axis kernels at the picks' offsets."""
     resp = desk_case(3, 20.0, n_paths=10)
     for refine in (False, True):
         built = mock.Mock(wraps=sounder._steering_matrices)
@@ -980,14 +989,14 @@ def test_candidate_atoms_built_once_per_pick():
                 k_dom=12, k_g=4, k_up=2, residual_stop=0.0, refine_peaks=refine))
         assert len(found) == 12
         assert tentative == 4 * (len(trace.ls_condition) - 1)
-        assert built.call_count == (tentative + 2 if refine else 1)
+        assert built.call_count == 1
 
 
 def test_measurement_matched_filter_only_in_refit_on_the_lattice():
-    """On the lattice greedy_ls reads each iteration's LS right-hand side and
-    the global refit's off the residual grid: the matched filter of the
-    measurement never runs, whatever k_dom.  With refine_peaks the picks are
-    off the lattice and it runs once per iteration and once in the refit."""
+    """greedy_ls reads each iteration's LS right-hand side and the global
+    refit's off the residual grid, on the lattice and, with refine_peaks,
+    off it: the matched filter of the measurement never runs, whatever
+    k_dom."""
     for n_paths, k_dom in ((2, 1), (10, 12)):
         resp = desk_case(3, 20.0, n_paths)
         for refine in (False, True):
@@ -999,7 +1008,7 @@ def test_measurement_matched_filter_only_in_refit_on_the_lattice():
                         final_global_ls=final_ls, refine_peaks=refine))
                 iterations = len(trace.ls_condition) - final_ls
                 assert iterations >= (k_dom + 1) // 2
-                assert filtered.call_count == refine * (iterations + final_ls)
+                assert filtered.call_count == 0
                 assert len(found) == k_dom
 
 

@@ -371,7 +371,9 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
     maximum), and the Gram that the grid gathers by index differences,
     ``diag(phase) R diag(phase)^H`` with ``R`` real symmetric, is
     ``_dictionary_gram`` to 1e-12 relative, duplicates and index 0 and the
-    last index of every axis included."""
+    last index of every axis included.  With paths off the lattice among
+    them, every position is a float and the Gram, the axis kernels at the
+    real offset differences, is ``_dictionary_gram`` to 1e-12 too."""
     if desk:
         cfg = DESK
         spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
@@ -400,15 +402,24 @@ def test_lattice_footprints_and_gram_equal_the_steering_oracle(
                             (bound, oracle_bound)):
             assert got.shape == oracle.shape
             assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-    real, phase = grid._lattice_gram(grid._lattice_indices(paths))
-    assert real.dtype == float and np.array_equal(real, real.T)
-    gram = phase[:, None] * real * phase.conj()
-    oracle = _dictionary_gram(*sounder._steering_matrices(
-        cfg, *zip(*[(p.delay, p.aod, p.aoa) for p in paths])))
-    assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     off = replace(paths[0], delay=paths[0].delay + 0.25 / cfg.bandwidth_hz / os_delay)
     assert grid._lattice_index(off) is None
-    assert grid._lattice_indices(paths + [off]) is None
+    # and off the lattice: random coordinates, seam angles and a delay just
+    # below T, where every position is a float
+    off_paths = [off, PathParams(gain=1, delay=(1 - 2**-52) * cfg.duration,
+                                 aod=-0.5, aoa=0.5)] + [
+        PathParams(gain=1, delay=rng.uniform(0, cfg.duration),
+                   aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+        for _ in range(n_paths)]
+    for atoms, kind in ((paths, "i"), (paths + off_paths, "f")):
+        at = grid._positions(atoms)
+        assert all(x.dtype.kind == kind for x in at)
+        real, phase = grid._lattice_gram(at)
+        assert real.dtype == float and np.array_equal(real, real.T)
+        gram = phase[:, None] * real * phase.conj()
+        oracle = _dictionary_gram(*sounder._steering_matrices(
+            cfg, *zip(*[(p.delay, p.aod, p.aoa) for p in atoms])))
+        assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 # angles at and next to the ends of [-0.5, 0.5], and shares of the
@@ -461,6 +472,63 @@ def test_off_lattice_footprints_equal_the_steering_oracle(
                         (single_path_grid(path, spec, cfg).values, oracle_grid)):
         assert got.shape == oracle.shape
         assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=150, deadline=None)
+@given(desk=st.booleans(), n_rx=st.integers(1, 5), n_tx=st.integers(1, 5),
+       n_freq=st.integers(1, 10), os_aoa=st.integers(1, 4), os_aod=st.integers(1, 4),
+       os_delay=st.integers(1, 4), derive=st.booleans(),
+       aoa=st.one_of(EDGE_ANGLES, st.floats(-0.5, 0.5)),
+       aod=st.one_of(EDGE_ANGLES, st.floats(-0.5, 0.5)),
+       share=st.one_of(EDGE_SHARES, st.floats(0, 1, exclude_max=True)),
+       n_pending=st.sampled_from([0, 1, 3, 8]), seed=st.integers(0, 2**32 - 1))
+@example(desk=False, n_rx=1, n_tx=1, n_freq=1, os_aoa=4, os_aod=4, os_delay=4,
+         derive=True, aoa=0.5, aod=-0.5, share=1 - 2**-52, n_pending=1, seed=3)
+def test_residual_at_float_positions_equals_the_point_oracle(
+        desk, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, derive, aoa, aod, share,
+        n_pending, seed):
+    """At float positions the picker's ``residual_at`` interpolates the grid
+    minus the pending footprints from its critical samples: it is
+    ``beamspace_point`` of the response minus the pending paths, to 1e-12
+    of the plane's maximum, at the drawn point (angles at and next to
+    +-0.5, delays up to just below T) and at random ones, with one element
+    on an axis, oversampling 1-4, none or several pending columns, on grids
+    that derive their AoA rows and grids that store every one
+    (``_AOA_PLANE_ENTRIES`` patched), in one block of positions and in
+    blocks of one (``_BLOCK_ENTRIES`` patched)."""
+    if desk:
+        cfg = DESK
+        spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=os_delay)
+    else:
+        cfg, spec, _ = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+
+    def random_path():
+        return PathParams(gain=complex(rng.normal(), rng.normal()),
+                          delay=rng.uniform(0, cfg.duration),
+                          aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+
+    pending = [random_path() for _ in range(n_pending)]
+    values = synthesize_response(cfg, pending + [random_path()]).values
+    values = values + 0.1 * complex_normal(rng, values.shape)
+    with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", 0 if derive else 1 << 21):
+        picks = beamspace._PendingFootprints(FrequencyResponse(values, cfg), spec, 1)
+    assert (picks.grid._steps[0] > 1) == (derive and os_aoa > 1)
+    for path in pending:
+        picks.append(picks.unit(path), path.gain)
+    points = [(aoa, aod, share * cfg.duration)] + [
+        (p.aoa, p.aod, p.delay) for p in (random_path() for _ in range(3))]
+    n_aoa, n_aod, _ = picks.grid.shape
+    at = tuple(np.array(x, dtype=float) for x in zip(*[
+        ((a + 0.5) * n_aoa, (d + 0.5) * n_aod, tau * cfg.bandwidth_hz * os_delay)
+        for a, d, tau in points]))
+    got = picks.residual_at(at)
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 1):  # one position a block
+        blocked = picks.residual_at(at)
+    residual = FrequencyResponse(values - synthesize_response(cfg, pending).values, cfg)
+    oracle = [beamspace_point(residual, a, d, tau) for a, d, tau in points]
+    for read in (got, blocked):
+        assert np.max(np.abs(read - oracle)) <= 1e-12 * np.max(np.abs(picks.grid._plane))
 
 
 def coherence_oracle(gram):
@@ -529,7 +597,7 @@ def test_real_frame_solve_equals_the_complex_solve(
         cfg, *zip(*[(p.delay, p.aod, p.aoa) for p in paths])))
     assume(extract._gram_condition(gram[:-1, :-1]) < 1e8)
     rhs = complex_normal(rng, len(paths))
-    real, phase = grid._lattice_gram(grid._lattice_indices(paths))
+    real, phase = grid._lattice_gram(grid._positions(paths))
     amps, cond, kept, dropped = extract._dedup_solve(real, phase.conj() * rhs)
     oracle, oracle_cond, oracle_kept, oracle_dropped = extract._dedup_solve(gram, rhs)
     assert (kept, dropped) == (oracle_kept, oracle_dropped) == (list(range(n_paths)), 1)
@@ -702,11 +770,12 @@ def test_committed_gain_is_beamspace_point_of_the_residual(
        n_paths=st.integers(1, 6), k_dom=st.integers(1, 10),
        k_g_up=st.integers(1, 4).flatmap(
            lambda k_g: st.tuples(st.just(k_g), st.integers(1, k_g))),
-       noisy=st.booleans())
+       noisy=st.booleans(), refine=st.booleans())
 def test_lattice_rhs_equals_batch_omp_oracle(
-        n_rx, n_tx, n_freq, os, seed, n_paths, k_dom, k_g_up, noisy):
-    """With refine and final LS off, the LS right-hand side that each
-    greedy-LS iteration solves, read off the residual grid, is the Batch-OMP
+        n_rx, n_tx, n_freq, os, seed, n_paths, k_dom, k_g_up, noisy, refine):
+    """With final LS off, the LS right-hand side that each greedy-LS
+    iteration solves, read off the residual grid (at the lattice picks, or
+    with ``refine`` interpolated at the refined ones), is the Batch-OMP
     oracle: the candidates' matched filter of the measurement minus their
     cross-Gram with the commits so far times those commits' gains, to 1e-12
     relative (of N times the measurement's amplitude scale for entries that
@@ -722,7 +791,7 @@ def test_lattice_rhs_equals_batch_omp_oracle(
         resp = add_awgn(resp, 0.01 * np.mean(np.abs(resp.values) ** 2), seed=seed)
     k_g, k_up = k_g_up
     xcfg = ExtractionConfig(k_dom=k_dom, k_g=k_g, k_up=k_up, residual_stop=0.0,
-                            final_global_ls=False,
+                            final_global_ls=False, refine_peaks=refine,
                             grid=GridSpec(os_aoa=os, os_aod=os, os_delay=os))
     iterations, commits, solved = [], [], []  # (commits so far, candidates)
     pick, commit, solve = (extract._candidates,
@@ -731,10 +800,10 @@ def test_lattice_rhs_equals_batch_omp_oracle(
     grids = []  # the picker's grid, whose lattice frame the solves are in
 
     def counted_pick(*args):
-        candidates, units[:], atoms = pick(*args)
+        candidates, units[:] = pick(*args)
         iterations.append((len(commits), candidates))
         grids[:] = [args[0].grid]
-        return candidates, units, atoms
+        return candidates, units
 
     def counted_commit(self, unit, gain):
         index = [u is unit for u in units].index(True)
@@ -756,14 +825,18 @@ def test_lattice_rhs_equals_batch_omp_oracle(
     def atoms(paths):
         return path_atoms(cfg, paths)[0]
 
+    def cross_gram(a, b):
+        "A^H B of the atoms of two sets of steering matrices."
+        return math.prod(x.T.conj() @ y for x, y in zip(a, b))
+
     scale = resp.values.size * float(np.sqrt(np.mean(np.abs(resp.values) ** 2)))
     for rhs, (k, candidates) in zip(solved, iterations):
         # the solve is in the real frame: phase^H times A^H r
-        rhs = rhs * grids[0]._lattice_gram(grids[0]._lattice_indices(candidates))[1]
+        rhs = rhs * grids[0]._lattice_gram(grids[0]._positions(candidates))[1]
         cand = atoms(candidates)
-        oracle = _matched_filter(resp.values, *cand) - _dictionary_gram(
-            *cand, other=atoms(commits[:k])) @ np.array([p.gain for p in commits[:k]],
-                                                        dtype=complex)
+        oracle = _matched_filter(resp.values, *cand) - cross_gram(
+            cand, atoms(commits[:k])) @ np.array([p.gain for p in commits[:k]],
+                                                 dtype=complex)
         assert np.all(np.abs(rhs - oracle) <= 1e-12 * np.maximum(np.abs(oracle), scale))
 
 
