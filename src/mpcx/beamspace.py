@@ -70,13 +70,23 @@ an array stores every row and derives none; its row cache is the plane
 itself.  A grid that stores every AoA row derives none of them and stores
 the plane as the lattice's.
 
-Every grid-wide pass after the transform is one blocked kernel,
+Every grid-wide write after the transform is one blocked kernel,
 ``peak_sweep``: it subtracts rank-K footprint factors from the stored
 plane, block of stored AoA rows by block, writes the difference back, and
 its read-only scan derives the other rows and finds the peak magnitude over
-all rows; it can also record each (AoA, AoD) row's peak magnitude.  Where
+all rows; it can also record each (AoA, AoD) row's peak magnitude, and the
+grid keeps the array that holds them (``BeamspaceGrid._row_peaks``).  Where
 AoA rows are derived the pass is two phases, since a derived AoA row reads
-every stored one: all blocks are written, then derived and scanned.  The
+every stored one: all blocks are written, then derived and scanned.  A grid
+that derives rows is rewritten and rescanned whole, since a derived row
+reads every stored row of its AoA row, or every stored AoA row.  A grid
+that stores every row (steps (1, 1): a transform at os_aod 1 that stores
+every AoA row, as at oversample 1, or a grid built from an array) is not:
+handed the row maxima that the grid kept, a writing sweep rewrites and
+rescans only the rows that a footprint reaches (``_reached_sweep``), and
+reads the others' maxima from that array.  At critical sampling a lattice
+footprint reaches one row, the axis kernel being exactly 0 at every
+nonzero multiple of os (the virtual channel representation).  The
 transform runs the read-only scan once when asked for the row
 peaks.  ``pdp_marginals`` sums its power maps from the transform's blocks
 by Parseval, from the stored rows alone, and keeps no grid.
@@ -211,11 +221,18 @@ class BeamspaceGrid:
     steps (1, os_aod) (``GridSpec._aoa_step``).  ``values`` is the stored
     array for a grid that derives nothing, and otherwise a new array that
     materializes the whole lattice.
+
+    ``_row_peaks`` is the array into which the grid's last pass (the
+    transform's scan, or a ``peak_sweep``, handed it) wrote the row
+    maxima of the plane as it stands, or None; a pass that writes the plane
+    without recording them clears it.  ``_swept_rows`` counts the rows of
+    the ``(aoa*aod, delay)`` view that writing sweeps rescanned.
     """
 
     def __init__(self, values: np.ndarray, spec: GridSpec, config: SounderConfig):
         self.spec, self.config = spec, config
         self._plane, self._steps = values, (1, 1)
+        self._row_peaks, self._swept_rows = None, 0
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -444,8 +461,10 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
     the plane is scanned by the read-only scan of ``peak_sweep``, which
     records the row maxima there: each block as it is made where every AoA
     row is stored (without a second pass over the plane), and in one pass
-    over the made plane otherwise.  A magnitude that is not finite raises
-    the ValueError of that read-only sweep, naming the same index, once the
+    over the made plane otherwise.  The grid keeps ``row_peaks`` as its row
+    maxima (``BeamspaceGrid._row_peaks``), which a writing ``peak_sweep``
+    handed them reads.  A magnitude that is not finite raises the
+    ValueError of that read-only sweep, naming the same index, once the
     plane is made.
     """
     cfg = response.config
@@ -483,6 +502,7 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
     grid._steps = (1, spec.os_aod)
     if peaks is not None:
         _first_peak((p for p in peaks if p is not None), shape)
+        grid._row_peaks = row_peaks
     return grid
 
 
@@ -715,6 +735,23 @@ def peak_sweep(
     and so may be blocks of the other spans (every block, on a grid that
     derives AoA rows, where such a value also reaches every derived AoA
     row).
+
+    The rows a sweep touches.  A grid that derives rows is read whole, and
+    with footprints every stored row is rewritten.  A grid that stores
+    every row (``BeamspaceGrid._steps`` (1, 1)), swept with footprints and
+    handed as ``row_peaks`` the array that its last pass recorded
+    (``BeamspaceGrid._row_peaks``: the transform's, or an earlier sweep's),
+    reads ``row_peaks`` as well as writing it: those must be the maxima of
+    the grid as it stands, as the transform and the picker keep them.  It
+    then rewrites and rescans only the rows that a footprint reaches,
+    where a ``left`` column is nonzero (``_reached_sweep``), with the
+    bits, row maxima and peak of the full pass; every other row is left
+    as it is, and every reached row is written before a non-finite value
+    raises.  Handed no ``row_peaks``, a fresh array, or no footprints, the
+    sweep is the full pass.  A pass that records ``row_peaks`` keeps them
+    as the grid's; a writing pass that does not, or that raises, clears
+    them.  ``BeamspaceGrid._swept_rows`` counts the rows that writing
+    sweeps rescanned.
     """
     return _sweep(grid, factors, row_peaks)
 
@@ -722,7 +759,10 @@ def peak_sweep(
 def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
            row_peaks: np.ndarray | None) -> tuple[int, int, int, complex]:
     """``peak_sweep``, which also makes the first pass of a transform that
-    derives AoA rows."""
+    derives AoA rows.  On a grid that stores every row, handed footprints
+    and the row maxima that the grid kept, it hands the write to
+    ``_reached_sweep`` with its own block product (``subtract``);
+    otherwise it writes and scans every block."""
     plane = grid._plane
     if plane.size == 0:
         raise ValueError("empty beamspace grid")
@@ -732,6 +772,8 @@ def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
     n_aoa, n_aod, _ = grid.shape
     step = grid._steps[0]
     derives = grid._kernels[0] is not None
+    given, current = row_peaks, row_peaks is not None and row_peaks is grid._row_peaks
+    grid._row_peaks = None  # until this pass has recorded them
     cache = slots = None
     if factors is not None:
         # the footprints' stored rows, in the plane's frame
@@ -764,6 +806,10 @@ def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
         with np.errstate(invalid="ignore"):
             subtract(start, stop, np.empty((rows * n_stored, n_tau), dtype=complex))
 
+    if factors is not None and current and grid._steps == (1, 1):
+        peak = _reached_sweep(grid, factors, row_peaks, rows, subtract)
+        grid._row_peaks = row_peaks
+        return peak
     if factors is not None and derives:
         # sized by its multiply-adds, K an entry: at the paper protocol 16
         # pending footprints take 7 ms a pass on one thread
@@ -806,9 +852,81 @@ def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
                     break
         return peaks
 
-    return _first_peak(
+    peak = _first_peak(
         chain.from_iterable(run_blocks(sweep, n_rows, rows, step * n_aod * n_tau)),
         grid.shape)
+    if factors is not None:
+        grid._swept_rows += len(row_peaks)
+    grid._row_peaks = given
+    return peak
+
+
+def _reached_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
+                   row_peaks: np.ndarray, rows: int, subtract) -> tuple[int, int, int, complex]:
+    """``peak_sweep`` with footprints on a grid that stores every row, handed
+    the row maxima of its plane as it stands (``BeamspaceGrid._row_peaks``).
+
+    Only the rows of the ``(aoa*aod, delay)`` view that the footprints
+    reach, those where a ``left`` column is nonzero, are written and
+    rescanned into ``row_peaks``, in chunks of at most ``_BLOCK_ENTRIES``
+    entries gathered into buffers, or read in place where a chunk's rows
+    are adjacent.  Every other row is unchanged, so its
+    recorded maximum stays exact.  A reached row gets the bits of the full
+    pass: a matrix product gives a row the same bits whatever rows are made
+    with it, so a lone row is made with a second one, as a product of one
+    row would run on BLAS's vector kernel.  Where a block product of the
+    full pass runs on that kernel (a block of one row, or a grid of one
+    delay), whose rounding of a row depends on the rows made with it, each
+    block holding a reached row is written by the full pass's own product
+    (``subtract``, blocks of ``rows`` stored AoA rows).  The peak is the
+    full pass's: per block of that pass, the first row holding its largest
+    row maximum and that row's first maximum, merged by ``_first_peak``, so
+    ties and the non-finite ValueError are the same; every reached row is
+    written before it raises."""
+    left, right = factors
+    n_tau = grid.shape[2]
+    flat = grid._plane.reshape(-1, n_tau)
+    per = rows * grid.shape[1]  # view rows per block of the full pass
+    reached = np.flatnonzero(np.any(left, axis=1))
+    size = max(1, _BLOCK_ENTRIES // n_tau)
+    room = min(len(reached), size)
+    block_buf = np.empty((room, n_tau), dtype=complex)
+    mag_buf = np.empty((room, n_tau))
+    vector = n_tau == 1 or per == 1 or len(flat) % per == 1
+    # an inf value makes NaNs in the products: the merge names it
+    with np.errstate(invalid="ignore"):
+        if vector:
+            buf = np.empty((per, n_tau), dtype=complex)
+            for p0 in np.unique(reached // per) * rows:
+                subtract(p0, p0 + 1, buf)
+        else:
+            left_buf = np.zeros((max(2, room), left.shape[1]), dtype=complex)
+            kernel_buf = np.empty((max(2, room), n_tau), dtype=complex)
+        for c0 in range(0, len(reached), size):
+            at = reached[c0:c0 + size]
+            n = len(at)
+            # a run of adjacent rows, as where every row is reached, is
+            # written in place
+            run = at[-1] - at[0] == n - 1
+            block = (flat[at[0]:at[0] + n] if run
+                     else np.take(flat, at, axis=0, out=block_buf[:n], mode="clip"))
+            if not vector:
+                m = max(2, n)
+                np.take(left, at, axis=0, out=left_buf[:n], mode="clip")
+                np.dot(left_buf[:m], right, out=kernel_buf[:m])
+                np.subtract(block, kernel_buf[:n], out=block)
+                if not run:
+                    flat[at] = block
+            row_peaks[at] = np.max(np.abs(block, out=mag_buf[:n]), axis=1)
+    grid._swept_rows += len(reached)
+
+    def peaks():
+        for r0 in range(0, len(flat), per):
+            r = r0 + int(row_peaks[r0:r0 + per].argmax())
+            mag = np.abs(flat[r])
+            k = int(mag.argmax())
+            yield float(mag[k]), r * n_tau + k, complex(flat[r, k])
+    return _first_peak(peaks(), grid.shape)
 
 
 def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray,
@@ -843,6 +961,14 @@ def _held_groups(per: int, n_rows: int) -> int:
     Its picks then make 131 groups in 37 products of ``_derived_aoa_rows``
     (559 in 283 without the refill)."""
     return min(n_rows, max(2, 2 * n_rows // per))
+
+
+def _held_rows(shape: tuple[int, int, int]) -> int:
+    """Lattice rows that the ``_LatticeRows`` of a grid of lattice ``shape``
+    that derives rows holds at most: ``_HELD_ENTRIES`` values, or the five
+    rows of a ``_refine_peak`` if more, and no more than the lattice has."""
+    n_aoa, n_aod, n_tau = shape
+    return min(max(1, n_aoa * n_aod), max(5, _HELD_ENTRIES // n_tau))
 
 
 class _LatticeRows:
@@ -881,7 +1007,7 @@ class _LatticeRows:
             self.limit = max(1, len(self.index))
             return
         self.index = np.full(n_aoa * n_aod, -1)
-        self.limit = min(max(1, n_aoa * n_aod), max(5, _HELD_ENTRIES // n_tau))
+        self.limit = _held_rows(grid.shape)
         # pages that no row is written to are never touched
         self.values = np.empty((self.limit, n_tau), dtype=complex)
         if grid._kernels[0] is not None:
@@ -1204,7 +1330,12 @@ class _PendingFootprints:
         ``_MAX_PENDING`` are pending or the kept rows are more than
         ``_MAX_KEPT_SHARE`` of all, one ``peak_sweep`` first writes the
         pending footprints into the grid and records the row peaks again,
-        none is pending, and the rows are kept once more.
+        none is pending, and the rows are kept once more.  The sweep is
+        handed ``row_peaks``, which the transform recorded and each sweep
+        refreshes, so on a grid that stores every row it rewrites and
+        rescans only the rows that the pending footprints reach (where a
+        ``left`` column is nonzero), one row a commit at oversample 1, and
+        reads the other rows' maxima from them.
         """
         factors, rows = self._kept(near)
         if self.pending and not self.held and (
@@ -1229,17 +1360,27 @@ def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
     rows' stored rows that its row cache holds at most (``_held_groups``);
     the ``_MAX_PENDING``
     + ``extra`` factor columns of n_aoa*n_aod complex128 values with their
-    float64 row bounds; the cap of the lattice rows that its tentative picks
-    hold (``_HELD_ENTRIES`` values); and its grid's ``_offset_tables`` (2n -
-    1 complex128 phases and float64 reals for an axis of n points)."""
+    float64 row bounds; what the rest of its row cache (``_LatticeRows``)
+    allocates: an int64 slot per (AoA, AoD) row, and, where the grid derives
+    rows, the lattice rows that its tentative picks hold at most
+    (``_held_rows``) and an int64 slot per AoA row where it derives AoA
+    rows (a grid that stores every row holds a view of its plane); and its
+    grid's ``_offset_tables`` (2n - 1 complex128 phases and float64 reals
+    for an axis of n points)."""
     n_aoa, n_aod = config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod
     n_tau = config.n_freq * spec.os_delay
     plane = spec._plane_bytes(config)
-    second = 16 * config.n_tx * n_tau * (config.n_rx if spec._aoa_step(config) == 1 else
+    step = spec._aoa_step(config)
+    second = 16 * config.n_tx * n_tau * (config.n_rx if step == 1 else
                                          _held_groups(spec.os_aoa - 1, config.n_rx)
                                          * (spec.os_aoa - 1))
+    cache = 8 * n_aoa * n_aod
+    if (step, spec.os_aod) != (1, 1):
+        cache += 16 * _held_rows((n_aoa, n_aod, n_tau)) * n_tau
+    if step > 1:
+        cache += 8 * n_aoa
     return (plane + second + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra)
-            + 16 * _HELD_ENTRIES + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
+            + cache + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
 
 
 # curvature, relative to the samples, below which a parabola is flat: far

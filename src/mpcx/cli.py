@@ -315,9 +315,9 @@ def cmd_extract(args):
 
     def work(out_dir: Path):
         paths, trace = greedy_ls(response, config, xcfg)
-        sweep_errors, sage_sweeps, sage_pass_s, sage_s = [], 0, 0.0, 0.0
+        sweep_errors, sage_sweeps, sage_pass_s, sage_rows, sage_s = [], 0, 0.0, 0, 0.0
         if args.sage_sweeps > 0 and paths:
-            paths, sweep_errors, sage_sweeps, sage_pass_s, sage_s = _sage_refine(
+            paths, sweep_errors, sage_sweeps, sage_pass_s, sage_rows, sage_s = _sage_refine(
                 response, paths, config, spec, args.sage_sweeps)
         error = reconstruction_error(synthesize_response(config, paths), response)
         fileio.save_paths_csv(out_dir / ESTIMATES_CSV, paths)
@@ -347,6 +347,7 @@ def cmd_extract(args):
             "extract_full_sweeps": trace.full_sweeps,
             "sage_full_sweeps": sage_sweeps, "sage_s": sage_s,
             "grid_pass_s": trace.grid_pass_s, "sage_grid_pass_s": sage_pass_s,
+            "extract_swept_rows": trace.swept_rows, "sage_swept_rows": sage_rows,
             "grid_bytes": spec._plane_bytes(config), "peak_rss_mb": _peak_rss_mb()}
     return work
 

@@ -119,6 +119,9 @@ class ExtractionTrace:
     # wall seconds of those passes: telemetry, which no artifact but
     # timings.json holds
     grid_pass_s: float = 0.0
+    # rows of the (aoa*aod, delay) view that the full sweeps rescanned:
+    # telemetry as well
+    swept_rows: int = 0
     stop_reason: str = ""  # "k_dom", "residual_stop" or "exhausted" (nothing to pick)
 
 
@@ -407,6 +410,7 @@ def greedy_ls(
             trace.committed_gain_power.append(abs(alpha) ** 2)
 
     trace.full_sweeps, trace.grid_pass_s = picks.sweeps, picks.pass_s
+    trace.swept_rows = picks.grid._swept_rows
     if xcfg.final_global_ls and committed:
         committed = _global_refit(picks, committed, trace)
     return committed, trace
@@ -499,9 +503,11 @@ def sage_refine(
 
 def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
                  config: SounderConfig, spec: GridSpec,
-                 sweeps: int) -> tuple[list[PathParams], list[float], int, float, float]:
+                 sweeps: int) -> tuple[list[PathParams], list[float], int, float, int, float]:
     """``sage_refine``, the grid passes of its picker, the transform's
-    included, their wall seconds, and the call's own wall seconds."""
+    included, their wall seconds, the view rows that its full sweeps
+    rescanned (``BeamspaceGrid._swept_rows``), and the call's own wall
+    seconds."""
     start = time.perf_counter()
     if not paths:
         raise ValueError("path list must be non-empty")
@@ -527,4 +533,5 @@ def _sage_refine(response: FrequencyResponse, paths: list[PathParams],
             current[k] = new
         errors.append(reconstruction_error(synthesize_response(config, current),
                                            response))
-    return current, errors, picks.sweeps, picks.pass_s, time.perf_counter() - start
+    return (current, errors, picks.sweeps, picks.pass_s, picks.grid._swept_rows,
+            time.perf_counter() - start)

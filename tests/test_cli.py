@@ -147,6 +147,32 @@ def test_sage_grid_passes_go_to_the_timings_sidecar_only(run_dir, tmp_path):
                    for p in out.glob("*.txt"))
 
 
+def test_swept_rows_go_to_the_timings_sidecar_only(run_dir, tmp_path):
+    """Extract writes the (AoA, AoD) rows that greedy-LS's and SAGE's
+    writing sweeps rescanned as ``extract_swept_rows`` and
+    ``sage_swept_rows`` to timings.json, and to no text or CSV artifact.
+    The oversample-4 desk grid derives rows, so each of greedy-LS's sweeps
+    rescans all of them, and SAGE's count is 0 without ``--sage-sweeps``.
+    At oversample 1 a commit's footprint reaches one row, so greedy-LS's
+    sweeps rescan at most as many rows as there are estimates."""
+    keys = ("extract_swept_rows", "sage_swept_rows")
+    timings = fileio.load_timings(run_dir / "timings.json")
+    assert timings["extract_swept_rows"] == (timings["extract_full_sweeps"] - 1) * 32 * 32
+    assert timings["sage_swept_rows"] == 0
+    out = tmp_path / "coarse"
+    shutil.copytree(run_dir, out)
+    assert main(["extract", "--config", "desk", "--tensor", str(out / "tensor.bin"),
+                 "--kdom", "24", "--residual-stop", "0", "--oversample", "1",
+                 "--sage-sweeps", "1", "--out-dir", str(out), "--quiet"]) == 0
+    timings = fileio.load_timings(out / "timings.json")
+    assert all(type(timings[key]) is int and timings[key] >= 0 for key in keys)
+    report = fileio.load_kv_report(out / "extract_report.txt")
+    assert 0 < timings["extract_swept_rows"] <= int(report["n_estimates"])
+    artifacts = [*out.glob("*.txt"), *out.glob("*.csv")]
+    assert artifacts and not any(key in p.read_text(encoding="utf-8")
+                                 for key in keys for p in artifacts)
+
+
 def test_grid_pass_seconds_go_to_the_timings_sidecar_only(run_dir, tmp_path):
     """Extract writes the wall seconds of greedy-LS's and SAGE's grid passes
     (transform and full sweeps) as ``grid_pass_s`` and ``sage_grid_pass_s``
@@ -736,14 +762,15 @@ def _extract_need(config, os, k_g):
     """Bytes that extract allocates at oversample ``os``: the stored AoD
     plane (os^2) plus the transform's delay-transformed lines (os),
     complex128; the picker's 16 + k_g factor columns (complex128) with their
-    row bounds (float64) over the (AoA, AoD) rows, the 2^20 complex128
-    lattice values that its tentative picks hold at most, and the grid's
-    offset tables, 2n - 1 complex128 phases and float64 reals per axis of n
-    points."""
+    row bounds (float64) over the (AoA, AoD) rows; its row cache, an int64
+    slot per (AoA, AoD) row and, as the grid derives AoD rows, room for
+    every lattice row (complex128; the desk lattice has fewer than 2^20
+    values); and the grid's offset tables, 2n - 1 complex128 phases and
+    float64 reals per axis of n points."""
     grid = (os * os + os) * config.n_rx * config.n_tx * config.n_freq * 16
     rows = config.n_rx * config.n_tx * os * os
     axes = os * (config.n_rx + config.n_tx + config.n_freq)
-    return (grid + (16 + 8) * rows * (16 + k_g) + 16 * (1 << 20)
+    return (grid + (16 + 8) * rows * (16 + k_g) + (8 + 16 * os * config.n_freq) * rows
             + (16 + 8) * (2 * axes - 3))
 
 

@@ -1284,3 +1284,89 @@ def test_inf_response_raises_the_named_error_under_warnings_as_errors(split):
             greedy_ls(resp, DESK, ExtractionConfig(k_dom=4, grid=spec))
         with pytest.raises(ValueError, match=named):
             sage_refine(resp, paths, DESK, spec, sweeps=1)
+
+
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_writing_sweeps_count_the_rows_they_rescan(oversample):
+    """Greedy-LS's and SAGE's pickers count the rows of the (aoa*aod, delay)
+    view that their writing sweeps rescanned (``ExtractionTrace.swept_rows``
+    and ``_sage_refine``'s fifth value).  At oversample 1, where a lattice
+    footprint reaches one (AoA, AoD) row, each sweep rescans at most its
+    pending column count of rows; on the oversample-4 desk grid, which
+    derives rows, each rescans all of them.  A share limit of 0 makes every
+    iteration and most updates sweep."""
+    resp = desk_case(4, 20.0, n_paths=10)
+    spec = GridSpec(os_aoa=oversample, os_aod=oversample, os_delay=oversample)
+    n_rows = (DESK.n_rx * oversample) * (DESK.n_tx * oversample)
+    swept, sweep = [], beamspace.peak_sweep
+
+    def counted(grid, factors=None, row_peaks=None):
+        before = grid._swept_rows
+        peak = sweep(grid, factors, row_peaks)
+        swept.append((len(factors[1]), grid._swept_rows - before))
+        return peak
+
+    with mock.patch.object(beamspace, "peak_sweep", counted), \
+            mock.patch.object(beamspace, "_MAX_KEPT_SHARE", 0.0):
+        found, trace = greedy_ls(resp, DESK, ExtractionConfig(
+            k_dom=12, k_g=4, k_up=2, residual_stop=0.0, grid=spec))
+        greedy = list(swept)
+        del swept[:]
+        sage = extract._sage_refine(resp, found, DESK, spec, 2)
+    for sweeps, total in ((greedy, trace.swept_rows), (swept, sage[4])):
+        assert len(sweeps) >= 5 and total == sum(rows for _, rows in sweeps)
+        for pending, rows in sweeps:
+            if oversample == 1:
+                assert rows <= pending
+            else:
+                assert rows == n_rows
+    assert trace.swept_rows > 0
+
+
+def full_sweeps_only():
+    """A patch of ``peak_sweep`` that hands every writing sweep a fresh
+    array for the row maxima, so it makes the full pass over every row, and
+    copies them back as the picker's own."""
+    sweep = beamspace.peak_sweep
+
+    def full(grid, factors=None, row_peaks=None):
+        fresh = np.empty_like(row_peaks)
+        peak = sweep(grid, factors, fresh)
+        row_peaks[:] = fresh
+        grid._row_peaks = row_peaks
+        return peak
+    return mock.patch.object(beamspace, "peak_sweep", full)
+
+
+@pytest.mark.parametrize("case", ["desk", "paper", "paper-aoa-2"])
+def test_sweeps_of_the_reached_rows_keep_the_full_pass_bits(case):
+    """On grids that store every row, where a writing sweep rewrites only
+    the rows its footprints reach: greedy_ls (its paths and residual trace),
+    greedy_extract and sage_refine give bit-identical results with full
+    passes over every row.  The desk and paper grids at oversample 1, and
+    the paper grid at GridSpec(2, 1, 2), whose AoA factor is dense.  A share
+    limit of 0 sweeps at every iteration."""
+    rng = np.random.default_rng(83)
+    if case == "desk":
+        resp, config, spec = desk_case(4, 20.0, n_paths=10), DESK, GridSpec(1, 1, 1)
+    else:
+        truth = [PathParams(gain=complex(rng.normal(), rng.normal()),
+                            delay=rng.uniform(0, PAPER.duration * 0.9),
+                            aod=rng.uniform(-0.5, 0.5), aoa=rng.uniform(-0.5, 0.5))
+                 for _ in range(24)]
+        resp, config = synthesize_response(PAPER, truth), PAPER
+        spec = GridSpec(1, 1, 1) if case == "paper" else GridSpec(2, 1, 2)
+    cfg = ExtractionConfig(k_dom=32, k_g=4, k_up=2, residual_stop=0.0, grid=spec)
+
+    def run():
+        found, trace = greedy_ls(resp, config, cfg)
+        sage = sage_refine(resp, found[:8], config, spec, 1)
+        return found, trace.residual_power, greedy_extract(resp, spec, 24), sage
+
+    for share in (0.05, 0.0):
+        with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", 1 << 40), \
+                mock.patch.object(beamspace, "_MAX_KEPT_SHARE", share):
+            assert beamspace_transform(resp, spec)._steps == (1, 1)
+            reached = run()
+            with full_sweeps_only():
+                assert run() == reached

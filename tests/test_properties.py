@@ -212,6 +212,110 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     assert grid.values.tobytes() == before
 
 
+def picker_factors(grid, paths):
+    """The footprints of ``paths`` as the picker builds them (``_footprint``,
+    whose lattice factors are exactly 0 at the nonzero multiples of os):
+    ``left`` column k the outer product of the AoA and AoD factors times
+    the gain, ``right`` row k the delay factor."""
+    n_rows, n_tau = grid.shape[0] * grid.shape[1], grid.shape[2]
+    left = np.empty((n_rows, len(paths)), dtype=complex, order="F")
+    right = np.empty((len(paths), n_tau), dtype=complex)
+    for k, p in enumerate(paths):
+        rx, tx, right[k] = beamspace._footprint(grid, p)
+        left[:, k] = np.multiply.outer(rx, tx).ravel() * p.gain
+    return left, right
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
+       os_aoa=st.integers(1, 3), os_delay=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), n_paths=st.integers(0, 5),
+       on_grid=st.booleans(), ties=st.booleans(),
+       bad=st.sampled_from([None, "reached", "unreached"]),
+       bad_value=st.sampled_from([math.nan, math.inf]), block=st.integers(1, 80))
+@example(n_rx=3, n_tx=2, n_freq=4, os_aoa=1, os_delay=1, seed=1, n_paths=0, on_grid=True,
+         ties=False, bad=None, bad_value=math.nan, block=80)
+@example(n_rx=3, n_tx=2, n_freq=4, os_aoa=1, os_delay=1, seed=2, n_paths=3, on_grid=False,
+         ties=False, bad=None, bad_value=math.nan, block=80)
+def test_sweep_of_the_reached_rows_equals_the_full_write(
+        n_rx, n_tx, n_freq, os_aoa, os_delay, seed, n_paths, on_grid, ties, bad,
+        bad_value, block):
+    """On a grid that stores every row (os_aod 1, every AoA row stored), a
+    writing ``peak_sweep`` handed the row maxima that the grid recorded
+    rewrites and rescans only the rows that its footprints reach, and gives
+    the full write's plane, row maxima and peak (the same sweep handed no
+    row maxima, or a fresh array): bit for bit at os_aoa 1, to 1e-12 of the
+    maximum where the AoA factor is dense, and the dense oracle's.  The
+    footprints are the picker's on the lattice, which reach one row each at
+    oversample 1, or anywhere, which reach every row; with ``ties``, integer
+    values and integer footprints of one row each make exact magnitude ties
+    between reached and unreached rows, which take the lowest index triple.
+    No footprint rewrites no row.  A non-finite value in a reached or an
+    unreached row raises the full sweep's ValueError, naming its index."""
+    cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, 1, os_delay)
+    rng = np.random.default_rng(seed)
+    n_rows, n_tau = shape[0] * shape[1], shape[2]
+    recorded = np.empty(n_rows)
+    if ties:
+        values = (rng.integers(-1, 2, size=shape)
+                  + 1j * rng.integers(-1, 2, size=shape)).astype(complex)
+        grid = beamspace.BeamspaceGrid(values, spec, cfg)
+        peak_sweep(grid, row_peaks=recorded)
+        left = np.zeros((n_rows, n_paths), dtype=complex, order="F")
+        left[rng.integers(0, n_rows, size=n_paths), np.arange(n_paths)] = 1
+        right = (rng.integers(-1, 2, size=(n_paths, n_tau))
+                 + 1j * rng.integers(-1, 2, size=(n_paths, n_tau))).astype(complex)
+    else:
+        resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
+                                 config=cfg)
+        with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", 1 << 40):
+            grid = beamspace_transform(resp, spec, recorded)
+        left, right = picker_factors(grid, random_paths(rng, cfg, spec, n_paths, on_grid))
+    assert grid._steps == (1, 1) and grid._row_peaks is recorded
+    reached = np.flatnonzero(np.any(left, axis=1))
+    flat = grid._plane.reshape(n_rows, n_tau)
+    if bad is not None:
+        rows = reached if bad == "reached" else np.setdiff1d(np.arange(n_rows), reached)
+        assume(len(rows))
+        row = int(rng.choice(rows))
+        flat[row, rng.integers(0, n_tau)] = bad_value
+        recorded[row] = np.abs(flat[row]).max()  # the maxima as the grid stands
+    dense = grid._plane - (left @ right).reshape(shape)
+    full, fresh = beamspace.BeamspaceGrid(grid._plane.copy(), spec, cfg), np.empty(n_rows)
+    plain = beamspace.BeamspaceGrid(grid._plane.copy(), spec, cfg)
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        if bad is not None:
+            with pytest.raises(ValueError, match="non-finite") as named:
+                peak_sweep(plain, (left, right))
+            with pytest.raises(ValueError) as got:
+                peak_sweep(grid, (left, right), recorded)
+            assert str(got.value) == str(named.value)
+            return
+        peak = peak_sweep(grid, (left, right), recorded)
+        ref = peak_sweep(full, (left, right), fresh)
+        assert peak_sweep(plain, (left, right)) == ref
+    assert grid._swept_rows == len(reached) and full._swept_rows == n_rows
+    assert grid._row_peaks is recorded
+    if not n_paths:
+        assert len(reached) == 0
+    elif on_grid and os_aoa == 1 and not ties:
+        assert len(reached) <= n_paths  # a lattice footprint reaches one row
+    scale = max(1.0, float(np.abs(dense).max()))
+    if os_aoa == 1 or ties:
+        assert grid._plane.tobytes() == full._plane.tobytes() == plain._plane.tobytes()
+        assert recorded.tobytes() == fresh.tobytes()
+        assert peak == ref
+    else:
+        assert np.max(np.abs(grid._plane - full._plane)) <= 1e-12 * scale
+        assert np.max(np.abs(recorded - fresh)) <= 1e-12 * scale
+        assert_same_peak(peak, full._plane, scale)
+    assert np.array_equal(recorded, np.abs(flat).max(axis=1))
+    assert np.max(np.abs(grid._plane - dense), initial=0) <= 1e-12 * scale
+    assert_same_peak(peak, dense, scale)
+    if ties:  # exact arithmetic: the first maximum in (aoa, aod, delay) order
+        assert peak[:3] == np.unravel_index(int(np.argmax(np.abs(dense))), shape)
+
+
 def assert_same_peak(got, dense, scale):
     """``got`` is the peak of ``dense`` (its magnitude to 1e-12 of ``scale``,
     its value to 1e-12) and its index unless rounding can reorder the top two."""
