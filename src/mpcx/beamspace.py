@@ -82,11 +82,13 @@ that derives rows is rewritten and rescanned whole, since a derived row
 reads every stored row of its AoA row, or every stored AoA row.  A grid
 that stores every row (steps (1, 1): a transform at os_aod 1 that stores
 every AoA row, as at oversample 1, or a grid built from an array) is not:
-handed the row maxima that the grid kept, a writing sweep rewrites and
-rescans only the rows that a footprint reaches (``_reached_sweep``), and
-reads the others' maxima from that array.  At critical sampling a lattice
-footprint reaches one row, the axis kernel being exactly 0 at every
-nonzero multiple of os (the virtual channel representation).  The
+handed the row maxima that the grid kept, a writing sweep whose
+footprints leave some row unreached rewrites and rescans only the rows
+that a footprint reaches (``_reached_sweep``), and reads the others'
+maxima from that array; footprints that reach every row, as off-lattice
+ones do, get the full pass.  At critical sampling a lattice footprint
+reaches one row, the axis kernel being exactly 0 at every nonzero
+multiple of os (the virtual channel representation).  The
 transform runs the read-only scan once when asked for the row
 peaks.  ``pdp_marginals`` sums its power maps from the transform's blocks
 by Parseval, from the stored rows alone, and keeps no grid.
@@ -742,16 +744,20 @@ def peak_sweep(
     handed as ``row_peaks`` the array that its last pass recorded
     (``BeamspaceGrid._row_peaks``: the transform's, or an earlier sweep's),
     reads ``row_peaks`` as well as writing it: those must be the maxima of
-    the grid as it stands, as the transform and the picker keep them.  It
-    then rewrites and rescans only the rows that a footprint reaches,
-    where a ``left`` column is nonzero (``_reached_sweep``), with the
-    bits, row maxima and peak of the full pass; every other row is left
-    as it is, and every reached row is written before a non-finite value
-    raises.  Handed no ``row_peaks``, a fresh array, or no footprints, the
-    sweep is the full pass.  A pass that records ``row_peaks`` keeps them
-    as the grid's; a writing pass that does not, or that raises, clears
-    them.  ``BeamspaceGrid._swept_rows`` counts the rows that writing
-    sweeps rescanned.
+    the grid as it stands, as the transform and the picker keep them.  If
+    the footprints reach some rows but not all, where a ``left`` column is
+    nonzero, and its full-pass block products run on BLAS's matrix kernel
+    (``_reached_rows``: more than one delay, two view rows or more a
+    block), it rewrites and rescans only the reached rows
+    (``_reached_sweep``), with the bits, row maxima and peak of the full
+    pass; every other row is left as it is, and every reached row is
+    written before a non-finite value raises.  Handed no ``row_peaks``, a
+    fresh array, or no footprints, the sweep is the full pass.  A pass
+    handed ``row_peaks`` keeps them as the grid's once it has recorded
+    them; a writing pass handed none, or a pass that raises after it began
+    to write or record, clears them, and a read-only pass handed none
+    leaves them.  ``BeamspaceGrid._swept_rows`` counts the rows that
+    writing sweeps rescanned.
     """
     return _sweep(grid, factors, row_peaks)
 
@@ -759,21 +765,41 @@ def peak_sweep(
 def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
            row_peaks: np.ndarray | None) -> tuple[int, int, int, complex]:
     """``peak_sweep``, which also makes the first pass of a transform that
-    derives AoA rows.  On a grid that stores every row, handed footprints
-    and the row maxima that the grid kept, it hands the write to
-    ``_reached_sweep`` with its own block product (``subtract``);
-    otherwise it writes and scans every block."""
+    derives AoA rows.  It picks the pass: ``_reached_sweep`` where the
+    footprints reach some rows but not all (``_reached_rows``), the full
+    pass (``_full_sweep``) otherwise.  It keeps as the grid's row maxima
+    the ``row_peaks`` that the pass records, clears them while a pass
+    that writes or records runs (so a pass that raises leaves none), and
+    counts the rescanned rows of a writing pass."""
     plane = grid._plane
     if plane.size == 0:
         raise ValueError("empty beamspace grid")
     if factors is not None and not plane.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
+    reached = None
+    if factors is not None and row_peaks is not None and row_peaks is grid._row_peaks:
+        reached = _reached_rows(grid, factors[0])
+    if factors is not None or row_peaks is not None:
+        grid._row_peaks = None  # until this pass has recorded them
+    if reached is not None:
+        peak = _reached_sweep(grid, factors, row_peaks, reached)
+    else:
+        peak = _full_sweep(grid, factors, row_peaks)
+    if factors is not None:
+        grid._swept_rows += grid.shape[0] * grid.shape[1] if reached is None else len(reached)
+    if row_peaks is not None:
+        grid._row_peaks = row_peaks
+    return peak
+
+
+def _full_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
+                row_peaks: np.ndarray | None) -> tuple[int, int, int, complex]:
+    "The pass of ``peak_sweep`` that writes and scans every block."
+    plane = grid._plane
     n_rows, n_stored, n_tau = plane.shape
     n_aoa, n_aod, _ = grid.shape
     step = grid._steps[0]
     derives = grid._kernels[0] is not None
-    given, current = row_peaks, row_peaks is not None and row_peaks is grid._row_peaks
-    grid._row_peaks = None  # until this pass has recorded them
     cache = slots = None
     if factors is not None:
         # the footprints' stored rows, in the plane's frame
@@ -806,10 +832,6 @@ def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
         with np.errstate(invalid="ignore"):
             subtract(start, stop, np.empty((rows * n_stored, n_tau), dtype=complex))
 
-    if factors is not None and current and grid._steps == (1, 1):
-        peak = _reached_sweep(grid, factors, row_peaks, rows, subtract)
-        grid._row_peaks = row_peaks
-        return peak
     if factors is not None and derives:
         # sized by its multiply-adds, K an entry: at the paper protocol 16
         # pending footprints take 7 ms a pass on one thread
@@ -852,73 +874,68 @@ def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
                     break
         return peaks
 
-    peak = _first_peak(
+    return _first_peak(
         chain.from_iterable(run_blocks(sweep, n_rows, rows, step * n_aod * n_tau)),
         grid.shape)
-    if factors is not None:
-        grid._swept_rows += len(row_peaks)
-    grid._row_peaks = given
-    return peak
+
+
+def _reached_rows(grid: BeamspaceGrid, left: np.ndarray) -> np.ndarray | None:
+    """Ascending rows of the ``(aoa*aod, delay)`` view that the footprints
+    with ``left`` factors reach (where a column is nonzero), where
+    ``_reached_sweep`` gives them the full pass's bits and touches fewer
+    rows than it: on a grid that stores every row (steps (1, 1)), with
+    more than one delay, and every block of the full pass two view rows or
+    more, so that its block products and ``_reached_sweep``'s run on BLAS's
+    matrix kernel, which gives a row the same bits whatever rows are made
+    with it (its vector kernel does not); and some row not reached, as
+    where every row is reached the full pass is the same work.  None
+    otherwise."""
+    n_aoa, n_aod, n_tau = grid.shape
+    per = _scan_rows(grid.shape, 1) * n_aod  # view rows per block of the full pass
+    if grid._steps != (1, 1) or n_tau == 1 or per == 1 or n_aoa * n_aod % per == 1:
+        return None
+    reached = np.flatnonzero(np.any(left, axis=1))
+    return reached if len(reached) < n_aoa * n_aod else None
 
 
 def _reached_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
-                   row_peaks: np.ndarray, rows: int, subtract) -> tuple[int, int, int, complex]:
+                   row_peaks: np.ndarray, reached: np.ndarray) -> tuple[int, int, int, complex]:
     """``peak_sweep`` with footprints on a grid that stores every row, handed
-    the row maxima of its plane as it stands (``BeamspaceGrid._row_peaks``).
+    the row maxima of its plane as it stands (``BeamspaceGrid._row_peaks``),
+    writing only the ``reached`` rows of the ``(aoa*aod, delay)`` view
+    (``_reached_rows``).
 
-    Only the rows of the ``(aoa*aod, delay)`` view that the footprints
-    reach, those where a ``left`` column is nonzero, are written and
-    rescanned into ``row_peaks``, in chunks of at most ``_BLOCK_ENTRIES``
-    entries gathered into buffers, or read in place where a chunk's rows
-    are adjacent.  Every other row is unchanged, so its
-    recorded maximum stays exact.  A reached row gets the bits of the full
-    pass: a matrix product gives a row the same bits whatever rows are made
-    with it, so a lone row is made with a second one, as a product of one
-    row would run on BLAS's vector kernel.  Where a block product of the
-    full pass runs on that kernel (a block of one row, or a grid of one
-    delay), whose rounding of a row depends on the rows made with it, each
-    block holding a reached row is written by the full pass's own product
-    (``subtract``, blocks of ``rows`` stored AoA rows).  The peak is the
-    full pass's: per block of that pass, the first row holding its largest
-    row maximum and that row's first maximum, merged by ``_first_peak``, so
-    ties and the non-finite ValueError are the same; every reached row is
-    written before it raises."""
+    Those rows are gathered in chunks of at most ``_BLOCK_ENTRIES``
+    entries into preallocated buffers, written, stored back and rescanned
+    into ``row_peaks``.  Every other row is unchanged, so its recorded
+    maximum stays exact.  A reached row gets the bits of the full pass, as
+    both products run on BLAS's matrix kernel; a lone row is made with a
+    second one, as a product of one row would run on its vector kernel.
+    The peak is the full pass's: per block of that pass, the first row
+    holding its largest row maximum and that row's first maximum, merged by
+    ``_first_peak``, so ties and the non-finite ValueError are the same;
+    every reached row is written before it raises."""
     left, right = factors
     n_tau = grid.shape[2]
     flat = grid._plane.reshape(-1, n_tau)
-    per = rows * grid.shape[1]  # view rows per block of the full pass
-    reached = np.flatnonzero(np.any(left, axis=1))
+    per = _scan_rows(grid.shape, 1) * grid.shape[1]  # view rows per block of the full pass
     size = max(1, _BLOCK_ENTRIES // n_tau)
-    room = min(len(reached), size)
+    room = max(2, min(len(reached), size))
     block_buf = np.empty((room, n_tau), dtype=complex)
     mag_buf = np.empty((room, n_tau))
-    vector = n_tau == 1 or per == 1 or len(flat) % per == 1
+    left_buf = np.zeros((room, left.shape[1]), dtype=complex)
+    kernel_buf = np.empty((room, n_tau), dtype=complex)
     # an inf value makes NaNs in the products: the merge names it
     with np.errstate(invalid="ignore"):
-        if vector:
-            buf = np.empty((per, n_tau), dtype=complex)
-            for p0 in np.unique(reached // per) * rows:
-                subtract(p0, p0 + 1, buf)
-        else:
-            left_buf = np.zeros((max(2, room), left.shape[1]), dtype=complex)
-            kernel_buf = np.empty((max(2, room), n_tau), dtype=complex)
         for c0 in range(0, len(reached), size):
             at = reached[c0:c0 + size]
-            n = len(at)
-            # a run of adjacent rows, as where every row is reached, is
-            # written in place
-            run = at[-1] - at[0] == n - 1
-            block = (flat[at[0]:at[0] + n] if run
-                     else np.take(flat, at, axis=0, out=block_buf[:n], mode="clip"))
-            if not vector:
-                m = max(2, n)
-                np.take(left, at, axis=0, out=left_buf[:n], mode="clip")
-                np.dot(left_buf[:m], right, out=kernel_buf[:m])
-                np.subtract(block, kernel_buf[:n], out=block)
-                if not run:
-                    flat[at] = block
+            n, m = len(at), max(2, len(at))
+            block = np.take(flat, at, axis=0, out=block_buf[:n], mode="clip")
+            np.take(left, at, axis=0, out=left_buf[:n], mode="clip")
+            np.dot(left_buf[:m], right, out=kernel_buf[:m])
+            np.subtract(block, kernel_buf[:n], out=block)
+            flat[at] = block
             row_peaks[at] = np.max(np.abs(block, out=mag_buf[:n]), axis=1)
-    grid._swept_rows += len(reached)
 
     def peaks():
         for r0 in range(0, len(flat), per):
@@ -1334,8 +1351,9 @@ class _PendingFootprints:
         handed ``row_peaks``, which the transform recorded and each sweep
         refreshes, so on a grid that stores every row it rewrites and
         rescans only the rows that the pending footprints reach (where a
-        ``left`` column is nonzero), one row a commit at oversample 1, and
-        reads the other rows' maxima from them.
+        ``left`` column is nonzero), one row a lattice commit at
+        oversample 1, and reads the other rows' maxima from them; where
+        they reach every row it is the full pass (``_reached_rows``).
         """
         factors, rows = self._kept(near)
         if self.pending and not self.held and (

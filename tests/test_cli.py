@@ -153,8 +153,9 @@ def test_swept_rows_go_to_the_timings_sidecar_only(run_dir, tmp_path):
     ``sage_swept_rows`` to timings.json, and to no text or CSV artifact.
     The oversample-4 desk grid derives rows, so each of greedy-LS's sweeps
     rescans all of them, and SAGE's count is 0 without ``--sage-sweeps``.
-    At oversample 1 a commit's footprint reaches one row, so greedy-LS's
-    sweeps rescan at most as many rows as there are estimates."""
+    At oversample 1 a commit's footprint reaches one row, so each of
+    greedy-LS's writing sweeps rescans at most its pending commits, no more
+    than ``_MAX_PENDING``."""
     keys = ("extract_swept_rows", "sage_swept_rows")
     timings = fileio.load_timings(run_dir / "timings.json")
     assert timings["extract_swept_rows"] == (timings["extract_full_sweeps"] - 1) * 32 * 32
@@ -166,8 +167,8 @@ def test_swept_rows_go_to_the_timings_sidecar_only(run_dir, tmp_path):
                  "--sage-sweeps", "1", "--out-dir", str(out), "--quiet"]) == 0
     timings = fileio.load_timings(out / "timings.json")
     assert all(type(timings[key]) is int and timings[key] >= 0 for key in keys)
-    report = fileio.load_kv_report(out / "extract_report.txt")
-    assert 0 < timings["extract_swept_rows"] <= int(report["n_estimates"])
+    writing = timings["extract_full_sweeps"] - 1
+    assert 0 < timings["extract_swept_rows"] <= writing * beamspace._MAX_PENDING
     artifacts = [*out.glob("*.txt"), *out.glob("*.csv")]
     assert artifacts and not any(key in p.read_text(encoding="utf-8")
                                  for key in keys for p in artifacts)

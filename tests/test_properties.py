@@ -230,15 +230,23 @@ def picker_factors(grid, paths):
 @given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 5), n_freq=st.integers(1, 9),
        os_aoa=st.integers(1, 3), os_delay=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1), n_paths=st.integers(0, 5),
-       on_grid=st.booleans(), ties=st.booleans(),
+       on_grid=st.booleans(), shared=st.booleans(), ties=st.booleans(),
        bad=st.sampled_from([None, "reached", "unreached"]),
        bad_value=st.sampled_from([math.nan, math.inf]), block=st.integers(1, 80))
 @example(n_rx=3, n_tx=2, n_freq=4, os_aoa=1, os_delay=1, seed=1, n_paths=0, on_grid=True,
-         ties=False, bad=None, bad_value=math.nan, block=80)
+         shared=False, ties=False, bad=None, bad_value=math.nan, block=80)
 @example(n_rx=3, n_tx=2, n_freq=4, os_aoa=1, os_delay=1, seed=2, n_paths=3, on_grid=False,
-         ties=False, bad=None, bad_value=math.nan, block=80)
+         shared=False, ties=False, bad=None, bad_value=math.nan, block=80)
+@example(n_rx=3, n_tx=2, n_freq=4, os_aoa=1, os_delay=2, seed=0, n_paths=3, on_grid=True,
+         shared=True, ties=False, bad=None, bad_value=math.nan, block=80)
+@example(n_rx=3, n_tx=1, n_freq=4, os_aoa=1, os_delay=2, seed=0, n_paths=3, on_grid=True,
+         shared=True, ties=False, bad=None, bad_value=math.nan, block=1)
+@example(n_rx=3, n_tx=1, n_freq=4, os_aoa=1, os_delay=2, seed=0, n_paths=3, on_grid=True,
+         shared=True, ties=False, bad=None, bad_value=math.nan, block=16)
+@example(n_rx=3, n_tx=2, n_freq=1, os_aoa=2, os_delay=1, seed=0, n_paths=3, on_grid=True,
+         shared=False, ties=False, bad=None, bad_value=math.nan, block=80)
 def test_sweep_of_the_reached_rows_equals_the_full_write(
-        n_rx, n_tx, n_freq, os_aoa, os_delay, seed, n_paths, on_grid, ties, bad,
+        n_rx, n_tx, n_freq, os_aoa, os_delay, seed, n_paths, on_grid, shared, ties, bad,
         bad_value, block):
     """On a grid that stores every row (os_aod 1, every AoA row stored), a
     writing ``peak_sweep`` handed the row maxima that the grid recorded
@@ -247,11 +255,18 @@ def test_sweep_of_the_reached_rows_equals_the_full_write(
     row maxima, or a fresh array): bit for bit at os_aoa 1, to 1e-12 of the
     maximum where the AoA factor is dense, and the dense oracle's.  The
     footprints are the picker's on the lattice, which reach one row each at
-    oversample 1, or anywhere, which reach every row; with ``ties``, integer
+    oversample 1, or anywhere, which reach every row; with ``shared`` the
+    paths share the first one's angles, so that at oversample 1 their
+    footprints reach one row, a lone row made by a product of several
+    columns (a product of one row would run on BLAS's vector kernel, whose
+    bits differ from the matrix kernel's); with ``ties``, integer
     values and integer footprints of one row each make exact magnitude ties
     between reached and unreached rows, which take the lowest index triple.
-    No footprint rewrites no row.  A non-finite value in a reached or an
-    unreached row raises the full sweep's ValueError, naming its index."""
+    No footprint rewrites no row.  Footprints that reach every row, and
+    grids whose full-pass block products run on BLAS's vector kernel (one
+    delay, or a block of one view row), get the full pass.  A non-finite
+    value in a reached or an unreached row raises the full sweep's
+    ValueError, naming its index."""
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, 1, os_delay)
     rng = np.random.default_rng(seed)
     n_rows, n_tau = shape[0] * shape[1], shape[2]
@@ -270,7 +285,10 @@ def test_sweep_of_the_reached_rows_equals_the_full_write(
                                  config=cfg)
         with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", 1 << 40):
             grid = beamspace_transform(resp, spec, recorded)
-        left, right = picker_factors(grid, random_paths(rng, cfg, spec, n_paths, on_grid))
+        paths = random_paths(rng, cfg, spec, n_paths, on_grid)
+        if shared:
+            paths = [replace(p, aoa=paths[0].aoa, aod=paths[0].aod) for p in paths]
+        left, right = picker_factors(grid, paths)
     assert grid._steps == (1, 1) and grid._row_peaks is recorded
     reached = np.flatnonzero(np.any(left, axis=1))
     flat = grid._plane.reshape(n_rows, n_tau)
@@ -294,7 +312,13 @@ def test_sweep_of_the_reached_rows_equals_the_full_write(
         peak = peak_sweep(grid, (left, right), recorded)
         ref = peak_sweep(full, (left, right), fresh)
         assert peak_sweep(plain, (left, right)) == ref
-    assert grid._swept_rows == len(reached) and full._swept_rows == n_rows
+    # the full pass where its block products would run on BLAS's vector
+    # kernel (one delay, or a block of one view row) or every row is reached
+    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        per = beamspace._scan_rows(shape, 1) * shape[1]
+    restricted = n_tau > 1 and per > 1 and n_rows % per != 1 and len(reached) < n_rows
+    assert grid._swept_rows == (len(reached) if restricted else n_rows)
+    assert full._swept_rows == n_rows
     assert grid._row_peaks is recorded
     if not n_paths:
         assert len(reached) == 0
