@@ -70,30 +70,32 @@ an array stores every row and derives none; its row cache is the plane
 itself.  A grid that stores every AoA row derives none of them and stores
 the plane as the lattice's.
 
-Every grid-wide write after the transform is one blocked kernel,
-``peak_sweep``: it subtracts rank-K footprint factors from the stored
-plane, block of stored AoA rows by block, writes the difference back, and
-its read-only scan derives the other rows and finds the peak magnitude over
-all rows; it can also record each (AoA, AoD) row's peak magnitude, and the
-grid keeps the array that holds them (``BeamspaceGrid._row_peaks``).  Where
-AoA rows are derived the pass is two phases, since a derived AoA row reads
-every stored one: all blocks are written, then derived and scanned.  A grid
-that derives rows is rewritten and rescanned whole, since a derived row
-reads every stored row of its AoA row, or every stored AoA row.  A grid
-that stores every row (steps (1, 1): a transform at os_aod 1 that stores
-every AoA row, as at oversample 1, or a grid built from an array) is not:
-handed the row maxima that the grid kept, a writing sweep whose
-footprints leave some row unreached rewrites and rescans only the rows
-that a footprint reaches (``_reached_sweep``), and reads the others'
-maxima from that array; footprints that reach every row, as off-lattice
-ones do, get the full pass.  At critical sampling a lattice footprint
-reaches one row, the axis kernel being exactly 0 at every nonzero
-multiple of os (the virtual channel representation).  The
-transform runs the read-only scan once when asked for the row
-peaks.  ``pdp_marginals`` sums its power maps from the transform's blocks
-by Parseval, from the stored rows alone, and keeps no grid.
-``tentative_peak`` finds the peak of the grid minus further footprints
-without writing, over the rows it is handed.
+A grid pass, ``peak_sweep``, has one job: it subtracts rank-K footprint
+factors from the stored plane, if it is given any, block of stored AoA
+rows by block, writes the difference back, and records the maximum
+magnitude of every (AoA, AoD) row into the array that the grid owns
+(``BeamspaceGrid._row_peaks``).  It finds no peak.  The transform ends
+with the grid's first pass; every grid-wide write after it is a writing
+pass.  Where AoA rows are derived the pass is two phases, since a derived
+AoA row reads every stored one: all blocks are written, then derived and
+scanned.  A grid that derives rows is rewritten and rescanned whole, since
+a derived row reads every stored row of its AoA row, or every stored AoA
+row.  A grid that stores every row (steps (1, 1): a transform at os_aod 1
+that stores every AoA row, as at oversample 1, or a grid built from an
+array) and already has its maxima is not: a writing pass whose footprints
+leave some row unreached rewrites and rescans only the rows that a
+footprint reaches (``_reached_sweep``), and every other row keeps its
+exact maximum; footprints that reach every row, as off-lattice ones do,
+get the full pass.  At critical sampling a lattice footprint reaches one
+row, the axis kernel being exactly 0 at every nonzero multiple of os (the
+virtual channel representation).  A pass finishes before it raises on a
+value that is not finite, so the plane and its maxima always agree.
+
+``tentative_peak`` is the one peak finder: the peak of the grid minus
+further footprints, read-only, over the rows it is handed, with the rules
+for ties, the all-zero result and the non-finite error.  ``pdp_marginals``
+sums its power maps from the transform's blocks by Parseval, from the
+stored rows alone, and keeps no grid.
 
 Greedy-LS's commits (``greedy_extract``'s too) and SAGE's path updates
 stay pending factors of one picker (``_PendingFootprints``), and
@@ -106,10 +108,10 @@ the rows, and never while candidates are held.
 
 On a large grid the sweep and the transform run their blocks in contiguous
 spans, one per CPU, on ``mpcx.pool.run_blocks``.  Block shapes do not
-depend on the split, every entry gets the same arithmetic in any span and
-the sweep's block peaks merge in block order, so a split gives the same
-bits as one span.  A small grid stays one span on the calling thread, and
-a tentative peak always does; nothing is configurable.
+depend on the split and every entry gets the same arithmetic in any span,
+so a split gives the plane and row maxima of one span, bit for bit.  A
+small grid stays one span on the calling thread, and a tentative peak
+always does; nothing is configurable.
 """
 
 from __future__ import annotations
@@ -118,12 +120,12 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .pool import run_blocks
 from .sounder import (
+    _LINE_BLOCK,
     FrequencyResponse,
     PathParams,
     SounderConfig,
@@ -224,11 +226,16 @@ class BeamspaceGrid:
     array for a grid that derives nothing, and otherwise a new array that
     materializes the whole lattice.
 
-    ``_row_peaks`` is the array into which the grid's last pass (the
-    transform's scan, or a ``peak_sweep``, handed it) wrote the row
-    maxima of the plane as it stands, or None; a pass that writes the plane
-    without recording them clears it.  ``_swept_rows`` counts the rows of
-    the ``(aoa*aod, delay)`` view that writing sweeps rescanned.
+    ``_row_peaks`` holds the maximum magnitude of every row of the
+    ``(aoa*aod, delay)`` view of the plane as it stands, one float64 each,
+    which every ``peak_sweep`` records: the transform's grid has them from
+    its first pass, and a grid built from an array has none (None) until
+    its first pass allocates them.  Code that writes the plane in place
+    outside ``peak_sweep`` must reset ``_row_peaks`` to None, or a later
+    writing pass on a grid that stores every row would rescan only the rows
+    its footprints reach and keep the others' stale maxima.
+    ``_swept_rows`` counts the rows of the view that writing sweeps
+    rescanned.
     """
 
     def __init__(self, values: np.ndarray, spec: GridSpec, config: SounderConfig):
@@ -437,8 +444,7 @@ def _coset_kernel(table: tuple[np.ndarray, np.ndarray], n: int,
             phase[n_pts - 1 + k])
 
 
-def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
-                        row_peaks: np.ndarray | None = None) -> BeamspaceGrid:
+def beamspace_transform(response: FrequencyResponse, spec: GridSpec) -> BeamspaceGrid:
     """Map a frequency response onto the oversampled AoA-AoD-delay lattice.
 
     The value at grid point (theta_r, theta_t, tau) is
@@ -459,52 +465,26 @@ def beamspace_transform(response: FrequencyResponse, spec: GridSpec,
     ``BeamspaceGrid._aoa_phase``, is applied first, to the response's
     tones, and the AoD and delay products then make the plane itself.
 
-    With ``row_peaks`` (one float per row of the ``(aoa*aod, delay)`` view)
-    the plane is scanned by the read-only scan of ``peak_sweep``, which
-    records the row maxima there: each block as it is made where every AoA
-    row is stored (without a second pass over the plane), and in one pass
-    over the made plane otherwise.  The grid keeps ``row_peaks`` as its row
-    maxima (``BeamspaceGrid._row_peaks``), which a writing ``peak_sweep``
-    handed them reads.  A magnitude that is not finite raises the
-    ValueError of that read-only sweep, naming the same index, once the
-    plane is made.
+    The made plane gets the grid's first pass, ``peak_sweep(grid)``, which
+    records its row maxima (``BeamspaceGrid._row_peaks``) and raises
+    ``tentative_peak``'s ValueError if a magnitude is not finite.
     """
     cfg = response.config
     m_rx, m_tx, m_f = spec._matrices(cfg)
-    step, n_tau = spec._aoa_step(cfg), m_f.shape[1]
+    step = spec._aoa_step(cfg)
     m_tx = m_tx[::spec.os_aod]
     if step > 1:
         pre = _coset_kernel(spec._offset_table(cfg, 0), cfg.n_rx, step)[1]
         values = np.empty_like(response.values)
-        with np.errstate(invalid="ignore"):  # named by the scan, as below
+        with np.errstate(invalid="ignore"):  # named by the first pass
             np.matmul(m_rx[::step] * pre[:, None], response.values.reshape(cfg.n_rx, -1),
                       out=values.reshape(cfg.n_rx, -1))
-        grid = BeamspaceGrid(_separable_transform(values, None, m_tx, m_f), spec, cfg)
-        grid._steps = (step, spec.os_aod)
-        if row_peaks is not None:
-            _sweep(grid, None, row_peaks)
-        return grid
-    shape = (len(m_rx), cfg.n_tx * spec.os_aod, n_tau)
-    each_block = peaks = None
-    if row_peaks is not None:
-        kernel = _coset_kernel(spec._offset_table(cfg, 1), cfg.n_tx, spec.os_aod)
-        aoa_rows = _scan_rows(shape, spec.os_aod)
-        peaks = [None] * len(m_rx)  # block peaks by first AoA row
-
-        def each_block():
-            scan = _row_scan(kernel, None, row_peaks, aoa_rows, cfg.n_tx, n_tau)
-
-            def scan_rows(first: int, rows: np.ndarray) -> None:
-                for i0 in range(0, len(rows), aoa_rows):
-                    peaks[first + i0] = scan(first + i0, rows[i0:i0 + aoa_rows])
-            return scan_rows
-
-    grid = BeamspaceGrid(_separable_transform(response.values, m_rx, m_tx, m_f, each_block),
-                         spec, cfg)
-    grid._steps = (1, spec.os_aod)
-    if peaks is not None:
-        _first_peak((p for p in peaks if p is not None), shape)
-        grid._row_peaks = row_peaks
+        plane = _separable_transform(values, None, m_tx, m_f)
+    else:
+        plane = _separable_transform(response.values, m_rx, m_tx, m_f)
+    grid = BeamspaceGrid(plane, spec, cfg)
+    grid._steps = (step, spec.os_aod)
+    peak_sweep(grid)
     return grid
 
 
@@ -555,30 +535,6 @@ _BLOCK_ENTRIES = 1 << 16
 # relative rounding allowance of the picker's row bound: far above
 # the rounding of a footprint sum, far below the gaps between row peaks
 _BOUND_SLACK = 1e-9
-
-
-def _block_peak(mag: np.ndarray, row_max: np.ndarray) -> tuple[float, int, int]:
-    """(magnitude, row, column) of a block's peak from its row maxima: ties
-    take the lowest flat index, and a NaN wins both argmaxes."""
-    r = int(row_max.argmax())
-    k = int(mag[r].argmax())
-    return float(mag[r, k]), r, k
-
-
-def _first_peak(peaks, shape: tuple[int, int, int]) -> tuple[int, int, int, complex]:
-    """Index triple and value of the first strict maximum of (magnitude, flat
-    index, value) block peaks taken in ascending index order; ValueError at
-    the first magnitude that is not finite.  No peak gives (0, 0, 0) and 0."""
-    best_mag, best_at, best_val = -1.0, 0, 0j
-    for peak, at, val in peaks:
-        if not math.isfinite(peak):
-            i, j, l = np.unravel_index(at, shape)
-            raise ValueError(
-                f"non-finite beamspace magnitude at grid index ({i}, {j}, {l})")
-        if peak > best_mag:
-            best_mag, best_at, best_val = peak, at, val
-    i, j, l = np.unravel_index(best_at, shape)
-    return int(i), int(j), int(l), best_val
 
 
 # stored AoA rows whose derived AoA rows one product of a pass makes.  The
@@ -632,9 +588,8 @@ def _derived_aoa_rows(grid: BeamspaceGrid, groups: list[int],
 
 
 def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-              aoa_phase: np.ndarray | None, row_peaks: np.ndarray, aoa_rows: int,
-              n_stored: int, n_tau: int):
-    """The read-only scan of ``peak_sweep``, with one span's scratch buffers.
+              row_peaks: np.ndarray, aoa_rows: int, n_stored: int, n_tau: int):
+    """The scan of a ``peak_sweep`` pass, with one span's scratch buffers.
 
     ``scan(i0, block)`` takes the stored AoD rows of lattice AoA rows
     i0..i0+b-1 (``block``, [b x n_stored x n_tau], b <= ``aoa_rows``),
@@ -644,158 +599,111 @@ def _row_scan(kernel: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     gives the derived rows without their ``post`` phases, which leave the
     magnitudes as they are.  It writes the maximum magnitude of every (AoA,
     AoD) row into ``row_peaks`` (one float per row of the ``(aoa*aod,
-    delay)`` view) and returns the block's peak as (magnitude, flat lattice
-    index, value): the first maximum in (aoa, aod, delay) order over stored
-    and derived rows together.  Only that value gets its row's ``post``,
-    and, on a grid that derives AoA rows, whose ``block`` is in the AoA real
-    frame, its AoA row's phase ``aoa_phase`` (``BeamspaceGrid._aoa_phase``).
+    delay)`` view); a ``block`` in the AoA real frame has the lattice's
+    magnitudes too.
     """
     step = 1 if kernel is None else len(kernel[0]) // n_stored + 1
-    n_aod = n_stored * step
     by_coset = row_peaks.reshape(-1, n_stored, step)
     mag_buf = np.empty((aoa_rows, n_stored, n_tau))
     if kernel is not None:
-        real, pre, post = kernel
+        real, pre, _ = kernel
         # ``pre`` along whole rows: a broadcast product allocates a buffer
         pre = np.repeat(pre[:, None], n_tau, axis=1)
         scaled = np.empty((n_stored, n_tau), dtype=complex)
         derived_buf = np.empty((aoa_rows, len(real), n_tau), dtype=complex)
         derived_mag_buf = np.empty((aoa_rows, len(real), n_tau))
 
-    def scan(i0: int, block: np.ndarray) -> tuple[float, int, complex]:
+    def scan(i0: int, block: np.ndarray) -> None:
         b = len(block)
-        mag = np.abs(block, out=mag_buf[:b])
-        np.max(mag, axis=2, out=by_coset[i0:i0 + b, :, 0])
+        np.max(np.abs(block, out=mag_buf[:b]), axis=2, out=by_coset[i0:i0 + b, :, 0])
         if kernel is not None:
             derived = derived_buf[:b]
             for rows, out in zip(block, derived):
                 np.multiply(rows, pre, out=scaled)
                 np.matmul(real, scaled.view(float), out=out.view(float))
-            derived_mag = np.abs(derived, out=derived_mag_buf[:b])
-            np.max(derived_mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
+            mag = np.abs(derived, out=derived_mag_buf[:b])
+            np.max(mag.reshape(b, n_stored, step - 1, n_tau), axis=3,
                    out=by_coset[i0:i0 + b, :, 1:])
-        # the first row holding the block's maximum holds its first peak;
-        # a NaN wins both argmaxes
-        r = int(row_peaks[i0 * n_aod:(i0 + b) * n_aod].argmax())
-        i, j = divmod(r, n_aod)
-        q, s = divmod(j, step)
-        if s:
-            c = q * (step - 1) + s - 1
-            row, row_mag, phase = derived[i, c], derived_mag[i, c], post[c]
-        else:
-            row, row_mag, phase = block[i, q], mag[i, q], 1
-        k = int(row_mag.argmax())
-        if aoa_phase is not None:
-            phase = phase * aoa_phase[i0 + i]
-        return float(row_mag[k]), (i0 * n_aod + r) * n_tau + k, complex(row[k] * phase)
 
     return scan
 
 
-def peak_sweep(
-    grid: BeamspaceGrid,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
-    row_peaks: np.ndarray | None = None,
-) -> tuple[int, int, int, complex]:
-    """Peak of ``|grid - footprints|`` in one pass.
+def peak_sweep(grid: BeamspaceGrid,
+               factors: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """One pass over the grid: subtract footprints from the stored plane, if
+    any are given, and record the maximum magnitude of every lattice row.
 
     ``factors`` are the rank-K factors ``(left, right)`` of K footprints on
-    the ``(aoa*aod, delay)`` view of the whole lattice, or None for no
-    footprint: ``left[:, k]`` is the gain times the outer product of the
-    AoA and AoD ``_footprint`` factors of footprint k, flattened, and
-    ``right[k]`` its delay factor.  Walks blocks of stored AoA rows: those
+    the ``(aoa*aod, delay)`` view of the whole lattice, or None for none:
+    ``left[:, k]`` is the gain times the outer product of the AoA and AoD
+    ``_footprint`` factors of footprint k, flattened, and ``right[k]`` its
+    delay factor.  The maxima, one float per row of the view, go into the
+    grid's ``_row_peaks``, allocated on its first pass.  A pass finds no
+    peak: ``tentative_peak`` does, over the rows that a caller keeps by
+    these maxima.
+
+    The full pass (``_full_sweep``) walks blocks of stored AoA rows: those
     of one scan (``_scan_rows``), or ``_AOA_GROUPS`` where AoA rows are
     derived.  Each block gets all footprints subtracted from its stored
-    rows as one rank-K product, written back.  The read-only scan then
-    derives the other rows and takes the magnitudes and maxima of every
-    (AoA, AoD) row (``_row_scan``).  On a grid that derives AoA rows every
-    block is written first, and then each block's derived AoA rows are
-    made from the whole plane (``_derived_aoa_rows``) and its lattice AoA
-    rows are scanned in order, ``_scan_rows`` at a time (stacked into one
-    buffer where that is more than one); on any other grid a block is
-    written and scanned in the same step.  The first maximum in (aoa,
-    aod, delay) order over stored and derived rows is kept, so exact
-    magnitude ties resolve to the lowest index triple, as in ``np.argmax``
-    over the whole lattice.  The row maxima go into
-    ``row_peaks`` (one float per row of the view) if it is given, for the
-    picker's row bound.  A sweep with footprints drops the grid's row cache
-    (``_LatticeRows.drop``); given ``row_peaks`` on a grid that derives AoA
-    rows, it also copies the derived AoA rows of the groups that
-    ``_LatticeRows.refill_slots`` picks into the cache's held rows as it
-    makes them.  The stored plane must be C-contiguous when there
-    are footprints (ValueError otherwise, before anything is written); with
-    none it is only read.  A large grid's blocks run in contiguous spans on
-    ``pool.run_blocks``; block shapes do not depend on the split, each span
-    lists its peaks and one merge walks them in order, so the peak does not
-    depend on the split.
+    rows as one rank-K product, written back, and ``_row_scan`` derives its
+    other AoD rows and records the maxima.  On a grid that derives AoA rows
+    every block is written first, as a derived AoA row reads every stored
+    one; then each block's derived AoA rows are made from the whole plane
+    (``_derived_aoa_rows``) and its lattice AoA rows are scanned in order,
+    ``_scan_rows`` at a time.  A large grid's blocks run in contiguous
+    spans on ``pool.run_blocks``; block shapes do not depend on the split,
+    so neither do the bits.
 
-    Returns the peak's index triple and the complex difference there; an
-    all-zero difference reports index (0, 0, 0) and value 0.  Raises
-    ValueError on an empty grid or a magnitude that is not finite, naming
-    the lowest offending index that a span reached; in that case the blocks
-    of its span up to and including the offending one are already written,
-    and so may be blocks of the other spans (every block, on a grid that
-    derives AoA rows, where such a value also reaches every derived AoA
-    row).
+    A grid that stores every row (``BeamspaceGrid._steps`` (1, 1)) and
+    already has maxima, swept with footprints that reach some rows but not
+    all, gets the restricted pass (``_reached_rows``, ``_reached_sweep``):
+    only the rows where a ``left`` column is nonzero are rewritten and
+    rescanned, with the full pass's bits, and every other row and its
+    maximum stay as they are.  At critical sampling a lattice footprint
+    reaches one row, the axis kernel being exactly 0 at every nonzero
+    multiple of os.  A grid that derives rows always gets the full pass,
+    as a derived row reads every stored row of its AoA row, or every
+    stored AoA row.
 
-    The rows a sweep touches.  A grid that derives rows is read whole, and
-    with footprints every stored row is rewritten.  A grid that stores
-    every row (``BeamspaceGrid._steps`` (1, 1)), swept with footprints and
-    handed as ``row_peaks`` the array that its last pass recorded
-    (``BeamspaceGrid._row_peaks``: the transform's, or an earlier sweep's),
-    reads ``row_peaks`` as well as writing it: those must be the maxima of
-    the grid as it stands, as the transform and the picker keep them.  If
-    the footprints reach some rows but not all, where a ``left`` column is
-    nonzero, and its full-pass block products run on BLAS's matrix kernel
-    (``_reached_rows``: more than one delay, two view rows or more a
-    block), it rewrites and rescans only the reached rows
-    (``_reached_sweep``), with the bits, row maxima and peak of the full
-    pass; every other row is left as it is, and every reached row is
-    written before a non-finite value raises.  Handed no ``row_peaks``, a
-    fresh array, or no footprints, the sweep is the full pass.  A pass
-    handed ``row_peaks`` keeps them as the grid's once it has recorded
-    them; a writing pass handed none, or a pass that raises after it began
-    to write or record, clears them, and a read-only pass handed none
-    leaves them.  ``BeamspaceGrid._swept_rows`` counts the rows that
-    writing sweeps rescanned.
+    A sweep with footprints drops the grid's row cache
+    (``_LatticeRows.drop``); on a grid that derives AoA rows it also copies
+    the derived AoA rows of the groups that ``_LatticeRows.refill_slots``
+    picks by the maxima before the pass into the cache's held rows as it
+    makes them.  ``BeamspaceGrid._swept_rows`` counts the rows that writing
+    sweeps rescanned.
+
+    Raises ValueError on an empty grid, and, with footprints, on a stored
+    plane that is not C-contiguous, before anything is written.  A pass
+    always finishes, so the plane and its maxima agree; then, where a
+    maximum is not finite, it raises the ValueError of ``tentative_peak``
+    over exactly those rows.
     """
-    return _sweep(grid, factors, row_peaks)
-
-
-def _sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
-           row_peaks: np.ndarray | None) -> tuple[int, int, int, complex]:
-    """``peak_sweep``, which also makes the first pass of a transform that
-    derives AoA rows.  It picks the pass: ``_reached_sweep`` where the
-    footprints reach some rows but not all (``_reached_rows``), the full
-    pass (``_full_sweep``) otherwise.  It keeps as the grid's row maxima
-    the ``row_peaks`` that the pass records, clears them while a pass
-    that writes or records runs (so a pass that raises leaves none), and
-    counts the rescanned rows of a writing pass."""
     plane = grid._plane
     if plane.size == 0:
         raise ValueError("empty beamspace grid")
     if factors is not None and not plane.flags.c_contiguous:
         raise ValueError("grid values must be C-contiguous to be updated in place")
     reached = None
-    if factors is not None and row_peaks is not None and row_peaks is grid._row_peaks:
+    if grid._row_peaks is None:
+        grid._row_peaks = np.empty(grid.shape[0] * grid.shape[1])
+    elif factors is not None:
         reached = _reached_rows(grid, factors[0])
-    if factors is not None or row_peaks is not None:
-        grid._row_peaks = None  # until this pass has recorded them
-    if reached is not None:
-        peak = _reached_sweep(grid, factors, row_peaks, reached)
+    if reached is None:
+        _full_sweep(grid, factors)
     else:
-        peak = _full_sweep(grid, factors, row_peaks)
+        _reached_sweep(grid, factors, reached)
     if factors is not None:
-        grid._swept_rows += grid.shape[0] * grid.shape[1] if reached is None else len(reached)
-    if row_peaks is not None:
-        grid._row_peaks = row_peaks
-    return peak
+        grid._swept_rows += len(grid._row_peaks) if reached is None else len(reached)
+    bad = np.flatnonzero(~np.isfinite(grid._row_peaks))
+    if len(bad):
+        with np.errstate(invalid="ignore"):
+            tentative_peak(grid, None, bad)
 
 
-def _full_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None,
-                row_peaks: np.ndarray | None) -> tuple[int, int, int, complex]:
+def _full_sweep(grid: BeamspaceGrid,
+                factors: tuple[np.ndarray, np.ndarray] | None) -> None:
     "The pass of ``peak_sweep`` that writes and scans every block."
-    plane = grid._plane
+    plane, row_peaks = grid._plane, grid._row_peaks
     n_rows, n_stored, n_tau = plane.shape
     n_aoa, n_aod, _ = grid.shape
     step = grid._steps[0]
@@ -811,10 +719,8 @@ def _full_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | No
             # sweep refills its held derived AoA rows with those it makes
             cache = grid._lattice_rows
             cache.drop()
-            if derives and row_peaks is not None:
+            if derives:
                 slots = cache.refill_slots(row_peaks, step)
-    if row_peaks is None:
-        row_peaks = np.empty(n_aoa * n_aod)
     aoa_rows = _scan_rows(grid.shape, grid._steps[1])
     rows = _AOA_GROUPS if derives else aoa_rows
 
@@ -837,46 +743,37 @@ def _full_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | No
         # pending footprints take 7 ms a pass on one thread
         run_blocks(write, n_rows, rows, n_stored * n_tau * len(factors[1]))
 
-    def sweep(start: int, stop: int) -> list[tuple[float, int, complex]]:
-        """(magnitude, flat index, value) of each scanned block's first
-        peak, up to the first block holding one that is not finite."""
-        scan = _row_scan(grid._kernels[1], grid._aoa_phase if derives else None,
-                         row_peaks, aoa_rows, n_stored, n_tau)
+    def sweep(start: int, stop: int) -> None:
+        scan = _row_scan(grid._kernels[1], row_peaks, aoa_rows, n_stored, n_tau)
         if derives:
             per = step - 1
             slab_buf = np.empty((max(2, rows * per), n_stored, n_tau), dtype=complex)
             stack_buf = np.empty((aoa_rows, n_stored, n_tau), dtype=complex)
         elif factors is not None:
             buf = np.empty((rows * n_stored, n_tau), dtype=complex)
-        peaks = []
-        # an inf value makes NaNs in the products: the merge names it
+        # an inf value makes NaNs in the products: ``peak_sweep`` names it
         with np.errstate(invalid="ignore"):
             for p0 in range(start, stop, rows):
-                p1, first = min(p0 + rows, n_rows), len(peaks)
+                p1 = min(p0 + rows, n_rows)
                 if not derives:
                     if factors is not None:
                         subtract(p0, p1, buf)
-                    peaks.append(scan(p0, plane[p0:p1]))
-                else:
-                    made, slabs = _derived_aoa_rows(grid, list(range(p0, p1)), slab_buf)
-                    if slots is not None:
-                        cache.refill(slots, made, slabs, range(p0, p1), step)
-                    lattice = []  # the block's lattice AoA rows, in order
-                    for p in range(p0, p1):
-                        at = (p - made[0]) * per
-                        lattice += [plane[p], *slabs[at:at + per]]
-                    for k in range(0, len(lattice), aoa_rows):
-                        part = lattice[k:k + aoa_rows]
-                        block = (part[0][None] if len(part) == 1
-                                 else np.stack(part, out=stack_buf[:len(part)]))
-                        peaks.append(scan(p0 * step + k, block))
-                if not all(math.isfinite(peak[0]) for peak in peaks[first:]):
-                    break
-        return peaks
+                    scan(p0, plane[p0:p1])
+                    continue
+                made, slabs = _derived_aoa_rows(grid, list(range(p0, p1)), slab_buf)
+                if slots is not None:
+                    cache.refill(slots, made, slabs, range(p0, p1), step)
+                lattice = []  # the block's lattice AoA rows, in order
+                for p in range(p0, p1):
+                    at = (p - made[0]) * per
+                    lattice += [plane[p], *slabs[at:at + per]]
+                for k in range(0, len(lattice), aoa_rows):
+                    part = lattice[k:k + aoa_rows]
+                    block = (part[0][None] if len(part) == 1
+                             else np.stack(part, out=stack_buf[:len(part)]))
+                    scan(p0 * step + k, block)
 
-    return _first_peak(
-        chain.from_iterable(run_blocks(sweep, n_rows, rows, step * n_aod * n_tau)),
-        grid.shape)
+    run_blocks(sweep, n_rows, rows, step * n_aod * n_tau)
 
 
 def _reached_rows(grid: BeamspaceGrid, left: np.ndarray) -> np.ndarray | None:
@@ -899,33 +796,26 @@ def _reached_rows(grid: BeamspaceGrid, left: np.ndarray) -> np.ndarray | None:
 
 
 def _reached_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
-                   row_peaks: np.ndarray, reached: np.ndarray) -> tuple[int, int, int, complex]:
-    """``peak_sweep`` with footprints on a grid that stores every row, handed
-    the row maxima of its plane as it stands (``BeamspaceGrid._row_peaks``),
-    writing only the ``reached`` rows of the ``(aoa*aod, delay)`` view
-    (``_reached_rows``).
-
-    Those rows are gathered in chunks of at most ``_BLOCK_ENTRIES``
+                   reached: np.ndarray) -> None:
+    """The pass of ``peak_sweep`` that writes and rescans only the
+    ``reached`` rows of the ``(aoa*aod, delay)`` view (``_reached_rows``),
+    on a grid that stores every row and has the maxima of its plane as it
+    stands.  They are gathered in chunks of at most ``_BLOCK_ENTRIES``
     entries into preallocated buffers, written, stored back and rescanned
-    into ``row_peaks``.  Every other row is unchanged, so its recorded
-    maximum stays exact.  A reached row gets the bits of the full pass, as
-    both products run on BLAS's matrix kernel; a lone row is made with a
-    second one, as a product of one row would run on its vector kernel.
-    The peak is the full pass's: per block of that pass, the first row
-    holding its largest row maximum and that row's first maximum, merged by
-    ``_first_peak``, so ties and the non-finite ValueError are the same;
-    every reached row is written before it raises."""
+    into ``BeamspaceGrid._row_peaks``.  A reached row gets the bits of the
+    full pass, as both products run on BLAS's matrix kernel; a lone row is
+    made with a second one, as a product of one row would run on its
+    vector kernel."""
     left, right = factors
     n_tau = grid.shape[2]
     flat = grid._plane.reshape(-1, n_tau)
-    per = _scan_rows(grid.shape, 1) * grid.shape[1]  # view rows per block of the full pass
     size = max(1, _BLOCK_ENTRIES // n_tau)
     room = max(2, min(len(reached), size))
     block_buf = np.empty((room, n_tau), dtype=complex)
     mag_buf = np.empty((room, n_tau))
     left_buf = np.zeros((room, left.shape[1]), dtype=complex)
     kernel_buf = np.empty((room, n_tau), dtype=complex)
-    # an inf value makes NaNs in the products: the merge names it
+    # an inf value makes NaNs in the products: ``peak_sweep`` names it
     with np.errstate(invalid="ignore"):
         for c0 in range(0, len(reached), size):
             at = reached[c0:c0 + size]
@@ -935,15 +825,7 @@ def _reached_sweep(grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray],
             np.dot(left_buf[:m], right, out=kernel_buf[:m])
             np.subtract(block, kernel_buf[:n], out=block)
             flat[at] = block
-            row_peaks[at] = np.max(np.abs(block, out=mag_buf[:n]), axis=1)
-
-    def peaks():
-        for r0 in range(0, len(flat), per):
-            r = r0 + int(row_peaks[r0:r0 + per].argmax())
-            mag = np.abs(flat[r])
-            k = int(mag.argmax())
-            yield float(mag[k]), r * n_tau + k, complex(flat[r, k])
-    return _first_peak(peaks(), grid.shape)
+            grid._row_peaks[at] = np.max(np.abs(block, out=mag_buf[:n]), axis=1)
 
 
 def _bound_rows(row_peaks: np.ndarray, reach: np.ndarray,
@@ -1183,33 +1065,37 @@ class _LatticeRows:
 
 
 def tentative_peak(
-    grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray], rows: np.ndarray,
+    grid: BeamspaceGrid, factors: tuple[np.ndarray, np.ndarray] | None, rows: np.ndarray,
 ) -> tuple[int, int, int, complex]:
-    """``peak_sweep``'s peak of ``|grid - footprints|`` over the lattice
-    rows ``rows`` alone, read-only and without a pass over the grid.
+    """Peak of ``|grid - footprints|`` over the lattice rows ``rows``,
+    read-only and without a pass over the grid: the one peak finder.
 
     ``factors`` are the footprints' factors, as ``peak_sweep`` takes them,
-    and ``rows`` ascending indices of rows of the ``(aoa*aod, delay)``
-    view, such as those that ``_PendingFootprints`` keeps by its row
-    bound.  Exactly
-    those rows are evaluated, in blocks of half the sweep's size, each
-    gathered by one ``np.take`` from ``grid._lattice_rows`` and its
-    footprints subtracted in one call.  Ties, the all-zero result (also of
-    no rows) and the non-finite ValueError are ``peak_sweep``'s.
+    or None for none, and ``rows`` ascending indices of rows of the
+    ``(aoa*aod, delay)`` view, such as those that ``_PendingFootprints``
+    keeps by its row bound.  Exactly those rows are evaluated, in blocks of
+    half the sweep's size, each gathered by one ``np.take`` from
+    ``grid._lattice_rows`` and its footprints subtracted in one call.
+
+    Returns the index triple and the complex difference of the first
+    maximum in (aoa, aod, delay) order, so exact magnitude ties resolve to
+    the lowest index triple, as ``np.argmax`` over the rows does; an
+    all-zero difference, or no rows, gives index (0, 0, 0) and value 0.
+    Raises ValueError on an empty grid, and at the first magnitude over the
+    rows that is not finite, NaN or inf, naming its index whatever the
+    block sizes; ``peak_sweep`` raises it over the rows whose maximum is
+    not finite.
     """
     if grid._plane.size == 0:
         raise ValueError("empty beamspace grid")
     n_tau = grid._plane.shape[2]
-    left, right = factors
     size = min(len(rows), max(1, _BLOCK_ENTRIES // 2 // n_tau))
     block_buf = np.empty((size, n_tau), dtype=complex)
     kernel_buf = np.empty((size, n_tau), dtype=complex)
     mag_buf = np.empty((size, n_tau))
     row_buf = np.empty(size)
     cache = grid._lattice_rows
-    # the block peaks are collected here, not drained from a generator by
-    # ``_first_peak``, so a profile bills their evaluation to this function
-    peaks = []
+    best, best_at, best_value = -1.0, 0, 0j
     for p0 in range(0, len(rows), cache.limit):
         part = rows[p0:p0 + cache.limit]
         source, slots = cache.gather(grid, part)
@@ -1218,14 +1104,24 @@ def tentative_peak(
             n = len(at)
             block = np.take(source, slots[c0:c0 + size], axis=0,
                             out=block_buf[:n], mode="clip")
-            np.subtract(block, np.dot(left[at], right, out=kernel_buf[:n]),
-                        out=block)
+            if factors is not None:
+                np.subtract(block, np.dot(factors[0][at], factors[1], out=kernel_buf[:n]),
+                            out=block)
             mag = np.abs(block, out=mag_buf[:n])
-            peak, r, k = _block_peak(mag, np.max(mag, axis=1, out=row_buf[:n]))
-            peaks.append((peak, int(at[r]) * n_tau + k, complex(block[r, k])))
-            if not math.isfinite(peak):  # the merge names it
-                return _first_peak(peaks, grid.shape)
-    return _first_peak(peaks, grid.shape)
+            row_max = np.max(mag, axis=1, out=row_buf[:n])
+            # the first row holding the block's maximum holds its first
+            # peak; a NaN or inf maximum means a value that is not finite
+            r = int(row_max.argmax())
+            if not math.isfinite(row_max[r]):
+                r = int(np.flatnonzero(~np.isfinite(row_max))[0])
+                k = int(np.flatnonzero(~np.isfinite(mag[r]))[0])
+                i, j, l = np.unravel_index(int(at[r]) * n_tau + k, grid.shape)
+                raise ValueError(f"non-finite beamspace magnitude at grid index ({i}, {j}, {l})")
+            k = int(mag[r].argmax())
+            if mag[r, k] > best:
+                best, best_at, best_value = mag[r, k], int(at[r]) * n_tau + k, complex(block[r, k])
+    i, j, l = np.unravel_index(best_at, grid.shape)
+    return int(i), int(j), int(l), best_value
 
 
 # pending footprints, and share of the rows their bound keeps, past which a
@@ -1239,11 +1135,12 @@ class _PendingFootprints:
     into it: the one picker of greedy-LS (and so ``greedy_extract``) and SAGE,
     and the one owner of its column layout and its row bound.
 
-    The grid is ``beamspace_transform`` of the response, which records the
-    row peaks: the first of the grid passes that ``sweeps`` counts and whose
-    wall seconds ``pass_s`` sums.  A footprint is a column of the factors
-    ``left`` and ``right``, a path's ``unit`` footprint times a gain, with
-    its row bound ``bounds[column]``, |gain| times the unit's.  The first
+    The grid is ``beamspace_transform`` of the response, whose first pass
+    records the row maxima (``BeamspaceGrid._row_peaks``) that the row
+    bound reads: the first of the grid passes that ``sweeps`` counts and
+    whose wall seconds ``pass_s`` sums.  A footprint is a column of the
+    factors ``left`` and ``right``, a path's ``unit`` footprint times a
+    gain, with its row bound ``bounds[column]``, |gain| times the unit's.  The first
     ``pending`` columns are not yet written (``append``); the ``held`` ones
     after them are a caller's candidates (``hold``), which the next
     ``append`` drops.  The arrays, allocated once, have ``_MAX_PENDING`` +
@@ -1253,9 +1150,8 @@ class _PendingFootprints:
     def __init__(self, response: FrequencyResponse, spec: GridSpec, extra: int):
         config = response.config
         n_rows = config.n_rx * spec.os_aoa * config.n_tx * spec.os_aod
-        self.row_peaks = np.empty(n_rows)
         start = time.perf_counter()
-        self.grid = beamspace_transform(response, spec, self.row_peaks)
+        self.grid = beamspace_transform(response, spec)
         self.pass_s = time.perf_counter() - start
         columns = _MAX_PENDING + extra
         # Fortran order: a column is contiguous, as a ``right`` or ``bounds``
@@ -1329,13 +1225,13 @@ class _PendingFootprints:
         own bound, so the row is always kept."""
         n = self.pending + self.held
         factors, reach = (self.left[:, :n], self.right[:n]), self.bounds[:n].sum(axis=0)
-        floor = None
+        row_peaks, floor = self.grid._row_peaks, None
         if near is not None:
             i, j, l = _nearest_point(self.grid, near)
             row = i * self.grid.shape[1] + j
             floor = min(abs(_point_value(self.grid, i, j, l, factors)),
-                        self.row_peaks[row] + reach[row])
-        return factors, _bound_rows(self.row_peaks, reach, floor)
+                        row_peaks[row] + reach[row])
+        return factors, _bound_rows(row_peaks, reach, floor)
 
     def pick(self, refine: bool = False, near: PathParams | None = None) -> PathParams:
         """The peak of the grid minus the pending and held footprints, as a
@@ -1346,21 +1242,18 @@ class _PendingFootprints:
         It is the one choice of a full sweep: when none is held and
         ``_MAX_PENDING`` are pending or the kept rows are more than
         ``_MAX_KEPT_SHARE`` of all, one ``peak_sweep`` first writes the
-        pending footprints into the grid and records the row peaks again,
-        none is pending, and the rows are kept once more.  The sweep is
-        handed ``row_peaks``, which the transform recorded and each sweep
-        refreshes, so on a grid that stores every row it rewrites and
-        rescans only the rows that the pending footprints reach (where a
-        ``left`` column is nonzero), one row a lattice commit at
-        oversample 1, and reads the other rows' maxima from them; where
-        they reach every row it is the full pass (``_reached_rows``).
+        pending footprints into the grid and records the row maxima again,
+        none is pending, and the rows are kept once more.  On a grid that
+        stores every row that sweep rewrites and rescans only the rows that
+        the pending footprints reach, one row a lattice commit at
+        oversample 1.
         """
         factors, rows = self._kept(near)
         if self.pending and not self.held and (
                 self.pending >= _MAX_PENDING
-                or len(rows) > _MAX_KEPT_SHARE * len(self.row_peaks)):
+                or len(rows) > _MAX_KEPT_SHARE * len(self.grid._row_peaks)):
             start = time.perf_counter()
-            peak_sweep(self.grid, factors, self.row_peaks)
+            peak_sweep(self.grid, factors)
             self.pass_s += time.perf_counter() - start
             self.sweeps += 1
             self.pending, self.critical = 0, None
@@ -1370,35 +1263,45 @@ class _PendingFootprints:
 
 
 def _picker_bytes(config: SounderConfig, spec: GridSpec, extra: int) -> int:
-    """Bytes that a ``_PendingFootprints`` with ``extra`` columns allocates
-    for a response of ``config`` on ``spec``: the stored plane
-    (``GridSpec._plane_bytes``); where that holds every AoA row, the
-    transform's AoD- and delay-transformed lines (n_rx x n_tx x n_tau
-    values), and otherwise, the lines being the plane, the derived AoA
-    rows' stored rows that its row cache holds at most (``_held_groups``);
-    the ``_MAX_PENDING``
-    + ``extra`` factor columns of n_aoa*n_aod complex128 values with their
-    float64 row bounds; what the rest of its row cache (``_LatticeRows``)
-    allocates: an int64 slot per (AoA, AoD) row, and, where the grid derives
-    rows, the lattice rows that its tentative picks hold at most
-    (``_held_rows``) and an int64 slot per AoA row where it derives AoA
-    rows (a grid that stores every row holds a view of its plane); and its
-    grid's ``_offset_tables`` (2n - 1 complex128 phases and float64 reals
-    for an axis of n points)."""
-    n_aoa, n_aod = config.n_rx * spec.os_aoa, config.n_tx * spec.os_aod
-    n_tau = config.n_freq * spec.os_delay
-    plane = spec._plane_bytes(config)
-    step = spec._aoa_step(config)
-    second = 16 * config.n_tx * n_tau * (config.n_rx if step == 1 else
-                                         _held_groups(spec.os_aoa - 1, config.n_rx)
-                                         * (spec.os_aoa - 1))
-    cache = 8 * n_aoa * n_aod
+    """Bytes that a ``_PendingFootprints`` with ``extra`` columns needs for a
+    response of ``config`` on ``spec``: the stored plane
+    (``GridSpec._plane_bytes``) and the larger of two phases, as the
+    transform's buffers are freed before the picker allocates its own.
+
+    - The transform: where the plane holds every AoA row, the AoD- and
+      delay-transformed lines (n_rx x n_tx x n_tau values), and otherwise
+      the response in the AoA real frame (n_rx x n_tx x n_freq), the lines
+      being the plane; the lattice matrices ([n_aoa x n_rx], [n_aod x
+      n_tx] and [n_freq x n_tau]); and one block of the AoD product (the rx
+      rows of ``_LINE_BLOCK`` lines, n_freq values each), all complex128.
+    - The picker: the grid's row maxima, a float64 per (AoA, AoD) row; the
+      ``_MAX_PENDING`` + ``extra`` factor columns of n_aoa*n_aod complex128
+      values with their float64 row bounds, and their complex128 delay
+      rows; its row cache (``_LatticeRows``): an int64 slot per (AoA, AoD)
+      row and, where the grid derives rows, the lattice rows that its
+      tentative picks hold at most (``_held_rows``), and where it derives
+      AoA rows the derived AoA rows' stored rows (``_held_groups``) and an
+      int64 slot per AoA row (a grid that stores every row holds a view of
+      its plane); the grid's ``_offset_tables`` (2n - 1 complex128 phases
+      and float64 reals for an axis of n points); and the buffers of a
+      ``tentative_peak`` block, two complex128 and a float64 per entry and
+      a float64 per row."""
+    n_rx, n_tx, n_freq = config.n_rx, config.n_tx, config.n_freq
+    n_aoa, n_aod, n_tau = n_rx * spec.os_aoa, n_tx * spec.os_aod, n_freq * spec.os_delay
+    n_rows, columns, step = n_aoa * n_aod, _MAX_PENDING + extra, spec._aoa_step(config)
+    rx_rows = min(n_rx, max(1, _LINE_BLOCK // n_tx))
+    transform = 16 * (n_rx * n_tx * (n_tau if step == 1 else n_freq) + n_aoa * n_rx
+                      + n_aod * n_tx + n_freq * n_tau + rx_rows * n_tx * n_freq)
+    cache = 8 * n_rows
     if (step, spec.os_aod) != (1, 1):
         cache += 16 * _held_rows((n_aoa, n_aod, n_tau)) * n_tau
     if step > 1:
-        cache += 8 * n_aoa
-    return (plane + second + (16 + 8) * n_aoa * n_aod * (_MAX_PENDING + extra)
-            + cache + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3))
+        per = spec.os_aoa - 1
+        cache += 16 * _held_groups(per, n_rx) * per * n_tx * n_tau + 8 * n_aoa
+    block = min(n_rows, max(1, _BLOCK_ENTRIES // 2 // n_tau))
+    picker = (8 * n_rows + (16 + 8) * n_rows * columns + 16 * columns * n_tau + cache
+              + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3) + (40 * n_tau + 8) * block)
+    return spec._plane_bytes(config) + max(transform, picker)
 
 
 # curvature, relative to the samples, below which a parabola is flat: far

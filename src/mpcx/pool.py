@@ -2,7 +2,7 @@
 
 ``peak_sweep`` and the stages of the lattice transform walk a large grid in
 independent row blocks, and numpy releases the interpreter lock inside the
-products, magnitudes and argmaxes of a block.  ``run_blocks`` cuts a
+products, magnitudes and maxima of a block.  ``run_blocks`` cuts a
 kernel's blocks into contiguous spans of whole blocks, one per CPU of the
 process's affinity mask, and runs them on threads that live only while the
 split runs.  A kernel below ``_MIN_SPAN_ENTRIES`` entries per span stays one

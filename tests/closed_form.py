@@ -8,14 +8,17 @@ same normalized inner products written as Dirichlet kernels.  The scalar
 forms (one steering vector, one beamspace point, one pair cost, one Gram
 condition number) are what the stages compute in bulk.  The footprint
 factors of a path list and the rows that a bound on them keeps are what
-the picker builds column by column.
+the picker builds column by column.  A grid's peak is ``tentative_peak``
+over every row (``grid_peak``), and the dense oracle of it and of the row
+maxima that a grid pass records is ``np.argmax`` and ``np.max`` of the
+whole lattice (``dense_peak``).
 """
 
 import numpy as np
 
 from mpcx import FrequencyResponse, PathParams, SounderConfig, synthesize_response
 from mpcx.assoc import ResolutionSpec, _axis_errors, _cost_matrix
-from mpcx.beamspace import _bound_rows
+from mpcx.beamspace import _bound_rows, tentative_peak
 from mpcx.extract import _gram_condition, _normal_equations
 from mpcx.sounder import _matched_filter, _steering_matrices
 
@@ -130,3 +133,18 @@ def kept_rows(row_peaks, factors, floor=None):
     most sum_k |left[r, k]| * max_l |right[k, l]|."""
     left, right = factors
     return _bound_rows(row_peaks, np.abs(left) @ np.abs(right).max(axis=1), floor)
+
+
+def grid_peak(grid):
+    """``tentative_peak`` over every row of the ``(aoa*aod, delay)`` view of
+    ``grid``, without footprints: the peak of the grid as it stands."""
+    return tentative_peak(grid, None, np.arange(grid.shape[0] * grid.shape[1]))
+
+
+def dense_peak(values):
+    """The dense oracle of a whole lattice tensor: the index triple and
+    value of the first maximum of ``|values|`` (``np.argmax``), and the
+    maximum magnitude of every (AoA, AoD) row."""
+    mag = np.abs(values)
+    i, j, l = (int(k) for k in np.unravel_index(int(np.argmax(mag)), values.shape))
+    return (i, j, l, complex(values[i, j, l])), mag.reshape(-1, values.shape[2]).max(axis=1)

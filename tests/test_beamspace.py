@@ -32,7 +32,9 @@ from closed_form import (
     angle_kernel,
     beamspace_point,
     delay_kernel,
+    dense_peak,
     footprint_factors,
+    grid_peak,
     kept_rows,
 )
 
@@ -304,6 +306,14 @@ def hand_case(shape):
     return cfg, GridSpec(os_aoa=1, os_aod=1, os_delay=1)
 
 
+def assert_swept(grid, peak):
+    """A pass over ``grid`` recorded the dense oracle's row maxima, and
+    ``grid_peak`` finds the dense oracle's ``peak`` of the grid."""
+    dense, maxima = dense_peak(grid.values)
+    np.testing.assert_array_equal(grid._row_peaks, maxima)
+    assert grid_peak(grid) == dense == peak
+
+
 def test_peak_sweep_ties_across_blocks_take_lowest_index():
     cfg, spec = hand_case((4, 3, 5))
     values = np.zeros((4, 3, 5), dtype=complex)
@@ -313,7 +323,9 @@ def test_peak_sweep_ties_across_blocks_take_lowest_index():
     values[1, 2, 3] = 2.0
     for block in (1, 5, 7, 15, 60):
         with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-            assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (1, 1, 0, 3j)
+            grid = BeamspaceGrid(values, spec, cfg)
+            peak_sweep(grid)
+            assert_swept(grid, (1, 1, 0, 3j))
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.nan),
@@ -412,7 +424,9 @@ def test_peak_sweep_write_needs_contiguous_grid():
     assert not values.any()
     # with no kernels nothing is written, so any layout will do
     values[1, 2, 3] = 2j
-    assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (1, 2, 3, 2j)
+    grid = BeamspaceGrid(values, spec, cfg)
+    peak_sweep(grid)
+    assert_swept(grid, (1, 2, 3, 2j))
 
 
 def test_transform_zero_response():
@@ -520,8 +534,10 @@ def test_peak_sweep_subtraction_equals_residual_transform():
     assert np.linalg.norm(grid.values - expected.values) / scale < 1e-9
 
 
-def test_peak_sweep_needs_contiguous_grid_and_may_stop_part_way():
-    "The sweep writes block by block; a non-finite entry stops it mid-grid."
+def test_peak_sweep_needs_contiguous_grid_and_finishes_before_raising():
+    """The sweep writes block by block; a non-finite entry stops it only
+    once every block is written, and the row maxima are those of the
+    written grid."""
     cfg, spec = hand_case((4, 3, 5))
     path = PathParams(gain=1 + 0j, delay=0.0, aod=0.0, aoa=0.0)
     strided = np.ones((4, 3, 10), dtype=complex)[:, :, ::2]
@@ -537,8 +553,8 @@ def test_peak_sweep_needs_contiguous_grid_and_may_stop_part_way():
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15):  # one AoA row a block
         with pytest.raises(ValueError, match=r"non-finite .* \(2, 1, 3\)"):
             peak_sweep(grid, footprint_factors(grid, [path]))
-    np.testing.assert_allclose(values[:3], expected[:3], rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(values[3], 1)  # the block after is untouched
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(grid._row_peaks, dense_peak(values)[1])
 
 
 def test_pdp_marginals_properties():
@@ -600,9 +616,11 @@ def test_split_sweep_tie_across_span_edge_takes_lowest_index():
     values[2, 0, 1] = -3.0  # second span
     values[1, 2, 4] = 3j  # first span, same magnitude, lower index
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
-        assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (1, 2, 4, 3j)
-        values[3, 1, 0] = 4.0  # a strictly larger peak in the second span wins
-        assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (3, 1, 0, 4.0)
+        for peak in ((1, 2, 4, 3j), (3, 1, 0, 4.0)):
+            grid = BeamspaceGrid(values, spec, cfg)
+            peak_sweep(grid)
+            assert_swept(grid, peak)
+            values[3, 1, 0] = 4.0  # a strictly larger peak in the second span wins
 
 
 @pytest.mark.parametrize("with_path", [False, True])
@@ -678,7 +696,7 @@ def test_split_sweep_of_a_transform_grid_is_bit_identical(
         n_spans, n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths, block):
     """The transform's first pass and a writing ``peak_sweep`` on a grid that
     derives AoA rows (and AoD rows) give the unsplit bits in any split:
-    the peaks, the row peaks and the written plane.  Their blocks of stored
+    the row peaks of both, the written plane and its peak.  Their blocks of stored
     AoA rows, and the derived AoA rows made per block, do not depend on the
     split; the last block's lone derived row (os_aoa 2, an odd n_rx) is made
     with its neighbour's in every split."""
@@ -691,11 +709,10 @@ def test_split_sweep_of_a_transform_grid_is_bit_identical(
     paths = [random_path(rng, cfg) for _ in range(n_paths)]
 
     def run():
-        row_peaks = np.empty(n_rx * os_aoa * n_tx * os_aod)
-        grid = beamspace_transform(resp, spec, row_peaks)
-        first = row_peaks.copy()
-        peak = peak_sweep(grid, footprint_factors(grid, paths), row_peaks)
-        return first.tobytes(), peak, row_peaks.tobytes(), grid._plane.tobytes()
+        grid = beamspace_transform(resp, spec)
+        first = grid._row_peaks.tobytes()
+        peak_sweep(grid, footprint_factors(grid, paths))
+        return first, grid_peak(grid), grid._row_peaks.tobytes(), grid._plane.tobytes()
 
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
         whole = run()
@@ -726,7 +743,9 @@ def test_run_blocks_waits_for_every_span_before_raising():
 
 def _sweep_in_child(values, spec, cfg, conn):
     with split_into(2):
-        conn.send(peak_sweep(BeamspaceGrid(values, spec, cfg)))
+        grid = BeamspaceGrid(values, spec, cfg)
+        peak_sweep(grid)
+        conn.send(grid._row_peaks)
 
 
 @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
@@ -736,14 +755,16 @@ def test_split_sweep_runs_in_a_forked_child():
     values = np.zeros((4, 3, 5), dtype=complex)
     values[3, 2, 1] = 2.0
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", 15), split_into(2):
-        assert peak_sweep(BeamspaceGrid(values, spec, cfg)) == (3, 2, 1, 2.0)
+        grid = BeamspaceGrid(values, spec, cfg)
+        peak_sweep(grid)
+        assert_swept(grid, (3, 2, 1, 2.0))
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_sweep_in_child, args=(values, spec, cfg, send))
         child.start()
         try:
             assert receive.poll(60), "the child's split sweep did not finish"
-            assert receive.recv() == (3, 2, 1, 2.0)
+            np.testing.assert_array_equal(receive.recv(), grid._row_peaks)
         finally:
             child.join(10)
             if child.is_alive():
@@ -826,6 +847,31 @@ def test_picker_on_the_paper_lattice_holds_less_than_half_the_old_plane():
     assert peak < old_plane / 2, f"peak {peak / old_plane:.2f}x the old plane"
 
 
+@pytest.mark.parametrize("oversample", [1, 2, 3, 4])
+def test_picker_bytes_bound_the_picker_peak_within_a_tenth(oversample):
+    """``_picker_bytes``, what extract's memory preflight asks, is at least
+    the tracemalloc peak of building a ``_PendingFootprints`` with 4
+    candidate columns on a random paper-config tensor, its row cache and
+    offset tables included, and at most a tenth above it: the larger of
+    the transform's phase (at oversample 1) and the picker's."""
+    cfg = fileio.load_sounder_config("paper")
+    rng = np.random.default_rng(3)
+    shape = (cfg.n_rx, cfg.n_tx, cfg.n_freq)
+    resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             config=cfg)
+    spec = GridSpec(oversample, oversample, oversample)
+    with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", AOA_PLANE_ENTRIES):
+        tracemalloc.start()
+        try:
+            picks = beamspace._PendingFootprints(resp, spec, 4)
+            picks.grid._lattice_rows, picks.grid._offset_tables
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        asked = beamspace._picker_bytes(cfg, spec, 4)
+    assert peak <= asked <= 1.1 * peak, f"asked {asked / peak:.3f}x the peak"
+
+
 def test_grids_up_to_the_aoa_plane_threshold_store_every_aoa_row():
     """A transform stores every AoA row where that plane holds at most
     ``_AOA_PLANE_ENTRIES`` values and derives none, as at os_aoa = 1: the
@@ -862,15 +908,15 @@ def test_rows_after_a_writing_sweep_have_the_bits_of_a_fresh_row_cache(
     resp = FrequencyResponse(values=rng.normal(size=shape) + 1j * rng.normal(size=shape),
                              config=cfg)
     spec = GridSpec(os_aoa=os_aoa, os_aod=os_aod, os_delay=1)
-    row_peaks = np.empty(n_rx * os_aoa * n_tx * os_aod)
-    grid = beamspace_transform(resp, spec, row_peaks)
+    grid = beamspace_transform(resp, spec)
+    row_peaks = grid._row_peaks
     cache = grid._lattice_rows
     n_rows = len(row_peaks)
     cache.gather(grid, np.sort(rng.choice(n_rows, min(n_rows, cache.limit), replace=False)))
     derived = row_peaks.reshape(n_rx, os_aoa, -1)[:, 1:].max(axis=(1, 2))
     held = np.sort(np.argsort(-derived, kind="stable")[:len(cache.slabs) // (os_aoa - 1)])
     with split_into(n_spans):
-        peak_sweep(grid, footprint_factors(grid, [random_path(rng, cfg)]), row_peaks)
+        peak_sweep(grid, footprint_factors(grid, [random_path(rng, cfg)]))
     assert grid._lattice_rows is cache
     assert np.flatnonzero(cache.slab_index[1::os_aoa] >= 0).tolist() == held.tolist()
     for r0 in range(0, n_rows, cache.limit):

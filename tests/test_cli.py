@@ -123,8 +123,9 @@ def test_sage_wall_time_goes_to_the_timings_sidecar_only(run_dir, tmp_path):
 
 def test_sage_grid_passes_go_to_the_timings_sidecar_only(run_dir, tmp_path):
     """Extract writes the grid passes of SAGE's picker, its transform
-    included, as ``sage_full_sweeps`` to timings.json: 1 plus the full
-    sweeps that SAGE makes, and 0 without SAGE.  No text artifact names it."""
+    included, as ``sage_full_sweeps`` to timings.json: the ``peak_sweep``
+    calls that SAGE makes, the transform's first pass among them, and 0
+    without SAGE.  No text artifact names it."""
     assert fileio.load_timings(run_dir / "timings.json")["sage_full_sweeps"] == 0
     out = tmp_path / "sage"
     shutil.copytree(run_dir, out)
@@ -142,7 +143,7 @@ def test_sage_grid_passes_go_to_the_timings_sidecar_only(run_dir, tmp_path):
                      "--kdom", "24", "--residual-stop", "0", "--sage-sweeps", "2",
                      "--out-dir", str(out), "--quiet"]) == 0
     timings = fileio.load_timings(out / "timings.json")
-    assert len(swept) == 1 and timings["sage_full_sweeps"] == 1 + swept[0]
+    assert len(swept) == 1 and timings["sage_full_sweeps"] == swept[0]
     assert not any("sage_full_sweeps" in p.read_text(encoding="utf-8")
                    for p in out.glob("*.txt"))
 
@@ -760,19 +761,30 @@ def _sysconf(pages):
 
 
 def _extract_need(config, os, k_g):
-    """Bytes that extract allocates at oversample ``os``: the stored AoD
-    plane (os^2) plus the transform's delay-transformed lines (os),
-    complex128; the picker's 16 + k_g factor columns (complex128) with their
-    row bounds (float64) over the (AoA, AoD) rows; its row cache, an int64
-    slot per (AoA, AoD) row and, as the grid derives AoD rows, room for
-    every lattice row (complex128; the desk lattice has fewer than 2^20
-    values); and the grid's offset tables, 2n - 1 complex128 phases and
-    float64 reals per axis of n points."""
-    grid = (os * os + os) * config.n_rx * config.n_tx * config.n_freq * 16
-    rows = config.n_rx * config.n_tx * os * os
-    axes = os * (config.n_rx + config.n_tx + config.n_freq)
-    return (grid + (16 + 8) * rows * (16 + k_g) + (8 + 16 * os * config.n_freq) * rows
-            + (16 + 8) * (2 * axes - 3))
+    """Bytes that extract asks at oversample ``os`` on the desk config, whose
+    grid stores every AoA row and derives AoD rows: the stored plane (os^2
+    values per response value) and the larger of two phases.  The
+    transform holds the delay-transformed lines (os values per response
+    value), the lattice matrices and one block of its AoD product, here
+    every rx row's (at most 128 lines), all complex128.  The picker holds
+    the row maxima (a float64 per (AoA, AoD) row); 16 + k_g factor columns
+    (complex128) with their row bounds (float64) and their delay rows
+    (complex128); its row cache, an int64 slot per (AoA, AoD) row and room
+    for every lattice row (complex128; the desk lattice has fewer than 2^20
+    values); the grid's offset tables, 2n - 1 complex128 phases and float64
+    reals per axis of n points; and a tentative pick's block of whole rows,
+    at most 2^15 values, with two complex128 and a float64 per value and a
+    float64 per row."""
+    values = config.n_rx * config.n_tx * config.n_freq
+    n_aoa, n_aod, n_tau = os * config.n_rx, os * config.n_tx, os * config.n_freq
+    rows = n_aoa * n_aod
+    transform = 16 * (os * values + n_aoa * config.n_rx + n_aod * config.n_tx
+                      + config.n_freq * n_tau + values)
+    block = min(rows, (1 << 15) // n_tau)
+    picker = (8 * rows + (16 + 8) * rows * (16 + k_g) + 16 * (16 + k_g) * n_tau
+              + (8 + 16 * n_tau) * rows + (16 + 8) * (2 * (n_aoa + n_aod + n_tau) - 3)
+              + (40 * n_tau + 8) * block)
+    return 16 * os * os * values + max(transform, picker)
 
 
 def test_extract_memory_preflight_counts_the_picker(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,14 @@ from mpcx import (
 )
 from mpcx import beamspace, extract, pool, sounder
 
-from closed_form import angle_kernel, beamspace_point, delay_kernel, ls_condition
+from closed_form import (
+    angle_kernel,
+    beamspace_point,
+    delay_kernel,
+    dense_peak,
+    grid_peak,
+    ls_condition,
+)
 
 # the small grids here run the derived-AoA code of the paper protocol's
 # grids (``beamspace._AOA_PLANE_ENTRIES``)
@@ -83,9 +90,16 @@ def hand_grid(values):
 
 
 def sweep_peak(grid):
-    "Coordinates and value of the peak that a sweep without footprints finds."
-    peak = grid._path_at(*beamspace.peak_sweep(grid))
-    return peak.aoa, peak.aod, peak.delay, peak.gain
+    """Coordinates and value of the peak of ``grid`` after a pass without
+    footprints: ``grid_peak`` is the dense oracle's peak, and the row
+    maxima that the pass recorded are the oracle's, to rounding where the
+    grid derives rows."""
+    beamspace.peak_sweep(grid)
+    peak, maxima = dense_peak(grid.values)
+    assert grid_peak(grid) == peak
+    np.testing.assert_allclose(grid._row_peaks, maxima, rtol=0, atol=1e-12 * maxima.max())
+    path = grid._path_at(*peak)
+    return path.aoa, path.aod, path.delay, path.gain
 
 
 def test_find_peak_trivial():
@@ -817,19 +831,13 @@ def dense_subtract(values, path, spec, config):
     values -= single_path_grid(path, spec, config).values
 
 
-def dense_peak(values):
-    flat = int(np.argmax(np.abs(values)))
-    i, j, l = np.unravel_index(flat, values.shape)
-    return int(i), int(j), int(l), complex(values[i, j, l])
-
-
 def greedy_extract_oracle(response, spec, count):
     "Reference matching pursuit: full-grid argmax, then full-grid subtraction."
     grid = beamspace_transform(response, spec)
     values = grid.values  # the whole lattice, materialized once
     estimates = []
     for _ in range(count):
-        i, j, l, val = dense_peak(values)
+        i, j, l, val = dense_peak(values)[0]
         if val == 0:
             break
         path = PathParams(gain=val, delay=float(grid.delay_axis[l]),
@@ -856,7 +864,7 @@ def greedy_ls_oracle(response, config, xcfg):
         work = gvals.copy()
         candidates = []
         for _ in range(xcfg.k_g):
-            i, j, l, val = dense_peak(work)
+            i, j, l, val = dense_peak(work)[0]
             if val == 0:
                 break
             if xcfg.refine_peaks:
@@ -900,7 +908,7 @@ def sage_grid_oracle(response, paths, config, spec, sweeps):
     for _ in range(sweeps):
         for k, old in enumerate(current):
             dense_subtract(values, replace(old, gain=-old.gain), spec, config)
-            i, j, l, val = dense_peak(values)
+            i, j, l, val = dense_peak(values)[0]
             new = PathParams(gain=val, delay=float(grid.delay_axis[l]),
                              aod=float(grid.aod_axis[j]), aoa=float(grid.aoa_axis[i]))
             dense_subtract(values, new, spec, config)
@@ -1014,7 +1022,8 @@ def test_measurement_matched_filter_only_in_refit_on_the_lattice():
 
 def counted_greedy_ls(resp, config, cfg):
     """greedy_ls with its grid passes and tentative picks counted: the
-    transform, which records the first row peaks, and the full sweeps."""
+    transform, whose ``peak_sweep`` records the first row peaks, and the
+    full sweeps."""
     with mock.patch.object(beamspace, "beamspace_transform",
                            wraps=beamspace.beamspace_transform) as transforms, \
             mock.patch.object(beamspace, "peak_sweep",
@@ -1023,26 +1032,28 @@ def counted_greedy_ls(resp, config, cfg):
                               wraps=beamspace.tentative_peak) as tentative:
         found, trace = greedy_ls(resp, config, cfg)
     assert transforms.call_count == 1
-    assert trace.full_sweeps == 1 + sweeps.call_count
+    assert trace.full_sweeps == sweeps.call_count
     return found, trace, tentative.call_count
 
 
 def test_greedy_ls_names_a_nan_response_at_its_first_pick():
-    """A NaN response value makes every grid value NaN.  The transform that
-    records the first row peaks raises the error that a read-only sweep of
-    the grid raises, naming the same index, before any pick is made."""
+    """A NaN response value makes every grid value NaN.  The transform's
+    first pass raises the error that ``tentative_peak`` raises over the
+    grid's non-finite rows, naming its first index, and greedy_ls raises it
+    before any pick is made."""
     resp = desk_case(5, None)
     values = resp.values.copy()
     values[3, 1, 7] = np.nan
     resp = FrequencyResponse(values=values, config=DESK)
     cfg = ExtractionConfig(k_dom=4)
-    with pytest.raises(ValueError, match="non-finite beamspace magnitude") as swept:
-        beamspace.peak_sweep(beamspace_transform(resp, cfg.grid))
-    with mock.patch.object(beamspace, "tentative_peak") as tentative, \
+    with pytest.raises(ValueError, match=r"non-finite beamspace magnitude .* \(0, 0, 0\)"
+                       ) as swept:
+        beamspace_transform(resp, cfg.grid)
+    with mock.patch.object(beamspace._PendingFootprints, "pick") as pick, \
             pytest.raises(ValueError) as picked:
         greedy_ls(resp, DESK, cfg)
     assert str(picked.value) == str(swept.value)
-    assert tentative.call_count == 0
+    assert pick.call_count == 0
 
 
 def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
@@ -1080,7 +1091,7 @@ def test_greedy_ls_sweeps_the_paper_grid_once_per_16_commits():
 def test_greedy_extract_sweeps_the_paper_grid_once_per_16_picks():
     """greedy_extract's picks stay pending as greedy-LS's commits do: on the
     oversample-1 paper grid, 48 picks make at most ceil(48 / 16) + 1 grid
-    passes (the transform and the full sweeps), and every pick is
+    passes (the transform's and the full sweeps), and every pick is
     tentative.  However often the grid is swept (at every pick with a share
     limit of 0, only at 16 pending with a limit of 1), the paths are the
     dense oracle's: the same geometry, and gains to 1e-9."""
@@ -1101,9 +1112,9 @@ def test_greedy_extract_sweeps_the_paper_grid_once_per_16_picks():
                                   wraps=beamspace.tentative_peak) as tentative:
             found = greedy_extract(resp, spec, 48)
         if share:
-            assert 1 + sweeps.call_count <= math.ceil(48 / 16) + 1
+            assert sweeps.call_count <= math.ceil(48 / 16) + 1
         else:  # every pick after the first sweeps
-            assert 1 + sweeps.call_count == 48
+            assert sweeps.call_count == 48
         assert tentative.call_count == 48
         assert_same_paths(found, oracle)
 
@@ -1153,7 +1164,7 @@ def test_held_candidates_move_picks_until_the_next_commit(pending_cap, share):
                 peak = picks.pick()
                 if held:
                     assert picks.sweeps == sweeps
-                i, j, l, val = dense_peak(work)
+                i, j, l, val = dense_peak(work)[0]
                 assert (peak.aoa, peak.aod, peak.delay) == (
                     lattice.aoa_axis[i], lattice.aod_axis[j], lattice.delay_axis[l])
                 assert abs(peak.gain - val) <= 1e-9
@@ -1212,11 +1223,11 @@ def test_residual_trace_equals_recomputed_residual(seed, snr_db):
 
 
 def counted_sage_refine(resp, paths, spec, sweeps):
-    "sage_refine with its full grid sweeps counted."
+    "sage_refine with its full grid sweeps, every pass but the transform's, counted."
     with mock.patch.object(beamspace, "peak_sweep",
                            wraps=beamspace.peak_sweep) as swept:
         refined, errors = sage_refine(resp, paths, DESK, spec, sweeps)
-    return refined, errors, swept.call_count
+    return refined, errors, swept.call_count - 1
 
 
 @pytest.mark.parametrize("refine", [False, True])
@@ -1279,7 +1290,7 @@ def test_inf_response_raises_the_named_error_under_warnings_as_errors(split):
             mock.patch.object(pool, "_MIN_SPAN_ENTRIES", 1 if split else 1 << 20):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
-            beamspace.peak_sweep(beamspace_transform(resp, spec))
+            beamspace_transform(resp, spec)
         with pytest.raises(ValueError, match=named):
             greedy_ls(resp, DESK, ExtractionConfig(k_dom=4, grid=spec))
         with pytest.raises(ValueError, match=named):
@@ -1300,11 +1311,11 @@ def test_writing_sweeps_count_the_rows_they_rescan(oversample):
     n_rows = (DESK.n_rx * oversample) * (DESK.n_tx * oversample)
     swept, sweep = [], beamspace.peak_sweep
 
-    def counted(grid, factors=None, row_peaks=None):
+    def counted(grid, factors=None):
         before = grid._swept_rows
-        peak = sweep(grid, factors, row_peaks)
-        swept.append((len(factors[1]), grid._swept_rows - before))
-        return peak
+        sweep(grid, factors)
+        if factors is not None:  # not the transform's pass
+            swept.append((len(factors[1]), grid._swept_rows - before))
 
     with mock.patch.object(beamspace, "peak_sweep", counted), \
             mock.patch.object(beamspace, "_MAX_KEPT_SHARE", 0.0):
@@ -1324,18 +1335,10 @@ def test_writing_sweeps_count_the_rows_they_rescan(oversample):
 
 
 def full_sweeps_only():
-    """A patch of ``peak_sweep`` that hands every writing sweep a fresh
-    array for the row maxima, so it makes the full pass over every row, and
-    copies them back as the picker's own."""
-    sweep = beamspace.peak_sweep
-
-    def full(grid, factors=None, row_peaks=None):
-        fresh = np.empty_like(row_peaks)
-        peak = sweep(grid, factors, fresh)
-        row_peaks[:] = fresh
-        grid._row_peaks = row_peaks
-        return peak
-    return mock.patch.object(beamspace, "peak_sweep", full)
+    """A patch under which no footprints are restricted to the rows they
+    reach (``_reached_rows``), so every writing sweep makes the full pass
+    over every row."""
+    return mock.patch.object(beamspace, "_reached_rows", lambda grid, left: None)
 
 
 @pytest.mark.parametrize("case", ["desk", "paper", "paper-aoa-2"])

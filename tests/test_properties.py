@@ -41,7 +41,9 @@ from mpcx.sounder import _matched_filter, _separable_transform
 
 from closed_form import (
     beamspace_point,
+    dense_peak,
     footprint_factors,
+    grid_peak,
     kept_rows,
     kernel_factors,
     ls_condition,
@@ -123,14 +125,19 @@ def test_peak_sweep_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     grid = beamspace.BeamspaceGrid(work, spec, cfg)
     split_grid = beamspace.BeamspaceGrid(split_work, spec, cfg)
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        i, j, l, val = peak_sweep(grid, footprint_factors(grid, paths))
+        peak_sweep(grid, footprint_factors(grid, paths))
+        i, j, l, val = grid_peak(grid)
         # the same sweep cut into up to n_spans spans on the thread pool
         with mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1):
-            split = peak_sweep(split_grid, footprint_factors(split_grid, paths))
-    assert split == (i, j, l, val)
+            peak_sweep(split_grid, footprint_factors(split_grid, paths))
+        assert grid_peak(split_grid) == (i, j, l, val)
     assert np.array_equal(split_work, work)
+    assert split_grid._row_peaks.tobytes() == grid._row_peaks.tobytes()
 
     scale = max(1.0, float(mag.max()))
+    # the row maxima of the written plane, and to rounding the oracle's
+    assert np.array_equal(grid._row_peaks, dense_peak(work)[1])
+    assert np.max(np.abs(grid._row_peaks - dense_peak(dense)[1])) <= 1e-12 * scale
     if paths:
         assert np.max(np.abs(work - dense)) <= 1e-12 * scale
     else:
@@ -179,9 +186,8 @@ def test_tentative_peak_equals_dense_oracle(n_rx, n_tx, n_freq, os_aoa, os_aod,
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
     rng = np.random.default_rng(seed)
     grid = beamspace.BeamspaceGrid(complex_normal(rng, shape), spec, cfg)
-    row_peaks = np.empty(shape[0] * shape[1])
-    peak_sweep(grid, footprint_factors(grid, random_paths(rng, cfg, spec, swept,
-                                                         on_grid)), row_peaks)
+    peak_sweep(grid, footprint_factors(grid, random_paths(rng, cfg, spec, swept, on_grid)))
+    row_peaks = grid._row_peaks
     assert np.array_equal(row_peaks,
                           np.abs(grid.values).reshape(len(row_peaks), -1).max(axis=1))
     before = grid.values.tobytes()
@@ -248,34 +254,34 @@ def picker_factors(grid, paths):
 def test_sweep_of_the_reached_rows_equals_the_full_write(
         n_rx, n_tx, n_freq, os_aoa, os_delay, seed, n_paths, on_grid, shared, ties, bad,
         bad_value, block):
-    """On a grid that stores every row (os_aod 1, every AoA row stored), a
-    writing ``peak_sweep`` handed the row maxima that the grid recorded
-    rewrites and rescans only the rows that its footprints reach, and gives
-    the full write's plane, row maxima and peak (the same sweep handed no
-    row maxima, or a fresh array): bit for bit at os_aoa 1, to 1e-12 of the
-    maximum where the AoA factor is dense, and the dense oracle's.  The
-    footprints are the picker's on the lattice, which reach one row each at
-    oversample 1, or anywhere, which reach every row; with ``shared`` the
-    paths share the first one's angles, so that at oversample 1 their
-    footprints reach one row, a lone row made by a product of several
-    columns (a product of one row would run on BLAS's vector kernel, whose
-    bits differ from the matrix kernel's); with ``ties``, integer
-    values and integer footprints of one row each make exact magnitude ties
-    between reached and unreached rows, which take the lowest index triple.
-    No footprint rewrites no row.  Footprints that reach every row, and
-    grids whose full-pass block products run on BLAS's vector kernel (one
-    delay, or a block of one view row), get the full pass.  A non-finite
-    value in a reached or an unreached row raises the full sweep's
-    ValueError, naming its index."""
+    """On a grid that stores every row (os_aod 1, every AoA row stored) and
+    has its row maxima, a writing ``peak_sweep`` rewrites and rescans only
+    the rows that its footprints reach, and gives the full write's plane,
+    row maxima and peak (the same sweep on a copy of the grid that has no
+    maxima yet, so it makes the full pass): bit for bit at os_aoa 1, to
+    1e-12 of the maximum where the AoA factor is dense, and the dense
+    oracle's.  The footprints are the picker's on the lattice, which reach
+    one row each at oversample 1, or anywhere, which reach every row; with
+    ``shared`` the paths share the first one's angles, so that at
+    oversample 1 their footprints reach one row, a lone row made by a
+    product of several columns (a product of one row would run on BLAS's
+    vector kernel, whose bits differ from the matrix kernel's); with
+    ``ties``, integer values and integer footprints of one row each make
+    exact magnitude ties between reached and unreached rows, which take the
+    lowest index triple.  No footprint rewrites no row.  Footprints that
+    reach every row, and grids whose full-pass block products run on BLAS's
+    vector kernel (one delay, or a block of one view row), get the full
+    pass.  A non-finite value in a reached or an unreached row raises the
+    full sweep's ValueError, naming its index, once the plane is written
+    whole."""
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, 1, os_delay)
     rng = np.random.default_rng(seed)
     n_rows, n_tau = shape[0] * shape[1], shape[2]
-    recorded = np.empty(n_rows)
     if ties:
         values = (rng.integers(-1, 2, size=shape)
                   + 1j * rng.integers(-1, 2, size=shape)).astype(complex)
         grid = beamspace.BeamspaceGrid(values, spec, cfg)
-        peak_sweep(grid, row_peaks=recorded)
+        peak_sweep(grid)
         left = np.zeros((n_rows, n_paths), dtype=complex, order="F")
         left[rng.integers(0, n_rows, size=n_paths), np.arange(n_paths)] = 1
         right = (rng.integers(-1, 2, size=(n_paths, n_tau))
@@ -284,12 +290,13 @@ def test_sweep_of_the_reached_rows_equals_the_full_write(
         resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
                                  config=cfg)
         with mock.patch.object(beamspace, "_AOA_PLANE_ENTRIES", 1 << 40):
-            grid = beamspace_transform(resp, spec, recorded)
+            grid = beamspace_transform(resp, spec)
         paths = random_paths(rng, cfg, spec, n_paths, on_grid)
         if shared:
             paths = [replace(p, aoa=paths[0].aoa, aod=paths[0].aod) for p in paths]
         left, right = picker_factors(grid, paths)
-    assert grid._steps == (1, 1) and grid._row_peaks is recorded
+    recorded = grid._row_peaks
+    assert grid._steps == (1, 1) and recorded is not None
     reached = np.flatnonzero(np.any(left, axis=1))
     flat = grid._plane.reshape(n_rows, n_tau)
     if bad is not None:
@@ -299,22 +306,20 @@ def test_sweep_of_the_reached_rows_equals_the_full_write(
         flat[row, rng.integers(0, n_tau)] = bad_value
         recorded[row] = np.abs(flat[row]).max()  # the maxima as the grid stands
     dense = grid._plane - (left @ right).reshape(shape)
-    full, fresh = beamspace.BeamspaceGrid(grid._plane.copy(), spec, cfg), np.empty(n_rows)
-    plain = beamspace.BeamspaceGrid(grid._plane.copy(), spec, cfg)
+    full = beamspace.BeamspaceGrid(grid._plane.copy(), spec, cfg)
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        if bad is not None:
+        if bad is None:
+            peak_sweep(grid, (left, right))
+            peak_sweep(full, (left, right))
+            peak, ref = grid_peak(grid), grid_peak(full)
+        else:
             with pytest.raises(ValueError, match="non-finite") as named:
-                peak_sweep(plain, (left, right))
+                peak_sweep(full, (left, right))
             with pytest.raises(ValueError) as got:
-                peak_sweep(grid, (left, right), recorded)
+                peak_sweep(grid, (left, right))
             assert str(got.value) == str(named.value)
-            return
-        peak = peak_sweep(grid, (left, right), recorded)
-        ref = peak_sweep(full, (left, right), fresh)
-        assert peak_sweep(plain, (left, right)) == ref
-    # the full pass where its block products would run on BLAS's vector
-    # kernel (one delay, or a block of one view row) or every row is reached
-    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
+        # the full pass where its block products would run on BLAS's vector
+        # kernel (one delay, or a block of one view row) or every row is reached
         per = beamspace._scan_rows(shape, 1) * shape[1]
     restricted = n_tau > 1 and per > 1 and n_rows % per != 1 and len(reached) < n_rows
     assert grid._swept_rows == (len(reached) if restricted else n_rows)
@@ -324,20 +329,99 @@ def test_sweep_of_the_reached_rows_equals_the_full_write(
         assert len(reached) == 0
     elif on_grid and os_aoa == 1 and not ties:
         assert len(reached) <= n_paths  # a lattice footprint reaches one row
-    scale = max(1.0, float(np.abs(dense).max()))
+    assert np.array_equal(recorded, np.abs(flat).max(axis=1), equal_nan=True)
+    scale = max(1.0, float(np.max(np.abs(dense), where=np.isfinite(dense), initial=0)))
     if os_aoa == 1 or ties:
-        assert grid._plane.tobytes() == full._plane.tobytes() == plain._plane.tobytes()
-        assert recorded.tobytes() == fresh.tobytes()
+        assert grid._plane.tobytes() == full._plane.tobytes()
+        assert recorded.tobytes() == full._row_peaks.tobytes()
+    else:
+        finite = np.isfinite(full._plane)
+        assert np.array_equal(np.isfinite(grid._plane), finite)
+        assert np.max(np.abs(grid._plane[finite] - full._plane[finite]),
+                      initial=0) <= 1e-12 * scale
+        np.testing.assert_allclose(recorded, full._row_peaks, rtol=0, atol=1e-12 * scale)
+    if bad is not None:
+        return
+    assert np.max(np.abs(grid._plane - dense), initial=0) <= 1e-12 * scale
+    if os_aoa == 1 or ties:
         assert peak == ref
     else:
-        assert np.max(np.abs(grid._plane - full._plane)) <= 1e-12 * scale
-        assert np.max(np.abs(recorded - fresh)) <= 1e-12 * scale
         assert_same_peak(peak, full._plane, scale)
-    assert np.array_equal(recorded, np.abs(flat).max(axis=1))
-    assert np.max(np.abs(grid._plane - dense), initial=0) <= 1e-12 * scale
     assert_same_peak(peak, dense, scale)
     if ties:  # exact arithmetic: the first maximum in (aoa, aod, delay) order
         assert peak[:3] == np.unravel_index(int(np.argmax(np.abs(dense))), shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rx=st.integers(1, 5), n_tx=st.integers(1, 4), n_freq=st.integers(1, 6),
+       os_aoa=st.integers(1, 3), os_aod=st.integers(1, 2), os_delay=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), n_paths=st.integers(0, 3), on_grid=st.booleans(),
+       transform=st.booleans(),
+       bad=st.lists(st.sampled_from([complex(math.nan, 0.0), complex(1.0, math.nan),
+                                     complex(math.inf, 0.0), complex(0.0, -math.inf)]),
+                    min_size=1, max_size=4))
+@example(n_rx=2, n_tx=2, n_freq=4, os_aoa=1, os_aod=1, os_delay=1, seed=0, n_paths=2,
+         on_grid=True, transform=False,
+         bad=[complex(math.inf, 0.0), complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_non_finite_values_are_named_alike_by_every_pass(
+        n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay, seed, n_paths, on_grid, transform,
+        bad):
+    """NaN and inf values anywhere in a grid's stored plane, across block and
+    span edges, make a ``peak_sweep`` raise ``tentative_peak``'s ValueError
+    over the rows whose maximum is not finite, and it names the first
+    magnitude of the written grid that is not finite, in (aoa, aod, delay)
+    order: for every ``_BLOCK_ENTRIES`` and span count, and whether the pass
+    is full (a grid with no row maxima yet) or restricted to the rows that
+    the footprints reach (a grid that stores every row and has the maxima
+    of its plane as it stands).  A grid built from an array stores every
+    row; a transform's derives AoA rows at os_aoa > 1 and AoD rows at
+    os_aod > 1, and those get the full pass.  Every pass writes the whole
+    plane before it raises, and its row maxima are not finite exactly where
+    the written grid's rows are not."""
+    cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
+    rng = np.random.default_rng(seed)
+    if transform:
+        grid = beamspace_transform(FrequencyResponse(
+            values=complex_normal(rng, (n_rx, n_tx, n_freq)), config=cfg), spec)
+    else:
+        grid = beamspace.BeamspaceGrid(complex_normal(rng, shape), spec, cfg)
+    plane, n_rows = grid._plane, shape[0] * shape[1]
+    at = rng.choice(plane.size, size=min(len(bad), plane.size), replace=False)
+    plane.reshape(-1)[at] = bad[:len(at)]
+    paths = random_paths(rng, cfg, spec, n_paths, on_grid)
+    factors = picker_factors(grid, paths) if paths else None
+    stores_every_row = grid._steps == (1, 1)
+    maxima = np.abs(plane).reshape(n_rows, -1).max(axis=1) if stores_every_row else None
+
+    def sweep(block, n_spans, restricted):
+        "The pass on a copy of the grid, its error message, and the copy."
+        copy = beamspace.BeamspaceGrid(plane.copy(), spec, cfg)
+        copy._steps = grid._steps
+        if restricted:
+            copy._row_peaks = maxima.copy()
+        with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block), \
+                mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1), \
+                pytest.raises(ValueError, match="non-finite") as named:
+            peak_sweep(copy, factors)
+        return str(named.value), copy
+
+    _, ref = sweep(beamspace._BLOCK_ENTRIES, 1, False)
+    with np.errstate(invalid="ignore"):
+        lattice = ref.values
+    first = np.unravel_index(int(np.flatnonzero(~np.isfinite(lattice))[0]), shape)
+    expected = "non-finite beamspace magnitude at grid index ({}, {}, {})".format(*first)
+    rows_bad = ~np.isfinite(lattice.reshape(n_rows, -1)).all(axis=1)
+    finite = np.isfinite(ref._plane)
+    for block in (1, 5, 16, 80):
+        for n_spans in (1, 3):
+            for restricted in (False, True) if stores_every_row else (False,):
+                message, copy = sweep(block, n_spans, restricted)
+                assert message == expected
+                assert np.array_equal(~np.isfinite(copy._row_peaks), rows_bad)
+                assert np.array_equal(np.isfinite(copy._plane), finite)
+                assert np.max(np.abs(copy._plane[finite] - ref._plane[finite]),
+                              initial=0) <= 1e-12 * max(1.0, np.abs(ref._plane[finite]).max(
+                                  initial=0))
 
 
 def assert_same_peak(got, dense, scale):
@@ -369,9 +453,10 @@ def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_a
     row through ``_separable_transform``) to 1e-12 of the maximum.  A
     ``peak_sweep`` with footprints, then a ``tentative_peak`` and
     ``_refine_peak`` against further ones, agree with the same calls on an
-    array-built copy of the dense lattice: the same peak unless rounding can
-    reorder the top two, row peaks and values to 1e-12, the swept lattices
-    to 1e-12, and the tentative pick leaves the plane as it was.  Two rounds
+    array-built copy of the dense lattice: the same peak (``grid_peak``
+    after a sweep) unless rounding can reorder the top two, row peaks and
+    values to 1e-12, the swept lattices to 1e-12, and the tentative pick
+    leaves the plane as it was.  Two rounds
     of tentative picks and a sweep that writes their footprints check that
     a pick after the write reads the written plane."""
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
@@ -386,13 +471,15 @@ def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_a
     scale = max(1.0, float(np.abs(dense).max()))  # footprint gains are O(1)
 
     paths = random_paths(rng, cfg, spec, n_paths, on_grid)
-    row_peaks, copy_row_peaks = np.empty(shape[0] * shape[1]), np.empty(shape[0] * shape[1])
     with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block):
-        got = peak_sweep(grid, footprint_factors(grid, paths), row_peaks)
-        ref = peak_sweep(copy, footprint_factors(copy, paths), copy_row_peaks)
+        peak_sweep(grid, footprint_factors(grid, paths))
+        peak_sweep(copy, footprint_factors(copy, paths))
+        got, ref = grid_peak(grid), grid_peak(copy)
+    row_peaks, copy_row_peaks = grid._row_peaks, copy._row_peaks
     swept = copy.values
     assert_same_peak(got, swept, scale)
     assert_same_peak(ref, swept, scale)
+    assert np.array_equal(copy_row_peaks, dense_peak(swept)[1])
     assert np.max(np.abs(grid.values - swept)) <= 1e-12 * scale
     assert np.max(np.abs(row_peaks - copy_row_peaks)) <= 1e-12 * scale
 
@@ -412,10 +499,11 @@ def test_stored_plane_grid_equals_dense_lattice(n_rx, n_tx, n_freq, os_aoa, os_a
             beamspace._refine_peak(grid, i, j, l, factors),
             beamspace._refine_peak(copy, i, j, l, factors)))) <= 1e-9
         # a sweep that writes the footprints; the next pick reads the new plane
-        peak_sweep(grid, factors, row_peaks)
-        peak_sweep(copy, factors, copy_row_peaks)
+        peak_sweep(grid, factors)
+        peak_sweep(copy, factors)
         swept = copy.values
         assert np.max(np.abs(grid.values - swept)) <= 1e-12 * scale
+        assert np.max(np.abs(row_peaks - copy_row_peaks)) <= 1e-12 * scale
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,8 +524,8 @@ def test_tentative_peak_with_a_point_floor_equals_dense_oracle(
     rng = np.random.default_rng(seed)
     resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
                              config=cfg)
-    row_peaks = np.empty(shape[0] * shape[1])
-    grid = beamspace_transform(resp, spec, row_peaks)
+    grid = beamspace_transform(resp, spec)
+    row_peaks = grid._row_peaks
     more = random_paths(rng, cfg, spec, pending, on_grid)
     factors = footprint_factors(grid, more)
     reach = np.abs(factors[0]) @ np.abs(factors[1]).max(axis=1)
@@ -793,26 +881,26 @@ def test_ls_equals_dense_pseudo_inverse(n_rx, n_tx, n_freq, seed, n_paths, n_nea
 def test_transform_row_peaks_equal_read_only_sweep(n_rx, n_tx, n_freq, os_aoa, os_aod,
                                                    os_delay, seed, block, rx_block,
                                                    n_spans):
-    """The row peaks that ``beamspace_transform`` records while it makes the
-    plane equal, bit for bit, those that a read-only ``peak_sweep`` writes
-    on the grid it returns, and so does the peak: for any oversampling,
-    block sizes and span count.  The plane is the bits of the transform
-    made without row peaks and without a split."""
+    """The row peaks that ``beamspace_transform``'s first pass records equal,
+    bit for bit, those that a second read-only ``peak_sweep`` writes on the
+    grid it returns, and those of the transform made with default blocks
+    and no split, and so does the grid's peak (``grid_peak``): for any
+    oversampling, block sizes and span count.  The plane is the bits of the
+    transform made without a split."""
     cfg, spec, shape = small_case(n_rx, n_tx, n_freq, os_aoa, os_aod, os_delay)
     rng = np.random.default_rng(seed)
     resp = FrequencyResponse(values=complex_normal(rng, (n_rx, n_tx, n_freq)),
                              config=cfg)
-    n_rows = shape[0] * shape[1]
-    recorded, swept = np.full(n_rows, np.nan), np.full(n_rows, np.nan)
-    with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block), \
-            mock.patch.object(sounder, "_RX_BLOCK", rx_block):
+    with mock.patch.object(sounder, "_RX_BLOCK", rx_block):
         plain = beamspace_transform(resp, spec)
-        with mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1):
-            grid = beamspace_transform(resp, spec, recorded)
-            peak = peak_sweep(grid, row_peaks=swept)
+        with mock.patch.object(beamspace, "_BLOCK_ENTRIES", block), \
+                mock.patch.multiple(pool, _cpus=lambda: n_spans, _MIN_SPAN_ENTRIES=1):
+            grid = beamspace_transform(resp, spec)
+            recorded = grid._row_peaks.copy()
+            peak_sweep(grid)
     assert np.array_equal(grid._plane, plain._plane)
-    assert recorded.tobytes() == swept.tobytes()
-    assert peak == peak_sweep(plain)
+    assert recorded.tobytes() == grid._row_peaks.tobytes() == plain._row_peaks.tobytes()
+    assert grid_peak(grid) == grid_peak(plain)
 
 
 @settings(max_examples=60, deadline=None)
